@@ -8,7 +8,9 @@ use tero_core::imageproc::{roi_for_game, ImageProcessor};
 use tero_types::{GameId, SimRng, SimTime};
 use tero_vision::combine::OcrCombiner;
 use tero_vision::ocr::{OcrEngine, OcrEngineKind};
-use tero_vision::preprocess::{preprocess, PreprocessConfig};
+use tero_vision::preprocess::{
+    finish_binary, gaussian_blur, median3, preprocess, preprocess_gray, PreprocessConfig,
+};
 use tero_vision::scene::HudScene;
 
 fn thumb() -> tero_vision::Image {
@@ -45,6 +47,33 @@ fn bench_single_engine(c: &mut Criterion) {
     let engine = OcrEngine::new(OcrEngineKind::EasyOcrLike);
     c.bench_function("single_engine_recognize", |b| {
         b.iter(|| engine.recognize_gray(&upscaled, &cfg));
+    });
+}
+
+/// The kernels under `extract`, each on the 210×78 stage a LoL ROI
+/// upscales to — the rows the OCR ledger in docs/PERFORMANCE.md tracks.
+fn bench_kernels(c: &mut Criterion) {
+    let roi = roi_for_game(GameId::LeagueOfLegends);
+    let crop = thumb().crop(roi.0, roi.1, roi.2, roi.3);
+    let cfg = PreprocessConfig::default();
+    let upscaled = crop.upscale(cfg.upscale);
+    let gray = preprocess_gray(&crop, &cfg);
+    let bin = finish_binary(&gray, 1.0, &cfg);
+    // Otsu, binarize, closing and despeckle (six 3×3 passes).
+    c.bench_function("morph_close_despeckle", |b| {
+        b.iter(|| finish_binary(&gray, 1.0, &cfg));
+    });
+    c.bench_function("blur_r1", |b| b.iter(|| gaussian_blur(&upscaled, 1)));
+    c.bench_function("blur_r2", |b| b.iter(|| gaussian_blur(&upscaled, 2)));
+    c.bench_function("median3", |b| b.iter(|| median3(&upscaled)));
+    // Segmentation plus template matching of every glyph.
+    let engine = OcrEngine::new(OcrEngineKind::EasyOcrLike);
+    c.bench_function("match_glyphs", |b| b.iter(|| engine.recognize(&bin)));
+    // A blank ROI: no vote on the first pass, so both passes run.
+    let blank = tero_vision::Image::filled(crop.width, crop.height, 230);
+    let combiner = OcrCombiner::new();
+    c.bench_function("extract_reprocess_blank", |b| {
+        b.iter(|| combiner.extract(&blank));
     });
 }
 
@@ -88,6 +117,7 @@ criterion_group!(
     bench_render,
     bench_preprocess,
     bench_single_engine,
+    bench_kernels,
     bench_full_extraction,
     bench_render_and_extract
 );

@@ -12,7 +12,7 @@
 
 use crate::image::Image;
 use crate::ocr::{OcrChar, OcrEngine, OcrEngineKind};
-use crate::preprocess::PreprocessConfig;
+use crate::preprocess::{PreprocessConfig, Scratch};
 use serde::{Deserialize, Serialize};
 
 /// Final outcome of the image-processing module for one thumbnail.
@@ -156,11 +156,17 @@ impl OcrCombiner {
     /// Run one pass: the shared upscale stage, then per-engine smoothing,
     /// binarization, recognition and cleanup (each engine runs its own
     /// preprocessing policy — the source of their complementary errors).
-    fn pass(&self, crop: &Image, cfg: &PreprocessConfig) -> [Option<u32>; 3] {
+    fn pass(
+        &self,
+        crop: &Image,
+        cfg: &PreprocessConfig,
+        scratch: &mut Scratch,
+    ) -> [Option<u32>; 3] {
         let upscaled = crop.upscale(cfg.upscale.max(1));
+        let mut raw_otsu = None;
         let mut out = [None; 3];
         for (slot, engine) in out.iter_mut().zip(&self.engines) {
-            *slot = cleanup(&engine.recognize_gray(&upscaled, cfg));
+            *slot = cleanup(&engine.read_gray(&upscaled, cfg, scratch, &mut raw_otsu));
         }
         out
     }
@@ -174,7 +180,8 @@ impl OcrCombiner {
     /// observability consumers (the image-processing module's per-engine
     /// counters) record.
     pub fn extract_with_detail(&self, crop: &Image) -> (CombineOutcome, ExtractDetail) {
-        let first = self.pass(crop, &self.preprocess_cfg);
+        let mut scratch = Scratch::default();
+        let first = self.pass(crop, &self.preprocess_cfg, &mut scratch);
         if let Some((primary, alternative)) = vote(first) {
             return (
                 CombineOutcome::Extracted {
@@ -188,7 +195,7 @@ impl OcrCombiner {
             );
         }
         // Reprocess without pre-processing (App. E step 4).
-        let second = self.pass(crop, &self.reprocess_cfg);
+        let second = self.pass(crop, &self.reprocess_cfg, &mut scratch);
         let detail = ExtractDetail {
             engine_values: second,
             reprocessed: true,

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// An 8-bit grayscale image. Pixel `(x, y)` lives at `pixels[y * width + x]`;
 /// 0 is black, 255 is white.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Image {
     /// Width in pixels.
     pub width: usize,
@@ -22,6 +22,14 @@ impl Image {
             height,
             pixels: vec![shade; width * height],
         }
+    }
+
+    /// Resize in place to `width × height`, reusing the allocation; the
+    /// pixel contents are unspecified until the caller overwrites them.
+    pub(crate) fn reshape(&mut self, width: usize, height: usize) {
+        self.width = width;
+        self.height = height;
+        self.pixels.resize(width * height, 0);
     }
 
     /// Pixel at `(x, y)`; panics when out of bounds.
@@ -87,26 +95,39 @@ impl Image {
         let y0 = y.min(self.height);
         let x1 = (x + w).min(self.width);
         let y1 = (y + h).min(self.height);
-        let (cw, ch) = (x1 - x0, y1 - y0);
-        let mut out = Image::filled(cw, ch, 0);
-        for yy in 0..ch {
-            for xx in 0..cw {
-                out.pixels[yy * cw + xx] = self.get(x0 + xx, y0 + yy);
-            }
+        let mut pixels = Vec::with_capacity((x1 - x0) * (y1 - y0));
+        for yy in y0..y1 {
+            pixels.extend_from_slice(&self.pixels[yy * self.width + x0..yy * self.width + x1]);
         }
-        out
+        Image {
+            width: x1 - x0,
+            height: y1 - y0,
+            pixels,
+        }
     }
 
     /// Nearest-neighbour upscale by an integer factor.
     pub fn upscale(&self, factor: usize) -> Image {
         assert!(factor >= 1);
-        let mut out = Image::filled(self.width * factor, self.height * factor, 0);
-        for y in 0..out.height {
-            for x in 0..out.width {
-                out.pixels[y * out.width + x] = self.get(x / factor, y / factor);
+        let (width, height) = (self.width * factor, self.height * factor);
+        let mut pixels = Vec::with_capacity(width * height);
+        if width > 0 {
+            for src in self.pixels.chunks_exact(self.width) {
+                // Stretch the row once, then repeat it `factor` times.
+                let start = pixels.len();
+                for &p in src {
+                    pixels.extend(std::iter::repeat_n(p, factor));
+                }
+                for _ in 1..factor {
+                    pixels.extend_from_within(start..start + width);
+                }
             }
         }
-        out
+        Image {
+            width,
+            height,
+            pixels,
+        }
     }
 
     /// Mean pixel value (`None` for an empty image).

@@ -24,11 +24,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod bits;
 pub mod combine;
+#[cfg(test)]
+mod differential;
 pub mod font;
 pub mod image;
 pub mod ocr;
 pub mod preprocess;
+#[cfg(test)]
+mod reference;
 pub mod scene;
 
 pub use combine::{CombineOutcome, OcrCombiner};

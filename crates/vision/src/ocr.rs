@@ -23,8 +23,12 @@
 //! own grid, with an aspect-ratio penalty — so a '1' (a narrow glyph) is
 //! never confused with a ':' purely because both are thin.
 
+use crate::bits::BitImage;
 use crate::font::{glyph, Glyph, GLYPH_H, GLYPH_W, TEMPLATE_CHARS};
 use crate::image::Image;
+use crate::preprocess::{
+    blur_into, finish_bits, median3_into, otsu_threshold, PreprocessConfig, Scratch,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -67,58 +71,85 @@ pub struct OcrChar {
     pub distance: f64,
 }
 
-/// A cropped template: the ink bounding box of a 5×7 font glyph.
+/// A template grid: the `w × h` ink bounding box shared by every template
+/// cropped to that size. A glyph is quantised once per grid, not once per
+/// template.
+#[derive(Debug, Clone)]
+struct Grid {
+    w: usize,
+    h: usize,
+    aspect: f64,
+    /// The cells of the top and bottom rows.
+    caps: u64,
+}
+
+/// A cropped template: the ink bounding box of a 5×7 font glyph, one bit
+/// per cell (cell `(row, col)` is bit `row * w + col`; at most 35 bits).
 #[derive(Debug, Clone)]
 struct Template {
     ch: char,
-    w: usize,
-    h: usize,
-    cells: Vec<bool>,
-    aspect: f64,
+    /// Index of the template's grid in [`Bank::grids`].
+    grid: usize,
+    cells: u64,
 }
 
-#[allow(clippy::needless_range_loop)]
-fn crop_template(ch: char, g: &Glyph) -> Option<Template> {
-    let mut min_r = GLYPH_H;
-    let mut max_r = 0;
-    let mut min_c = GLYPH_W;
-    let mut max_c = 0;
-    for (r, bits) in g.iter().enumerate() {
-        for c in 0..GLYPH_W {
-            if bits & (1 << (GLYPH_W - 1 - c)) != 0 {
-                min_r = min_r.min(r);
-                max_r = max_r.max(r);
-                min_c = min_c.min(c);
-                max_c = max_c.max(c);
+#[derive(Debug, Default)]
+struct Bank {
+    grids: Vec<Grid>,
+    templates: Vec<Template>,
+}
+
+impl Bank {
+    /// Add the template for `ch`, cropped to the ink bounding box of `g`;
+    /// a blank glyph (space) adds nothing.
+    fn push(&mut self, ch: char, g: &Glyph) {
+        let ink = |r: usize, c: usize| g[r] & (1 << (GLYPH_W - 1 - c)) != 0;
+        let rows: Vec<usize> = (0..GLYPH_H)
+            .filter(|&r| (0..GLYPH_W).any(|c| ink(r, c)))
+            .collect();
+        let cols: Vec<usize> = (0..GLYPH_W)
+            .filter(|&c| (0..GLYPH_H).any(|r| ink(r, c)))
+            .collect();
+        let (Some(&r0), Some(&r1), Some(&c0), Some(&c1)) =
+            (rows.first(), rows.last(), cols.first(), cols.last())
+        else {
+            return;
+        };
+        let (w, h) = (c1 - c0 + 1, r1 - r0 + 1);
+        let mut cells = 0u64;
+        for r in r0..=r1 {
+            for c in c0..=c1 {
+                cells |= (ink(r, c) as u64) << ((r - r0) * w + (c - c0));
             }
         }
+        let grid = match self.grids.iter().position(|g| (g.w, g.h) == (w, h)) {
+            Some(i) => i,
+            None => {
+                let row = (1u64 << w) - 1;
+                self.grids.push(Grid {
+                    w,
+                    h,
+                    aspect: w as f64 / h as f64,
+                    caps: row | row << ((h - 1) * w),
+                });
+                self.grids.len() - 1
+            }
+        };
+        self.templates.push(Template { ch, grid, cells });
     }
-    if min_r > max_r {
-        return None; // blank glyph (space)
-    }
-    let (w, h) = (max_c - min_c + 1, max_r - min_r + 1);
-    let mut cells = Vec::with_capacity(w * h);
-    for r in min_r..=max_r {
-        for c in min_c..=max_c {
-            cells.push(g[r] & (1 << (GLYPH_W - 1 - c)) != 0);
-        }
-    }
-    Some(Template {
-        ch,
-        w,
-        h,
-        cells,
-        aspect: w as f64 / h as f64,
-    })
 }
 
-fn templates() -> &'static [Template] {
-    static BANK: OnceLock<Vec<Template>> = OnceLock::new();
+/// The template bank, in [`TEMPLATE_CHARS`] order. The order is part of the
+/// matcher's behaviour: a glyph goes to the *first* template at the minimum
+/// distance (the comparison in [`OcrEngine::recognize`] is a strict `<`).
+fn templates() -> &'static Bank {
+    static BANK: OnceLock<Bank> = OnceLock::new();
     BANK.get_or_init(|| {
-        TEMPLATE_CHARS
-            .iter()
-            .filter_map(|&c| crop_template(c, &glyph(c).expect("template glyph")))
-            .collect()
+        let mut bank = Bank::default();
+        for &c in TEMPLATE_CHARS {
+            bank.push(c, &glyph(c).expect("template glyph"));
+        }
+        bank
     })
 }
 
@@ -145,39 +176,60 @@ impl OcrEngine {
     /// silently dropped — exactly the behaviour that turns an occluded
     /// "45ms" into "5ms".
     pub fn recognize(&self, bin: &Image) -> Vec<OcrChar> {
-        let boxes = segment_glyphs(bin);
+        self.recognize_bits(&BitImage::packed(bin, 0))
+    }
+
+    /// [`OcrEngine::recognize`] on the packed binary stage.
+    fn recognize_bits(&self, bin: &BitImage) -> Vec<OcrChar> {
         let (ink_frac, accept) = match self.kind {
             OcrEngineKind::TesseractLike => (0.50, 5.0),
             OcrEngineKind::EasyOcrLike => (0.30, 9.0),
             OcrEngineKind::PaddleOcrLike => (0.40, 8.5),
         };
+        let bank = templates();
+        // Per grid: the glyph quantised onto it, and the aspect-ratio
+        // penalty that keeps thin glyphs from matching wide templates and
+        // vice versa.
+        let mut on_grid = vec![(0u64, 0.0f64); bank.grids.len()];
         let mut out = Vec::new();
-        let mut rejected_any = false;
-        for gb in &boxes {
+        for gb in segment_bits(bin) {
             if gb.is_blob {
                 continue;
             }
+            let g_aspect = gb.w as f64 / gb.h.max(1) as f64;
+            for (slot, grid) in on_grid.iter_mut().zip(&bank.grids) {
+                let mut cells = 0u64;
+                quantize_rect(bin, &gb, grid.w, grid.h, ink_frac, |i| cells |= 1 << i);
+                *slot = (cells, 6.0 * (g_aspect / grid.aspect).ln().abs());
+            }
             let mut best: Option<(char, f64)> = None;
-            for t in templates() {
-                let quant = quantize_to(&gb.img, t.w, t.h, ink_frac);
+            for t in &bank.templates {
+                let grid = &bank.grids[t.grid];
+                let (cells, penalty) = on_grid[t.grid];
+                let diff = cells ^ t.cells;
+                // Hamming distance normalised to the 35-cell (5×7) scale,
+                // so thresholds are comparable across template sizes. The
+                // edge-weighted engine counts mismatches on the template's
+                // top and bottom rows double (stroke caps distinguish many
+                // glyph pairs), with the normalisation adjusted to match.
                 let d = match self.kind {
-                    OcrEngineKind::PaddleOcrLike => edge_weighted_distance(&quant, t),
-                    _ => plain_distance(&quant, t),
+                    OcrEngineKind::PaddleOcrLike => {
+                        let weighted = diff.count_ones() + (diff & grid.caps).count_ones();
+                        weighted as f64 * 35.0 / (grid.w * grid.h + 2 * grid.w) as f64
+                    }
+                    _ => diff.count_ones() as f64 * 35.0 / (grid.w * grid.h) as f64,
                 };
-                // Aspect-ratio penalty keeps thin glyphs from matching
-                // wide templates and vice versa.
-                let g_aspect = gb.img.width as f64 / gb.img.height.max(1) as f64;
-                let d = d + 6.0 * (g_aspect / t.aspect).ln().abs();
+                let d = d + penalty;
                 if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((t.ch, d));
                 }
             }
-            match best {
-                Some((ch, distance)) if distance <= accept => out.push(OcrChar { ch, distance }),
-                _ => rejected_any = true,
+            if let Some((ch, distance)) = best {
+                if distance <= accept {
+                    out.push(OcrChar { ch, distance });
+                }
             }
         }
-        let _ = rejected_any;
         out
     }
 
@@ -215,22 +267,46 @@ impl OcrEngine {
     /// applies its own denoising, smoothing and binarization policy first
     /// (real OCR engines run their own preprocessing, which is where much
     /// of their complementary behaviour comes from).
-    pub fn recognize_gray(
+    pub fn recognize_gray(&self, upscaled: &Image, cfg: &PreprocessConfig) -> Vec<OcrChar> {
+        self.read_gray(upscaled, cfg, &mut Scratch::default(), &mut None)
+    }
+
+    /// [`OcrEngine::recognize_gray`] with the caller's buffers. `raw_otsu`
+    /// caches the Otsu threshold of `upscaled` itself: engines whose policy
+    /// leaves the gray stage untouched (those without extra smoothing, on a
+    /// no-blur pass) share one histogram.
+    pub(crate) fn read_gray(
         &self,
         upscaled: &Image,
-        cfg: &crate::preprocess::PreprocessConfig,
+        cfg: &PreprocessConfig,
+        scratch: &mut Scratch,
+        raw_otsu: &mut Option<u8>,
     ) -> Vec<OcrChar> {
-        let mut stage = if self.uses_median() && cfg.blur_radius > 0 {
-            crate::preprocess::median3(upscaled)
-        } else {
-            upscaled.clone()
-        };
+        let Scratch {
+            denoised,
+            smoothed,
+            blur_buf,
+            bits,
+            spare,
+        } = scratch;
+        let mut stage = upscaled;
+        let mut raw = true;
+        if self.uses_median() && cfg.blur_radius > 0 {
+            median3_into(stage, denoised);
+            (stage, raw) = (denoised, false);
+        }
         let blur = cfg.blur_radius + self.extra_blur();
         if blur > 0 {
-            stage = crate::preprocess::gaussian_blur(&stage, blur);
+            blur_into(stage, blur, blur_buf, smoothed);
+            (stage, raw) = (smoothed, false);
         }
-        let bin = crate::preprocess::finish_binary(&stage, self.threshold_factor(), cfg);
-        self.recognize(&bin)
+        let otsu = if raw {
+            *raw_otsu.get_or_insert_with(|| otsu_threshold(stage))
+        } else {
+            otsu_threshold(stage)
+        };
+        finish_bits(stage, otsu, self.threshold_factor(), cfg, bits, spare);
+        self.recognize_bits(bits)
     }
 
     /// Recognise and return the raw string (convenience).
@@ -253,108 +329,114 @@ pub struct GlyphBox {
 /// consecutive columns with enough ink form a run; each run is cropped to
 /// its own ink bounding box. Runs wider than 1.8× the width a 5×7 glyph of
 /// that run's height would have are flagged as blobs.
-#[allow(clippy::needless_range_loop)]
 pub fn segment_glyphs(bin: &Image) -> Vec<GlyphBox> {
+    segment_bits(&BitImage::packed(bin, 0))
+        .iter()
+        .map(|r| GlyphBox {
+            img: bin.crop(r.x, r.y, r.w, r.h),
+            is_blob: r.is_blob,
+        })
+        .collect()
+}
+
+/// Where a segmented glyph sits in the binary stage.
+#[derive(Debug, Clone, Copy)]
+struct GlyphRect {
+    x: usize,
+    y: usize,
+    w: usize,
+    h: usize,
+    is_blob: bool,
+}
+
+/// [`segment_glyphs`] on the packed binary stage.
+fn segment_bits(bin: &BitImage) -> Vec<GlyphRect> {
     if bin.width == 0 || bin.height == 0 {
         return vec![];
     }
     // Columns with enough ink to be part of a glyph (noise specks after
     // upscaling are ≤3 px tall; glyph strokes are taller).
-    let col_threshold = 4.min(bin.height).max(1);
-    let col_ink: Vec<usize> = (0..bin.width)
-        .map(|x| (0..bin.height).filter(|&y| bin.get(x, y) == 0).count())
-        .collect();
+    let inked = bin.columns_with_ink(4.min(bin.height).max(1));
 
-    let mut boxes = Vec::new();
+    let mut rects = Vec::new();
     let mut run_start: Option<usize> = None;
     for x in 0..=bin.width {
-        let ink = x < bin.width && col_ink[x] >= col_threshold;
+        let ink = x < bin.width && inked[x / 64] >> (x % 64) & 1 == 1;
         match (run_start, ink) {
             (None, true) => run_start = Some(x),
             (Some(s), false) => {
-                if let Some(gb) = crop_run(bin, s, x) {
-                    boxes.push(gb);
-                }
+                rects.extend(crop_run(bin, s, x));
                 run_start = None;
             }
             _ => {}
         }
     }
-    boxes
+    rects
 }
 
 /// Crop a column run `[x0, x1)` to its ink bounding rows; classify blobs.
-fn crop_run(bin: &Image, x0: usize, x1: usize) -> Option<GlyphBox> {
-    let mut top = None;
-    let mut bottom = None;
-    for y in 0..bin.height {
-        let ink = (x0..x1).filter(|&x| bin.get(x, y) == 0).count();
-        if ink >= 2.min(x1 - x0) {
-            if top.is_none() {
-                top = Some(y);
-            }
-            bottom = Some(y);
-        }
-    }
-    let (top, bottom) = (top?, bottom?);
-    let h = bottom - top + 1;
+fn crop_run(bin: &BitImage, x0: usize, x1: usize) -> Option<GlyphRect> {
     let w = x1 - x0;
-    let img = bin.crop(x0, top, w, h);
+    let inked = |&y: &usize| bin.count_row(y, x0, x1) >= 2.min(w);
+    let top = (0..bin.height).find(inked)?;
+    let bottom = (0..bin.height).rfind(inked)?;
+    let h = bottom - top + 1;
     // A single glyph is at most 5 units wide for 7 tall; anything much
     // wider for its height is an occlusion blob or merged junk.
     let expected_w = (h * GLYPH_W).div_ceil(GLYPH_H);
-    let is_blob = w > expected_w * 9 / 5;
-    Some(GlyphBox { img, is_blob })
+    Some(GlyphRect {
+        x: x0,
+        y: top,
+        w,
+        h,
+        is_blob: w > expected_w * 9 / 5,
+    })
 }
 
 /// Downsample a cropped glyph image onto a `tw × th` template grid: a cell
 /// is ink when at least `ink_frac` of its pixels are ink.
 pub fn quantize_to(img: &Image, tw: usize, th: usize, ink_frac: f64) -> Vec<bool> {
+    let bits = BitImage::packed(img, 0);
+    let whole = GlyphRect {
+        x: 0,
+        y: 0,
+        w: img.width,
+        h: img.height,
+        is_blob: false,
+    };
     let mut cells = vec![false; tw * th];
-    if img.width == 0 || img.height == 0 {
-        return cells;
-    }
-    for row in 0..th {
-        for col in 0..tw {
-            let y0 = row * img.height / th;
-            let y1 = ((row + 1) * img.height / th).max(y0 + 1).min(img.height);
-            let x0 = col * img.width / tw;
-            let x1 = ((col + 1) * img.width / tw).max(x0 + 1).min(img.width);
-            let total = (y1 - y0) * (x1 - x0);
-            let mut ink = 0usize;
-            for y in y0..y1 {
-                for x in x0..x1 {
-                    if img.get(x, y) == 0 {
-                        ink += 1;
-                    }
-                }
-            }
-            cells[row * tw + col] = (ink as f64) >= ink_frac * total as f64;
-        }
-    }
+    quantize_rect(&bits, &whole, tw, th, ink_frac, |i| cells[i] = true);
     cells
 }
 
-/// Hamming distance normalised to the 35-cell (5×7) scale, so thresholds
-/// are comparable across template sizes.
-fn plain_distance(quant: &[bool], t: &Template) -> f64 {
-    let d = quant.iter().zip(&t.cells).filter(|(a, b)| a != b).count();
-    d as f64 * 35.0 / (t.w * t.h) as f64
-}
-
-/// Like [`plain_distance`], but mismatches on the template's top and bottom
-/// rows count double (stroke caps distinguish many glyph pairs), with the
-/// normalisation adjusted accordingly.
-fn edge_weighted_distance(quant: &[bool], t: &Template) -> f64 {
-    let mut d = 0.0;
-    for (i, (a, b)) in quant.iter().zip(&t.cells).enumerate() {
-        if a != b {
-            let row = i / t.w;
-            d += if row == 0 || row == t.h - 1 { 2.0 } else { 1.0 };
+/// [`quantize_to`] for the glyph at `r` of the packed stage: calls `ink`
+/// with the index (`row * tw + col`) of every ink cell.
+fn quantize_rect(
+    bin: &BitImage,
+    r: &GlyphRect,
+    tw: usize,
+    th: usize,
+    ink_frac: f64,
+    mut ink: impl FnMut(usize),
+) {
+    if r.w == 0 || r.h == 0 {
+        return;
+    }
+    for row in 0..th {
+        let y0 = row * r.h / th;
+        let y1 = ((row + 1) * r.h / th).max(y0 + 1).min(r.h);
+        for col in 0..tw {
+            let x0 = col * r.w / tw;
+            let x1 = ((col + 1) * r.w / tw).max(x0 + 1).min(r.w);
+            let total = (y1 - y0) * (x1 - x0);
+            let count: usize = (r.y + y0..r.y + y1)
+                .map(|y| bin.count_row(y, r.x + x0, r.x + x1))
+                .sum();
+            if (count as f64) >= ink_frac * total as f64 {
+                ink(row * tw + col);
+            }
         }
     }
-    let total_weight = (t.w * t.h + 2 * t.w) as f64;
-    d * 35.0 / total_weight
 }
 
 #[cfg(test)]
@@ -468,13 +550,17 @@ mod tests {
     fn templates_cropped_sensibly() {
         let bank = templates();
         assert_eq!(
-            bank.len(),
+            bank.templates.len(),
             TEMPLATE_CHARS.len(),
             "space is not in TEMPLATE_CHARS"
         );
-        let one = bank.iter().find(|t| t.ch == '1').unwrap();
+        let grid_of = |ch: char| {
+            let t = bank.templates.iter().find(|t| t.ch == ch).unwrap();
+            &bank.grids[t.grid]
+        };
+        let one = grid_of('1');
         assert_eq!((one.w, one.h), (3, 7), "'1' crops to 3 columns");
-        let colon = bank.iter().find(|t| t.ch == ':').unwrap();
+        let colon = grid_of(':');
         assert!(colon.w < 3 && colon.h <= 6);
     }
 

@@ -7,6 +7,7 @@
 //! dilating and eroding the image in order to merge disjoint regions
 //! [40, 54]."
 
+use crate::bits::BitImage;
 use crate::image::Image;
 
 /// Parameters of the pre-processing pipeline.
@@ -58,26 +59,76 @@ pub fn preprocess_gray(img: &Image, cfg: &PreprocessConfig) -> Image {
 /// configured morphology. A factor below 1 is a *strict* policy: faint
 /// (noise- or blur-degraded) strokes fall below the cutoff and vanish.
 pub fn finish_binary(gray: &Image, threshold_factor: f64, cfg: &PreprocessConfig) -> Image {
-    let t = (otsu_threshold(gray) as f64 * threshold_factor)
-        .round()
-        .clamp(0.0, 255.0) as u8;
-    let mut out = binarize(gray, t);
+    let (mut bits, mut spare) = (BitImage::default(), BitImage::default());
+    let otsu = otsu_threshold(gray);
+    finish_bits(gray, otsu, threshold_factor, cfg, &mut bits, &mut spare);
+    bits.to_image()
+}
+
+/// [`finish_binary`] on packed bits, given the image's Otsu threshold: the
+/// result lands in `bits`; `spare` is the other half of the ping-pong.
+pub(crate) fn finish_bits(
+    gray: &Image,
+    otsu: u8,
+    threshold_factor: f64,
+    cfg: &PreprocessConfig,
+    bits: &mut BitImage,
+    spare: &mut BitImage,
+) {
+    let t = (otsu as f64 * threshold_factor).round().clamp(0.0, 255.0) as u8;
+    bits.pack(gray, t);
+    let mut pass = |dilate: bool| {
+        bits.morph_into(spare, dilate);
+        std::mem::swap(bits, spare);
+    };
     for _ in 0..cfg.morph_iterations {
-        out = dilate(&out);
-        out = erode(&out);
+        pass(true);
+        pass(false);
     }
     if cfg.despeckle {
-        out = erode(&erode(&out));
-        out = dilate(&dilate(&out));
+        pass(false);
+        pass(false);
+        pass(true);
+        pass(true);
     }
-    out
+}
+
+/// Working buffers of one extraction, allocated once and reused by every
+/// engine on both passes.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Output of the median filter.
+    pub(crate) denoised: Image,
+    /// Output of the Gaussian blur.
+    pub(crate) smoothed: Image,
+    /// The blur's `f64` working rows.
+    pub(crate) blur_buf: Vec<f64>,
+    /// The binary stage and its ping-pong partner.
+    pub(crate) bits: BitImage,
+    pub(crate) spare: BitImage,
 }
 
 /// Separable Gaussian blur with the given radius (σ ≈ radius/1.5), using a
 /// discretised kernel normalised to unit sum.
 pub fn gaussian_blur(img: &Image, radius: usize) -> Image {
-    if radius == 0 || img.width == 0 || img.height == 0 {
-        return img.clone();
+    let mut out = Image::default();
+    blur_into(img, radius, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`gaussian_blur`] into caller-owned buffers.
+///
+/// Each pass runs tap by tap over whole rows (so the inner loops are plain
+/// `a[x] += k * b[x]` over slices), which leaves every pixel the exact
+/// sequence of `f64` operations of the textbook per-pixel loop: add the
+/// taps in kernel order, divide by the kernel sum — a true divide, since a
+/// reciprocal multiply rounds differently.
+pub(crate) fn blur_into(img: &Image, radius: usize, buf: &mut Vec<f64>, out: &mut Image) {
+    let (w, h) = (img.width, img.height);
+    out.reshape(w, h);
+    if radius == 0 || w == 0 || h == 0 {
+        out.pixels.copy_from_slice(&img.pixels);
+        return;
     }
     let sigma = radius as f64 / 1.5;
     let kernel: Vec<f64> = (-(radius as i64)..=(radius as i64))
@@ -85,58 +136,150 @@ pub fn gaussian_blur(img: &Image, radius: usize) -> Image {
         .collect();
     let ksum: f64 = kernel.iter().sum();
 
-    // Horizontal pass.
-    let mut tmp = vec![0.0f64; img.width * img.height];
-    for y in 0..img.height {
-        for x in 0..img.width {
-            let mut acc = 0.0;
-            for (i, &k) in kernel.iter().enumerate() {
-                let sx =
-                    (x as i64 + i as i64 - radius as i64).clamp(0, img.width as i64 - 1) as usize;
-                acc += k * img.get(sx, y) as f64;
+    // Three regions, each fully overwritten before it is read: a ring of
+    // the `2 * radius + 1` horizontally blurred rows the vertical pass is
+    // reading (row `y` lives in slot `y % taps`), one padded source row,
+    // one output row.
+    let taps = kernel.len();
+    buf.resize(taps * w + (w + 2 * radius) + w, 0.0);
+    let (ring, rest) = buf.split_at_mut(taps * w);
+    let (padded, acc) = rest.split_at_mut(w + 2 * radius);
+    let slot = |y: usize| (y % taps) * w..(y % taps + 1) * w;
+
+    let mut blurred = 0; // source rows that have been through the horizontal pass
+    for (y, dst) in out.pixels.chunks_exact_mut(w).enumerate() {
+        // Horizontal pass, up to the lowest row this output row reads; each
+        // source row is padded by repeating its edge pixels.
+        while blurred <= (y + radius).min(h - 1) {
+            let src = &img.pixels[blurred * w..(blurred + 1) * w];
+            if blurred > 0 && src == &img.pixels[(blurred - 1) * w..blurred * w] {
+                // Equal to the row above (two rows in three are, after an
+                // integer upscale): same result.
+                ring.copy_within(slot(blurred - 1), slot(blurred).start);
+            } else {
+                padded[..radius].fill(src[0] as f64);
+                for (p, &s) in padded[radius..radius + w].iter_mut().zip(src) {
+                    *p = s as f64;
+                }
+                padded[radius + w..].fill(src[w - 1] as f64);
+                let row = &mut ring[slot(blurred)];
+                for (i, &k) in kernel.iter().enumerate() {
+                    accumulate(row, k, &padded[i..i + w], i == 0);
+                }
+                for v in row.iter_mut() {
+                    *v /= ksum;
+                }
             }
-            tmp[y * img.width + x] = acc / ksum;
+            blurred += 1;
+        }
+        // Vertical pass, rows clamped at the top and bottom edge.
+        for (i, &k) in kernel.iter().enumerate() {
+            let sy = (y + i).saturating_sub(radius).min(h - 1);
+            accumulate(acc, k, &ring[slot(sy)], i == 0);
+        }
+        for (d, &a) in dst.iter_mut().zip(acc.iter()) {
+            *d = round_to_u8(a / ksum);
         }
     }
-    // Vertical pass.
-    let mut out = Image::filled(img.width, img.height, 0);
-    for y in 0..img.height {
-        for x in 0..img.width {
-            let mut acc = 0.0;
-            for (i, &k) in kernel.iter().enumerate() {
-                let sy =
-                    (y as i64 + i as i64 - radius as i64).clamp(0, img.height as i64 - 1) as usize;
-                acc += k * tmp[sy * img.width + x];
-            }
-            out.pixels[y * img.width + x] = (acc / ksum).round().clamp(0.0, 255.0) as u8;
+}
+
+/// One kernel tap over a whole row: `acc[x] += k * src[x]`. The first tap
+/// stores instead of adding to a zeroed row, which is the same value:
+/// every product here is `+0.0` or positive, and `0.0 + p == p` for those.
+#[inline]
+fn accumulate(acc: &mut [f64], k: f64, src: &[f64], first: bool) {
+    if first {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a = k * s;
+        }
+    } else {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a += k * s;
         }
     }
-    out
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8` without the libm call or a
+/// float-to-int conversion. Adding 2^52 leaves `v` rounded half-to-even in
+/// the low mantissa bits; taking it off again gives that integer back as an
+/// `f64`, and the one case where half-to-even and `round` (half away from
+/// zero) differ — a tie that went down — is an exact comparison.
+#[inline]
+pub(crate) fn round_to_u8(v: f64) -> u8 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let v = v.clamp(0.0, 255.0);
+    let shifted = v + TWO_52;
+    let tie_went_down = v - (shifted - TWO_52) == 0.5;
+    shifted.to_bits() as u8 + tie_went_down as u8
 }
 
 /// 3×3 median filter — the classic salt-and-pepper denoiser: isolated
 /// extreme pixels are replaced by their neighbourhood median while edges
 /// and 6-px strokes survive intact.
 pub fn median3(img: &Image) -> Image {
-    let mut out = img.clone();
-    if img.width < 3 || img.height < 3 {
-        return out;
+    let mut out = Image::default();
+    median3_into(img, &mut out);
+    out
+}
+
+/// [`median3`] into a caller-owned buffer.
+pub(crate) fn median3_into(img: &Image, out: &mut Image) {
+    let (w, h) = (img.width, img.height);
+    out.reshape(w, h);
+    out.pixels.copy_from_slice(&img.pixels);
+    if w < 3 || h < 3 {
+        return;
     }
-    let mut window = [0u8; 9];
-    for y in 1..img.height - 1 {
-        for x in 1..img.width - 1 {
-            let mut k = 0;
-            for dy in 0..3 {
-                for dx in 0..3 {
-                    window[k] = img.get(x + dx - 1, y + dy - 1);
-                    k += 1;
-                }
-            }
-            window.sort_unstable();
-            out.pixels[y * img.width + x] = window[4];
+    for y in 1..h - 1 {
+        let above = &img.pixels[(y - 1) * w..y * w];
+        let row = &img.pixels[y * w..(y + 1) * w];
+        let below = &img.pixels[(y + 1) * w..(y + 2) * w];
+        let dst = &mut out.pixels[y * w + 1..(y + 1) * w - 1];
+        // Nine equally long slices, one per window position, so the loop
+        // body is the same nine loads and min/max ladder at every x.
+        let n = dst.len();
+        let (a0, a1, a2) = (&above[..n], &above[1..n + 1], &above[2..n + 2]);
+        let (b0, b1, b2) = (&row[..n], &row[1..n + 1], &row[2..n + 2]);
+        let (c0, c1, c2) = (&below[..n], &below[1..n + 1], &below[2..n + 2]);
+        for x in 0..n {
+            dst[x] = median9([
+                a0[x], a1[x], a2[x], b0[x], b1[x], b2[x], c0[x], c1[x], c2[x],
+            ]);
         }
     }
-    out
+}
+
+/// Median of nine by the 19-exchange network (Paeth; Devillard's
+/// `opt_med9`): branch-free min/max pairs instead of a sort.
+#[inline(always)]
+fn median9(p: [u8; 9]) -> u8 {
+    let [mut p0, mut p1, mut p2, mut p3, mut p4, mut p5, mut p6, mut p7, mut p8] = p;
+    macro_rules! sort {
+        ($a:ident, $b:ident) => {
+            ($a, $b) = ($a.min($b), $a.max($b));
+        };
+    }
+    sort!(p1, p2);
+    sort!(p4, p5);
+    sort!(p7, p8);
+    sort!(p0, p1);
+    sort!(p3, p4);
+    sort!(p6, p7);
+    sort!(p1, p2);
+    sort!(p4, p5);
+    sort!(p7, p8);
+    sort!(p0, p3);
+    sort!(p5, p8);
+    sort!(p4, p7);
+    sort!(p3, p6);
+    sort!(p1, p4);
+    sort!(p2, p5);
+    sort!(p4, p7);
+    sort!(p4, p2);
+    sort!(p6, p4);
+    sort!(p4, p2);
+    let _ = (p0, p1, p2, p3, p5, p6, p7, p8);
+    p4
 }
 
 /// Otsu's method \[40\]: the threshold that maximises between-class variance
@@ -184,11 +327,7 @@ pub fn otsu_threshold(img: &Image) -> u8 {
 
 /// Binarize: pixels at or below the threshold become 0 (ink), the rest 255.
 pub fn binarize(img: &Image, threshold: u8) -> Image {
-    let mut out = img.clone();
-    for p in out.pixels.iter_mut() {
-        *p = if *p <= threshold { 0 } else { 255 };
-    }
-    out
+    BitImage::packed(img, threshold).to_image()
 }
 
 /// Morphological dilation of the *ink* (0) regions with a 3×3 structuring
@@ -204,30 +343,9 @@ pub fn erode(img: &Image) -> Image {
 }
 
 fn morph(img: &Image, dilate: bool) -> Image {
-    let mut out = img.clone();
-    for y in 0..img.height {
-        for x in 0..img.width {
-            let mut any_ink = false;
-            let mut all_ink = true;
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    let sx = x as i64 + dx;
-                    let sy = y as i64 + dy;
-                    let ink =
-                        if sx < 0 || sy < 0 || sx >= img.width as i64 || sy >= img.height as i64 {
-                            false // outside the image counts as background
-                        } else {
-                            img.get(sx as usize, sy as usize) == 0
-                        };
-                    any_ink |= ink;
-                    all_ink &= ink;
-                }
-            }
-            let ink = if dilate { any_ink } else { all_ink };
-            out.pixels[y * img.width + x] = if ink { 0 } else { 255 };
-        }
-    }
-    out
+    let mut out = BitImage::default();
+    BitImage::packed(img, 0).morph_into(&mut out, dilate);
+    out.to_image()
 }
 
 #[cfg(test)]

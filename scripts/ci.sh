@@ -22,6 +22,17 @@ cargo build --release --examples
 echo "==> cargo test"
 cargo test -q
 
+echo "==> tero-vision differential tests (kernels vs the test-only reference, bit for bit)"
+# `cargo test` above covers the root package; the bit-exactness contract
+# of the OCR kernels lives in the vision crate's own unit tests.
+cargo test -q -p tero-vision
+
+echo "==> benchmark harness (smoke-sized run of all six workloads, then its own tests)"
+# The harness is a package of its own; it builds into the same target/
+# and checks every workload's outputs, not its speed.
+bash benchmark/smoke.sh
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
 echo "==> trace determinism (trace_explore twice, byte-compare + JSON parse)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
