@@ -1,16 +1,13 @@
 //! Ops-plane overhead: what live health monitoring and latency-budget
-//! aggregation cost, and — the load-bearing claim — that the
-//! downloader's advisory starvation knob is free when unset. The
-//! numbers feed the ops table in docs/PERFORMANCE.md.
+//! aggregation cost. The numbers feed the ops table in
+//! docs/PERFORMANCE.md.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 use tero_chaos::{ChaosInjector, FaultPlan};
-use tero_core::download::DownloadModule;
 use tero_net::{default_link, ShardedStoreClient, SimNet};
 use tero_obs::Registry;
 use tero_ops::{default_stage_budgets, BudgetSource, BudgetTable, HealthMonitor};
-use tero_store::{KvStore, ObjectStore};
 use tero_trace::SpanRecord;
 
 fn quiet_mesh(shards: usize) -> (SimNet, Registry, Vec<Arc<ShardedStoreClient>>) {
@@ -86,30 +83,5 @@ fn bench_budget_table(c: &mut Criterion) {
     group.finish();
 }
 
-/// The entire per-poll cost the advisory knob adds when unset (the
-/// default): one `Option` discriminant check. Must stay in the same
-/// class as the disabled stage timer (~16 ns / 1k checks budget —
-/// see the obs bench).
-fn bench_advisory_off_path(c: &mut Criterion) {
-    let module = DownloadModule::new(KvStore::new(), ObjectStore::new());
-    let mut group = c.benchmark_group("ops");
-    group.throughput(Throughput::Elements(1_000));
-    group.bench_function("advisory_off_path_check_1k", |b| {
-        b.iter(|| {
-            let mut acks = 0u64;
-            for _ in 0..1_000 {
-                acks += u64::from(black_box(&module.starvation_advisory).is_some());
-            }
-            acks
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_health_report,
-    bench_budget_table,
-    bench_advisory_off_path
-);
+criterion_group!(benches, bench_health_report, bench_budget_table);
 criterion_main!(benches);

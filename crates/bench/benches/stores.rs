@@ -1,10 +1,9 @@
 //! Storage-substrate operation costs: the KV store's queue pattern (the
-//! pipeline's inter-process backbone, App. B), the object store's put/get,
-//! and document inserts/queries.
+//! pipeline's inter-process backbone, App. B) and the object store's
+//! put/get.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use serde::{Deserialize, Serialize};
-use tero_store::{DocumentStore, KvStore, ObjectStore};
+use tero_store::{KvStore, ObjectStore};
 
 fn bench_kv(c: &mut Criterion) {
     let mut group = c.benchmark_group("kv");
@@ -50,35 +49,8 @@ fn bench_object_store(c: &mut Criterion) {
     });
 }
 
-#[derive(Serialize, Deserialize)]
-struct Doc {
-    anon: u64,
-    game: String,
-    latency_ms: u32,
-}
-
-fn bench_document_store(c: &mut Criterion) {
-    c.bench_function("doc_insert_find_500", |b| {
-        b.iter(|| {
-            let db = DocumentStore::new();
-            for i in 0..500u32 {
-                db.insert(
-                    "meas",
-                    &Doc {
-                        anon: i as u64 % 20,
-                        game: "lol".into(),
-                        latency_ms: 20 + i % 80,
-                    },
-                );
-            }
-            let high: Vec<Doc> = db.find("meas", |v| v["latency_ms"].as_u64().unwrap_or(0) > 60);
-            high.len()
-        })
-    });
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_kv, bench_object_store, bench_document_store);
+    targets = bench_kv, bench_object_store);
 criterion_main!(benches);

@@ -21,9 +21,8 @@
 //! * **CDN timeouts and truncated payloads** (detected via the
 //!   content-length the header promises) → per-assignment retry/backoff,
 //!   escalating to a circuit breaker that opens after
-//!   [`DownloadModule::breaker_threshold`] consecutive faults and
-//!   half-opens with a single probe after
-//!   [`DownloadModule::breaker_cooldown`];
+//!   `BREAKER_THRESHOLD` (3) consecutive faults and half-opens with a
+//!   single probe after `BREAKER_COOLDOWN` (2 min);
 //! * **Downloader crashes** → the coordinator notices on its next poll and
 //!   moves the dead worker's streamers to the least-loaded survivor
 //!   (deterministically, in assignment-id order);
@@ -39,6 +38,7 @@ use std::collections::{BinaryHeap, HashMap};
 use tero_obs::Registry;
 use tero_store::{KvStore, ObjectStore};
 use tero_trace::{Level, Tracer};
+use tero_types::retry::{backoff_delay, Breaker, BreakerState};
 use tero_types::{GameId, SimDuration, SimRng, SimTime, StreamerId};
 use tero_world::twitch::{ApiError, CdnResponse};
 use tero_world::World;
@@ -47,6 +47,25 @@ use tero_world::World;
 /// entries, corrupt stored payloads). Never dropped silently; drained via
 /// [`DownloadModule::drain_dead_letters`].
 pub const DEAD_LETTER_QUEUE: &str = "queue:thumbs:dead";
+
+/// Maximum consecutive backoff retries before giving up on a round
+/// (API polls skip to the next regular poll; fetches defer to the
+/// circuit breaker, which trips first).
+const MAX_RETRIES: u32 = 4;
+/// First-retry backoff; doubles per attempt, plus deterministic jitter.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
+/// Consecutive CDN faults on one assignment that trip its breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+/// How long a tripped breaker stays open before its half-open probe.
+const BREAKER_COOLDOWN: SimDuration = SimDuration::from_mins(2);
+/// Cooldown after an offline redirect before the streamer may be
+/// re-acquired (must stay below the poll interval so a comeback is
+/// picked up on the next poll after expiry).
+const OFFLINE_COOLDOWN: SimDuration = SimDuration::from_secs(90);
+/// TTL of the `active:*` lease; refreshed on every successful fetch.
+const ACTIVE_TTL: SimDuration = SimDuration::from_hours(2);
+/// Seed of the retry-jitter stream (independent of the world seed).
+const RETRY_SEED: u64 = 0x5eed_cafe;
 
 /// Percent-escape a task field so `|` can never masquerade as the
 /// separator (`%` itself is escaped first so decoding is unambiguous).
@@ -157,12 +176,10 @@ struct Assignment {
     game_label: GameId,
     last_generated: Option<SimTime>,
     downloader: usize,
-    /// Consecutive CDN faults since the last clean fetch.
-    consecutive_faults: u32,
-    /// When the circuit breaker re-closes enough to allow one probe.
-    breaker_until: Option<SimTime>,
-    /// The next fetch is the breaker's single half-open probe.
-    half_open: bool,
+    /// The per-assignment circuit breaker: open, it swallows stray
+    /// fetch events before the cooldown elapses and admits the scheduled
+    /// one as the single half-open probe.
+    breaker: Breaker,
     /// The assignment's fetch-event chain died on a crashed downloader and
     /// must be restarted when the assignment is reassigned.
     chain_dead: bool,
@@ -176,56 +193,9 @@ impl Assignment {
             game_label,
             last_generated: None,
             downloader,
-            consecutive_faults: 0,
-            breaker_until: None,
-            half_open: false,
+            breaker: Breaker::default(),
             chain_dead: false,
         }
-    }
-
-    /// Admission decision at fetch time. A closed breaker admits
-    /// everything; an open one swallows stray events before the cooldown
-    /// elapses and admits the scheduled probe as the single half-open
-    /// attempt.
-    fn breaker_admits(&mut self, at: SimTime) -> bool {
-        if let Some(break_until) = self.breaker_until {
-            if at < break_until {
-                return false;
-            }
-            self.half_open = true;
-        }
-        true
-    }
-
-    /// Record a faulted fetch. Returns `Some(reopen_at)` when the
-    /// breaker tripped — the fault streak reached `threshold`, or the
-    /// half-open probe itself failed and re-opened it — and the caller
-    /// should schedule the next probe at `reopen_at`; `None` means stay
-    /// closed and back off normally.
-    fn breaker_on_fault(
-        &mut self,
-        at: SimTime,
-        threshold: u32,
-        cooldown: SimDuration,
-    ) -> Option<SimTime> {
-        self.consecutive_faults += 1;
-        let failed_probe = self.half_open;
-        self.half_open = false;
-        if failed_probe || self.consecutive_faults >= threshold {
-            let reopen_at = at + cooldown;
-            self.breaker_until = Some(reopen_at);
-            Some(reopen_at)
-        } else {
-            None
-        }
-    }
-
-    /// A clean fetch closes the breaker and clears the fault streak —
-    /// whether it was the half-open probe or an ordinary fetch.
-    fn breaker_on_success(&mut self) {
-        self.consecutive_faults = 0;
-        self.breaker_until = None;
-        self.half_open = false;
     }
 }
 
@@ -283,10 +253,9 @@ pub struct DownloadCursor {
 }
 
 impl DownloadCursor {
-    /// A fresh cursor covering `[from, until]`. Worker vectors, the retry
-    /// RNG and the initial poll/crash events are installed lazily by the
-    /// first [`DownloadModule::run_cursor`] call (they depend on module
-    /// knobs).
+    /// A fresh cursor covering `[from, until]`. Worker vectors and the
+    /// initial poll/crash events are installed lazily by the first
+    /// [`DownloadModule::run_cursor`] call (they depend on module knobs).
     pub fn new(from: SimTime, until: SimTime) -> DownloadCursor {
         DownloadCursor {
             from,
@@ -300,7 +269,7 @@ impl DownloadCursor {
             downloader_load: Vec::new(),
             downloader_busy_until: Vec::new(),
             downloader_alive: Vec::new(),
-            retry_rng: SimRng::new(0),
+            retry_rng: SimRng::new(RETRY_SEED),
             poll_error_streak: 0,
             stats: DownloadStats::default(),
         }
@@ -417,32 +386,6 @@ pub struct DownloadModule {
     /// Time a downloader spends fetching one thumbnail (serialised per
     /// worker — the reason the coordinator/downloader split exists).
     pub fetch_cost: SimDuration,
-    /// Maximum consecutive backoff retries before giving up on a round
-    /// (API polls skip to the next regular poll; fetches defer to the
-    /// circuit breaker, which trips first at the default settings).
-    pub max_retries: u32,
-    /// First-retry backoff; doubles per attempt, plus deterministic jitter.
-    pub backoff_base: SimDuration,
-    /// Consecutive CDN faults on one assignment that trip its breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker stays open before its half-open probe.
-    pub breaker_cooldown: SimDuration,
-    /// Cooldown after an offline redirect before the streamer may be
-    /// re-acquired (must stay below `poll_interval` so a comeback is
-    /// picked up on the next poll after expiry).
-    pub offline_cooldown: SimDuration,
-    /// TTL of the `active:*` lease; refreshed on every successful fetch.
-    pub active_ttl: SimDuration,
-    /// Seed of the retry-jitter stream (independent of the world seed).
-    pub retry_seed: u64,
-    /// Advisory starvation signal from the ops layer (a
-    /// [`tero_ops::HealthReport::starvation`] verdict, refreshed by the
-    /// operator between runs). Strictly read-only and off by default:
-    /// when set, each coordinator poll acknowledges the advice by
-    /// bumping `download.advisory_polls`, but no scheduling decision
-    /// changes — `tests/observability.rs` pins that the off path and
-    /// the on path produce byte-identical download results.
-    pub starvation_advisory: Option<tero_ops::Starvation>,
 }
 
 /// Metric handles resolved once per [`DownloadModule::run`] — bumping them
@@ -467,7 +410,6 @@ struct DownloadObs {
     ttl_swept: tero_obs::CounterHandle,
     queue_depth: tero_obs::HistogramHandle,
     downloader_load: tero_obs::GaugeHandle,
-    advisory_polls: tero_obs::CounterHandle,
 }
 
 impl DownloadObs {
@@ -496,17 +438,8 @@ impl DownloadObs {
             ttl_swept: obs.counter("download.ttl_swept"),
             queue_depth: obs.histogram("download.queue_depth"),
             downloader_load: obs.gauge("download.downloader_load"),
-            advisory_polls: obs.counter("download.advisory_polls"),
         }
     }
-}
-
-/// `base * 2^(attempt-1)` with the exponent capped, plus deterministic
-/// jitter in `[0, base)` drawn from the dedicated retry stream.
-fn backoff_delay(base: SimDuration, attempt: u32, rng: &mut SimRng) -> SimDuration {
-    let shift = attempt.saturating_sub(1).min(10);
-    let scaled = base.as_micros().saturating_mul(1u64 << shift);
-    SimDuration::from_micros(scaled + rng.below(base.as_micros().max(1)))
 }
 
 impl DownloadModule {
@@ -520,14 +453,6 @@ impl DownloadModule {
             poll_interval: SimDuration::from_mins(2),
             downloaders: 4,
             fetch_cost: SimDuration::from_millis(500),
-            max_retries: 4,
-            backoff_base: SimDuration::from_millis(500),
-            breaker_threshold: 3,
-            breaker_cooldown: SimDuration::from_mins(2),
-            offline_cooldown: SimDuration::from_secs(90),
-            active_ttl: SimDuration::from_hours(2),
-            retry_seed: 0x5eed_cafe,
-            starvation_advisory: None,
         }
     }
 
@@ -584,7 +509,6 @@ impl DownloadModule {
         let init = !cursor.initialized;
         if init {
             cursor.initialized = true;
-            cursor.retry_rng = SimRng::new(self.retry_seed);
             cursor.downloader_load = vec![0usize; self.downloaders.max(1)];
             cursor.downloader_busy_until = vec![SimTime::EPOCH; self.downloaders.max(1)];
             cursor.downloader_alive = vec![true; self.downloaders.max(1)];
@@ -663,11 +587,6 @@ impl DownloadModule {
             let Reverse(HeapEv(at, _, ev)) = heap.pop().expect("peeked above");
             match ev {
                 Ev::Poll => {
-                    // Acknowledge the advisory signal (observability
-                    // only: no scheduling decision depends on it).
-                    if self.starvation_advisory.is_some() {
-                        obs.advisory_polls.inc();
-                    }
                     // Expire lapsed TTL keys (`active:*` leases, offline
                     // cooldowns) before reading any of them.
                     let swept = self.kv.sweep_expired(at);
@@ -727,7 +646,7 @@ impl DownloadModule {
                                     continue;
                                 }
                                 self.kv
-                                    .set_with_ttl(&key, &l.thumbnail_url, at + self.active_ttl);
+                                    .set_with_ttl(&key, &l.thumbnail_url, at + ACTIVE_TTL);
                                 self.kv.set(&format!("game:{user}"), l.game_label.slug());
                                 // Record country tags for the location
                                 // module's tag recovery.
@@ -775,12 +694,9 @@ impl DownloadModule {
                             stats.api_errors += 1;
                             obs.api_errors.inc();
                             poll_error_streak += 1;
-                            if poll_error_streak <= self.max_retries {
-                                let delay = backoff_delay(
-                                    self.backoff_base,
-                                    poll_error_streak,
-                                    &mut retry_rng,
-                                );
+                            if poll_error_streak <= MAX_RETRIES {
+                                let delay =
+                                    backoff_delay(BACKOFF_BASE, poll_error_streak, &mut retry_rng);
                                 stats.retries += 1;
                                 obs.retries.inc();
                                 obs.backoff_us.record(delay.as_micros());
@@ -833,7 +749,7 @@ impl DownloadModule {
                     // Open breaker: only the scheduled half-open probe may
                     // pass; stray earlier events are swallowed (the probe
                     // event sustains the chain).
-                    if !assignment.breaker_admits(at) {
+                    if !assignment.breaker.allows(at) {
                         continue;
                     }
                     // Serialise fetches per downloader.
@@ -861,11 +777,11 @@ impl DownloadModule {
                             obs.cdn_timeouts.inc();
                         }
                         stats.cdn_faults += 1;
-                        if let Some(reopen_at) = assignment.breaker_on_fault(
-                            at,
-                            self.breaker_threshold,
-                            self.breaker_cooldown,
-                        ) {
+                        if assignment
+                            .breaker
+                            .record_fault(at, BREAKER_THRESHOLD, BREAKER_COOLDOWN)
+                            == BreakerState::Open
+                        {
                             // Trip (or re-open after a failed probe): stop
                             // hammering the URL; probe again after the
                             // cooldown.
@@ -876,11 +792,11 @@ impl DownloadModule {
                                 format!("circuit breaker opened (assignment {id})"),
                                 at,
                             );
-                            push(heap, &mut seq, reopen_at, Ev::Fetch(id));
+                            push(heap, &mut seq, at + BREAKER_COOLDOWN, Ev::Fetch(id));
                         } else {
                             let delay = backoff_delay(
-                                self.backoff_base,
-                                assignment.consecutive_faults,
+                                BACKOFF_BASE,
+                                assignment.breaker.fault_streak(),
                                 &mut retry_rng,
                             );
                             stats.retries += 1;
@@ -896,7 +812,7 @@ impl DownloadModule {
                             generated_at,
                             next_update,
                         } => {
-                            assignment.breaker_on_success();
+                            assignment.breaker.record_success();
                             if let Some(last) = assignment.last_generated {
                                 if generated_at == last {
                                     // Same content; try again shortly.
@@ -940,7 +856,7 @@ impl DownloadModule {
                             self.kv.set_with_ttl(
                                 &format!("active:{}", assignment.streamer.as_str()),
                                 &assignment.url,
-                                at + self.active_ttl,
+                                at + ACTIVE_TTL,
                             );
                             stats.downloaded += 1;
                             obs.get_hits.inc();
@@ -972,7 +888,7 @@ impl DownloadModule {
                             self.kv.set_with_ttl(
                                 &format!("cooldown:{user}"),
                                 "1",
-                                at + self.offline_cooldown,
+                                at + OFFLINE_COOLDOWN,
                             );
                             downloader_load[d] = downloader_load[d].saturating_sub(1);
                             obs.downloader_load.set(downloader_load[d] as i64);
@@ -1144,78 +1060,6 @@ mod tests {
         // Malformed escapes are rejected, not mis-decoded.
         assert_eq!(ThumbnailTask::decode("bad%zz|dota2|1|k"), None);
         assert_eq!(ThumbnailTask::decode("trail%2|dota2|1|k"), None);
-    }
-
-    /// The full download-breaker walk — closed → open → half-open →
-    /// closed — on the same `Assignment` transition methods the fetch
-    /// loop runs, independent of any chaos e2e.
-    #[test]
-    fn download_breaker_walks_closed_open_half_open_closed() {
-        let threshold = 3;
-        let cooldown = SimDuration::from_mins(2);
-        let mut a = Assignment::new(
-            "cdn://x".into(),
-            StreamerId::new("finewolf"),
-            GameId::Dota2,
-            0,
-        );
-        let mut at = SimTime::from_mins(10);
-
-        // Closed: faults below the threshold back off but never trip.
-        for _ in 0..threshold - 1 {
-            assert!(a.breaker_admits(at));
-            assert_eq!(a.breaker_on_fault(at, threshold, cooldown), None);
-        }
-        // The threshold-th consecutive fault opens the breaker.
-        assert!(a.breaker_admits(at));
-        let reopen_at = a
-            .breaker_on_fault(at, threshold, cooldown)
-            .expect("threshold fault trips the breaker");
-        assert_eq!(reopen_at, at + cooldown);
-
-        // Open: stray events before the cooldown are swallowed.
-        assert!(!a.breaker_admits(at + SimDuration::from_secs(1)));
-        assert!(!a.breaker_admits(reopen_at - SimDuration::from_micros(1)));
-
-        // Half-open: the scheduled probe is admitted, and its success
-        // closes the breaker and clears the fault streak.
-        at = reopen_at;
-        assert!(a.breaker_admits(at));
-        assert!(a.half_open);
-        a.breaker_on_success();
-        assert_eq!(a.consecutive_faults, 0);
-        assert_eq!(a.breaker_until, None);
-        assert!(!a.half_open);
-
-        // Closed again: a single fresh fault does not trip.
-        assert!(a.breaker_admits(at));
-        assert_eq!(a.breaker_on_fault(at, threshold, cooldown), None);
-    }
-
-    /// A faulted half-open probe re-opens the breaker immediately — one
-    /// fault, not a fresh threshold's worth.
-    #[test]
-    fn download_breaker_failed_probe_reopens() {
-        let threshold = 3;
-        let cooldown = SimDuration::from_mins(2);
-        let mut a = Assignment::new(
-            "cdn://x".into(),
-            StreamerId::new("finewolf"),
-            GameId::Dota2,
-            0,
-        );
-        let mut at = SimTime::from_mins(5);
-        for _ in 0..threshold {
-            assert!(a.breaker_admits(at));
-            a.breaker_on_fault(at, threshold, cooldown);
-        }
-        at += cooldown;
-        assert!(a.breaker_admits(at), "probe admitted at the cooldown edge");
-        let reopen_at = a
-            .breaker_on_fault(at, threshold, cooldown)
-            .expect("failed probe re-opens");
-        assert_eq!(reopen_at, at + cooldown);
-        assert!(!a.breaker_admits(at + SimDuration::from_secs(30)));
     }
 
     #[test]

@@ -27,12 +27,12 @@
 use crate::download::{DownloadCursor, DownloadModule};
 use crate::pipeline::{PipelineMetrics, Tero, TeroReport, WindowOutcome};
 use crate::serving::{parse_raw_sketch_key, raw_sketch_key, RAW_SKETCH_PREFIX, SERVE_VERSION_KEY};
-use crate::stages::agg::AggStage;
+use crate::stages::agg::{AggStage, MapViews};
 use crate::stages::clean::CleanStage;
 use crate::stages::extract::ExtractStage;
 use crate::stages::ingest::IngestStage;
 use crate::stages::locate::LocateStage;
-use crate::stages::publish::{MapViews, PublishInput, PublishStage};
+use crate::stages::publish::{PublishInput, PublishStage};
 use crate::stages::{Stage, StageCx};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;

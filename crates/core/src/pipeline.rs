@@ -142,10 +142,6 @@ impl Default for Tero {
 pub struct PipelineMetrics {
     registry: Registry,
     pub(crate) run_us: HistogramHandle,
-    pub(crate) thumbnails: CounterHandle,
-    pub(crate) extracted: CounterHandle,
-    pub(crate) no_measurement: CounterHandle,
-    pub(crate) images_missing: CounterHandle,
     pub(crate) streams_stitched: CounterHandle,
     pub(crate) streamers_located: CounterHandle,
     pub(crate) segments_built: CounterHandle,
@@ -156,11 +152,6 @@ pub struct PipelineMetrics {
     pub(crate) distributions_published: CounterHandle,
     pub(crate) shared_anomalies: CounterHandle,
     pub(crate) profile_retries: CounterHandle,
-    pub(crate) stage_extract_us: HistogramHandle,
-    pub(crate) stage_locate_us: HistogramHandle,
-    pub(crate) stage_analyze_us: HistogramHandle,
-    pub(crate) stage_aggregate_us: HistogramHandle,
-    pub(crate) stage_behavior_us: HistogramHandle,
     /// The provenance funnel: `ingested` counts every thumbnail task,
     /// `published` the samples that reached a distribution, and one
     /// counter per typed drop reason accounts for the rest. Every one is
@@ -230,10 +221,6 @@ impl PipelineMetrics {
     pub fn new(registry: &Registry) -> PipelineMetrics {
         PipelineMetrics {
             run_us: registry.histogram("pipeline.run_us"),
-            thumbnails: registry.counter("pipeline.thumbnails"),
-            extracted: registry.counter("pipeline.extracted"),
-            no_measurement: registry.counter("pipeline.no_measurement"),
-            images_missing: registry.counter("pipeline.images_missing"),
             streams_stitched: registry.counter("pipeline.streams_stitched"),
             streamers_located: registry.counter("pipeline.streamers_located"),
             segments_built: registry.counter("analysis.segments_built"),
@@ -244,11 +231,6 @@ impl PipelineMetrics {
             distributions_published: registry.counter("analysis.distributions_published"),
             shared_anomalies: registry.counter("analysis.shared_anomalies"),
             profile_retries: registry.counter("pipeline.profile_retries"),
-            stage_extract_us: registry.histogram("pipeline.stage.extract_us"),
-            stage_locate_us: registry.histogram("pipeline.stage.locate_us"),
-            stage_analyze_us: registry.histogram("pipeline.stage.analyze_us"),
-            stage_aggregate_us: registry.histogram("pipeline.stage.aggregate_us"),
-            stage_behavior_us: registry.histogram("pipeline.stage.behavior_us"),
             funnel_ingested: registry.counter("pipeline.funnel.ingested"),
             funnel_published: registry.counter("pipeline.funnel.published"),
             funnel_dropped: DropReason::ALL
@@ -689,10 +671,12 @@ mod tests {
         };
         let report = tero.run(&mut world);
         let snap = tero.metrics_snapshot();
-        assert_eq!(snap.counter("pipeline.thumbnails"), Some(report.thumbnails));
-        assert_eq!(snap.counter("pipeline.extracted"), Some(report.extracted));
         assert_eq!(
-            snap.counter("pipeline.no_measurement"),
+            snap.counter("pipeline.funnel.ingested"),
+            Some(report.thumbnails)
+        );
+        assert_eq!(
+            snap.counter("pipeline.funnel.dropped.ocr_unreadable"),
             Some(report.thumbnails - report.extracted),
             "calibrated mode never skips an image, so misses + hits = thumbnails"
         );

@@ -55,8 +55,7 @@ use crate::location::{LocationModule, LocationSource};
 use crate::serving::{
     dist_meta_key, dist_sketch_key, DistProvenance, ServeGranularity, SERVE_VERSION_KEY,
 };
-use crate::stages::agg::AggStage;
-use crate::stages::publish::{analyze_group, reject_outside, Granularity, ViewSource};
+use crate::stages::agg::{analyze_group, reject_outside, AggStage, Granularity, ViewSource};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tero_geoparse::tags::TagObservation;
 use tero_stats::OnlinePelt;
@@ -390,8 +389,7 @@ impl CleanStage {
     /// is proportional to the new data plus the unsealed tails, not the
     /// total history (`benches/window.rs`, `clean_scaling`).
     pub fn advance(&mut self, cx: &mut StageCx<'_>) -> BTreeSet<(AnonId, GameId)> {
-        let m = cx.stage_metrics(<Self as Stage>::NAME);
-        let _t = m.begin();
+        let _span = cx.enter(<Self as Stage>::NAME);
         let params = &cx.tero.params;
         let mut fed_records = 0u64;
         let mut fed_keys: Vec<(AnonId, GameId)> = Vec::new();
@@ -794,8 +792,7 @@ impl Stage for CleanStage {
     /// one detection over the unsealed tail), so the output — and the
     /// analyze task traces — are byte-identical to the legacy batch path.
     fn run(&mut self, cx: &mut StageCx<'_>, _input: ()) -> Self::Out {
-        let m = cx.stage_metrics(Self::NAME);
-        let _t = m.begin();
+        let (m, _span) = cx.enter(Self::NAME);
         m.records_in.add(self.states.len() as u64);
         let mut anomalies: BTreeMap<(AnonId, GameId), AnomalyReport> = BTreeMap::new();
         let mut classified: BTreeMap<(AnonId, GameId), ClassifiedStreamer> = BTreeMap::new();
@@ -803,8 +800,7 @@ impl Stage for CleanStage {
         let sp_analyze = cx.sp_run.child("stage.analyze");
         let analyze_stage = cx.tero.trace.stage(&sp_analyze, "analyze.task");
         let params = &cx.tero.params;
-        let analyzed: Vec<((AnomalyReport, ClassifiedStreamer), TaskTrace)> = {
-            let _t = cx.tero.obs.stage_timer(&cx.metrics.stage_analyze_us);
+        let analyzed: Vec<((AnomalyReport, ClassifiedStreamer), TaskTrace)> =
             cx.pool.par_map_indexed(&entries, |i, (key, state)| {
                 let mut t = analyze_stage.task(i as u64);
                 if let Some(first) = state.streams.first().and_then(|s| s.first()) {
@@ -816,8 +812,7 @@ impl Stage for CleanStage {
                 }
                 let cls = classify_streamer(key.0, &report, params);
                 ((report, cls), t.finish())
-            })
-        };
+            });
         let mut analyze_traces = Vec::with_capacity(analyzed.len());
         let mut streams: BTreeMap<(AnonId, GameId), Vec<StreamSeries>> = BTreeMap::new();
         for ((key, state), ((report, cls), trace)) in entries.iter().zip(analyzed) {

@@ -26,9 +26,9 @@ use tero_world::World;
 /// counters the engine persists at each window commit.
 pub struct ExtractStage {
     processor: ImageProcessor,
-    /// Thumbnail tasks processed so far (== `pipeline.thumbnails`).
+    /// Thumbnail tasks processed so far (== `pipeline.funnel.ingested`).
     pub tasks_processed: u64,
-    /// Measurements extracted so far (== `pipeline.extracted`).
+    /// Measurements extracted so far (== `stage.extract.records_out`).
     pub extracted: u64,
     /// The serving layer's raw sketches: every extracted primary value,
     /// per `{streamer, game}`. Updated in the ordered merge (insertion
@@ -62,8 +62,7 @@ impl Stage for ExtractStage {
     /// Drain and process every queued thumbnail task. Returns the number
     /// of measurements extracted from this batch.
     fn run(&mut self, cx: &mut StageCx<'_>, _input: ()) -> Self::Out {
-        let m = cx.stage_metrics(Self::NAME);
-        let _t = m.begin();
+        let (m, sp_extract) = cx.enter(Self::NAME);
         let mut tasks = cx.io.drain_tasks();
         // Sharded deployment: every engine ingests the full world (the
         // download schedule is identical everywhere, which is what makes
@@ -79,7 +78,6 @@ impl Stage for ExtractStage {
         m.records_in.add(tasks.len() as u64);
 
         let ledger = cx.tero.trace.ledger();
-        let sp_extract = cx.sp_run.child("stage.extract");
         let extract_stage = cx.tero.trace.stage(&sp_extract, "extract.task");
         let base = self.tasks_processed;
         // The OCR fan-out: every task reads only thread-safe stores and
@@ -88,7 +86,6 @@ impl Stage for ExtractStage {
         // happens in the ordered merge below, which walks results in task
         // order and is therefore byte-identical to the sequential path.
         let outcomes: Vec<(Option<CombineOutcome>, TaskTrace)> = {
-            let _t = cx.tero.obs.stage_timer(&cx.metrics.stage_extract_us);
             let world_ro: &World = cx.world;
             let processor = &self.processor;
             let mode = cx.tero.mode;
@@ -118,7 +115,6 @@ impl Stage for ExtractStage {
         let mut extract_traces = Vec::with_capacity(outcomes.len());
         for (task, (outcome, trace)) in tasks.iter().zip(outcomes) {
             extract_traces.push(trace);
-            cx.metrics.thumbnails.inc();
             let anon = AnonId::from_streamer(&task.streamer, cx.tero.salt);
             // Birth of a lineage record: every thumbnail task becomes a
             // ledger entry that must later be published or dropped with a
@@ -137,7 +133,6 @@ impl Stage for ExtractStage {
             let Some(outcome) = outcome else {
                 // Lost or corrupt object: quarantine the task so the
                 // failure stays auditable, and keep going.
-                cx.metrics.images_missing.inc();
                 cx.metrics.funnel_dropped[DropReason::DeadLetter.index()].inc();
                 ledger.resolve(&key, SampleState::Dropped(DropReason::DeadLetter));
                 cx.io.dead_letter(task.encode());
@@ -149,7 +144,6 @@ impl Stage for ExtractStage {
             } = outcome
             {
                 batch_extracted += 1;
-                cx.metrics.extracted.inc();
                 self.sketches
                     .entry((anon, task.game_label))
                     .or_default()
@@ -165,7 +159,6 @@ impl Stage for ExtractStage {
                     .encode(),
                 );
             } else {
-                cx.metrics.no_measurement.inc();
                 cx.metrics.funnel_dropped[DropReason::OcrUnreadable.index()].inc();
                 ledger.resolve(&key, SampleState::Dropped(DropReason::OcrUnreadable));
             }
@@ -176,7 +169,6 @@ impl Stage for ExtractStage {
             cx.kv.rpush_batch(&sample_list_key(anon, game), records);
         }
         extract_stage.flush(extract_traces);
-        drop(sp_extract);
 
         self.tasks_processed += tasks.len() as u64;
         self.extracted += batch_extracted;

@@ -42,8 +42,7 @@ impl Stage for IngestStage {
     /// Advance the download cursor to the window end. Returns the number
     /// of thumbnails enqueued during this window.
     fn run(&mut self, cx: &mut StageCx<'_>, window_end: Self::In) -> Self::Out {
-        let m = cx.stage_metrics(Self::NAME);
-        let _t = m.begin();
+        let (m, _span) = cx.enter(Self::NAME);
         let before = self.cursor.stats().downloaded;
         self.download
             .run_cursor(cx.world, &mut self.cursor, window_end);

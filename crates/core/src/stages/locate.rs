@@ -29,6 +29,7 @@ use crate::location::{LocationModule, LocationSource};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use tero_geoparse::tags::TagObservation;
+use tero_obs::StageMetrics;
 use tero_store::KvStore;
 use tero_types::{AnonId, Location, StreamerId};
 
@@ -115,11 +116,8 @@ impl LocateStage {
     /// admit lookups while the window's budget lasts, and re-evaluate
     /// any committed streamer whose tag history grew.
     pub(crate) fn advance(&mut self, cx: &mut StageCx<'_>) {
-        let m = cx.stage_metrics("locate");
-        let _t = m.begin();
-        let _sp_locate = cx.sp_run.child("stage.locate");
-        let _t_locate = cx.tero.obs.stage_timer(&cx.metrics.stage_locate_us);
-        self.enqueue_new(cx);
+        let (m, _span) = cx.enter("locate");
+        self.enqueue_new(cx, m);
         let budget = cx.tero.locate_budget;
         self.process_queue(cx, budget);
         self.reevaluate(cx);
@@ -129,11 +127,8 @@ impl LocateStage {
     /// every verdict against the now-complete tag history, and hand the
     /// final location map downstream.
     pub(crate) fn finalize(&mut self, cx: &mut StageCx<'_>) -> Located {
-        let m = cx.stage_metrics("locate");
-        let _t = m.begin();
-        let _sp_locate = cx.sp_run.child("stage.locate");
-        let _t_locate = cx.tero.obs.stage_timer(&cx.metrics.stage_locate_us);
-        self.enqueue_new(cx);
+        let (m, _span) = cx.enter("locate");
+        self.enqueue_new(cx, m);
         self.process_queue(cx, None);
         self.reevaluate(cx);
         let locations = self.canonical.clone();
@@ -173,8 +168,7 @@ impl LocateStage {
     /// Pull newly-registered names into the carry-over queue (sorted by
     /// anonymised id within the window, so admission order is
     /// deterministic).
-    fn enqueue_new(&mut self, cx: &mut StageCx<'_>) {
-        let m = cx.stage_metrics("locate");
+    fn enqueue_new(&mut self, cx: &mut StageCx<'_>, m: &StageMetrics) {
         for (anon, name) in parse_names(cx.kv) {
             if self.seen.insert(anon) {
                 m.records_in.inc();

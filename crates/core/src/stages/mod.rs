@@ -77,10 +77,19 @@ pub struct StageCx<'a> {
 }
 
 impl<'a> StageCx<'a> {
-    /// The `stage.<name>.*` metric bundle for `name`. Tied to the metrics
-    /// borrow, not to `self`, so holding it doesn't freeze the context.
-    pub fn stage_metrics(&self, name: &str) -> &'a StageMetrics {
-        self.metrics.stage(name)
+    /// Enter one invocation of stage `name` — the only instrument a
+    /// stage opens. Bumps `stage.<name>.runs` and opens the
+    /// `stage.<name>` span under the run span; that guard is the stage's
+    /// one wall-clock reader, handing the same reading to the span's
+    /// `wall_us` (tracer wall clock on) and to the `stage.<name>.us`
+    /// histogram (registry timing on). Returns the stage's metric
+    /// bundle (tied to the metrics borrow, not to `self`, so holding it
+    /// doesn't freeze the context) and the guard, which inner phases and
+    /// fan-outs may hang children off.
+    pub fn enter(&self, name: &str) -> (&'a StageMetrics, SpanGuard) {
+        let m = self.metrics.stage(name);
+        let span = self.sp_run.child_timed(&format!("stage.{name}"), m.begin());
+        (m, span)
     }
 }
 
@@ -88,8 +97,8 @@ impl<'a> StageCx<'a> {
 ///
 /// A stage consumes `In`, produces `Out`, and communicates with its
 /// neighbours only through the stores in its [`StageCx`] (App. B's
-/// push/pull discipline). Implementations bump their own
-/// `stage.<NAME>.*` metrics via [`StageCx::stage_metrics`].
+/// push/pull discipline). Implementations open their `stage.<NAME>`
+/// span and `stage.<NAME>.*` metrics through [`StageCx::enter`].
 pub trait Stage {
     /// The input record the engine hands this stage.
     type In;

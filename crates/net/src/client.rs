@@ -38,6 +38,7 @@ use tero_store::{
     KvRequest, KvResponse, KvSnapshot, ObjRequest, ObjResponse, ObjectSnapshot, RemoteStore,
 };
 use tero_trace::{Level, SpanGuard, Tracer};
+use tero_types::retry::{backoff_delay, Breaker, BreakerState};
 use tero_types::{consistent_hash, SimDuration, SimRng, SimTime};
 
 /// Retry attempts per request before the acting host is declared down.
@@ -62,101 +63,6 @@ const LEASE_WINDOWS: u64 = 2;
 const RECOVERY_ROUNDS: u32 = 3;
 /// Salt for key-to-shard routing (fixed protocol constant).
 const ROUTE_SALT: u64 = 0x7e60_11e7;
-
-/// Deterministic exponential backoff with jitter — the same shape the
-/// download module uses: `base * 2^min(attempt-1, 10)` plus a uniform
-/// jitter of up to `base`.
-fn backoff_delay(base: SimDuration, attempt: u32, rng: &mut SimRng) -> SimDuration {
-    let shift = (attempt.saturating_sub(1)).min(10);
-    let exp = SimDuration(base.0 << shift);
-    exp + SimDuration(rng.below(base.0.max(1)))
-}
-
-/// Observable state of a circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: requests flow.
-    Closed,
-    /// Tripped: requests are rejected until the cooldown elapses.
-    Open,
-    /// Cooled down: exactly one probe request may pass; its outcome
-    /// closes or re-opens the breaker.
-    HalfOpen,
-}
-
-/// A circuit breaker over a logical clock: `threshold` consecutive
-/// faults open it for `cooldown`, after which a single half-open probe
-/// decides between closing it again and another full cooldown.
-#[derive(Debug, Clone)]
-pub struct Breaker {
-    threshold: u32,
-    cooldown: SimDuration,
-    consecutive_faults: u32,
-    open_until: Option<SimTime>,
-    probe_in_flight: bool,
-}
-
-impl Breaker {
-    /// A closed breaker.
-    pub fn new(threshold: u32, cooldown: SimDuration) -> Breaker {
-        Breaker {
-            threshold: threshold.max(1),
-            cooldown,
-            consecutive_faults: 0,
-            open_until: None,
-            probe_in_flight: false,
-        }
-    }
-
-    /// The state an observer at `now` would see.
-    pub fn state(&self, now: SimTime) -> BreakerState {
-        match self.open_until {
-            Some(t) if now < t => BreakerState::Open,
-            Some(_) => BreakerState::HalfOpen,
-            None if self.probe_in_flight => BreakerState::HalfOpen,
-            None => BreakerState::Closed,
-        }
-    }
-
-    /// May a request pass at `now`? Crossing an elapsed cooldown
-    /// converts the breaker to half-open and admits the probe.
-    pub fn allows(&mut self, now: SimTime) -> bool {
-        match self.open_until {
-            Some(t) if now < t => false,
-            Some(_) => {
-                self.open_until = None;
-                self.probe_in_flight = true;
-                true
-            }
-            None => true,
-        }
-    }
-
-    /// The guarded host answered: close fully.
-    pub fn record_success(&mut self) {
-        self.consecutive_faults = 0;
-        self.open_until = None;
-        self.probe_in_flight = false;
-    }
-
-    /// The guarded host faulted at `now`. A faulted half-open probe
-    /// re-opens immediately; otherwise `threshold` consecutive faults
-    /// open the breaker.
-    pub fn record_fault(&mut self, now: SimTime) -> BreakerState {
-        if self.probe_in_flight {
-            self.probe_in_flight = false;
-            self.open_until = Some(now + self.cooldown);
-            return BreakerState::Open;
-        }
-        self.consecutive_faults += 1;
-        if self.consecutive_faults >= self.threshold {
-            self.consecutive_faults = 0;
-            self.open_until = Some(now + self.cooldown);
-            return BreakerState::Open;
-        }
-        BreakerState::Closed
-    }
-}
 
 /// Counter handles for the `net.*` catalogue. Registered eagerly so the
 /// metric cross-check sees every name whether or not it fires.
@@ -279,7 +185,7 @@ impl ShardedStoreClient {
                 primary_stale: false,
                 replica_stale: false,
                 last_heal_window: None,
-                breaker: Breaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN),
+                breaker: Breaker::default(),
             })
             .collect();
         ShardedStoreClient {
@@ -580,7 +486,12 @@ impl ShardedStoreClient {
                                 ),
                             );
                             let now = inner.clock;
-                            if inner.shards[shard].breaker.record_fault(now) == BreakerState::Open {
+                            let tripped = inner.shards[shard].breaker.record_fault(
+                                now,
+                                BREAKER_THRESHOLD,
+                                BREAKER_COOLDOWN,
+                            );
+                            if tripped == BreakerState::Open {
                                 self.metrics.breaker_open.inc();
                             }
                         }
@@ -1122,46 +1033,5 @@ mod tests {
             )
         };
         assert_eq!(run(), run(), "same plan and seed → same net.* metrics");
-    }
-
-    #[test]
-    fn breaker_walks_closed_open_half_open_closed() {
-        let mut b = Breaker::new(3, SimDuration::from_millis(100));
-        let t0 = SimTime::EPOCH;
-        assert_eq!(b.state(t0), BreakerState::Closed);
-        // Two faults: still closed.
-        b.record_fault(t0);
-        b.record_fault(t0);
-        assert_eq!(b.state(t0), BreakerState::Closed);
-        assert!(b.allows(t0));
-        // Third fault trips it open.
-        assert_eq!(b.record_fault(t0), BreakerState::Open);
-        assert_eq!(b.state(t0), BreakerState::Open);
-        assert!(!b.allows(t0), "open breaker rejects");
-        // Cooldown elapses → half-open, one probe allowed.
-        let t1 = t0 + SimDuration::from_millis(100);
-        assert_eq!(b.state(t1), BreakerState::HalfOpen);
-        assert!(b.allows(t1), "half-open admits the probe");
-        assert_eq!(b.state(t1), BreakerState::HalfOpen);
-        // Successful probe closes it.
-        b.record_success();
-        assert_eq!(b.state(t1), BreakerState::Closed);
-    }
-
-    #[test]
-    fn breaker_failed_probe_reopens() {
-        let mut b = Breaker::new(3, SimDuration::from_millis(100));
-        let t0 = SimTime::EPOCH;
-        for _ in 0..3 {
-            b.record_fault(t0);
-        }
-        let t1 = t0 + SimDuration::from_millis(150);
-        assert!(b.allows(t1));
-        // The half-open probe fails → straight back to open, full cooldown.
-        assert_eq!(b.record_fault(t1), BreakerState::Open);
-        assert_eq!(b.state(t1), BreakerState::Open);
-        assert!(!b.allows(t1));
-        let t2 = t1 + SimDuration::from_millis(100);
-        assert_eq!(b.state(t2), BreakerState::HalfOpen);
     }
 }

@@ -23,7 +23,7 @@
 //! * [`client`] — [`ShardedStoreClient`], the [`RemoteStore`](tero_store::RemoteStore) the engine's
 //!   store facade plugs into: consistent-hash routing, per-request
 //!   deadlines, exponential backoff with deterministic jitter, per-shard
-//!   circuit [`Breaker`]s, and lease-based failover from a killed or
+//!   circuit [`Breaker`](tero_types::retry::Breaker)s, and lease-based failover from a killed or
 //!   partitioned primary to its replica.
 //!
 //! The contract the client upholds is the one the determinism suite
@@ -40,7 +40,7 @@ pub mod frame;
 pub mod server;
 pub mod transport;
 
-pub use client::{Breaker, BreakerState, NetMetrics, ShardView, ShardedStoreClient};
+pub use client::{NetMetrics, ShardView, ShardedStoreClient};
 pub use frame::{decode, encode, Frame, FrameError, HostHealth, OpsRequest, OpsResponse, Payload};
 pub use server::StoreServer;
 pub use transport::{

@@ -1,7 +1,6 @@
 //! Per-stage metric bundles for staged execution engines.
 
 use crate::registry::{CounterHandle, HistogramHandle, Registry};
-use crate::timer::StageTimer;
 
 /// The standard metric bundle for one named pipeline stage.
 ///
@@ -10,7 +9,9 @@ use crate::timer::StageTimer;
 /// invocations, `stage.<name>.records_in` / `stage.<name>.records_out`
 /// count the typed records flowing through, and `stage.<name>.us` is the
 /// wall-clock latency histogram (populated only while the registry's
-/// timing knob is on, like every other `*_us` histogram).
+/// timing knob is on, like every other `*_us` histogram). The bundle
+/// reads no clock itself: the stage's one wall-clock guard — its
+/// `stage.<name>` trace span — records into `us`.
 #[derive(Clone)]
 pub struct StageMetrics {
     /// Invocations of this stage (one per window it ran in).
@@ -36,11 +37,12 @@ impl StageMetrics {
         }
     }
 
-    /// Start one stage invocation: bumps `runs` and returns the RAII
-    /// latency guard (a no-op unless timing is enabled).
-    pub fn begin(&self) -> StageTimer {
+    /// Start one stage invocation: bumps `runs` and, while the timing
+    /// knob is on, returns `us` as the sink the invocation's wall-clock
+    /// guard records its one reading into.
+    pub fn begin(&self) -> Option<HistogramHandle> {
         self.runs.inc();
-        self.registry.stage_timer(&self.us)
+        self.registry.timing_enabled().then(|| self.us.clone())
     }
 }
 
@@ -71,17 +73,17 @@ mod tests {
                 "stage.extract.us",
             ]
         );
-        {
-            let _t = m.begin();
-        }
+        // Timing off by default: begin() hands out no latency sink.
+        assert!(m.begin().is_none());
         m.records_in.add(10);
         m.records_out.add(7);
         let snap = r.snapshot();
         assert_eq!(snap.counter("stage.extract.runs"), Some(1));
         assert_eq!(snap.counter("stage.extract.records_in"), Some(10));
         assert_eq!(snap.counter("stage.extract.records_out"), Some(7));
-        // Timing off by default: begin() never touched the clock.
-        assert_eq!(m.us.count(), 0);
+        r.set_timing(true);
+        m.begin().expect("timing on").record(5);
+        assert_eq!(m.us.count(), 1);
     }
 
     #[test]

@@ -164,8 +164,9 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// The advisory starvation signal (the downloader's future
-    /// backpressure input — see `DownloadModule::starvation_advisory`).
+    /// The run-level starvation verdict. Nothing consumes it yet: a
+    /// backpressure signal lands together with its consumer (ROADMAP
+    /// item 5), not before.
     pub fn starvation(&self) -> Starvation {
         self.starvation
     }
@@ -330,7 +331,7 @@ impl HealthMonitor {
             let leases_active = views.iter().filter(|v| v[shard].lease_active).count() as u64;
             let breakers_open = views
                 .iter()
-                .filter(|v| v[shard].breaker != tero_net::BreakerState::Closed)
+                .filter(|v| v[shard].breaker != tero_types::retry::BreakerState::Closed)
                 .count() as u64;
             let stale_peers = views
                 .iter()

@@ -6,13 +6,16 @@
 //! (Ceph) for thumbnails and intermediate image-processing products, and
 //! **MongoDB** for latency measurements and analysis.
 //!
-//! This crate provides in-process, thread-safe equivalents:
+//! This crate provides in-process, thread-safe equivalents of the first
+//! two. There is no document store: measurements live in the
+//! `engine:samples:*` KV lists the extract stage appends to and the clean
+//! stage replays — a stated substitution for App. B's MongoDB (DESIGN.md
+//! §1).
 //!
 //! * [`KvStore`] — a sharded key-value store with strings, lists (including
 //!   blocking pop, the pattern Tero's workers use to pull batches), hashes,
 //!   counters and logical-time TTLs;
-//! * [`ObjectStore`] — buckets of immutable byte blobs keyed by name;
-//! * [`DocumentStore`] — JSON document collections with predicate queries.
+//! * [`ObjectStore`] — buckets of immutable byte blobs keyed by name.
 //!
 //! Everything here follows the paper's push/pull discipline: producers push
 //! into the relevant store and consumers pull when ready, which decouples
@@ -22,12 +25,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod doc;
 pub mod kv;
 pub mod object;
 pub mod remote;
 
-pub use doc::DocumentStore;
 pub use kv::{KvSnapshot, KvStore, PROTECTED_PREFIX};
 pub use object::{ObjectSnapshot, ObjectStore};
 pub use remote::{

@@ -280,9 +280,9 @@ impl Ledger {
     }
 
     /// Prove the ledger agrees with the `pipeline.funnel.*` counters in
-    /// `registry` (and the legacy `pipeline.*` / `analysis.*` counters
-    /// they shadow). Returns the summary on success; on failure, every
-    /// mismatch found.
+    /// `registry` (and with `analysis.points_discarded`, the cleaner's
+    /// independent count of the three cleaning drops). Returns the
+    /// summary on success; on failure, every mismatch found.
     pub fn reconcile(&self, registry: &Registry) -> Result<LedgerSummary, ReconcileError> {
         let summary = self.summary();
         let snap = registry.snapshot();
@@ -327,22 +327,7 @@ impl Ledger {
             check(reason.metric_name(), summary.dropped[reason.index()]);
         }
 
-        // Legacy counters the funnel shadows.
-        check("pipeline.thumbnails", summary.ingested);
-        check(
-            "pipeline.images_missing",
-            summary.count(DropReason::DeadLetter),
-        );
-        check(
-            "pipeline.no_measurement",
-            summary.count(DropReason::OcrUnreadable),
-        );
-        check(
-            "pipeline.extracted",
-            summary.ingested
-                - summary.count(DropReason::DeadLetter)
-                - summary.count(DropReason::OcrUnreadable),
-        );
+        // The clean stage counts its discards on its own path.
         check(
             "analysis.points_discarded",
             summary.count(DropReason::Glitch)
@@ -463,20 +448,6 @@ mod tests {
                 .counter(reason.metric_name())
                 .add(summary.count(reason));
         }
-        registry
-            .counter("pipeline.thumbnails")
-            .add(summary.ingested);
-        registry
-            .counter("pipeline.images_missing")
-            .add(summary.count(DropReason::DeadLetter));
-        registry
-            .counter("pipeline.no_measurement")
-            .add(summary.count(DropReason::OcrUnreadable));
-        registry.counter("pipeline.extracted").add(
-            summary.ingested
-                - summary.count(DropReason::DeadLetter)
-                - summary.count(DropReason::OcrUnreadable),
-        );
         registry.counter("analysis.points_discarded").add(
             summary.count(DropReason::Glitch)
                 + summary.count(DropReason::Spike)

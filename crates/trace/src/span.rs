@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use tero_obs::{CounterHandle, Registry};
+use tero_obs::{CounterHandle, HistogramHandle, Registry};
 use tero_types::SimTime;
 
 /// Number of virtual worker lanes used for fan-out task spans in exports.
@@ -423,16 +423,12 @@ impl Tracer {
 
     fn open_span(&self, name: &str, parent: u64, sim_at: Option<SimTime>) -> SpanGuard {
         if !self.enabled() {
-            return SpanGuard { inner: None };
+            return SpanGuard::disabled();
         }
         let start_tick = self.inner.state.lock().next_tick();
         let name: Arc<str> = Arc::from(name);
         let id = fnv1a(&[parent, hash_str(&name), start_tick]);
-        let wall = if self.inner.wall.load(Ordering::Relaxed) {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let wall = self.inner.wall.load(Ordering::Relaxed);
         SpanGuard {
             inner: Some(GuardInner {
                 tracer: self.clone(),
@@ -444,6 +440,8 @@ impl Tracer {
                 wall,
                 remote: None,
             }),
+            started: wall.then(Instant::now),
+            sink: None,
         }
     }
 
@@ -499,7 +497,9 @@ struct GuardInner {
     name: Arc<str>,
     start_tick: u64,
     sim_at: Option<SimTime>,
-    wall: Option<Instant>,
+    /// The tracer's wall-clock knob at open: whether the record keeps
+    /// the guard's clock reading as `wall_us`.
+    wall: bool,
     remote: Option<TraceContext>,
 }
 
@@ -509,9 +509,23 @@ struct GuardInner {
 /// record order, and exporters re-sort by start tick.
 pub struct SpanGuard {
     inner: Option<GuardInner>,
+    /// The guard's one wall-clock reading, taken only when someone will
+    /// consume it: the record (tracer wall clock on) or `sink`.
+    started: Option<Instant>,
+    /// A histogram that receives the same elapsed reading on drop
+    /// ([`SpanGuard::child_timed`]).
+    sink: Option<HistogramHandle>,
 }
 
 impl SpanGuard {
+    fn disabled() -> SpanGuard {
+        SpanGuard {
+            inner: None,
+            started: None,
+            sink: None,
+        }
+    }
+
     /// The span's deterministic id, or 0 when tracing is disabled.
     pub fn id(&self) -> u64 {
         self.inner.as_ref().map(|g| g.id).unwrap_or(0)
@@ -537,15 +551,31 @@ impl SpanGuard {
     pub fn child(&self, name: &str) -> SpanGuard {
         match &self.inner {
             Some(g) => g.tracer.open_span(name, g.id, None),
-            None => SpanGuard { inner: None },
+            None => SpanGuard::disabled(),
         }
+    }
+
+    /// Open a child span that is also the timer of `sink`: the guard
+    /// reads the wall clock once at open and once at drop, and hands
+    /// that one elapsed reading to [`SpanRecord::wall_us`] (tracer wall
+    /// clock on) and to `sink` (when given) — so a stage's span and its
+    /// latency histogram can never disagree. `sink` is recorded into
+    /// even when tracing is disabled; with no sink and the wall clock
+    /// off, no clock is read.
+    pub fn child_timed(&self, name: &str, sink: Option<HistogramHandle>) -> SpanGuard {
+        let mut guard = self.child(name);
+        if sink.is_some() && guard.started.is_none() {
+            guard.started = Some(Instant::now());
+        }
+        guard.sink = sink;
+        guard
     }
 
     /// Open a child span stamped with a simulated time.
     pub fn child_at(&self, name: &str, at: SimTime) -> SpanGuard {
         match &self.inner {
             Some(g) => g.tracer.open_span(name, g.id, Some(at)),
-            None => SpanGuard { inner: None },
+            None => SpanGuard::disabled(),
         }
     }
 
@@ -571,8 +601,12 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
+        let elapsed_us = self.started.map(|t| t.elapsed().as_micros() as u64);
+        if let (Some(sink), Some(us)) = (&self.sink, elapsed_us) {
+            sink.record(us);
+        }
         let Some(g) = self.inner.take() else { return };
-        let wall_us = g.wall.map(|t| t.elapsed().as_micros() as u64);
+        let wall_us = elapsed_us.filter(|_| g.wall);
         let end_tick = g.tracer.inner.state.lock().next_tick();
         g.tracer.finish_span(SpanRecord {
             id: g.id,

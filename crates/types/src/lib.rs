@@ -8,8 +8,9 @@
 //! ([`SimTime`]), anonymised identifiers ([`ids`]), geography and the paper's
 //! *corrected distance* ([`geo`]), the `{city, region, country}` location
 //! tuple ([`Location`]), the configurable parameters of Table 1
-//! ([`TeroParams`]), and the deterministic random-number generator
-//! ([`SimRng`]) that makes every experiment bit-reproducible.
+//! ([`TeroParams`]), the deterministic random-number generator
+//! ([`SimRng`]) that makes every experiment bit-reproducible, and the
+//! backoff / circuit-breaker policy both retrying layers share ([`retry`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -19,6 +20,7 @@ pub mod ids;
 pub mod latency;
 pub mod location;
 pub mod params;
+pub mod retry;
 pub mod rng;
 pub mod time;
 

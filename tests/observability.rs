@@ -1,18 +1,15 @@
 //! The observability pins: the stitched mesh trace is byte-identical
 //! across merge worker counts and replays, the `tero-ops` health
 //! reports flag the injected partition window (and the recovery) with
-//! deterministic encodings, and the downloader's advisory starvation
-//! knob changes nothing on the data path.
+//! deterministic encodings, and a stage's span and its latency histogram
+//! hold the same clock readings.
 
 use tero::chaos::FaultPlan;
-use tero::core::download::DownloadModule;
-use tero::core::pipeline::ExtractionMode;
+use tero::core::pipeline::{ExtractionMode, Tero, WindowOutcome};
 use tero::core::sharded::{run_sharded, run_sharded_observed, ShardedConfig};
 use tero::net::default_net_fault;
-use tero::obs::Registry;
 use tero::ops::{HealthMonitor, HealthReport, ShardStatus, Starvation};
-use tero::store::{KvStore, ObjectStore};
-use tero::types::SimTime;
+use tero::types::{SimDuration, SimTime};
 use tero::world::{World, WorldConfig};
 
 /// The trace-id derivation `ShardedStoreClient::set_trace` uses, so the
@@ -190,38 +187,65 @@ fn health_reports_flag_the_injected_partition_and_recovery() {
     assert_eq!(parsed, reports[2].clone());
 }
 
+/// Stage time has one source: each stage invocation opens one guard —
+/// its `stage.<name>` span — whose single clock reading feeds both the
+/// span's `wall_us` and the `stage.<name>.us` histogram.
 #[test]
-fn starvation_advisory_off_path_is_byte_identical() {
-    let run = |advisory: Option<Starvation>| {
+fn stage_time_has_one_source() {
+    let run = |knobs_on: bool| {
         let mut world = World::build(world_cfg(77));
+        let tero = Tero {
+            mode: ExtractionMode::Calibrated,
+            min_streamers: 2,
+            ..Tero::default()
+        };
+        tero.trace.set_enabled(true);
+        tero.trace.set_wall_clock(knobs_on);
+        tero.obs.set_timing(knobs_on);
         let horizon = world.horizon;
-        let kv = KvStore::new();
-        let objects = ObjectStore::new();
-        let registry = Registry::new();
-        let mut module = DownloadModule::new(kv.clone(), objects.clone());
-        module.instrument(&registry);
-        module.starvation_advisory = advisory;
-        let stats = module.run(&mut world, SimTime::EPOCH, horizon);
-        (
-            stats,
-            kv.snapshot(),
-            objects.snapshot(),
-            registry.snapshot(),
-        )
+        let step = SimDuration::from_hours(6);
+        let mut to = SimTime::EPOCH + step;
+        while !matches!(
+            tero.run_window(&mut world, SimTime::EPOCH, to),
+            WindowOutcome::Complete(_)
+        ) {
+            to = (to + step).min(horizon);
+        }
+        (tero.trace.records().0, tero.metrics_snapshot())
     };
-    let (stats_off, kv_off, obj_off, snap_off) = run(None);
-    let (stats_on, kv_on, obj_on, snap_on) = run(Some(Starvation::Network));
 
-    // The knob is advisory: same stats, same stores, same work done.
-    assert_eq!(stats_off, stats_on);
-    assert_eq!(kv_off, kv_on);
-    assert_eq!(obj_off, obj_on);
-    for name in ["download.polls", "download.assignments", "download.retries"] {
-        assert_eq!(snap_off.counter(name), snap_on.counter(name), "{name}");
+    let (spans, snap) = run(true);
+    for stage in ["ingest", "extract", "locate", "clean", "publish"] {
+        let name = format!("stage.{stage}");
+        let walls: Vec<u64> = spans
+            .iter()
+            .filter(|s| *s.name == *name)
+            .map(|s| s.wall_us.expect("wall clock on: every stage span is timed"))
+            .collect();
+        let us = snap.histogram(&format!("{name}.us")).expect("registered");
+        let runs = snap.counter(&format!("{name}.runs")).expect("registered");
+        assert!(runs > 0, "{name} never ran");
+        assert_eq!(walls.len() as u64, runs, "{name}: one span per invocation");
+        assert_eq!(
+            us.count, runs,
+            "{name}: one histogram sample per invocation"
+        );
+        assert_eq!(
+            us.sum,
+            walls.iter().sum::<u64>(),
+            "{name}: the histogram and the spans hold the same readings"
+        );
     }
 
-    // The only observable difference is the acknowledgement counter.
-    assert_eq!(snap_off.counter("download.advisory_polls"), Some(0));
-    let acks = snap_on.counter("download.advisory_polls").unwrap_or(0);
-    assert!(acks > 0, "the on path acknowledges every poll");
+    // Both knobs off: no stage histogram moves, no span carries wall time.
+    let (spans, snap) = run(false);
+    assert!(spans.iter().any(|s| &*s.name == "stage.clean"));
+    assert!(spans.iter().all(|s| s.wall_us.is_none()));
+    for h in snap
+        .histograms
+        .iter()
+        .filter(|h| h.name.starts_with("stage."))
+    {
+        assert_eq!(h.count, 0, "{} moved with timing off", h.name);
+    }
 }

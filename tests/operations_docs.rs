@@ -3,14 +3,14 @@
 //! The operations guide promises to document *every* metric the pipeline
 //! registers. This test enforces the contract in both directions: each
 //! documented name must appear in a populated registry, and each
-//! registered name must have a catalogue row. Adding a metric without a
-//! row (or a row without a metric) fails here.
+//! registered name must have a catalogue row whose *Type* column names
+//! the kind the registry holds. Adding a metric without a row, a row
+//! without a metric, or a row of the wrong type fails here.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use tero::core::pipeline::{ExtractionMode, Tero, WindowOutcome};
 use tero::core::serving::ServeGranularity;
 use tero::serve::{QueryEngine, SketchRef};
-use tero::store::DocumentStore;
 use tero_simnet::udp::UdpFlow;
 use tero_simnet::{LinkConfig, Simulator};
 use tero_types::{GameId, SimDuration, SimTime};
@@ -19,28 +19,33 @@ use tero_world::{World, WorldConfig};
 const OPERATIONS_MD: &str =
     include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/OPERATIONS.md"));
 
-/// Metric names from the catalogue tables: first backtick span of rows
-/// shaped `| \`name\` | ...`.
-fn documented_names() -> BTreeSet<String> {
+/// Catalogue rows, name → *Type* column: rows shaped
+/// `| \`name\` | type | ...`, the name being the first backtick span.
+fn documented_rows() -> BTreeMap<String, String> {
     OPERATIONS_MD
         .lines()
         .filter_map(|line| {
             let rest = line.strip_prefix("| `")?;
-            let name = rest.split('`').next()?;
+            let (name, rest) = rest.split_once('`')?;
             // Catalogue rows hold dotted metric names; other tables (e.g.
             // the overhead table) put API names in the same position.
             let dotted = name.contains('.')
                 && name
                     .chars()
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c));
-            dotted.then(|| name.to_string())
+            let kind = rest.split('|').nth(1)?.trim();
+            dotted.then(|| (name.to_string(), kind.to_string()))
         })
         .collect()
 }
 
+fn documented_names() -> BTreeSet<String> {
+    documented_rows().into_keys().collect()
+}
+
 /// A registry populated the way the guide describes: one pipeline run
-/// (FullOcr, so the `ocr.*` engines fire) plus the two opt-in
-/// subsystems — an instrumented document store and simulator. The run
+/// (FullOcr, so the `ocr.*` engines fire) plus the opt-in subsystems
+/// (serving, the store mesh, the ops plane, the simulator). The run
 /// is driven as 1-day windows so the online cleaner's per-window
 /// refresh counters (`clean.*`) move too — a single-shot run is one
 /// finalizing window, which skips the serving refresh.
@@ -115,11 +120,6 @@ fn populated_registry() -> tero_obs::Registry {
     let report = monitor.observe(0, &[client], std::slice::from_ref(&tero.obs));
     assert_eq!(report.count(tero::ops::ShardStatus::Healthy), 1);
 
-    let docs = DocumentStore::new();
-    docs.instrument(&tero.obs);
-    docs.insert("ops", &42u32);
-    let _: Vec<u32> = docs.all("ops");
-
     let mut sim = Simulator::new();
     sim.instrument(&tero.obs);
     let a = sim.add_node();
@@ -149,13 +149,15 @@ fn populated_registry() -> tero_obs::Registry {
 
 #[test]
 fn catalogue_matches_registry_both_ways() {
-    let documented = documented_names();
+    let rows = documented_rows();
+    let documented: BTreeSet<String> = rows.keys().cloned().collect();
     assert!(
         documented.len() >= 40,
         "catalogue parse found only {} rows — table format changed?",
         documented.len()
     );
-    let registered: BTreeSet<String> = populated_registry().metric_names().into_iter().collect();
+    let snap = populated_registry().snapshot();
+    let registered: BTreeSet<String> = snap.metric_names().into_iter().collect();
 
     let undocumented: Vec<&String> = registered.difference(&documented).collect();
     assert!(
@@ -167,6 +169,19 @@ fn catalogue_matches_registry_both_ways() {
         stale.is_empty(),
         "documented but never registered: {stale:?}"
     );
+
+    // The Type column names the kind the registry actually holds.
+    let kinds = snap
+        .counters
+        .iter()
+        .map(|c| (&c.name, "counter"))
+        .chain(snap.gauges.iter().map(|g| (&g.name, "gauge")))
+        .chain(snap.histograms.iter().map(|h| (&h.name, "histogram")));
+    let mistyped: Vec<String> = kinds
+        .filter(|(name, kind)| rows[*name] != *kind)
+        .map(|(name, kind)| format!("{name}: registry holds a {kind}, row says {}", rows[name]))
+        .collect();
+    assert!(mistyped.is_empty(), "wrong Type column: {mistyped:#?}");
 }
 
 #[test]
@@ -174,9 +189,11 @@ fn documented_counters_move_during_a_run() {
     // Spot-check the guide's "healthy look" claims on the load-bearing
     // funnel counters.
     let snap = populated_registry().snapshot();
-    let thumbs = snap.counter("pipeline.thumbnails").unwrap();
-    let extracted = snap.counter("pipeline.extracted").unwrap();
-    let misses = snap.counter("pipeline.no_measurement").unwrap();
+    let thumbs = snap.counter("pipeline.funnel.ingested").unwrap();
+    let extracted = snap.counter("stage.extract.records_out").unwrap();
+    let misses = snap
+        .counter("pipeline.funnel.dropped.ocr_unreadable")
+        .unwrap();
     assert!(thumbs > 0, "pipeline processed no thumbnails");
     assert!(extracted > 0 && extracted <= thumbs);
     assert_eq!(
@@ -189,7 +206,6 @@ fn documented_counters_move_during_a_run() {
     assert!(snap.counter("analysis.segments_built").unwrap() > 0);
     assert!(snap.counter("store.kv.writes").unwrap() > 0);
     assert!(snap.counter("simnet.events").unwrap() > 0);
-    assert_eq!(snap.counter("store.doc.writes"), Some(1));
     assert!(
         snap.counter("stats.sketch.inserts").unwrap() > 0,
         "extraction feeds the serving sketches"
@@ -254,8 +270,8 @@ fn trace_metrics_are_catalogued_and_consistent() {
     assert_eq!(published + dropped, ingested, "funnel leaks samples");
     assert_eq!(
         snap.counter("pipeline.funnel.ingested"),
-        snap.counter("pipeline.thumbnails"),
-        "funnel ingestion mirrors the legacy thumbnail counter"
+        snap.counter("stage.extract.records_in"),
+        "every drained thumbnail task enters the funnel"
     );
     // Span recording stays off by default: the counters exist but are
     // untouched until `Tracer::set_enabled(true)`.
