@@ -16,7 +16,7 @@
 //!
 //! * **Transient API 5xx** on `get_streams` / `get_profile` — the caller is
 //!   expected to retry with backoff;
-//! * **CDN faults** on `cdn_get` — request timeouts, truncated payloads
+//! * **CDN faults** on `cdn_fetch` — request timeouts, truncated payloads
 //!   (stored bytes shorter than the header promises), and corrupted pixel
 //!   bytes (length preserved, content garbage);
 //! * **Downloader crash windows** — a worker dies at a planned instant and

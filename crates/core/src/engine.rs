@@ -126,6 +126,7 @@ impl Engine {
         let mut download = DownloadModule::new(kv.clone(), objects.clone());
         download.instrument(&tero.obs);
         download.set_trace(&tero.trace);
+        download.set_pool(&pool);
         let mut io = DownloadModule::new(kv.clone(), objects.clone());
         io.instrument(&tero.obs);
         io.set_trace(&tero.trace);

@@ -49,6 +49,7 @@ pub fn default_workers() -> usize {
 }
 
 /// Metric handles, resolved once when the pool is instrumented.
+#[derive(Clone)]
 struct PoolObs {
     /// `pool.tasks`: tasks executed (across all `par_map` calls).
     tasks: CounterHandle,
@@ -64,7 +65,9 @@ struct PoolObs {
 /// The pool itself is a lightweight description (worker count + metric
 /// handles); OS threads only exist inside a [`Pool::par_map`] call, via a
 /// scoped spawn, so borrowing closures need no `'static` bounds and a
-/// dropped pool leaks nothing.
+/// dropped pool leaks nothing. A clone is the same description reporting
+/// into the same metrics.
+#[derive(Clone)]
 pub struct Pool {
     workers: usize,
     obs: Option<PoolObs>,

@@ -1,6 +1,8 @@
 //! Differential tests: every rewritten kernel against its naive
 //! predecessor in [`crate::reference`], bit for bit, plus the golden
-//! end-to-end pin of the whole combiner.
+//! end-to-end pin of the whole combiner. (The grain kernel's own edge
+//! cases — the exact path forced, the guard band hit — sit beside it in
+//! [`crate::scene`].)
 //!
 //! Image sizes mix the word-boundary cases of the packed representation
 //! (63 / 64 / 65 / 129 columns, the 210-column production stage), the
@@ -273,6 +275,44 @@ fn hud(base: HudScene, (anchor, decoration): ((usize, usize), Decoration)) -> Hu
         anchor,
         decoration,
         ..base
+    }
+}
+
+// The libm-free renderer against the naive one: same pixels, and the RNG
+// left in the same state (every draw taken, in the same order).
+proptest! {
+    #[test]
+    fn scene_render_matches_reference(
+        scenario in prop::sample::select([
+            ScenarioKind::Typical,
+            ScenarioKind::LightFont,
+            ScenarioKind::PartiallyHidden,
+            ScenarioKind::ClockOverlay,
+        ]),
+        spec in prop::sample::select(HUDS),
+        grain in (0usize..4, 1.0f64..8.0),
+        noise in (0usize..3, 0.0f64..0.02),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SimRng::new(seed);
+        let latency = rng.range_u64(1, 1000) as u32;
+        let mut scene = hud(
+            match scenario {
+                ScenarioKind::Typical => HudScene::typical(latency),
+                ScenarioKind::LightFont => HudScene::light_font(latency),
+                ScenarioKind::PartiallyHidden => HudScene::partially_hidden(latency, rng.f64()),
+                ScenarioKind::ClockOverlay => HudScene::clock_overlay(latency, 23, 59),
+            },
+            spec,
+        );
+        // A quarter of the scenes have no grain, a third no noise.
+        scene.grain = if grain.0 == 0 { 0.0 } else { grain.1 };
+        scene.noise = if noise.0 == 0 { 0.0 } else { noise.1 };
+        let mut old_rng = rng.clone();
+        let new = scene.render(&mut rng);
+        let old = reference::render(&scene, &mut old_rng);
+        prop_assert!(new == old, "pixels differ: {:?} seed {}", scene, seed);
+        prop_assert_eq!(rng, old_rng, "rng end state: {:?} seed {}", scene, seed);
     }
 }
 

@@ -14,7 +14,38 @@ pub struct Image {
     pub pixels: Vec<u8>,
 }
 
+/// Bytes [`Image::into_payload`] puts before the pixels.
+pub(crate) const PAYLOAD_HEADER: usize = 8;
+
 impl Image {
+    /// The stored form of a thumbnail: width and height as little-endian
+    /// `u32`s, then the pixels. The header goes in front of the pixels in
+    /// their own buffer, which moves them up in place when it was
+    /// allocated with the header's eight bytes to spare (as
+    /// [`crate::HudScene::render`] does) and reallocates otherwise.
+    pub fn into_payload(self) -> Vec<u8> {
+        let mut header = [0u8; PAYLOAD_HEADER];
+        header[..4].copy_from_slice(&(self.width as u32).to_le_bytes());
+        header[4..].copy_from_slice(&(self.height as u32).to_le_bytes());
+        let mut payload = self.pixels;
+        payload.splice(0..0, header);
+        payload
+    }
+
+    /// Decode [`Image::into_payload`]'s bytes. `None` for a short header
+    /// or a pixel count that is not `width × height` (a truncated
+    /// transfer keeps the header of the whole image).
+    pub fn from_payload(bytes: &[u8]) -> Option<Image> {
+        let (header, pixels) = bytes.split_at_checked(PAYLOAD_HEADER)?;
+        let width = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
+        let height = u32::from_le_bytes(header[4..].try_into().ok()?) as usize;
+        (width.checked_mul(height) == Some(pixels.len())).then(|| Image {
+            width,
+            height,
+            pixels: pixels.to_vec(),
+        })
+    }
+
     /// A new image filled with the given shade.
     pub fn filled(width: usize, height: usize, shade: u8) -> Self {
         Image {
@@ -178,6 +209,25 @@ mod tests {
         assert_eq!(img.get_checked(4, 0), None);
         // Out-of-bounds set is a no-op.
         img.set(100, 100, 7);
+    }
+
+    #[test]
+    fn payload_roundtrip_and_rejections() {
+        let mut img = Image::filled(3, 2, 9);
+        img.set(2, 1, 200);
+        let payload = img.clone().into_payload();
+        assert_eq!(&payload[..PAYLOAD_HEADER], &[3, 0, 0, 0, 2, 0, 0, 0]);
+        assert_eq!(Image::from_payload(&payload), Some(img));
+        // Short header, missing pixels, and a header whose product
+        // overflows are corrupt, not panics.
+        assert_eq!(Image::from_payload(&payload[..7]), None);
+        assert_eq!(Image::from_payload(&payload[..payload.len() - 1]), None);
+        assert_eq!(Image::from_payload(&[0xff; 8]), None);
+        assert_eq!(
+            Image::from_payload(&[0; 8]),
+            Some(Image::filled(0, 0, 0)),
+            "an empty image is a valid one"
+        );
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The naive kernels this crate shipped before its binary stages were
-//! bit-packed, kept verbatim as the oracle of the differential tests in
-//! [`crate::differential`] (Otsu's method was not rewritten and is shared). Test-only: nothing here is reachable from a
-//! production build.
+//! bit-packed and its scene renderer lost its per-pixel libm calls, kept
+//! verbatim as the oracle of the differential tests in
+//! [`crate::differential`] (Otsu's method was not rewritten and is shared).
+//! Test-only: nothing here is reachable from a production build.
 
 use crate::combine::{cleanup, vote, CombineOutcome, ExtractDetail, OcrCombiner};
-use crate::font::{glyph, Glyph, GLYPH_H, GLYPH_W, TEMPLATE_CHARS};
+use crate::font::{glyph, rasterize, Glyph, GLYPH_H, GLYPH_SPACING, GLYPH_W, TEMPLATE_CHARS};
 use crate::image::Image;
 use crate::ocr::{GlyphBox, OcrChar, OcrEngine, OcrEngineKind};
 use crate::preprocess::{otsu_threshold, PreprocessConfig};
+use crate::scene::{HudScene, ScenarioKind, THUMB_H, THUMB_W};
 use std::sync::OnceLock;
+use tero_types::SimRng;
 
 // ---------------------------------------------------------------- image --
 
@@ -36,6 +39,66 @@ pub(crate) fn upscale(img: &Image, factor: usize) -> Image {
         }
     }
     out
+}
+
+// ---------------------------------------------------------------- scene --
+
+pub(crate) fn render(scene: &HudScene, rng: &mut SimRng) -> Image {
+    let mut img = Image::filled(THUMB_W, THUMB_H, 120);
+
+    // Gameplay clutter: random rectangles of varied shade.
+    for _ in 0..scene.clutter {
+        let w = rng.range_usize(8, 50);
+        let h = rng.range_usize(6, 30);
+        let x = rng.range_usize(0, THUMB_W.saturating_sub(w).max(1));
+        let y = rng.range_usize(0, THUMB_H.saturating_sub(h).max(1));
+        let shade = rng.range_u64(30, 220) as u8;
+        img.fill_rect(x, y, w, h, shade);
+    }
+
+    // HUD panel + text.
+    let text_img = rasterize(&scene.hud_text(), scene.text_scale, scene.fg, scene.bg);
+    let pad = 3 * scene.text_scale + 1;
+    let panel_w = scene.max_chars() * (GLYPH_W + GLYPH_SPACING) * scene.text_scale + 2 * pad;
+    img.fill_rect(
+        scene.anchor.0.saturating_sub(pad),
+        scene.anchor.1.saturating_sub(pad),
+        panel_w,
+        text_img.height + 2 * pad,
+        scene.bg,
+    );
+    img.blit(&text_img, scene.anchor.0, scene.anchor.1);
+
+    // Menu occlusion over the leading part of the text.
+    if scene.scenario == ScenarioKind::PartiallyHidden && scene.occlusion_fraction > 0.0 {
+        let cover_w = (text_img.width as f64 * scene.occlusion_fraction).round() as usize;
+        img.fill_rect(
+            scene.anchor.0.saturating_sub(8),
+            scene.anchor.1.saturating_sub(4),
+            cover_w + 8,
+            text_img.height + 20,
+            55,
+        );
+    }
+
+    grain(&mut img.pixels, scene.grain, scene.noise, rng);
+    img
+}
+
+/// Gaussian grain plus salt-and-pepper noise, a pixel at a time.
+pub(crate) fn grain(pixels: &mut [u8], grain: f64, noise: f64, rng: &mut SimRng) {
+    if grain > 0.0 || noise > 0.0 {
+        for p in pixels.iter_mut() {
+            if grain > 0.0 {
+                *p = (*p as f64 + rng.normal_with(0.0, grain))
+                    .round()
+                    .clamp(0.0, 255.0) as u8;
+            }
+            if noise > 0.0 && rng.chance(noise) {
+                *p = rng.range_u64(0, 256) as u8;
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------- preprocess --

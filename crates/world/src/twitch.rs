@@ -26,13 +26,15 @@ pub struct StreamListing {
     pub country_tag: Option<String>,
 }
 
-/// What a CDN fetch returns.
+/// What a CDN fetch returns. Everything a downloader decides on is here;
+/// the pixels are not — [`TwitchSim::cdn_body`] renders them from the
+/// [`CdnBody`] when (and where) somebody wants to store them.
 #[derive(Debug, Clone)]
 pub enum CdnResponse {
     /// The thumbnail currently at the URL.
     Thumbnail {
-        /// The rendered image.
-        image: Image,
+        /// The bytes of the image, not yet rendered.
+        body: CdnBody,
         /// When this thumbnail was generated (content timestamp).
         generated_at: SimTime,
         /// When the next overwrite is expected (HEAD's answer).
@@ -42,6 +44,21 @@ pub enum CdnResponse {
     Offline,
     /// The fetch timed out (injected CDN fault); nothing was received.
     TimedOut,
+    /// The transfer ended short of the content length the header promised
+    /// (injected CDN fault); what arrived is unusable.
+    Truncated,
+}
+
+/// The body of one [`CdnResponse::Thumbnail`]: which pixels, and what an
+/// injected fault did to them. A pure description — rendering it needs no
+/// mutable state, so any thread may do it, any number of times.
+#[derive(Debug, Clone, Copy)]
+pub struct CdnBody {
+    /// Index of the broadcaster in the platform's streamer table.
+    streamer: usize,
+    game: GameId,
+    sample: TruthSample,
+    fault: Option<CdnFault>,
 }
 
 /// API rate limiting error.
@@ -201,63 +218,63 @@ impl TwitchSim {
             .map(|s| s.description.clone())
     }
 
-    /// CDN fetch (not rate-limited — it's a CDN). Returns the thumbnail
-    /// whose content currently sits at the URL, i.e. the one generated at
-    /// the latest sample instant ≤ `now`.
-    pub fn cdn_get(&self, url: &str, now: SimTime) -> CdnResponse {
-        let Some(username) = url.strip_prefix("cdn://thumbs/") else {
-            return CdnResponse::Offline;
-        };
-        let Some(idx) = self
+    /// What sits behind `url` at `now` — the thumbnail generated at the
+    /// latest sample instant ≤ `now` — and when the next overwrite is
+    /// expected, after drawing the request's CDN fault. `None` is the
+    /// offline redirect; faults only apply where a real response would
+    /// exist, so it draws nothing.
+    fn cdn_lookup(&self, url: &str, now: SimTime) -> Option<(CdnBody, Option<SimTime>)> {
+        let username = url.strip_prefix("cdn://thumbs/")?;
+        let streamer = self
             .streamers
             .iter()
-            .position(|s| s.id.as_str() == username)
-        else {
-            return CdnResponse::Offline;
+            .position(|s| s.id.as_str() == username)?;
+        let stream = self.live_stream(streamer, now)?;
+        // Live but the first thumbnail not generated yet is offline too.
+        let pos = stream.samples.iter().rposition(|s| s.t <= now)?;
+        let body = CdnBody {
+            streamer,
+            game: stream.game,
+            sample: stream.samples[pos],
+            fault: self.chaos.as_ref().and_then(|c| c.cdn_fault()),
         };
-        let Some(stream) = self.live_stream(idx, now) else {
-            return CdnResponse::Offline;
-        };
-        let Some(pos) = stream.samples.iter().rposition(|s| s.t <= now) else {
-            // Live but the first thumbnail hasn't been generated yet.
-            return CdnResponse::Offline;
-        };
-        let sample = stream.samples[pos];
-        let next_update = stream.samples.get(pos + 1).map(|s| s.t);
-        // Faults only apply where a real response would exist — an Offline
-        // redirect is already its own failure mode.
-        if let Some(chaos) = self.chaos.as_ref() {
-            if let Some(fault) = chaos.cdn_fault() {
-                if fault == CdnFault::Timeout {
-                    return CdnResponse::TimedOut;
-                }
-                let mut image = render_thumbnail(&self.streamers[idx], stream.game, &sample);
-                chaos.mangle_payload(fault, &mut image.pixels);
-                return CdnResponse::Thumbnail {
-                    image,
-                    generated_at: sample.t,
+        Some((body, stream.samples.get(pos + 1).map(|s| s.t)))
+    }
+
+    /// CDN fetch (not rate-limited — it's a CDN): the response for the
+    /// thumbnail whose content currently sits at the URL.
+    pub fn cdn_fetch(&self, url: &str, now: SimTime) -> CdnResponse {
+        match self.cdn_lookup(url, now) {
+            None => CdnResponse::Offline,
+            Some((body, next_update)) => match body.fault {
+                Some(CdnFault::Timeout) => CdnResponse::TimedOut,
+                Some(CdnFault::Truncated) => CdnResponse::Truncated,
+                Some(CdnFault::Corrupted) | None => CdnResponse::Thumbnail {
+                    body,
+                    generated_at: body.sample.t,
                     next_update,
-                };
-            }
-        }
-        let image = render_thumbnail(&self.streamers[idx], stream.game, &sample);
-        CdnResponse::Thumbnail {
-            image,
-            generated_at: sample.t,
-            next_update,
+                },
+            },
         }
     }
 
-    /// HEAD request: just the content timestamp and next expected update.
+    /// HEAD request: just the content timestamp and next expected update
+    /// of what a fetch would return (there is no body to truncate). Draws
+    /// the same fault a fetch would.
     pub fn cdn_head(&self, url: &str, now: SimTime) -> Option<(SimTime, Option<SimTime>)> {
-        match self.cdn_get(url, now) {
-            CdnResponse::Thumbnail {
-                generated_at,
-                next_update,
-                ..
-            } => Some((generated_at, next_update)),
-            CdnResponse::Offline | CdnResponse::TimedOut => None,
+        let (body, next_update) = self.cdn_lookup(url, now)?;
+        (body.fault != Some(CdnFault::Timeout)).then_some((body.sample.t, next_update))
+    }
+
+    /// The bytes of a fetched thumbnail, in the form the object store
+    /// keeps ([`Image::into_payload`]): rendered, then mangled by the
+    /// fault the fetch drew.
+    pub fn cdn_body(&self, body: &CdnBody) -> Vec<u8> {
+        let mut image = render_thumbnail(&self.streamers[body.streamer], body.game, &body.sample);
+        if let (Some(fault), Some(chaos)) = (body.fault, self.chaos.as_ref()) {
+            chaos.mangle_payload(fault, &mut image.pixels);
         }
+        image.into_payload()
     }
 
     /// Ground truth access for evaluation: the sample behind a thumbnail.
@@ -341,27 +358,128 @@ mod tests {
     #[test]
     fn cdn_head_matches_get() {
         use crate::{World, WorldConfig};
-        let world = World::build(WorldConfig {
+        use tero_chaos::{ChaosInjector, FaultPlan};
+        // Two copies of one world under one fault plan: one is only ever
+        // fetched from, the other only ever HEADed.
+        let build = || {
+            let mut world = World::build(WorldConfig {
+                seed: 8,
+                n_streamers: 12,
+                days: 2,
+                ..WorldConfig::default()
+            });
+            world.install_chaos(ChaosInjector::new(FaultPlan {
+                cdn_timeout_rate: 0.2,
+                cdn_truncate_rate: 0.2,
+                cdn_corrupt_rate: 0.2,
+                ..FaultPlan::quiet(8)
+            }));
+            world
+        };
+        let (get, head) = (build(), build());
+        let (mut checked, mut offline) = (0, 0);
+        let (mut whole, mut timed_out, mut truncated) = (0, 0, 0);
+        for (streamer, timeline) in get.streamers().iter().zip(get.timelines()) {
+            let url = format!("cdn://thumbs/{}", streamer.id.as_str());
+            for stream in timeline {
+                // Before the first thumbnail the URL is offline: no draw.
+                let early = stream.start;
+                if stream.samples.first().is_some_and(|s| s.t > early) {
+                    assert!(matches!(
+                        get.twitch.cdn_fetch(&url, early),
+                        CdnResponse::Offline
+                    ));
+                    assert_eq!(head.twitch.cdn_head(&url, early), None);
+                    offline += 1;
+                }
+                for (i, sample) in stream.samples.iter().enumerate().take(12) {
+                    // On the sample instant and a minute into its reign.
+                    for t in [sample.t, sample.t + SimDuration::from_secs(60)] {
+                        let next = stream.samples.get(i + 1).map(|s| s.t);
+                        if t >= stream.end || next.is_some_and(|n| t >= n) {
+                            continue;
+                        }
+                        let meta = Some((sample.t, next));
+                        let expected = match get.twitch.cdn_fetch(&url, t) {
+                            CdnResponse::Thumbnail {
+                                generated_at,
+                                next_update,
+                                ..
+                            } => {
+                                whole += 1;
+                                assert_eq!(Some((generated_at, next_update)), meta);
+                                meta
+                            }
+                            // A HEAD has no body to lose.
+                            CdnResponse::Truncated => {
+                                truncated += 1;
+                                meta
+                            }
+                            CdnResponse::TimedOut => {
+                                timed_out += 1;
+                                None
+                            }
+                            CdnResponse::Offline => panic!("live sample not served"),
+                        };
+                        assert_eq!(head.twitch.cdn_head(&url, t), expected, "{url} at {t:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            checked >= 300 && offline > 3,
+            "{checked} live, {offline} offline"
+        );
+        assert!(whole > 30 && timed_out > 30 && truncated > 30);
+        // Both injectors stand at the same draw.
+        let (get, head) = (get.chaos().unwrap(), head.chaos().unwrap());
+        for _ in 0..32 {
+            assert_eq!(get.cdn_fault(), head.cdn_fault());
+        }
+    }
+
+    #[test]
+    fn cdn_body_is_the_rendered_thumbnail_under_its_fault() {
+        use crate::{World, WorldConfig};
+        use tero_chaos::{ChaosInjector, FaultPlan};
+        let mut world = World::build(WorldConfig {
             seed: 8,
             n_streamers: 12,
             days: 2,
             ..WorldConfig::default()
         });
-        let mut checked = 0;
+        world.install_chaos(ChaosInjector::new(FaultPlan {
+            cdn_corrupt_rate: 0.5,
+            ..FaultPlan::quiet(8)
+        }));
+        let (mut clean, mut corrupted) = (0, 0);
         for (streamer, timeline) in world.streamers().iter().zip(world.timelines()) {
-            for stream in timeline.iter().take(1) {
-                if stream.samples.len() < 2 {
-                    continue;
+            let url = format!("cdn://thumbs/{}", streamer.id.as_str());
+            for stream in timeline {
+                for sample in stream.samples.iter().take(4) {
+                    let CdnResponse::Thumbnail { body, .. } =
+                        world.twitch.cdn_fetch(&url, sample.t)
+                    else {
+                        panic!("only corruption is planned");
+                    };
+                    let mut expected = render_thumbnail(streamer, stream.game, sample);
+                    if body.fault.is_some() {
+                        for byte in expected.pixels.iter_mut().step_by(3) {
+                            *byte ^= 0xA5;
+                        }
+                        corrupted += 1;
+                    } else {
+                        clean += 1;
+                    }
+                    let payload = world.twitch.cdn_body(&body);
+                    assert_eq!(Image::from_payload(&payload), Some(expected));
+                    // A pure description: rendering it again changes nothing.
+                    assert_eq!(world.twitch.cdn_body(&body), payload);
                 }
-                let url = format!("cdn://thumbs/{}", streamer.id.as_str());
-                let t = stream.samples[0].t;
-                let head = world.twitch.cdn_head(&url, t).expect("live");
-                assert_eq!(head.0, t);
-                assert_eq!(head.1, Some(stream.samples[1].t));
-                checked += 1;
             }
         }
-        assert!(checked > 3);
+        assert!(clean > 20 && corrupted > 20);
     }
 
     #[test]

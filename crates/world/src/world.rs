@@ -358,12 +358,12 @@ mod tests {
         }
         assert!(!listings.is_empty(), "no live stream found in 3 days");
         let url = &listings[0].thumbnail_url;
-        match world.twitch.cdn_get(url, t) {
+        match world.twitch.cdn_fetch(url, t) {
             crate::twitch::CdnResponse::Thumbnail {
-                image,
-                generated_at,
-                ..
+                body, generated_at, ..
             } => {
+                let image = tero_vision::Image::from_payload(&world.twitch.cdn_body(&body))
+                    .expect("a whole thumbnail");
                 assert_eq!(image.width, tero_vision::scene::THUMB_W);
                 assert!(generated_at <= t);
             }
@@ -373,13 +373,13 @@ mod tests {
                 // agrees.
                 assert!(world.twitch.cdn_head(url, t).is_none());
             }
-            crate::twitch::CdnResponse::TimedOut => {
+            crate::twitch::CdnResponse::TimedOut | crate::twitch::CdnResponse::Truncated => {
                 unreachable!("no fault injector installed");
             }
         }
         // Unknown URL is offline.
         assert!(matches!(
-            world.twitch.cdn_get("cdn://thumbs/nobody", t),
+            world.twitch.cdn_fetch("cdn://thumbs/nobody", t),
             crate::twitch::CdnResponse::Offline
         ));
     }

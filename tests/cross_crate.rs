@@ -122,7 +122,7 @@ fn cdn_contents_match_ground_truth_samples() {
         for stream in timeline {
             for s in stream.samples.iter().take(3) {
                 let url = format!("cdn://thumbs/{}", streamer.id.as_str());
-                match world.twitch.cdn_get(&url, s.t) {
+                match world.twitch.cdn_fetch(&url, s.t) {
                     tero::world::twitch::CdnResponse::Thumbnail { generated_at, .. } => {
                         assert_eq!(generated_at, s.t);
                         checked += 1;
@@ -130,8 +130,9 @@ fn cdn_contents_match_ground_truth_samples() {
                     tero::world::twitch::CdnResponse::Offline => {
                         panic!("live sample not served")
                     }
-                    tero::world::twitch::CdnResponse::TimedOut => {
-                        panic!("no fault injector installed; the CDN cannot time out")
+                    tero::world::twitch::CdnResponse::TimedOut
+                    | tero::world::twitch::CdnResponse::Truncated => {
+                        panic!("no fault injector installed; the CDN cannot fault")
                     }
                 }
             }

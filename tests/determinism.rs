@@ -267,6 +267,56 @@ fn windowed_schedules_match_single_shot() {
 }
 
 #[test]
+fn ingest_state_identical_across_worker_counts_and_schedules() {
+    // Ingest renders what it fetched on the pool, a bounded batch at a
+    // time, and a window boundary cuts the batch short. Neither may
+    // show: the committed download cursor (event heap, assignments,
+    // retry RNG, stats) and every `download.*` / `chaos.injected.*`
+    // counter are the same bytes at any width and on any schedule — under
+    // the stock fault plan, and when most fetches time out and the
+    // breakers do the scheduling.
+    let timeouts = FaultPlan {
+        cdn_timeout_rate: 0.6,
+        ..FaultPlan::quiet(7)
+    };
+    let ingest_state = |tero: &Tero| {
+        let cursor = tero
+            .serving_store()
+            .and_then(|kv| kv.get("engine:download_cursor"))
+            .expect("a completed run leaves its committed cursor");
+        let counters: BTreeMap<String, u64> = funnel(tero)
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("download.") || name.starts_with("chaos."))
+            .collect();
+        (cursor, counters)
+    };
+    for plan in [FaultPlan::default_plan(7), timeouts] {
+        let tero_ref = windowed_tero(1);
+        let reference = fingerprint(&tero_ref.run(&mut windowed_world(Some(plan.clone()))));
+        let ref_state = ingest_state(&tero_ref);
+        assert!(ref_state.1["download.get_hits"] > 500, "a real ingest");
+        assert!(ref_state.1["download.retries"] > 10, "with real faults");
+        // 7 h 37 min never divides a day: every boundary lands mid-batch.
+        let odd = SimDuration::from_mins(7 * 60 + 37);
+        for window in [Some(odd), Some(SimDuration::from_hours(24)), None] {
+            for workers in [1, 2, 8] {
+                let tero = windowed_tero(workers);
+                let report = drive(&tero, &mut windowed_world(Some(plan.clone())), window);
+                assert_eq!(
+                    fingerprint(&report),
+                    reference,
+                    "report diverged: window {window:?}, {workers} workers"
+                );
+                assert!(
+                    ingest_state(&tero) == ref_state,
+                    "ingest state diverged: window {window:?}, {workers} workers"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn windowed_kill_and_resume_matches_single_shot_under_chaos() {
     // Reference: a single-shot run under the stock fault plan.
     let mut world = windowed_world(Some(FaultPlan::default_plan(7)));
