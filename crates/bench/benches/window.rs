@@ -1,23 +1,15 @@
-//! Windowed-execution overhead: what slicing a run into N windows costs
-//! over the single-shot path. Each window adds a store commit (cursor +
-//! counter + ledger-delta writes into the `engine:*` keys) and an extra
-//! ingest/extract stage invocation; the report is byte-identical either
-//! way, so the delta between these benches *is* the windowing overhead.
-//! The numbers feed docs/PERFORMANCE.md.
+//! Long-horizon cleaning under windowed execution: the cost of one more
+//! window must track that window's new data, not the history behind it
+//! (docs/CLEANING.md cites these rows). What windowing itself costs — a
+//! run sliced into N windows against the single shot, and the floor of a
+//! window that ingests nothing — is measured by the benchmark harness
+//! (`run_s` and `engine.window_empty_us` of `bash benchmark/run.sh`),
+//! not here.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use tero_core::pipeline::{ExtractionMode, Tero, WindowOutcome};
 use tero_types::{SimDuration, SimTime};
 use tero_world::{World, WorldConfig};
-
-fn build_world() -> World {
-    World::build(WorldConfig {
-        seed: 7,
-        n_streamers: 12,
-        days: 2,
-        ..WorldConfig::default()
-    })
-}
 
 fn build_tero() -> Tero {
     Tero {
@@ -31,63 +23,6 @@ fn build_tero() -> Tero {
 fn bench_window(c: &mut Criterion) {
     let mut group = c.benchmark_group("window");
     group.sample_size(10);
-
-    // Baseline: the legacy single-shot path (one full-horizon window).
-    // World construction is included in every variant, so it cancels.
-    group.bench_function("single_shot", |b| {
-        b.iter(|| {
-            let mut world = build_world();
-            let tero = build_tero();
-            black_box(tero.run(&mut world).thumbnails)
-        })
-    });
-
-    for windows in [4u64, 16, 64] {
-        group.bench_function(BenchmarkId::new("windows", windows), |b| {
-            b.iter(|| {
-                let mut world = build_world();
-                let tero = build_tero();
-                let horizon = world.horizon;
-                let step = SimDuration::from_micros(horizon.as_micros().div_ceil(windows).max(1));
-                let mut to = SimTime::EPOCH + step;
-                let report = loop {
-                    match tero.run_window(&mut world, SimTime::EPOCH, to) {
-                        WindowOutcome::Complete(report) => break report,
-                        WindowOutcome::Advanced => to += step,
-                        WindowOutcome::Killed => unreachable!("no chaos installed"),
-                    }
-                };
-                black_box(report.thumbnails)
-            })
-        });
-    }
-
-    // The commit in isolation: after one real quarter-horizon window, 16
-    // one-second slivers each advance the cursor past (almost) no new
-    // data but still pay the full per-window cost — an ingest invocation,
-    // an extract invocation over an empty drain, and two store commits
-    // (cursor + counters + ledger delta + markers).
-    group.bench_function("near_empty_window_marginal_x16", |b| {
-        b.iter(|| {
-            let mut world = build_world();
-            let tero = build_tero();
-            let horizon = world.horizon;
-            let quarter = SimDuration::from_micros(horizon.as_micros() / 4);
-            let mut to = SimTime::EPOCH + quarter;
-            assert!(matches!(
-                tero.run_window(&mut world, SimTime::EPOCH, to),
-                WindowOutcome::Advanced
-            ));
-            for _ in 0..16 {
-                to += SimDuration::from_secs(1);
-                match tero.run_window(&mut world, SimTime::EPOCH, to) {
-                    WindowOutcome::Advanced => {}
-                    _ => unreachable!("bound is below the horizon"),
-                }
-            }
-            black_box(tero.engine_snapshot().is_some())
-        })
-    });
 
     // Long-horizon cleaning: the cost of one more 1-day window must track
     // that window's new data, not the total history (docs/CLEANING.md —

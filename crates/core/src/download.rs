@@ -239,14 +239,19 @@ impl PartialOrd for HeapEv {
 /// performs exactly the same world calls, in the same order, as a single
 /// full-range [`DownloadModule::run`].
 ///
-/// Cursors serialize (`serde`) so the engine can persist one at each
-/// window commit and a fresh process can resume from the persisted copy.
+/// Cursors serialize (`serde`) so the engine can persist one whenever a
+/// window moved it and a fresh process can resume from the persisted copy.
 #[derive(Debug)]
 pub struct DownloadCursor {
     from: SimTime,
     until: SimTime,
-    /// Where the next window starts (trace span bookkeeping only).
-    window_start: SimTime,
+    /// Where the next window starts (trace span bookkeeping only). Not
+    /// serialised — it moves in every window, also in one that pops no
+    /// event; a restoring engine sets it from its committed `ingested_to`.
+    pub(crate) window_start: SimTime,
+    /// A window initialised the cursor or popped an event since the last
+    /// [`DownloadCursor::take_dirty`]: the serialised form has changed.
+    dirty: bool,
     initialized: bool,
     heap: BinaryHeap<Reverse<HeapEv>>,
     seq: u64,
@@ -269,6 +274,7 @@ impl DownloadCursor {
             from,
             until,
             window_start: from,
+            dirty: false,
             initialized: false,
             heap: BinaryHeap::new(),
             seq: 0,
@@ -298,6 +304,12 @@ impl DownloadCursor {
     pub fn is_drained(&self) -> bool {
         self.initialized && self.heap.is_empty()
     }
+
+    /// Whether the cursor's serialised form changed since the last call
+    /// (or since it was created or deserialised), clearing the flag.
+    pub(crate) fn take_dirty(&mut self) -> bool {
+        std::mem::take(&mut self.dirty)
+    }
 }
 
 /// Serde mirror of [`DownloadCursor`]: the heap flattens to events sorted
@@ -307,7 +319,6 @@ impl DownloadCursor {
 struct CursorRepr {
     from: SimTime,
     until: SimTime,
-    window_start: SimTime,
     initialized: bool,
     events: Vec<(SimTime, u64, Ev)>,
     seq: u64,
@@ -338,7 +349,6 @@ impl Serialize for DownloadCursor {
         CursorRepr {
             from: self.from,
             until: self.until,
-            window_start: self.window_start,
             initialized: self.initialized,
             events,
             seq: self.seq,
@@ -361,7 +371,8 @@ impl Deserialize for DownloadCursor {
         Ok(DownloadCursor {
             from: repr.from,
             until: repr.until,
-            window_start: repr.window_start,
+            window_start: repr.from,
+            dirty: false,
             initialized: repr.initialized,
             heap: repr
                 .events
@@ -533,6 +544,7 @@ impl DownloadModule {
         let init = !cursor.initialized;
         if init {
             cursor.initialized = true;
+            cursor.dirty = true;
             cursor.downloader_load = vec![0usize; self.downloaders.max(1)];
             cursor.downloader_busy_until = vec![SimTime::EPOCH; self.downloaders.max(1)];
             cursor.downloader_alive = vec![true; self.downloaders.max(1)];
@@ -610,6 +622,7 @@ impl DownloadModule {
                 _ => break,
             }
             let Reverse(HeapEv(at, _, ev)) = heap.pop().expect("peeked above");
+            cursor.dirty = true;
             match ev {
                 Ev::Poll => {
                     // Expire lapsed TTL keys (`active:*` leases, offline
@@ -1473,7 +1486,16 @@ mod tests {
             let mut module = DownloadModule::new(kv.clone(), objects.clone());
             let mut cursor = DownloadCursor::new(SimTime::EPOCH, horizon);
             module.run_cursor(&mut world, &mut cursor, half);
+            assert!(cursor.take_dirty(), "a window that popped events moved it");
             let json = serde_json::to_string(&cursor).unwrap();
+            // A window that pops no event moves only `window_start`, which
+            // is not part of the serialised form.
+            let next_event = cursor.heap.peek().expect("mid-run").0 .0;
+            assert!(next_event > half + SimDuration::from_micros(1));
+            module.run_cursor(&mut world, &mut cursor, half + SimDuration::from_micros(1));
+            assert!(!cursor.take_dirty());
+            assert_eq!(serde_json::to_string(&cursor).unwrap(), json);
+            assert!(!json.contains("window_start"));
             drop(cursor); // the crash: in-memory cursor state is lost
             let mut revived: DownloadCursor = serde_json::from_str(&json).unwrap();
             // The revived cursor serializes back to the same bytes.

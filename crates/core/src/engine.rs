@@ -17,8 +17,10 @@
 //! the horizon. After every per-window stage the
 //! engine **commits**: the download cursor, the funnel ledger delta,
 //! every counter, the cleaner's `engine:clean:*` state, and the
-//! engine's own progress markers are written under the chaos-exempt
-//! `engine:` key prefix. A run killed mid-window (see
+//! engine's own progress markers are brought up to date under the
+//! chaos-exempt `engine:` key prefix — only what moved since the last
+//! commit is written (the commit contract is in `docs/ARCHITECTURE.md`).
+//! A run killed mid-window (see
 //! [`tero_chaos::EngineKill`]) can therefore be resumed — in-process or
 //! from a [`StoreSnapshot`] in a fresh [`Tero`] — without re-ingesting or
 //! double-counting anything: resumption replays the committed state and
@@ -36,7 +38,6 @@ use crate::stages::publish::{PublishInput, PublishStage};
 use crate::stages::{Stage, StageCx};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use tero_obs::Registry;
 use tero_pool::Pool;
 use tero_store::{KvSnapshot, KvStore, ObjectSnapshot, ObjectStore};
 use tero_trace::{DropReason, SampleKey, SampleState, SpanGuard};
@@ -92,7 +93,22 @@ pub struct Engine {
     horizon: SimTime,
     /// Ledger records already written to `engine:ledger`.
     ledger_committed: usize,
+    /// The value `engine:counters` holds for each counter, sorted by name
+    /// (the order [`tero_obs::Registry::visit_counters`] visits in).
+    committed_counters: Vec<(String, u64)>,
+    /// The values `engine:cursor` holds, in [`MARKER_FIELDS`] order;
+    /// `None` for a field the hash does not have yet.
+    committed_markers: [Option<u64>; 5],
 }
+
+/// The fields of the `engine:cursor` hash.
+const MARKER_FIELDS: [&str; 5] = [
+    "window_index",
+    "ingested_to",
+    "extracted_to",
+    "tasks_processed",
+    "extracted",
+];
 
 impl Engine {
     /// Wire up a fresh engine: stores, pool, chaos, tracer — everything
@@ -150,6 +166,8 @@ impl Engine {
             extracted_to: None,
             horizon,
             ledger_committed: 0,
+            committed_counters: Vec::new(),
+            committed_markers: [None; 5],
         }
     }
 
@@ -171,13 +189,13 @@ impl Engine {
             .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
             .collect();
         counters.sort_unstable();
-        for (name, value) in counters {
-            tero.obs.counter(&name).add(value);
+        for (name, value) in &counters {
+            tero.obs.counter(name).add(*value);
         }
+        engine.committed_counters = counters;
         // Replay the ledger: every committed record is re-ingested in its
         // original FIFO order, and resolved records resolve immediately.
-        let records = engine.kv.lpop_batch(LEDGER_KEY, engine.kv.llen(LEDGER_KEY));
-        engine.kv.rpush_batch(LEDGER_KEY, records.iter().cloned());
+        let records = engine.kv.lrange_from(LEDGER_KEY, 0);
         let ledger = tero.trace.ledger();
         for raw in &records {
             let Some((key, state)) = decode_ledger_record(raw) else {
@@ -197,12 +215,20 @@ impl Engine {
             engine.ingest.cursor = cursor;
         }
         let markers = engine.kv.hgetall(ENGINE_KEY);
-        let read = |field: &str| markers.get(field).and_then(|v| v.parse::<u64>().ok());
-        engine.window_index = read("window_index").unwrap_or(0);
-        engine.ingested_to = read("ingested_to").map(SimTime::from_micros);
-        engine.extracted_to = read("extracted_to").map(SimTime::from_micros);
-        engine.extract.tasks_processed = read("tasks_processed").unwrap_or(0);
-        engine.extract.extracted = read("extracted").unwrap_or(0);
+        engine.committed_markers =
+            MARKER_FIELDS.map(|field| markers.get(field).and_then(|v| v.parse::<u64>().ok()));
+        let [window_index, ingested_to, extracted_to, tasks_processed, extracted] =
+            engine.committed_markers;
+        engine.window_index = window_index.unwrap_or(0);
+        engine.ingested_to = ingested_to.map(SimTime::from_micros);
+        engine.extracted_to = extracted_to.map(SimTime::from_micros);
+        engine.extract.tasks_processed = tasks_processed.unwrap_or(0);
+        engine.extract.extracted = extracted.unwrap_or(0);
+        // The cursor's span bookkeeping is not part of its committed form:
+        // the next window starts where committed ingest ended.
+        if let Some(t) = engine.ingested_to {
+            engine.ingest.cursor.window_start = t;
+        }
         // Rebuild the extract stage's raw serving sketches from the
         // committed view, so later windows extend them instead of
         // restarting from empty (the committed sketch already holds every
@@ -341,44 +367,81 @@ impl Engine {
         }
     }
 
-    /// Persist everything needed to resume after this point: the download
-    /// cursor, the counter values, the ledger delta, and the progress
-    /// markers. All under `engine:` keys, which chaos never drops.
+    /// Bring the committed `engine:` state up to date with this point, so
+    /// a run can resume after it: the download cursor, the counter
+    /// values, the ledger delta, and the progress markers — all under
+    /// `engine:` keys, which chaos never drops. Only what moved since the
+    /// last commit is written; the state left behind is what rewriting
+    /// everything would leave.
+    ///
+    /// Each hash takes exactly one write per commit however many of its
+    /// fields moved: which counters move depends on the schedule
+    /// (`pool.steals` ticks at some worker counts only), and the number
+    /// of store operations — itself a committed counter — must not.
     fn commit(&mut self, tero: &Tero) {
-        self.kv.set(
-            CURSOR_KEY,
-            serde_json::to_string(&self.ingest.cursor).expect("cursor serialises"),
-        );
-        for c in tero.obs.snapshot().counters {
-            self.kv.hset(COUNTERS_KEY, &c.name, c.value.to_string());
+        if self.ingest.cursor.take_dirty() {
+            self.kv.set(
+                CURSOR_KEY,
+                serde_json::to_string(&self.ingest.cursor).expect("cursor serialises"),
+            );
         }
-        let records = tero.trace.ledger().records();
-        if records.len() > self.ledger_committed {
+        // Merge-join the registry's counters (visited in name order) with
+        // the committed values; counters are never unregistered, so the
+        // committed names are a subset of the visited ones.
+        let committed = &mut self.committed_counters;
+        let mut moved = Vec::new();
+        let mut i = 0;
+        tero.obs.visit_counters(|name, value| {
+            while committed.get(i).is_some_and(|(n, _)| n.as_str() < name) {
+                i += 1;
+            }
+            match committed.get_mut(i) {
+                Some((n, v)) if n == name => {
+                    if *v != value {
+                        *v = value;
+                        moved.push(i);
+                    }
+                }
+                // First seen (registered since the last commit, or at
+                // zero before the first): the hash lacks the field.
+                _ => {
+                    committed.insert(i, (name.to_string(), value));
+                    moved.push(i);
+                }
+            }
+            i += 1;
+        });
+        self.kv.hset_many(
+            COUNTERS_KEY,
+            moved
+                .into_iter()
+                .map(|i| (committed[i].0.clone(), committed[i].1.to_string())),
+        );
+        let records = tero.trace.ledger().records_from(self.ledger_committed);
+        if !records.is_empty() {
+            self.ledger_committed += records.len();
             self.kv.rpush_batch(
                 LEDGER_KEY,
-                records[self.ledger_committed..]
-                    .iter()
-                    .map(|(k, s)| encode_ledger_record(k, s)),
+                records.iter().map(|(k, s)| encode_ledger_record(k, s)),
             );
-            self.ledger_committed = records.len();
         }
-        self.kv
-            .hset(ENGINE_KEY, "window_index", self.window_index.to_string());
-        if let Some(t) = self.ingested_to {
-            self.kv
-                .hset(ENGINE_KEY, "ingested_to", t.as_micros().to_string());
-        }
-        if let Some(t) = self.extracted_to {
-            self.kv
-                .hset(ENGINE_KEY, "extracted_to", t.as_micros().to_string());
-        }
-        self.kv.hset(
+        let markers = [
+            Some(self.window_index),
+            self.ingested_to.map(SimTime::as_micros),
+            self.extracted_to.map(SimTime::as_micros),
+            Some(self.extract.tasks_processed),
+            Some(self.extract.extracted),
+        ];
+        let committed = std::mem::replace(&mut self.committed_markers, markers);
+        self.kv.hset_many(
             ENGINE_KEY,
-            "tasks_processed",
-            self.extract.tasks_processed.to_string(),
+            MARKER_FIELDS
+                .into_iter()
+                .zip(markers)
+                .zip(committed)
+                .filter(|((_, now), was)| now != was)
+                .filter_map(|((field, now), _)| Some((field.to_string(), now?.to_string()))),
         );
-        self.kv
-            .hset(ENGINE_KEY, "extracted", self.extract.extracted.to_string());
         // Persist this window's dirty raw sketches and bump the serving
         // version so `tero-serve` caches drop entries computed over the
         // now-stale view. Re-writing a whole sketch (not a delta) keeps
@@ -447,11 +510,6 @@ impl Engine {
         )
     }
 
-    /// The metric registry this engine records into (for assertions).
-    pub fn registry(&self) -> &Registry {
-        self.metrics.registry()
-    }
-
     /// The engine's KV store — shared-handle clone-able; the pipeline
     /// stashes it as the serving store when a run completes.
     pub(crate) fn kv_store(&self) -> &KvStore {
@@ -502,6 +560,130 @@ fn decode_ledger_record(raw: &str) -> Option<(SampleKey, SampleState)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ExtractionMode;
+    use tero_world::WorldConfig;
+
+    fn small_world() -> World {
+        World::build(WorldConfig {
+            seed: 11,
+            n_streamers: 6,
+            days: 1,
+            ..WorldConfig::default()
+        })
+    }
+
+    fn calibrated_tero() -> Tero {
+        Tero {
+            mode: ExtractionMode::Calibrated,
+            worker_threads: 1,
+            ..Tero::default()
+        }
+    }
+
+    #[test]
+    fn commit_writes_new_and_moved_counters_only() {
+        let world = small_world();
+        let tero = calibrated_tero();
+        let mut engine = Engine::new(&tero, &world, SimTime::EPOCH);
+        engine.commit(&tero);
+        // Every registered counter is present after the first commit,
+        // the ones still at zero included.
+        let first = engine.kv.hgetall(COUNTERS_KEY);
+        assert_eq!(first["pipeline.window.killed"], "0");
+        let mut registered = 0;
+        tero.obs.visit_counters(|name, _| {
+            registered += 1;
+            assert!(first.contains_key(name), "{name} missing after commit 1");
+        });
+        assert_eq!(first.len(), registered);
+        assert_eq!(
+            engine.kv.hgetall(ENGINE_KEY),
+            [
+                ("window_index", "0"),
+                ("tasks_processed", "0"),
+                ("extracted", "0")
+            ]
+            .map(|(f, v)| (f.to_string(), v.to_string()))
+            .into()
+        );
+
+        // A counter registered between two commits appears at the second,
+        // a moved one is updated, and a field that did not move is left
+        // alone (the planted value survives: the commit did not write it).
+        tero.obs.counter("late.arrival").add(3);
+        tero.obs.counter("pipeline.funnel.ingested").add(2);
+        engine
+            .kv
+            .hset(COUNTERS_KEY, "pipeline.window.killed", "planted");
+        engine.kv.hset(ENGINE_KEY, "extracted", "planted");
+        engine.window_index = 1;
+        engine.commit(&tero);
+        let second = engine.kv.hgetall(COUNTERS_KEY);
+        assert_eq!(second["late.arrival"], "3");
+        assert_eq!(second["pipeline.funnel.ingested"], "2");
+        assert_eq!(second["pipeline.window.commits"], "1");
+        assert_eq!(second["pipeline.window.killed"], "planted");
+        assert_eq!(second.len(), first.len() + 1);
+        let markers = engine.kv.hgetall(ENGINE_KEY);
+        assert_eq!(markers["window_index"], "1");
+        assert_eq!(markers["extracted"], "planted");
+    }
+
+    #[test]
+    fn restored_engine_first_commit_writes_only_what_moved() {
+        let mut world = small_world();
+        let tero = calibrated_tero();
+        let mut engine = Engine::new(&tero, &world, SimTime::EPOCH);
+        let half = SimTime::from_micros(world.horizon.as_micros() / 2);
+        assert!(matches!(
+            engine.advance_window(&tero, &mut world, half),
+            WindowOutcome::Advanced
+        ));
+        let snap = engine.snapshot();
+        let committed = engine.kv.hgetall(COUNTERS_KEY);
+        assert!(committed["download.polls"].parse::<u64>().unwrap() > 0);
+
+        let fresh = calibrated_tero();
+        let mut restored = Engine::restore(&fresh, &world, &snap);
+        // Restoring reads the store and writes nothing to it.
+        assert_eq!(restored.kv.snapshot(), snap.kv);
+        assert_eq!(restored.ingest.cursor.window_start, half);
+        // Plant a value in every committed field: the first commit after
+        // the restore may overwrite only the fields that moved since the
+        // snapshot's last commit.
+        for field in committed.keys() {
+            restored.kv.hset(COUNTERS_KEY, field, "planted");
+        }
+        for field in MARKER_FIELDS {
+            restored.kv.hset(ENGINE_KEY, field, "planted");
+        }
+        restored.kv.set(CURSOR_KEY, "planted");
+        restored.commit(&fresh);
+        let after = restored.kv.hgetall(COUNTERS_KEY);
+        let rewritten: Vec<&str> = after
+            .iter()
+            .filter(|(_, v)| *v != "planted")
+            .map(|(f, _)| f.as_str())
+            .collect();
+        // `store.kv.*` tick on the restore's own reads and on the planting
+        // above; the last commit of the snapshotted run and the restore
+        // itself bumped one `pipeline.window.*` counter each.
+        for field in &rewritten {
+            assert!(
+                field.starts_with("store.kv.") || field.starts_with("pipeline.window."),
+                "{field} did not move but was rewritten"
+            );
+        }
+        assert_eq!(committed["pipeline.window.resumed"], "0");
+        assert_eq!(after["pipeline.window.resumed"], "1");
+        assert_eq!(after.len(), committed.len());
+        assert!(restored
+            .kv
+            .hgetall(ENGINE_KEY)
+            .values()
+            .all(|v| v == "planted"));
+        assert_eq!(restored.kv.get(CURSOR_KEY).as_deref(), Some("planted"));
+    }
 
     #[test]
     fn ledger_record_roundtrip() {

@@ -280,11 +280,6 @@ impl PipelineMetrics {
         }
     }
 
-    /// The registry these handles record into.
-    pub(crate) fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Whether these handles record into `registry`.
     pub(crate) fn same_registry(&self, registry: &Registry) -> bool {
         self.registry.same_registry(registry)

@@ -727,10 +727,9 @@ fn prefix_kv(req: KvRequest, ns: &str) -> KvRequest {
         KvRequest::LpopExactBatch { key, n } => KvRequest::LpopExactBatch { key: p(key), n },
         KvRequest::Llen { key } => KvRequest::Llen { key: p(key) },
         KvRequest::LrangeFrom { key, start } => KvRequest::LrangeFrom { key: p(key), start },
-        KvRequest::Hset { key, field, value } => KvRequest::Hset {
+        KvRequest::Hset { key, fields } => KvRequest::Hset {
             key: p(key),
-            field,
-            value,
+            fields,
         },
         KvRequest::Hget { key, field } => KvRequest::Hget { key: p(key), field },
         KvRequest::Hgetall { key } => KvRequest::Hgetall { key: p(key) },

@@ -281,6 +281,14 @@ mod tests {
             key: "queue:thumbs".into(),
             values: vec!["a".into(), "b".into()],
         }));
+        round_trip(Payload::KvReq(KvRequest::Hset {
+            key: "engine:counters".into(),
+            fields: vec![("a.b".into(), "1".into()), ("c.d".into(), "22".into())],
+        }));
+        round_trip(Payload::KvReq(KvRequest::Hset {
+            key: "h".into(),
+            fields: vec![],
+        }));
         round_trip(Payload::KvResp(KvResponse::MaybeStr(Some("v".into()))));
         round_trip(Payload::KvResp(KvResponse::Pairs(vec![(
             "f".into(),
@@ -312,6 +320,44 @@ mod tests {
         let objects = ObjectStore::new();
         objects.put("b", "k", vec![1, 2, 3]);
         round_trip(Payload::ObjResp(ObjResponse::Snapshot(objects.snapshot())));
+    }
+
+    #[test]
+    fn hset_field_list_applies_in_order() {
+        let kv = KvStore::new();
+        let hset = |fields: &[(&str, &str)]| {
+            let req = KvRequest::Hset {
+                key: "h".into(),
+                fields: fields
+                    .iter()
+                    .map(|(f, v)| (f.to_string(), v.to_string()))
+                    .collect(),
+            };
+            assert!(req.is_write());
+            assert_eq!(req.routing_key(), Some("h"));
+            // Through the wire form, as a server receives it.
+            let frame = Frame {
+                client: 1,
+                seq: 1,
+                ctx: None,
+                payload: Payload::KvReq(req),
+            };
+            match decode(&encode(&frame)).expect("round trip").payload {
+                Payload::KvReq(req) => assert_eq!(tero_store::apply_kv(&kv, req), KvResponse::Unit),
+                other => panic!("decoded {other:?}"),
+            }
+        };
+        // An empty list is a no-op: it does not even create the hash.
+        hset(&[]);
+        assert!(!kv.exists("h"));
+        // A repeated field keeps its last value.
+        hset(&[("a", "1"), ("b", "2"), ("a", "3")]);
+        let mut pairs: Vec<_> = kv.hgetall("h").into_iter().collect();
+        pairs.sort();
+        assert_eq!(
+            pairs,
+            [("a", "3"), ("b", "2")].map(|(f, v)| (f.to_string(), v.to_string()))
+        );
     }
 
     #[test]

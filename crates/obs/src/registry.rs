@@ -135,19 +135,32 @@ impl Registry {
         names
     }
 
-    /// A point-in-time snapshot of every metric, in name order.
-    pub fn snapshot(&self) -> Snapshot {
-        let counters = self
+    /// Call `visit(name, value)` for every registered counter, in name
+    /// order, building nothing — the read for callers on a per-window
+    /// path, where [`Registry::snapshot`] would clone every name and
+    /// compute every histogram's percentiles to be asked for counters.
+    /// The counter table stays locked for the duration of the call, so
+    /// `visit` must not register a counter.
+    pub fn visit_counters(&self, mut visit: impl FnMut(&str, u64)) {
+        let map = self
             .inner
             .counters
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(name, c)| CounterSnapshot {
-                name: name.clone(),
-                value: c.get(),
+            .unwrap_or_else(PoisonError::into_inner);
+        for (name, counter) in map.iter() {
+            visit(name, counter.get());
+        }
+    }
+
+    /// A point-in-time snapshot of every metric, in name order.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut counters = Vec::new();
+        self.visit_counters(|name, value| {
+            counters.push(CounterSnapshot {
+                name: name.to_string(),
+                value,
             })
-            .collect();
+        });
         let gauges = self
             .inner
             .gauges
@@ -239,6 +252,25 @@ mod tests {
         c1.inc();
         c2.inc();
         assert_eq!(r.snapshot().counter("a.b"), Some(2));
+    }
+
+    #[test]
+    fn visit_counters_reads_what_snapshot_reads() {
+        let r = Registry::new();
+        r.counter("z.last").add(7);
+        r.counter("a.zero");
+        r.gauge("m.gauge").set(3);
+        r.histogram("m.hist").record(5);
+        let mut seen = Vec::new();
+        r.visit_counters(|name, value| seen.push((name.to_string(), value)));
+        assert_eq!(seen, [("a.zero".to_string(), 0), ("z.last".to_string(), 7)]);
+        let snap: Vec<(String, u64)> = r
+            .snapshot()
+            .counters
+            .into_iter()
+            .map(|c| (c.name, c.value))
+            .collect();
+        assert_eq!(seen, snap);
     }
 
     #[test]

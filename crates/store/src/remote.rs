@@ -105,14 +105,14 @@ pub enum KvRequest {
         /// Index of the first element to return.
         start: u64,
     },
-    /// `hset(key, field, value)`.
+    /// `hset_many(key, fields)` — `hset(key, field, value)` is the
+    /// one-element list. Fields apply in order, so a repeated field keeps
+    /// its last value; an empty list creates nothing.
     Hset {
         /// Target hash key.
         key: String,
-        /// Field name.
-        field: String,
-        /// Field value.
-        value: String,
+        /// `(field, value)` pairs to set, in order.
+        fields: Vec<(String, String)>,
     },
     /// `hget(key, field)`.
     Hget {
@@ -371,8 +371,8 @@ pub fn apply_kv(store: &crate::KvStore, req: KvRequest) -> KvResponse {
         KvRequest::LrangeFrom { key, start } => {
             KvResponse::Strs(store.lrange_from(&key, start as usize))
         }
-        KvRequest::Hset { key, field, value } => {
-            store.hset(&key, &field, value);
+        KvRequest::Hset { key, fields } => {
+            store.hset_many(&key, fields);
             KvResponse::Unit
         }
         KvRequest::Hget { key, field } => KvResponse::MaybeStr(store.hget(&key, &field)),

@@ -244,9 +244,15 @@ impl Ledger {
         self.state.lock().records.is_empty()
     }
 
-    /// Copy of every lineage record, in ingest order.
-    pub fn records(&self) -> Vec<(SampleKey, SampleState)> {
-        self.state.lock().records.clone()
+    /// Copy of the lineage records from index `start` on, in ingest
+    /// order (empty when `start` is at or past the end) — what a
+    /// committer that remembers how many records it has persisted reads.
+    pub fn records_from(&self, start: usize) -> Vec<(SampleKey, SampleState)> {
+        self.state
+            .lock()
+            .records
+            .get(start..)
+            .map_or_else(Vec::new, <[_]>::to_vec)
     }
 
     /// The fates of every record for `key`, in ingest order (empty if the
@@ -285,7 +291,6 @@ impl Ledger {
     /// summary on success; on failure, every mismatch found.
     pub fn reconcile(&self, registry: &Registry) -> Result<LedgerSummary, ReconcileError> {
         let summary = self.summary();
-        let snap = registry.snapshot();
         let mut mismatches = Vec::new();
 
         // Internal consistency first.
@@ -311,29 +316,33 @@ impl Ledger {
             ));
         }
 
-        let mut check = |name: &str, expected: u64| {
-            let got = snap.counter(name);
+        // Funnel counters must equal the ledger exactly: `(name, what the
+        // ledger expects, what the registry has)`.
+        let mut checks = vec![
+            ("pipeline.funnel.ingested", summary.ingested, None),
+            ("pipeline.funnel.published", summary.published, None),
+        ];
+        checks.extend(DropReason::ALL.map(|r| (r.metric_name(), summary.count(r), None)));
+        // The clean stage counts its discards on its own path.
+        checks.push((
+            "analysis.points_discarded",
+            summary.count(DropReason::Glitch)
+                + summary.count(DropReason::Spike)
+                + summary.count(DropReason::Unstable),
+            None,
+        ));
+        registry.visit_counters(|name, value| {
+            if let Some(check) = checks.iter_mut().find(|c| c.0 == name) {
+                check.2 = Some(value);
+            }
+        });
+        for (name, expected, got) in checks {
             if got != Some(expected) {
                 mismatches.push(format!(
                     "{name}: registry has {got:?}, ledger expects {expected}"
                 ));
             }
-        };
-
-        // Funnel counters must equal the ledger exactly.
-        check("pipeline.funnel.ingested", summary.ingested);
-        check("pipeline.funnel.published", summary.published);
-        for reason in DropReason::ALL {
-            check(reason.metric_name(), summary.dropped[reason.index()]);
         }
-
-        // The clean stage counts its discards on its own path.
-        check(
-            "analysis.points_discarded",
-            summary.count(DropReason::Glitch)
-                + summary.count(DropReason::Spike)
-                + summary.count(DropReason::Unstable),
-        );
 
         if mismatches.is_empty() {
             Ok(summary)
@@ -518,6 +527,25 @@ mod tests {
                 SampleState::Published
             ]
         );
+    }
+
+    #[test]
+    fn records_from_hands_out_the_tail() {
+        let ledger = Ledger::new();
+        for n in 0..3 {
+            ledger.ingest(key(n));
+        }
+        ledger.resolve(&key(2), SampleState::Published);
+        assert_eq!(ledger.records_from(0).len(), 3);
+        assert_eq!(
+            ledger.records_from(1),
+            [
+                (key(1), SampleState::Pending),
+                (key(2), SampleState::Published)
+            ]
+        );
+        assert!(ledger.records_from(3).is_empty());
+        assert!(ledger.records_from(99).is_empty());
     }
 
     #[test]

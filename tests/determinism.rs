@@ -796,3 +796,218 @@ fn same_seed_same_process_is_reproducible() {
     assert_eq!(a.0, b.0);
     assert_eq!(a.1, b.1);
 }
+
+// ---------------------------------------------------------------------------
+// Sub-minute windows: most ingest nothing, and a commit writes only what
+// moved since the last one.
+
+const HALF_MINUTE: SimDuration = SimDuration::from_secs(30);
+
+/// A 1-day world: 2 880 half-minute windows, most of which pop no
+/// download event and extract nothing.
+fn day_world(plan: Option<FaultPlan>) -> World {
+    let mut world = World::build(WorldConfig {
+        seed: 4242,
+        n_streamers: 25,
+        days: 1,
+        ..WorldConfig::default()
+    });
+    if let Some(plan) = plan {
+        world.install_chaos(ChaosInjector::new(plan));
+    }
+    world
+}
+
+/// The committed `engine:*` resume state a completed run leaves in its
+/// store, rendered order-stably: `engine:counters` through the same
+/// filter as the registry (`schedule_invariant`, and `pool.steals` as in
+/// `funnel`), the progress markers, the ledger and the download cursor.
+/// `window_index` is left out with the `pipeline.window.*` counters: a
+/// restore resumes from the last *commit*, which precedes the
+/// end-of-window bumps, so both trail by one per restore.
+fn engine_state(tero: &Tero) -> BTreeMap<String, String> {
+    let kv = tero.serving_store().expect("run completed");
+    let counters = kv
+        .hgetall("engine:counters")
+        .into_iter()
+        .filter(|(name, _)| name != "pool.steals")
+        .map(|(name, value)| (name, value.parse().expect("counters are decimal")))
+        .collect();
+    let mut out: BTreeMap<String, String> = schedule_invariant(counters)
+        .into_iter()
+        .map(|(name, value)| (format!("engine:counters#{name}"), value.to_string()))
+        .collect();
+    for (field, value) in kv.hgetall("engine:cursor") {
+        if field != "window_index" {
+            out.insert(format!("engine:cursor#{field}"), value);
+        }
+    }
+    out.insert(
+        "engine:ledger".to_string(),
+        kv.lrange_from("engine:ledger", 0).join("\n"),
+    );
+    out.insert(
+        "engine:download_cursor".to_string(),
+        kv.get("engine:download_cursor").expect("committed cursor"),
+    );
+    out
+}
+
+/// What one half-minute drive is compared by.
+struct Drive {
+    fingerprint: String,
+    counters: BTreeMap<String, u64>,
+    engine_state: BTreeMap<String, String>,
+}
+
+impl Drive {
+    fn finish(tero: &Tero, report: &TeroReport) -> Drive {
+        tero.trace
+            .ledger()
+            .reconcile(&tero.obs)
+            .expect("ledger reconciles after a half-minute drive");
+        Drive {
+            fingerprint: fingerprint(report),
+            counters: funnel(tero),
+            engine_state: engine_state(tero),
+        }
+    }
+
+    fn assert_matches(&self, reference: &Drive, what: &str) {
+        assert_eq!(self.fingerprint, reference.fingerprint, "report: {what}");
+        assert_eq!(
+            schedule_invariant(self.counters.clone()),
+            schedule_invariant(reference.counters.clone()),
+            "counters: {what}"
+        );
+        assert_eq!(
+            self.engine_state, reference.engine_state,
+            "committed engine state: {what}"
+        );
+    }
+}
+
+/// Whether the window a caller just drove was idle: no CDN fetch was
+/// attempted and the extract stage was handed nothing.
+fn window_was_idle(tero: &Tero, before: &mut (u64, u64)) -> bool {
+    let now = (
+        tero.obs.counter("download.get_attempts").get(),
+        tero.obs.counter("stage.extract.records_in").get(),
+    );
+    let idle = now == *before;
+    *before = now;
+    idle
+}
+
+#[test]
+fn half_minute_windows_cost_the_same_store_traffic_at_every_width() {
+    // A commit writes only the counters that moved, and which counters
+    // move depends on the schedule (`pool.steals`). The *number* of store
+    // operations must not: each hash takes one write per commit.
+    let single_shot = fingerprint(&windowed_tero(1).run(&mut day_world(None)));
+    let traffic: Vec<(u64, u64)> = [1, 2, 8]
+        .into_iter()
+        .map(|workers| {
+            let tero = windowed_tero(workers);
+            let report = drive(&tero, &mut day_world(None), Some(HALF_MINUTE));
+            assert_eq!(
+                fingerprint(&report),
+                single_shot,
+                "report diverged at {workers} workers"
+            );
+            let counters = funnel(&tero);
+            assert_eq!(counters["pipeline.window.runs"], 2_880);
+            (counters["store.kv.writes"], counters["store.kv.reads"])
+        })
+        .collect();
+    assert_eq!(traffic[1], traffic[0], "2 workers against 1");
+    assert_eq!(traffic[2], traffic[0], "8 workers against 1");
+    // Far fewer writes than one per counter per commit (5 760 commits of
+    // a hundred-odd counters each).
+    assert!(traffic[0].0 < 40_000, "store.kv.writes {}", traffic[0].0);
+}
+
+#[test]
+fn half_minute_drive_survives_restores_at_idle_and_busy_boundaries() {
+    let reference = {
+        let tero = windowed_tero(2);
+        let report = drive(&tero, &mut day_world(None), Some(HALF_MINUTE));
+        Drive::finish(&tero, &report)
+    };
+
+    // The same drive, handed to a fresh `Tero` — fresh registry, tracer
+    // and engine, fed only the snapshot — at eight boundaries: after the
+    // first idle window past each even mark, after the first busy one
+    // past each odd mark. An idle boundary is where a commit that skips
+    // what did not move could leave the snapshot behind the engine.
+    let marks = [100, 450, 800, 1_150, 1_500, 1_850, 2_200, 2_550];
+    let mut world = day_world(None);
+    let mut tero = windowed_tero(2);
+    let mut seen = (0, 0);
+    let (mut restores, mut idle_restores) = (0, 0);
+    let mut to = SimTime::EPOCH + HALF_MINUTE;
+    let mut window = 0;
+    let report = loop {
+        match tero.run_window(&mut world, SimTime::EPOCH, to) {
+            WindowOutcome::Complete(report) => break report,
+            WindowOutcome::Advanced => to += HALF_MINUTE,
+            WindowOutcome::Killed => unreachable!("no chaos installed"),
+        }
+        let idle = window_was_idle(&tero, &mut seen);
+        if restores < marks.len() && window >= marks[restores] && idle == (restores % 2 == 0) {
+            let snap = tero.engine_snapshot().expect("windowed run in flight");
+            tero = windowed_tero(2);
+            tero.restore_engine(snap);
+            restores += 1;
+            idle_restores += idle as usize;
+        }
+        window += 1;
+    };
+    assert_eq!((restores, idle_restores), (8, 4));
+    assert_eq!(
+        tero.metrics_snapshot().counter("pipeline.window.resumed"),
+        Some(8)
+    );
+    Drive::finish(&tero, &report).assert_matches(&reference, "eight restores");
+}
+
+#[test]
+fn half_minute_drive_survives_a_kill_in_an_idle_and_in_a_busy_window() {
+    // Find an idle and a busy window of the drive (under a quiet plan, so
+    // the reference registers the same `chaos.*` counters).
+    let quiet = FaultPlan::quiet(7);
+    let mut world = day_world(Some(quiet.clone()));
+    let tero = windowed_tero(2);
+    let mut seen = (0, 0);
+    let mut idle_at = Vec::new();
+    let mut to = SimTime::EPOCH + HALF_MINUTE;
+    let report = loop {
+        match tero.run_window(&mut world, SimTime::EPOCH, to) {
+            WindowOutcome::Complete(report) => break report,
+            WindowOutcome::Advanced => to += HALF_MINUTE,
+            WindowOutcome::Killed => unreachable!("no kill planned"),
+        }
+        idle_at.push(window_was_idle(&tero, &mut seen));
+    };
+    let reference = Drive::finish(&tero, &report);
+    let pick = |idle: bool| {
+        (1_000..)
+            .find(|&w| idle_at[w] == idle)
+            .expect("the day has both kinds of window") as u64
+    };
+
+    // The kill fires after the ingest commit; the drive loop re-calls
+    // `run_window` and the engine resumes from that commit.
+    for (window, what) in [(pick(true), "idle"), (pick(false), "busy")] {
+        let plan = FaultPlan {
+            engine_kills: vec![EngineKill { window }],
+            ..quiet.clone()
+        };
+        let tero = windowed_tero(2);
+        let report = drive(&tero, &mut day_world(Some(plan)), Some(HALF_MINUTE));
+        let snap = tero.metrics_snapshot();
+        assert_eq!(snap.counter("pipeline.window.killed"), Some(1));
+        Drive::finish(&tero, &report)
+            .assert_matches(&reference, &format!("kill in {what} window {window}"));
+    }
+}
