@@ -392,4 +392,22 @@ mod tests {
         bytes[len - 1] = b'!';
         assert_eq!(decode(&bytes), Err(FrameError::BadBody));
     }
+
+    #[test]
+    fn a_body_of_open_brackets_is_a_bad_body_not_a_stack_overflow() {
+        // A peer's bytes reach the JSON parser, which recurses per
+        // nesting level: a valid header in front of a megabyte of `[`
+        // used to abort the process.
+        let mut bytes = encode(&Frame {
+            client: 0,
+            seq: 1,
+            ctx: None,
+            payload: Payload::KvReq(KvRequest::Len),
+        });
+        bytes.truncate(HEADER_LEN);
+        let body = vec![b'['; 1_000_000];
+        bytes[HEADER_LEN - 4..].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        assert_eq!(decode(&bytes), Err(FrameError::BadBody));
+    }
 }

@@ -1,7 +1,7 @@
 //! The query engine: typed queries over the committed serving sketches.
 
 use crate::cache::HotKeyCache;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tero_core::serving::{
     load_sketch, parse_dist_sketch_key, serve_version, ServeGranularity, DIST_SKETCH_PREFIX,
 };
@@ -162,7 +162,9 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// run folds to the same [`Answer::checksum`].
 pub struct QueryEngine {
     kv: KvStore,
-    cache: Mutex<HotKeyCache>,
+    /// `None` at capacity 0: a cache that stores nothing is not locked,
+    /// synced or handed keys and clones to drop.
+    cache: Option<Mutex<HotKeyCache>>,
     metrics: ServeMetrics,
 }
 
@@ -179,7 +181,7 @@ impl QueryEngine {
     pub fn with_cache_capacity(kv: KvStore, registry: &Registry, capacity: usize) -> QueryEngine {
         QueryEngine {
             kv,
-            cache: Mutex::new(HotKeyCache::new(capacity)),
+            cache: (capacity > 0).then(|| Mutex::new(HotKeyCache::new(capacity))),
             metrics: ServeMetrics::new(registry),
         }
     }
@@ -280,24 +282,52 @@ impl QueryEngine {
         )
     }
 
-    /// Fetch a decoded sketch through the hot-key cache. Consulting the
-    /// cache first reconciles it with the serving version, so an engine
-    /// commit between two queries invalidates every cached sketch.
+    /// Fetch a decoded sketch through the hot-key cache. The cache lock
+    /// covers the probe and the insert, never the store read or the
+    /// decode between them: clients that miss load side by side.
     fn sketch(&self, target: &SketchRef) -> Option<QuantileSketch> {
+        let Some(cache) = &self.cache else {
+            self.metrics.cache_misses.inc();
+            return load_sketch(&self.kv, target.key());
+        };
         let version = serve_version(&self.kv);
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        cache.sync_version(version);
-        if let Some(sketch) = cache.get(target.key()) {
-            self.metrics.cache_hits.inc();
-            return Some(sketch.clone());
+        if let Some(hit) = self.probe(cache, version, target.key()) {
+            return Some(hit);
         }
-        self.metrics.cache_misses.inc();
         let sketch = load_sketch(&self.kv, target.key())?;
-        let evicted = cache.insert(target.key().to_string(), sketch.clone());
-        self.metrics.cache_evictions.add(evicted);
-        self.metrics.cache_entries.set(cache.len() as i64);
+        self.admit(cache, version, target.key(), &sketch);
         Some(sketch)
     }
+
+    /// Consult the cache at `version`, read before the call. Consulting
+    /// reconciles the cache with the serving version, so an engine commit
+    /// between two queries invalidates every cached sketch.
+    fn probe(&self, cache: &Mutex<HotKeyCache>, version: u64, key: &str) -> Option<QuantileSketch> {
+        let mut cache = lock(cache);
+        cache.sync_version(version);
+        let hit = cache.get(key).cloned();
+        match hit {
+            Some(_) => self.metrics.cache_hits.inc(),
+            None => self.metrics.cache_misses.inc(),
+        }
+        hit
+    }
+
+    /// Offer the cache a sketch loaded after a [`Self::probe`] at
+    /// `version` missed. If a commit moved the cache on while the load
+    /// ran, the cache declines it (see [`HotKeyCache::insert`]).
+    fn admit(&self, cache: &Mutex<HotKeyCache>, version: u64, key: &str, sketch: &QuantileSketch) {
+        let mut cache = lock(cache);
+        let evicted = cache.insert(version, key, sketch);
+        self.metrics.cache_evictions.add(evicted);
+        self.metrics.cache_entries.set(cache.len() as i64);
+    }
+}
+
+/// Every cache update leaves it valid at each step, so a client that
+/// panicked while holding the lock has not broken it for the others.
+fn lock(cache: &Mutex<HotKeyCache>) -> MutexGuard<'_, HotKeyCache> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for QueryEngine {
@@ -389,6 +419,96 @@ mod tests {
         assert!(p50 >= 99.0, "post-commit answer reflects the new sketch");
         assert_eq!(engine.cache_stats(), (2, 2, 0), "version bump invalidated");
         assert_eq!(registry.snapshot().counter("serve.queries"), Some(4));
+    }
+
+    #[test]
+    fn a_commit_between_probe_and_insert_leaves_nothing_stale() {
+        let target = SketchRef::raw(AnonId(42), GameId::ALL[1]);
+        let key = target.key();
+        let kv = store_with(&[10.0, 20.0, 30.0], &target);
+        let engine = QueryEngine::new(kv.clone(), &Registry::new());
+        let cache = engine.cache.as_ref().expect("default capacity");
+        let commit = |values: &[f64]| {
+            // What every commit site does: bytes first, bump second.
+            kv.set(key, QuantileSketch::from_values(values).encode());
+            kv.incr_by(SERVE_VERSION_KEY, 1);
+        };
+
+        // A slow query reads the version, misses and loads; a commit
+        // lands; the query then offers the cache its pre-commit bytes.
+        let version = engine.version();
+        assert_eq!(engine.probe(cache, version, key), None);
+        let loaded = load_sketch(&kv, key).unwrap();
+        commit(&[100.0, 200.0]);
+        engine.admit(cache, version, key, &loaded);
+        // The next query reads the new version, misses, and answers from
+        // the new bytes: the old entry went in under the old version.
+        assert!(engine.percentile(&target, 50.0).unwrap() >= 99.0);
+        assert_eq!(engine.cache_stats(), (0, 2, 0));
+
+        // The same race, but a fast query moves the cache to the new
+        // version first: the slow one's bytes are declined, not stored
+        // under a version they may predate.
+        let version = engine.version();
+        let loaded = load_sketch(&kv, key).unwrap();
+        commit(&[1000.0, 2000.0]);
+        assert!(engine.percentile(&target, 50.0).unwrap() >= 999.0);
+        engine.admit(cache, version, key, &loaded);
+        assert!(engine.percentile(&target, 50.0).unwrap() >= 999.0);
+        assert_eq!(
+            engine.cache_stats(),
+            (1, 3, 0),
+            "served from the fast query's entry"
+        );
+        assert_eq!(lock(cache).len(), 1);
+    }
+
+    #[test]
+    fn two_clients_missing_one_key_agree_and_leave_one_entry() {
+        let target = SketchRef::raw(AnonId(7), GameId::ALL[0]);
+        let kv = store_with(&[10.0, 20.0, 30.0], &target);
+        let engine = QueryEngine::new(kv.clone(), &Registry::new());
+        let cache = engine.cache.as_ref().expect("default capacity");
+        // Both clients have probed, and missed, before either inserts.
+        let both_missed = std::sync::Barrier::new(2);
+        let client = || {
+            let version = engine.version();
+            assert_eq!(engine.probe(cache, version, target.key()), None);
+            both_missed.wait();
+            let sketch = load_sketch(&kv, target.key()).unwrap();
+            engine.admit(cache, version, target.key(), &sketch);
+            sketch.quantile(50.0)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(client), s.spawn(client));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(engine.cache_stats(), (0, 2, 0));
+        assert_eq!(lock(cache).len(), 1);
+        assert_eq!(
+            engine.percentile(&target, 50.0),
+            a,
+            "and the entry is theirs"
+        );
+        assert_eq!(engine.cache_stats(), (1, 2, 0));
+    }
+
+    #[test]
+    fn a_capacity_zero_engine_never_takes_an_entry() {
+        let target = SketchRef::raw(AnonId(7), GameId::ALL[0]);
+        let kv = store_with(&[10.0, 20.0, 30.0], &target);
+        let registry = Registry::new();
+        let engine = QueryEngine::with_cache_capacity(kv.clone(), &registry, 0);
+        assert!(engine.cache.is_none(), "no cache to lock");
+        let cached = QueryEngine::new(kv, &Registry::new());
+        for p in [5.0, 50.0, 95.0] {
+            assert_eq!(engine.percentile(&target, p), cached.percentile(&target, p));
+        }
+        assert_eq!(engine.cache_stats(), (0, 3, 0), "every query is a miss");
+        assert_eq!(cached.cache_stats(), (2, 1, 0));
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("serve.cache.entries").unwrap().value, 0);
     }
 
     #[test]

@@ -40,12 +40,42 @@
 //! (lower-inclusive), while a value exactly `γ^k` *closes* sketch bucket
 //! `k` (upper-inclusive). docs/OPERATIONS.md quotes this shared
 //! definition for every p50/p95/p99 the system reports.
+//!
+//! ## Wire form
+//!
+//! The committed bytes of a sketch (`engine:serve:*` values, and through
+//! them every snapshot and digest) are one spelling of one JSON object,
+//! and that spelling is the contract — [`QuantileSketch::encode`] writes
+//! it and [`QuantileSketch::decode`] reads nothing else:
+//!
+//! ```text
+//! {"alpha":F,"zero":U,"buckets":[[I,U],…],"sum":F,"min":M,"max":M}
+//! ```
+//!
+//! No white space, the keys in that order. `U` is a `u64` and `I` an
+//! `i32` in decimal (no leading zero, no `-0`); buckets ascend strictly
+//! by `I`, each holds at least one value, and `zero` plus the bucket
+//! counts (the sketch's count, which is not written) fits a `u64`. `F` is
+//! a finite float without exponent: `digits.digits`, or bare `digits` for
+//! an integral value from 1e15 up (`encode` writes the shortest digits
+//! that parse back to the value; `decode` does not insist on shortest).
+//! `M` is `null` exactly when the count
+//! is 0 and an `F` otherwise, `min ≤ max`. This is what the vendored
+//! `serde_json` printed for the old derived form, byte for byte; that
+//! tree codec is kept under `#[cfg(test)]` as the reference, and
+//! `tests/sketch_props.rs` pins literal strings. One limit comes with it:
+//! a bare-digits float has to fit `u64` (`i64` when negative) to be read
+//! back, so an integral `sum` from 2⁶⁴ up is written but decodes to
+//! `None` — eighteen quintillion milliseconds of latency in one sketch.
 
-use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Default relative accuracy `α`: served quantiles within ~2 % of the
 /// exact nearest-rank value (see the module docs for the exact bound).
 pub const DEFAULT_ALPHA: f64 = 0.01;
+
+/// Midpoint-rule resolution of [`QuantileSketch::wasserstein`].
+pub const WASSERSTEIN_GRID: usize = 256;
 
 /// A mergeable quantile sketch over non-negative `f64` values.
 ///
@@ -74,20 +104,6 @@ pub struct QuantileSketch {
     min: f64,
     /// Exact largest inserted value (`f64::NEG_INFINITY` when empty).
     max: f64,
-}
-
-/// The serde wire shape: everything needed to reconstruct the sketch.
-/// `count` is derivable (zero + Σ bucket counts) and `min`/`max` are
-/// `None` when empty, so a decoded sketch can never be internally
-/// inconsistent.
-#[derive(Serialize, Deserialize)]
-struct Wire {
-    alpha: f64,
-    zero: u64,
-    buckets: Vec<(i32, u64)>,
-    sum: f64,
-    min: Option<f64>,
-    max: Option<f64>,
 }
 
 impl Default for QuantileSketch {
@@ -256,25 +272,15 @@ impl QuantileSketch {
     /// and `BoxplotStats::from_samples` — a percentile of nothing is not
     /// a number.
     pub fn quantile(&self, p: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let p = p.clamp(0.0, 100.0);
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        if target <= self.zero {
-            return Some(0.0);
-        }
-        let mut cumulative = self.zero;
-        for &(idx, n) in &self.buckets {
-            if cumulative + n >= target {
-                let (lo, hi) = self.bucket_bounds(idx);
-                let into = (target - cumulative) as f64 / n as f64;
-                let est = lo + into * (hi - lo);
-                return Some(est.clamp(self.min, self.max));
-            }
-            cumulative += n;
-        }
-        Some(self.max)
+        let fraction = p.clamp(0.0, 100.0) / 100.0;
+        (self.count > 0).then(|| RankWalk::new(self).value_at(self.target_rank(fraction)))
+    }
+
+    /// The 1-based nearest-rank target of the `fraction`-quantile:
+    /// `ceil(fraction · n)`, at least 1.
+    #[inline]
+    fn target_rank(&self, fraction: f64) -> u64 {
+        (fraction * self.count as f64).ceil().max(1.0) as u64
     }
 
     /// The sketch-served five-number summary the paper publishes for
@@ -351,67 +357,285 @@ impl QuantileSketch {
         if self.count == 0 || other.count == 0 {
             return None;
         }
+        // The grid's ranks never decrease, so one forward walk per sketch
+        // answers all of them.
+        let (mut a, mut b) = (RankWalk::new(self), RankWalk::new(other));
         let mut acc = 0.0;
         for i in 0..WASSERSTEIN_GRID {
+            // The percentile `quantile` would be asked, already in range.
             let q = (i as f64 + 0.5) / WASSERSTEIN_GRID as f64 * 100.0;
-            let a = self.quantile(q).expect("non-empty");
-            let b = other.quantile(q).expect("non-empty");
+            let fraction = q / 100.0;
+            let a = a.value_at(self.target_rank(fraction));
+            let b = b.value_at(other.target_rank(fraction));
             acc += (a - b).abs();
         }
         Some(acc / WASSERSTEIN_GRID as f64)
     }
 
-    /// Serialise to the JSON wire encoding (vendored `serde_json`).
-    /// Byte-identical for identical sketch contents: buckets are kept
-    /// sorted and every field is order-independent under insert/merge.
+    /// Serialise to the wire encoding (see the module docs for the
+    /// grammar), written straight into one `String`. Byte-identical for
+    /// identical sketch contents: buckets are kept sorted and every field
+    /// is order-independent under insert/merge.
     pub fn encode(&self) -> String {
-        serde_json::to_string(self).expect("sketch serialises")
+        // The store keeps this allocation: a close guess, not a generous
+        // one (twelve bytes a bucket is `[1234,5678],`).
+        let mut out = String::with_capacity(80 + 12 * self.buckets.len());
+        out.push_str("{\"alpha\":");
+        push_f64(&mut out, self.alpha);
+        out.push_str(",\"zero\":");
+        push_u64(&mut out, self.zero);
+        out.push_str(",\"buckets\":[");
+        for (k, &(idx, n)) in self.buckets.iter().enumerate() {
+            out.push_str(if k == 0 { "[" } else { ",[" });
+            if idx < 0 {
+                out.push('-');
+            }
+            push_u64(&mut out, u64::from(idx.unsigned_abs()));
+            out.push(',');
+            push_u64(&mut out, n);
+            out.push(']');
+        }
+        out.push_str("],\"sum\":");
+        push_f64(&mut out, self.sum);
+        for (key, bound) in [(",\"min\":", self.min()), (",\"max\":", self.max())] {
+            out.push_str(key);
+            match bound {
+                Some(v) => push_f64(&mut out, v),
+                None => out.push_str("null"),
+            }
+        }
+        out.push('}');
+        out
     }
 
-    /// Decode a [`Self::encode`] string. `None` on malformed input.
+    /// Decode a [`Self::encode`] string in one pass over its bytes.
+    /// `None` for anything `encode` does not write: another key order,
+    /// white space, an exponent, a leading zero, trailing bytes, an alpha
+    /// outside `(0, 1)`, a bucket that holds nothing or does not ascend
+    /// strictly, counts that overflow `u64`, `min`/`max` absent from a
+    /// non-empty sketch (or present in an empty one, or out of order).
     pub fn decode(raw: &str) -> Option<QuantileSketch> {
-        serde_json::from_str(raw).ok()
+        let mut c = WireCursor {
+            src: raw.as_bytes(),
+            pos: 0,
+        };
+        c.eat(b"{\"alpha\":")?;
+        let alpha = c.f64()?;
+        if !(alpha > 0.0 && alpha < 1.0) {
+            return None;
+        }
+        c.eat(b",\"zero\":")?;
+        let zero = c.u64()?;
+        c.eat(b",\"buckets\":[")?;
+        // Every bucket opens with a `[`, so the count of them is the
+        // exact capacity on canonical input and at most the input's
+        // length on any other.
+        let opens = c.src[c.pos..].iter().filter(|&&b| b == b'[').count();
+        let mut buckets: Vec<(i32, u64)> = Vec::with_capacity(opens);
+        let mut count = zero;
+        if c.eat_byte(b']').is_none() {
+            loop {
+                c.eat_byte(b'[')?;
+                let idx = c.i32()?;
+                c.eat_byte(b',')?;
+                let n = c.u64()?;
+                c.eat_byte(b']')?;
+                if n == 0 || buckets.last().is_some_and(|&(prev, _)| prev >= idx) {
+                    return None;
+                }
+                count = count.checked_add(n)?;
+                buckets.push((idx, n));
+                if c.eat_byte(b',').is_none() {
+                    c.eat_byte(b']')?;
+                    break;
+                }
+            }
+        }
+        c.eat(b",\"sum\":")?;
+        let sum = c.f64()?;
+        c.eat(b",\"min\":")?;
+        let min = c.f64_or_null()?;
+        c.eat(b",\"max\":")?;
+        let max = c.f64_or_null()?;
+        c.eat_byte(b'}')?;
+        if c.pos != c.src.len() {
+            return None;
+        }
+        let (min, max) = match (count > 0, min, max) {
+            (true, Some(min), Some(max)) if min <= max => (min, max),
+            (false, None, None) => (f64::INFINITY, f64::NEG_INFINITY),
+            _ => return None,
+        };
+        Some(QuantileSketch {
+            zero,
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+            ..QuantileSketch::new(alpha)
+        })
     }
 }
 
-/// Midpoint-rule resolution of [`QuantileSketch::wasserstein`].
-pub const WASSERSTEIN_GRID: usize = 256;
+/// A forward-only reader of one sketch's quantile function: answers
+/// ranks that never decrease, moving over each bucket once and computing
+/// a bucket's bounds once however many ranks land in it. A fresh walk
+/// asked one rank is [`QuantileSketch::quantile`].
+struct RankWalk<'a> {
+    sketch: &'a QuantileSketch,
+    /// The bucket the walk stands in, and the mass before it.
+    pos: usize,
+    cumulative: u64,
+    /// That bucket's `bucket_bounds`, once a rank has landed in it.
+    bounds: Option<(f64, f64)>,
+}
 
-impl Serialize for QuantileSketch {
-    fn serialize(&self) -> serde::Value {
-        Wire {
-            alpha: self.alpha,
-            zero: self.zero,
-            buckets: self.buckets.clone(),
-            sum: self.sum,
-            min: self.min(),
-            max: self.max(),
+impl<'a> RankWalk<'a> {
+    fn new(sketch: &'a QuantileSketch) -> RankWalk<'a> {
+        RankWalk {
+            sketch,
+            pos: 0,
+            cumulative: sketch.zero,
+            bounds: None,
         }
-        .serialize()
+    }
+
+    /// The value at 1-based rank `target` of a non-empty sketch: linear
+    /// interpolation by rank inside the containing bucket, clamped to the
+    /// exact `[min, max]`. `target` must not be below an earlier call's.
+    fn value_at(&mut self, target: u64) -> f64 {
+        let s = self.sketch;
+        if target <= s.zero {
+            return 0.0;
+        }
+        while let Some(&(idx, n)) = s.buckets.get(self.pos) {
+            if self.cumulative + n >= target {
+                let (lo, hi) = *self.bounds.get_or_insert_with(|| s.bucket_bounds(idx));
+                let into = (target - self.cumulative) as f64 / n as f64;
+                let est = lo + into * (hi - lo);
+                return est.clamp(s.min, s.max);
+            }
+            self.cumulative += n;
+            self.pos += 1;
+            self.bounds = None;
+        }
+        s.max
     }
 }
 
-impl Deserialize for QuantileSketch {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let wire = Wire::deserialize(v)?;
-        if !(wire.alpha > 0.0 && wire.alpha < 1.0) {
-            return Err(serde::Error::custom("sketch alpha out of range"));
+/// A float as the wire writes it: `null` when not finite, one decimal
+/// for an integral value below 1e15, the shortest digits that parse back
+/// to it otherwise (an integral value from 1e15 up has no `.`).
+fn push_f64(out: &mut String, f: f64) {
+    if !f.is_finite() {
+        out.push_str("null");
+    } else if f.fract() == 0.0 && f.abs() < 1e15 {
+        // What `{f:.1}` prints, without the exact-precision formatter:
+        // an integer below 2^53 converts exactly.
+        if f.is_sign_negative() {
+            out.push('-');
         }
-        let mut s = QuantileSketch::new(wire.alpha);
-        let bucket_total: u64 = wire.buckets.iter().map(|&(_, n)| n).sum();
-        if wire.buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err(serde::Error::custom("sketch buckets not sorted"));
+        push_u64(out, f.abs() as u64);
+        out.push_str(".0");
+    } else {
+        let _ = write!(out, "{f}");
+    }
+}
+
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-        s.zero = wire.zero;
-        s.buckets = wire.buckets;
-        s.count = wire.zero + bucket_total;
-        s.sum = wire.sum;
-        s.min = wire.min.unwrap_or(f64::INFINITY);
-        s.max = wire.max.unwrap_or(f64::NEG_INFINITY);
-        if (s.count > 0) != (wire.min.is_some() && wire.max.is_some()) {
-            return Err(serde::Error::custom("sketch min/max inconsistent"));
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// A byte cursor over a wire string. Every reader answers `None` without
+/// moving past the input; none allocates.
+struct WireCursor<'a> {
+    src: &'a [u8],
+    pos: usize,
+}
+
+impl WireCursor<'_> {
+    /// Consume `lit` if the input continues with exactly it.
+    fn eat(&mut self, lit: &[u8]) -> Option<()> {
+        self.src[self.pos..]
+            .starts_with(lit)
+            .then(|| self.pos += lit.len())
+    }
+
+    /// [`Self::eat`] of one byte, without the slice compare.
+    fn eat_byte(&mut self, byte: u8) -> Option<()> {
+        (self.src.get(self.pos) == Some(&byte)).then(|| self.pos += 1)
+    }
+
+    /// A canonical digit run that fits a `u64`.
+    fn u64(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut value = 0u64;
+        while let Some(&byte) = self.src.get(self.pos) {
+            let digit = byte.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+            self.pos += 1;
         }
-        Ok(s)
+        match self.pos - start {
+            0 => None,
+            1 => Some(value),
+            _ => (self.src[start] != b'0').then_some(value),
+        }
+    }
+
+    fn i32(&mut self) -> Option<i32> {
+        let negative = self.eat_byte(b'-').is_some();
+        let magnitude = i64::try_from(self.u64()?).ok()?;
+        if negative && magnitude == 0 {
+            return None;
+        }
+        i32::try_from(if negative { -magnitude } else { magnitude }).ok()
+    }
+
+    /// A finite float as [`push_f64`] writes one. `-?digits` is an
+    /// integral value from 1e15 up, which has to fit `u64` (`i64` when
+    /// negative) as it does for the tree parser; `-?digits.digits` is
+    /// anything else, so its whole part fits a `u64` with room to spare.
+    fn f64(&mut self) -> Option<f64> {
+        let start = self.pos;
+        let negative = self.eat_byte(b'-').is_some();
+        let whole = self.u64()?;
+        if self.eat_byte(b'.').is_none() {
+            let magnitude = whole as f64;
+            let value = if negative { -magnitude } else { magnitude };
+            let fits = !negative || whole <= 1 << 63;
+            return (fits && magnitude >= 1e15).then_some(value);
+        }
+        let rest = &self.src[self.pos..];
+        let fraction = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        if fraction == 0 {
+            return None;
+        }
+        self.pos += fraction;
+        std::str::from_utf8(&self.src[start..self.pos])
+            .ok()?
+            .parse()
+            .ok()
+    }
+
+    fn f64_or_null(&mut self) -> Option<Option<f64>> {
+        match self.eat(b"null") {
+            Some(()) => Some(None),
+            None => self.f64().map(Some),
+        }
     }
 }
 
@@ -419,6 +643,388 @@ impl Deserialize for QuantileSketch {
 mod tests {
     use super::*;
     use crate::descriptive::percentile_nearest_rank;
+    use proptest::prelude::*;
+    use serde::{Deserialize, Serialize};
+
+    // ---- references: the code the runtime paths above replaced ------------
+
+    /// The derived serde shape behind the old codec. `count` is derivable
+    /// (zero + Σ bucket counts) and `min`/`max` are `None` when empty.
+    #[derive(Serialize, Deserialize)]
+    struct Wire {
+        alpha: f64,
+        zero: u64,
+        buckets: Vec<(i32, u64)>,
+        sum: f64,
+        min: Option<f64>,
+        max: Option<f64>,
+    }
+
+    /// `encode` through the `serde::Value` tree and the vendored printer.
+    fn tree_encode(s: &QuantileSketch) -> String {
+        let wire = Wire {
+            alpha: s.alpha,
+            zero: s.zero,
+            buckets: s.buckets.clone(),
+            sum: s.sum,
+            min: s.min(),
+            max: s.max(),
+        };
+        serde_json::to_string(&wire).expect("sketch serialises")
+    }
+
+    /// `decode` through the vendored parser and the tree, with the checks
+    /// the old `Deserialize for QuantileSketch` made. Its one change: the
+    /// count is totalled with `checked_add`, where the old `.sum()`
+    /// overflowed (see `bucket_counts_past_u64_are_rejected`).
+    fn tree_decode(raw: &str) -> Option<QuantileSketch> {
+        let wire: Wire = serde_json::from_str(raw).ok()?;
+        if !(wire.alpha > 0.0 && wire.alpha < 1.0) {
+            return None;
+        }
+        if wire.buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return None;
+        }
+        let count = wire
+            .buckets
+            .iter()
+            .try_fold(wire.zero, |acc, &(_, n)| acc.checked_add(n))?;
+        if (count > 0) != (wire.min.is_some() && wire.max.is_some()) {
+            return None;
+        }
+        Some(QuantileSketch {
+            zero: wire.zero,
+            buckets: wire.buckets,
+            count,
+            sum: wire.sum,
+            min: wire.min.unwrap_or(f64::INFINITY),
+            max: wire.max.unwrap_or(f64::NEG_INFINITY),
+            ..QuantileSketch::new(wire.alpha)
+        })
+    }
+
+    /// `quantile` as one scan from bucket zero.
+    fn quantile_scan(s: &QuantileSketch, p: f64) -> Option<f64> {
+        if s.count == 0 {
+            return None;
+        }
+        let p = p.clamp(0.0, 100.0);
+        let target = ((p / 100.0) * s.count as f64).ceil().max(1.0) as u64;
+        if target <= s.zero {
+            return Some(0.0);
+        }
+        let mut cumulative = s.zero;
+        for &(idx, n) in &s.buckets {
+            if cumulative + n >= target {
+                let (lo, hi) = s.bucket_bounds(idx);
+                let into = (target - cumulative) as f64 / n as f64;
+                let est = lo + into * (hi - lo);
+                return Some(est.clamp(s.min, s.max));
+            }
+            cumulative += n;
+        }
+        Some(s.max)
+    }
+
+    /// `wasserstein` as 2 × [`WASSERSTEIN_GRID`] such scans.
+    fn wasserstein_scan(a: &QuantileSketch, b: &QuantileSketch) -> Option<f64> {
+        if a.count == 0 || b.count == 0 {
+            return None;
+        }
+        let mut acc = 0.0;
+        for i in 0..WASSERSTEIN_GRID {
+            let q = (i as f64 + 0.5) / WASSERSTEIN_GRID as f64 * 100.0;
+            acc += (quantile_scan(a, q)? - quantile_scan(b, q)?).abs();
+        }
+        Some(acc / WASSERSTEIN_GRID as f64)
+    }
+
+    // ---- generated sketches ------------------------------------------------
+
+    /// One insert of a generated sketch: which corner of the value domain,
+    /// where in it, and how many copies.
+    type Step = (u8, f64, u64);
+
+    fn steps(max_len: usize) -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec((0u8..8, 0.0f64..1.0, 1u64..400), 0..max_len)
+    }
+
+    /// Build a sketch that visits the codec's corners: the zero bucket
+    /// alone, negative values (negative `sum` and `min`), values below 1
+    /// (negative indices), exactly 1 (index 0), integer and fractional
+    /// milliseconds, values from 1e15 up (a `sum` printed without `.0`),
+    /// and counts near `u64::MAX / n`.
+    fn build(steps: &[Step]) -> QuantileSketch {
+        let mut s = QuantileSketch::default();
+        let share = u64::MAX / (steps.len() as u64 + 1);
+        for &(corner, x, n) in steps {
+            match corner {
+                0 => s.insert_n(0.0, n),
+                1 => s.insert_n(-100.0 * x, n),
+                2 => s.insert_n(0.0005 + 0.999 * x, n),
+                3 => s.insert_n(1.0, n),
+                4 => s.insert_n((1.0 + 799.0 * x).floor(), n),
+                5 => s.insert_n(0.5 + 799.5 * x, n),
+                6 => s.insert_n((1e15 * (1.0 + 8.0 * x)).floor(), n % 3 + 1),
+                _ => s.insert_n((1.0 + 9.0 * x).floor(), share - n),
+            }
+        }
+        s
+    }
+
+    /// One hostile edit of a wire string, chosen by `(kind, at, byte)`.
+    fn mutate(wire: &str, kind: u8, at: usize, byte: u8) -> String {
+        const KEYS: [&str; 6] = ["alpha", "zero", "buckets", "sum", "min", "max"];
+        // The six `"key":value` members, split at the commas before keys.
+        let members = |wire: &str| -> Vec<String> {
+            let body = &wire[1..wire.len() - 1];
+            let mut cuts: Vec<usize> = KEYS
+                .iter()
+                .map(|k| body.find(&format!("\"{k}\":")).expect("canonical wire"))
+                .collect();
+            cuts.push(body.len() + 1);
+            cuts.windows(2)
+                .map(|w| body[w[0]..w[1] - 1].to_string())
+                .collect()
+        };
+        let join = |members: &[String]| format!("{{{}}}", members.join(","));
+        let at_char = wire
+            .char_indices()
+            .map(|(i, _)| i)
+            .nth(at % wire.len())
+            .unwrap_or(0);
+        match kind {
+            // A member twice, two members swapped, one member gone.
+            0 => {
+                let mut m = members(wire);
+                m.insert(at % 6, m[byte as usize % 6].clone());
+                join(&m)
+            }
+            1 => {
+                let mut m = members(wire);
+                m.swap(at % 6, byte as usize % 6);
+                join(&m)
+            }
+            2 => {
+                let mut m = members(wire);
+                m.remove(at % 6);
+                join(&m)
+            }
+            // White space anywhere JSON allows it (and where it does not).
+            3 => {
+                let ws = [" ", "\n", "\t", "\r"][byte as usize % 4];
+                format!("{}{ws}{}", &wire[..at_char], &wire[at_char..])
+            }
+            // A lying `null`: some member's value replaced by it.
+            4 => {
+                let mut m = members(wire);
+                let key = KEYS[at % 6];
+                m[at % 6] = format!("\"{key}\":null");
+                join(&m)
+            }
+            // One byte overwritten by a printable one, one inserted, one cut.
+            5 => {
+                let mut bytes = wire.as_bytes().to_vec();
+                bytes[at % wire.len()] = b' ' + byte % 95;
+                String::from_utf8(bytes).expect("ASCII wire")
+            }
+            6 => format!(
+                "{}{}{}",
+                &wire[..at_char],
+                (b' ' + byte % 95) as char,
+                &wire[at_char..]
+            ),
+            _ => format!("{}{}", &wire[..at_char], &wire[at_char + 1..]),
+        }
+    }
+
+    /// What every input must satisfy: the single-pass decoder reads
+    /// nothing the tree does not read as the same sketch, and reserves no
+    /// more bucket slots than the input has bytes.
+    fn assert_never_more_lenient(raw: &str) {
+        if let Some(direct) = QuantileSketch::decode(raw) {
+            assert!(
+                direct.buckets.capacity() <= raw.len(),
+                "capacity on {raw:?}"
+            );
+            assert_eq!(Some(&direct), tree_decode(raw).as_ref(), "on {raw:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn codec_matches_the_tree_reference(steps in steps(24)) {
+            let s = build(&steps);
+            let wire = s.encode();
+            prop_assert_eq!(&wire, &tree_encode(&s), "encode bytes");
+            let decoded = QuantileSketch::decode(&wire);
+            prop_assert_eq!(&decoded, &tree_decode(&wire), "decode of {}", wire);
+            // An integral sum from 2^64 up is the one thing neither reads.
+            if s.sum.abs() < 1.8e19 {
+                prop_assert_eq!(decoded, Some(s), "round trip of {}", wire);
+            }
+        }
+
+        #[test]
+        fn hostile_edits_are_rejected_or_read_as_the_tree_reads_them(
+            steps in steps(12),
+            kind in 0u8..8,
+            at in 0usize..4096,
+            byte in any::<u8>(),
+        ) {
+            let wire = build(&steps).encode();
+            assert_never_more_lenient(&mutate(&wire, kind, at, byte));
+        }
+
+        #[test]
+        fn walks_match_scans_bit_for_bit(
+            a in steps(16),
+            b in steps(16),
+            p in 0.0f64..100.0,
+        ) {
+            let (a, b) = (build(&a), build(&b));
+            prop_assert_eq!(
+                a.quantile(p).map(f64::to_bits),
+                quantile_scan(&a, p).map(f64::to_bits)
+            );
+            prop_assert_eq!(
+                a.wasserstein(&b).map(f64::to_bits),
+                wasserstein_scan(&a, &b).map(f64::to_bits)
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_is_rejected_or_read_as_the_tree_reads_it() {
+        let mut below_one = QuantileSketch::default();
+        below_one.insert_n(0.25, 3);
+        below_one.insert_n(1e15, 2);
+        let values: Vec<f64> = (0..300).map(|i| (i % 37) as f64 * 1.5).collect();
+        for s in [
+            QuantileSketch::default(),
+            below_one,
+            QuantileSketch::from_values(&values),
+        ] {
+            let wire = s.encode();
+            assert_eq!(QuantileSketch::decode(&wire), Some(s));
+            for cut in 0..wire.len() {
+                assert_eq!(QuantileSketch::decode(&wire[..cut]), None, "cut at {cut}");
+            }
+            for bit in 0..wire.len() * 8 {
+                let mut bytes = wire.as_bytes().to_vec();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                // `decode` takes a `&str`: bytes that are not UTF-8 never reach it.
+                if let Ok(flipped) = String::from_utf8(bytes) {
+                    assert_never_more_lenient(&flipped);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_corners_match_the_tree_reference() {
+        let with = |inserts: &[(f64, u64)]| {
+            let mut s = QuantileSketch::new(0.02);
+            for &(v, n) in inserts {
+                s.insert_n(v, n);
+            }
+            s
+        };
+        for (s, reads_back) in [
+            (QuantileSketch::default(), true),
+            (with(&[(0.0, 3)]), true),
+            (with(&[(-0.0, 1)]), true),
+            (with(&[(-7.5, 2)]), true),
+            (with(&[(42.0, 1)]), true),
+            (with(&[(1.0, 1)]), true),
+            (with(&[(1e-9, 1), (0.25, 4)]), true),
+            (with(&[(1e15, 1)]), true),
+            (with(&[(123_456_789.0, 8_200_000)]), true),
+            (with(&[(3.0, u64::MAX)]), false),
+            (with(&[(1e300, 1)]), false),
+            (with(&[(f64::INFINITY, 1)]), false),
+        ] {
+            let wire = s.encode();
+            assert_eq!(wire, tree_encode(&s));
+            let decoded = QuantileSketch::decode(&wire);
+            assert_eq!(decoded, tree_decode(&wire), "{wire}");
+            assert_eq!(decoded, reads_back.then_some(s), "{wire}");
+        }
+    }
+
+    #[test]
+    fn a_float_without_a_point_has_to_fit_an_integer_as_for_the_tree() {
+        let wire = QuantileSketch::from_values(&[3.0, 40.0]).encode();
+        for (sum, reads) in [
+            ("1000000000000000", true),
+            ("999999999999999", false),
+            ("18446744073709551615", true),
+            ("18446744073709551616", false),
+            ("-1000000000000000", true),
+            ("-9223372036854775808", true),
+            ("-9223372036854775809", false),
+        ] {
+            let edited = wire.replace("\"sum\":43.0", &format!("\"sum\":{sum}"));
+            let decoded = QuantileSketch::decode(&edited);
+            assert_eq!(decoded.is_some(), reads, "{sum}");
+            if reads {
+                assert_eq!(decoded, tree_decode(&edited), "{sum}");
+                assert_eq!(decoded.map(|s| s.sum()), sum.parse().ok());
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_counts_past_u64_are_rejected() {
+        // Two buckets of u64::MAX: the old decoder's `.sum()` panicked a
+        // debug build here and wrapped to an inconsistent count in release.
+        let max = u64::MAX;
+        let wire = format!(
+            "{{\"alpha\":0.01,\"zero\":0,\"buckets\":[[1,{max}],[2,{max}]],\
+             \"sum\":2.0,\"min\":1.0,\"max\":1.0}}"
+        );
+        assert_eq!(QuantileSketch::decode(&wire), None);
+        // The zero bucket is part of the same total.
+        let wire = wire
+            .replace("\"zero\":0", "\"zero\":1")
+            .replace(&format!(",[2,{max}]"), "");
+        assert_eq!(QuantileSketch::decode(&wire), None);
+        // One below the edge is a sketch.
+        let wire = wire.replace("\"zero\":1", "\"zero\":0");
+        assert_eq!(QuantileSketch::decode(&wire).map(|s| s.count()), Some(max));
+    }
+
+    #[test]
+    fn non_canonical_spellings_are_rejected() {
+        let s = QuantileSketch::from_values(&[3.0, 40.0]);
+        let wire = s.encode();
+        assert_eq!(QuantileSketch::decode(&wire), Some(s));
+        for (from, to) in [
+            ("\"alpha\":0.01", "\"alpha\":1e-2"),
+            ("\"alpha\":0.01", "\"alpha\":00.01"),
+            ("\"alpha\":0.01", "\"alpha\":.01"),
+            ("\"zero\":0", "\"zero\":00"),
+            ("\"zero\":0", "\"zero\":-0"),
+            ("\"zero\":0", "\"zero\":0.0"),
+            ("\"sum\":43.0", "\"sum\":43"),
+            ("\"sum\":43.0", "\"sum\":43."),
+            ("\"sum\":43.0", "\"sum\":+43.0"),
+            ("\"min\":3.0,\"max\":40.0", "\"min\":40.0,\"max\":3.0"),
+            ("\"min\":3.0", "\"min\":null"),
+            ("\"buckets\":[[", "\"buckets\":[[0,0],["),
+            ("]],", "]],\"extra\":1,"),
+        ] {
+            assert!(wire.contains(from), "{from} not in {wire}");
+            let edited = wire.replacen(from, to, 1);
+            assert_eq!(QuantileSketch::decode(&edited), None, "{edited}");
+        }
+        // An empty sketch with a bound, and a full one without.
+        let empty = QuantileSketch::default().encode();
+        assert_eq!(
+            QuantileSketch::decode(&empty.replace("\"min\":null", "\"min\":1.0")),
+            None
+        );
+    }
 
     fn assert_within_bound(sketch: &QuantileSketch, values: &[f64], p: f64) {
         let mut sorted = values.to_vec();

@@ -7,7 +7,10 @@
 //! sketches worker-count- and window-schedule-invariant), served
 //! quantiles sit within the documented relative-error bound of the exact
 //! nearest-rank values, and empty distributions answer `None` rather
-//! than inventing a number.
+//! than inventing a number. Under all three sits the wire form itself:
+//! the committed bytes are a contract (`tero_stats::sketch`, *Wire
+//! form*), pinned here as literals so that it does not rest on a
+//! test-only reference implementation alone.
 
 use proptest::prelude::*;
 use tero::stats::{percentile_nearest_rank, QuantileSketch, DEFAULT_ALPHA};
@@ -130,5 +133,85 @@ proptest! {
         let mut merged = QuantileSketch::new(DEFAULT_ALPHA);
         merged.merge(&empty);
         prop_assert_eq!(merged.encode(), empty.encode());
+    }
+}
+
+// ---- the wire form ------------------------------------------------------
+
+/// One pinned sketch: how to build it, and its exact wire string.
+struct Golden {
+    what: &'static str,
+    alpha: f64,
+    /// `(value, copies)` for `insert_n`, in order.
+    inserts: &'static [(f64, u64)],
+    wire: &'static str,
+}
+
+/// The strings were printed by the serde-tree codec this repository
+/// shipped before the single-pass one; a change to any of them is a
+/// change to every committed sketch, snapshot and digest.
+const GOLDEN_WIRE: [Golden; 7] = [
+    Golden {
+        what: "empty",
+        alpha: 0.01,
+        inserts: &[],
+        wire: r#"{"alpha":0.01,"zero":0,"buckets":[],"sum":0.0,"min":null,"max":null}"#,
+    },
+    Golden {
+        what: "zero bucket only",
+        alpha: 0.01,
+        inserts: &[(0.0, 3)],
+        wire: r#"{"alpha":0.01,"zero":3,"buckets":[],"sum":0.0,"min":0.0,"max":0.0}"#,
+    },
+    Golden {
+        what: "single value",
+        alpha: 0.01,
+        inserts: &[(42.0, 1)],
+        wire: r#"{"alpha":0.01,"zero":0,"buckets":[[187,1]],"sum":42.0,"min":42.0,"max":42.0}"#,
+    },
+    Golden {
+        what: "below one (negative index) and exactly one (index 0)",
+        alpha: 0.01,
+        inserts: &[(0.25, 2), (1.0, 1)],
+        wire: r#"{"alpha":0.01,"zero":0,"buckets":[[-69,2],[0,1]],"sum":1.5,"min":0.25,"max":1.0}"#,
+    },
+    Golden {
+        what: "negative value: zero bucket, negative sum and min",
+        alpha: 0.01,
+        inserts: &[(-7.5, 2), (10.0, 1)],
+        wire: r#"{"alpha":0.01,"zero":2,"buckets":[[116,1]],"sum":-5.0,"min":-7.5,"max":10.0}"#,
+    },
+    Golden {
+        what: "another alpha, a fractional bound",
+        alpha: 0.05,
+        inserts: &[(100.0, 4), (250.5, 1)],
+        wire: r#"{"alpha":0.05,"zero":0,"buckets":[[47,4],[56,1]],"sum":650.5,"min":100.0,"max":250.5}"#,
+    },
+    Golden {
+        what: "an integral sum past 1e15 has no `.0`",
+        alpha: 0.01,
+        inserts: &[(123_456_789.0, 8_200_000)],
+        wire: r#"{"alpha":0.01,"zero":0,"buckets":[[932,8200000]],"sum":1012345669800000,"min":123456789.0,"max":123456789.0}"#,
+    },
+];
+
+/// 300 values over 37 levels, zero included: the shape the pipeline
+/// commits (a few dozen buckets of small counts).
+const GOLDEN_RAMP: &str = r#"{"alpha":0.01,"zero":9,"buckets":[[21,9],[55,9],[76,9],[90,8],[101,8],[110,8],[118,8],[125,8],[131,8],[136,8],[141,8],[145,8],[149,8],[153,8],[156,8],[159,8],[162,8],[165,8],[168,8],[171,8],[173,8],[175,8],[178,8],[180,8],[182,8],[184,8],[186,8],[187,8],[189,8],[191,8],[192,8],[194,8],[196,8],[197,8],[199,8],[200,8]],"sum":8001.0,"min":0.0,"max":54.0}"#;
+
+#[test]
+fn wire_bytes_are_pinned() {
+    let ramp: Vec<f64> = (0..300).map(|i| f64::from(i % 37) * 1.5).collect();
+    let mut cases = vec![("ramp", sketch(&ramp), GOLDEN_RAMP)];
+    for golden in GOLDEN_WIRE {
+        let mut s = QuantileSketch::new(golden.alpha);
+        for &(v, n) in golden.inserts {
+            s.insert_n(v, n);
+        }
+        cases.push((golden.what, s, golden.wire));
+    }
+    for (what, s, wire) in cases {
+        assert_eq!(s.encode(), wire, "{what}: encode");
+        assert_eq!(QuantileSketch::decode(wire), Some(s), "{what}: decode");
     }
 }
