@@ -82,11 +82,12 @@ impl HotKeyCache {
     /// version `version`, evicting the least-recently-used entry if the
     /// cache is full. Stores nothing when the cache has moved past that
     /// version meanwhile: the bytes may predate the commit that moved it.
-    /// Returns the number of evictions (0 or 1; always 0 at capacity 0,
-    /// where nothing is stored at all).
-    pub fn insert(&mut self, version: u64, key: &str, sketch: &QuantileSketch) -> u64 {
+    /// Returns the number of evictions (0 or 1) if it stored the sketch,
+    /// `None` if it declined — which it always does at capacity 0, before
+    /// it builds a key or clones anything.
+    pub fn insert(&mut self, version: u64, key: &str, sketch: &QuantileSketch) -> Option<u64> {
         if self.capacity == 0 || version != self.version {
-            return 0;
+            return None;
         }
         self.tick += 1;
         let mut evicted = 0;
@@ -106,7 +107,7 @@ impl HotKeyCache {
         }
         self.entries
             .insert(key.to_string(), (self.tick, sketch.clone()));
-        evicted
+        Some(evicted)
     }
 }
 
@@ -121,10 +122,10 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_key() {
         let mut cache = HotKeyCache::new(2);
-        assert_eq!(cache.insert(0, "a", &sketch(1.0)), 0);
-        assert_eq!(cache.insert(0, "b", &sketch(2.0)), 0);
+        assert_eq!(cache.insert(0, "a", &sketch(1.0)), Some(0));
+        assert_eq!(cache.insert(0, "b", &sketch(2.0)), Some(0));
         assert!(cache.get("a").is_some()); // "b" is now coldest
-        assert_eq!(cache.insert(0, "c", &sketch(3.0)), 1);
+        assert_eq!(cache.insert(0, "c", &sketch(3.0)), Some(1));
         assert!(cache.get("b").is_none(), "coldest key evicted");
         assert!(cache.get("a").is_some());
         assert!(cache.get("c").is_some());
@@ -136,7 +137,11 @@ mod tests {
         let mut cache = HotKeyCache::new(2);
         cache.insert(0, "a", &sketch(1.0));
         cache.insert(0, "b", &sketch(2.0));
-        assert_eq!(cache.insert(0, "a", &sketch(9.0)), 0, "overwrite in place");
+        assert_eq!(
+            cache.insert(0, "a", &sketch(9.0)),
+            Some(0),
+            "overwrite in place"
+        );
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get("a").unwrap().max(), Some(9.0));
     }
@@ -159,9 +164,9 @@ mod tests {
         cache.insert(3, "a", &sketch(1.0));
         assert_eq!(cache.sync_version(2), 0, "a late reader drops nothing");
         assert!(cache.get("a").is_some());
-        assert_eq!(cache.insert(2, "b", &sketch(2.0)), 0);
+        assert_eq!(cache.insert(2, "b", &sketch(2.0)), None);
         assert!(cache.get("b").is_none(), "and its bytes are not admitted");
-        assert_eq!(cache.insert(4, "c", &sketch(3.0)), 0);
+        assert_eq!(cache.insert(4, "c", &sketch(3.0)), None);
         assert!(cache.get("c").is_none(), "nor is a version not yet synced");
         assert_eq!(cache.len(), 1);
     }
@@ -169,7 +174,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_the_cache() {
         let mut cache = HotKeyCache::new(0);
-        assert_eq!(cache.insert(0, "a", &sketch(1.0)), 0);
+        assert_eq!(cache.insert(0, "a", &sketch(1.0)), None);
         assert!(cache.get("a").is_none());
         assert!(cache.is_empty());
     }

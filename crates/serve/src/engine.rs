@@ -160,11 +160,16 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// bytes, which are themselves byte-identical across worker counts and
 /// window schedules, so a query stream replayed against any equivalent
 /// run folds to the same [`Answer::checksum`].
+///
+/// The store's serve version must never decrease under a live engine:
+/// the cache's version stamp only moves forward (a smaller version is a
+/// late reader, see [`HotKeyCache::sync_version`]), so after a
+/// `KvStore::restore` in place, or a failover to a replica that lags,
+/// sketches cached before the rollback would be served until the counter
+/// passed the old stamp. Build a fresh engine over a restored store.
 pub struct QueryEngine {
     kv: KvStore,
-    /// `None` at capacity 0: a cache that stores nothing is not locked,
-    /// synced or handed keys and clones to drop.
-    cache: Option<Mutex<HotKeyCache>>,
+    cache: Mutex<HotKeyCache>,
     metrics: ServeMetrics,
 }
 
@@ -181,7 +186,7 @@ impl QueryEngine {
     pub fn with_cache_capacity(kv: KvStore, registry: &Registry, capacity: usize) -> QueryEngine {
         QueryEngine {
             kv,
-            cache: (capacity > 0).then(|| Mutex::new(HotKeyCache::new(capacity))),
+            cache: Mutex::new(HotKeyCache::new(capacity)),
             metrics: ServeMetrics::new(registry),
         }
     }
@@ -286,26 +291,26 @@ impl QueryEngine {
     /// covers the probe and the insert, never the store read or the
     /// decode between them: clients that miss load side by side.
     fn sketch(&self, target: &SketchRef) -> Option<QuantileSketch> {
-        let Some(cache) = &self.cache else {
-            self.metrics.cache_misses.inc();
-            return load_sketch(&self.kv, target.key());
-        };
         let version = serve_version(&self.kv);
-        if let Some(hit) = self.probe(cache, version, target.key()) {
+        if let Some(hit) = self.probe(version, target.key()) {
             return Some(hit);
         }
         let sketch = load_sketch(&self.kv, target.key())?;
-        self.admit(cache, version, target.key(), &sketch);
+        self.admit(version, target.key(), &sketch);
         Some(sketch)
     }
 
     /// Consult the cache at `version`, read before the call. Consulting
     /// reconciles the cache with the serving version, so an engine commit
     /// between two queries invalidates every cached sketch.
-    fn probe(&self, cache: &Mutex<HotKeyCache>, version: u64, key: &str) -> Option<QuantileSketch> {
-        let mut cache = lock(cache);
-        cache.sync_version(version);
-        let hit = cache.get(key).cloned();
+    fn probe(&self, version: u64, key: &str) -> Option<QuantileSketch> {
+        let hit = {
+            let mut cache = lock(&self.cache);
+            cache.sync_version(version);
+            cache.get(key).cloned()
+        };
+        // Counted after the unlock: a counter two clients pass back and
+        // forth is not something to wait for while holding the lock.
         match hit {
             Some(_) => self.metrics.cache_hits.inc(),
             None => self.metrics.cache_misses.inc(),
@@ -315,12 +320,14 @@ impl QueryEngine {
 
     /// Offer the cache a sketch loaded after a [`Self::probe`] at
     /// `version` missed. If a commit moved the cache on while the load
-    /// ran, the cache declines it (see [`HotKeyCache::insert`]).
-    fn admit(&self, cache: &Mutex<HotKeyCache>, version: u64, key: &str, sketch: &QuantileSketch) {
-        let mut cache = lock(cache);
-        let evicted = cache.insert(version, key, sketch);
-        self.metrics.cache_evictions.add(evicted);
-        self.metrics.cache_entries.set(cache.len() as i64);
+    /// ran, the cache declines it (see [`HotKeyCache::insert`]); a cache
+    /// that declined has not changed and has nothing to report.
+    fn admit(&self, version: u64, key: &str, sketch: &QuantileSketch) {
+        let mut cache = lock(&self.cache);
+        if let Some(evicted) = cache.insert(version, key, sketch) {
+            self.metrics.cache_evictions.add(evicted);
+            self.metrics.cache_entries.set(cache.len() as i64);
+        }
     }
 }
 
@@ -427,7 +434,6 @@ mod tests {
         let key = target.key();
         let kv = store_with(&[10.0, 20.0, 30.0], &target);
         let engine = QueryEngine::new(kv.clone(), &Registry::new());
-        let cache = engine.cache.as_ref().expect("default capacity");
         let commit = |values: &[f64]| {
             // What every commit site does: bytes first, bump second.
             kv.set(key, QuantileSketch::from_values(values).encode());
@@ -437,10 +443,10 @@ mod tests {
         // A slow query reads the version, misses and loads; a commit
         // lands; the query then offers the cache its pre-commit bytes.
         let version = engine.version();
-        assert_eq!(engine.probe(cache, version, key), None);
+        assert_eq!(engine.probe(version, key), None);
         let loaded = load_sketch(&kv, key).unwrap();
         commit(&[100.0, 200.0]);
-        engine.admit(cache, version, key, &loaded);
+        engine.admit(version, key, &loaded);
         // The next query reads the new version, misses, and answers from
         // the new bytes: the old entry went in under the old version.
         assert!(engine.percentile(&target, 50.0).unwrap() >= 99.0);
@@ -453,14 +459,14 @@ mod tests {
         let loaded = load_sketch(&kv, key).unwrap();
         commit(&[1000.0, 2000.0]);
         assert!(engine.percentile(&target, 50.0).unwrap() >= 999.0);
-        engine.admit(cache, version, key, &loaded);
+        engine.admit(version, key, &loaded);
         assert!(engine.percentile(&target, 50.0).unwrap() >= 999.0);
         assert_eq!(
             engine.cache_stats(),
             (1, 3, 0),
             "served from the fast query's entry"
         );
-        assert_eq!(lock(cache).len(), 1);
+        assert_eq!(lock(&engine.cache).len(), 1);
     }
 
     #[test]
@@ -468,15 +474,14 @@ mod tests {
         let target = SketchRef::raw(AnonId(7), GameId::ALL[0]);
         let kv = store_with(&[10.0, 20.0, 30.0], &target);
         let engine = QueryEngine::new(kv.clone(), &Registry::new());
-        let cache = engine.cache.as_ref().expect("default capacity");
         // Both clients have probed, and missed, before either inserts.
         let both_missed = std::sync::Barrier::new(2);
         let client = || {
             let version = engine.version();
-            assert_eq!(engine.probe(cache, version, target.key()), None);
+            assert_eq!(engine.probe(version, target.key()), None);
             both_missed.wait();
             let sketch = load_sketch(&kv, target.key()).unwrap();
-            engine.admit(cache, version, target.key(), &sketch);
+            engine.admit(version, target.key(), &sketch);
             sketch.quantile(50.0)
         };
         let (a, b) = std::thread::scope(|s| {
@@ -485,7 +490,7 @@ mod tests {
         });
         assert_eq!(a, b);
         assert_eq!(engine.cache_stats(), (0, 2, 0));
-        assert_eq!(lock(cache).len(), 1);
+        assert_eq!(lock(&engine.cache).len(), 1);
         assert_eq!(
             engine.percentile(&target, 50.0),
             a,
@@ -500,12 +505,12 @@ mod tests {
         let kv = store_with(&[10.0, 20.0, 30.0], &target);
         let registry = Registry::new();
         let engine = QueryEngine::with_cache_capacity(kv.clone(), &registry, 0);
-        assert!(engine.cache.is_none(), "no cache to lock");
         let cached = QueryEngine::new(kv, &Registry::new());
         for p in [5.0, 50.0, 95.0] {
             assert_eq!(engine.percentile(&target, p), cached.percentile(&target, p));
         }
         assert_eq!(engine.cache_stats(), (0, 3, 0), "every query is a miss");
+        assert!(lock(&engine.cache).is_empty());
         assert_eq!(cached.cache_stats(), (2, 1, 0));
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("serve.cache.entries").unwrap().value, 0);
