@@ -527,12 +527,7 @@ impl DownloadModule {
     /// fetches and before returning. Object puts therefore trail the KV
     /// operations of the events that caused them; puts among themselves
     /// and KV operations among themselves keep the loop's order.
-    pub fn run_cursor(
-        &mut self,
-        world: &mut World,
-        cursor: &mut DownloadCursor,
-        window_end: SimTime,
-    ) {
+    pub fn run_cursor(&self, world: &mut World, cursor: &mut DownloadCursor, window_end: SimTime) {
         let window_end = window_end.min(cursor.until);
         let obs = DownloadObs::resolve(&self.obs);
         let run_us = self.obs.histogram("download.run_us");
@@ -1319,7 +1314,7 @@ mod tests {
             let mut world = small_world();
             let kv = KvStore::new();
             let objects = ObjectStore::new();
-            let mut module = DownloadModule::new(kv.clone(), objects.clone());
+            let module = DownloadModule::new(kv.clone(), objects.clone());
             let horizon = world.horizon;
             let mut cursor = DownloadCursor::new(SimTime::EPOCH, horizon);
             let step = SimDuration::from_hours(5);
@@ -1483,7 +1478,7 @@ mod tests {
             let mut world = small_world();
             let kv = KvStore::new();
             let objects = ObjectStore::new();
-            let mut module = DownloadModule::new(kv.clone(), objects.clone());
+            let module = DownloadModule::new(kv.clone(), objects.clone());
             let mut cursor = DownloadCursor::new(SimTime::EPOCH, horizon);
             module.run_cursor(&mut world, &mut cursor, half);
             assert!(cursor.take_dirty(), "a window that popped events moved it");
@@ -1501,7 +1496,7 @@ mod tests {
             // The revived cursor serializes back to the same bytes.
             assert_eq!(serde_json::to_string(&revived).unwrap(), json);
             assert_eq!(revived.bounds(), (SimTime::EPOCH, horizon));
-            let mut module2 = DownloadModule::new(kv, objects);
+            let module2 = DownloadModule::new(kv, objects);
             module2.run_cursor(&mut world, &mut revived, horizon);
             revived.stats.clone()
         };

@@ -1,6 +1,7 @@
 //! The staged execution engine: owns the run-scoped wiring (stores, pool,
-//! tracer spans, chaos hookup) once, and drives the [`crate::stages`]
-//! either as a single full-horizon window or incrementally.
+//! download module, tracer spans, chaos hookup) once, and calls the
+//! [`crate::stages`] either as a single full-horizon window or
+//! incrementally.
 //!
 //! # Windowed execution and crash recovery
 //!
@@ -12,9 +13,11 @@
 //! canonical `engine:locate:*` results as they settle; the aggregation
 //! stage re-analyses only the `{location, game}` groups the window
 //! dirtied and commits them under `engine:agg:*` (see
-//! `docs/AGGREGATION.md`). Only publish remains a *finalize* stage: it
-//! replays the committed aggregation state once, when a window reaches
-//! the horizon. After every per-window stage the
+//! `docs/AGGREGATION.md`). The window that reaches the horizon makes the
+//! same calls — locate without its budget, then the view refresh and the
+//! aggregation pass — and only then does the one horizon-only stage run:
+//! publish replays the committed aggregation state into the report.
+//! After every per-window stage the
 //! engine **commits**: the download cursor, the funnel ledger delta,
 //! every counter, the cleaner's `engine:clean:*` state, and the
 //! engine's own progress markers are brought up to date under the
@@ -29,13 +32,12 @@
 use crate::download::{DownloadCursor, DownloadModule};
 use crate::pipeline::{PipelineMetrics, Tero, TeroReport, WindowOutcome};
 use crate::serving::{parse_raw_sketch_key, raw_sketch_key, RAW_SKETCH_PREFIX, SERVE_VERSION_KEY};
-use crate::stages::agg::{AggStage, MapViews};
+use crate::stages::agg::AggStage;
 use crate::stages::clean::CleanStage;
 use crate::stages::extract::ExtractStage;
-use crate::stages::ingest::IngestStage;
 use crate::stages::locate::LocateStage;
-use crate::stages::publish::{PublishInput, PublishStage};
-use crate::stages::{Stage, StageCx};
+use crate::stages::publish::publish;
+use crate::stages::StageCx;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tero_pool::Pool;
@@ -67,23 +69,18 @@ pub struct StoreSnapshot {
 /// The staged engine for one run. Created lazily by the first
 /// [`Tero::run_window`] call and dropped when the run completes.
 pub struct Engine {
-    kv: KvStore,
-    objects: ObjectStore,
-    pool: Pool,
-    /// Store-facing I/O view shared by the non-ingest stages.
-    io: DownloadModule,
-    sp_run: SpanGuard,
-    metrics: PipelineMetrics,
-    ingest: IngestStage,
+    wiring: Wiring,
+    /// The download module's resumable event-loop state, spanning the
+    /// whole run — what ingest advances and every commit persists.
+    cursor: DownloadCursor,
     extract: ExtractStage,
     locate: LocateStage,
     clean: CleanStage,
     agg: AggStage,
     /// Series fed by the clean stage since the last aggregation pass —
     /// the aggregation stage's dirty-member input. Cleared after each
-    /// pass; the finalize pass consumes whatever the last window left.
+    /// pass; the horizon pass consumes whatever the last window left.
     agg_pending: BTreeSet<(AnonId, GameId)>,
-    publish: PublishStage,
     /// Index of the window currently being processed (0-based).
     window_index: u64,
     /// High-water mark of completed ingest work.
@@ -99,6 +96,36 @@ pub struct Engine {
     /// The values `engine:cursor` holds, in [`MARKER_FIELDS`] order;
     /// `None` for a field the hash does not have yet.
     committed_markers: [Option<u64>; 5],
+}
+
+/// The run-scoped wiring every stage call borrows: the stores, the pool,
+/// the download module (ingest runs it; extract drains, loads and
+/// dead-letters through it), the run span and the metric handles. Apart
+/// from the stages' own state, so a [`StageCx`] over it can sit beside a
+/// `&mut` stage.
+struct Wiring {
+    kv: KvStore,
+    objects: ObjectStore,
+    pool: Pool,
+    download: DownloadModule,
+    sp_run: SpanGuard,
+    metrics: PipelineMetrics,
+}
+
+impl Wiring {
+    /// The context of one stage call — the only place one is built.
+    fn cx<'a>(&'a self, tero: &'a Tero, world: &'a mut World) -> StageCx<'a> {
+        StageCx {
+            tero,
+            world,
+            pool: &self.pool,
+            kv: &self.kv,
+            objects: &self.objects,
+            download: &self.download,
+            metrics: &self.metrics,
+            sp_run: &self.sp_run,
+        }
+    }
 }
 
 /// The fields of the `engine:cursor` hash.
@@ -143,24 +170,22 @@ impl Engine {
         download.instrument(&tero.obs);
         download.set_trace(&tero.trace);
         download.set_pool(&pool);
-        let mut io = DownloadModule::new(kv.clone(), objects.clone());
-        io.instrument(&tero.obs);
-        io.set_trace(&tero.trace);
         let horizon = world.horizon;
         Engine {
-            pool,
-            io,
-            sp_run,
+            wiring: Wiring {
+                kv,
+                objects,
+                pool,
+                download,
+                sp_run,
+                metrics,
+            },
+            cursor: DownloadCursor::new(from, horizon),
             extract: ExtractStage::new(&tero.obs),
-            ingest: IngestStage::new(download, from, horizon),
             locate: LocateStage::default(),
             clean: CleanStage::default(),
             agg: AggStage::default(),
             agg_pending: BTreeSet::new(),
-            publish: PublishStage,
-            metrics,
-            kv,
-            objects,
             window_index: 0,
             ingested_to: None,
             extracted_to: None,
@@ -176,14 +201,14 @@ impl Engine {
     /// deserialise the download cursor and progress markers.
     pub fn restore(tero: &Tero, world: &World, snap: &StoreSnapshot) -> Engine {
         let mut engine = Engine::new(tero, world, SimTime::EPOCH);
-        engine.kv.restore(&snap.kv);
-        engine.objects.restore(&snap.objects);
+        let kv = &engine.wiring.kv;
+        kv.restore(&snap.kv);
+        engine.wiring.objects.restore(&snap.objects);
         // Counters are monotonic, so a fresh registry catches up by adding
         // each committed value. (Histograms hold only summary snapshots
         // and are not restorable; every cross-run comparison uses
         // counters, the funnel, and the report.)
-        let mut counters: Vec<(String, u64)> = engine
-            .kv
+        let mut counters: Vec<(String, u64)> = kv
             .hgetall(COUNTERS_KEY)
             .into_iter()
             .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
@@ -195,7 +220,7 @@ impl Engine {
         engine.committed_counters = counters;
         // Replay the ledger: every committed record is re-ingested in its
         // original FIFO order, and resolved records resolve immediately.
-        let records = engine.kv.lrange_from(LEDGER_KEY, 0);
+        let records = kv.lrange_from(LEDGER_KEY, 0);
         let ledger = tero.trace.ledger();
         for raw in &records {
             let Some((key, state)) = decode_ledger_record(raw) else {
@@ -207,14 +232,13 @@ impl Engine {
             }
         }
         engine.ledger_committed = records.len();
-        if let Some(cursor) = engine
-            .kv
+        if let Some(cursor) = kv
             .get(CURSOR_KEY)
             .and_then(|raw| serde_json::from_str::<DownloadCursor>(&raw).ok())
         {
-            engine.ingest.cursor = cursor;
+            engine.cursor = cursor;
         }
-        let markers = engine.kv.hgetall(ENGINE_KEY);
+        let markers = kv.hgetall(ENGINE_KEY);
         engine.committed_markers =
             MARKER_FIELDS.map(|field| markers.get(field).and_then(|v| v.parse::<u64>().ok()));
         let [window_index, ingested_to, extracted_to, tasks_processed, extracted] =
@@ -227,18 +251,17 @@ impl Engine {
         // The cursor's span bookkeeping is not part of its committed form:
         // the next window starts where committed ingest ended.
         if let Some(t) = engine.ingested_to {
-            engine.ingest.cursor.window_start = t;
+            engine.cursor.window_start = t;
         }
         // Rebuild the extract stage's raw serving sketches from the
         // committed view, so later windows extend them instead of
         // restarting from empty (the committed sketch already holds every
         // value extracted before the kill).
-        for key in engine.kv.keys_with_prefix(RAW_SKETCH_PREFIX) {
+        for key in kv.keys_with_prefix(RAW_SKETCH_PREFIX) {
             let Some(pair) = parse_raw_sketch_key(&key) else {
                 continue;
             };
-            if let Some(sketch) = engine
-                .kv
+            if let Some(sketch) = kv
                 .get(&key)
                 .and_then(|raw| tero_stats::QuantileSketch::decode(&raw))
             {
@@ -248,36 +271,27 @@ impl Engine {
         // Rebuild the online cleaner from the committed sample lists and
         // `engine:clean:*` cursors (metric-silent: the counters above
         // already carry the cleaner's committed totals).
-        engine.clean.rebuild(&engine.kv, &tero.params);
+        engine.clean.rebuild(kv, &tero.params);
         // Rebuild the budgeted locate stage from its committed
         // `engine:locate:*` hashes (profile outcomes are never re-drawn),
         // and force the aggregation stage's next pass to recompute every
         // group — the committed `engine:agg:*` keys may hold pre-kill or
         // merged-shard fragments.
-        engine.locate.rebuild(&engine.kv);
+        engine.locate.rebuild(kv);
         engine.agg.mark_all_dirty();
-        engine.metrics.window_resumed.inc();
+        engine.wiring.metrics.window_resumed.inc();
         engine
     }
 
     /// Advance the run to `to` (clamped to the horizon): run the
     /// per-window stages with a commit after each, honour any scheduled
-    /// [`tero_chaos::EngineKill`], and finalize when the horizon is
-    /// reached.
-    pub fn run_window(&mut self, tero: &Tero, world: &mut World, to: SimTime) -> WindowOutcome {
-        self.drive(tero, world, to, true)
-    }
-
-    /// Like [`Engine::run_window`], but never finalizes: reaching the
-    /// horizon still runs ingest and extract (with commits) and returns
-    /// [`WindowOutcome::Advanced`]. A sharded orchestrator drives every
+    /// [`tero_chaos::EngineKill`], and — when `finalize` is set and the
+    /// horizon is reached — publish. With `finalize` off, reaching the
+    /// horizon is a window like any other and returns
+    /// [`WindowOutcome::Advanced`]: a sharded orchestrator drives every
     /// per-shard engine this way, then merges their committed state and
-    /// finalizes the merged store exactly once.
-    pub fn advance_window(&mut self, tero: &Tero, world: &mut World, to: SimTime) -> WindowOutcome {
-        self.drive(tero, world, to, false)
-    }
-
-    fn drive(
+    /// publishes the merged store exactly once.
+    pub(crate) fn drive(
         &mut self,
         tero: &Tero,
         world: &mut World,
@@ -286,17 +300,14 @@ impl Engine {
     ) -> WindowOutcome {
         let to = to.min(self.horizon);
         if self.ingested_to.is_none_or(|t| t < to) {
-            let mut cx = StageCx {
-                tero,
-                world,
-                pool: &self.pool,
-                kv: &self.kv,
-                objects: &self.objects,
-                io: &self.io,
-                metrics: &self.metrics,
-                sp_run: &self.sp_run,
-            };
-            self.ingest.run(&mut cx, to);
+            {
+                let cx = self.wiring.cx(tero, world);
+                let m = &cx.metrics.st_ingest;
+                let _span = cx.enter(m);
+                let before = self.cursor.stats().downloaded;
+                cx.download.run_cursor(cx.world, &mut self.cursor, to);
+                m.records_out.add(self.cursor.stats().downloaded - before);
+            }
             self.ingested_to = Some(to);
             self.commit(tero);
         }
@@ -307,45 +318,31 @@ impl Engine {
             .chaos()
             .is_some_and(|c| c.engine_kill(self.window_index))
         {
-            self.metrics.window_killed.inc();
+            self.wiring.metrics.window_killed.inc();
             return WindowOutcome::Killed;
         }
+        let at_horizon = finalize && to >= self.horizon;
         if self.extracted_to.is_none_or(|t| t < to) {
-            let mut cx = StageCx {
-                tero,
-                world,
-                pool: &self.pool,
-                kv: &self.kv,
-                objects: &self.objects,
-                io: &self.io,
-                metrics: &self.metrics,
-                sp_run: &self.sp_run,
-            };
-            self.extract.run(&mut cx, ());
+            let mut cx = self.wiring.cx(tero, world);
+            self.extract.run(&mut cx);
             // Clean incrementally over the records extract just appended,
             // then run the window's budgeted locate slice over the names
             // extract just registered.
             let fed = self.clean.advance(&mut cx);
             self.agg_pending.extend(fed);
-            self.locate.advance(&mut cx);
-            // Skip the aggregation pass and serving refresh when this
-            // window finalizes anyway: finalize aggregates against the
-            // horizon views and publish rewrites the whole distribution
-            // family.
-            let refresh_serving = !(finalize && to >= self.horizon);
-            if refresh_serving {
+            self.locate.advance(&mut cx, tero.locate_budget);
+            // The horizon window leaves the view refresh and the
+            // aggregation pass to `finish`, after locate has drained its
+            // queue, and skips the serving refresh: publish rewrites the
+            // whole distribution family.
+            if !at_horizon {
                 let fresh = self.clean.refresh_views(&mut cx);
-                let refreshed = {
-                    let views = self.clean.views();
-                    let series = self.clean.series_keys();
-                    self.agg.advance(
-                        &mut cx,
-                        &views,
-                        &series,
-                        self.locate.locations(),
-                        &self.agg_pending,
-                    )
-                };
+                let refreshed = self.agg.advance(
+                    &mut cx,
+                    self.clean.views(),
+                    self.locate.locations(),
+                    &self.agg_pending,
+                );
                 self.agg_pending.clear();
                 self.clean.refresh_serving(
                     &mut cx,
@@ -359,9 +356,9 @@ impl Engine {
             self.commit(tero);
         }
         self.window_index += 1;
-        self.metrics.window_runs.inc();
-        if finalize && to >= self.horizon {
-            WindowOutcome::Complete(self.finalize(tero, world))
+        self.wiring.metrics.window_runs.inc();
+        if at_horizon {
+            WindowOutcome::Complete(self.finish(tero, world))
         } else {
             WindowOutcome::Advanced
         }
@@ -375,14 +372,15 @@ impl Engine {
     /// everything would leave.
     ///
     /// Each hash takes exactly one write per commit however many of its
-    /// fields moved: which counters move depends on the schedule
-    /// (`pool.steals` ticks at some worker counts only), and the number
-    /// of store operations — itself a committed counter — must not.
+    /// fields moved, so the number of store operations — itself a
+    /// committed counter — does not depend on which counters a window
+    /// happened to move.
     fn commit(&mut self, tero: &Tero) {
-        if self.ingest.cursor.take_dirty() {
-            self.kv.set(
+        let Wiring { kv, metrics, .. } = &self.wiring;
+        if self.cursor.take_dirty() {
+            kv.set(
                 CURSOR_KEY,
-                serde_json::to_string(&self.ingest.cursor).expect("cursor serialises"),
+                serde_json::to_string(&self.cursor).expect("cursor serialises"),
             );
         }
         // Merge-join the registry's counters (visited in name order) with
@@ -411,7 +409,7 @@ impl Engine {
             }
             i += 1;
         });
-        self.kv.hset_many(
+        kv.hset_many(
             COUNTERS_KEY,
             moved
                 .into_iter()
@@ -420,7 +418,7 @@ impl Engine {
         let records = tero.trace.ledger().records_from(self.ledger_committed);
         if !records.is_empty() {
             self.ledger_committed += records.len();
-            self.kv.rpush_batch(
+            kv.rpush_batch(
                 LEDGER_KEY,
                 records.iter().map(|(k, s)| encode_ledger_record(k, s)),
             );
@@ -433,7 +431,7 @@ impl Engine {
             Some(self.extract.extracted),
         ];
         let committed = std::mem::replace(&mut self.committed_markers, markers);
-        self.kv.hset_many(
+        kv.hset_many(
             ENGINE_KEY,
             MARKER_FIELDS
                 .into_iter()
@@ -452,68 +450,54 @@ impl Engine {
         if !dirty.is_empty() {
             for (anon, game) in dirty {
                 let encoded = self.extract.sketches[&(anon, game)].encode();
-                self.metrics.sketch_bytes.add(encoded.len() as u64);
-                self.metrics.sketch_commits.inc();
-                self.kv.set(&raw_sketch_key(anon, game), encoded);
+                metrics.sketch_bytes.add(encoded.len() as u64);
+                metrics.sketch_commits.inc();
+                kv.set(&raw_sketch_key(anon, game), encoded);
             }
-            self.kv.incr_by(SERVE_VERSION_KEY, 1);
+            kv.incr_by(SERVE_VERSION_KEY, 1);
         }
-        self.metrics.window_commits.inc();
+        metrics.window_commits.inc();
     }
 
     /// A portable snapshot of the stores for cross-process resume.
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
-            kv: self.kv.snapshot(),
-            objects: self.objects.snapshot(),
+            kv: self.wiring.kv.snapshot(),
+            objects: self.wiring.objects.snapshot(),
         }
     }
 
-    /// Run the finalize pass — drain the locate queue, produce the full
-    /// per-series analyses, settle the last aggregation pass against the
-    /// horizon views, and let publish replay the committed state into
-    /// the report. Called once, when a window reaches the horizon.
-    fn finalize(&mut self, tero: &Tero, world: &mut World) -> TeroReport {
-        let mut cx = StageCx {
-            tero,
-            world,
-            pool: &self.pool,
-            kv: &self.kv,
-            objects: &self.objects,
-            io: &self.io,
-            metrics: &self.metrics,
-            sp_run: &self.sp_run,
-        };
-        let located = self.locate.finalize(&mut cx);
-        let cleaned = self.clean.run(&mut cx, ());
-        let pending = std::mem::take(&mut self.agg_pending);
-        {
-            let views = MapViews {
-                classified: &cleaned.classified,
-                anomalies: &cleaned.anomalies,
-            };
-            let series: Vec<(AnonId, GameId)> = cleaned.streams.keys().copied().collect();
-            self.agg
-                .advance(&mut cx, &views, &series, &located.locations, &pending);
-        }
-        let agg = self.agg.take_output();
-        self.publish.run(
+    /// Finish the run at the horizon with the calls every window makes —
+    /// the locate slice (no budget: the queue drains), the view refresh
+    /// (only series fed since their last view are stale), the aggregation
+    /// pass over the pending series — then hand the cleaner's state to
+    /// publish, which replays the committed aggregation into the report.
+    /// Called once, when a window reaches the horizon.
+    fn finish(&mut self, tero: &Tero, world: &mut World) -> TeroReport {
+        let mut cx = self.wiring.cx(tero, world);
+        self.locate.advance(&mut cx, None);
+        self.clean.refresh_views(&mut cx);
+        self.agg.advance(
             &mut cx,
-            PublishInput {
-                cleaned,
-                located,
-                agg,
-                download: self.ingest.stats().clone(),
-                thumbnails: self.extract.tasks_processed,
-                extracted: self.extract.extracted,
-            },
+            self.clean.views(),
+            self.locate.locations(),
+            &self.agg_pending,
+        );
+        let cleaned = self.clean.take_cleaned(&mut cx);
+        publish(
+            &mut cx,
+            cleaned,
+            &self.locate,
+            &mut self.agg,
+            &self.extract,
+            self.cursor.stats().clone(),
         )
     }
 
     /// The engine's KV store — shared-handle clone-able; the pipeline
     /// stashes it as the serving store when a run completes.
     pub(crate) fn kv_store(&self) -> &KvStore {
-        &self.kv
+        &self.wiring.kv
     }
 }
 
@@ -521,10 +505,7 @@ impl Engine {
 /// `{anon:016x}|{game_idx:02}|{at_micros}|{state}` with state `?`
 /// (pending), `P` (published) or `D{drop_reason_idx}`.
 fn encode_ledger_record(key: &SampleKey, state: &SampleState) -> String {
-    let game_idx = GameId::ALL
-        .iter()
-        .position(|g| *g == key.game)
-        .expect("every GameId is in GameId::ALL");
+    let game_idx = key.game.index();
     let state = match state {
         SampleState::Pending => "?".to_string(),
         SampleState::Published => "P".to_string(),
@@ -588,7 +569,7 @@ mod tests {
         engine.commit(&tero);
         // Every registered counter is present after the first commit,
         // the ones still at zero included.
-        let first = engine.kv.hgetall(COUNTERS_KEY);
+        let first = engine.wiring.kv.hgetall(COUNTERS_KEY);
         assert_eq!(first["pipeline.window.killed"], "0");
         let mut registered = 0;
         tero.obs.visit_counters(|name, _| {
@@ -597,7 +578,7 @@ mod tests {
         });
         assert_eq!(first.len(), registered);
         assert_eq!(
-            engine.kv.hgetall(ENGINE_KEY),
+            engine.wiring.kv.hgetall(ENGINE_KEY),
             [
                 ("window_index", "0"),
                 ("tasks_processed", "0"),
@@ -613,18 +594,19 @@ mod tests {
         tero.obs.counter("late.arrival").add(3);
         tero.obs.counter("pipeline.funnel.ingested").add(2);
         engine
+            .wiring
             .kv
             .hset(COUNTERS_KEY, "pipeline.window.killed", "planted");
-        engine.kv.hset(ENGINE_KEY, "extracted", "planted");
+        engine.wiring.kv.hset(ENGINE_KEY, "extracted", "planted");
         engine.window_index = 1;
         engine.commit(&tero);
-        let second = engine.kv.hgetall(COUNTERS_KEY);
+        let second = engine.wiring.kv.hgetall(COUNTERS_KEY);
         assert_eq!(second["late.arrival"], "3");
         assert_eq!(second["pipeline.funnel.ingested"], "2");
         assert_eq!(second["pipeline.window.commits"], "1");
         assert_eq!(second["pipeline.window.killed"], "planted");
         assert_eq!(second.len(), first.len() + 1);
-        let markers = engine.kv.hgetall(ENGINE_KEY);
+        let markers = engine.wiring.kv.hgetall(ENGINE_KEY);
         assert_eq!(markers["window_index"], "1");
         assert_eq!(markers["extracted"], "planted");
     }
@@ -636,30 +618,30 @@ mod tests {
         let mut engine = Engine::new(&tero, &world, SimTime::EPOCH);
         let half = SimTime::from_micros(world.horizon.as_micros() / 2);
         assert!(matches!(
-            engine.advance_window(&tero, &mut world, half),
+            engine.drive(&tero, &mut world, half, false),
             WindowOutcome::Advanced
         ));
         let snap = engine.snapshot();
-        let committed = engine.kv.hgetall(COUNTERS_KEY);
+        let committed = engine.wiring.kv.hgetall(COUNTERS_KEY);
         assert!(committed["download.polls"].parse::<u64>().unwrap() > 0);
 
         let fresh = calibrated_tero();
         let mut restored = Engine::restore(&fresh, &world, &snap);
         // Restoring reads the store and writes nothing to it.
-        assert_eq!(restored.kv.snapshot(), snap.kv);
-        assert_eq!(restored.ingest.cursor.window_start, half);
+        assert_eq!(restored.wiring.kv.snapshot(), snap.kv);
+        assert_eq!(restored.cursor.window_start, half);
         // Plant a value in every committed field: the first commit after
         // the restore may overwrite only the fields that moved since the
         // snapshot's last commit.
         for field in committed.keys() {
-            restored.kv.hset(COUNTERS_KEY, field, "planted");
+            restored.wiring.kv.hset(COUNTERS_KEY, field, "planted");
         }
         for field in MARKER_FIELDS {
-            restored.kv.hset(ENGINE_KEY, field, "planted");
+            restored.wiring.kv.hset(ENGINE_KEY, field, "planted");
         }
-        restored.kv.set(CURSOR_KEY, "planted");
+        restored.wiring.kv.set(CURSOR_KEY, "planted");
         restored.commit(&fresh);
-        let after = restored.kv.hgetall(COUNTERS_KEY);
+        let after = restored.wiring.kv.hgetall(COUNTERS_KEY);
         let rewritten: Vec<&str> = after
             .iter()
             .filter(|(_, v)| *v != "planted")
@@ -678,11 +660,53 @@ mod tests {
         assert_eq!(after["pipeline.window.resumed"], "1");
         assert_eq!(after.len(), committed.len());
         assert!(restored
+            .wiring
             .kv
             .hgetall(ENGINE_KEY)
             .values()
             .all(|v| v == "planted"));
-        assert_eq!(restored.kv.get(CURSOR_KEY).as_deref(), Some("planted"));
+        assert_eq!(
+            restored.wiring.kv.get(CURSOR_KEY).as_deref(),
+            Some("planted")
+        );
+    }
+
+    #[test]
+    fn a_profile_row_without_its_name_row_does_not_panic_the_restore() {
+        use crate::stages::locate::LOCATE_PROFILES_KEY;
+        use crate::stages::NAMES_KEY;
+
+        let mut world = small_world();
+        let tero = calibrated_tero();
+        let mut engine = Engine::new(&tero, &world, SimTime::EPOCH);
+        let half = SimTime::from_micros(world.horizon.as_micros() / 2);
+        assert!(matches!(
+            engine.drive(&tero, &mut world, half, true),
+            WindowOutcome::Advanced
+        ));
+        // Drop one `engine:names` row that has a committed profile, as a
+        // damaged or badly merged snapshot would.
+        let mut snap = engine.snapshot();
+        let damaged = KvStore::new();
+        damaged.restore(&snap.kv);
+        let orphan = damaged
+            .hgetall(LOCATE_PROFILES_KEY)
+            .into_keys()
+            .next()
+            .expect("the first half located someone");
+        let names = damaged.hgetall(NAMES_KEY);
+        damaged.del(NAMES_KEY);
+        damaged.hset_many(NAMES_KEY, names.into_iter().filter(|(f, _)| *f != orphan));
+        snap.kv = damaged.snapshot();
+
+        let fresh = calibrated_tero();
+        let mut restored = Engine::restore(&fresh, &world, &snap);
+        let horizon = world.horizon;
+        let WindowOutcome::Complete(report) = restored.drive(&fresh, &mut world, horizon, true)
+        else {
+            panic!("the restored run reaches the horizon");
+        };
+        assert!(report.streamers_seen > 0);
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //! * [`behavior`] — the §6 user-behaviour study: Probit marginal effects of
 //!   spikes on server and game changes (Table 5);
 //! * [`stages`] — the staged execution engine's stage layer (App. B):
-//!   five typed [`stages::Stage`] implementations (ingest, extract,
-//!   clean, locate, publish) connected through `tero-store`
-//!   lists and blobs;
+//!   extract, locate, clean, agg and publish, plain structs connected
+//!   through `tero-store` lists and blobs;
 //! * [`engine`] — the [`engine::Engine`] that owns the wiring (stores,
-//!   pool, tracer, chaos) once and drives the stages windowed, with
-//!   resumable cursors committed into the store;
+//!   pool, download module, tracer, chaos) once and calls the stages
+//!   windowed, with resumable cursors committed into the store;
 //! * [`pipeline`] — the [`pipeline::Tero`] orchestrator: configuration,
 //!   [`pipeline::PipelineMetrics`], and the [`pipeline::Tero::run`] /
 //!   [`pipeline::Tero::run_window`] entry points against a `tero-world`

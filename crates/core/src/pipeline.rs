@@ -209,11 +209,13 @@ pub struct PipelineMetrics {
     /// the family is schedule-dependent too).
     pub(crate) changepoint_points: CounterHandle,
     pub(crate) changepoint_shifts: CounterHandle,
-    st_ingest: StageMetrics,
-    st_extract: StageMetrics,
-    st_locate: StageMetrics,
-    st_clean: StageMetrics,
-    st_publish: StageMetrics,
+    /// The `stage.<name>.*` bundles of the five stages that open a
+    /// `stage.<name>` span.
+    pub(crate) st_ingest: StageMetrics,
+    pub(crate) st_extract: StageMetrics,
+    pub(crate) st_locate: StageMetrics,
+    pub(crate) st_clean: StageMetrics,
+    pub(crate) st_publish: StageMetrics,
 }
 
 impl PipelineMetrics {
@@ -265,18 +267,6 @@ impl PipelineMetrics {
             st_clean: StageMetrics::new(registry, "clean"),
             st_publish: StageMetrics::new(registry, "publish"),
             registry: registry.clone(),
-        }
-    }
-
-    /// The `stage.<name>.*` bundle for one of the five engine stages.
-    pub(crate) fn stage(&self, name: &str) -> &StageMetrics {
-        match name {
-            "ingest" => &self.st_ingest,
-            "extract" => &self.st_extract,
-            "locate" => &self.st_locate,
-            "clean" => &self.st_clean,
-            "publish" => &self.st_publish,
-            other => panic!("unknown stage {other:?}"),
         }
     }
 
@@ -472,13 +462,36 @@ impl Tero {
     /// non-decreasing `to`. Driving the run as any sequence of windows
     /// produces a report byte-identical to [`Tero::run`].
     pub fn run_window(&self, world: &mut World, from: SimTime, to: SimTime) -> WindowOutcome {
+        self.drive_window(world, from, to, true)
+    }
+
+    /// Like [`Tero::run_window`], but never finalizes: a window that
+    /// reaches the horizon still runs ingest and extract (committing
+    /// after each) and returns [`WindowOutcome::Advanced`], leaving the
+    /// engine in place. The sharded orchestrator ([`crate::sharded`])
+    /// drives every per-shard engine this way, then merges the committed
+    /// per-shard state and finalizes the merged store exactly once.
+    pub fn advance_window(&self, world: &mut World, from: SimTime, to: SimTime) -> WindowOutcome {
+        self.drive_window(world, from, to, false)
+    }
+
+    /// Take the engine out of its slot (creating or restoring it on the
+    /// first call), drive one window, and put it back unless the run
+    /// completed.
+    fn drive_window(
+        &self,
+        world: &mut World,
+        from: SimTime,
+        to: SimTime,
+        finalize: bool,
+    ) -> WindowOutcome {
         let mut slot = self.engine.lock();
         let mut engine = match std::mem::take(&mut *slot) {
             EngineSlot::Running(engine) => engine,
             EngineSlot::Idle => Box::new(Engine::new(self, world, from)),
             EngineSlot::Restore(snap) => Box::new(Engine::restore(self, world, &snap)),
         };
-        let outcome = engine.run_window(self, world, to);
+        let outcome = engine.drive(self, world, to, finalize);
         if matches!(outcome, WindowOutcome::Complete(_)) {
             // The engine is dropped, but its KV store — holding the
             // committed serving sketches — stays alive for `tero-serve`.
@@ -490,24 +503,6 @@ impl Tero {
         } else {
             *slot = EngineSlot::Running(engine);
         }
-        outcome
-    }
-
-    /// Like [`Tero::run_window`], but never finalizes: a window that
-    /// reaches the horizon still runs ingest and extract (committing
-    /// after each) and returns [`WindowOutcome::Advanced`], leaving the
-    /// engine in place. The sharded orchestrator ([`crate::sharded`])
-    /// drives every per-shard engine this way, then merges the committed
-    /// per-shard state and finalizes the merged store exactly once.
-    pub fn advance_window(&self, world: &mut World, from: SimTime, to: SimTime) -> WindowOutcome {
-        let mut slot = self.engine.lock();
-        let mut engine = match std::mem::take(&mut *slot) {
-            EngineSlot::Running(engine) => engine,
-            EngineSlot::Idle => Box::new(Engine::new(self, world, from)),
-            EngineSlot::Restore(snap) => Box::new(Engine::restore(self, world, &snap)),
-        };
-        let outcome = engine.advance_window(self, world, to);
-        *slot = EngineSlot::Running(engine);
         outcome
     }
 

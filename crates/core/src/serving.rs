@@ -31,7 +31,7 @@
 
 use tero_stats::QuantileSketch;
 use tero_store::KvStore;
-use tero_types::{AnonId, GameId};
+use tero_types::{AnonId, GameId, Location};
 
 /// Everything the serving layer stores lives under this prefix (inside
 /// [`tero_store::PROTECTED_PREFIX`], so chaos never drops it).
@@ -121,6 +121,15 @@ impl ServeGranularity {
         }
     }
 
+    /// `loc` truncated to this granularity — the location a group at
+    /// this level is keyed and analysed under.
+    pub(crate) fn level(self, loc: &Location) -> Location {
+        match self {
+            ServeGranularity::Region => loc.to_region_level(),
+            ServeGranularity::Country => loc.to_country_level(),
+        }
+    }
+
     /// Parse a [`ServeGranularity::tag`] character.
     pub fn from_tag(tag: &str) -> Option<ServeGranularity> {
         match tag {
@@ -171,19 +180,10 @@ impl std::fmt::Display for ServingError {
 
 impl std::error::Error for ServingError {}
 
-/// Index of `game` in [`GameId::ALL`], the serving schema's fixed-width
-/// game field (same convention as `stages::sample_list_key`).
-pub(crate) fn game_index(game: GameId) -> usize {
-    GameId::ALL
-        .iter()
-        .position(|g| *g == game)
-        .expect("every GameId is in GameId::ALL")
-}
-
 /// The KV key of one `{streamer, game}` raw sketch:
 /// `engine:serve:raw:{anon:016x}:{game_idx:02}`.
 pub fn raw_sketch_key(anon: AnonId, game: GameId) -> String {
-    format!("{RAW_SKETCH_PREFIX}{:016x}:{:02}", anon.0, game_index(game))
+    format!("{RAW_SKETCH_PREFIX}{:016x}:{:02}", anon.0, game.index())
 }
 
 /// Parse a [`raw_sketch_key`] back into its `{streamer, game}` pair.
@@ -202,7 +202,7 @@ pub fn dist_sketch_key(granularity: ServeGranularity, game: GameId, location_key
     format!(
         "{DIST_SKETCH_PREFIX}{}:{:02}:{location_key}",
         granularity.tag(),
-        game_index(game)
+        game.index()
     )
 }
 

@@ -23,8 +23,8 @@
 //! because each group's analysis is a pure function of its members'
 //! horizon views and canonical locations.
 
+use super::clean::Views;
 use super::StageCx;
-use crate::analysis::anomaly::AnomalyReport;
 use crate::analysis::clusters::{
     endpoint_changes, merge_location_clusters, ChangeKind, ClassifiedStreamer, EndPointChange,
     LatencyCluster, OnlineLocationClusters,
@@ -33,7 +33,7 @@ use crate::analysis::distributions::{location_distribution, LocationDistribution
 use crate::analysis::shared::{detect_shared_anomalies, SharedAnomaly, StreamerActivity};
 use crate::location::LocationSource;
 use crate::pipeline::Tero;
-use crate::serving::{dist_sketch_key, game_index, ServeGranularity};
+use crate::serving::{dist_sketch_key, ServeGranularity};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tero_geoparse::Gazetteer;
@@ -59,16 +59,13 @@ pub fn agg_group_key(granularity: ServeGranularity, game: GameId, location_key: 
     format!(
         "{AGG_GROUP_PREFIX}{}:{:02}:{location_key}",
         granularity.tag(),
-        game_index(game)
+        game.index()
     )
 }
 
 /// The KV key of one committed region-level cluster list.
 pub fn agg_clusters_key(game: GameId, location_key: &str) -> String {
-    format!(
-        "{AGG_CLUSTERS_PREFIX}{:02}:{location_key}",
-        game_index(game)
-    )
+    format!("{AGG_CLUSTERS_PREFIX}{:02}:{location_key}", game.index())
 }
 
 /// One maintained group: the membership its analysis was computed for,
@@ -79,22 +76,13 @@ struct GroupEntry {
     analysis: GroupAnalysis,
 }
 
-/// The settled analyses the aggregation stage hands the publish
-/// finalizer: every `{location, game}` group at both granularities, in
-/// key order.
-#[derive(Debug, Default)]
-pub struct AggOutput {
-    /// Region-level groups (the full §3.3.3/§5/§6 product set).
-    pub(crate) region: BTreeMap<(String, GameId), GroupAnalysis>,
-    /// Country-level groups (distributions only).
-    pub(crate) country: BTreeMap<(String, GameId), GroupAnalysis>,
-}
-
 /// The incremental aggregation stage.
 #[derive(Debug, Default)]
 pub struct AggStage {
-    region: BTreeMap<(String, GameId), GroupEntry>,
-    country: BTreeMap<(String, GameId), GroupEntry>,
+    /// The maintained groups, indexed by `ServeGranularity as usize`:
+    /// region-level (the full §3.3.3/§5/§6 product set), then
+    /// country-level (distributions only; Figs 9, 11, 12).
+    groups: [BTreeMap<(String, GameId), GroupEntry>; 2],
     clusters: OnlineLocationClusters,
     /// Set after a restore: the in-memory maps are empty and the
     /// committed `engine:agg:*` keys may be stale (a merged sharded
@@ -121,25 +109,21 @@ impl AggStage {
         location_key: &str,
         game: GameId,
     ) -> Option<&GroupAnalysis> {
-        let map = match granularity {
-            ServeGranularity::Region => &self.region,
-            ServeGranularity::Country => &self.country,
-        };
-        map.get(&(location_key.to_string(), game))
+        self.groups[granularity as usize]
+            .get(&(location_key.to_string(), game))
             .map(|e| &e.analysis)
     }
 
-    /// One aggregation pass: group `series` under the canonical
-    /// `locations` at both granularities, re-analyse the dirty groups
+    /// One aggregation pass: group the series `views` covers under the
+    /// canonical `locations` at both granularities, re-analyse the dirty groups
     /// (`pending` lists the series that gained sealed data since the
     /// last pass), commit the results, and drop vanished groups.
     /// Returns the [`dist_sketch_key`]s of every group that changed, so
     /// the serving refresh can skip the rest.
-    pub(crate) fn advance<V: ViewSource>(
+    pub(crate) fn advance(
         &mut self,
         cx: &mut StageCx<'_>,
-        views: &V,
-        series: &[(AnonId, GameId)],
+        views: Views<'_>,
         locations: &HashMap<AnonId, (Location, LocationSource)>,
         pending: &BTreeSet<(AnonId, GameId)>,
     ) -> BTreeSet<String> {
@@ -153,65 +137,45 @@ impl AggStage {
             }
         }
         let mut refreshed = BTreeSet::new();
-        for granularity in [Granularity::Region, Granularity::Country] {
-            self.pass(
-                cx,
-                views,
-                series,
-                locations,
-                pending,
-                granularity,
-                &mut refreshed,
-            );
+        for granularity in [ServeGranularity::Region, ServeGranularity::Country] {
+            self.pass(cx, views, locations, pending, granularity, &mut refreshed);
         }
         self.dirty_all = false;
         refreshed
     }
 
-    /// Hand the settled analyses to the publish finalizer, clearing the
-    /// in-memory maps (the run is over).
-    pub(crate) fn take_output(&mut self) -> AggOutput {
-        let strip = |map: BTreeMap<(String, GameId), GroupEntry>| {
-            map.into_iter().map(|(k, e)| (k, e.analysis)).collect()
-        };
-        AggOutput {
-            region: strip(std::mem::take(&mut self.region)),
-            country: strip(std::mem::take(&mut self.country)),
-        }
+    /// Hand the settled analyses of one granularity to the publish
+    /// finalizer, in key order, clearing the in-memory map (the run is
+    /// over).
+    pub(crate) fn take_groups(
+        &mut self,
+        granularity: ServeGranularity,
+    ) -> impl Iterator<Item = ((String, GameId), GroupAnalysis)> {
+        std::mem::take(&mut self.groups[granularity as usize])
+            .into_iter()
+            .map(|(k, e)| (k, e.analysis))
     }
 
     /// The per-granularity half of [`AggStage::advance`].
-    #[allow(clippy::too_many_arguments)]
-    fn pass<V: ViewSource>(
+    fn pass(
         &mut self,
         cx: &mut StageCx<'_>,
-        views: &V,
-        series: &[(AnonId, GameId)],
+        views: Views<'_>,
         locations: &HashMap<AnonId, (Location, LocationSource)>,
         pending: &BTreeSet<(AnonId, GameId)>,
-        granularity: Granularity,
+        granularity: ServeGranularity,
         refreshed: &mut BTreeSet<String>,
     ) {
-        let serve_g = match granularity {
-            Granularity::Region => ServeGranularity::Region,
-            Granularity::Country => ServeGranularity::Country,
-        };
         // Desired membership, in series (= AnonId) order per group —
         // exactly how the batch publish pass built its groups.
         let mut desired: BTreeMap<(String, GameId), Vec<AnonId>> = BTreeMap::new();
-        for (anon, game) in series {
-            if let Some((loc, _)) = locations.get(anon) {
-                let key = match granularity {
-                    Granularity::Region => loc.to_region_level().key(),
-                    Granularity::Country => loc.to_country_level().key(),
-                };
-                desired.entry((key, *game)).or_default().push(*anon);
+        for (anon, game) in views.series() {
+            if let Some((loc, _)) = locations.get(&anon) {
+                let key = granularity.level(loc).key();
+                desired.entry((key, game)).or_default().push(anon);
             }
         }
-        let stored = match granularity {
-            Granularity::Region => &self.region,
-            Granularity::Country => &self.country,
-        };
+        let stored = &self.groups[granularity as usize];
         let vanished: Vec<(String, GameId)> = stored
             .keys()
             .filter(|k| !desired.contains_key(*k))
@@ -231,16 +195,13 @@ impl AggStage {
         let results: Vec<GroupAnalysis> = cx.pool.par_map(&dirty, |(key, members)| {
             analyze_group(tero, gaz, key.1, members, locations, views, granularity)
         });
-        let map = match granularity {
-            Granularity::Region => &mut self.region,
-            Granularity::Country => &mut self.country,
-        };
+        let map = &mut self.groups[granularity as usize];
         for ((key, members), analysis) in dirty.into_iter().zip(results) {
             cx.kv.set(
-                &agg_group_key(serve_g, key.1, &key.0),
+                &agg_group_key(granularity, key.1, &key.0),
                 serde_json::to_string(&analysis).expect("group analyses serialize"),
             );
-            if granularity == Granularity::Region {
+            if granularity == ServeGranularity::Region {
                 self.clusters
                     .set(key.0.clone(), key.1, analysis.clusters.clone());
                 cx.kv.set(
@@ -248,7 +209,7 @@ impl AggStage {
                     serde_json::to_string(&analysis.clusters).expect("clusters serialize"),
                 );
             }
-            refreshed.insert(dist_sketch_key(serve_g, key.1, &key.0));
+            refreshed.insert(dist_sketch_key(granularity, key.1, &key.0));
             map.insert(
                 key.clone(),
                 GroupEntry {
@@ -259,50 +220,14 @@ impl AggStage {
         }
         for key in vanished {
             map.remove(&key);
-            cx.kv.del(&agg_group_key(serve_g, key.1, &key.0));
-            if granularity == Granularity::Region {
+            cx.kv.del(&agg_group_key(granularity, key.1, &key.0));
+            if granularity == ServeGranularity::Region {
                 self.clusters.remove(&key.0, key.1);
                 cx.kv.del(&agg_clusters_key(key.1, &key.0));
             }
-            refreshed.insert(dist_sketch_key(serve_g, key.1, &key.0));
+            refreshed.insert(dist_sketch_key(granularity, key.1, &key.0));
         }
     }
-}
-
-/// Read-only lookup of per-series analysis views, so [`analyze_group`]
-/// can run over either the finalize maps ([`MapViews`]) or the online
-/// clean stage's cached per-window views without cloning any reports.
-pub(crate) trait ViewSource: Sync {
-    /// The classification for one `{streamer, game}` series, if any.
-    fn classified_for(&self, anon: AnonId, game: GameId) -> Option<&ClassifiedStreamer>;
-    /// The anomaly report for one `{streamer, game}` series, if any.
-    fn report_for(&self, anon: AnonId, game: GameId) -> Option<&AnomalyReport>;
-}
-
-/// The finalize-path [`ViewSource`]: borrowed clean-stage output maps.
-pub(crate) struct MapViews<'a> {
-    pub(crate) classified: &'a BTreeMap<(AnonId, GameId), ClassifiedStreamer>,
-    pub(crate) anomalies: &'a BTreeMap<(AnonId, GameId), AnomalyReport>,
-}
-
-impl ViewSource for MapViews<'_> {
-    fn classified_for(&self, anon: AnonId, game: GameId) -> Option<&ClassifiedStreamer> {
-        self.classified.get(&(anon, game))
-    }
-
-    fn report_for(&self, anon: AnonId, game: GameId) -> Option<&AnomalyReport> {
-        self.anomalies.get(&(anon, game))
-    }
-}
-
-/// The aggregation granularity of one analysis group (§5's two published
-/// levels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Granularity {
-    /// Region-level groups: the full §3.3.3/§5/§6 product set.
-    Region,
-    /// Country-level groups: distributions only (Figs 9, 11, 12).
-    Country,
 }
 
 /// How one member of a `{location, game}` group fared in the
@@ -343,22 +268,17 @@ pub(crate) struct GroupAnalysis {
 /// Analyse one `{location, game}` group: merged clusters, end-point
 /// changes, the published distribution and shared anomalies. Pure with
 /// respect to the pipeline's mutable state, so groups can run in
-/// parallel; at [`Granularity::Country`] only the distribution is
+/// parallel; at [`ServeGranularity::Country`] only the distribution is
 /// produced (matching the sequential country loop).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn analyze_group<V: ViewSource>(
+pub(crate) fn analyze_group(
     tero: &Tero,
     gaz: &Gazetteer,
     game: GameId,
     members: &[AnonId],
     locations: &HashMap<AnonId, (Location, LocationSource)>,
-    views: &V,
-    granularity: Granularity,
+    views: Views<'_>,
+    granularity: ServeGranularity,
 ) -> GroupAnalysis {
-    let level = |loc: &Location| match granularity {
-        Granularity::Region => loc.to_region_level(),
-        Granularity::Country => loc.to_country_level(),
-    };
     let classified_members: Vec<&ClassifiedStreamer> = members
         .iter()
         .filter_map(|a| views.classified_for(*a, game))
@@ -377,7 +297,7 @@ pub(crate) fn analyze_group<V: ViewSource>(
             {
                 movers.push(*anon);
             }
-            if granularity == Granularity::Region && !changes.is_empty() {
+            if granularity == ServeGranularity::Region && !changes.is_empty() {
                 all_changes.push((*anon, changes));
             }
         }
@@ -394,7 +314,7 @@ pub(crate) fn analyze_group<V: ViewSource>(
     if contributors.len() >= tero.min_streamers {
         let group_loc = locations
             .get(&members[0])
-            .map(|(l, _)| level(l))
+            .map(|(l, _)| granularity.level(l))
             .expect("grouped member is located");
         let server = primary_server(gaz, game, &group_loc);
         let distance = server
@@ -415,10 +335,10 @@ pub(crate) fn analyze_group<V: ViewSource>(
     }
 
     // Shared anomalies over the group (region granularity only).
-    let shared = if granularity == Granularity::Region {
+    let shared = if granularity == ServeGranularity::Region {
         let region_loc = locations
             .get(&members[0])
-            .map(|(l, _)| level(l))
+            .map(|(l, _)| granularity.level(l))
             .expect("grouped member is located");
         let activities: Vec<StreamerActivity> = members
             .iter()

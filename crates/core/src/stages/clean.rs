@@ -24,10 +24,13 @@
 //!   segment and never re-detects it.
 //! * **View** — the full per-series [`AnomalyReport`] is reconstructed on
 //!   demand by re-detecting only the sealed anchor (the last sealed
-//!   stable segment) plus the unsealed tail. At the horizon this is
-//!   byte-identical to the batch detector over the whole series — the
-//!   freshness contract is *exact*, not a tolerance
-//!   (`online_view_matches_batch_under_any_window_split` below pins it).
+//!   stable segment) plus the unsealed tail, and cached until the series
+//!   is fed again (`CleanStage::refresh_views`, the one analyze
+//!   fan-out). At the horizon this is byte-identical to the batch
+//!   detector over the whole series — the freshness contract is *exact*,
+//!   not a tolerance (`online_view_matches_batch_under_any_window_split`
+//!   below pins it) — so the report is assembled from the cached views
+//!   (`CleanStage::take_cleaned`), not from a second pass.
 //! * **Refresh** — after each non-final window the stage regroups the
 //!   series under the *canonical* locations the budgeted locate stage
 //!   has committed so far, falling back to *provisional* tags-only
@@ -47,7 +50,8 @@
 //! lists on [`CleanStage::rebuild`] after a chaos kill or a
 //! fresh-process restore.
 
-use super::{parse_sample_list_key, SampleRecord, Stage, StageCx, NAMES_KEY, SAMPLES_PREFIX};
+use super::locate::{parse_names, tag_observations};
+use super::{parse_sample_list_key, SampleRecord, StageCx, SAMPLES_PREFIX};
 use crate::analysis::anomaly::{detect_anomalies, AnomalyReport, SegmentLabel, SpikeEvent};
 use crate::analysis::clusters::{classify_streamer, ClassifiedStreamer};
 use crate::analysis::segments::{Segment, StreamSeries};
@@ -55,15 +59,12 @@ use crate::location::{LocationModule, LocationSource};
 use crate::serving::{
     dist_meta_key, dist_sketch_key, DistProvenance, ServeGranularity, SERVE_VERSION_KEY,
 };
-use crate::stages::agg::{analyze_group, reject_outside, AggStage, Granularity, ViewSource};
+use crate::stages::agg::{analyze_group, reject_outside, AggStage};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use tero_geoparse::tags::TagObservation;
 use tero_stats::OnlinePelt;
 use tero_store::KvStore;
 use tero_trace::{Level, TaskTrace};
-use tero_types::{
-    AnonId, GameId, LatencySample, Location, SimDuration, SimTime, StreamerId, TeroParams,
-};
+use tero_types::{AnonId, GameId, LatencySample, Location, SimDuration, SimTime, TeroParams};
 
 /// A gap larger than this starts a new stream (thumbnails are ≥ 5 min
 /// apart; in-stream breaks reach ~35 min; offline periods are longer).
@@ -95,11 +96,7 @@ pub const ONLINE_PELT_PENALTY: f64 = 112.0;
 /// byte-identical across window schedules, worker counts, and
 /// kill/resume (pinned by `tests/determinism.rs`).
 pub fn clean_state_key(anon: AnonId, game: GameId) -> String {
-    let idx = GameId::ALL
-        .iter()
-        .position(|g| *g == game)
-        .expect("every GameId is in GameId::ALL");
-    format!("{CLEAN_PREFIX}state:{:016x}:{idx:02}", anon.0)
+    format!("{CLEAN_PREFIX}state:{:016x}:{:02}", anon.0, game.index())
 }
 
 /// What the clean stage hands the publish stage.
@@ -334,24 +331,30 @@ impl SeriesState {
     }
 }
 
-/// Read-only view lookup over the cleaner's cached per-series analyses,
-/// for the group-level refresh and the incremental aggregation stage
-/// (see [`ViewSource`]).
-pub(crate) struct StateViews<'a>(&'a BTreeMap<(AnonId, GameId), SeriesState>);
+/// Read-only lookup over the cleaner's cached per-series analyses, for
+/// the group-level refresh and the aggregation stage — in every window
+/// and at the horizon alike.
+#[derive(Clone, Copy)]
+pub(crate) struct Views<'a>(&'a BTreeMap<(AnonId, GameId), SeriesState>);
 
-impl ViewSource for StateViews<'_> {
-    fn classified_for(&self, anon: AnonId, game: GameId) -> Option<&ClassifiedStreamer> {
-        self.0
-            .get(&(anon, game))
-            .and_then(|s| s.view.as_ref())
-            .map(|v| &v.classified)
+impl<'a> Views<'a> {
+    /// Every `{streamer, game}` series the cleaner tracks, in key order.
+    pub(crate) fn series(self) -> impl Iterator<Item = (AnonId, GameId)> + 'a {
+        self.0.keys().copied()
     }
 
-    fn report_for(&self, anon: AnonId, game: GameId) -> Option<&AnomalyReport> {
-        self.0
-            .get(&(anon, game))
-            .and_then(|s| s.view.as_ref())
-            .map(|v| &v.report)
+    /// The classification for one `{streamer, game}` series, if any.
+    pub(crate) fn classified_for(
+        self,
+        anon: AnonId,
+        game: GameId,
+    ) -> Option<&'a ClassifiedStreamer> {
+        Some(&self.0.get(&(anon, game))?.view.as_ref()?.classified)
+    }
+
+    /// The anomaly report for one `{streamer, game}` series, if any.
+    pub(crate) fn report_for(self, anon: AnonId, game: GameId) -> Option<&'a AnomalyReport> {
+        Some(&self.0.get(&(anon, game))?.view.as_ref()?.report)
     }
 }
 
@@ -372,13 +375,8 @@ pub struct CleanStage {
 
 impl CleanStage {
     /// The cleaner's cached per-series views, for the aggregation stage.
-    pub(crate) fn views(&self) -> StateViews<'_> {
-        StateViews(&self.states)
-    }
-
-    /// Every `{streamer, game}` series the cleaner tracks, in key order.
-    pub(crate) fn series_keys(&self) -> Vec<(AnonId, GameId)> {
-        self.states.keys().copied().collect()
+    pub(crate) fn views(&self) -> Views<'_> {
+        Views(&self.states)
     }
 
     /// Advance the online cleaner by one window: feed the new sample-list
@@ -389,7 +387,7 @@ impl CleanStage {
     /// is proportional to the new data plus the unsealed tails, not the
     /// total history (`benches/window.rs`, `clean_scaling`).
     pub fn advance(&mut self, cx: &mut StageCx<'_>) -> BTreeSet<(AnonId, GameId)> {
-        let _span = cx.enter(<Self as Stage>::NAME);
+        let _span = cx.enter(&cx.metrics.st_clean);
         let params = &cx.tero.params;
         let mut fed_records = 0u64;
         let mut fed_keys: Vec<(AnonId, GameId)> = Vec::new();
@@ -467,33 +465,39 @@ impl CleanStage {
         fed_keys.into_iter().collect()
     }
 
-    /// Recompute the cached view of every dirty series, fanned out over
-    /// the pool (pure per-series work; results merged in key order).
-    /// Returns the set of series whose views were recomputed.
+    /// Recompute the cached view of every series fed since its last view
+    /// — the one analyze fan-out (`stage.analyze`, one `analyze.task` per
+    /// series), pure per-series work whose results are merged in key
+    /// order. Returns the set of series whose views were recomputed.
     pub(crate) fn refresh_views(&mut self, cx: &mut StageCx<'_>) -> BTreeSet<(AnonId, GameId)> {
-        let stale: Vec<(AnonId, GameId)> = self
-            .states
-            .iter()
-            .filter(|(_, s)| s.view.is_none())
-            .map(|(k, _)| *k)
-            .collect();
+        let stale: Vec<&SeriesState> = self.states.values().filter(|s| s.view.is_none()).collect();
         if stale.is_empty() {
             return BTreeSet::new();
         }
+        let sp_analyze = cx.sp_run.child("stage.analyze");
+        let analyze_stage = cx.tero.trace.stage(&sp_analyze, "analyze.task");
         let params = &cx.tero.params;
-        let views: Vec<ViewCache> = {
-            let entries: Vec<&SeriesState> = stale.iter().map(|k| &self.states[k]).collect();
-            cx.pool.par_map(&entries, |st| {
-                let report = st.view_report(params);
-                let classified = classify_streamer(st.anon, &report, params);
-                ViewCache { report, classified }
-            })
-        };
-        for (key, view) in stale.iter().zip(views) {
+        let analyzed: Vec<(ViewCache, TaskTrace)> = cx.pool.par_map_indexed(&stale, |i, st| {
+            let mut t = analyze_stage.task(i as u64);
+            if let Some(first) = st.streams.first().and_then(|s| s.first()) {
+                t.set_sim_time(first.at);
+            }
+            let report = st.view_report(params);
+            if report.all_unstable {
+                t.event(Level::Warn, "all segments unstable; streamer discarded");
+            }
+            let classified = classify_streamer(st.anon, &report, params);
+            (ViewCache { report, classified }, t.finish())
+        });
+        let keys: Vec<(AnonId, GameId)> = stale.iter().map(|s| (s.anon, s.game)).collect();
+        let mut traces = Vec::with_capacity(analyzed.len());
+        for (key, (view, trace)) in keys.iter().zip(analyzed) {
+            traces.push(trace);
             self.states.get_mut(key).expect("stale key exists").view = Some(view);
         }
-        cx.metrics.clean_views.add(stale.len() as u64);
-        stale.into_iter().collect()
+        analyze_stage.flush(traces);
+        cx.metrics.clean_views.add(keys.len() as u64);
+        keys.into_iter().collect()
     }
 
     /// Refresh the serving-layer distribution sketches from the current
@@ -521,16 +525,7 @@ impl CleanStage {
         // settled yet. Located streamers use their committed
         // `engine:locate:*` result, which is canonical from the window
         // it lands in.
-        let mut names: Vec<(AnonId, StreamerId)> = cx
-            .kv
-            .hgetall(NAMES_KEY)
-            .into_iter()
-            .filter_map(|(hex, name)| {
-                let anon = u64::from_str_radix(&hex, 16).ok()?;
-                Some((AnonId(anon), StreamerId::new(&name)))
-            })
-            .collect();
-        names.sort_unstable_by_key(|(a, _)| *a);
+        let names = parse_names(cx.kv);
         let location_module = LocationModule::new(&cx.world.gaz);
         let mut locations: HashMap<AnonId, (Location, LocationSource)> = canonical.clone();
         let mut lookups = 0u64;
@@ -544,18 +539,7 @@ impl CleanStage {
                 Some((seen, cached)) if *seen == n_tags => cached.clone(),
                 _ => {
                     lookups += 1;
-                    // Non-destructive read: the lists stay in place as
-                    // the locate stage's replay log.
-                    let tags: Vec<TagObservation> = cx
-                        .kv
-                        .lrange_from(&tags_key, 0)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, t)| TagObservation {
-                            poll: i as u64,
-                            country_tag: Some(t),
-                        })
-                        .collect();
+                    let tags = tag_observations(cx.kv, &tags_key);
                     let located = location_module.locate(
                         name.as_str(),
                         None,
@@ -574,7 +558,7 @@ impl CleanStage {
 
         // Regroup at both granularities, keyed by sketch key.
         struct GroupSpec {
-            granularity: Granularity,
+            granularity: ServeGranularity,
             game: GameId,
             loc_key: String,
             members: Vec<AnonId>,
@@ -584,20 +568,9 @@ impl CleanStage {
             let Some((loc, _)) = locations.get(anon) else {
                 continue;
             };
-            for (granularity, serve, level) in [
-                (
-                    Granularity::Region,
-                    ServeGranularity::Region,
-                    loc.to_region_level(),
-                ),
-                (
-                    Granularity::Country,
-                    ServeGranularity::Country,
-                    loc.to_country_level(),
-                ),
-            ] {
-                let loc_key = level.key();
-                let key = dist_sketch_key(serve, *game, &loc_key);
+            for granularity in [ServeGranularity::Region, ServeGranularity::Country] {
+                let loc_key = granularity.level(loc).key();
+                let key = dist_sketch_key(granularity, *game, &loc_key);
                 groups
                     .entry(key)
                     .or_insert_with(|| GroupSpec {
@@ -618,7 +591,7 @@ impl CleanStage {
         let mut results: Vec<(String, DistProvenance, Option<tero_stats::QuantileSketch>)> =
             Vec::new();
         {
-            let views = StateViews(&self.states);
+            let views = Views(&self.states);
             for (key, spec) in &groups {
                 let prov = if spec.members.iter().all(|a| canonical.contains_key(a)) {
                     DistProvenance::Canonical
@@ -635,17 +608,13 @@ impl CleanStage {
                 if !membership_changed && !member_fresh && !agg_moved && !prov_moved {
                     continue;
                 }
-                let serve = match spec.granularity {
-                    Granularity::Region => ServeGranularity::Region,
-                    Granularity::Country => ServeGranularity::Country,
-                };
                 let dist = if prov == DistProvenance::Canonical {
                     // Every member carries a committed locate result, so
                     // the aggregation stage analysed exactly this group
                     // this window: serve its settled distribution — the
                     // same bytes the publish finalizer will write at the
                     // horizon.
-                    agg.analysis_for(serve, &spec.loc_key, spec.game)
+                    agg.analysis_for(spec.granularity, &spec.loc_key, spec.game)
                         .and_then(|a| a.distribution.clone())
                 } else if spec.members.len() >= tero.min_streamers {
                     let mut dist = analyze_group(
@@ -654,7 +623,7 @@ impl CleanStage {
                         spec.game,
                         &spec.members,
                         &locations,
-                        &views,
+                        views,
                         spec.granularity,
                     )
                     .distribution;
@@ -664,7 +633,8 @@ impl CleanStage {
                     // against the live `engine:agg:clusters:*` picture
                     // (on top of the group's own merged clusters, which
                     // `analyze_group` already applied).
-                    if tero.reject_outside_clusters && spec.granularity == Granularity::Region {
+                    if tero.reject_outside_clusters && spec.granularity == ServeGranularity::Region
+                    {
                         if let (Some(d), Some(clusters)) = (
                             dist.as_mut(),
                             agg.live_clusters().get(&spec.loc_key, spec.game),
@@ -740,6 +710,62 @@ impl CleanStage {
         cx.metrics.clean_dists_refreshed.add(written);
     }
 
+    /// The horizon hand-off: move every series' streams and cached view
+    /// (all fresh — [`CleanStage::refresh_views`] ran just before) out of
+    /// the cleaner's state into the report's maps, and count the run's
+    /// `analysis.*` totals from them. Leaves the stage empty: the run is
+    /// over.
+    pub(crate) fn take_cleaned(&mut self, cx: &mut StageCx<'_>) -> Cleaned {
+        let m = &cx.metrics.st_clean;
+        let _span = cx.enter(m);
+        m.records_in.add(self.states.len() as u64);
+        let mut streams = BTreeMap::new();
+        let mut anomalies = BTreeMap::new();
+        let mut classified = BTreeMap::new();
+        for (key, state) in std::mem::take(&mut self.states) {
+            let (anon, game) = key;
+            let ViewCache {
+                report,
+                classified: cls,
+            } = state
+                .view
+                .expect("every view is refreshed before the hand-off");
+            let series: Vec<StreamSeries> = state
+                .streams
+                .into_iter()
+                .map(|samples| StreamSeries {
+                    anon,
+                    game,
+                    samples,
+                })
+                .collect();
+            cx.metrics.streams_stitched.add(series.len() as u64);
+            cx.metrics.segments_built.add(report.segments.len() as u64);
+            cx.metrics.spikes_detected.add(report.spikes.len() as u64);
+            for label in &report.labels {
+                match label {
+                    SegmentLabel::CorrectedGlitch => cx.metrics.glitches_corrected.inc(),
+                    SegmentLabel::DiscardedGlitch => cx.metrics.glitches_discarded.inc(),
+                    _ => {}
+                }
+            }
+            let total_points: usize = report.segments.iter().map(|s| s.samples.len()).sum();
+            let kept = report.clean_count();
+            cx.metrics
+                .points_discarded
+                .add(total_points.saturating_sub(kept) as u64);
+            streams.insert(key, series);
+            classified.insert(key, cls);
+            anomalies.insert(key, report);
+        }
+        m.records_out.add(anomalies.len() as u64);
+        Cleaned {
+            streams,
+            anomalies,
+            classified,
+        }
+    }
+
     /// Rebuild the in-memory state from the store after a restore: replay
     /// every sample list up to its committed cursor (metric-silent — the
     /// counters were already restored from `engine:counters`). By the
@@ -779,82 +805,6 @@ fn decode_sample(r: SampleRecord) -> LatencySample {
     match r.alternative {
         Some(alt) => LatencySample::with_alternative(r.at, r.primary, alt),
         None => LatencySample::new(r.at, r.primary),
-    }
-}
-
-impl Stage for CleanStage {
-    type In = ();
-    type Out = Cleaned;
-    const NAME: &'static str = "clean";
-
-    /// Finalize: produce the full per-series analyses from the online
-    /// state. Every view is recomputed fresh on the pool (sealed prefix +
-    /// one detection over the unsealed tail), so the output — and the
-    /// analyze task traces — are byte-identical to the legacy batch path.
-    fn run(&mut self, cx: &mut StageCx<'_>, _input: ()) -> Self::Out {
-        let (m, _span) = cx.enter(Self::NAME);
-        m.records_in.add(self.states.len() as u64);
-        let mut anomalies: BTreeMap<(AnonId, GameId), AnomalyReport> = BTreeMap::new();
-        let mut classified: BTreeMap<(AnonId, GameId), ClassifiedStreamer> = BTreeMap::new();
-        let entries: Vec<(&(AnonId, GameId), &SeriesState)> = self.states.iter().collect();
-        let sp_analyze = cx.sp_run.child("stage.analyze");
-        let analyze_stage = cx.tero.trace.stage(&sp_analyze, "analyze.task");
-        let params = &cx.tero.params;
-        let analyzed: Vec<((AnomalyReport, ClassifiedStreamer), TaskTrace)> =
-            cx.pool.par_map_indexed(&entries, |i, (key, state)| {
-                let mut t = analyze_stage.task(i as u64);
-                if let Some(first) = state.streams.first().and_then(|s| s.first()) {
-                    t.set_sim_time(first.at);
-                }
-                let report = state.view_report(params);
-                if report.all_unstable {
-                    t.event(Level::Warn, "all segments unstable; streamer discarded");
-                }
-                let cls = classify_streamer(key.0, &report, params);
-                ((report, cls), t.finish())
-            });
-        let mut analyze_traces = Vec::with_capacity(analyzed.len());
-        let mut streams: BTreeMap<(AnonId, GameId), Vec<StreamSeries>> = BTreeMap::new();
-        for ((key, state), ((report, cls), trace)) in entries.iter().zip(analyzed) {
-            analyze_traces.push(trace);
-            let (anon, game) = **key;
-            let series: Vec<StreamSeries> = state
-                .streams
-                .iter()
-                .map(|samples| StreamSeries {
-                    anon,
-                    game,
-                    samples: samples.clone(),
-                })
-                .collect();
-            cx.metrics.streams_stitched.add(series.len() as u64);
-            cx.metrics.segments_built.add(report.segments.len() as u64);
-            cx.metrics.spikes_detected.add(report.spikes.len() as u64);
-            for label in &report.labels {
-                match label {
-                    SegmentLabel::CorrectedGlitch => cx.metrics.glitches_corrected.inc(),
-                    SegmentLabel::DiscardedGlitch => cx.metrics.glitches_discarded.inc(),
-                    _ => {}
-                }
-            }
-            let total_points: usize = report.segments.iter().map(|s| s.samples.len()).sum();
-            let kept = report.clean_count();
-            cx.metrics
-                .points_discarded
-                .add(total_points.saturating_sub(kept) as u64);
-            streams.insert((anon, game), series);
-            classified.insert((anon, game), cls);
-            anomalies.insert((anon, game), report);
-        }
-        analyze_stage.flush(analyze_traces);
-        drop(sp_analyze);
-        m.records_out.add(anomalies.len() as u64);
-        drop(entries);
-        Cleaned {
-            streams,
-            anomalies,
-            classified,
-        }
     }
 }
 
@@ -985,6 +935,76 @@ mod tests {
                 let got_streams: Vec<usize> = state.streams.iter().map(|s| s.len()).collect();
                 assert_eq!(got_streams, batch_streams, "seed {seed} chunk {chunk}");
             }
+        }
+    }
+
+    #[test]
+    fn cached_views_equal_fresh_analyses_at_the_horizon() {
+        use crate::download::DownloadModule;
+        use crate::pipeline::Tero;
+        use tero_store::ObjectStore;
+        use tero_world::{World, WorldConfig};
+
+        let tero = Tero::default();
+        let p = &tero.params;
+        let mut world = World::build(WorldConfig {
+            n_streamers: 0,
+            days: 1,
+            ..WorldConfig::default()
+        });
+        let (kv, objects) = (KvStore::new(), ObjectStore::new());
+        let pool = tero_pool::Pool::new(2);
+        let download = DownloadModule::new(kv.clone(), objects.clone());
+        let sp_run = tero.trace.span("test.run");
+        let mut cx = StageCx {
+            tero: &tero,
+            world: &mut world,
+            pool: &pool,
+            kv: &kv,
+            objects: &objects,
+            download: &download,
+            metrics: &tero.metrics,
+            sp_run: &sp_run,
+        };
+        // Five series over four windows, each fed a quarter at a time;
+        // series `i` goes quiet after window `i`, so at the horizon four
+        // of the five views were cached by an earlier window's refresh.
+        // The last window defers its refresh to the horizon, as the
+        // engine's does.
+        let series: Vec<Vec<LatencySample>> = [1u64, 7, 23, 42, 99].map(synthetic_series).into();
+        let mut stage = CleanStage::default();
+        for window in 0..4 {
+            for (i, samples) in series.iter().enumerate().skip(window) {
+                let quarter = samples.len().div_ceil(4);
+                let chunk = samples.chunks(quarter).nth(window).unwrap_or(&[]);
+                kv.rpush_batch(
+                    &crate::stages::sample_list_key(AnonId(i as u64), GameId::ALL[0]),
+                    chunk.iter().map(|s| {
+                        SampleRecord {
+                            at: s.at,
+                            primary: s.latency_ms,
+                            alternative: None,
+                        }
+                        .encode()
+                    }),
+                );
+            }
+            stage.advance(&mut cx);
+            if window < 3 {
+                stage.refresh_views(&mut cx);
+            }
+        }
+        let at_horizon = stage.refresh_views(&mut cx);
+        assert_eq!(at_horizon.len(), 2, "only the last window's series");
+        assert_eq!(stage.states.len(), 5);
+        for state in stage.states.values() {
+            let view = state.view.as_ref().expect("every view is fresh");
+            let report = state.view_report(p);
+            assert_eq!(format!("{:?}", view.report), format!("{report:?}"));
+            assert_eq!(
+                format!("{:?}", view.classified),
+                format!("{:?}", classify_streamer(state.anon, &report, p))
+            );
         }
     }
 

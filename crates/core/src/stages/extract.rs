@@ -9,7 +9,7 @@
 //! game}` KV lists ([`super::sample_list_key`]); usernames land in the
 //! [`super::NAMES_KEY`] hash for the locate stage.
 
-use super::{sample_list_key, SampleRecord, Stage, StageCx, NAMES_KEY};
+use super::{sample_list_key, SampleRecord, StageCx, NAMES_KEY};
 use crate::download::ThumbnailTask;
 use crate::imageproc::ImageProcessor;
 use crate::pipeline::ExtractionMode;
@@ -52,18 +52,12 @@ impl ExtractStage {
             dirty_sketches: BTreeSet::new(),
         }
     }
-}
 
-impl Stage for ExtractStage {
-    type In = ();
-    type Out = u64;
-    const NAME: &'static str = "extract";
-
-    /// Drain and process every queued thumbnail task. Returns the number
-    /// of measurements extracted from this batch.
-    fn run(&mut self, cx: &mut StageCx<'_>, _input: ()) -> Self::Out {
-        let (m, sp_extract) = cx.enter(Self::NAME);
-        let mut tasks = cx.io.drain_tasks();
+    /// Drain and process every queued thumbnail task.
+    pub(crate) fn run(&mut self, cx: &mut StageCx<'_>) {
+        let m = &cx.metrics.st_extract;
+        let sp_extract = cx.enter(m);
+        let mut tasks = cx.download.drain_tasks();
         // Sharded deployment: every engine ingests the full world (the
         // download schedule is identical everywhere, which is what makes
         // the committed cursors mergeable), but extracts only the
@@ -89,12 +83,12 @@ impl Stage for ExtractStage {
             let world_ro: &World = cx.world;
             let processor = &self.processor;
             let mode = cx.tero.mode;
-            let io = cx.io;
+            let download = cx.download;
             cx.pool.par_map_indexed(&tasks, |i, task| {
                 let mut t = extract_stage.task(base + i as u64);
                 t.set_sim_time(task.generated_at);
                 let outcome = match mode {
-                    ExtractionMode::FullOcr => io
+                    ExtractionMode::FullOcr => download
                         .load_image(&task.object_key)
                         .map(|image| processor.extract(&image, task.game_label)),
                     ExtractionMode::Calibrated => Some(calibrated_extract(world_ro, task)),
@@ -135,7 +129,7 @@ impl Stage for ExtractStage {
                 // failure stays auditable, and keep going.
                 cx.metrics.funnel_dropped[DropReason::DeadLetter.index()].inc();
                 ledger.resolve(&key, SampleState::Dropped(DropReason::DeadLetter));
-                cx.io.dead_letter(task.encode());
+                cx.download.dead_letter(task.encode());
                 continue;
             };
             if let CombineOutcome::Extracted {
@@ -173,7 +167,6 @@ impl Stage for ExtractStage {
         self.tasks_processed += tasks.len() as u64;
         self.extracted += batch_extracted;
         m.records_out.add(batch_extracted);
-        batch_extracted
     }
 }
 

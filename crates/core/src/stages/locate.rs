@@ -29,7 +29,6 @@ use crate::location::{LocationModule, LocationSource};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use tero_geoparse::tags::TagObservation;
-use tero_obs::StageMetrics;
 use tero_store::KvStore;
 use tero_types::{AnonId, Location, StreamerId};
 
@@ -56,14 +55,6 @@ pub const LOCATE_META_KEY: &str = "engine:locate:meta";
 /// consecutive 5xx responses stays unlocated for the run (matching the
 /// pre-budgeted stage's give-up rule).
 pub(crate) const PROFILE_ATTEMPTS: u32 = 5;
-
-/// What the locate stage hands the downstream stages.
-pub struct Located {
-    /// Streamers the location module located, with source.
-    pub locations: HashMap<AnonId, (Location, LocationSource)>,
-    /// Streamers seen (denominator of the 2.77 % figure).
-    pub streamers_seen: usize,
-}
 
 /// A streamer's committed profile-fetch outcome. `faults` is how many
 /// injected 5xx responses the keyed chaos stream dealt the lookup; at
@@ -112,32 +103,22 @@ impl LocateStage {
         &self.canonical
     }
 
-    /// One budgeted per-window slice: queue newly-seen streamers,
-    /// admit lookups while the window's budget lasts, and re-evaluate
-    /// any committed streamer whose tag history grew.
-    pub(crate) fn advance(&mut self, cx: &mut StageCx<'_>) {
-        let (m, _span) = cx.enter("locate");
-        self.enqueue_new(cx, m);
-        let budget = cx.tero.locate_budget;
-        self.process_queue(cx, budget);
-        self.reevaluate(cx);
+    /// Streamers seen so far (denominator of the 2.77 % figure).
+    pub(crate) fn streamers_seen(&self) -> usize {
+        self.seen.len()
     }
 
-    /// The horizon slice: drain the queue regardless of budget, settle
-    /// every verdict against the now-complete tag history, and hand the
-    /// final location map downstream.
-    pub(crate) fn finalize(&mut self, cx: &mut StageCx<'_>) -> Located {
-        let (m, _span) = cx.enter("locate");
-        self.enqueue_new(cx, m);
-        self.process_queue(cx, None);
+    /// One slice: queue newly-seen streamers, admit lookups while
+    /// `budget` lasts (`None`: drain the queue), and re-evaluate any
+    /// committed streamer whose tag history grew. A window passes
+    /// [`crate::pipeline::Tero::locate_budget`]; the horizon passes
+    /// `None`, and since the tag history is complete by then, what it
+    /// leaves committed is final.
+    pub(crate) fn advance(&mut self, cx: &mut StageCx<'_>, budget: Option<u64>) {
+        let _span = cx.enter(&cx.metrics.st_locate);
+        self.enqueue_new(cx);
+        self.process_queue(cx, budget);
         self.reevaluate(cx);
-        let locations = self.canonical.clone();
-        cx.metrics.streamers_located.add(locations.len() as u64);
-        m.records_out.add(locations.len() as u64);
-        Located {
-            locations,
-            streamers_seen: self.seen.len(),
-        }
     }
 
     /// Reconstruct in-memory state from the committed hashes. Metric-
@@ -168,10 +149,10 @@ impl LocateStage {
     /// Pull newly-registered names into the carry-over queue (sorted by
     /// anonymised id within the window, so admission order is
     /// deterministic).
-    fn enqueue_new(&mut self, cx: &mut StageCx<'_>, m: &StageMetrics) {
+    fn enqueue_new(&mut self, cx: &mut StageCx<'_>) {
         for (anon, name) in parse_names(cx.kv) {
             if self.seen.insert(anon) {
-                m.records_in.inc();
+                cx.metrics.st_locate.records_in.inc();
                 self.queue.push_back((anon, name.clone()));
                 self.names.insert(anon, name);
             }
@@ -233,7 +214,12 @@ impl LocateStage {
     fn reevaluate(&mut self, cx: &mut StageCx<'_>) {
         let location_module = LocationModule::new(&cx.world.gaz);
         for (anon, outcome) in &self.profiles {
-            let name = &self.names[anon];
+            // A restored or merged store can hold a profile row whose
+            // `engine:names` row is gone; without the name there is no
+            // tag list to evaluate against, so the row stays unsettled.
+            let Some(name) = self.names.get(anon) else {
+                continue;
+            };
             let tags_key = format!("tags:{}", name.as_str());
             let tags_seen = cx.kv.llen(&tags_key);
             if self
@@ -243,16 +229,7 @@ impl LocateStage {
             {
                 continue;
             }
-            let tags: Vec<TagObservation> = cx
-                .kv
-                .lrange_from(&tags_key, 0)
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| TagObservation {
-                    poll: i as u64,
-                    country_tag: Some(t),
-                })
-                .collect();
+            let tags = tag_observations(cx.kv, &tags_key);
             let located = location_module.locate(
                 name.as_str(),
                 outcome.description.as_deref(),
@@ -278,8 +255,22 @@ impl LocateStage {
     }
 }
 
+/// A streamer's country-tag history, one observation per poll that saw
+/// a tag. A non-destructive read: the `tags:*` lists stay in place as
+/// the stage's replay log.
+pub(crate) fn tag_observations(kv: &KvStore, tags_key: &str) -> Vec<TagObservation> {
+    kv.lrange_from(tags_key, 0)
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| TagObservation {
+            poll: i as u64,
+            country_tag: Some(t),
+        })
+        .collect()
+}
+
 /// The names hash, parsed and sorted by anonymised id.
-fn parse_names(kv: &KvStore) -> BTreeMap<AnonId, StreamerId> {
+pub(crate) fn parse_names(kv: &KvStore) -> BTreeMap<AnonId, StreamerId> {
     kv.hgetall(NAMES_KEY)
         .into_iter()
         .filter_map(|(hex, name)| {

@@ -2,16 +2,16 @@
 //!
 //! The paper's production pipeline is four decoupled programs connected
 //! through Redis lists and S3 buckets. This module reproduces that shape
-//! in-process: each stage is a [`Stage`] implementation with typed input
-//! and output records, and stages hand work to each other through
+//! in-process: each stage is a plain struct holding its own resumable
+//! state, and stages hand work to each other through
 //! [`tero_store::KvStore`] lists and [`tero_store::ObjectStore`] blobs —
 //! never through shared memory. The [`crate::engine::Engine`] owns the
-//! wiring (stores, pool, tracer, chaos) once and drives the stages either
+//! wiring (stores, pool, tracer, chaos) once and calls the stages either
 //! as one full-horizon window ([`crate::Tero::run`]) or incrementally
-//! ([`crate::Tero::run_window`]).
+//! ([`crate::Tero::run_window`]). Ingest is the App. A
+//! [`crate::download::DownloadModule`] itself, which the engine advances
+//! through a resumable [`crate::download::DownloadCursor`]; the rest:
 //!
-//! * [`ingest`] — the App. A coordinator/downloader module, driven
-//!   through a resumable [`crate::download::DownloadCursor`];
 //! * [`extract`] — image-processing (§3.2): drains `queue:thumbs`,
 //!   OCRs thumbnails on the pool, and appends [`SampleRecord`]s to
 //!   per-`{streamer, game}` KV lists;
@@ -34,12 +34,13 @@
 //!   results under `engine:agg:*`;
 //! * [`publish`] — the horizon finalizer: replays the committed
 //!   aggregation state, runs the provenance pass, and assembles the
-//!   final report.
+//!   final report, once the window that reaches the horizon has made
+//!   the same locate → view refresh → aggregation calls as every other
+//!   window (locate without its budget).
 
 pub mod agg;
 pub mod clean;
 pub mod extract;
-pub mod ingest;
 pub mod locate;
 pub mod publish;
 
@@ -52,9 +53,9 @@ use tero_trace::SpanGuard;
 use tero_types::{AnonId, GameId, SimTime};
 use tero_world::World;
 
-/// Everything a stage invocation may touch. The engine builds one per
-/// stage call, so the borrows stay scoped to the invocation; stages keep
-/// their own resumable state in their struct, not in the context.
+/// Everything a stage call may touch. The engine builds one per step of
+/// a window, so the borrows stay scoped to it; stages keep their own
+/// resumable state in their struct, not in the context.
 pub struct StageCx<'a> {
     /// The orchestrator's configuration (params, mode, salt, tracer…).
     pub tero: &'a Tero,
@@ -66,10 +67,9 @@ pub struct StageCx<'a> {
     pub kv: &'a KvStore,
     /// The engine's object store — thumbnail blobs.
     pub objects: &'a ObjectStore,
-    /// Store-facing I/O helpers (task drain, dead-letter, image load,
-    /// tag history). A second [`DownloadModule`] view over the same
-    /// stores; the ingest stage owns the stateful one.
-    pub io: &'a DownloadModule,
+    /// The download module: ingest runs it, and extract uses its
+    /// store-facing helpers (task drain, dead-letter, image load).
+    pub download: &'a DownloadModule,
     /// The pipeline's pre-resolved metric handles.
     pub metrics: &'a PipelineMetrics,
     /// The run-level trace span stages hang their children off.
@@ -77,37 +77,16 @@ pub struct StageCx<'a> {
 }
 
 impl<'a> StageCx<'a> {
-    /// Enter one invocation of stage `name` — the only instrument a
-    /// stage opens. Bumps `stage.<name>.runs` and opens the
+    /// Enter one invocation of the stage `m` belongs to — the only
+    /// instrument a stage opens. Bumps `stage.<name>.runs` and opens the
     /// `stage.<name>` span under the run span; that guard is the stage's
     /// one wall-clock reader, handing the same reading to the span's
     /// `wall_us` (tracer wall clock on) and to the `stage.<name>.us`
-    /// histogram (registry timing on). Returns the stage's metric
-    /// bundle (tied to the metrics borrow, not to `self`, so holding it
-    /// doesn't freeze the context) and the guard, which inner phases and
-    /// fan-outs may hang children off.
-    pub fn enter(&self, name: &str) -> (&'a StageMetrics, SpanGuard) {
-        let m = self.metrics.stage(name);
-        let span = self.sp_run.child_timed(&format!("stage.{name}"), m.begin());
-        (m, span)
+    /// histogram (registry timing on). Inner phases and fan-outs may
+    /// hang children off the guard.
+    pub fn enter(&self, m: &StageMetrics) -> SpanGuard {
+        self.sp_run.child_timed(&m.span, m.begin())
     }
-}
-
-/// One typed stage of the staged execution engine.
-///
-/// A stage consumes `In`, produces `Out`, and communicates with its
-/// neighbours only through the stores in its [`StageCx`] (App. B's
-/// push/pull discipline). Implementations open their `stage.<NAME>`
-/// span and `stage.<NAME>.*` metrics through [`StageCx::enter`].
-pub trait Stage {
-    /// The input record the engine hands this stage.
-    type In;
-    /// The output record the stage returns to the engine.
-    type Out;
-    /// The stage's metric/trace name (`stage.<NAME>.*`).
-    const NAME: &'static str;
-    /// Run one invocation of the stage.
-    fn run(&mut self, cx: &mut StageCx<'_>, input: Self::In) -> Self::Out;
 }
 
 /// KV key prefix for the per-`{streamer, game}` extracted-sample lists
@@ -124,11 +103,7 @@ pub const NAMES_KEY: &str = "engine:names";
 
 /// The KV list key for one `{streamer, game}` sample series.
 pub fn sample_list_key(anon: AnonId, game: GameId) -> String {
-    let idx = GameId::ALL
-        .iter()
-        .position(|g| *g == game)
-        .expect("every GameId is in GameId::ALL");
-    format!("{SAMPLES_PREFIX}{:016x}:{idx:02}", anon.0)
+    format!("{SAMPLES_PREFIX}{:016x}:{:02}", anon.0, game.index())
 }
 
 /// Parse a [`sample_list_key`] back into its `{streamer, game}` pair.

@@ -14,6 +14,8 @@ use crate::registry::{CounterHandle, HistogramHandle, Registry};
 /// `stage.<name>` trace span — records into `us`.
 #[derive(Clone)]
 pub struct StageMetrics {
+    /// `stage.<name>`: the name of the trace span that times the stage.
+    pub span: String,
     /// Invocations of this stage (one per window it ran in).
     pub runs: CounterHandle,
     /// Records the stage consumed.
@@ -29,6 +31,7 @@ impl StageMetrics {
     /// Resolve (and eagerly register) the four `stage.<name>.*` metrics.
     pub fn new(registry: &Registry, name: &str) -> Self {
         StageMetrics {
+            span: format!("stage.{name}"),
             runs: registry.counter(&format!("stage.{name}.runs")),
             records_in: registry.counter(&format!("stage.{name}.records_in")),
             records_out: registry.counter(&format!("stage.{name}.records_out")),

@@ -158,6 +158,12 @@ impl GameId {
         GameId::LostArk,
     ];
 
+    /// Position in [`GameId::ALL`] (declaration order) — the fixed-width
+    /// game field of every store key and ledger record.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Human-readable name as used in the paper's tables.
     pub fn name(self) -> &'static str {
         match self {

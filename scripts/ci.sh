@@ -22,10 +22,10 @@ cargo build --release --examples
 echo "==> cargo test"
 cargo test -q
 
-echo "==> crate unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, OCR and grain kernels bit for bit, CDN head vs fetch, pool order, sketch codec against its tree reference, cache miss interleavings, JSON nesting cap)"
+echo "==> crate unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, OCR and grain kernels bit for bit, CDN head vs fetch, pool order, sketch codec against its tree reference, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
 # `cargo test` above covers the root package only; the contracts the
 # facade tests lean on are pinned in the crates' own unit tests.
-cargo test -q -p tero-types -p tero-obs -p tero-trace -p tero-store -p tero-net -p tero-ops -p tero-core -p tero-vision -p tero-world -p tero-pool -p tero-stats -p tero-serve -p serde_json
+cargo test -q -p tero-types -p tero-obs -p tero-trace -p tero-store -p tero-net -p tero-ops -p tero-core -p tero-vision -p tero-world -p tero-pool -p tero-stats -p tero-serve -p tero-chaos -p tero-geoparse -p tero-simnet -p serde_json
 
 echo "==> benchmark harness (smoke-sized run of all six workloads, then its own tests)"
 # The harness is a package of its own; it builds into the same target/

@@ -16,7 +16,7 @@
 //! | [`types`] | `tero-types` | time, ids, geography, Table 1 parameters, RNG |
 //! | [`obs`] | `tero-obs` | metrics: counters, gauges, histograms, snapshots |
 //! | [`stats`] | `tero-stats` | probit, Wasserstein, PELT, LOF, iForest, MCD |
-//! | [`store`] | `tero-store` | KV / object / document stores (App. B) |
+//! | [`store`] | `tero-store` | KV and object stores (App. B) |
 //! | [`vision`] | `tero-vision` | HUD renderer, preprocessing, 3 OCR engines |
 //! | [`geoparse`] | `tero-geoparse` | gazetteer + 5 geoparsing tools (App. D) |
 //! | [`simnet`] | `tero-simnet` | network simulator + Fig 3 testbed |
@@ -24,7 +24,7 @@
 //! | [`core`] | `tero-core` | the Tero pipeline itself |
 //! | [`chaos`] | `tero-chaos` | deterministic fault injection (API 5xx, CDN faults, crashes, network faults) |
 //! | [`net`] | `tero-net` | networked store: wire frames, shard servers, partition-tolerant client |
-//! | [`pool`] | `tero-pool` | work-stealing thread pool with deterministic ordered results |
+//! | [`pool`] | `tero-pool` | thread pool with deterministic ordered results |
 //! | [`trace`] | `tero-trace` | structured tracing: spans, flight recorder, sample provenance |
 //! | [`ops`] | `tero-ops` | live operations: mesh health model, starvation diagnosis, latency budgets |
 //! | [`serve`] | `tero-serve` | distribution query front-end: sketch queries, hot-key cache, load generator |

@@ -41,14 +41,12 @@ fn fingerprint(report: &TeroReport) -> String {
     )
 }
 
-/// The funnel counters the operations guide treats as the run's identity:
-/// every counter except the scheduling-dependent `pool.steals` (how often
-/// workers rebalanced is a property of the schedule, not of the data).
+/// The counters the operations guide treats as the run's identity: every
+/// one of them — no counter depends on thread timing.
 fn funnel(tero: &Tero) -> BTreeMap<String, u64> {
     tero.metrics_snapshot()
         .counters
         .iter()
-        .filter(|c| c.name != "pool.steals")
         .map(|c| (c.name.clone(), c.value))
         .collect()
 }
@@ -788,6 +786,61 @@ fn windows_after_location_serve_canonical_distributions() {
 }
 
 #[test]
+fn horizon_recomputes_only_stale_views() {
+    // The horizon is not a second pass over every series: the call that
+    // reaches it refreshes exactly the views the last window's records
+    // made stale, and reports from the cached rest.
+    let reference = fingerprint(&windowed_tero(1).run(&mut windowed_world(None)));
+    let day = SimDuration::from_hours(24);
+    let views = |t: &Tero| t.obs.counter("clean.views_refreshed").get();
+    let fed = |t: &Tero| t.obs.counter("clean.series_dirty").get();
+
+    let mut world = windowed_world(None);
+    let horizon = world.horizon;
+    let tero = windowed_tero(2);
+    let mut to = SimTime::EPOCH + day;
+    let (report, before) = loop {
+        let before = (views(&tero), fed(&tero));
+        match tero.run_window(&mut world, SimTime::EPOCH, to) {
+            WindowOutcome::Complete(report) => break (report, before),
+            WindowOutcome::Advanced => to = (to + day).min(horizon),
+            WindowOutcome::Killed => unreachable!("no chaos installed"),
+        }
+    };
+    let series = report.anomalies.len() as u64;
+    let fed_last = fed(&tero) - before.1;
+    assert!(
+        fed_last > 0 && fed_last < series,
+        "the last day fed {fed_last} of {series} series"
+    );
+    assert_eq!(views(&tero) - before.0, fed_last);
+    assert_eq!(fingerprint(&report), reference);
+
+    // A fresh `Tero` restored before the last day holds no views at all:
+    // its horizon recomputes every series, to the same report.
+    let mut world = windowed_world(None);
+    let first = windowed_tero(2);
+    let last_day = horizon - day;
+    let mut to = SimTime::EPOCH + day;
+    while to <= last_day {
+        assert!(matches!(
+            first.run_window(&mut world, SimTime::EPOCH, to),
+            WindowOutcome::Advanced
+        ));
+        to += day;
+    }
+    let snap = first.engine_snapshot().expect("windowed run in flight");
+    let second = windowed_tero(2);
+    second.restore_engine(snap);
+    let WindowOutcome::Complete(report) = second.run_window(&mut world, SimTime::EPOCH, horizon)
+    else {
+        panic!("the restored run reaches the horizon in one window");
+    };
+    assert_eq!(views(&second) - views(&first), series);
+    assert_eq!(fingerprint(&report), reference);
+}
+
+#[test]
 fn same_seed_same_process_is_reproducible() {
     // Two full runs in one process (fresh worlds, fresh registries) —
     // guards against hidden global state leaking between runs.
@@ -820,8 +873,8 @@ fn day_world(plan: Option<FaultPlan>) -> World {
 
 /// The committed `engine:*` resume state a completed run leaves in its
 /// store, rendered order-stably: `engine:counters` through the same
-/// filter as the registry (`schedule_invariant`, and `pool.steals` as in
-/// `funnel`), the progress markers, the ledger and the download cursor.
+/// filter as the registry (`schedule_invariant`), the progress markers,
+/// the ledger and the download cursor.
 /// `window_index` is left out with the `pipeline.window.*` counters: a
 /// restore resumes from the last *commit*, which precedes the
 /// end-of-window bumps, so both trail by one per restore.
@@ -830,7 +883,6 @@ fn engine_state(tero: &Tero) -> BTreeMap<String, String> {
     let counters = kv
         .hgetall("engine:counters")
         .into_iter()
-        .filter(|(name, _)| name != "pool.steals")
         .map(|(name, value)| (name, value.parse().expect("counters are decimal")))
         .collect();
     let mut out: BTreeMap<String, String> = schedule_invariant(counters)
@@ -901,9 +953,9 @@ fn window_was_idle(tero: &Tero, before: &mut (u64, u64)) -> bool {
 
 #[test]
 fn half_minute_windows_cost_the_same_store_traffic_at_every_width() {
-    // A commit writes only the counters that moved, and which counters
-    // move depends on the schedule (`pool.steals`). The *number* of store
-    // operations must not: each hash takes one write per commit.
+    // A commit writes only the counters that moved; however many that
+    // is, each hash takes one write per commit, so the *number* of store
+    // operations is the same at every width.
     let single_shot = fingerprint(&windowed_tero(1).run(&mut day_world(None)));
     let traffic: Vec<(u64, u64)> = [1, 2, 8]
         .into_iter()
