@@ -71,8 +71,11 @@ const RETRY_SEED: u64 = 0x5eed_cafe;
 /// pool and stored. Bounds what the queue holds in rendered form to under
 /// half a megabyte (14.4 KB each), whatever the window's length.
 const RENDER_BATCH: usize = 32;
-/// Fewer queued thumbnails than this render on the calling thread: a
-/// fan-out (100–160 µs) costs about as much as one render (170 µs).
+/// Fewer queued thumbnails than this render on the calling thread. A
+/// fan-out spawns a scoped thread per worker beyond the caller — tens of
+/// microseconds each (`pool.fanout_us` in `docs/PERFORMANCE.md`) against
+/// ~190 µs a render — so splitting two or three renders saves at most
+/// one or two of them and can lose that to a spawn on a busy host.
 const POOL_MIN_BATCH: usize = 4;
 
 /// Percent-escape a task field so `|` can never masquerade as the
@@ -252,6 +255,10 @@ pub struct DownloadCursor {
     /// A window initialised the cursor or popped an event since the last
     /// [`DownloadCursor::take_dirty`]: the serialised form has changed.
     dirty: bool,
+    /// A poll appended to a `tags:*` list — the locate stage's cue, which
+    /// the engine clears when it looks. Not serialised: a restored
+    /// engine's first pass runs every stage.
+    pub(crate) tags_grew: bool,
     initialized: bool,
     heap: BinaryHeap<Reverse<HeapEv>>,
     seq: u64,
@@ -275,6 +282,7 @@ impl DownloadCursor {
             until,
             window_start: from,
             dirty: false,
+            tags_grew: false,
             initialized: false,
             heap: BinaryHeap::new(),
             seq: 0,
@@ -373,6 +381,7 @@ impl Deserialize for DownloadCursor {
             until: repr.until,
             window_start: repr.from,
             dirty: false,
+            tags_grew: false,
             initialized: repr.initialized,
             heap: repr
                 .events
@@ -685,6 +694,7 @@ impl DownloadModule {
                                 // module's tag recovery.
                                 if let Some(tag) = &l.country_tag {
                                     self.kv.rpush(&format!("tags:{user}"), tag.clone());
+                                    cursor.tags_grew = true;
                                 }
                                 // Least-loaded alive downloader takes the URL.
                                 let Some(d) = (0..downloader_load.len())

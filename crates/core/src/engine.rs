@@ -34,7 +34,7 @@ use crate::pipeline::{PipelineMetrics, Tero, TeroReport, WindowOutcome};
 use crate::serving::{parse_raw_sketch_key, raw_sketch_key, RAW_SKETCH_PREFIX, SERVE_VERSION_KEY};
 use crate::stages::agg::AggStage;
 use crate::stages::clean::CleanStage;
-use crate::stages::extract::ExtractStage;
+use crate::stages::extract::{ExtractStage, Extracted};
 use crate::stages::locate::LocateStage;
 use crate::stages::publish::publish;
 use crate::stages::StageCx;
@@ -62,7 +62,8 @@ pub(crate) const LEDGER_KEY: &str = "engine:ledger";
 pub struct StoreSnapshot {
     /// The KV store: queues, leases, and all committed `engine:` state.
     pub kv: KvSnapshot,
-    /// The object store: thumbnail blobs not yet consumed.
+    /// The object store: every thumbnail blob ingest has stored. Extract
+    /// reads a blob and leaves it; nothing deletes one.
     pub objects: ObjectSnapshot,
 }
 
@@ -81,6 +82,15 @@ pub struct Engine {
     /// the aggregation stage's dirty-member input. Cleared after each
     /// pass; the horizon pass consumes whatever the last window left.
     agg_pending: BTreeSet<(AnonId, GameId)>,
+    /// Ingest queued thumbnail tasks the extract stage has not drained
+    /// yet. Engine state, not window state, like the cursor's own
+    /// `tags_grew`: a kill fires after the ingest commit, and the
+    /// re-driven call skips ingest but must still extract.
+    tasks_queued: bool,
+    /// Set until the first pass over the stages completes. A new engine
+    /// has seen nothing move (and a restored one holds another process's
+    /// store), so its first pass runs every stage.
+    first_pass: bool,
     /// Index of the window currently being processed (0-based).
     window_index: u64,
     /// High-water mark of completed ingest work.
@@ -186,6 +196,8 @@ impl Engine {
             clean: CleanStage::default(),
             agg: AggStage::default(),
             agg_pending: BTreeSet::new(),
+            tasks_queued: false,
+            first_pass: true,
             window_index: 0,
             ingested_to: None,
             extracted_to: None,
@@ -286,7 +298,10 @@ impl Engine {
     /// Advance the run to `to` (clamped to the horizon): run the
     /// per-window stages with a commit after each, honour any scheduled
     /// [`tero_chaos::EngineKill`], and — when `finalize` is set and the
-    /// horizon is reached — publish. With `finalize` off, reaching the
+    /// horizon is reached — publish. After ingest a stage runs only if
+    /// one of its inputs moved (the run conditions are one table in
+    /// `docs/ARCHITECTURE.md`); a window that moved nothing runs none and
+    /// still commits twice. With `finalize` off, reaching the
     /// horizon is a window like any other and returns
     /// [`WindowOutcome::Advanced`]: a sharded orchestrator drives every
     /// per-shard engine this way, then merges their committed state and
@@ -306,7 +321,9 @@ impl Engine {
                 let _span = cx.enter(m);
                 let before = self.cursor.stats().downloaded;
                 cx.download.run_cursor(cx.world, &mut self.cursor, to);
-                m.records_out.add(self.cursor.stats().downloaded - before);
+                let downloaded = self.cursor.stats().downloaded - before;
+                m.records_out.add(downloaded);
+                self.tasks_queued |= downloaded > 0;
             }
             self.ingested_to = Some(to);
             self.commit(tero);
@@ -324,33 +341,57 @@ impl Engine {
         let at_horizon = finalize && to >= self.horizon;
         if self.extracted_to.is_none_or(|t| t < to) {
             let mut cx = self.wiring.cx(tero, world);
-            self.extract.run(&mut cx);
+            let all = std::mem::take(&mut self.first_pass);
+            let tasks_queued = std::mem::take(&mut self.tasks_queued);
+            let tags_grew = std::mem::take(&mut self.cursor.tags_grew);
+            let extracted = if all || tasks_queued {
+                self.extract.run(&mut cx)
+            } else {
+                Extracted::default()
+            };
             // Clean incrementally over the records extract just appended,
             // then run the window's budgeted locate slice over the names
-            // extract just registered.
-            let fed = self.clean.advance(&mut cx);
-            self.agg_pending.extend(fed);
-            self.locate.advance(&mut cx, tero.locate_budget);
+            // extract just registered, the tag lists ingest just grew and
+            // whatever earlier budgets left queued.
+            let appended = all || extracted.records > 0;
+            if appended {
+                self.agg_pending.extend(self.clean.advance(&mut cx));
+            }
+            let names_or_tags = all || extracted.new_name || tags_grew;
+            let located = (names_or_tags || self.locate.has_backlog())
+                && self.locate.advance(&mut cx, tero.locate_budget);
             // The horizon window leaves the view refresh and the
             // aggregation pass to `finish`, after locate has drained its
             // queue, and skips the serving refresh: publish rewrites the
             // whole distribution family.
             if !at_horizon {
-                let fresh = self.clean.refresh_views(&mut cx);
-                let refreshed = self.agg.advance(
-                    &mut cx,
-                    self.clean.views(),
-                    self.locate.locations(),
-                    &self.agg_pending,
-                );
+                let fresh = if appended {
+                    self.clean.refresh_views(&mut cx)
+                } else {
+                    BTreeSet::new()
+                };
+                let refreshed = if all || located || !self.agg_pending.is_empty() {
+                    self.agg.advance(
+                        &mut cx,
+                        self.clean.views(),
+                        self.locate.locations(),
+                        &self.agg_pending,
+                    )
+                } else {
+                    BTreeSet::new()
+                };
                 self.agg_pending.clear();
-                self.clean.refresh_serving(
-                    &mut cx,
-                    self.locate.locations(),
-                    &self.agg,
-                    &fresh,
-                    &refreshed,
-                );
+                // The four conditions it tests per group, plus what feeds
+                // its provisional lookups.
+                if names_or_tags || located || !fresh.is_empty() || !refreshed.is_empty() {
+                    self.clean.refresh_serving(
+                        &mut cx,
+                        &self.locate,
+                        &self.agg,
+                        &fresh,
+                        &refreshed,
+                    );
+                }
             }
             self.extracted_to = Some(to);
             self.commit(tero);

@@ -9,7 +9,8 @@
 //! stage re-analysed every series from scratch. This stage instead keeps
 //! resumable per-series state and advances it every window:
 //!
-//! * **Feed** — each window, [`CleanStage::advance`] reads only the *new*
+//! * **Feed** — each window in which extract appended a record,
+//!   [`CleanStage::advance`] reads only the *new*
 //!   records of every `engine:samples:*` list (a non-destructive
 //!   [`tero_store::KvStore::lrange_from`] from the series' cursor),
 //!   extends the stream-stitching and segmentation folds, and pushes each
@@ -50,7 +51,7 @@
 //! lists on [`CleanStage::rebuild`] after a chaos kill or a
 //! fresh-process restore.
 
-use super::locate::{parse_names, tag_observations};
+use super::locate::{tag_observations, LocateStage};
 use super::{parse_sample_list_key, SampleRecord, StageCx, SAMPLES_PREFIX};
 use crate::analysis::anomaly::{detect_anomalies, AnomalyReport, SegmentLabel, SpikeEvent};
 use crate::analysis::clusters::{classify_streamer, ClassifiedStreamer};
@@ -502,9 +503,9 @@ impl CleanStage {
 
     /// Refresh the serving-layer distribution sketches from the current
     /// views and the locate/aggregation stages' committed state: group
-    /// the series under the `canonical` locations (provisional tags-only
-    /// fallbacks for streamers whose budgeted profile lookup hasn't
-    /// landed yet), and recompute every `{location, game}` group whose
+    /// the series under `locate`'s canonical locations (provisional
+    /// tags-only fallbacks for streamers whose budgeted profile lookup
+    /// hasn't landed yet), and recompute every `{location, game}` group whose
     /// membership, member data, settled aggregation state or provenance
     /// changed since the last refresh. All-canonical groups serve the
     /// aggregation stage's committed distribution verbatim; mixed or
@@ -514,7 +515,7 @@ impl CleanStage {
     pub(crate) fn refresh_serving(
         &mut self,
         cx: &mut StageCx<'_>,
-        canonical: &HashMap<AnonId, (Location, LocationSource)>,
+        locate: &LocateStage,
         agg: &AggStage,
         fresh: &BTreeSet<(AnonId, GameId)>,
         agg_refreshed: &BTreeSet<String>,
@@ -525,11 +526,11 @@ impl CleanStage {
         // settled yet. Located streamers use their committed
         // `engine:locate:*` result, which is canonical from the window
         // it lands in.
-        let names = parse_names(cx.kv);
+        let canonical = locate.locations();
         let location_module = LocationModule::new(&cx.world.gaz);
         let mut locations: HashMap<AnonId, (Location, LocationSource)> = canonical.clone();
         let mut lookups = 0u64;
-        for (anon, name) in &names {
+        for (anon, name) in locate.names() {
             if canonical.contains_key(anon) {
                 continue;
             }

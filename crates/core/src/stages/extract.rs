@@ -41,6 +41,16 @@ pub struct ExtractStage {
     pub(crate) dirty_sketches: BTreeSet<(AnonId, GameId)>,
 }
 
+/// What one extract pass wrote that a later stage reads — the engine's
+/// run conditions for the clean and locate stages.
+#[derive(Debug, Default)]
+pub(crate) struct Extracted {
+    /// Records appended to the sample lists.
+    pub(crate) records: u64,
+    /// A streamer was registered in the [`NAMES_KEY`] hash.
+    pub(crate) new_name: bool,
+}
+
 impl ExtractStage {
     /// A fresh extract stage reporting into `registry`.
     pub fn new(registry: &tero_obs::Registry) -> ExtractStage {
@@ -54,7 +64,7 @@ impl ExtractStage {
     }
 
     /// Drain and process every queued thumbnail task.
-    pub(crate) fn run(&mut self, cx: &mut StageCx<'_>) {
+    pub(crate) fn run(&mut self, cx: &mut StageCx<'_>) -> Extracted {
         let m = &cx.metrics.st_extract;
         let sp_extract = cx.enter(m);
         let mut tasks = cx.download.drain_tasks();
@@ -106,6 +116,7 @@ impl ExtractStage {
 
         let mut batch: BTreeMap<(AnonId, GameId), Vec<String>> = BTreeMap::new();
         let mut batch_extracted = 0u64;
+        let mut new_name = false;
         let mut extract_traces = Vec::with_capacity(outcomes.len());
         for (task, (outcome, trace)) in tasks.iter().zip(outcomes) {
             extract_traces.push(trace);
@@ -123,6 +134,7 @@ impl ExtractStage {
             let anon_hex = format!("{:016x}", anon.0);
             if cx.kv.hget(NAMES_KEY, &anon_hex).is_none() {
                 cx.kv.hset(NAMES_KEY, &anon_hex, task.streamer.as_str());
+                new_name = true;
             }
             let Some(outcome) = outcome else {
                 // Lost or corrupt object: quarantine the task so the
@@ -167,6 +179,10 @@ impl ExtractStage {
         self.tasks_processed += tasks.len() as u64;
         self.extracted += batch_extracted;
         m.records_out.add(batch_extracted);
+        Extracted {
+            records: batch_extracted,
+            new_name,
+        }
     }
 }
 

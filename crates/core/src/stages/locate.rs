@@ -103,6 +103,18 @@ impl LocateStage {
         &self.canonical
     }
 
+    /// Username per seen streamer: the [`NAMES_KEY`] hash as of the last
+    /// slice, parsed.
+    pub(crate) fn names(&self) -> &BTreeMap<AnonId, StreamerId> {
+        &self.names
+    }
+
+    /// Whether seen streamers are still waiting for a budget to admit
+    /// their lookup — a slice has work even in a window that moved nothing.
+    pub(crate) fn has_backlog(&self) -> bool {
+        !self.queue.is_empty()
+    }
+
     /// Streamers seen so far (denominator of the 2.77 % figure).
     pub(crate) fn streamers_seen(&self) -> usize {
         self.seen.len()
@@ -113,12 +125,13 @@ impl LocateStage {
     /// committed streamer whose tag history grew. A window passes
     /// [`crate::pipeline::Tero::locate_budget`]; the horizon passes
     /// `None`, and since the tag history is complete by then, what it
-    /// leaves committed is final.
-    pub(crate) fn advance(&mut self, cx: &mut StageCx<'_>, budget: Option<u64>) {
+    /// leaves committed is final. Returns whether any verdict was
+    /// written — a profile committed in this slice gets its first one.
+    pub(crate) fn advance(&mut self, cx: &mut StageCx<'_>, budget: Option<u64>) -> bool {
         let _span = cx.enter(&cx.metrics.st_locate);
         self.enqueue_new(cx);
         self.process_queue(cx, budget);
-        self.reevaluate(cx);
+        self.reevaluate(cx)
     }
 
     /// Reconstruct in-memory state from the committed hashes. Metric-
@@ -211,8 +224,10 @@ impl LocateStage {
 
     /// Settle the verdict of every profile-committed streamer whose tag
     /// history grew since its last evaluation (or that has none yet).
-    fn reevaluate(&mut self, cx: &mut StageCx<'_>) {
+    /// Returns whether any verdict was rewritten.
+    fn reevaluate(&mut self, cx: &mut StageCx<'_>) -> bool {
         let location_module = LocationModule::new(&cx.world.gaz);
+        let mut rewrote = false;
         for (anon, outcome) in &self.profiles {
             // A restored or merged store can hold a profile row whose
             // `engine:names` row is gone; without the name there is no
@@ -251,7 +266,9 @@ impl LocateStage {
                 serde_json::to_string(&result).expect("locate results serialize"),
             );
             self.results.insert(*anon, result);
+            rewrote = true;
         }
+        rewrote
     }
 }
 
@@ -270,7 +287,7 @@ pub(crate) fn tag_observations(kv: &KvStore, tags_key: &str) -> Vec<TagObservati
 }
 
 /// The names hash, parsed and sorted by anonymised id.
-pub(crate) fn parse_names(kv: &KvStore) -> BTreeMap<AnonId, StreamerId> {
+fn parse_names(kv: &KvStore) -> BTreeMap<AnonId, StreamerId> {
     kv.hgetall(NAMES_KEY)
         .into_iter()
         .filter_map(|(hex, name)| {

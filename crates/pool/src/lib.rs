@@ -12,6 +12,10 @@
 //! * every result is placed at its input index after the scope joins —
 //!   so the *observed* order never is.
 //!
+//! The calling thread is worker 0: a fan-out over `W` workers spawns
+//! `W − 1` scoped threads and the caller runs the same claim loop beside
+//! them instead of sleeping in `join`.
+//!
 //! Determinism contract: for a pure `f`, `pool.par_map(items, f)` returns
 //! exactly `items.iter().map(f).collect()` for every worker count,
 //! including the degenerate `workers == 1` configuration, which runs the
@@ -49,8 +53,10 @@ pub fn default_workers() -> usize {
 /// The pool itself is a lightweight description (worker count + metric
 /// handle); OS threads only exist inside a [`Pool::par_map`] call, via a
 /// scoped spawn, so borrowing closures need no `'static` bounds and a
-/// dropped pool leaks nothing. A clone is the same description reporting
-/// into the same metrics.
+/// dropped pool leaks nothing. (That is also why no worker is parked
+/// between calls: a thread that outlives the call cannot be handed a
+/// closure that borrows the caller's stack without `unsafe`.) A clone is
+/// the same description reporting into the same metrics.
 #[derive(Clone)]
 pub struct Pool {
     workers: usize,
@@ -59,9 +65,9 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool running `workers` worker threads per `par_map` call.
-    /// `workers == 0` is treated as 1. `workers == 1` never spawns: it is
-    /// the exact sequential path.
+    /// A pool running each `par_map` call on `workers` threads, the
+    /// caller's among them. `workers == 0` is treated as 1. `workers == 1`
+    /// never spawns: it is the exact sequential path.
     pub fn new(workers: usize) -> Self {
         Pool {
             workers: workers.max(1),
@@ -85,8 +91,9 @@ impl Pool {
     ///
     /// `f` must be pure with respect to ordering (it may bump atomics or
     /// write to thread-safe stores, but must not depend on *when* other
-    /// items run). Panics in `f` propagate to the caller after the scope
-    /// unwinds.
+    /// items run). A panic in `f` — on a spawned worker or in the
+    /// caller's own share — propagates to the caller once every spawned
+    /// worker has been joined.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -123,7 +130,8 @@ impl Pool {
         // The whole schedule: each worker claims the next unclaimed index
         // until the index space runs out. `Relaxed` is enough — the cursor
         // publishes no data (the items are shared before the scope opens
-        // and every result travels back through its thread's join).
+        // and every result travels back through its thread's join, or is
+        // the caller's own).
         let cursor = AtomicUsize::new(0);
         let work = || {
             let mut part = Vec::new();
@@ -137,14 +145,18 @@ impl Pool {
         };
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => {
-                        for (i, r) in part {
-                            slots[i] = Some(r);
-                        }
-                    }
+            let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            let mut place = |part: Vec<(usize, R)>| {
+                for (i, r) in part {
+                    slots[i] = Some(r);
+                }
+            };
+            // The caller is worker 0. If its share panics, the scope joins
+            // the helpers before the panic leaves it.
+            place(work());
+            for helper in helpers {
+                match helper.join() {
+                    Ok(part) => place(part),
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
@@ -245,6 +257,45 @@ mod tests {
             })
         }));
         assert!(result.is_err(), "worker panic reaches the caller");
+    }
+
+    #[test]
+    fn the_caller_takes_part_in_a_fan_out() {
+        // Each of the first four tasks waits for three others, so the map
+        // only returns if four threads are inside it at once — and only
+        // three are spawned.
+        let caller = std::thread::current().id();
+        let pool = Pool::new(4);
+        let all = std::sync::Barrier::new(4);
+        let ids = pool.par_map(&(0..64).collect::<Vec<u32>>(), |&x| {
+            if x < 4 {
+                all.wait();
+            }
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&caller), "the caller ran none of the tasks");
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert_eq!(distinct.len(), 4, "one thread per worker, caller included");
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_propagates_after_the_helpers_finish() {
+        // Same barrier: every thread holds exactly one of the four tasks
+        // when the caller's panics, and the helpers' results are counted
+        // only once they return.
+        let caller = std::thread::current().id();
+        let pool = Pool::new(4);
+        let all = std::sync::Barrier::new(4);
+        let finished = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.par_map(&[0u8; 4], |_| {
+                all.wait();
+                assert!(std::thread::current().id() != caller, "boom");
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        assert!(result.is_err(), "the caller's own panic reaches the caller");
+        assert_eq!(finished.load(Ordering::SeqCst), 3, "helpers were joined");
     }
 
     #[test]

@@ -19,10 +19,10 @@ cargo build --release
 echo "==> cargo build --examples"
 cargo build --release --examples
 
-echo "==> cargo test"
+echo "==> cargo test (facade suites; tests/determinism.rs holds the run-condition tests: idle windows run no stage, a locate budget spent through idle windows, a kill after ingest, generated window schedules)"
 cargo test -q
 
-echo "==> crate unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, OCR and grain kernels bit for bit, CDN head vs fetch, pool order, sketch codec against its tree reference, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
+echo "==> crate unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, OCR and grain kernels bit for bit, CDN head vs fetch, pool order, the caller as worker 0 and its panic, sketch codec against its tree reference, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
 # `cargo test` above covers the root package only; the contracts the
 # facade tests lean on are pinned in the crates' own unit tests.
 cargo test -q -p tero-types -p tero-obs -p tero-trace -p tero-store -p tero-net -p tero-ops -p tero-core -p tero-vision -p tero-world -p tero-pool -p tero-stats -p tero-serve -p tero-chaos -p tero-geoparse -p tero-simnet -p serde_json
@@ -32,6 +32,9 @@ echo "==> benchmark harness (smoke-sized run of all six workloads, then its own 
 # and checks every workload's outputs, not its speed.
 bash benchmark/smoke.sh
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
+# Every harness build rewrites its lock file (it still lists crate edges
+# that are gone) and a change that claims a gain may not edit benchmark/.
+git diff --quiet -- benchmark/Cargo.lock || git checkout -- benchmark/Cargo.lock
 
 echo "==> trace determinism (trace_explore twice, byte-compare + JSON parse)"
 trace_dir="$(mktemp -d)"

@@ -221,12 +221,18 @@ fn windowed_tero(workers: usize) -> Tero {
 /// full-horizon window). A `Killed` outcome re-drives the same slice —
 /// the engine must resume from its commit, not repeat work.
 fn drive(tero: &Tero, world: &mut World, window: Option<SimDuration>) -> TeroReport {
-    let horizon = world.horizon;
-    let mut to = window.map_or(horizon, |w| SimTime::EPOCH + w);
+    let window = window.unwrap_or(world.horizon.since(SimTime::EPOCH));
+    drive_from(tero, world, SimTime::EPOCH, window)
+}
+
+/// Finish a drive that has reached `from`, in `window`-sized slices. A
+/// `Killed` outcome re-drives the same slice.
+fn drive_from(tero: &Tero, world: &mut World, from: SimTime, window: SimDuration) -> TeroReport {
+    let mut to = from + window;
     loop {
         match tero.run_window(world, SimTime::EPOCH, to) {
             WindowOutcome::Complete(report) => return report,
-            WindowOutcome::Advanced => to = window.map_or(horizon, |w| to + w),
+            WindowOutcome::Advanced => to += window,
             WindowOutcome::Killed => {}
         }
     }
@@ -746,6 +752,62 @@ fn locate_budget_huge_matches_single_shot_exactly() {
 }
 
 #[test]
+fn an_idle_window_still_spends_the_locate_budget() {
+    // A budget that admits one lookup a window (the worst case of one is
+    // five calls): a first half-day window registers a queue of
+    // streamers, and most of the half-minute windows that drain it pop no
+    // download event at all. The locate slice must run in them anyway.
+    let tero_ref = windowed_tero(2);
+    let reference = fingerprint(&tero_ref.run(&mut windowed_world(None)));
+    let ref_counters = schedule_invariant(funnel(&tero_ref));
+    let ref_state = locate_agg_state(&tero_ref.serving_store().expect("run completed"));
+
+    let mut world = windowed_world(None);
+    let tero = Tero {
+        locate_budget: Some(5),
+        ..windowed_tero(2)
+    };
+    let depth = |t: &Tero| {
+        t.metrics_snapshot()
+            .gauge("locate.queue.depth")
+            .map_or(0, |g| g.value)
+    };
+    let events = |t: &Tero| {
+        ["download.polls", "download.get_attempts"].map(|name| t.obs.counter(name).get())
+    };
+    let mut to = SimTime::EPOCH + SimDuration::from_hours(12);
+    assert!(matches!(
+        tero.run_window(&mut world, SimTime::EPOCH, to),
+        WindowOutcome::Advanced
+    ));
+    let queued = depth(&tero);
+    assert!(queued >= 5, "the first window left only {queued} lookups");
+    let mut drained_idle = 0;
+    while depth(&tero) > 0 {
+        to += HALF_MINUTE;
+        let before = (depth(&tero), events(&tero));
+        assert!(matches!(
+            tero.run_window(&mut world, SimTime::EPOCH, to),
+            WindowOutcome::Advanced
+        ));
+        assert!(depth(&tero) < before.0, "window to {to:?} admitted nothing");
+        drained_idle += (events(&tero) == before.1) as i64;
+    }
+    assert!(
+        drained_idle > queued / 2,
+        "{drained_idle} of the {queued} draining windows popped no event"
+    );
+
+    let report = drive_from(&tero, &mut world, to, SimDuration::from_hours(24));
+    assert_eq!(fingerprint(&report), reference);
+    assert_eq!(schedule_invariant(funnel(&tero)), ref_counters);
+    assert_eq!(
+        locate_agg_state(&tero.serving_store().expect("run completed")),
+        ref_state
+    );
+}
+
+#[test]
 fn windows_after_location_serve_canonical_distributions() {
     use tero::core::serving::DistProvenance;
 
@@ -951,27 +1013,31 @@ fn window_was_idle(tero: &Tero, before: &mut (u64, u64)) -> bool {
     idle
 }
 
+/// The half-minute day drive at 1 / 2 / 8 workers: each run's counters,
+/// once its report matches the single-shot one.
+fn half_minute_counters_at_each_width() -> [BTreeMap<String, u64>; 3] {
+    let single_shot = fingerprint(&windowed_tero(1).run(&mut day_world(None)));
+    [1, 2, 8].map(|workers| {
+        let tero = windowed_tero(workers);
+        let report = drive(&tero, &mut day_world(None), Some(HALF_MINUTE));
+        assert_eq!(
+            fingerprint(&report),
+            single_shot,
+            "report diverged at {workers} workers"
+        );
+        let counters = funnel(&tero);
+        assert_eq!(counters["pipeline.window.runs"], 2_880);
+        counters
+    })
+}
+
 #[test]
 fn half_minute_windows_cost_the_same_store_traffic_at_every_width() {
     // A commit writes only the counters that moved; however many that
     // is, each hash takes one write per commit, so the *number* of store
     // operations is the same at every width.
-    let single_shot = fingerprint(&windowed_tero(1).run(&mut day_world(None)));
-    let traffic: Vec<(u64, u64)> = [1, 2, 8]
-        .into_iter()
-        .map(|workers| {
-            let tero = windowed_tero(workers);
-            let report = drive(&tero, &mut day_world(None), Some(HALF_MINUTE));
-            assert_eq!(
-                fingerprint(&report),
-                single_shot,
-                "report diverged at {workers} workers"
-            );
-            let counters = funnel(&tero);
-            assert_eq!(counters["pipeline.window.runs"], 2_880);
-            (counters["store.kv.writes"], counters["store.kv.reads"])
-        })
-        .collect();
+    let traffic = half_minute_counters_at_each_width()
+        .map(|counters| (counters["store.kv.writes"], counters["store.kv.reads"]));
     assert_eq!(traffic[1], traffic[0], "2 workers against 1");
     assert_eq!(traffic[2], traffic[0], "8 workers against 1");
     // Far fewer writes than one per counter per commit (5 760 commits of
@@ -1061,5 +1127,185 @@ fn half_minute_drive_survives_a_kill_in_an_idle_and_in_a_busy_window() {
         assert_eq!(snap.counter("pipeline.window.killed"), Some(1));
         Drive::finish(&tero, &report)
             .assert_matches(&reference, &format!("kill in {what} window {window}"));
+    }
+}
+
+#[test]
+fn idle_windows_run_no_stage() {
+    // A stage runs in a window only if one of its inputs moved there, and
+    // which windows those are is a property of the world: the invocation
+    // counts and the store reads they cost are the same at every width —
+    // and a small fraction of one per window (2 881 clean and locate
+    // passes and 74 782 reads before stages were gated on their inputs).
+    let counts = half_minute_counters_at_each_width().map(|counters| {
+        ["stage.clean.runs", "stage.locate.runs", "store.kv.reads"].map(|name| counters[name])
+    });
+    assert_eq!(counts[1], counts[0], "2 workers against 1");
+    assert_eq!(counts[2], counts[0], "8 workers against 1");
+    let [clean, locate, reads] = counts[0];
+    assert!(clean < 2_881 / 5, "stage.clean.runs {clean}");
+    assert!(locate < 2_881 / 5, "stage.locate.runs {locate}");
+    assert!(reads < 74_782 / 5, "store.kv.reads {reads}");
+}
+
+#[test]
+fn a_kill_after_ingest_is_extracted_by_whoever_resumes() {
+    // A kill fires after the ingest commit, so whoever resumes skips
+    // ingest: no event of its own tells it that tasks are queued. Pick a
+    // window whose ingest queues some and which only event-free windows
+    // follow, and check that the re-driven window itself extracts them.
+    let quiet = FaultPlan::quiet(7);
+    let hits = |t: &Tero| t.obs.counter("download.get_hits").get();
+    let handed = |t: &Tero| t.obs.counter("stage.extract.records_in").get();
+    let tero = windowed_tero(2);
+    let mut world = day_world(Some(quiet.clone()));
+    let mut seen = (0, 0);
+    let mut windows = Vec::new();
+    let mut to = SimTime::EPOCH + HALF_MINUTE;
+    let report = loop {
+        let before = hits(&tero);
+        match tero.run_window(&mut world, SimTime::EPOCH, to) {
+            WindowOutcome::Complete(report) => break report,
+            WindowOutcome::Advanced => to += HALF_MINUTE,
+            WindowOutcome::Killed => unreachable!("no kill planned"),
+        }
+        windows.push((hits(&tero) > before, window_was_idle(&tero, &mut seen)));
+    };
+    let reference = Drive::finish(&tero, &report);
+    const QUIET_AFTER: usize = 3;
+    let window = (1_000..)
+        .find(|&w| windows[w].0 && windows[w + 1..=w + QUIET_AFTER].iter().all(|w| w.1))
+        .expect("the day has a fetch followed by idle windows");
+
+    for from_snapshot in [false, true] {
+        let plan = FaultPlan {
+            engine_kills: vec![EngineKill {
+                window: window as u64,
+            }],
+            ..quiet.clone()
+        };
+        let mut world = day_world(Some(plan));
+        let mut tero = windowed_tero(2);
+        let mut to = SimTime::EPOCH;
+        for _ in 0..window {
+            to += HALF_MINUTE;
+            assert!(matches!(
+                tero.run_window(&mut world, SimTime::EPOCH, to),
+                WindowOutcome::Advanced
+            ));
+        }
+        to += HALF_MINUTE;
+        assert!(matches!(
+            tero.run_window(&mut world, SimTime::EPOCH, to),
+            WindowOutcome::Killed
+        ));
+        assert!(handed(&tero) < hits(&tero), "the kill left tasks queued");
+        if from_snapshot {
+            let snap = tero.engine_snapshot().expect("a killed run is in flight");
+            tero = windowed_tero(2);
+            tero.restore_engine(snap);
+        }
+        for _ in 0..=QUIET_AFTER {
+            assert!(matches!(
+                tero.run_window(&mut world, SimTime::EPOCH, to),
+                WindowOutcome::Advanced
+            ));
+            assert_eq!(handed(&tero), hits(&tero), "window to {to:?}");
+            to += HALF_MINUTE;
+        }
+        let report = drive_from(&tero, &mut world, to - HALF_MINUTE, HALF_MINUTE);
+        Drive::finish(&tero, &report).assert_matches(
+            &reference,
+            &format!("kill in window {window}, from_snapshot {from_snapshot}"),
+        );
+    }
+}
+
+/// One generated drive of the 1-day world: runs of `(seconds, count)`
+/// equal-width windows in order, then — if they stop short — one window
+/// to the horizon, with one snapshot/restore into a fresh `Tero` at the
+/// window boundary `restore_after` picks. `Debug` prints it replayable:
+/// paste the literal into `Schedule::drive`.
+#[derive(Debug)]
+struct Schedule {
+    workers: usize,
+    runs: Vec<(u64, usize)>,
+    restore_after: usize,
+}
+
+impl Schedule {
+    fn drive(&self) -> Drive {
+        let mut world = day_world(None);
+        let horizon = world.horizon;
+        let mut ends = Vec::new();
+        let mut to = SimTime::EPOCH;
+        for &(secs, count) in &self.runs {
+            for _ in 0..count {
+                if to < horizon {
+                    to = (to + SimDuration::from_secs(secs)).min(horizon);
+                    ends.push(to);
+                }
+            }
+        }
+        if to < horizon {
+            ends.push(horizon);
+        }
+        let restore_at = self.restore_after % ends.len();
+        let mut tero = windowed_tero(self.workers);
+        for (i, &to) in ends.iter().enumerate() {
+            match tero.run_window(&mut world, SimTime::EPOCH, to) {
+                WindowOutcome::Complete(report) => return Drive::finish(&tero, &report),
+                WindowOutcome::Advanced => {}
+                WindowOutcome::Killed => unreachable!("no chaos installed"),
+            }
+            if i == restore_at {
+                let snap = tero.engine_snapshot().expect("windowed run in flight");
+                tero = windowed_tero(self.workers);
+                tero.restore_engine(snap);
+            }
+        }
+        unreachable!("the last window ends at the horizon")
+    }
+}
+
+#[test]
+fn generated_schedules_match_single_shot() {
+    // Window widths from a one-second sliver (86 400 of them would make a
+    // day; nearly all are empty) to five hours, mixed in one drive, with a
+    // restore somewhere: a gate that skips a stage whose input did move,
+    // or a bit that does not survive the restore, shows as a byte here.
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    let reference = {
+        let tero = windowed_tero(1);
+        let report = tero.run(&mut day_world(None));
+        Drive::finish(&tero, &report)
+    };
+    // A run is a width and how many windows of it: at most two minutes of
+    // slivers, an hour of half-minutes, five hours of seven-minute
+    // windows or one of five hours, so a drive crosses the busy day in
+    // every width.
+    let widths = [(1u64, 120usize), (30, 120), (7 * 60, 43), (5 * 3_600, 1)];
+    let schedules = (
+        prop::sample::select([1usize, 2, 8]),
+        prop::collection::vec((prop::sample::select(widths), 0usize..120), 1..16),
+        0usize..1_000,
+    );
+    let mut rng = TestRng::new(4242);
+    for case in 0..24 {
+        let (workers, runs, restore_after) = schedules.generate(&mut rng);
+        let schedule = Schedule {
+            workers,
+            runs: runs
+                .into_iter()
+                .map(|((secs, most), n)| (secs, 1 + n % most))
+                .collect(),
+            restore_after,
+        };
+        println!("case {case}: {schedule:?}");
+        schedule
+            .drive()
+            .assert_matches(&reference, &format!("{schedule:?}"));
     }
 }
