@@ -131,14 +131,6 @@ impl NetFault {
             kills: Vec::new(),
         }
     }
-
-    /// True when no class of network fault can ever fire.
-    pub fn is_quiet(&self) -> bool {
-        self.frame_drop_rate <= 0.0
-            && self.frame_delay_rate <= 0.0
-            && self.partitions.is_empty()
-            && self.kills.is_empty()
-    }
 }
 
 /// A random fault drawn for one frame in flight.

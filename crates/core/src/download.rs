@@ -38,7 +38,7 @@ use std::collections::{BinaryHeap, HashMap};
 use tero_obs::Registry;
 use tero_pool::Pool;
 use tero_store::{KvStore, ObjectStore};
-use tero_trace::{Level, Tracer};
+use tero_trace::{Level, SpanGuard, Tracer};
 use tero_types::retry::{backoff_delay, Breaker, BreakerState};
 use tero_types::{GameId, SimDuration, SimRng, SimTime, StreamerId};
 use tero_world::twitch::{ApiError, CdnBody, CdnResponse, TwitchSim};
@@ -238,9 +238,9 @@ impl PartialOrd for HeapEv {
 /// heap (with its sequence counter, so replayed pop order is exact), the
 /// assignment table, per-downloader load/busy/alive state, the retry-
 /// jitter RNG, and the cumulative [`DownloadStats`]. Driving it through
-/// [`DownloadModule::run_cursor`] over any increasing window schedule
-/// performs exactly the same world calls, in the same order, as a single
-/// full-range [`DownloadModule::run`].
+/// `DownloadModule::run_cursor` (the engine does) over any increasing
+/// window schedule performs exactly the same world calls, in the same
+/// order, as a single full-range [`DownloadModule::run`].
 ///
 /// Cursors serialize (`serde`) so the engine can persist one whenever a
 /// window moved it and a fresh process can resume from the persisted copy.
@@ -255,10 +255,6 @@ pub struct DownloadCursor {
     /// A window initialised the cursor or popped an event since the last
     /// [`DownloadCursor::take_dirty`]: the serialised form has changed.
     dirty: bool,
-    /// A poll appended to a `tags:*` list — the locate stage's cue, which
-    /// the engine clears when it looks. Not serialised: a restored
-    /// engine's first pass runs every stage.
-    pub(crate) tags_grew: bool,
     initialized: bool,
     heap: BinaryHeap<Reverse<HeapEv>>,
     seq: u64,
@@ -272,17 +268,26 @@ pub struct DownloadCursor {
     stats: DownloadStats,
 }
 
+/// What one [`DownloadModule::run_cursor`] call wrote that a later stage
+/// reads — the engine's run conditions for the extract and locate stages.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Ingested {
+    /// Thumbnails stored, each with its task on `queue:thumbs`.
+    pub(crate) thumbnails: u64,
+    /// A poll appended a country tag to a `tags:*` list.
+    pub(crate) tags_grew: bool,
+}
+
 impl DownloadCursor {
     /// A fresh cursor covering `[from, until]`. Worker vectors and the
     /// initial poll/crash events are installed lazily by the first
-    /// [`DownloadModule::run_cursor`] call (they depend on module knobs).
+    /// `run_cursor` call (they depend on module knobs).
     pub fn new(from: SimTime, until: SimTime) -> DownloadCursor {
         DownloadCursor {
             from,
             until,
             window_start: from,
             dirty: false,
-            tags_grew: false,
             initialized: false,
             heap: BinaryHeap::new(),
             seq: 0,
@@ -307,16 +312,76 @@ impl DownloadCursor {
         (self.from, self.until)
     }
 
-    /// Whether every pending event has been processed (no work remains at
-    /// any window end).
-    pub fn is_drained(&self) -> bool {
-        self.initialized && self.heap.is_empty()
-    }
-
     /// Whether the cursor's serialised form changed since the last call
     /// (or since it was created or deserialised), clearing the flag.
     pub(crate) fn take_dirty(&mut self) -> bool {
         std::mem::take(&mut self.dirty)
+    }
+
+    /// Schedule `ev` at `at`; events at one instant pop in push order.
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        self.seq += 1;
+        self.heap.push(Reverse(HeapEv(at, self.seq, ev)));
+    }
+
+    /// The least-loaded alive downloader takes on one more streamer;
+    /// `None` when every downloader is down.
+    fn take_on(&mut self, obs: &DownloadObs) -> Option<usize> {
+        let DownloadCursor {
+            downloader_load,
+            downloader_alive,
+            ..
+        } = self;
+        let d = (0..downloader_load.len())
+            .filter(|&i| downloader_alive[i])
+            .min_by_key(|&i| downloader_load[i])?;
+        downloader_load[d] += 1;
+        obs.queue_depth.record(downloader_load[d] as u64);
+        obs.downloader_load.set(downloader_load[d] as i64);
+        Some(d)
+    }
+
+    /// Hand a newly seen URL to a downloader ([`DownloadCursor::take_on`])
+    /// and schedule its first fetch at `at`. `false` in a total outage:
+    /// nothing was assigned.
+    fn assign(
+        &mut self,
+        obs: &DownloadObs,
+        at: SimTime,
+        url: String,
+        streamer: StreamerId,
+        game_label: GameId,
+    ) -> bool {
+        let Some(d) = self.take_on(obs) else {
+            return false;
+        };
+        obs.assignments.inc();
+        if self.downloader_load[d] == 1 {
+            obs.idle_steals.inc();
+        }
+        let id = self.next_assignment_id;
+        self.next_assignment_id += 1;
+        self.assignments
+            .insert(id, Assignment::new(url, streamer, game_label, d));
+        self.push(at, Ev::Fetch(id));
+        true
+    }
+
+    /// Drop assignment `id` from downloader `d`'s load and the table.
+    fn release(&mut self, obs: &DownloadObs, id: u32, d: usize) {
+        self.downloader_load[d] = self.downloader_load[d].saturating_sub(1);
+        obs.downloader_load.set(self.downloader_load[d] as i64);
+        self.assignments.remove(&id);
+    }
+
+    /// Schedule `ev` again after the backoff of the `streak`-th
+    /// consecutive failure (exponential, with deterministic jitter).
+    fn retry_later(&mut self, obs: &DownloadObs, at: SimTime, streak: u32, ev: Ev) {
+        let delay = backoff_delay(BACKOFF_BASE, streak, &mut self.retry_rng);
+        self.stats.retries += 1;
+        obs.retries.inc();
+        obs.backoff_us.record(delay.as_micros());
+        self.push(at + delay, ev);
     }
 }
 
@@ -381,7 +446,6 @@ impl Deserialize for DownloadCursor {
             until: repr.until,
             window_start: repr.from,
             dirty: false,
-            tags_grew: false,
             initialized: repr.initialized,
             heap: repr
                 .events
@@ -405,7 +469,7 @@ impl Deserialize for DownloadCursor {
 pub struct DownloadModule {
     kv: KvStore,
     objects: ObjectStore,
-    obs: Registry,
+    obs: DownloadObs,
     trace: Tracer,
     /// Where fetched bodies are rendered; one worker (inline) by default.
     pool: Pool,
@@ -418,9 +482,16 @@ pub struct DownloadModule {
     pub fetch_cost: SimDuration,
 }
 
-/// Metric handles resolved once per [`DownloadModule::run`] — bumping them
+/// The module's metric handles, resolved where a registry is given
+/// ([`DownloadModule::new`], [`DownloadModule::instrument`]): every
+/// `download.*` name is registered (at zero) from then on, so the metric
+/// catalogue is complete even on fault-free runs, and bumping a handle
 /// inside the event loop is lock-free.
 struct DownloadObs {
+    /// The registry the handles record into; it holds the timing switch
+    /// `run_us` obeys.
+    registry: Registry,
+    run_us: tero_obs::HistogramHandle,
     polls: tero_obs::CounterHandle,
     rate_limited: tero_obs::CounterHandle,
     api_errors: tero_obs::CounterHandle,
@@ -440,15 +511,15 @@ struct DownloadObs {
     ttl_swept: tero_obs::CounterHandle,
     queue_depth: tero_obs::HistogramHandle,
     downloader_load: tero_obs::GaugeHandle,
+    dead_letter: tero_obs::CounterHandle,
+    decode_failures: tero_obs::CounterHandle,
 }
 
 impl DownloadObs {
     fn resolve(obs: &Registry) -> Self {
-        // Registered eagerly (at zero) so the metric catalogue stays
-        // complete even on fault-free runs.
-        let _ = obs.counter("download.dead_letter");
-        let _ = obs.counter("download.decode_failures");
         DownloadObs {
+            registry: obs.clone(),
+            run_us: obs.histogram("download.run_us"),
             polls: obs.counter("download.polls"),
             rate_limited: obs.counter("download.rate_limited"),
             api_errors: obs.counter("download.api_errors"),
@@ -468,6 +539,8 @@ impl DownloadObs {
             ttl_swept: obs.counter("download.ttl_swept"),
             queue_depth: obs.histogram("download.queue_depth"),
             downloader_load: obs.gauge("download.downloader_load"),
+            dead_letter: obs.counter("download.dead_letter"),
+            decode_failures: obs.counter("download.decode_failures"),
         }
     }
 }
@@ -478,7 +551,7 @@ impl DownloadModule {
         DownloadModule {
             kv,
             objects,
-            obs: Registry::new(),
+            obs: DownloadObs::resolve(&Registry::new()),
             trace: Tracer::new(),
             pool: Pool::new(1),
             poll_interval: SimDuration::from_mins(2),
@@ -490,7 +563,7 @@ impl DownloadModule {
     /// Record this module's metrics (`download.*`) into `registry` instead
     /// of the private default registry.
     pub fn instrument(&mut self, registry: &Registry) {
-        self.obs = registry.clone();
+        self.obs = DownloadObs::resolve(registry);
     }
 
     /// Journal this module's spans and recovery events through `tracer`
@@ -511,8 +584,8 @@ impl DownloadModule {
     /// tasks on the KV list `queue:thumbs`.
     ///
     /// Implemented as one full-range window over a fresh
-    /// [`DownloadCursor`]; windowed callers drive
-    /// [`DownloadModule::run_cursor`] directly.
+    /// [`DownloadCursor`]; the engine drives `run_cursor` window by
+    /// window.
     pub fn run(&mut self, world: &mut World, from: SimTime, until: SimTime) -> DownloadStats {
         let mut cursor = DownloadCursor::new(from, until);
         self.run_cursor(world, &mut cursor, until);
@@ -520,7 +593,8 @@ impl DownloadModule {
     }
 
     /// Advance `cursor` through every pending event at or before
-    /// `window_end` (clamped to the cursor's global `until` bound).
+    /// `window_end` (clamped to the cursor's global `until` bound), and
+    /// return what that wrote for the stages downstream.
     ///
     /// The first call installs the initial poll, the planned crash
     /// windows, and the `active:*` lease recovery exactly as a full run
@@ -536,408 +610,360 @@ impl DownloadModule {
     /// fetches and before returning. Object puts therefore trail the KV
     /// operations of the events that caused them; puts among themselves
     /// and KV operations among themselves keep the loop's order.
-    pub fn run_cursor(&self, world: &mut World, cursor: &mut DownloadCursor, window_end: SimTime) {
+    pub(crate) fn run_cursor(
+        &self,
+        world: &mut World,
+        cursor: &mut DownloadCursor,
+        window_end: SimTime,
+    ) -> Ingested {
         let window_end = window_end.min(cursor.until);
-        let obs = DownloadObs::resolve(&self.obs);
-        let run_us = self.obs.histogram("download.run_us");
-        let _run_timer = self.obs.stage_timer(&run_us);
+        let _run_timer = self.obs.registry.stage_timer(&self.obs.run_us);
         let sp_run = self.trace.span_at("download.run", cursor.window_start);
-        let from = cursor.from;
-        let until = cursor.until;
-        let chaos = world.chaos().cloned();
-        let init = !cursor.initialized;
-        if init {
-            cursor.initialized = true;
-            cursor.dirty = true;
-            cursor.downloader_load = vec![0usize; self.downloaders.max(1)];
-            cursor.downloader_busy_until = vec![SimTime::EPOCH; self.downloaders.max(1)];
-            cursor.downloader_alive = vec![true; self.downloaders.max(1)];
+        if !cursor.initialized {
+            self.start(world, cursor);
         }
-        let mut seq = cursor.seq;
-        let mut next_assignment_id = cursor.next_assignment_id;
-        let mut poll_error_streak = cursor.poll_error_streak;
-        let mut retry_rng = cursor.retry_rng.clone();
-        let mut stats = std::mem::take(&mut cursor.stats);
-        let heap = &mut cursor.heap;
-        let assignments = &mut cursor.assignments;
-        let downloader_load = &mut cursor.downloader_load;
-        let downloader_busy_until = &mut cursor.downloader_busy_until;
-        let downloader_alive = &mut cursor.downloader_alive;
-        let push = |heap: &mut BinaryHeap<Reverse<HeapEv>>, seq: &mut u64, at: SimTime, ev: Ev| {
-            *seq += 1;
-            heap.push(Reverse(HeapEv(at, *seq, ev)));
-        };
+        let mut ingested = Ingested::default();
         let mut fetched: Vec<(String, CdnBody)> = Vec::new();
-
-        if init {
-            push(heap, &mut seq, from, Ev::Poll);
-
-            // Planned crash windows come from the world's fault injector.
-            if let Some(chaos) = &chaos {
-                for w in chaos.crash_windows() {
-                    if w.downloader >= downloader_alive.len() || w.until <= from || w.at >= until {
-                        continue;
-                    }
-                    push(heap, &mut seq, w.at.max(from), Ev::Crash(w.downloader));
-                    push(heap, &mut seq, w.until, Ev::Recover(w.downloader));
-                }
-            }
-
-            // Drop leases that expired while the module was down, then
-            // rebuild the assignment table from the survivors.
-            stats.swept += self.kv.sweep_expired(from) as u64;
-
-            // Crash recovery (App. A/B): after a restart, the coordinator
-            // rebuilds its assignment table from the `active:*` keys
-            // persisted in the KV store, so streamers being tracked before
-            // the crash keep being downloaded without waiting for the next
-            // status change.
-            for key in self.kv.keys_with_prefix("active:") {
-                let Some(url) = self.kv.get(&key) else {
-                    continue;
-                };
-                let username = key.trim_start_matches("active:");
-                let streamer = StreamerId::new(username);
-                let game_label = self
-                    .kv
-                    .get(&format!("game:{username}"))
-                    .and_then(|slug| GameId::ALL.into_iter().find(|g| g.slug() == slug))
-                    .unwrap_or(GameId::LeagueOfLegends);
-                let d = (0..downloader_load.len())
-                    .min_by_key(|&i| downloader_load[i])
-                    .unwrap_or(0);
-                obs.assignments.inc();
-                if downloader_load[d] == 0 {
-                    obs.idle_steals.inc();
-                }
-                downloader_load[d] += 1;
-                obs.queue_depth.record(downloader_load[d] as u64);
-                obs.downloader_load.set(downloader_load[d] as i64);
-                let id = next_assignment_id;
-                next_assignment_id += 1;
-                assignments.insert(id, Assignment::new(url, streamer, game_label, d));
-                push(heap, &mut seq, from, Ev::Fetch(id));
-            }
-        }
-
-        loop {
-            match heap.peek() {
-                Some(Reverse(HeapEv(at, _, _))) if *at <= window_end => {}
-                _ => break,
-            }
-            let Reverse(HeapEv(at, _, ev)) = heap.pop().expect("peeked above");
+        while cursor
+            .heap
+            .peek()
+            .is_some_and(|Reverse(next)| next.0 <= window_end)
+        {
+            let Reverse(HeapEv(at, _, ev)) = cursor.heap.pop().expect("peeked above");
             cursor.dirty = true;
             match ev {
-                Ev::Poll => {
-                    // Expire lapsed TTL keys (`active:*` leases, offline
-                    // cooldowns) before reading any of them.
-                    let swept = self.kv.sweep_expired(at);
-                    stats.swept += swept as u64;
-                    obs.ttl_swept.add(swept as u64);
-
-                    // Detect dead downloaders and move their streamers to
-                    // the least-loaded survivor. Ids are visited sorted so
-                    // the reassignment is deterministic.
-                    let mut dead_ids: Vec<u32> = assignments
-                        .iter()
-                        .filter(|(_, a)| !downloader_alive[a.downloader])
-                        .map(|(id, _)| *id)
-                        .collect();
-                    dead_ids.sort_unstable();
-                    for id in dead_ids {
-                        let Some(target) = (0..downloader_load.len())
-                            .filter(|&i| downloader_alive[i])
-                            .min_by_key(|&i| downloader_load[i])
-                        else {
-                            break; // every downloader is down; wait for a recovery
-                        };
-                        let a = assignments.get_mut(&id).expect("id collected above");
-                        let old = a.downloader;
-                        downloader_load[old] = downloader_load[old].saturating_sub(1);
-                        a.downloader = target;
-                        downloader_load[target] += 1;
-                        obs.reassigned.inc();
-                        obs.queue_depth.record(downloader_load[target] as u64);
-                        obs.downloader_load.set(downloader_load[target] as i64);
-                        stats.reassigned += 1;
-                        sp_run.event_at(
-                            Level::Warn,
-                            format!("assignment {id} moved off crashed downloader {old}"),
-                            at,
-                        );
-                        if a.chain_dead {
-                            a.chain_dead = false;
-                            push(heap, &mut seq, at, Ev::Fetch(id));
-                        }
-                    }
-
-                    match world.twitch.get_streams(at) {
-                        Ok(listings) => {
-                            poll_error_streak = 0;
-                            stats.polls += 1;
-                            obs.polls.inc();
-                            for l in &listings {
-                                let user = l.streamer.as_str();
-                                // Recently went offline: let the cooldown
-                                // lapse before re-acquiring.
-                                if self.kv.exists(&format!("cooldown:{user}")) {
-                                    continue;
-                                }
-                                let key = format!("active:{user}");
-                                if self.kv.exists(&key) {
-                                    continue;
-                                }
-                                self.kv
-                                    .set_with_ttl(&key, &l.thumbnail_url, at + ACTIVE_TTL);
-                                self.kv.set(&format!("game:{user}"), l.game_label.slug());
-                                // Record country tags for the location
-                                // module's tag recovery.
-                                if let Some(tag) = &l.country_tag {
-                                    self.kv.rpush(&format!("tags:{user}"), tag.clone());
-                                    cursor.tags_grew = true;
-                                }
-                                // Least-loaded alive downloader takes the URL.
-                                let Some(d) = (0..downloader_load.len())
-                                    .filter(|&i| downloader_alive[i])
-                                    .min_by_key(|&i| downloader_load[i])
-                                else {
-                                    // Total outage: drop the lease so a later
-                                    // poll re-acquires once someone recovers.
-                                    self.kv.del(&key);
-                                    continue;
-                                };
-                                obs.assignments.inc();
-                                if downloader_load[d] == 0 {
-                                    obs.idle_steals.inc();
-                                }
-                                downloader_load[d] += 1;
-                                obs.queue_depth.record(downloader_load[d] as u64);
-                                obs.downloader_load.set(downloader_load[d] as i64);
-                                let id = next_assignment_id;
-                                next_assignment_id += 1;
-                                assignments.insert(
-                                    id,
-                                    Assignment::new(
-                                        l.thumbnail_url.clone(),
-                                        l.streamer.clone(),
-                                        l.game_label,
-                                        d,
-                                    ),
-                                );
-                                push(heap, &mut seq, at, Ev::Fetch(id));
-                            }
-                        }
-                        Err(ApiError::RateLimited(limited)) => {
-                            stats.rate_limited += 1;
-                            obs.rate_limited.inc();
-                            push(heap, &mut seq, limited.retry_at, Ev::Poll);
-                            continue;
-                        }
-                        Err(ApiError::ServerError) => {
-                            stats.api_errors += 1;
-                            obs.api_errors.inc();
-                            poll_error_streak += 1;
-                            if poll_error_streak <= MAX_RETRIES {
-                                let delay =
-                                    backoff_delay(BACKOFF_BASE, poll_error_streak, &mut retry_rng);
-                                stats.retries += 1;
-                                obs.retries.inc();
-                                obs.backoff_us.record(delay.as_micros());
-                                push(heap, &mut seq, at + delay, Ev::Poll);
-                            } else {
-                                // Give up on this round; resume the regular
-                                // poll cadence.
-                                poll_error_streak = 0;
-                                push(heap, &mut seq, at + self.poll_interval, Ev::Poll);
-                            }
-                            continue;
-                        }
-                    }
-                    push(heap, &mut seq, at + self.poll_interval, Ev::Poll);
+                Ev::Poll => ingested.tags_grew |= self.poll(world, cursor, at, &sp_run),
+                Ev::Fetch(id) => {
+                    let stored = self.fetch(world, cursor, id, at, &sp_run, &mut fetched);
+                    ingested.thumbnails += stored as u64;
                 }
                 Ev::Crash(d) => {
-                    downloader_alive[d] = false;
-                    if let Some(chaos) = &chaos {
+                    cursor.downloader_alive[d] = false;
+                    if let Some(chaos) = world.chaos() {
                         chaos.note_crash();
                     }
                 }
                 Ev::Recover(d) => {
-                    downloader_alive[d] = true;
-                    downloader_busy_until[d] = at;
-                }
-                Ev::Fetch(id) => {
-                    let Some(assignment) = assignments.get_mut(&id) else {
-                        continue;
-                    };
-                    let d = assignment.downloader;
-                    // A dead downloader executes nothing: the event chain
-                    // stops here and restarts when the coordinator
-                    // reassigns the streamer on its next poll.
-                    if !downloader_alive[d] {
-                        assignment.chain_dead = true;
-                        continue;
-                    }
-                    // Lease lapsed (TTL expiry or a lost KV write): release
-                    // the assignment; the coordinator re-acquires the
-                    // streamer if it is still live.
-                    if !self
-                        .kv
-                        .exists(&format!("active:{}", assignment.streamer.as_str()))
-                    {
-                        downloader_load[d] = downloader_load[d].saturating_sub(1);
-                        obs.downloader_load.set(downloader_load[d] as i64);
-                        assignments.remove(&id);
-                        continue;
-                    }
-                    // Open breaker: only the scheduled half-open probe may
-                    // pass; stray earlier events are swallowed (the probe
-                    // event sustains the chain).
-                    if !assignment.breaker.allows(at) {
-                        continue;
-                    }
-                    // Serialise fetches per downloader.
-                    if downloader_busy_until[d] > at {
-                        let retry = downloader_busy_until[d];
-                        obs.fetch_deferred.inc();
-                        push(heap, &mut seq, retry, Ev::Fetch(id));
-                        continue;
-                    }
-                    downloader_busy_until[d] = at + self.fetch_cost;
-                    obs.get_attempts.inc();
-                    match world.twitch.cdn_fetch(&assignment.url, at) {
-                        // A truncated payload is detectable at fetch time
-                        // (fewer bytes than the content length promised),
-                        // so it takes the timeout's path.
-                        fault @ (CdnResponse::TimedOut | CdnResponse::Truncated) => {
-                            if matches!(fault, CdnResponse::TimedOut) {
-                                obs.cdn_timeouts.inc();
-                            }
-                            stats.cdn_faults += 1;
-                            if assignment.breaker.record_fault(
-                                at,
-                                BREAKER_THRESHOLD,
-                                BREAKER_COOLDOWN,
-                            ) == BreakerState::Open
-                            {
-                                // Trip (or re-open after a failed probe):
-                                // stop hammering the URL; probe again after
-                                // the cooldown.
-                                stats.breaker_trips += 1;
-                                obs.breaker_open.inc();
-                                sp_run.event_at(
-                                    Level::Warn,
-                                    format!("circuit breaker opened (assignment {id})"),
-                                    at,
-                                );
-                                push(heap, &mut seq, at + BREAKER_COOLDOWN, Ev::Fetch(id));
-                            } else {
-                                let delay = backoff_delay(
-                                    BACKOFF_BASE,
-                                    assignment.breaker.fault_streak(),
-                                    &mut retry_rng,
-                                );
-                                stats.retries += 1;
-                                obs.retries.inc();
-                                obs.backoff_us.record(delay.as_micros());
-                                push(heap, &mut seq, at + delay, Ev::Fetch(id));
-                            }
-                        }
-                        CdnResponse::Thumbnail {
-                            body,
-                            generated_at,
-                            next_update,
-                        } => {
-                            assignment.breaker.record_success();
-                            if let Some(last) = assignment.last_generated {
-                                if generated_at == last {
-                                    // Same content; try again shortly.
-                                    obs.same_content.inc();
-                                    push(
-                                        heap,
-                                        &mut seq,
-                                        at + SimDuration::from_secs(30),
-                                        Ev::Fetch(id),
-                                    );
-                                    continue;
-                                }
-                                // Count thumbnails we never saw (gap of
-                                // more than one nominal interval).
-                                let gap = generated_at.since(last).as_secs();
-                                if gap > 400 {
-                                    stats.missed += gap / 330 - 1;
-                                    obs.overwrite_missed.add(gap / 330 - 1);
-                                }
-                            }
-                            assignment.last_generated = Some(generated_at);
-                            let object_key = format!(
-                                "{}/{}",
-                                assignment.streamer.as_str(),
-                                generated_at.as_micros()
-                            );
-                            fetched.push((object_key.clone(), body));
-                            if fetched.len() == RENDER_BATCH {
-                                self.store_fetched(&world.twitch, &mut fetched);
-                            }
-                            let task = ThumbnailTask {
-                                streamer: assignment.streamer.clone(),
-                                game_label: assignment.game_label,
-                                generated_at,
-                                object_key,
-                            };
-                            self.kv.rpush("queue:thumbs", task.encode());
-                            // Refresh the activity lease.
-                            self.kv.set_with_ttl(
-                                &format!("active:{}", assignment.streamer.as_str()),
-                                &assignment.url,
-                                at + ACTIVE_TTL,
-                            );
-                            stats.downloaded += 1;
-                            obs.get_hits.inc();
-                            // Schedule the next fetch right after the next
-                            // expected overwrite.
-                            let next = next_update
-                                .map(|t| t + SimDuration::from_secs(5))
-                                .unwrap_or(at + SimDuration::from_mins(5));
-                            push(
-                                heap,
-                                &mut seq,
-                                next.max(at + self.fetch_cost),
-                                Ev::Fetch(id),
-                            );
-                        }
-                        CdnResponse::Offline => {
-                            // Could be "live but first thumbnail pending":
-                            // check activity via another short retry, but
-                            // only once — the KV active flag with TTL keeps
-                            // this bounded. Signal the coordinator and set a
-                            // short cooldown so a comeback is re-acquired on
-                            // the next poll after it lapses.
-                            let user = assignment.streamer.as_str();
-                            stats.offline_signals += 1;
-                            obs.offline_signals.inc();
-                            self.kv.rpush("offline", user.to_string());
-                            self.kv.del(&format!("active:{user}"));
-                            self.kv.del(&format!("game:{user}"));
-                            self.kv.set_with_ttl(
-                                &format!("cooldown:{user}"),
-                                "1",
-                                at + OFFLINE_COOLDOWN,
-                            );
-                            downloader_load[d] = downloader_load[d].saturating_sub(1);
-                            obs.downloader_load.set(downloader_load[d] as i64);
-                            assignments.remove(&id);
-                        }
-                    }
+                    cursor.downloader_alive[d] = true;
+                    cursor.downloader_busy_until[d] = at;
                 }
             }
         }
         self.store_fetched(&world.twitch, &mut fetched);
-        cursor.seq = seq;
-        cursor.next_assignment_id = next_assignment_id;
-        cursor.poll_error_streak = poll_error_streak;
-        cursor.retry_rng = retry_rng;
-        cursor.stats = stats;
         cursor.window_start = window_end;
+        ingested
+    }
+
+    /// The first window's preamble: downloader state sized by the module's
+    /// knobs, the first poll, the fault plan's crash windows, and the
+    /// assignment table rebuilt from the `active:*` leases a previous
+    /// module instance left in the store.
+    fn start(&self, world: &World, cursor: &mut DownloadCursor) {
+        let (from, until) = cursor.bounds();
+        let downloaders = self.downloaders.max(1);
+        cursor.initialized = true;
+        cursor.dirty = true;
+        cursor.downloader_load = vec![0; downloaders];
+        cursor.downloader_busy_until = vec![SimTime::EPOCH; downloaders];
+        cursor.downloader_alive = vec![true; downloaders];
+        cursor.push(from, Ev::Poll);
+
+        // Planned crash windows come from the world's fault injector.
+        if let Some(chaos) = world.chaos() {
+            for w in chaos.crash_windows() {
+                if w.downloader >= downloaders || w.until <= from || w.at >= until {
+                    continue;
+                }
+                cursor.push(w.at.max(from), Ev::Crash(w.downloader));
+                cursor.push(w.until, Ev::Recover(w.downloader));
+            }
+        }
+
+        // Drop leases that expired while the module was down, then
+        // rebuild the assignment table from the survivors.
+        cursor.stats.swept += self.kv.sweep_expired(from) as u64;
+
+        // Crash recovery (App. A/B): after a restart, the coordinator
+        // rebuilds its assignment table from the `active:*` keys
+        // persisted in the KV store, so streamers being tracked before
+        // the crash keep being downloaded without waiting for the next
+        // status change. (Every downloader is up: crashes are events.)
+        for key in self.kv.keys_with_prefix("active:") {
+            let Some(url) = self.kv.get(&key) else {
+                continue;
+            };
+            let username = key.trim_start_matches("active:");
+            let game_label = self
+                .kv
+                .get(&format!("game:{username}"))
+                .and_then(|slug| GameId::ALL.into_iter().find(|g| g.slug() == slug))
+                .unwrap_or(GameId::LeagueOfLegends);
+            cursor.assign(&self.obs, from, url, StreamerId::new(username), game_label);
+        }
+    }
+
+    /// One coordinator tick at `at`: sweep, move streamers off crashed
+    /// downloaders, poll `Get Streams` and assign every newly live
+    /// streamer, then schedule the next tick. Returns whether a `tags:*`
+    /// list grew.
+    fn poll(
+        &self,
+        world: &mut World,
+        cursor: &mut DownloadCursor,
+        at: SimTime,
+        sp_run: &SpanGuard,
+    ) -> bool {
+        let obs = &self.obs;
+        // Expire lapsed TTL keys (`active:*` leases, offline cooldowns)
+        // before reading any of them.
+        let swept = self.kv.sweep_expired(at) as u64;
+        cursor.stats.swept += swept;
+        obs.ttl_swept.add(swept);
+        self.reassign_dead(cursor, at, sp_run);
+
+        let mut tags_grew = false;
+        let next = match world.twitch.get_streams(at) {
+            Ok(listings) => {
+                cursor.poll_error_streak = 0;
+                cursor.stats.polls += 1;
+                obs.polls.inc();
+                for l in listings {
+                    let user = l.streamer.as_str();
+                    // Recently went offline: let the cooldown lapse
+                    // before re-acquiring.
+                    if self.kv.exists(&format!("cooldown:{user}")) {
+                        continue;
+                    }
+                    let key = format!("active:{user}");
+                    if self.kv.exists(&key) {
+                        continue;
+                    }
+                    self.kv
+                        .set_with_ttl(&key, &l.thumbnail_url, at + ACTIVE_TTL);
+                    self.kv.set(&format!("game:{user}"), l.game_label.slug());
+                    // Record country tags for the location module's tag
+                    // recovery.
+                    if let Some(tag) = l.country_tag {
+                        self.kv.rpush(&format!("tags:{user}"), tag);
+                        tags_grew = true;
+                    }
+                    if !cursor.assign(obs, at, l.thumbnail_url, l.streamer, l.game_label) {
+                        // Total outage: drop the lease so a later poll
+                        // re-acquires once someone recovers.
+                        self.kv.del(&key);
+                    }
+                }
+                at + self.poll_interval
+            }
+            Err(ApiError::RateLimited(limited)) => {
+                cursor.stats.rate_limited += 1;
+                obs.rate_limited.inc();
+                limited.retry_at
+            }
+            Err(ApiError::ServerError) => {
+                cursor.stats.api_errors += 1;
+                obs.api_errors.inc();
+                cursor.poll_error_streak += 1;
+                if cursor.poll_error_streak <= MAX_RETRIES {
+                    cursor.retry_later(obs, at, cursor.poll_error_streak, Ev::Poll);
+                    return false;
+                }
+                // Give up on this round; resume the regular poll cadence.
+                cursor.poll_error_streak = 0;
+                at + self.poll_interval
+            }
+        };
+        cursor.push(next, Ev::Poll);
+        tags_grew
+    }
+
+    /// Detect dead downloaders and move their streamers to the
+    /// least-loaded survivor. Ids are visited sorted so the reassignment
+    /// is deterministic.
+    fn reassign_dead(&self, cursor: &mut DownloadCursor, at: SimTime, sp_run: &SpanGuard) {
+        let mut dead_ids: Vec<u32> = cursor
+            .assignments
+            .iter()
+            .filter(|(_, a)| !cursor.downloader_alive[a.downloader])
+            .map(|(id, _)| *id)
+            .collect();
+        dead_ids.sort_unstable();
+        for id in dead_ids {
+            let Some(target) = cursor.take_on(&self.obs) else {
+                break; // every downloader is down; wait for a recovery
+            };
+            let a = cursor.assignments.get_mut(&id).expect("id collected above");
+            let old = std::mem::replace(&mut a.downloader, target);
+            // A chain that died on the crashed downloader restarts here.
+            let restart = std::mem::take(&mut a.chain_dead);
+            cursor.downloader_load[old] = cursor.downloader_load[old].saturating_sub(1);
+            self.obs.reassigned.inc();
+            cursor.stats.reassigned += 1;
+            sp_run.event_at(
+                Level::Warn,
+                format!("assignment {id} moved off crashed downloader {old}"),
+                at,
+            );
+            if restart {
+                cursor.push(at, Ev::Fetch(id));
+            }
+        }
+    }
+
+    /// One downloader wake-up for assignment `id` at `at`: fetch the URL
+    /// if the downloader is up and free, the lease still held and the
+    /// breaker closed, and schedule the assignment's next wake-up.
+    /// Returns whether a new thumbnail was queued on `fetched`.
+    fn fetch(
+        &self,
+        world: &mut World,
+        cursor: &mut DownloadCursor,
+        id: u32,
+        at: SimTime,
+        sp_run: &SpanGuard,
+        fetched: &mut Vec<(String, CdnBody)>,
+    ) -> bool {
+        let obs = &self.obs;
+        let Some(assignment) = cursor.assignments.get_mut(&id) else {
+            return false;
+        };
+        let d = assignment.downloader;
+        // A dead downloader executes nothing: the event chain stops here
+        // and restarts when the coordinator reassigns the streamer on its
+        // next poll.
+        if !cursor.downloader_alive[d] {
+            assignment.chain_dead = true;
+            return false;
+        }
+        // Lease lapsed (TTL expiry or a lost KV write): release the
+        // assignment; the coordinator re-acquires the streamer if it is
+        // still live.
+        let lease = format!("active:{}", assignment.streamer.as_str());
+        if !self.kv.exists(&lease) {
+            cursor.release(obs, id, d);
+            return false;
+        }
+        // Open breaker: only the scheduled half-open probe may pass; stray
+        // earlier events are swallowed (the probe event sustains the
+        // chain).
+        if !assignment.breaker.allows(at) {
+            return false;
+        }
+        // Serialise fetches per downloader.
+        if cursor.downloader_busy_until[d] > at {
+            obs.fetch_deferred.inc();
+            cursor.push(cursor.downloader_busy_until[d], Ev::Fetch(id));
+            return false;
+        }
+        cursor.downloader_busy_until[d] = at + self.fetch_cost;
+        obs.get_attempts.inc();
+        match world.twitch.cdn_fetch(&assignment.url, at) {
+            // A truncated payload is detectable at fetch time (fewer bytes
+            // than the content length promised), so it takes the timeout's
+            // path.
+            fault @ (CdnResponse::TimedOut | CdnResponse::Truncated) => {
+                if matches!(fault, CdnResponse::TimedOut) {
+                    obs.cdn_timeouts.inc();
+                }
+                self.fetch_failed(cursor, id, at, sp_run);
+                false
+            }
+            CdnResponse::Thumbnail {
+                body,
+                generated_at,
+                next_update,
+            } => {
+                assignment.breaker.record_success();
+                if let Some(last) = assignment.last_generated {
+                    if generated_at == last {
+                        // Same content; try again shortly.
+                        obs.same_content.inc();
+                        cursor.push(at + SimDuration::from_secs(30), Ev::Fetch(id));
+                        return false;
+                    }
+                    // Count thumbnails we never saw (gap of more than one
+                    // nominal interval).
+                    let gap = generated_at.since(last).as_secs();
+                    if gap > 400 {
+                        cursor.stats.missed += gap / 330 - 1;
+                        obs.overwrite_missed.add(gap / 330 - 1);
+                    }
+                }
+                assignment.last_generated = Some(generated_at);
+                let task = ThumbnailTask {
+                    streamer: assignment.streamer.clone(),
+                    game_label: assignment.game_label,
+                    generated_at,
+                    object_key: format!(
+                        "{}/{}",
+                        assignment.streamer.as_str(),
+                        generated_at.as_micros()
+                    ),
+                };
+                fetched.push((task.object_key.clone(), body));
+                if fetched.len() == RENDER_BATCH {
+                    self.store_fetched(&world.twitch, fetched);
+                }
+                self.kv.rpush("queue:thumbs", task.encode());
+                // Refresh the activity lease.
+                self.kv
+                    .set_with_ttl(&lease, &assignment.url, at + ACTIVE_TTL);
+                cursor.stats.downloaded += 1;
+                obs.get_hits.inc();
+                // Schedule the next fetch right after the next expected
+                // overwrite.
+                let next = next_update
+                    .map(|t| t + SimDuration::from_secs(5))
+                    .unwrap_or(at + SimDuration::from_mins(5));
+                cursor.push(next.max(at + self.fetch_cost), Ev::Fetch(id));
+                true
+            }
+            CdnResponse::Offline => {
+                // Could be "live but first thumbnail pending": check
+                // activity via another short retry, but only once — the KV
+                // active flag with TTL keeps this bounded. Signal the
+                // coordinator and set a short cooldown so a comeback is
+                // re-acquired on the next poll after it lapses.
+                let user = assignment.streamer.as_str();
+                cursor.stats.offline_signals += 1;
+                obs.offline_signals.inc();
+                self.kv.rpush("offline", user.to_string());
+                self.kv.del(&lease);
+                self.kv.del(&format!("game:{user}"));
+                self.kv
+                    .set_with_ttl(&format!("cooldown:{user}"), "1", at + OFFLINE_COOLDOWN);
+                cursor.release(obs, id, d);
+                false
+            }
+        }
+    }
+
+    /// The fetch for assignment `id` timed out or arrived truncated:
+    /// count the fault against the assignment's breaker and schedule the
+    /// next attempt — after the backoff, or, if that opened the breaker,
+    /// after its cooldown.
+    fn fetch_failed(&self, cursor: &mut DownloadCursor, id: u32, at: SimTime, sp_run: &SpanGuard) {
+        cursor.stats.cdn_faults += 1;
+        let breaker = &mut cursor
+            .assignments
+            .get_mut(&id)
+            .expect("the failed fetch was this assignment's")
+            .breaker;
+        if breaker.record_fault(at, BREAKER_THRESHOLD, BREAKER_COOLDOWN) == BreakerState::Open {
+            // Trip (or re-open after a failed probe): stop hammering the
+            // URL; probe again after the cooldown.
+            cursor.stats.breaker_trips += 1;
+            self.obs.breaker_open.inc();
+            sp_run.event_at(
+                Level::Warn,
+                format!("circuit breaker opened (assignment {id})"),
+                at,
+            );
+            cursor.push(at + BREAKER_COOLDOWN, Ev::Fetch(id));
+        } else {
+            let streak = breaker.fault_streak();
+            cursor.retry_later(&self.obs, at, streak, Ev::Fetch(id));
+        }
     }
 
     /// Render every queued body and store the payloads in queue order,
@@ -968,13 +994,12 @@ impl DownloadModule {
     /// are moved to the dead-letter list (and counted) instead of being
     /// silently dropped.
     pub fn drain_tasks(&self) -> Vec<ThumbnailTask> {
-        let decode_failures = self.obs.counter("download.decode_failures");
         let mut out = Vec::new();
         while let Some(raw) = self.kv.lpop("queue:thumbs") {
             match ThumbnailTask::decode(&raw) {
                 Some(task) => out.push(task),
                 None => {
-                    decode_failures.inc();
+                    self.obs.decode_failures.inc();
                     self.dead_letter(raw);
                 }
             }
@@ -984,7 +1009,7 @@ impl DownloadModule {
 
     /// Quarantine a poison entry onto the dead-letter list.
     pub fn dead_letter(&self, entry: impl Into<String>) {
-        self.obs.counter("download.dead_letter").inc();
+        self.obs.dead_letter.inc();
         self.trace
             .event(Level::Error, "entry quarantined to the dead-letter queue");
         self.kv.rpush(DEAD_LETTER_QUEUE, entry.into());
@@ -1047,7 +1072,7 @@ impl DownloadModule {
         let bytes = self.objects.get("thumbs", object_key)?;
         let image = tero_vision::Image::from_payload(&bytes);
         if image.is_none() {
-            self.obs.counter("download.decode_failures").inc();
+            self.obs.decode_failures.inc();
         }
         image
     }
@@ -1197,6 +1222,48 @@ mod tests {
         assert_eq!(snap.counter("download.reassigned"), Some(0));
         assert_eq!(snap.counter("download.dead_letter"), Some(0));
         assert_eq!(snap.counter("download.decode_failures"), Some(0));
+    }
+
+    #[test]
+    fn instrumenting_registers_every_download_metric() {
+        // The catalogue's `download.*` rows, name being the first backtick
+        // span of a row.
+        let catalogue: Vec<&str> = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../docs/OPERATIONS.md"
+        ))
+        .lines()
+        .filter_map(|line| Some(line.strip_prefix("| `")?.split_once('`')?.0))
+        .filter(|name| name.starts_with("download."))
+        .collect();
+        assert!(catalogue.len() > 20, "found the catalogue");
+
+        let registry = Registry::new();
+        let mut module = DownloadModule::new(KvStore::new(), ObjectStore::new());
+        module.instrument(&registry);
+        let registered = registry.metric_names();
+        for name in &catalogue {
+            assert!(
+                registered.iter().any(|r| r == name),
+                "{name} is not registered before the first run"
+            );
+        }
+        assert_eq!(registered.len(), catalogue.len());
+
+        // Running looks nothing up by name, so it registers nothing: not
+        // the first window, not an idle one, not the store-facing helpers.
+        let mut world = small_world();
+        let mut cursor = DownloadCursor::new(SimTime::EPOCH, world.horizon);
+        let first = SimTime::EPOCH + SimDuration::from_hours(1);
+        module.run_cursor(&mut world, &mut cursor, first);
+        assert!(cursor.take_dirty());
+        let idle = module.run_cursor(&mut world, &mut cursor, first);
+        assert_eq!(idle, Ingested::default());
+        assert!(!cursor.take_dirty(), "the second call popped no event");
+        module.dead_letter("junk");
+        assert_eq!(module.drain_tasks().len() as u64, cursor.stats.downloaded);
+        assert_eq!(module.load_image("no/such"), None);
+        assert_eq!(registry.metric_names(), registered);
     }
 
     #[test]

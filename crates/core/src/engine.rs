@@ -83,10 +83,12 @@ pub struct Engine {
     /// pass; the horizon pass consumes whatever the last window left.
     agg_pending: BTreeSet<(AnonId, GameId)>,
     /// Ingest queued thumbnail tasks the extract stage has not drained
-    /// yet. Engine state, not window state, like the cursor's own
-    /// `tags_grew`: a kill fires after the ingest commit, and the
-    /// re-driven call skips ingest but must still extract.
+    /// yet. Engine state, not window state: a kill fires after the ingest
+    /// commit, and the re-driven call skips ingest but must still extract.
     tasks_queued: bool,
+    /// A poll grew a `tags:*` list the locate stage has not looked at
+    /// yet. Engine state for the same reason.
+    tags_grew: bool,
     /// Set until the first pass over the stages completes. A new engine
     /// has seen nothing move (and a restored one holds another process's
     /// store), so its first pass runs every stage.
@@ -148,10 +150,10 @@ const MARKER_FIELDS: [&str; 5] = [
 ];
 
 impl Engine {
-    /// Wire up a fresh engine: stores, pool, chaos, tracer — everything
-    /// the legacy `run()` preamble did, done once per run.
+    /// Wire up a fresh engine, once per run: metric handles, tracer,
+    /// pool, stores, chaos hookup and the download module.
     pub fn new(tero: &Tero, world: &World, from: SimTime) -> Engine {
-        let metrics = tero.metrics_for_run();
+        let metrics = PipelineMetrics::new(&tero.obs);
         tero.trace.begin_run();
         tero.trace.instrument(&tero.obs);
         let sp_run = tero.trace.span("pipeline.run");
@@ -197,6 +199,7 @@ impl Engine {
             agg: AggStage::default(),
             agg_pending: BTreeSet::new(),
             tasks_queued: false,
+            tags_grew: false,
             first_pass: true,
             window_index: 0,
             ingested_to: None,
@@ -319,11 +322,10 @@ impl Engine {
                 let cx = self.wiring.cx(tero, world);
                 let m = &cx.metrics.st_ingest;
                 let _span = cx.enter(m);
-                let before = self.cursor.stats().downloaded;
-                cx.download.run_cursor(cx.world, &mut self.cursor, to);
-                let downloaded = self.cursor.stats().downloaded - before;
-                m.records_out.add(downloaded);
-                self.tasks_queued |= downloaded > 0;
+                let ingested = cx.download.run_cursor(cx.world, &mut self.cursor, to);
+                m.records_out.add(ingested.thumbnails);
+                self.tasks_queued |= ingested.thumbnails > 0;
+                self.tags_grew |= ingested.tags_grew;
             }
             self.ingested_to = Some(to);
             self.commit(tero);
@@ -343,7 +345,7 @@ impl Engine {
             let mut cx = self.wiring.cx(tero, world);
             let all = std::mem::take(&mut self.first_pass);
             let tasks_queued = std::mem::take(&mut self.tasks_queued);
-            let tags_grew = std::mem::take(&mut self.cursor.tags_grew);
+            let tags_grew = std::mem::take(&mut self.tags_grew);
             let extracted = if all || tasks_queued {
                 self.extract.run(&mut cx)
             } else {

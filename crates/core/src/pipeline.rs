@@ -16,7 +16,8 @@
 //! a [`tero_pool::Pool`] sized by [`Tero::worker_threads`]. Each parallel
 //! stage is a pure map whose results are merged back *in input order*, so
 //! the report (and every funnel counter) is byte-identical at any worker
-//! count; `worker_threads == 1` runs the exact legacy sequential path.
+//! count; with `worker_threads == 1` every map runs inline on the calling
+//! thread.
 
 use crate::analysis::anomaly::AnomalyReport;
 use crate::analysis::clusters::{ClassifiedStreamer, EndPointChange, LatencyCluster};
@@ -30,7 +31,7 @@ use crate::location::LocationSource;
 use crate::serving::{ServingError, DIST_SKETCH_PREFIX};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, PoisonError};
-use tero_obs::{CounterHandle, GaugeHandle, HistogramHandle, Registry, Snapshot, StageMetrics};
+use tero_obs::{CounterHandle, GaugeHandle, Registry, Snapshot, StageMetrics};
 use tero_store::{KvStore, ObjectStore};
 use tero_trace::{DropReason, Tracer};
 use tero_types::{AnonId, GameId, Location, ShardSpec, SimDuration, SimTime, TeroParams};
@@ -83,7 +84,7 @@ pub struct Tero {
     pub obs: Registry,
     /// Worker threads for the parallel stages (extraction, per-stream
     /// analysis, per-group aggregation). Defaults to the machine's
-    /// available parallelism; `1` runs the exact sequential legacy path.
+    /// available parallelism; `1` runs every stage on the calling thread.
     /// The report is identical for every value — see `tests/determinism.rs`.
     pub worker_threads: usize,
     /// The structured tracer (`tero-trace`). Span/event recording is off
@@ -92,9 +93,6 @@ pub struct Tero {
     /// [`tero_trace::Ledger::reconcile`] can audit any run. Trace output
     /// is deterministic: identical for every `worker_threads` value.
     pub trace: Tracer,
-    /// Every pipeline metric handle, resolved once at construction
-    /// against [`Tero::obs`] and reused across windows.
-    pub metrics: PipelineMetrics,
     /// The engine slot behind [`Tero::run_window`]: holds the staged
     /// engine between windows, or a [`StoreSnapshot`] scheduled for
     /// restore. [`Tero::run`] resets it and drives one full-horizon
@@ -115,8 +113,6 @@ pub struct Tero {
 
 impl Default for Tero {
     fn default() -> Self {
-        let obs = Registry::new();
-        let metrics = PipelineMetrics::new(&obs);
         Tero {
             params: TeroParams::default(),
             salt: 0x7e60,
@@ -124,10 +120,9 @@ impl Default for Tero {
             min_streamers: 5,
             reject_outside_clusters: false,
             locate_budget: None,
-            obs,
+            obs: Registry::new(),
             worker_threads: tero_pool::default_workers(),
             trace: Tracer::new(),
-            metrics,
             engine: EngineCell::default(),
             stores: None,
             shard: None,
@@ -135,13 +130,10 @@ impl Default for Tero {
     }
 }
 
-/// Every counter and histogram handle the pipeline bumps, resolved (and
+/// Every counter and histogram handle the stages bump, resolved (and
 /// eagerly registered, so the catalogue is complete even on clean runs)
-/// once per registry instead of 30+ times at the top of every run.
-#[derive(Clone)]
+/// once per run, by [`Engine::new`] against [`Tero::obs`].
 pub struct PipelineMetrics {
-    registry: Registry,
-    pub(crate) run_us: HistogramHandle,
     pub(crate) streams_stitched: CounterHandle,
     pub(crate) streamers_located: CounterHandle,
     pub(crate) segments_built: CounterHandle,
@@ -221,8 +213,11 @@ pub struct PipelineMetrics {
 impl PipelineMetrics {
     /// Resolve every pipeline handle against `registry`.
     pub fn new(registry: &Registry) -> PipelineMetrics {
+        // Timed by `Tero::run`, which outlives the engines it drives and
+        // takes the handle by name; registered here so a windowed drive
+        // lists it too.
+        let _ = registry.histogram("pipeline.run_us");
         PipelineMetrics {
-            run_us: registry.histogram("pipeline.run_us"),
             streams_stitched: registry.counter("pipeline.streams_stitched"),
             streamers_located: registry.counter("pipeline.streamers_located"),
             segments_built: registry.counter("analysis.segments_built"),
@@ -266,19 +261,7 @@ impl PipelineMetrics {
             st_locate: StageMetrics::new(registry, "locate"),
             st_clean: StageMetrics::new(registry, "clean"),
             st_publish: StageMetrics::new(registry, "publish"),
-            registry: registry.clone(),
         }
-    }
-
-    /// Whether these handles record into `registry`.
-    pub(crate) fn same_registry(&self, registry: &Registry) -> bool {
-        self.registry.same_registry(registry)
-    }
-}
-
-impl std::fmt::Debug for PipelineMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineMetrics").finish_non_exhaustive()
     }
 }
 
@@ -422,23 +405,11 @@ impl Tero {
         self.obs.snapshot()
     }
 
-    /// The metric handles to use for a run: the pre-built
-    /// [`Tero::metrics`] when they still point at [`Tero::obs`], or a
-    /// fresh resolution when a caller swapped in a different registry via
-    /// struct-update syntax.
-    pub(crate) fn metrics_for_run(&self) -> PipelineMetrics {
-        if self.metrics.same_registry(&self.obs) {
-            self.metrics.clone()
-        } else {
-            PipelineMetrics::new(&self.obs)
-        }
-    }
-
     /// Run the full pipeline over a world's entire data-set, as one
     /// horizon-sized window through the staged engine.
     pub fn run(&self, world: &mut World) -> TeroReport {
-        let metrics = self.metrics_for_run();
-        let _run_timer = self.obs.stage_timer(&metrics.run_us);
+        let run_us = self.obs.histogram("pipeline.run_us");
+        let _run_timer = self.obs.stage_timer(&run_us);
         self.engine.reset();
         let horizon = world.horizon;
         // A scheduled engine kill returns `Killed` once; looping resumes

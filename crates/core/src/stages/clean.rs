@@ -957,6 +957,7 @@ mod tests {
         let pool = tero_pool::Pool::new(2);
         let download = DownloadModule::new(kv.clone(), objects.clone());
         let sp_run = tero.trace.span("test.run");
+        let metrics = crate::pipeline::PipelineMetrics::new(&tero.obs);
         let mut cx = StageCx {
             tero: &tero,
             world: &mut world,
@@ -964,7 +965,7 @@ mod tests {
             kv: &kv,
             objects: &objects,
             download: &download,
-            metrics: &tero.metrics,
+            metrics: &metrics,
             sp_run: &sp_run,
         };
         // Five series over four windows, each fed a quarter at a time;

@@ -10,7 +10,9 @@
 //! as one full-horizon window ([`crate::Tero::run`]) or incrementally
 //! ([`crate::Tero::run_window`]). Ingest is the App. A
 //! [`crate::download::DownloadModule`] itself, which the engine advances
-//! through a resumable [`crate::download::DownloadCursor`]; the rest:
+//! through a resumable [`crate::download::DownloadCursor`]; each call
+//! returns what it moved (`download::Ingested`), as the other stages do,
+//! and the engine gates extract and locate on that. The rest:
 //!
 //! * [`extract`] — image-processing (§3.2): drains `queue:thumbs`,
 //!   OCRs thumbnails on the pool, and appends [`SampleRecord`]s to

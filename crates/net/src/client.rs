@@ -724,7 +724,6 @@ fn prefix_kv(req: KvRequest, ns: &str) -> KvRequest {
         },
         KvRequest::Lpop { key } => KvRequest::Lpop { key: p(key) },
         KvRequest::LpopBatch { key, n } => KvRequest::LpopBatch { key: p(key), n },
-        KvRequest::LpopExactBatch { key, n } => KvRequest::LpopExactBatch { key: p(key), n },
         KvRequest::Llen { key } => KvRequest::Llen { key: p(key) },
         KvRequest::LrangeFrom { key, start } => KvRequest::LrangeFrom { key: p(key), start },
         KvRequest::Hset { key, fields } => KvRequest::Hset {

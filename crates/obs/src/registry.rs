@@ -54,16 +54,6 @@ impl Registry {
         self.inner.timing.load(Ordering::Relaxed)
     }
 
-    /// Whether `other` is a clone of this registry (same underlying
-    /// metric tables). Handles resolved from one registry record into
-    /// every clone of it, but not into a distinct registry — callers that
-    /// cache handle bundles (e.g. the pipeline's `PipelineMetrics`) use
-    /// this to detect that the registry was swapped out and the bundle
-    /// must be re-resolved.
-    pub fn same_registry(&self, other: &Registry) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Look up or create the counter `name`.
     pub fn counter(&self, name: &str) -> CounterHandle {
         let mut map = self

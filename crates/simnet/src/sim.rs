@@ -139,11 +139,6 @@ impl Simulator {
         });
     }
 
-    /// Reseed the simulator's RNG (flow jitter). Call before adding flows.
-    pub fn set_seed(&mut self, seed: u64) {
-        self.rng = SimRng::new(seed);
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -165,23 +160,6 @@ impl Simulator {
         self.links_from[a].push((ab, b));
         let ba = self.links.len();
         self.links.push(Link::new(cfg, a));
-        self.links_from[b].push((ba, a));
-        (ab, ba)
-    }
-
-    /// Add a duplex link with asymmetric configurations.
-    pub fn add_duplex_link_asym(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        ab_cfg: LinkConfig,
-        ba_cfg: LinkConfig,
-    ) -> (LinkId, LinkId) {
-        let ab = self.links.len();
-        self.links.push(Link::new(ab_cfg, b));
-        self.links_from[a].push((ab, b));
-        let ba = self.links.len();
-        self.links.push(Link::new(ba_cfg, a));
         self.links_from[b].push((ba, a));
         (ab, ba)
     }

@@ -1,7 +1,7 @@
 //! A Redis-like, sharded, thread-safe key-value store.
 //!
 //! Supports the subset of Redis that the Tero pipeline uses (App. B):
-//! strings, counters, lists with blocking pop (work queues), hashes
+//! strings, counters, lists (work queues), hashes
 //! (streamer-location state), key scans by prefix, and TTLs against the
 //! simulation's logical clock.
 //!
@@ -13,7 +13,7 @@
 //! fault-injection draw order.
 
 use crate::remote::{KvRequest, KvResponse, RemoteStore};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -56,8 +56,6 @@ struct Entry {
 #[derive(Default)]
 struct Shard {
     map: Mutex<HashMap<String, Entry>>,
-    /// Signalled whenever a list in this shard grows.
-    list_grew: Condvar,
 }
 
 /// Where the data actually lives.
@@ -313,13 +311,12 @@ impl KvStore {
     }
 
     /// Push a value to the tail of the list at `key`, creating the list if
-    /// needed, and wake any blocked poppers. Returns the new length.
+    /// needed. Returns the new length.
     pub fn rpush(&self, key: &str, value: impl Into<String>) -> usize {
         let _op = self.observe(true);
         match &self.backend {
             Backend::Local(shards) => {
-                let shard = Self::local_shard(shards, key);
-                let mut map = shard.map.lock();
+                let mut map = Self::local_shard(shards, key).map.lock();
                 if self.dropped_write(key) {
                     // Acked-but-lost: report the length the client expects to see.
                     return match map.get(key).map(|e| &e.value) {
@@ -331,15 +328,13 @@ impl KvStore {
                     value: Value::List(VecDeque::new()),
                     expires_at: None,
                 });
-                let len = match entry.value {
+                match entry.value {
                     Value::List(ref mut l) => {
                         l.push_back(value.into());
                         l.len()
                     }
                     _ => panic!("rpush on non-list key {key}"),
-                };
-                shard.list_grew.notify_all();
-                len
+                }
             }
             Backend::Remote(r) => {
                 if self.dropped_write(key) {
@@ -363,11 +358,11 @@ impl KvStore {
     }
 
     /// Push a batch of values to the tail of the list at `key` under a
-    /// single lock acquisition, waking blocked poppers once. Counts as one
-    /// store operation. Each element is still subject to an independent
-    /// fault-injection draw (matching a loop of [`KvStore::rpush`] calls),
-    /// so replay streams line up whichever API the producer uses. Returns
-    /// the length the client observes after the push.
+    /// single lock acquisition. Counts as one store operation. Each
+    /// element is still subject to an independent fault-injection draw
+    /// (matching a loop of [`KvStore::rpush`] calls), so replay streams
+    /// line up whichever API the producer uses. Returns the length the
+    /// client observes after the push.
     pub fn rpush_batch<I>(&self, key: &str, values: I) -> usize
     where
         I: IntoIterator,
@@ -376,13 +371,12 @@ impl KvStore {
         let _op = self.observe(true);
         match &self.backend {
             Backend::Local(shards) => {
-                let shard = Self::local_shard(shards, key);
-                let mut map = shard.map.lock();
+                let mut map = Self::local_shard(shards, key).map.lock();
                 let entry = map.entry(key.to_string()).or_insert(Entry {
                     value: Value::List(VecDeque::new()),
                     expires_at: None,
                 });
-                let len = match entry.value {
+                match entry.value {
                     Value::List(ref mut l) => {
                         let mut acked = l.len();
                         for v in values {
@@ -394,9 +388,7 @@ impl KvStore {
                         acked
                     }
                     _ => panic!("rpush_batch on non-list key {key}"),
-                };
-                shard.list_grew.notify_all();
-                len
+                }
             }
             Backend::Remote(r) => {
                 // Draw the per-element fault decisions at the facade (same
@@ -425,7 +417,7 @@ impl KvStore {
         }
     }
 
-    /// Pop from the head of the list at `key`. Non-blocking.
+    /// Pop from the head of the list at `key`.
     pub fn lpop(&self, key: &str) -> Option<String> {
         let _op = self.observe(true);
         match &self.backend {
@@ -472,89 +464,6 @@ impl KvStore {
                 KvResponse::Strs(v) => v,
                 other => unreachable!("lpop_batch returned {other:?}"),
             },
-        }
-    }
-
-    /// Pop exactly `n` values *only if* at least `n` are available —
-    /// otherwise pop nothing. This is the paper's fixed-batch discipline:
-    /// "if the available thumbnails are fewer than the batch size, no
-    /// process pulls them, and this allows the slower processes to … catch
-    /// up" (App. B).
-    pub fn lpop_exact_batch(&self, key: &str, n: usize) -> Vec<String> {
-        let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                match map.get_mut(key) {
-                    Some(Entry {
-                        value: Value::List(l),
-                        ..
-                    }) if l.len() >= n => l.drain(..n).collect(),
-                    _ => vec![],
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::LpopExactBatch {
-                key: key.to_string(),
-                n: n as u64,
-            }) {
-                KvResponse::Strs(v) => v,
-                other => unreachable!("lpop_exact_batch returned {other:?}"),
-            },
-        }
-    }
-
-    /// Blocking pop with a wall-clock timeout (used by worker threads).
-    /// Returns `None` on timeout. On a remote backend this polls (there is
-    /// no cross-host condvar): the caller trades a little latency for the
-    /// same contract.
-    pub fn blpop(&self, key: &str, timeout: std::time::Duration) -> Option<String> {
-        let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let shard = Self::local_shard(shards, key);
-                let deadline = std::time::Instant::now() + timeout;
-                let mut map = shard.map.lock();
-                loop {
-                    if let Some(Entry {
-                        value: Value::List(l),
-                        ..
-                    }) = map.get_mut(key)
-                    {
-                        if let Some(v) = l.pop_front() {
-                            return Some(v);
-                        }
-                    }
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    if shard.list_grew.wait_until(&mut map, deadline).timed_out() {
-                        // Check one last time after the timeout.
-                        if let Some(Entry {
-                            value: Value::List(l),
-                            ..
-                        }) = map.get_mut(key)
-                        {
-                            return l.pop_front();
-                        }
-                        return None;
-                    }
-                }
-            }
-            Backend::Remote(r) => {
-                let deadline = std::time::Instant::now() + timeout;
-                loop {
-                    if let KvResponse::MaybeStr(Some(v)) = r.kv(KvRequest::Lpop {
-                        key: key.to_string(),
-                    }) {
-                        return Some(v);
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        return None;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            }
         }
     }
 
@@ -853,15 +762,13 @@ impl KvStore {
                             Value::Hash(fields.iter().cloned().collect())
                         }
                     };
-                    let shard = Self::local_shard(shards, &entry.key);
-                    shard.map.lock().insert(
+                    Self::local_shard(shards, &entry.key).map.lock().insert(
                         entry.key.clone(),
                         Entry {
                             value,
                             expires_at: entry.expires_at,
                         },
                     );
-                    shard.list_grew.notify_all();
                 }
             }
             Backend::Remote(r) => {
@@ -1044,7 +951,6 @@ impl std::fmt::Debug for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn string_roundtrip() {
@@ -1077,20 +983,6 @@ mod tests {
         assert_eq!(kv.lpop("q").as_deref(), Some("a"));
         assert_eq!(kv.lpop_batch("q", 10), vec!["b", "c"]);
         assert_eq!(kv.lpop("q"), None);
-    }
-
-    #[test]
-    fn exact_batch_discipline() {
-        let kv = KvStore::new();
-        for i in 0..5 {
-            kv.rpush("batch", i.to_string());
-        }
-        // Not enough for a batch of 8: nothing is pulled.
-        assert!(kv.lpop_exact_batch("batch", 8).is_empty());
-        assert_eq!(kv.llen("batch"), 5);
-        // Exactly enough for a batch of 5.
-        assert_eq!(kv.lpop_exact_batch("batch", 5).len(), 5);
-        assert_eq!(kv.llen("batch"), 0);
     }
 
     #[test]
@@ -1201,24 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_pop_wakes_on_push() {
-        let kv = KvStore::new();
-        let kv2 = kv.clone();
-        let t = std::thread::spawn(move || kv2.blpop("jobs", Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(50));
-        kv.rpush("jobs", "work");
-        assert_eq!(t.join().unwrap().as_deref(), Some("work"));
-    }
-
-    #[test]
-    fn blocking_pop_times_out() {
-        let kv = KvStore::new();
-        let start = std::time::Instant::now();
-        assert_eq!(kv.blpop("empty", Duration::from_millis(50)), None);
-        assert!(start.elapsed() >= Duration::from_millis(45));
-    }
-
-    #[test]
     fn concurrent_producers_consumers() {
         let kv = KvStore::new();
         let mut handles = vec![];
@@ -1230,13 +1104,22 @@ mod tests {
                 }
             }));
         }
+        // Consumers race the producers: every pushed value is popped by
+        // exactly one of them.
+        let popped = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut consumers = vec![];
         for _ in 0..4 {
-            let kv = kv.clone();
+            let (kv, popped) = (kv.clone(), Arc::clone(&popped));
             consumers.push(std::thread::spawn(move || {
                 let mut got = 0;
-                while let Some(_v) = kv.blpop("mpmc", Duration::from_millis(200)) {
-                    got += 1;
+                while popped.load(std::sync::atomic::Ordering::SeqCst) < 400 {
+                    match kv.lpop("mpmc") {
+                        Some(_) => {
+                            popped.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            got += 1;
+                        }
+                        None => std::thread::yield_now(),
+                    }
                 }
                 got
             }));
@@ -1375,7 +1258,7 @@ mod tests {
         assert_eq!(kv.rpush_batch("q", ["y", "z"].map(String::from)), 3);
         assert_eq!(kv.llen("q"), 3);
         assert_eq!(kv.lpop("q").as_deref(), Some("x"));
-        assert_eq!(kv.lpop_exact_batch("q", 2), vec!["y", "z"]);
+        assert_eq!(kv.lpop_batch("q", 2), vec!["y", "z"]);
         kv.hset("h", "f", "v");
         assert_eq!(kv.hget("h", "f").as_deref(), Some("v"));
         kv.hset_many(

@@ -12,9 +12,9 @@
 //! stage replays — a stated substitution for App. B's MongoDB (DESIGN.md
 //! §1).
 //!
-//! * [`KvStore`] — a sharded key-value store with strings, lists (including
-//!   blocking pop, the pattern Tero's workers use to pull batches), hashes,
-//!   counters and logical-time TTLs;
+//! * [`KvStore`] — a sharded key-value store with strings, lists (work
+//!   queues the consumers pull from when ready, one entry or a batch at a
+//!   time), hashes, counters and logical-time TTLs;
 //! * [`ObjectStore`] — buckets of immutable byte blobs keyed by name.
 //!
 //! Everything here follows the paper's push/pull discipline: producers push

@@ -1,9 +1,10 @@
 //! An S3/Ceph-like object store: buckets of named immutable blobs.
 //!
-//! Tero stores downloaded thumbnails and the intermediate products of
-//! image-processing here (App. B), and deletes them as soon as they are
-//! processed (§7's data-minimisation rule) — hence the emphasis on cheap
-//! deletion and occupancy accounting.
+//! Tero's download module stores every thumbnail it fetches here
+//! (App. B) and image-processing reads it back; nothing in the pipeline
+//! deletes one — §7's data-minimisation rule (drop an image once it is
+//! processed) is what `delete` / `delete_bucket` and the occupancy
+//! accounting are for.
 //!
 //! Like [`KvStore`](crate::KvStore), the public API is a facade over
 //! either the in-process map or a [`RemoteStore`] client; metrics and

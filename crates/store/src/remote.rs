@@ -86,13 +86,6 @@ pub enum KvRequest {
         /// Maximum number of elements to pop.
         n: u64,
     },
-    /// `lpop_exact_batch(key, n)`.
-    LpopExactBatch {
-        /// Target list key.
-        key: String,
-        /// Exact batch size (all-or-nothing).
-        n: u64,
-    },
     /// `llen(key)`.
     Llen {
         /// Target list key.
@@ -172,7 +165,6 @@ impl KvRequest {
             | KvRequest::RpushBatch { key, .. }
             | KvRequest::Lpop { key }
             | KvRequest::LpopBatch { key, .. }
-            | KvRequest::LpopExactBatch { key, .. }
             | KvRequest::Llen { key }
             | KvRequest::LrangeFrom { key, .. }
             | KvRequest::Hset { key, .. }
@@ -195,7 +187,6 @@ impl KvRequest {
                 | KvRequest::RpushBatch { .. }
                 | KvRequest::Lpop { .. }
                 | KvRequest::LpopBatch { .. }
-                | KvRequest::LpopExactBatch { .. }
                 | KvRequest::Hset { .. }
                 | KvRequest::SweepExpired { .. }
                 | KvRequest::Clear
@@ -364,9 +355,6 @@ pub fn apply_kv(store: &crate::KvStore, req: KvRequest) -> KvResponse {
         }
         KvRequest::Lpop { key } => KvResponse::MaybeStr(store.lpop(&key)),
         KvRequest::LpopBatch { key, n } => KvResponse::Strs(store.lpop_batch(&key, n as usize)),
-        KvRequest::LpopExactBatch { key, n } => {
-            KvResponse::Strs(store.lpop_exact_batch(&key, n as usize))
-        }
         KvRequest::Llen { key } => KvResponse::Uint(store.llen(&key) as u64),
         KvRequest::LrangeFrom { key, start } => {
             KvResponse::Strs(store.lrange_from(&key, start as usize))

@@ -571,14 +571,6 @@ impl SpanGuard {
         guard
     }
 
-    /// Open a child span stamped with a simulated time.
-    pub fn child_at(&self, name: &str, at: SimTime) -> SpanGuard {
-        match &self.inner {
-            Some(g) => g.tracer.open_span(name, g.id, Some(at)),
-            None => SpanGuard::disabled(),
-        }
-    }
-
     /// Record an event under this span.
     pub fn event(&self, level: Level, message: impl AsRef<str>) {
         if let Some(g) = &self.inner {

@@ -128,12 +128,6 @@ impl SimRng {
         (mu + sigma * self.normal()).exp()
     }
 
-    /// Pareto draw with minimum `xm` and shape `alpha`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        xm / u.powf(1.0 / alpha)
-    }
-
     /// Poisson draw with rate `lambda` (Knuth's algorithm for small lambda,
     /// normal approximation above 30).
     pub fn poisson(&mut self, lambda: f64) -> u64 {

@@ -257,11 +257,6 @@ impl World {
         self.twitch.streamers.iter().find(|s| &s.id == id)
     }
 
-    /// Ground-truth location (city granularity) of a streamer at `t`.
-    pub fn truth_location(&self, id: &StreamerId, t: SimTime) -> Option<Location> {
-        self.streamer(id).map(|s| s.location_at(t).location.clone())
-    }
-
     /// Total ground-truth thumbnail instants across the world.
     pub fn total_samples(&self) -> usize {
         self.twitch

@@ -1151,33 +1151,54 @@ fn idle_windows_run_no_stage() {
 #[test]
 fn a_kill_after_ingest_is_extracted_by_whoever_resumes() {
     // A kill fires after the ingest commit, so whoever resumes skips
-    // ingest: no event of its own tells it that tasks are queued. Pick a
-    // window whose ingest queues some and which only event-free windows
-    // follow, and check that the re-driven window itself extracts them.
+    // ingest: no event of its own tells it that tasks are queued, or that
+    // a poll grew a tag list. Pick a window whose ingest queues tasks and
+    // which only event-free windows follow, and one where a poll grew a
+    // tag list and nothing else would run locate; check that the
+    // re-driven window itself extracts the tasks and runs locate.
     let quiet = FaultPlan::quiet(7);
     let hits = |t: &Tero| t.obs.counter("download.get_hits").get();
     let handed = |t: &Tero| t.obs.counter("stage.extract.records_in").get();
+    let locate_runs = |t: &Tero| t.obs.counter("stage.locate.runs").get();
+    let names = |t: &Tero| t.obs.counter("stage.locate.records_in").get();
     let tero = windowed_tero(2);
     let mut world = day_world(Some(quiet.clone()));
     let mut seen = (0, 0);
+    // Per window: ingest fetched, the window was idle, `stage.locate.runs`
+    // after it, and whether locate ran without a newly registered name.
     let mut windows = Vec::new();
     let mut to = SimTime::EPOCH + HALF_MINUTE;
     let report = loop {
-        let before = hits(&tero);
+        let before = (hits(&tero), locate_runs(&tero), names(&tero));
         match tero.run_window(&mut world, SimTime::EPOCH, to) {
             WindowOutcome::Complete(report) => break report,
             WindowOutcome::Advanced => to += HALF_MINUTE,
             WindowOutcome::Killed => unreachable!("no kill planned"),
         }
-        windows.push((hits(&tero) > before, window_was_idle(&tero, &mut seen)));
+        windows.push((
+            hits(&tero) > before.0,
+            window_was_idle(&tero, &mut seen),
+            locate_runs(&tero),
+            locate_runs(&tero) > before.1 && names(&tero) == before.2,
+        ));
     };
     let reference = Drive::finish(&tero, &report);
     const QUIET_AFTER: usize = 3;
-    let window = (1_000..)
+    let fetch_window = (1_000..)
         .find(|&w| windows[w].0 && windows[w + 1..=w + QUIET_AFTER].iter().all(|w| w.1))
         .expect("the day has a fetch followed by idle windows");
+    // With no locate budget there is no backlog: where locate ran and no
+    // name was registered, a poll's country tag is all that ran it.
+    let tag_window = (1..windows.len())
+        .find(|&w| windows[w].3)
+        .expect("the day has a poll that grows a tag list and registers no name");
 
-    for from_snapshot in [false, true] {
+    for (window, from_snapshot) in [
+        (fetch_window, false),
+        (fetch_window, true),
+        (tag_window, false),
+        (tag_window, true),
+    ] {
         let plan = FaultPlan {
             engine_kills: vec![EngineKill {
                 window: window as u64,
@@ -1199,18 +1220,27 @@ fn a_kill_after_ingest_is_extracted_by_whoever_resumes() {
             tero.run_window(&mut world, SimTime::EPOCH, to),
             WindowOutcome::Killed
         ));
-        assert!(handed(&tero) < hits(&tero), "the kill left tasks queued");
+        if window == fetch_window {
+            assert!(handed(&tero) < hits(&tero), "the kill left tasks queued");
+        }
         if from_snapshot {
             let snap = tero.engine_snapshot().expect("a killed run is in flight");
             tero = windowed_tero(2);
             tero.restore_engine(snap);
         }
-        for _ in 0..=QUIET_AFTER {
+        for after in 0..=QUIET_AFTER {
             assert!(matches!(
                 tero.run_window(&mut world, SimTime::EPOCH, to),
                 WindowOutcome::Advanced
             ));
             assert_eq!(handed(&tero), hits(&tero), "window to {to:?}");
+            if after == 0 && window == tag_window {
+                assert_eq!(
+                    locate_runs(&tero),
+                    windows[window].2,
+                    "locate in the re-driven window {window}, from_snapshot {from_snapshot}"
+                );
+            }
             to += HALF_MINUTE;
         }
         let report = drive_from(&tero, &mut world, to - HALF_MINUTE, HALF_MINUTE);
