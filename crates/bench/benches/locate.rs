@@ -2,7 +2,7 @@
 //! per-window locate slice and the dirty-group aggregation pass cost as
 //! history grows. The scaling claim (docs/AGGREGATION.md): a window's
 //! aggregation cost tracks *that window's dirty groups*, not total
-//! history — clean groups keep their committed analyses, so a window
+//! history — clean groups keep their analyses, so a window
 //! that feeds no new data re-analyses nothing. The numbers feed
 //! docs/PERFORMANCE.md.
 

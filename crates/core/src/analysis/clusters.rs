@@ -4,7 +4,7 @@
 use crate::analysis::anomaly::AnomalyReport;
 use crate::analysis::segments::Segment;
 use serde::{Deserialize, Serialize};
-use tero_types::{AnonId, GameId, LatencySample, SimTime, TeroParams};
+use tero_types::{AnonId, LatencySample, SimTime, TeroParams};
 
 /// A similar-latency cluster.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -158,53 +158,6 @@ pub fn merge_location_clusters(
         })
         .collect();
     merge_until_stable(tops, merge_gap_ms)
-}
-
-/// The live per-`{location, game}` merged clusters, maintained
-/// incrementally by the aggregation stage: each group's
-/// [`merge_location_clusters`] output, re-merged only when the group is
-/// dirty (membership moved, or a member gained sealed data) and
-/// committed under `engine:agg:clusters:*`. The per-window serving
-/// refresh screens provisional distributions against these — the
-/// canonical cluster picture as of the last committed window — via
-/// `reject_outside`.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineLocationClusters {
-    groups: std::collections::BTreeMap<(String, GameId), Vec<LatencyCluster>>,
-}
-
-impl OnlineLocationClusters {
-    /// Replace the clusters of one `{region-key, game}` group.
-    pub fn set(&mut self, location_key: String, game: GameId, clusters: Vec<LatencyCluster>) {
-        self.groups.insert((location_key, game), clusters);
-    }
-
-    /// Drop a group whose membership vanished.
-    pub fn remove(&mut self, location_key: &str, game: GameId) {
-        self.groups.remove(&(location_key.to_string(), game));
-    }
-
-    /// The current clusters of one group, if maintained.
-    pub fn get(&self, location_key: &str, game: GameId) -> Option<&[LatencyCluster]> {
-        self.groups
-            .get(&(location_key.to_string(), game))
-            .map(Vec::as_slice)
-    }
-
-    /// Iterate every maintained group in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&(String, GameId), &Vec<LatencyCluster>)> + '_ {
-        self.groups.iter()
-    }
-
-    /// Number of maintained groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether no group is maintained yet.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
 }
 
 /// An end-point change detected for a mobile streamer (§3.3.3 step 4).

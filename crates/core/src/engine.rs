@@ -11,15 +11,15 @@
 //! over each window's new records (see `docs/CLEANING.md`); the locate
 //! stage spends an explicit per-window simulated-API budget and commits
 //! canonical `engine:locate:*` results as they settle; the aggregation
-//! stage re-analyses only the `{location, game}` groups the window
-//! dirtied and commits them under `engine:agg:*` (see
-//! `docs/AGGREGATION.md`). The window that reaches the horizon makes the
-//! same calls — locate without its budget, then the view refresh and the
-//! aggregation pass — and only then does the one horizon-only stage run:
-//! publish replays the committed aggregation state into the report.
+//! stage re-analyses, in memory, only the `{location, game}` groups the
+//! window dirtied (see `docs/AGGREGATION.md`). The window that reaches
+//! the horizon makes the same calls — locate without its budget, then
+//! the view refresh and the aggregation pass — and only then does the
+//! one horizon-only stage run: publish takes the aggregation stage's
+//! analyses into the report.
 //! After every per-window stage the
 //! engine **commits**: the download cursor, the funnel ledger delta,
-//! every counter, the cleaner's `engine:clean:*` state, and the
+//! every counter, the cleaner's `engine:clean:cursors`, and the
 //! engine's own progress markers are brought up to date under the
 //! chaos-exempt `engine:` key prefix — only what moved since the last
 //! commit is written (the commit contract is in `docs/ARCHITECTURE.md`).
@@ -284,16 +284,14 @@ impl Engine {
             }
         }
         // Rebuild the online cleaner from the committed sample lists and
-        // `engine:clean:*` cursors (metric-silent: the counters above
+        // `engine:clean:cursors` (metric-silent: the counters above
         // already carry the cleaner's committed totals).
         engine.clean.rebuild(kv, &tero.params);
         // Rebuild the budgeted locate stage from its committed
-        // `engine:locate:*` hashes (profile outcomes are never re-drawn),
-        // and force the aggregation stage's next pass to recompute every
-        // group — the committed `engine:agg:*` keys may hold pre-kill or
-        // merged-shard fragments.
+        // `engine:locate:*` hashes (profile outcomes are never re-drawn).
+        // The aggregation stage restores empty: its first pass, which
+        // `first_pass` guarantees, analyses every group.
         engine.locate.rebuild(kv);
-        engine.agg.mark_all_dirty();
         engine.wiring.metrics.window_resumed.inc();
         engine
     }
@@ -514,7 +512,8 @@ impl Engine {
     /// the locate slice (no budget: the queue drains), the view refresh
     /// (only series fed since their last view are stale), the aggregation
     /// pass over the pending series — then hand the cleaner's state to
-    /// publish, which replays the committed aggregation into the report.
+    /// publish, which takes the aggregation stage's analyses into the
+    /// report.
     /// Called once, when a window reaches the horizon.
     fn finish(&mut self, tero: &Tero, world: &mut World) -> TeroReport {
         let mut cx = self.wiring.cx(tero, world);

@@ -12,7 +12,7 @@
 //! across a chaos kill/resume (see `tests/determinism.rs`).
 //!
 //! The three hot stages — thumbnail extraction, per-`{streamer, game}`
-//! cleaning/changepoint analysis, and per-group aggregation — fan out over
+//! cleaning analysis, and per-group aggregation — fan out over
 //! a [`tero_pool::Pool`] sized by [`Tero::worker_threads`]. Each parallel
 //! stage is a pure map whose results are merged back *in input order*, so
 //! the report (and every funnel counter) is byte-identical at any worker
@@ -195,12 +195,6 @@ pub struct PipelineMetrics {
     /// membership moved or a member gained sealed data. Schedule-
     /// dependent for the same reason as `clean.*`.
     pub(crate) agg_dirty_groups: CounterHandle,
-    /// Streaming changepoint accounting (`stats.changepoint.*`): samples
-    /// pushed into the per-series online PELT detectors, and level shifts
-    /// currently detected (the estimate is revised as data arrives, so
-    /// the family is schedule-dependent too).
-    pub(crate) changepoint_points: CounterHandle,
-    pub(crate) changepoint_shifts: CounterHandle,
     /// The `stage.<name>.*` bundles of the five stages that open a
     /// `stage.<name>` span.
     pub(crate) st_ingest: StageMetrics,
@@ -254,8 +248,6 @@ impl PipelineMetrics {
             locate_queue_depth: registry.gauge("locate.queue.depth"),
             locate_api_calls: registry.gauge("location.api_calls"),
             agg_dirty_groups: registry.counter("agg.dirty_groups"),
-            changepoint_points: registry.counter("stats.changepoint.points"),
-            changepoint_shifts: registry.counter("stats.changepoint.shifts"),
             st_ingest: StageMetrics::new(registry, "ingest"),
             st_extract: StageMetrics::new(registry, "extract"),
             st_locate: StageMetrics::new(registry, "locate"),
@@ -692,7 +684,6 @@ mod tests {
             .map(|s| s.samples.len() as u64)
             .sum();
         assert_eq!(snap.counter("clean.samples_in"), Some(sample_total));
-        assert_eq!(snap.counter("stats.changepoint.points"), Some(sample_total));
         assert_eq!(
             snap.counter("stage.locate.records_in"),
             Some(report.streamers_seen as u64)

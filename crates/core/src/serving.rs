@@ -60,8 +60,8 @@ pub const DIST_META_PREFIX: &str = "engine:serve:dist_meta:";
 /// Whether a served distribution was aggregated under canonical
 /// (budgeted-locate, §3.1) locations or the mid-run provisional
 /// fallback. By the horizon every marker is canonical — the publish
-/// finalizer rewrites the whole family from committed aggregation
-/// state.
+/// finalizer rewrites the whole family from the aggregation stage's
+/// analyses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistProvenance {
     /// Every group member carried a committed `engine:locate:*` result.

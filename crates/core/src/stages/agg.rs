@@ -8,65 +8,35 @@
 //! locate stage has committed so far, then re-analyses only the *dirty*
 //! groups: those whose membership moved, or with a member whose series
 //! gained sealed data since the group was last analysed. Clean groups
-//! keep their committed state untouched, so a window's aggregation cost
+//! keep their analyses untouched, so a window's aggregation cost
 //! tracks the window's dirty groups, not total history
 //! (`benches/locate.rs` pins the shape).
 //!
-//! Settled analyses are committed under `engine:agg:group:*` (one JSON
-//! `GroupAnalysis` per group) and the region-level merged clusters
-//! additionally under `engine:agg:clusters:*` — the live cluster
-//! picture the serving refresh screens provisional distributions
-//! against. After a kill/resume or snapshot restore the stage marks
-//! everything dirty and the next pass rebuilds both families from the
-//! restored views; at the horizon the committed bytes are identical
-//! across every window schedule, worker count and restore point,
-//! because each group's analysis is a pure function of its members'
-//! horizon views and canonical locations.
+//! The stage commits nothing: its groups live in memory, the serving
+//! refresh reads them through `AggStage::analysis_for` (the region
+//! groups' merged clusters are the live cluster picture it screens
+//! provisional distributions against), and publish takes them at the
+//! horizon. A restored stage starts empty, so its first pass
+//! re-analyses every group from the restored views; at the horizon the
+//! analyses are identical across every window schedule, worker count
+//! and restore point, because each group's analysis is a pure function
+//! of its members' horizon views and canonical locations.
 
 use super::clean::Views;
 use super::StageCx;
 use crate::analysis::clusters::{
     endpoint_changes, merge_location_clusters, ChangeKind, ClassifiedStreamer, EndPointChange,
-    LatencyCluster, OnlineLocationClusters,
+    LatencyCluster,
 };
 use crate::analysis::distributions::{location_distribution, LocationDistribution};
 use crate::analysis::shared::{detect_shared_anomalies, SharedAnomaly, StreamerActivity};
 use crate::location::LocationSource;
 use crate::pipeline::Tero;
 use crate::serving::{dist_sketch_key, ServeGranularity};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tero_geoparse::Gazetteer;
 use tero_types::{AnonId, GameId, Location, SimTime};
 use tero_world::games::{corrected_distance_to, primary_server};
-
-/// Everything the aggregation stage commits lives under this prefix
-/// (inside [`tero_store::PROTECTED_PREFIX`], so chaos never drops it).
-pub const AGG_PREFIX: &str = "engine:agg:";
-
-/// Prefix of the committed per-group analyses:
-/// `engine:agg:group:{r|c}:{game_idx:02}:{location_key}`, one JSON
-/// `GroupAnalysis` each.
-pub const AGG_GROUP_PREFIX: &str = "engine:agg:group:";
-
-/// Prefix of the committed region-level merged clusters:
-/// `engine:agg:clusters:{game_idx:02}:{location_key}`, one JSON
-/// cluster list each.
-pub const AGG_CLUSTERS_PREFIX: &str = "engine:agg:clusters:";
-
-/// The KV key of one committed group analysis.
-pub fn agg_group_key(granularity: ServeGranularity, game: GameId, location_key: &str) -> String {
-    format!(
-        "{AGG_GROUP_PREFIX}{}:{:02}:{location_key}",
-        granularity.tag(),
-        game.index()
-    )
-}
-
-/// The KV key of one committed region-level cluster list.
-pub fn agg_clusters_key(game: GameId, location_key: &str) -> String {
-    format!("{AGG_CLUSTERS_PREFIX}{:02}:{location_key}", game.index())
-}
 
 /// One maintained group: the membership its analysis was computed for,
 /// and the analysis itself.
@@ -83,25 +53,9 @@ pub struct AggStage {
     /// region-level (the full §3.3.3/§5/§6 product set), then
     /// country-level (distributions only; Figs 9, 11, 12).
     groups: [BTreeMap<(String, GameId), GroupEntry>; 2],
-    clusters: OnlineLocationClusters,
-    /// Set after a restore: the in-memory maps are empty and the
-    /// committed `engine:agg:*` keys may be stale (a merged sharded
-    /// store holds last-writer-wins fragments), so the next pass wipes
-    /// and recomputes everything.
-    dirty_all: bool,
 }
 
 impl AggStage {
-    /// Force the next pass to re-analyse (and re-commit) every group.
-    pub(crate) fn mark_all_dirty(&mut self) {
-        self.dirty_all = true;
-    }
-
-    /// The live region-level merged clusters, as of the last pass.
-    pub(crate) fn live_clusters(&self) -> &OnlineLocationClusters {
-        &self.clusters
-    }
-
     /// The maintained analysis of one group, if any.
     pub(crate) fn analysis_for(
         &self,
@@ -117,7 +71,7 @@ impl AggStage {
     /// One aggregation pass: group the series `views` covers under the
     /// canonical `locations` at both granularities, re-analyse the dirty groups
     /// (`pending` lists the series that gained sealed data since the
-    /// last pass), commit the results, and drop vanished groups.
+    /// last pass), and drop vanished groups.
     /// Returns the [`dist_sketch_key`]s of every group that changed, so
     /// the serving refresh can skip the rest.
     pub(crate) fn advance(
@@ -128,19 +82,10 @@ impl AggStage {
         pending: &BTreeSet<(AnonId, GameId)>,
     ) -> BTreeSet<String> {
         let _sp = cx.sp_run.child("stage.aggregate");
-        if self.dirty_all {
-            // Stale committed fragments (pre-kill windows, or a merged
-            // sharded store's last-writer-wins fields) are wiped
-            // wholesale; the recompute below rewrites the live set.
-            for key in cx.kv.keys_with_prefix(AGG_PREFIX) {
-                cx.kv.del(&key);
-            }
-        }
         let mut refreshed = BTreeSet::new();
         for granularity in [ServeGranularity::Region, ServeGranularity::Country] {
             self.pass(cx, views, locations, pending, granularity, &mut refreshed);
         }
-        self.dirty_all = false;
         refreshed
     }
 
@@ -184,8 +129,7 @@ impl AggStage {
         let dirty: Vec<(&(String, GameId), &Vec<AnonId>)> = desired
             .iter()
             .filter(|(key, members)| {
-                self.dirty_all
-                    || stored.get(*key).map(|e| &e.members) != Some(*members)
+                stored.get(*key).map(|e| &e.members) != Some(*members)
                     || members.iter().any(|a| pending.contains(&(*a, key.1)))
             })
             .collect();
@@ -197,18 +141,6 @@ impl AggStage {
         });
         let map = &mut self.groups[granularity as usize];
         for ((key, members), analysis) in dirty.into_iter().zip(results) {
-            cx.kv.set(
-                &agg_group_key(granularity, key.1, &key.0),
-                serde_json::to_string(&analysis).expect("group analyses serialize"),
-            );
-            if granularity == ServeGranularity::Region {
-                self.clusters
-                    .set(key.0.clone(), key.1, analysis.clusters.clone());
-                cx.kv.set(
-                    &agg_clusters_key(key.1, &key.0),
-                    serde_json::to_string(&analysis.clusters).expect("clusters serialize"),
-                );
-            }
             refreshed.insert(dist_sketch_key(granularity, key.1, &key.0));
             map.insert(
                 key.clone(),
@@ -220,11 +152,6 @@ impl AggStage {
         }
         for key in vanished {
             map.remove(&key);
-            cx.kv.del(&agg_group_key(granularity, key.1, &key.0));
-            if granularity == ServeGranularity::Region {
-                self.clusters.remove(&key.0, key.1);
-                cx.kv.del(&agg_clusters_key(key.1, &key.0));
-            }
             refreshed.insert(dist_sketch_key(granularity, key.1, &key.0));
         }
     }
@@ -233,7 +160,7 @@ impl AggStage {
 /// How one member of a `{location, game}` group fared in the
 /// distribution-publication decision — the group-level input to the
 /// sample-provenance pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MemberOutcome {
     /// Non-mover in a group that published a distribution: the member's
     /// cluster samples are in the data-set (subject to the per-streamer
@@ -248,10 +175,7 @@ pub(crate) enum MemberOutcome {
 
 /// Everything the per-`{location, game}` aggregation derives from one
 /// group — produced on a pool worker, merged in group-key order.
-/// Serializable so the incremental aggregation stage can commit each
-/// group's settled analysis under `engine:agg:group:*` and replay it
-/// after a kill/resume.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct GroupAnalysis {
     /// §3.3.3 step-3 merged clusters (region granularity only).
     pub(crate) clusters: Vec<LatencyCluster>,

@@ -12,10 +12,8 @@
 //! * **Feed** — each window in which extract appended a record,
 //!   [`CleanStage::advance`] reads only the *new*
 //!   records of every `engine:samples:*` list (a non-destructive
-//!   [`tero_store::KvStore::lrange_from`] from the series' cursor),
-//!   extends the stream-stitching and segmentation folds, and pushes each
-//!   reading into a per-series streaming changepoint detector
-//!   ([`tero_stats::OnlinePelt`]).
+//!   [`tero_store::KvStore::lrange_from`] from the series' cursor) and
+//!   extends the stream-stitching and segmentation folds.
 //! * **Seal** — segments strictly between two *closed stable* segments
 //!   can never change label again: every anomaly-detection rule (glitch,
 //!   spike fixpoint, correction, cleanup, spike-run merge) only reads up
@@ -40,16 +38,15 @@
 //!   group whose membership, member data, settled aggregation state or
 //!   provenance changed — so `engine:serve:dist:*` answers track the
 //!   run window by window. All-canonical groups reuse the aggregation
-//!   stage's committed analysis verbatim (marker `c`); mixed or
-//!   provisional groups are analysed against the current views and
-//!   screened against the live `engine:agg:clusters:*` picture
-//!   (marker `p`). Every sketch carries an `engine:serve:dist_meta:*`
+//!   stage's analysis verbatim (marker `c`); mixed or provisional groups
+//!   are analysed against the current views and screened against the
+//!   region group's merged clusters in the aggregation stage (marker
+//!   `p`). Every sketch carries an `engine:serve:dist_meta:*`
 //!   provenance marker.
 //!
-//! All resumable state is committed under `engine:clean:*` keys
-//! ([`CLEAN_CURSORS_KEY`], [`clean_state_key`]) and rebuilt from the
-//! lists on [`CleanStage::rebuild`] after a chaos kill or a
-//! fresh-process restore.
+//! The stage commits only its per-list cursors ([`CLEAN_CURSORS_KEY`]);
+//! [`CleanStage::rebuild`] replays the lists up to them after a chaos
+//! kill or a fresh-process restore.
 
 use super::locate::{tag_observations, LocateStage};
 use super::{parse_sample_list_key, SampleRecord, StageCx, SAMPLES_PREFIX};
@@ -62,7 +59,6 @@ use crate::serving::{
 };
 use crate::stages::agg::{analyze_group, reject_outside, AggStage};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use tero_stats::OnlinePelt;
 use tero_store::KvStore;
 use tero_trace::{Level, TaskTrace};
 use tero_types::{AnonId, GameId, LatencySample, Location, SimDuration, SimTime, TeroParams};
@@ -71,34 +67,13 @@ use tero_types::{AnonId, GameId, LatencySample, Location, SimDuration, SimTime, 
 /// apart; in-stream breaks reach ~35 min; offline periods are longer).
 pub const STREAM_GAP: SimDuration = SimDuration(45 * 60 * 1_000_000);
 
-/// KV key prefix for the online cleaner's committed state. Lives under
-/// the chaos-exempt [`tero_store::PROTECTED_PREFIX`], like the engine's
-/// other cursors; *not* under `engine:serve:`, so serving-layer byte
-/// comparisons never see it.
-pub const CLEAN_PREFIX: &str = "engine:clean:";
-
 /// KV hash mapping each `engine:samples:*` list key to the number of
-/// records the cleaner has consumed from it. The lists themselves are the
-/// ground truth; [`CleanStage::rebuild`] replays each list up to its
-/// committed cursor to reconstruct the in-memory state exactly.
+/// records the cleaner has consumed from it — the stage's only committed
+/// state. Lives under the chaos-exempt [`tero_store::PROTECTED_PREFIX`],
+/// like the engine's other cursors. The lists themselves are the ground
+/// truth; [`CleanStage::rebuild`] replays each list up to its committed
+/// cursor to reconstruct the in-memory state exactly.
 pub const CLEAN_CURSORS_KEY: &str = "engine:clean:cursors";
-
-/// The fixed penalty of the per-series [`OnlinePelt`] detector. The
-/// online/batch equivalence contract holds only under a fixed penalty
-/// (a BIC penalty needs the full series length and variance up front);
-/// this value is `2 σ² ln n` at the nominal σ ≈ 3 ms OCR noise and
-/// n ≈ 500 samples of a multi-day series.
-pub const ONLINE_PELT_PENALTY: f64 = 112.0;
-
-/// The committed-state key for one `{streamer, game}` series: a compact
-/// JSON summary of the cleaner's sealed/tail split (the fields are
-/// documented in docs/CLEANING.md). Every field is a pure function of the
-/// series' sample prefix, so at the horizon the committed values are
-/// byte-identical across window schedules, worker counts, and
-/// kill/resume (pinned by `tests/determinism.rs`).
-pub fn clean_state_key(anon: AnonId, game: GameId) -> String {
-    format!("{CLEAN_PREFIX}state:{:016x}:{:02}", anon.0, game.index())
-}
 
 /// What the clean stage hands the publish stage.
 pub struct Cleaned {
@@ -144,18 +119,12 @@ struct SeriesState {
     sealed: Vec<Segment>,
     sealed_labels: Vec<SegmentLabel>,
     sealed_spikes: Vec<SpikeEvent>,
-    /// The §3.3.2 streaming changepoint detector over the primary
-    /// readings, fed sample by sample.
-    pelt: OnlinePelt,
-    /// `pelt.change_count()` at the last metric flush, for the
-    /// `stats.changepoint.shifts` delta.
-    shifts_seen: usize,
     /// Cached view; `None` while the series is dirty.
     view: Option<ViewCache>,
 }
 
 impl SeriesState {
-    fn new(anon: AnonId, game: GameId, params: &TeroParams) -> SeriesState {
+    fn new(anon: AnonId, game: GameId) -> SeriesState {
         SeriesState {
             anon,
             game,
@@ -169,10 +138,24 @@ impl SeriesState {
             sealed: Vec::new(),
             sealed_labels: Vec::new(),
             sealed_spikes: Vec::new(),
-            pelt: OnlinePelt::new(ONLINE_PELT_PENALTY, params.stable_points()),
-            shifts_seen: 0,
             view: None,
         }
+    }
+
+    /// A series rebuilt from the first `records` of its sample list,
+    /// sorted as the batch stitcher sorts the whole list; its cursor is
+    /// the number of records replayed.
+    fn replay(anon: AnonId, game: GameId, records: &[String], params: &TeroParams) -> SeriesState {
+        let mut state = SeriesState::new(anon, game);
+        state.cursor = records.len();
+        let mut samples: Vec<LatencySample> = records
+            .iter()
+            .filter_map(|r| SampleRecord::decode(r))
+            .map(decode_sample)
+            .collect();
+        samples.sort_by_key(|s| s.at);
+        state.feed(&samples, params);
+        state
     }
 
     /// Close the open segment (if any) into the tail, exactly as
@@ -226,7 +209,6 @@ impl SeriesState {
                     self.open.push(s);
                 }
             }
-            self.pelt.push(s.latency_ms as f64);
         }
         if !samples.is_empty() {
             self.view = None;
@@ -316,20 +298,6 @@ impl SeriesState {
             all_unstable: false,
         }
     }
-
-    /// The committed per-series summary (see [`clean_state_key`]).
-    fn summary(&self) -> String {
-        format!(
-            "{{\"records\":{},\"streams\":{},\"sealed_segments\":{},\"sealed_spikes\":{},\"tail_segments\":{},\"open_len\":{},\"changepoints\":{}}}",
-            self.cursor,
-            self.streams.len(),
-            self.sealed.len(),
-            self.sealed_spikes.len(),
-            self.tail.len(),
-            self.open.len(),
-            self.pelt.change_count(),
-        )
-    }
 }
 
 /// Read-only lookup over the cleaner's cached per-series analyses, for
@@ -381,8 +349,8 @@ impl CleanStage {
     }
 
     /// Advance the online cleaner by one window: feed the new sample-list
-    /// records, seal newly closed stable blocks, and commit
-    /// `engine:clean:*` state. Returns the set of series that received
+    /// records, seal newly closed stable blocks, and commit the fed
+    /// series' cursors. Returns the set of series that received
     /// new records (the engine feeds it to the aggregation stage's dirty
     /// tracking and to `CleanStage::refresh_serving`). Per-window cost
     /// is proportional to the new data plus the unsealed tails, not the
@@ -399,7 +367,7 @@ impl CleanStage {
             let state = self
                 .states
                 .entry((anon, game))
-                .or_insert_with(|| SeriesState::new(anon, game, params));
+                .or_insert_with(|| SeriesState::new(anon, game));
             let raw = cx.kv.lrange_from(&key, state.cursor);
             if raw.is_empty() {
                 continue;
@@ -421,20 +389,8 @@ impl CleanStage {
                 (Some(first), Some(last)) if first.at < last
             );
             if inverted {
-                let consumed = state.cursor;
-                let mut rebuilt = SeriesState::new(anon, game, params);
-                rebuilt.cursor = consumed;
-                let mut all: Vec<LatencySample> = cx
-                    .kv
-                    .lrange_from(&key, 0)
-                    .iter()
-                    .take(consumed)
-                    .filter_map(|r| SampleRecord::decode(r))
-                    .map(decode_sample)
-                    .collect();
-                all.sort_by_key(|s| s.at);
-                rebuilt.feed(&all, params);
-                *state = rebuilt;
+                // The cursor now stands at the list's end.
+                *state = SeriesState::replay(anon, game, &cx.kv.lrange_from(&key, 0), params);
             } else {
                 state.feed(&samples, params);
             }
@@ -443,19 +399,11 @@ impl CleanStage {
         }
         cx.metrics.clean_samples_in.add(fed_records);
         cx.metrics.clean_series_dirty.add(fed_keys.len() as u64);
-        cx.metrics.changepoint_points.add(fed_records);
-        // Seal, flush the changepoint delta, and commit per-series state.
+        // Seal and commit each fed series' cursor.
         let mut sealed_total = 0u64;
         for key in &fed_keys {
             let state = self.states.get_mut(key).expect("state was just fed");
             sealed_total += state.seal(params) as u64;
-            let shifts = state.pelt.change_count();
-            cx.metrics
-                .changepoint_shifts
-                .add(shifts.saturating_sub(state.shifts_seen) as u64);
-            state.shifts_seen = shifts;
-            cx.kv
-                .set(&clean_state_key(state.anon, state.game), state.summary());
             cx.kv.hset(
                 CLEAN_CURSORS_KEY,
                 &super::sample_list_key(state.anon, state.game),
@@ -502,15 +450,15 @@ impl CleanStage {
     }
 
     /// Refresh the serving-layer distribution sketches from the current
-    /// views and the locate/aggregation stages' committed state: group
+    /// views and the locate/aggregation stages' state: group
     /// the series under `locate`'s canonical locations (provisional
     /// tags-only fallbacks for streamers whose budgeted profile lookup
     /// hasn't landed yet), and recompute every `{location, game}` group whose
     /// membership, member data, settled aggregation state or provenance
     /// changed since the last refresh. All-canonical groups serve the
-    /// aggregation stage's committed distribution verbatim; mixed or
-    /// provisional groups are analysed against the current views and
-    /// screened against the live `engine:agg:clusters:*` picture. One
+    /// aggregation stage's distribution verbatim; mixed or provisional
+    /// groups are analysed against the current views and screened
+    /// against the region group's merged clusters in `agg`. One
     /// serve-version bump per refresh that changed anything.
     pub(crate) fn refresh_serving(
         &mut self,
@@ -631,14 +579,15 @@ impl CleanStage {
                     // §3.1.2 screen for provisional groups: a mislocated
                     // provisional member's samples rarely land inside the
                     // location's *canonical* latency clusters, so filter
-                    // against the live `engine:agg:clusters:*` picture
-                    // (on top of the group's own merged clusters, which
-                    // `analyze_group` already applied).
+                    // against the aggregation stage's merged clusters of
+                    // the region (on top of the group's own merged
+                    // clusters, which `analyze_group` already applied).
                     if tero.reject_outside_clusters && spec.granularity == ServeGranularity::Region
                     {
                         if let (Some(d), Some(clusters)) = (
                             dist.as_mut(),
-                            agg.live_clusters().get(&spec.loc_key, spec.game),
+                            agg.analysis_for(spec.granularity, &spec.loc_key, spec.game)
+                                .map(|a| a.clusters.as_slice()),
                         ) {
                             reject_outside(d, clusters, gap);
                         }
@@ -771,7 +720,9 @@ impl CleanStage {
     /// every sample list up to its committed cursor (metric-silent — the
     /// counters were already restored from `engine:counters`). By the
     /// sealing argument above, replaying the same sample prefix
-    /// reconstructs the identical sealed/tail split.
+    /// reconstructs the identical sealed/tail split. A cursor past the
+    /// end of its list (a damaged or badly merged snapshot) resumes at
+    /// the end of what was replayed, so no later record is skipped.
     pub fn rebuild(&mut self, kv: &KvStore, params: &TeroParams) {
         let cursors = kv.hgetall(CLEAN_CURSORS_KEY);
         for key in kv.keys_with_prefix(SAMPLES_PREFIX) {
@@ -782,19 +733,10 @@ impl CleanStage {
             if consumed == 0 {
                 continue;
             }
-            let mut state = SeriesState::new(anon, game, params);
-            state.cursor = consumed;
-            let mut samples: Vec<LatencySample> = kv
-                .lrange_from(&key, 0)
-                .iter()
-                .take(consumed)
-                .filter_map(|r| SampleRecord::decode(r))
-                .map(decode_sample)
-                .collect();
-            samples.sort_by_key(|s| s.at);
-            state.feed(&samples, params);
+            let records = kv.lrange_from(&key, 0);
+            let replayed = &records[..consumed.min(records.len())];
+            let mut state = SeriesState::replay(anon, game, replayed, params);
             state.seal(params);
-            state.shifts_seen = state.pelt.change_count();
             self.states.insert((anon, game), state);
         }
     }
@@ -901,7 +843,7 @@ mod tests {
             // the view after every batch against the batch detector over
             // the fed prefix.
             for chunk in [1usize, 3, 5, 17, series.len().max(1)] {
-                let mut state = SeriesState::new(AnonId(1), GameId::ALL[0], &p);
+                let mut state = SeriesState::new(AnonId(1), GameId::ALL[0]);
                 let mut fed = 0usize;
                 for batch in series.chunks(chunk) {
                     state.feed(batch, &p);
@@ -1017,7 +959,7 @@ mod tests {
         // is vacuous.
         let p = params();
         let series = synthetic_series(42);
-        let mut state = SeriesState::new(AnonId(1), GameId::ALL[0], &p);
+        let mut state = SeriesState::new(AnonId(1), GameId::ALL[0]);
         let mut max_sealed = 0usize;
         for batch in series.chunks(6) {
             state.feed(batch, &p);
@@ -1042,7 +984,7 @@ mod tests {
         let series: Vec<LatencySample> = (0..30)
             .map(|i| LatencySample::new(SimTime::from_mins(5 * i), 40 + (i as u32 % 5) * 40))
             .collect();
-        let mut state = SeriesState::new(AnonId(1), GameId::ALL[0], &p);
+        let mut state = SeriesState::new(AnonId(1), GameId::ALL[0]);
         for batch in series.chunks(4) {
             state.feed(batch, &p);
             assert_eq!(state.seal(&p), 0);
@@ -1056,30 +998,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_state_key_is_protected() {
-        let key = clean_state_key(AnonId(0xabcd), GameId::ALL[1]);
-        assert!(key.starts_with(tero_store::PROTECTED_PREFIX));
-        assert!(key.starts_with(CLEAN_PREFIX));
-        assert!(CLEAN_CURSORS_KEY.starts_with(CLEAN_PREFIX));
-    }
-
-    #[test]
-    fn summary_reflects_fed_state() {
-        let p = params();
-        let series = synthetic_series(7);
-        let mut a = SeriesState::new(AnonId(1), GameId::ALL[0], &p);
-        a.feed(&series, &p);
-        a.seal(&p);
-        a.cursor = series.len();
-        // Feeding the same series in two halves commits the same summary.
-        let mut b = SeriesState::new(AnonId(1), GameId::ALL[0], &p);
-        let mid = series.len() / 2;
-        b.feed(&series[..mid], &p);
-        b.seal(&p);
-        b.feed(&series[mid..], &p);
-        b.seal(&p);
-        b.cursor = series.len();
-        assert_eq!(a.summary(), b.summary());
-        assert!(a.summary().contains("\"records\":"));
+    fn clean_cursors_key_is_protected() {
+        assert!(CLEAN_CURSORS_KEY.starts_with(tero_store::PROTECTED_PREFIX));
     }
 }

@@ -31,11 +31,10 @@
 //!   serving distributions (see `docs/CLEANING.md`);
 //! * [`agg`] — the §3.3.3/§5/§6 per-`{location, game}` group analyses
 //!   (merged clusters, end-point changes, distributions, shared
-//!   anomalies), maintained incrementally: each window re-analyses only
-//!   the groups whose membership or sealed data moved and commits the
-//!   results under `engine:agg:*`;
-//! * [`publish`] — the horizon finalizer: replays the committed
-//!   aggregation state, runs the provenance pass, and assembles the
+//!   anomalies), maintained incrementally in memory: each window
+//!   re-analyses only the groups whose membership or sealed data moved;
+//! * [`publish`] — the horizon finalizer: takes the aggregation stage's
+//!   analyses, runs the provenance pass, and assembles the
 //!   final report, once the window that reaches the horizon has made
 //!   the same locate → view refresh → aggregation calls as every other
 //!   window (locate without its budget).

@@ -1,11 +1,11 @@
 //! The publish stage: the horizon finalizer of the §3.3.3/§5/§6
 //! products. Since the aggregation stage went incremental
 //! ([`crate::stages::agg`]) this stage no longer computes anything
-//! group-wise — it *replays* the committed per-`{location, game}`
-//! analyses in key order (byte-identical to the old batch fan-out's
-//! merge order), rewrites the serving distribution family from them,
-//! runs the sample-provenance pass and §6 behaviour preparation, and
-//! assembles the final [`TeroReport`].
+//! group-wise — it takes the aggregation stage's in-memory
+//! per-`{location, game}` analyses in key order (byte-identical to the
+//! old batch fan-out's merge order), rewrites the serving distribution
+//! family from them, runs the sample-provenance pass and §6 behaviour
+//! preparation, and assembles the final [`TeroReport`].
 
 use super::agg::{AggStage, MemberOutcome};
 use super::clean::Cleaned;
@@ -26,8 +26,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use tero_trace::{DropReason, SampleKey, SampleState};
 use tero_types::{AnonId, GameId, SimTime};
 
-/// Publish the run: replay the aggregation stage's settled analyses
-/// (taking them out of `agg`), resolve provenance, and assemble the final
+/// Publish the run: take the aggregation stage's settled analyses out
+/// of `agg` in key order, resolve provenance, and assemble the final
 /// report from the clean stage's hand-off, the locate stage's settled
 /// locations and the cumulative ingest / extract totals. Stateless — the
 /// upstream stages hold everything it reads.

@@ -15,9 +15,8 @@
 //!   the series index — `f[t]` depends only on `f[0..t]` and prefix sums —
 //!   so the online detector runs the *identical* float operations in the
 //!   identical order, and its horizon output is **byte-equal** to the
-//!   batch call on the same values (the equivalence contract of
-//!   docs/CLEANING.md, enforced by tests here and in
-//!   `tests/determinism.rs`). The only caveat is the penalty: a data-
+//!   batch call on the same values (enforced by the tests here). The
+//!   only caveat is the penalty: a data-
 //!   dependent penalty like [`bic_penalty`] needs the full series, so the
 //!   exact contract holds under any *fixed* penalty chosen up front.
 //!
@@ -35,8 +34,7 @@ fn seg_cost(s1: &[f64], s2: &[f64], a: usize, b: usize) -> f64 {
 }
 
 /// Streaming PELT under the mean-shift cost (§3.3.2's changepoint
-/// baseline, in the online form the staged engine's per-window clean
-/// stage feeds).
+/// baseline, in online form).
 ///
 /// §3.3.2 motivates this detector: Tero's glitch/spike scan "is a simple
 /// form of changepoint detection with extra steps", and the paper
@@ -163,9 +161,8 @@ impl OnlinePelt {
 
     /// Number of changepoints in the current optimal segmentation
     /// (segments − 1). Later pushes may *revise* this downward as well as
-    /// up — PELT re-optimises globally — which is why the engine's
-    /// `stats.changepoint.shifts` counter is documented as
-    /// schedule-dependent.
+    /// up — PELT re-optimises globally — so a count read mid-stream is
+    /// not a prefix of the final one.
     pub fn change_count(&self) -> usize {
         self.segment_ends().len().saturating_sub(1)
     }

@@ -18,7 +18,7 @@
 //! each one's provenance marker (`c`/`p`). Stdout is **byte-stable**:
 //! for a fixed seed it is identical across repeat runs and worker
 //! counts, because everything printed derives from committed sketch
-//! bytes and the committed `engine:clean:*` summaries, both covered by
+//! bytes and the committed `engine:clean:cursors`, both covered by
 //! the determinism contract (`tests/determinism.rs`). `scripts/ci.sh`
 //! runs this example twice and diffs stdout.
 
@@ -112,7 +112,7 @@ fn main() {
     };
 
     // The horizon settles the mid-run view: the publish finalizer
-    // replays the committed aggregation state and rewrites the whole
+    // takes the aggregation stage's analyses and rewrites the whole
     // family under canonical locations (every marker reads `c`). Same
     // cleaning — the online views are byte-identical to a batch clean
     // (the docs/CLEANING.md contract) — so any drift between the last

@@ -22,10 +22,12 @@ cargo build --release --examples
 echo "==> cargo test (facade suites; tests/determinism.rs holds the run-condition tests: idle windows run no stage, a locate budget spent through idle windows, a kill after ingest with tasks queued and with a tag list grown, generated window schedules)"
 cargo test -q
 
-echo "==> crate unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, download.* names registered at instrument and none by a run, OCR and grain kernels bit for bit, CDN head vs fetch, pool order, the caller as worker 0 and its panic, sketch codec against its tree reference, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
+echo "==> workspace unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, download.* names registered at instrument and none by a run, online clean view equals the batch detector, OCR and grain kernels bit for bit, CDN head vs fetch, pool order, the caller as worker 0 and its panic, sketch codec against its tree reference, streaming PELT equals the batch baseline, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
 # `cargo test` above covers the root package only; the contracts the
-# facade tests lean on are pinned in the crates' own unit tests.
-cargo test -q -p tero-types -p tero-obs -p tero-trace -p tero-store -p tero-net -p tero-ops -p tero-core -p tero-vision -p tero-world -p tero-pool -p tero-stats -p tero-serve -p tero-chaos -p tero-geoparse -p tero-simnet -p serde_json
+# facade tests lean on are pinned in the crates' own unit tests. Every
+# other workspace member runs — the vendored shims and tero-bench
+# included — so a crate added later cannot be missed.
+cargo test -q --workspace --exclude tero
 
 echo "==> benchmark harness (smoke-sized run of all six workloads, then its own tests)"
 # The harness is a package of its own; it builds into the same target/
@@ -89,7 +91,7 @@ cmp "$trace_dir/serve.1.out" "$trace_dir/serve.w4.out" \
 echo "==> online cleaning determinism (streaming_clean twice, stdout byte-compare)"
 # The example drives 1-day windows and prints the provisional serving
 # view after each one plus the canonical view at finalize — all derived
-# from committed sketch bytes and engine:clean:* summaries, so two runs
+# from committed sketch bytes and engine:clean:cursors, so two runs
 # of the same seed must produce identical stdout (docs/CLEANING.md).
 same_twice clean streaming_clean 7
 

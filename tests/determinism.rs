@@ -159,15 +159,14 @@ fn chrome_trace_parses() {
 /// Counters that describe the *schedule* rather than the data: commit
 /// frequency (`store.kv.*`, `stats.sketch.{commits,bytes}` — each window
 /// boundary re-persists the dirty serving sketches), window/stage
-/// bookkeeping, the online cleaner's per-window activity (`clean.*`,
-/// `stats.changepoint.*` — how much work each window fed, sealed and
-/// refreshed is exactly what a schedule changes; the cleaner's *output*
-/// is pinned separately below), the budgeted locate stage's admission
-/// accounting (`locate.budget.*` — how often a lookup is deferred is a
-/// property of the window count) and the incremental aggregation's
-/// dirty-group work (`agg.*` — more windows re-analyse more groups; the
-/// committed `engine:agg:*` *state* is pinned separately below), and the
-/// planned engine kill. Everything else — the funnel, `download.*`,
+/// bookkeeping, the online cleaner's per-window activity (`clean.*` —
+/// how much work each window fed, sealed and refreshed is exactly what a
+/// schedule changes; the cleaner's *output* is pinned separately below),
+/// the budgeted locate stage's admission accounting (`locate.budget.*` —
+/// how often a lookup is deferred is a property of the window count) and
+/// the incremental aggregation's dirty-group work (`agg.*` — more windows
+/// re-analyse more groups; the report it feeds is pinned by every test
+/// here), and the planned engine kill. Everything else — the funnel, `download.*`,
 /// `ocr.*`, `analysis.*`, `store.object.*`, `stats.sketch.inserts` —
 /// must be byte-identical between a single-shot run and any windowed
 /// drive.
@@ -179,7 +178,6 @@ fn schedule_invariant(counters: BTreeMap<String, u64>) -> BTreeMap<String, u64> 
                 && !name.starts_with("pipeline.window.")
                 && !name.starts_with("stage.")
                 && !name.starts_with("clean.")
-                && !name.starts_with("stats.changepoint.")
                 && !name.starts_with("locate.budget.")
                 && !name.starts_with("agg.")
                 && name != "chaos.injected.engine_kill"
@@ -406,38 +404,68 @@ fn snapshot_restores_into_fresh_tero() {
         .expect("replayed ledger reconciles");
 }
 
-/// Everything the online cleaner committed under `engine:clean:*`,
-/// rendered order-stably: per-series state summaries plus the cursor
-/// hash. These survive into the served store at the horizon, and —
-/// because every summary field is a pure function of the sample prefix
-/// consumed so far — must be byte-identical across window schedules,
+#[test]
+fn a_clean_cursor_past_its_list_skips_no_later_record() {
+    // A damaged or badly merged snapshot can hold a clean cursor past the
+    // end of its sample list. The restored cleaner must resume where its
+    // replay ended, or the records later appended at the indices between
+    // the list's end and the cursor are never fed.
+    use tero::core::stages::clean::CLEAN_CURSORS_KEY;
+    let reference = fingerprint(&windowed_tero(1).run(&mut windowed_world(None)));
+
+    let day = SimDuration::from_hours(24);
+    let mut world = windowed_world(None);
+    let first = windowed_tero(2);
+    assert!(matches!(
+        first.run_window(&mut world, SimTime::EPOCH, SimTime::EPOCH + day),
+        WindowOutcome::Advanced
+    ));
+    let mut snap = first.engine_snapshot().expect("windowed run in flight");
+    drop(first);
+    let damaged = tero::store::KvStore::new();
+    damaged.restore(&snap.kv);
+    let planted: Vec<(String, String)> = damaged
+        .hgetall(CLEAN_CURSORS_KEY)
+        .into_keys()
+        .map(|list| {
+            let past = damaged.llen(&list) + 5;
+            (list, past.to_string())
+        })
+        .collect();
+    assert!(planted.len() > 10, "the first day fed a real population");
+    damaged.hset_many(CLEAN_CURSORS_KEY, planted);
+    snap.kv = damaged.snapshot();
+
+    let second = windowed_tero(2);
+    second.restore_engine(snap);
+    let report = drive_from(&second, &mut world, SimTime::EPOCH + day, day);
+    assert_eq!(
+        fingerprint(&report),
+        reference,
+        "a cursor past its list's end skipped records"
+    );
+}
+
+/// The online cleaner's only committed state, `engine:clean:cursors`,
+/// rendered order-stably: one field per sample list, the number of
+/// records consumed from it. At the horizon every list is consumed to
+/// its end, so the hash must be byte-identical across window schedules,
 /// worker counts, chaos kill/resume and a fresh-`Tero` restore.
 fn clean_state(kv: &tero::store::KvStore) -> BTreeMap<String, String> {
-    use tero::core::stages::clean::{CLEAN_CURSORS_KEY, CLEAN_PREFIX};
-    let mut out = BTreeMap::new();
-    for key in kv.keys_with_prefix(CLEAN_PREFIX) {
-        if key == CLEAN_CURSORS_KEY {
-            for (field, value) in kv.hgetall(&key) {
-                out.insert(format!("{key}#{field}"), value);
-            }
-        } else {
-            let value = kv.get(&key).expect("clean state keys are plain strings");
-            out.insert(key, value);
-        }
-    }
-    out
+    use tero::core::stages::clean::CLEAN_CURSORS_KEY;
+    kv.hgetall(CLEAN_CURSORS_KEY).into_iter().collect()
 }
 
 #[test]
-fn windowed_online_clean_state_identical_across_schedules() {
-    // Reference: the committed cleaner state after a single-shot run.
+fn windowed_clean_cursors_identical_across_schedules() {
+    // Reference: the committed cleaner cursors after a single-shot run.
     let mut world = windowed_world(None);
     let tero_ref = windowed_tero(1);
     let reference = fingerprint(&tero_ref.run(&mut world));
     let ref_state = clean_state(&tero_ref.serving_store().expect("run completed"));
     assert!(
         ref_state.len() > 10,
-        "clean state covers a real population of series"
+        "clean cursors cover a real population of series"
     );
 
     let day = SimDuration::from_hours(24);
@@ -498,16 +526,13 @@ fn windowed_online_clean_state_identical_across_schedules() {
     );
 }
 
-/// Everything the budgeted locate stage and the incremental aggregation
-/// committed under `engine:locate:*` / `engine:agg:*`, rendered
-/// order-stably (the locate keys are hashes, rendered as
-/// `{key}#{field}`; the agg keys are plain strings). At the horizon
-/// both families are pure functions of the world — who streamed, what
-/// their committed profiles said, where the complete tag histories
-/// point — so they must be byte-identical across window schedules,
-/// worker counts, chaos kill/resume and a fresh-`Tero` restore.
-fn locate_agg_state(kv: &tero::store::KvStore) -> BTreeMap<String, String> {
-    use tero::core::stages::agg::AGG_PREFIX;
+/// Everything the budgeted locate stage committed under
+/// `engine:locate:*`, rendered order-stably as `{key}#{field}`. At the
+/// horizon the family is a pure function of the world — who streamed,
+/// what their committed profiles said, where the complete tag histories
+/// point — so it must be byte-identical across window schedules, worker
+/// counts, chaos kill/resume and a fresh-`Tero` restore.
+fn locate_state(kv: &tero::store::KvStore) -> BTreeMap<String, String> {
     use tero::core::stages::locate::LOCATE_PREFIX;
     let mut out = BTreeMap::new();
     for key in kv.keys_with_prefix(LOCATE_PREFIX) {
@@ -515,31 +540,44 @@ fn locate_agg_state(kv: &tero::store::KvStore) -> BTreeMap<String, String> {
             out.insert(format!("{key}#{field}"), value);
         }
     }
-    for key in kv.keys_with_prefix(AGG_PREFIX) {
-        let value = kv.get(&key).expect("agg state keys are plain strings");
-        out.insert(key, value);
-    }
     out
 }
 
+/// Every `engine:*` key family the engine may leave in its store, each
+/// with a reader: a key outside this list is state nothing reads back.
+fn assert_engine_keys_are_read(kv: &tero::store::KvStore) {
+    const EXACT: [&str; 6] = [
+        "engine:download_cursor",
+        "engine:cursor",
+        "engine:counters",
+        "engine:ledger",
+        "engine:names",
+        "engine:clean:cursors",
+    ];
+    const PREFIXES: [&str; 3] = ["engine:samples:", "engine:locate:", "engine:serve:"];
+    for key in kv.keys_with_prefix(tero::store::PROTECTED_PREFIX) {
+        assert!(
+            EXACT.contains(&key.as_str()) || PREFIXES.iter().any(|p| key.starts_with(p)),
+            "{key} is committed but belongs to no family with a reader"
+        );
+    }
+}
+
 #[test]
-fn windowed_locate_agg_state_identical_across_schedules() {
-    // Reference: the committed locate + aggregation state after a
-    // single-shot run.
+fn windowed_locate_state_identical_across_schedules() {
+    // Reference: the committed locate state after a single-shot run.
     let mut world = windowed_world(None);
     let tero_ref = windowed_tero(1);
     let reference = fingerprint(&tero_ref.run(&mut world));
-    let ref_state = locate_agg_state(&tero_ref.serving_store().expect("run completed"));
+    let ref_kv = tero_ref.serving_store().expect("run completed");
+    let ref_state = locate_state(&ref_kv);
     assert!(
         ref_state
             .keys()
             .any(|k| k.starts_with("engine:locate:profiles#")),
         "locate state covers committed profiles"
     );
-    assert!(
-        ref_state.keys().any(|k| k.starts_with("engine:agg:group:")),
-        "agg state covers committed groups"
-    );
+    assert_engine_keys_are_read(&ref_kv);
 
     let day = SimDuration::from_hours(24);
     for window in [Some(day), Some(SimDuration::from_hours(72)), None] {
@@ -548,11 +586,13 @@ fn windowed_locate_agg_state_identical_across_schedules() {
             let tero = windowed_tero(workers);
             let report = drive(&tero, &mut world, window);
             assert_eq!(fingerprint(&report), reference);
+            let kv = tero.serving_store().expect("run completed");
             assert_eq!(
-                locate_agg_state(&tero.serving_store().expect("run completed")),
+                locate_state(&kv),
                 ref_state,
-                "locate/agg state diverged: window {window:?}, {workers} workers"
+                "locate state diverged: window {window:?}, {workers} workers"
             );
+            assert_engine_keys_are_read(&kv);
         }
     }
 
@@ -565,14 +605,17 @@ fn windowed_locate_agg_state_identical_across_schedules() {
     let mut world = windowed_world(Some(chaos_plan));
     let tero = windowed_tero(2);
     drive(&tero, &mut world, Some(day));
+    let kv = tero.serving_store().expect("run completed");
     assert_eq!(
-        locate_agg_state(&tero.serving_store().expect("run completed")),
+        locate_state(&kv),
         ref_state,
-        "locate/agg state diverged across a kill/resume"
+        "locate state diverged across a kill/resume"
     );
+    assert_engine_keys_are_read(&kv);
 
     // Fresh-`Tero` restore: the second engine rebuilds its locate queue
-    // and marks every aggregation group dirty from the snapshot alone.
+    // from the snapshot alone, and its empty aggregation stage analyses
+    // every group on its first pass.
     let mut world = windowed_world(None);
     let first = windowed_tero(2);
     assert!(matches!(
@@ -592,11 +635,13 @@ fn windowed_locate_agg_state_identical_across_schedules() {
             WindowOutcome::Killed => unreachable!("no chaos installed"),
         }
     }
+    let kv = second.serving_store().expect("run completed");
     assert_eq!(
-        locate_agg_state(&second.serving_store().expect("run completed")),
+        locate_state(&kv),
         ref_state,
-        "locate/agg state diverged across a fresh-Tero restore"
+        "locate state diverged across a fresh-Tero restore"
     );
+    assert_engine_keys_are_read(&kv);
 }
 
 /// A world whose streamers are pinned to a few locations (the §5.2
@@ -644,7 +689,7 @@ fn locate_budget_zero_defers_every_lookup_and_converges() {
     let mut world = pinned_world();
     let tero_ref = windowed_tero(2);
     let reference = fingerprint(&tero_ref.run(&mut world));
-    let ref_state = locate_agg_state(&tero_ref.serving_store().expect("run completed"));
+    let ref_state = locate_state(&tero_ref.serving_store().expect("run completed"));
     let ref_spent = funnel(&tero_ref)
         .get("locate.budget.spent")
         .copied()
@@ -710,7 +755,7 @@ fn locate_budget_zero_defers_every_lookup_and_converges() {
     );
     let store = tero.serving_store().expect("run completed");
     assert_eq!(
-        locate_agg_state(&store),
+        locate_state(&store),
         ref_state,
         "zero-budget committed state diverged"
     );
@@ -735,7 +780,7 @@ fn locate_budget_huge_matches_single_shot_exactly() {
     let tero_ref = windowed_tero(2);
     let reference = fingerprint(&tero_ref.run(&mut world));
     let ref_counters = funnel(&tero_ref);
-    let ref_state = locate_agg_state(&tero_ref.serving_store().expect("run completed"));
+    let ref_state = locate_state(&tero_ref.serving_store().expect("run completed"));
 
     let mut world = windowed_world(None);
     let tero = Tero {
@@ -746,7 +791,7 @@ fn locate_budget_huge_matches_single_shot_exactly() {
     assert_eq!(fingerprint(&report), reference);
     assert_eq!(funnel(&tero), ref_counters);
     assert_eq!(
-        locate_agg_state(&tero.serving_store().expect("run completed")),
+        locate_state(&tero.serving_store().expect("run completed")),
         ref_state
     );
 }
@@ -760,7 +805,7 @@ fn an_idle_window_still_spends_the_locate_budget() {
     let tero_ref = windowed_tero(2);
     let reference = fingerprint(&tero_ref.run(&mut windowed_world(None)));
     let ref_counters = schedule_invariant(funnel(&tero_ref));
-    let ref_state = locate_agg_state(&tero_ref.serving_store().expect("run completed"));
+    let ref_state = locate_state(&tero_ref.serving_store().expect("run completed"));
 
     let mut world = windowed_world(None);
     let tero = Tero {
@@ -802,7 +847,7 @@ fn an_idle_window_still_spends_the_locate_budget() {
     assert_eq!(fingerprint(&report), reference);
     assert_eq!(schedule_invariant(funnel(&tero)), ref_counters);
     assert_eq!(
-        locate_agg_state(&tero.serving_store().expect("run completed")),
+        locate_state(&tero.serving_store().expect("run completed")),
         ref_state
     );
 }

@@ -215,11 +215,6 @@ fn documented_counters_move_during_a_run() {
         Some(extracted),
         "the online cleaner consumes every extracted sample"
     );
-    assert_eq!(
-        snap.counter("stats.changepoint.points"),
-        snap.counter("clean.samples_in"),
-        "every consumed sample feeds the streaming changepoint detector"
-    );
     assert!(
         snap.counter("clean.views_refreshed").unwrap() > 0,
         "windowed drive refreshes per-series views"
