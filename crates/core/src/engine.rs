@@ -40,6 +40,7 @@ use crate::stages::publish::publish;
 use crate::stages::StageCx;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use tero_obs::CounterHandle;
 use tero_pool::Pool;
 use tero_store::{KvSnapshot, KvStore, ObjectSnapshot, ObjectStore};
 use tero_trace::{DropReason, SampleKey, SampleState, SpanGuard};
@@ -102,9 +103,9 @@ pub struct Engine {
     horizon: SimTime,
     /// Ledger records already written to `engine:ledger`.
     ledger_committed: usize,
-    /// The value `engine:counters` holds for each counter, sorted by name
-    /// (the order [`tero_obs::Registry::visit_counters`] visits in).
-    committed_counters: Vec<(String, u64)>,
+    /// Every registered counter, sorted by name, with its handle and the
+    /// value `engine:counters` holds for it (`None`: not yet in the hash).
+    committed_counters: Vec<(String, CounterHandle, Option<u64>)>,
     /// The values `engine:cursor` holds, in [`MARKER_FIELDS`] order;
     /// `None` for a field the hash does not have yet.
     committed_markers: [Option<u64>; 5],
@@ -213,8 +214,26 @@ impl Engine {
 
     /// Rebuild an engine from a [`StoreSnapshot`] taken after a kill:
     /// restore the stores, replay the committed counters and ledger, and
-    /// deserialise the download cursor and progress markers.
-    pub fn restore(tero: &Tero, world: &World, snap: &StoreSnapshot) -> Engine {
+    /// deserialise the download cursor and progress markers. Fails,
+    /// before touching anything, with a [`CursorError`] when the
+    /// committed cursor does not decode, or is missing although ingest
+    /// ran.
+    pub fn restore(
+        tero: &Tero,
+        world: &World,
+        snap: &StoreSnapshot,
+    ) -> Result<Engine, CursorError> {
+        let cursor = committed_cursor(&snap.kv)?;
+        Ok(Engine::resume(tero, world, snap, cursor))
+    }
+
+    /// [`Engine::restore`] with the committed cursor already decoded.
+    pub(crate) fn resume(
+        tero: &Tero,
+        world: &World,
+        snap: &StoreSnapshot,
+        cursor: Option<DownloadCursor>,
+    ) -> Engine {
         let mut engine = Engine::new(tero, world, SimTime::EPOCH);
         let kv = &engine.wiring.kv;
         kv.restore(&snap.kv);
@@ -229,10 +248,14 @@ impl Engine {
             .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
             .collect();
         counters.sort_unstable();
-        for (name, value) in &counters {
-            tero.obs.counter(name).add(*value);
-        }
-        engine.committed_counters = counters;
+        engine.committed_counters = counters
+            .into_iter()
+            .map(|(name, value)| {
+                let handle = tero.obs.counter(&name);
+                handle.add(value);
+                (name, handle, Some(value))
+            })
+            .collect();
         // Replay the ledger: every committed record is re-ingested in its
         // original FIFO order, and resolved records resolve immediately.
         let records = kv.lrange_from(LEDGER_KEY, 0);
@@ -247,10 +270,7 @@ impl Engine {
             }
         }
         engine.ledger_committed = records.len();
-        if let Some(cursor) = kv
-            .get(CURSOR_KEY)
-            .and_then(|raw| serde_json::from_str::<DownloadCursor>(&raw).ok())
-        {
+        if let Some(cursor) = cursor {
             engine.cursor = cursor;
         }
         let markers = kv.hgetall(ENGINE_KEY);
@@ -424,38 +444,33 @@ impl Engine {
                 serde_json::to_string(&self.cursor).expect("cursor serialises"),
             );
         }
-        // Merge-join the registry's counters (visited in name order) with
-        // the committed values; counters are never unregistered, so the
-        // committed names are a subset of the visited ones.
+        // Counters are never unregistered, so while the registry holds as
+        // many as were kept it holds the same ones, and their values are
+        // read through the kept handles. After a registration the kept
+        // list is merged with the registry's (both in name order); a
+        // newcomer has no committed value, so it is written below.
         let committed = &mut self.committed_counters;
-        let mut moved = Vec::new();
-        let mut i = 0;
-        tero.obs.visit_counters(|name, value| {
-            while committed.get(i).is_some_and(|(n, _)| n.as_str() < name) {
-                i += 1;
-            }
-            match committed.get_mut(i) {
-                Some((n, v)) if n == name => {
-                    if *v != value {
-                        *v = value;
-                        moved.push(i);
-                    }
-                }
-                // First seen (registered since the last commit, or at
-                // zero before the first): the hash lacks the field.
-                _ => {
-                    committed.insert(i, (name.to_string(), value));
-                    moved.push(i);
-                }
-            }
-            i += 1;
-        });
-        kv.hset_many(
-            COUNTERS_KEY,
-            moved
+        if tero.obs.counter_count() != committed.len() {
+            let mut kept = std::mem::take(committed).into_iter().peekable();
+            *committed = tero
+                .obs
+                .counter_handles()
                 .into_iter()
-                .map(|i| (committed[i].0.clone(), committed[i].1.to_string())),
-        );
+                .map(|(name, handle)| {
+                    let value = kept.next_if(|(n, _, _)| *n == name).and_then(|(_, _, v)| v);
+                    (name, handle, value)
+                })
+                .collect();
+        }
+        let mut moved = Vec::new();
+        for (name, handle, committed) in committed.iter_mut() {
+            let value = handle.get();
+            if *committed != Some(value) {
+                *committed = Some(value);
+                moved.push((name.clone(), value.to_string()));
+            }
+        }
+        kv.hset_many(COUNTERS_KEY, moved);
         let records = tero.trace.ledger().records_from(self.ledger_committed);
         if !records.is_empty() {
             self.ledger_committed += records.len();
@@ -540,6 +555,46 @@ impl Engine {
     /// stashes it as the serving store when a run completes.
     pub(crate) fn kv_store(&self) -> &KvStore {
         &self.wiring.kv
+    }
+}
+
+/// Why a snapshot's committed download cursor cannot be resumed from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CursorError {
+    /// `engine:download_cursor` does not decode; the decoder's message.
+    Undecodable(String),
+    /// `engine:download_cursor` is missing although `engine:cursor` says
+    /// ingest ran.
+    Missing,
+}
+
+impl std::fmt::Display for CursorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CursorError::Undecodable(reason) => {
+                write!(f, "committed download cursor does not decode: {reason}")
+            }
+            CursorError::Missing => {
+                write!(f, "committed download cursor missing although ingest ran")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CursorError {}
+
+/// The download cursor a snapshot committed, decoded; `None` when ingest
+/// never ran. Resuming from a fresh cursor in place of a committed one
+/// would poll from the start again and queue every thumbnail a second
+/// time, so a cursor that does not decode, or one missing while
+/// `engine:cursor` has `ingested_to`, is an error.
+pub(crate) fn committed_cursor(snap: &KvSnapshot) -> Result<Option<DownloadCursor>, CursorError> {
+    match snap.get(CURSOR_KEY) {
+        Some(raw) => serde_json::from_str(raw)
+            .map(Some)
+            .map_err(|e| CursorError::Undecodable(e.to_string())),
+        None if snap.hget(ENGINE_KEY, "ingested_to").is_some() => Err(CursorError::Missing),
+        None => Ok(None),
     }
 }
 
@@ -668,7 +723,7 @@ mod tests {
         assert!(committed["download.polls"].parse::<u64>().unwrap() > 0);
 
         let fresh = calibrated_tero();
-        let mut restored = Engine::restore(&fresh, &world, &snap);
+        let mut restored = Engine::restore(&fresh, &world, &snap).unwrap();
         // Restoring reads the store and writes nothing to it.
         assert_eq!(restored.wiring.kv.snapshot(), snap.kv);
         assert_eq!(restored.cursor.window_start, half);
@@ -742,7 +797,7 @@ mod tests {
         snap.kv = damaged.snapshot();
 
         let fresh = calibrated_tero();
-        let mut restored = Engine::restore(&fresh, &world, &snap);
+        let mut restored = Engine::restore(&fresh, &world, &snap).unwrap();
         let horizon = world.horizon;
         let WindowOutcome::Complete(report) = restored.drive(&fresh, &mut world, horizon, true)
         else {

@@ -45,5 +45,5 @@ pub mod serving;
 pub mod sharded;
 pub mod stages;
 
-pub use engine::StoreSnapshot;
+pub use engine::{CursorError, StoreSnapshot};
 pub use pipeline::{Tero, TeroReport, WindowOutcome};

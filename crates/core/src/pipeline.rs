@@ -25,8 +25,8 @@ use crate::analysis::distributions::LocationDistribution;
 use crate::analysis::segments::StreamSeries;
 use crate::analysis::shared::SharedAnomaly;
 use crate::behavior::BehaviorStream;
-use crate::download::DownloadStats;
-use crate::engine::{Engine, StoreSnapshot};
+use crate::download::{DownloadCursor, DownloadStats};
+use crate::engine::{committed_cursor, CursorError, Engine, StoreSnapshot};
 use crate::location::LocationSource;
 use crate::serving::{ServingError, DIST_SKETCH_PREFIX};
 use std::collections::{BTreeMap, HashMap};
@@ -291,7 +291,9 @@ pub struct EngineCell {
 enum EngineSlot {
     #[default]
     Idle,
-    Restore(StoreSnapshot),
+    /// A snapshot handed over for restore, with its committed download
+    /// cursor already decoded.
+    Restore(Box<(StoreSnapshot, Option<DownloadCursor>)>),
     Running(Box<Engine>),
 }
 
@@ -452,7 +454,10 @@ impl Tero {
         let mut engine = match std::mem::take(&mut *slot) {
             EngineSlot::Running(engine) => engine,
             EngineSlot::Idle => Box::new(Engine::new(self, world, from)),
-            EngineSlot::Restore(snap) => Box::new(Engine::restore(self, world, &snap)),
+            EngineSlot::Restore(restore) => {
+                let (snap, cursor) = *restore;
+                Box::new(Engine::resume(self, world, &snap, cursor))
+            }
         };
         let outcome = engine.drive(self, world, to, finalize);
         if matches!(outcome, WindowOutcome::Complete(_)) {
@@ -515,8 +520,13 @@ impl Tero {
 
     /// Schedule `snapshot` to be restored on the next
     /// [`Tero::run_window`] call, resuming a killed run in this `Tero`.
-    pub fn restore_engine(&self, snapshot: StoreSnapshot) {
-        *self.engine.lock() = EngineSlot::Restore(snapshot);
+    /// The committed download cursor is decoded here: a snapshot whose
+    /// cursor does not decode, or lacks one although its ingest ran, is
+    /// refused with the slot left as it was.
+    pub fn restore_engine(&self, snapshot: StoreSnapshot) -> Result<(), CursorError> {
+        let cursor = committed_cursor(&snapshot.kv)?;
+        *self.engine.lock() = EngineSlot::Restore(Box::new((snapshot, cursor)));
+        Ok(())
     }
 }
 

@@ -326,7 +326,9 @@ pub fn run_sharded_observed(
         mesh.push(("merge".to_string(), merge_tero.trace.clone()));
     }
     let mut merge_world = World::build(cfg.world.clone());
-    merge_tero.restore_engine(merged);
+    merge_tero
+        .restore_engine(merged)
+        .expect("each engine committed a decodable cursor");
     let report = loop {
         if let WindowOutcome::Complete(report) =
             merge_tero.run_window(&mut merge_world, SimTime::EPOCH, horizon)

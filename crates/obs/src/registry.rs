@@ -142,6 +142,28 @@ impl Registry {
         }
     }
 
+    /// How many counters are registered. Counters are never unregistered,
+    /// so while this number holds, so does the set of counters: a caller
+    /// that keeps their handles can read them without touching the table.
+    pub fn counter_count(&self) -> usize {
+        self.inner
+            .counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// Every registered counter's name and handle, in name order.
+    pub fn counter_handles(&self) -> Vec<(String, CounterHandle)> {
+        self.inner
+            .counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|(name, counter)| (name.clone(), counter.clone()))
+            .collect()
+    }
+
     /// A point-in-time snapshot of every metric, in name order.
     pub fn snapshot(&self) -> Snapshot {
         let mut counters = Vec::new();
@@ -261,6 +283,10 @@ mod tests {
             .map(|c| (c.name, c.value))
             .collect();
         assert_eq!(seen, snap);
+        let handles = r.counter_handles();
+        assert_eq!(handles.len(), r.counter_count());
+        let read: Vec<(String, u64)> = handles.iter().map(|(n, c)| (n.clone(), c.get())).collect();
+        assert_eq!(read, seen);
     }
 
     #[test]

@@ -799,6 +799,30 @@ impl KvSnapshot {
         self.entries.is_empty()
     }
 
+    /// The string stored under `key`, read without restoring the snapshot.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        match &self.entry(key)?.value {
+            SnapshotValue::Str(value) => Some(value),
+            _ => None,
+        }
+    }
+
+    /// The value of `field` in the hash stored under `key`, read without
+    /// restoring the snapshot.
+    pub fn hget(&self, key: &str, field: &str) -> Option<&str> {
+        match &self.entry(key)?.value {
+            SnapshotValue::Hash(fields) => fields
+                .iter()
+                .find(|(f, _)| f == field)
+                .map(|(_, value)| value.as_str()),
+            _ => None,
+        }
+    }
+
+    fn entry(&self, key: &str) -> Option<&SnapshotEntry> {
+        self.entries.iter().find(|entry| entry.key == key)
+    }
+
     /// Merge entries from several snapshots into one, keeping entries
     /// sorted by key. Later snapshots win on key collisions, except:
     /// lists are concatenated in argument order, and hashes merge
@@ -1155,6 +1179,12 @@ mod tests {
         kv.hset("h", "a", "1");
         let snap = kv.snapshot();
         assert_eq!(snap.len(), 4);
+        assert_eq!(snap.get("s"), Some("v"));
+        assert_eq!(snap.hget("h", "a"), Some("1"));
+        // Each reads its own type only, like the store's own accessors.
+        assert_eq!(snap.get("h"), None);
+        assert_eq!(snap.hget("s", "a"), None);
+        assert_eq!(snap.hget("h", "c"), None);
 
         let other = KvStore::new();
         other.set("stale", "gone");

@@ -379,7 +379,9 @@ fn snapshot_restores_into_fresh_tero() {
     drop(first);
 
     let second = windowed_tero(2);
-    second.restore_engine(snap);
+    second
+        .restore_engine(snap)
+        .expect("the snapshot's cursor decodes");
     let horizon = world.horizon;
     let mut to = SimTime::EPOCH + day + day;
     let report = loop {
@@ -437,13 +439,74 @@ fn a_clean_cursor_past_its_list_skips_no_later_record() {
     snap.kv = damaged.snapshot();
 
     let second = windowed_tero(2);
-    second.restore_engine(snap);
+    second
+        .restore_engine(snap)
+        .expect("the snapshot's cursor decodes");
     let report = drive_from(&second, &mut world, SimTime::EPOCH + day, day);
     assert_eq!(
         fingerprint(&report),
         reference,
         "a cursor past its list's end skipped records"
     );
+}
+
+#[test]
+fn a_damaged_committed_cursor_is_refused() {
+    // A committed download cursor that did not decode used to be dropped
+    // in silence: the resumed engine started a fresh cursor, polled from
+    // the epoch again and queued every thumbnail a second time. Handing
+    // such a snapshot over is an error now, and the untouched snapshot
+    // still resumes to the uninterrupted report.
+    use tero::core::{CursorError, StoreSnapshot};
+    use tero::store::KvStore;
+    const CURSOR_KEY: &str = "engine:download_cursor";
+    let reference = fingerprint(&windowed_tero(1).run(&mut windowed_world(None)));
+
+    let from = SimTime::EPOCH + SimDuration::from_hours(30);
+    let mut world = windowed_world(None);
+    let first = windowed_tero(2);
+    assert!(matches!(
+        first.run_window(&mut world, SimTime::EPOCH, from),
+        WindowOutcome::Advanced
+    ));
+    let snap = first.engine_snapshot().expect("windowed run in flight");
+    drop(first);
+    let edited = |edit: &dyn Fn(&KvStore)| {
+        let kv = KvStore::new();
+        kv.restore(&snap.kv);
+        edit(&kv);
+        StoreSnapshot {
+            kv: kv.snapshot(),
+            objects: snap.objects.clone(),
+        }
+    };
+    let cursor = snap.kv.get(CURSOR_KEY).expect("ingest committed a cursor");
+    let garbage = edited(&|kv| kv.set(CURSOR_KEY, "garbage"));
+    let truncated = edited(&|kv| kv.set(CURSOR_KEY, &cursor[..cursor.len() / 2]));
+    let missing = edited(&|kv| {
+        kv.del(CURSOR_KEY);
+    });
+    let second = windowed_tero(2);
+    for (damaged, what) in [
+        (garbage, "garbage"),
+        (truncated, "truncated"),
+        (missing, "missing"),
+    ] {
+        let refused = second.restore_engine(damaged);
+        assert!(
+            matches!(
+                (what, &refused),
+                ("garbage" | "truncated", Err(CursorError::Undecodable(_)))
+                    | ("missing", Err(CursorError::Missing))
+            ),
+            "{what}: {refused:?}"
+        );
+    }
+    second
+        .restore_engine(snap)
+        .expect("the untouched snapshot restores");
+    let report = drive_from(&second, &mut world, from, SimDuration::from_hours(24));
+    assert_eq!(fingerprint(&report), reference);
 }
 
 /// The online cleaner's only committed state, `engine:clean:cursors`,
@@ -509,7 +572,9 @@ fn windowed_clean_cursors_identical_across_schedules() {
     let snap = first.engine_snapshot().expect("windowed run in flight");
     drop(first);
     let second = windowed_tero(8);
-    second.restore_engine(snap);
+    second
+        .restore_engine(snap)
+        .expect("the snapshot's cursor decodes");
     let horizon = world.horizon;
     let mut to = SimTime::EPOCH + day + day;
     loop {
@@ -625,7 +690,9 @@ fn windowed_locate_state_identical_across_schedules() {
     let snap = first.engine_snapshot().expect("windowed run in flight");
     drop(first);
     let second = windowed_tero(8);
-    second.restore_engine(snap);
+    second
+        .restore_engine(snap)
+        .expect("the snapshot's cursor decodes");
     let horizon = world.horizon;
     let mut to = SimTime::EPOCH + day + day;
     loop {
@@ -938,7 +1005,9 @@ fn horizon_recomputes_only_stale_views() {
     }
     let snap = first.engine_snapshot().expect("windowed run in flight");
     let second = windowed_tero(2);
-    second.restore_engine(snap);
+    second
+        .restore_engine(snap)
+        .expect("the snapshot's cursor decodes");
     let WindowOutcome::Complete(report) = second.run_window(&mut world, SimTime::EPOCH, horizon)
     else {
         panic!("the restored run reaches the horizon in one window");
@@ -1120,7 +1189,8 @@ fn half_minute_drive_survives_restores_at_idle_and_busy_boundaries() {
         if restores < marks.len() && window >= marks[restores] && idle == (restores % 2 == 0) {
             let snap = tero.engine_snapshot().expect("windowed run in flight");
             tero = windowed_tero(2);
-            tero.restore_engine(snap);
+            tero.restore_engine(snap)
+                .expect("the snapshot's cursor decodes");
             restores += 1;
             idle_restores += idle as usize;
         }
@@ -1271,7 +1341,8 @@ fn a_kill_after_ingest_is_extracted_by_whoever_resumes() {
         if from_snapshot {
             let snap = tero.engine_snapshot().expect("a killed run is in flight");
             tero = windowed_tero(2);
-            tero.restore_engine(snap);
+            tero.restore_engine(snap)
+                .expect("the snapshot's cursor decodes");
         }
         for after in 0..=QUIET_AFTER {
             assert!(matches!(
@@ -1336,7 +1407,8 @@ impl Schedule {
             if i == restore_at {
                 let snap = tero.engine_snapshot().expect("windowed run in flight");
                 tero = windowed_tero(self.workers);
-                tero.restore_engine(snap);
+                tero.restore_engine(snap)
+                    .expect("the snapshot's cursor decodes");
             }
         }
         unreachable!("the last window ends at the horizon")
