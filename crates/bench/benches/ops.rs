@@ -5,10 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 use tero_chaos::{ChaosInjector, FaultPlan};
-use tero_net::{default_link, ShardedStoreClient, SimNet};
+use tero_core::stages::default_stage_budgets;
+use tero_net::{default_link, HealthMonitor, ShardedStoreClient, SimNet};
 use tero_obs::Registry;
-use tero_ops::{default_stage_budgets, BudgetSource, BudgetTable, HealthMonitor};
-use tero_trace::SpanRecord;
+use tero_trace::{BudgetSource, BudgetTable, SpanRecord};
 
 fn quiet_mesh(shards: usize) -> (SimNet, Registry, Vec<Arc<ShardedStoreClient>>) {
     let registry = Registry::new();
@@ -27,9 +27,9 @@ fn quiet_mesh(shards: usize) -> (SimNet, Registry, Vec<Arc<ShardedStoreClient>>)
     (net, registry, vec![client])
 }
 
-/// One full observation of a 3-shard mesh — 6 in-band host polls, the
-/// client's shard views, registry deltas, band evaluation — plus the
-/// two report encodings on their own.
+/// One full observation of a 3-shard mesh — 6 host reachability checks,
+/// the client's shard views, registry deltas, band evaluation — plus
+/// the text rendering on its own.
 fn bench_health_report(c: &mut Criterion) {
     let mut group = c.benchmark_group("ops");
     let (net, registry, clients) = quiet_mesh(3);
@@ -40,7 +40,6 @@ fn bench_health_report(c: &mut Criterion) {
     });
     let report = monitor.observe(0, &clients, &engines);
     group.bench_function("health_render_text", |b| b.iter(|| report.render_text()));
-    group.bench_function("health_to_json", |b| b.iter(|| report.to_json()));
     group.finish();
 }
 

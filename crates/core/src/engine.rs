@@ -216,8 +216,8 @@ impl Engine {
     /// restore the stores, replay the committed counters and ledger, and
     /// deserialise the download cursor and progress markers. Fails,
     /// before touching anything, with a [`CursorError`] when the
-    /// committed cursor does not decode, or is missing although ingest
-    /// ran.
+    /// committed cursor does not decode, is missing although ingest ran,
+    /// or a committed marker or counter value is not a number.
     pub fn restore(
         tero: &Tero,
         world: &World,
@@ -558,7 +558,7 @@ impl Engine {
     }
 }
 
-/// Why a snapshot's committed download cursor cannot be resumed from.
+/// Why a snapshot's committed progress cannot be resumed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CursorError {
     /// `engine:download_cursor` does not decode; the decoder's message.
@@ -566,6 +566,14 @@ pub enum CursorError {
     /// `engine:download_cursor` is missing although `engine:cursor` says
     /// ingest ran.
     Missing,
+    /// A field of the `engine:cursor` or `engine:counters` hash is
+    /// present but does not parse as a `u64`.
+    NotANumber {
+        /// The hash holding the field.
+        key: &'static str,
+        /// The field whose value does not parse.
+        field: String,
+    },
 }
 
 impl std::fmt::Display for CursorError {
@@ -577,6 +585,9 @@ impl std::fmt::Display for CursorError {
             CursorError::Missing => {
                 write!(f, "committed download cursor missing although ingest ran")
             }
+            CursorError::NotANumber { key, field } => {
+                write!(f, "committed {key} field {field} is not a u64")
+            }
         }
     }
 }
@@ -587,13 +598,24 @@ impl std::error::Error for CursorError {}
 /// never ran. Resuming from a fresh cursor in place of a committed one
 /// would poll from the start again and queue every thumbnail a second
 /// time, so a cursor that does not decode, or one missing while
-/// `engine:cursor` has `ingested_to`, is an error.
+/// `engine:cursor` has `ingested_to`, is an error. So is a progress
+/// marker or counter value that does not parse: resuming would read it
+/// as absent, report a wrong total, and let the next commit overwrite
+/// the counter with a smaller value. A missing field is legal.
 pub(crate) fn committed_cursor(snap: &KvSnapshot) -> Result<Option<DownloadCursor>, CursorError> {
+    let markers = snap.hash_fields(ENGINE_KEY).unwrap_or_default();
+    let counters = snap.hash_fields(COUNTERS_KEY).unwrap_or_default();
+    for (key, fields) in [(ENGINE_KEY, markers), (COUNTERS_KEY, counters)] {
+        if let Some((field, _)) = fields.iter().find(|(_, v)| v.parse::<u64>().is_err()) {
+            let field = field.clone();
+            return Err(CursorError::NotANumber { key, field });
+        }
+    }
     match snap.get(CURSOR_KEY) {
         Some(raw) => serde_json::from_str(raw)
             .map(Some)
             .map_err(|e| CursorError::Undecodable(e.to_string())),
-        None if snap.hget(ENGINE_KEY, "ingested_to").is_some() => Err(CursorError::Missing),
+        None if markers.iter().any(|(f, _)| f == "ingested_to") => Err(CursorError::Missing),
         None => Ok(None),
     }
 }

@@ -521,8 +521,9 @@ impl Tero {
     /// Schedule `snapshot` to be restored on the next
     /// [`Tero::run_window`] call, resuming a killed run in this `Tero`.
     /// The committed download cursor is decoded here: a snapshot whose
-    /// cursor does not decode, or lacks one although its ingest ran, is
-    /// refused with the slot left as it was.
+    /// cursor does not decode, or lacks one although its ingest ran, or
+    /// whose `engine:cursor` / `engine:counters` hold a value that is
+    /// not a number, is refused with the slot left as it was.
     pub fn restore_engine(&self, snapshot: StoreSnapshot) -> Result<(), CursorError> {
         let cursor = committed_cursor(&snapshot.kv)?;
         *self.engine.lock() = EngineSlot::Restore(Box::new((snapshot, cursor)));

@@ -105,20 +105,20 @@ impl Default for ShardedConfig {
 
 /// The live state of a sharded run, handed to the observer closure of
 /// [`run_sharded_observed`] after every completed window. Everything is
-/// a borrow of the run's own handles — the observer reads (or polls
-/// through `net`'s quiet ops plane) without owning any of it.
+/// a borrow of the run's own handles — the observer reads (or checks
+/// reachability through `net`) without owning any of it.
 pub struct MeshView<'a> {
     /// The window that just completed (`0..windows`).
     pub window: u64,
     /// Total windows in the schedule.
     pub windows: u64,
     /// The store network — live servers, current fault window, and the
-    /// quiet `poll` ops plane.
+    /// quiet [`SimNet::reachable`] check.
     pub net: &'a SimNet,
     /// The registry holding the run's `net.*` and `chaos.*` families.
     pub net_registry: &'a Registry,
-    /// One store client per engine, in engine order: failover state
-    /// (`shard_views`) for the health model.
+    /// One store client per engine, in engine order: the failover state
+    /// the health monitor reads.
     pub clients: &'a [Arc<ShardedStoreClient>],
     /// Each engine's own metric registry (`download.*`, `stage.*`, …),
     /// in engine order.
@@ -174,10 +174,10 @@ pub fn run_sharded(cfg: &ShardedConfig) -> ShardedOutcome {
 
 /// [`run_sharded`] with an ops-plane observer: `observe` is called with
 /// a [`MeshView`] after every completed window (fault timeline already
-/// at that window), which is where a `tero-ops` `HealthMonitor` polls
-/// the mesh mid-run. The observer sees the live network — anything it
-/// sends must go through the quiet [`SimNet::poll`] plane, or it would
-/// perturb the data plane's deterministic fault accounting.
+/// at that window), which is where a [`tero_net::HealthMonitor`]
+/// observes the mesh mid-run. The observer sees the live network: it
+/// must send no frame and only ask the quiet [`SimNet::reachable`], or
+/// it would perturb the data plane's deterministic fault accounting.
 ///
 /// # Panics
 ///

@@ -50,7 +50,7 @@ use crate::pipeline::{PipelineMetrics, Tero};
 use tero_obs::StageMetrics;
 use tero_pool::Pool;
 use tero_store::{KvStore, ObjectStore};
-use tero_trace::SpanGuard;
+use tero_trace::{Budget, SpanGuard};
 use tero_types::{AnonId, GameId, SimTime};
 use tero_world::World;
 
@@ -88,6 +88,27 @@ impl<'a> StageCx<'a> {
     pub fn enter(&self, m: &StageMetrics) -> SpanGuard {
         self.sp_run.child_timed(&m.span, m.begin())
     }
+}
+
+/// The pipeline's declared tick budgets, one row per span name: the
+/// downloader's `download.run`, the `stage.extract` and `stage.locate`
+/// stages, the inner `stage.analyze` / `stage.aggregate` /
+/// `stage.provenance` / `stage.behavior` passes, and the `pipeline.run`
+/// root. `stage.ingest`, `stage.clean` and `stage.publish` have no row.
+/// Limits are set from the stock two-country exploration world (see
+/// PERFORMANCE.md's table) with ~2× headroom, so honest growth fits but
+/// a runaway stage trips.
+pub fn default_stage_budgets() -> Vec<Budget> {
+    vec![
+        Budget::new("download.run", 4_000),
+        Budget::new("stage.extract", 4_000),
+        Budget::new("stage.analyze", 4_000),
+        Budget::new("stage.locate", 1_000),
+        Budget::new("stage.aggregate", 1_000),
+        Budget::new("stage.provenance", 1_000),
+        Budget::new("stage.behavior", 1_000),
+        Budget::new("pipeline.run", 20_000),
+    ]
 }
 
 /// KV key prefix for the per-`{streamer, game}` extracted-sample lists

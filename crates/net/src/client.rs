@@ -150,19 +150,17 @@ pub struct ShardedStoreClient {
 }
 
 /// Point-in-time, client-side health facts about one shard, exposed to
-/// the ops layer by [`ShardedStoreClient::shard_views`].
+/// the health monitor by [`ShardedStoreClient::shard_views`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardView {
-    /// Shard index.
-    pub shard: usize,
+pub(crate) struct ShardView {
     /// A failover lease is in effect: the replica is acting primary.
-    pub lease_active: bool,
+    pub(crate) lease_active: bool,
     /// The configured primary missed leased writes and awaits resync.
-    pub primary_stale: bool,
+    pub(crate) primary_stale: bool,
     /// The replica missed a replicated write and awaits resync.
-    pub replica_stale: bool,
+    pub(crate) replica_stale: bool,
     /// The shard's circuit breaker as seen at the client's clock.
-    pub breaker: BreakerState,
+    pub(crate) breaker: BreakerState,
 }
 
 impl ShardedStoreClient {
@@ -210,7 +208,7 @@ impl ShardedStoreClient {
     }
 
     /// Number of store shards this client routes across.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.inner.lock().shards.len()
     }
 
@@ -225,16 +223,14 @@ impl ShardedStoreClient {
     }
 
     /// Per-shard client-side health facts at the current logical clock,
-    /// for the ops layer. Read-only: no probes, no clock movement.
-    pub fn shard_views(&self) -> Vec<ShardView> {
+    /// for the health monitor. Read-only: no probes, no clock movement.
+    pub(crate) fn shard_views(&self) -> Vec<ShardView> {
         let inner = self.inner.lock();
         let now = inner.clock;
         inner
             .shards
             .iter()
-            .enumerate()
-            .map(|(shard, st)| ShardView {
-                shard,
+            .map(|st| ShardView {
                 lease_active: st.lease_until.is_some(),
                 primary_stale: st.primary_stale,
                 replica_stale: st.replica_stale,

@@ -53,10 +53,6 @@ pub enum Payload {
     Ping,
     /// Probe answer (server → client).
     Pong,
-    /// An operations-plane poll (monitor → server).
-    OpsReq(OpsRequest),
-    /// An operations-plane answer (server → monitor).
-    OpsResp(OpsResponse),
 }
 
 impl Payload {
@@ -68,42 +64,8 @@ impl Payload {
             Payload::ObjResp(_) => 3,
             Payload::Ping => 4,
             Payload::Pong => 5,
-            Payload::OpsReq(_) => 6,
-            Payload::OpsResp(_) => 7,
         }
     }
-}
-
-/// An operations-plane question a [`StoreServer`](crate::StoreServer)
-/// answers in-band — same framing, same dedup path as store traffic, so
-/// a health poll exercises exactly the machinery it is monitoring.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OpsRequest {
-    /// Report the host's live health facts.
-    Health,
-}
-
-/// The server's answer to an [`OpsRequest`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OpsResponse {
-    /// Answer to [`OpsRequest::Health`].
-    Health(HostHealth),
-}
-
-/// Live health facts one store host reports about itself.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HostHealth {
-    /// The host's mesh name (`shard0p`, `shard0r`, …).
-    pub host: String,
-    /// Keys currently in the host's KV store.
-    pub kv_keys: u64,
-    /// Total bytes across the host's object buckets.
-    pub object_bytes: u64,
-    /// Store request frames executed since boot (dedup replays and
-    /// ops polls excluded).
-    pub frames_handled: u64,
-    /// Distinct clients the host has answered (dedup cache entries).
-    pub clients_seen: u64,
 }
 
 /// One framed message.
@@ -164,8 +126,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
         Payload::KvResp(r) => body_json(r),
         Payload::ObjReq(r) => body_json(r),
         Payload::ObjResp(r) => body_json(r),
-        Payload::OpsReq(r) => body_json(r),
-        Payload::OpsResp(r) => body_json(r),
         Payload::Ping | Payload::Pong => String::new(),
     };
     let body = body.into_bytes();
@@ -218,8 +178,6 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
         3 => Payload::ObjResp(parse_body(body)?),
         4 => Payload::Ping,
         5 => Payload::Pong,
-        6 => Payload::OpsReq(parse_body(body)?),
-        7 => Payload::OpsResp(parse_body(body)?),
         k => return Err(FrameError::BadKind(k)),
     };
     Ok(Frame {
@@ -300,14 +258,6 @@ mod tests {
             data: vec![0, 1, 254, 255],
         }));
         round_trip(Payload::ObjResp(ObjResponse::MaybeBytes(Some(vec![7; 32]))));
-        round_trip(Payload::OpsReq(OpsRequest::Health));
-        round_trip(Payload::OpsResp(OpsResponse::Health(HostHealth {
-            host: "shard0p".into(),
-            kv_keys: 12,
-            object_bytes: 4096,
-            frames_handled: 99,
-            clients_seen: 2,
-        })));
     }
 
     #[test]
@@ -376,9 +326,11 @@ mod tests {
         let mut bytes = encode(&frame);
         bytes[3] = b'1';
         assert_eq!(decode(&bytes), Err(FrameError::BadMagic));
-        let mut bytes = encode(&frame);
-        bytes[4] = 200;
-        assert_eq!(decode(&bytes), Err(FrameError::BadKind(200)));
+        for kind in [6, 200] {
+            let mut bytes = encode(&frame);
+            bytes[4] = kind;
+            assert_eq!(decode(&bytes), Err(FrameError::BadKind(kind)));
+        }
         let mut bytes = encode(&frame);
         bytes.push(0);
         assert_eq!(decode(&bytes), Err(FrameError::LengthMismatch));

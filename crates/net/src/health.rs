@@ -4,13 +4,13 @@
 //! window it combines three live sources into one typed
 //! [`HealthReport`]:
 //!
-//! 1. **In-band host polls** — an [`OpsRequest::Health`] frame to every
-//!    shard host over [`SimNet::poll`], the quiet ops-plane transport
-//!    (subject to the same partitions and host kills as data traffic,
-//!    but drawing no chaos RNG and bumping no injected-fault counters,
-//!    so monitoring never perturbs replay determinism);
-//! 2. **Client-side failover state** — every engine client's
-//!    [`ShardView`]s: active leases, open breakers, stale peers;
+//! 1. **Host reachability** — a [`SimNet::reachable`] check of every
+//!    shard host (subject to the same partitions and host kills as data
+//!    traffic, but sending no frame, drawing no chaos RNG and bumping no
+//!    injected-fault counters, so monitoring never perturbs replay
+//!    determinism);
+//! 2. **Client-side failover state** — every engine client's shard
+//!    views: active leases, open breakers, stale peers;
 //! 3. **Registry deltas** — `net.*` and `download.*` movement since the
 //!    previous report, each folded into a [`GaugeBand`] with its
 //!    documented "healthy and intentional" range.
@@ -24,27 +24,19 @@
 //! queue with a quiet network. docs/OPERATIONS.md walks through both
 //! diagnoses band by band.
 //!
-//! Everything here is deterministic: polls are answered from
-//! deterministic server state, bands are integer-valued, and
-//! [`HealthReport::to_json`] / [`HealthReport::render_text`] are pure
-//! functions of the report — two replays of the same plan render
-//! byte-identical reports.
+//! Everything here is deterministic: reachability follows the planned
+//! fault timeline, bands are integer-valued, and
+//! [`HealthReport::render_text`] is a pure function of the report — two
+//! replays of the same plan render byte-identical reports.
 
-use serde::{Deserialize, Serialize};
+use crate::client::{ShardView, ShardedStoreClient};
+use crate::transport::{primary_host, replica_host, SimNet};
 use std::sync::Arc;
-use tero_net::{
-    decode, encode, Frame, HostHealth, OpsRequest, OpsResponse, Payload, ShardView,
-    ShardedStoreClient, SimNet,
-};
 use tero_obs::{CounterHandle, GaugeHandle, Registry, Snapshot};
 
-/// Host name the monitor polls from. Not registered as a server: the
-/// ops plane only ever originates frames.
+/// Host name the monitor checks reachability from. Not registered as a
+/// server: partitions may name it.
 const OPS_HOST: &str = "ops0";
-
-/// Client id stamped on ops-plane frames, far outside the engine-index
-/// range so a poll can never collide with a data-plane dedup entry.
-const OPS_CLIENT_ID: u64 = u64::MAX;
 
 /// Healthy band for `net.retry_per_mille` (retries per 1000 frames).
 /// The stock plan's 2 % drop + 5 % delay keeps honest windows well
@@ -56,7 +48,7 @@ const RETRY_PER_MILLE_HI: u64 = 150;
 const QUEUE_DEPTH_MILLI_HI: u64 = 4000;
 
 /// One shard's coarse health verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardStatus {
     /// Both hosts answer, no lease, no open breaker, no stale peer.
     Healthy,
@@ -68,8 +60,8 @@ pub enum ShardStatus {
     Partitioned,
 }
 
-/// The run-level starvation verdict (ROADMAP item 4's diagnosis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The run-level starvation verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Starvation {
     /// Neither signature is present.
     None,
@@ -98,27 +90,25 @@ impl Starvation {
     }
 }
 
-/// The result of polling one host over the ops plane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The result of checking one host's reachability from the monitor.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostProbe {
     /// Host name (`shard0p`, `shard0r`, …).
     pub host: String,
-    /// Did the poll round-trip this window?
+    /// Could the monitor reach the host this window?
     pub reachable: bool,
-    /// The host's self-reported facts, when reachable.
-    pub health: Option<HostHealth>,
 }
 
 /// One shard's combined server-side and client-side health.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardHealth {
     /// Shard index.
     pub shard: usize,
     /// The coarse verdict (see [`ShardStatus`] for the rule).
     pub status: ShardStatus,
-    /// Poll result for the configured primary.
+    /// Reachability of the configured primary.
     pub primary: HostProbe,
-    /// Poll result for the replica.
+    /// Reachability of the replica.
     pub replica: HostProbe,
     /// Engine clients currently holding a failover lease on this shard.
     pub leases_active: u64,
@@ -131,7 +121,7 @@ pub struct ShardHealth {
 /// One gauge with its documented "healthy and intentional" band
 /// (seans-arcade style: every number earns a range, and a value out of
 /// band is either an incident or an intentional, documented state).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaugeBand {
     /// Gauge name (derived, not a registry metric).
     pub name: String,
@@ -151,7 +141,7 @@ impl GaugeBand {
 }
 
 /// One window's typed health report for the whole mesh.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
     /// Window index the report describes.
     pub window: u64,
@@ -159,26 +149,15 @@ pub struct HealthReport {
     pub shards: Vec<ShardHealth>,
     /// Derived gauges with their healthy bands, in emission order.
     pub bands: Vec<GaugeBand>,
-    /// The run-level starvation verdict.
+    /// The run-level starvation verdict. Nothing consumes it yet: a
+    /// backpressure signal lands together with its consumer, not before.
     pub starvation: Starvation,
 }
 
 impl HealthReport {
-    /// The run-level starvation verdict. Nothing consumes it yet: a
-    /// backpressure signal lands together with its consumer (ROADMAP
-    /// item 5), not before.
-    pub fn starvation(&self) -> Starvation {
-        self.starvation
-    }
-
     /// Shards currently at `status`.
     pub fn count(&self, status: ShardStatus) -> u64 {
         self.shards.iter().filter(|s| s.status == status).count() as u64
-    }
-
-    /// Deterministic JSON encoding (field order fixed by the types).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("health reports always serialize")
     }
 
     /// Aligned-text dashboard: one row per shard, one row per gauge
@@ -260,7 +239,6 @@ pub struct HealthMonitor {
     net: SimNet,
     registry: Registry,
     metrics: OpsMetrics,
-    seq: u64,
     net_baseline: Snapshot,
     engine_baselines: Vec<Snapshot>,
 }
@@ -274,43 +252,22 @@ impl HealthMonitor {
             net: net.clone(),
             registry: registry.clone(),
             metrics: OpsMetrics::register(registry),
-            seq: 0,
             net_baseline: Registry::new().snapshot(),
             engine_baselines: Vec::new(),
         }
     }
 
-    /// Poll one host over the quiet ops plane.
-    fn probe(&mut self, host: &str) -> HostProbe {
-        self.seq += 1;
-        let frame = encode(&Frame {
-            client: OPS_CLIENT_ID,
-            seq: self.seq,
-            ctx: None,
-            payload: Payload::OpsReq(OpsRequest::Health),
-        });
+    /// Check whether the monitor can reach `host` this window.
+    fn probe(&self, host: String) -> HostProbe {
         self.metrics.polls.inc();
-        match self.net.poll(OPS_HOST, host, &frame) {
-            Ok(bytes) => match decode(&bytes).expect("well-formed ops response").payload {
-                Payload::OpsResp(OpsResponse::Health(health)) => HostProbe {
-                    host: host.to_string(),
-                    reachable: true,
-                    health: Some(health),
-                },
-                other => panic!("ops poll answered with {other:?}"),
-            },
-            Err(_) => {
-                self.metrics.poll_failures.inc();
-                HostProbe {
-                    host: host.to_string(),
-                    reachable: false,
-                    health: None,
-                }
-            }
+        let reachable = self.net.reachable(OPS_HOST, &host).is_ok();
+        if !reachable {
+            self.metrics.poll_failures.inc();
         }
+        HostProbe { host, reachable }
     }
 
-    /// Build this window's report: poll every shard host, fold in the
+    /// Build this window's report: probe every shard host, fold in the
     /// clients' failover state, and band the registry deltas since the
     /// previous call. `engines` are the per-engine registries whose
     /// `download.*` family feeds the processing-starvation signal.
@@ -326,8 +283,8 @@ impl HealthMonitor {
 
         let mut shards = Vec::with_capacity(shard_count);
         for shard in 0..shard_count {
-            let primary = self.probe(&tero_net::primary_host(shard));
-            let replica = self.probe(&tero_net::replica_host(shard));
+            let primary = self.probe(primary_host(shard));
+            let replica = self.probe(replica_host(shard));
             let leases_active = views.iter().filter(|v| v[shard].lease_active).count() as u64;
             let breakers_open = views
                 .iter()
@@ -456,19 +413,11 @@ impl HealthMonitor {
     }
 }
 
-impl std::fmt::Debug for HealthMonitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HealthMonitor")
-            .field("polls", &self.seq)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::default_link;
     use tero_chaos::{ChaosInjector, FaultPlan, HostKill, NetFault};
-    use tero_net::default_link;
     use tero_store::{KvStore, RemoteStore};
 
     fn quiet_mesh(shards: usize) -> (SimNet, Registry, Vec<Arc<ShardedStoreClient>>) {
@@ -494,7 +443,7 @@ mod tests {
         let mut monitor = HealthMonitor::new(&net, &registry);
         let report = monitor.observe(0, &clients, &[]);
         assert_eq!(report.count(ShardStatus::Healthy), 2);
-        assert_eq!(report.starvation(), Starvation::None);
+        assert_eq!(report.starvation, Starvation::None);
         assert!(report.bands.iter().all(GaugeBand::healthy), "{report:?}");
         let snap = registry.snapshot();
         assert_eq!(snap.counter("ops.polls"), Some(4));
@@ -531,7 +480,7 @@ mod tests {
         let w1 = monitor.observe(1, &clients, &[]);
         assert_eq!(w1.shards[0].status, ShardStatus::Partitioned);
         assert!(!w1.shards[0].primary.reachable);
-        assert_eq!(w1.starvation(), Starvation::Network);
+        assert_eq!(w1.starvation, Starvation::Network);
 
         // Past the kill and the lease: the next op reclaims the primary.
         net.set_window(3);
@@ -548,19 +497,14 @@ mod tests {
     }
 
     #[test]
-    fn report_encodings_are_deterministic_and_parse() {
+    fn report_text_is_deterministic() {
         let render = || {
             let (net, registry, clients) = quiet_mesh(2);
             let mut monitor = HealthMonitor::new(&net, &registry);
-            let report = monitor.observe(0, &clients, &[]);
-            (report.to_json(), report.render_text())
+            monitor.observe(0, &clients, &[]).render_text()
         };
-        let (json_a, text_a) = render();
-        let (json_b, text_b) = render();
-        assert_eq!(json_a, json_b);
-        assert_eq!(text_a, text_b);
-        let parsed: HealthReport = serde_json::from_str(&json_a).expect("round trip");
-        assert_eq!(parsed.to_json(), json_a);
-        assert!(text_a.contains("starvation: none"));
+        let text = render();
+        assert_eq!(text, render());
+        assert!(text.contains("starvation: none"));
     }
 }

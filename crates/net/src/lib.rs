@@ -24,7 +24,12 @@
 //!   store facade plugs into: consistent-hash routing, per-request
 //!   deadlines, exponential backoff with deterministic jitter, per-shard
 //!   circuit [`Breaker`](tero_types::retry::Breaker)s, and lease-based failover from a killed or
-//!   partitioned primary to its replica.
+//!   partitioned primary to its replica;
+//! * [`health`] — [`HealthMonitor`], the live observer of a running
+//!   mesh: host reachability, the clients' failover state and registry
+//!   deltas folded into a per-window [`HealthReport`] with a per-shard
+//!   verdict, banded gauges and a network-vs-processing [`Starvation`]
+//!   verdict.
 //!
 //! The contract the client upholds is the one the determinism suite
 //! enforces end-to-end: under any survivable [`NetFault`](tero_chaos::NetFault) plan, every
@@ -37,12 +42,14 @@
 
 pub mod client;
 pub mod frame;
+pub mod health;
 pub mod server;
 pub mod transport;
 
-pub use client::{NetMetrics, ShardView, ShardedStoreClient};
-pub use frame::{decode, encode, Frame, FrameError, HostHealth, OpsRequest, OpsResponse, Payload};
-pub use server::StoreServer;
-pub use transport::{
-    default_link, default_net_fault, engine_host, primary_host, replica_host, NetError, SimNet,
+pub use client::{NetMetrics, ShardedStoreClient};
+pub use frame::{decode, encode, Frame, FrameError, Payload};
+pub use health::{
+    GaugeBand, HealthMonitor, HealthReport, HostProbe, ShardHealth, ShardStatus, Starvation,
 };
+pub use server::StoreServer;
+pub use transport::{default_link, default_net_fault, engine_host, NetError, SimNet};

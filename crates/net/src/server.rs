@@ -20,16 +20,10 @@
 //! operation span. Dedup replays record a `server.replay` span instead,
 //! so a merged mesh trace shows exactly which legs re-executed and which
 //! were answered from cache.
-//!
-//! **Operations plane:** [`OpsRequest`] frames are answered in-band from
-//! the same handler — [`OpsRequest::Health`] reports the host's live
-//! [`HostHealth`] facts (key count, object bytes, frames executed,
-//! clients seen) without touching the dedup cache or store contents.
 
-use crate::frame::{decode, encode, Frame, HostHealth, OpsRequest, OpsResponse, Payload};
+use crate::frame::{decode, encode, Frame, Payload};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tero_store::{apply_kv, apply_obj, KvStore, ObjectStore};
 use tero_trace::{SpanGuard, TraceContext, Tracer};
@@ -40,9 +34,6 @@ struct ServerInner {
     objects: ObjectStore,
     /// Per-client retry cache: client id → (last seq, encoded response).
     dedup: Mutex<HashMap<u64, (u64, Vec<u8>)>>,
-    /// Store request frames executed (dedup replays and ops polls
-    /// excluded) — reported via [`OpsRequest::Health`].
-    frames: AtomicU64,
     /// Host-local tracer for `server.*` spans; first `set_trace` wins.
     trace: OnceLock<Tracer>,
 }
@@ -62,7 +53,6 @@ impl StoreServer {
                 kv: KvStore::new(),
                 objects: ObjectStore::new(),
                 dedup: Mutex::new(HashMap::new()),
-                frames: AtomicU64::new(0),
                 trace: OnceLock::new(),
             }),
         }
@@ -97,16 +87,6 @@ impl StoreServer {
         Some(tracer.span_remote(name, ctx))
     }
 
-    fn health(&self) -> HostHealth {
-        HostHealth {
-            host: self.inner.name.clone(),
-            kv_keys: self.inner.kv.len() as u64,
-            object_bytes: self.inner.objects.total_bytes() as u64,
-            frames_handled: self.inner.frames.load(Ordering::Relaxed),
-            clients_seen: self.inner.dedup.lock().len() as u64,
-        }
-    }
-
     /// Execute one request frame and produce the response frame.
     ///
     /// Panics on malformed frames: inside the simulation the only frame
@@ -114,20 +94,6 @@ impl StoreServer {
     /// error, not an operational condition.
     pub fn handle(&self, bytes: &[u8]) -> Vec<u8> {
         let frame = decode(bytes).expect("server received malformed frame");
-        // Ops polls bypass the dedup cache entirely: they are read-only
-        // and every poll wants fresh facts, not a cached answer.
-        if let Payload::OpsReq(req) = &frame.payload {
-            let _sp = self.span_for(frame.ctx, "server.ops");
-            let payload = match req {
-                OpsRequest::Health => Payload::OpsResp(OpsResponse::Health(self.health())),
-            };
-            return encode(&Frame {
-                client: frame.client,
-                seq: frame.seq,
-                ctx: None,
-                payload,
-            });
-        }
         {
             let dedup = self.inner.dedup.lock();
             if let Some((last_seq, cached)) = dedup.get(&frame.client) {
@@ -153,7 +119,6 @@ impl StoreServer {
             Payload::Ping => Payload::Pong,
             other => panic!("server received non-request frame {other:?}"),
         };
-        self.inner.frames.fetch_add(1, Ordering::Relaxed);
         let out = encode(&Frame {
             client: frame.client,
             seq: frame.seq,
@@ -260,45 +225,6 @@ mod tests {
             payload: Payload::Ping,
         }));
         assert_eq!(decode(&resp).expect("pong").payload, Payload::Pong);
-    }
-
-    #[test]
-    fn health_polls_report_live_facts_without_dedup() {
-        let server = StoreServer::new("shard0p");
-        server.handle(&kv_frame(
-            1,
-            KvRequest::Set {
-                key: "k".into(),
-                value: "v".into(),
-            },
-        ));
-        let poll = encode(&Frame {
-            client: u64::MAX,
-            seq: 1,
-            ctx: None,
-            payload: Payload::OpsReq(OpsRequest::Health),
-        });
-        let health = |bytes: &[u8]| match decode(bytes).expect("valid").payload {
-            Payload::OpsResp(OpsResponse::Health(h)) => h,
-            other => panic!("unexpected {other:?}"),
-        };
-        let first = health(&server.handle(&poll));
-        assert_eq!(first.host, "shard0p");
-        assert_eq!(first.kv_keys, 1);
-        assert_eq!(first.frames_handled, 1, "ops polls are not counted");
-        assert_eq!(first.clients_seen, 1, "the monitor is not a client");
-        // Same seq again still answers fresh (no dedup for ops), and
-        // state changes between polls are visible.
-        server.handle(&kv_frame(
-            2,
-            KvRequest::Set {
-                key: "k2".into(),
-                value: "v".into(),
-            },
-        ));
-        let second = health(&server.handle(&poll));
-        assert_eq!(second.kv_keys, 2);
-        assert_eq!(second.frames_handled, 2);
     }
 
     #[test]

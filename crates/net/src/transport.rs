@@ -38,12 +38,12 @@ pub fn engine_host(i: usize) -> String {
 }
 
 /// Host name of shard `s`'s primary store server.
-pub fn primary_host(s: usize) -> String {
+pub(crate) fn primary_host(s: usize) -> String {
     format!("shard{s}p")
 }
 
 /// Host name of shard `s`'s replica store server.
-pub fn replica_host(s: usize) -> String {
+pub(crate) fn replica_host(s: usize) -> String {
     format!("shard{s}r")
 }
 
@@ -128,7 +128,7 @@ impl SimNet {
     }
 
     /// Build a network and register `shards` primary/replica server
-    /// pairs on it, named per [`primary_host`] / [`replica_host`].
+    /// pairs on it, named `shard{s}p` / `shard{s}r`.
     pub fn with_shards(link: LinkConfig, chaos: ChaosInjector, shards: usize) -> SimNet {
         let net = SimNet::new(link, chaos);
         for s in 0..shards {
@@ -174,13 +174,13 @@ impl SimNet {
         names
     }
 
-    /// Ops-plane exchange: the same windowed partition / host-kill
-    /// semantics as [`SimNet::exchange`], but *quiet* — no RNG draw, no
-    /// random frame faults, no chaos counters or journal entries, and
-    /// no time charged — so health polling observes a faulty mesh
-    /// without perturbing the data plane's deterministic fault
-    /// accounting or replay behaviour.
-    pub fn poll(&self, from: &str, to: &str, frame: &[u8]) -> Result<Vec<u8>, NetError> {
+    /// Could `from` reach `to` this window? The same windowed partition /
+    /// host-kill / unknown-host checks as [`SimNet::exchange`], but
+    /// *quiet* — no frame sent, no RNG draw, no chaos counters or
+    /// journal entries, and no time charged — so health monitoring
+    /// observes a faulty mesh without perturbing the data plane's
+    /// deterministic fault accounting or replay behaviour.
+    pub fn reachable(&self, from: &str, to: &str) -> Result<(), NetError> {
         let window = self.window();
         let chaos = &self.inner.chaos;
         if chaos.net_partitioned_quiet(from, to, window) {
@@ -189,14 +189,10 @@ impl SimNet {
         if chaos.net_host_killed_quiet(to, window) {
             return Err(NetError::HostDown);
         }
-        let server = self
-            .inner
-            .hosts
-            .lock()
-            .get(to)
-            .cloned()
-            .ok_or(NetError::UnknownHost)?;
-        Ok(server.handle(frame))
+        if !self.inner.hosts.lock().contains_key(to) {
+            return Err(NetError::UnknownHost);
+        }
+        Ok(())
     }
 
     /// One request/response exchange from `from` to `to`. Returns the
@@ -342,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn ops_polls_see_faults_but_never_count_them() {
+    fn reachability_sees_faults_but_never_counts_them() {
         let plan = FaultPlan {
             net: NetFault {
                 frame_drop_rate: 1.0, // would kill every data-plane frame
@@ -365,23 +361,17 @@ mod tests {
         let chaos = ChaosInjector::new(plan);
         chaos.instrument(&registry);
         let net = SimNet::with_shards(default_link(), chaos, 1);
-        // Certain frame drop does not touch polls, and a healthy poll
-        // round-trips.
-        assert!(net.poll("ops0", "shard0p", &ping(1)).is_ok());
+        // Certain frame drop does not touch reachability.
+        assert_eq!(net.reachable("ops0", "shard0p"), Ok(()));
+        assert_eq!(net.reachable("ops0", "nowhere"), Err(NetError::UnknownHost));
         net.set_window(1);
-        assert_eq!(
-            net.poll("ops0", "shard0p", &ping(2)),
-            Err(NetError::Partitioned)
-        );
-        assert_eq!(
-            net.poll("ops0", "shard0r", &ping(3)),
-            Err(NetError::HostDown)
-        );
+        assert_eq!(net.reachable("ops0", "shard0p"), Err(NetError::Partitioned));
+        assert_eq!(net.reachable("ops0", "shard0r"), Err(NetError::HostDown));
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("chaos.injected.net_partition_drop"),
             Some(0),
-            "polling a partition must not count as an injected fault"
+            "checking a partition must not count as an injected fault"
         );
         assert_eq!(snap.counter("chaos.injected.net_shard_kill"), Some(0));
         assert_eq!(snap.counter("chaos.injected.net_frame_drop"), Some(0));

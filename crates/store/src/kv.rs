@@ -807,14 +807,11 @@ impl KvSnapshot {
         }
     }
 
-    /// The value of `field` in the hash stored under `key`, read without
-    /// restoring the snapshot.
-    pub fn hget(&self, key: &str, field: &str) -> Option<&str> {
+    /// The `(field, value)` pairs of the hash stored under `key`, sorted
+    /// by field, read without restoring the snapshot.
+    pub fn hash_fields(&self, key: &str) -> Option<&[(String, String)]> {
         match &self.entry(key)?.value {
-            SnapshotValue::Hash(fields) => fields
-                .iter()
-                .find(|(f, _)| f == field)
-                .map(|(_, value)| value.as_str()),
+            SnapshotValue::Hash(fields) => Some(fields),
             _ => None,
         }
     }
@@ -1180,11 +1177,11 @@ mod tests {
         let snap = kv.snapshot();
         assert_eq!(snap.len(), 4);
         assert_eq!(snap.get("s"), Some("v"));
-        assert_eq!(snap.hget("h", "a"), Some("1"));
+        let pairs = [("a", "1"), ("b", "2")].map(|(f, v)| (f.to_string(), v.to_string()));
+        assert_eq!(snap.hash_fields("h"), Some(&pairs[..]));
         // Each reads its own type only, like the store's own accessors.
         assert_eq!(snap.get("h"), None);
-        assert_eq!(snap.hget("s", "a"), None);
-        assert_eq!(snap.hget("h", "c"), None);
+        assert_eq!(snap.hash_fields("s"), None);
 
         let other = KvStore::new();
         other.set("stale", "gone");

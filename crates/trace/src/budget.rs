@@ -1,6 +1,6 @@
-//! Per-stage latency budgets over `tero-trace` spans.
+//! Per-stage latency budgets over recorded spans.
 //!
-//! The miscord-LATENCY.md method (ROADMAP item 3): declare a budget per
+//! The miscord-LATENCY.md method: declare a budget per
 //! pipeline stage, measure what each stage actually costs, and render
 //! one table that says *pass* or *OVER* per row — so a regression is a
 //! diff in a committed table, not a hunch.
@@ -20,12 +20,11 @@
 //! recorded value ≥ p % of the sample), so every reported number is a
 //! value that actually occurred.
 
-use serde::{Deserialize, Serialize};
-use tero_trace::SpanRecord;
+use crate::SpanRecord;
 
 /// One declared budget: the stage's span name and its limit, in the
 /// table's source unit, applied to the stage's p95.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Budget {
     /// Span name the budget covers (e.g. `stage.extract`).
     pub stage: String,
@@ -44,7 +43,7 @@ impl Budget {
 }
 
 /// Which span field the table measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetSource {
     /// Deterministic logical-tick durations.
     Ticks,
@@ -62,7 +61,7 @@ impl BudgetSource {
 }
 
 /// One stage's aggregated row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetRow {
     /// Stage (span) name.
     pub stage: String,
@@ -83,7 +82,7 @@ pub struct BudgetRow {
 }
 
 /// The aggregated latency-budget table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetTable {
     /// The clock the numbers are in.
     pub source: BudgetSource,
@@ -152,11 +151,6 @@ impl BudgetTable {
         self.rows.iter().any(|r| r.over)
     }
 
-    /// Deterministic JSON encoding.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("budget tables always serialize")
-    }
-
     /// Aligned-text table, byte-identical across replays when built
     /// from [`BudgetSource::Ticks`].
     pub fn render_text(&self) -> String {
@@ -187,23 +181,6 @@ impl BudgetTable {
         }
         out
     }
-}
-
-/// The pipeline's declared tick budgets: every `stage.*` span plus the
-/// downloader and the run root. Limits are set from the stock
-/// two-country exploration world (see PERFORMANCE.md's table) with
-/// ~2× headroom, so honest growth fits but a runaway stage trips.
-pub fn default_stage_budgets() -> Vec<Budget> {
-    vec![
-        Budget::new("download.run", 4_000),
-        Budget::new("stage.extract", 4_000),
-        Budget::new("stage.analyze", 4_000),
-        Budget::new("stage.locate", 1_000),
-        Budget::new("stage.aggregate", 1_000),
-        Budget::new("stage.provenance", 1_000),
-        Budget::new("stage.behavior", 1_000),
-        Budget::new("pipeline.run", 20_000),
-    ]
 }
 
 #[cfg(test)]
@@ -254,17 +231,5 @@ mod tests {
         let text = table.render_text();
         let a_line = text.lines().nth(1).unwrap();
         assert!(a_line.starts_with('a'), "declared order kept: {text}");
-    }
-
-    #[test]
-    fn table_encodings_round_trip_deterministically() {
-        let spans = [span("s", 0, 7), span("s", 2, 21)];
-        let budgets = [Budget::new("s", 100)];
-        let a = BudgetTable::from_spans(&spans, &budgets, BudgetSource::Ticks);
-        let b = BudgetTable::from_spans(&spans, &budgets, BudgetSource::Ticks);
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.render_text(), b.render_text());
-        let parsed: BudgetTable = serde_json::from_str(&a.to_json()).expect("round trip");
-        assert_eq!(parsed, a);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! `tero-obs` counters say *how many* thumbnails died at each funnel stage;
 //! this crate says *which ones* and *why*, and shows *when* each pipeline
-//! stage ran. It has three pillars:
+//! stage ran. It has four pillars:
 //!
 //! 1. **Spans & events** ([`Tracer`], [`SpanGuard`], [`Level`]): hierarchical
 //!    spans carrying both simulated time ([`tero_types::SimTime`]) and
@@ -20,6 +20,9 @@
 //!    entering the pipeline gets a lineage record; each drop appends a
 //!    typed reason, and [`Ledger::reconcile`] proves the ledger totals
 //!    equal the `pipeline.funnel.*` counters in a [`tero_obs::Registry`].
+//! 4. **Latency budgets** ([`BudgetTable`]): recorded spans folded into a
+//!    per-stage p50/p95/p99 table against declared [`Budget`]s, with a
+//!    pass/OVER verdict per row.
 //!
 //! The crate is built only on the workspace's vendored shims
 //! (`parking_lot`), with no unsafe code and no external dependencies.
@@ -41,10 +44,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod budget;
 pub mod export;
 pub mod ledger;
 pub mod span;
 
+pub use budget::{Budget, BudgetRow, BudgetSource, BudgetTable};
 pub use export::merged_chrome_trace;
 pub use ledger::{DropReason, Ledger, LedgerSummary, ReconcileError, SampleKey, SampleState};
 pub use span::{

@@ -9,8 +9,8 @@
 //! under the stock `default_net_fault` schedule — background frame
 //! drop/delay, shard 1's primary killed for the middle third, engine 0
 //! partitioned from shard 2's primary just past halfway — with a
-//! `tero-ops` [`HealthMonitor`] polling the mesh after every window
-//! over the quiet ops plane. The console prints:
+//! [`HealthMonitor`] checking every store host's reachability after
+//! every window. The console prints:
 //!
 //! * one health dashboard per window: per-shard
 //!   healthy/degraded/partitioned, every derived gauge with its healthy
@@ -21,16 +21,16 @@
 //!   pins byte-identical across worker counts and replays.
 //!
 //! Stdout is **byte-stable** for a fixed seed: the fault timeline is
-//! planned, the ops plane draws no randomness, and every table is a
-//! pure function of deterministic state. `scripts/ci.sh` runs it twice
-//! and diffs.
+//! planned, a reachability check draws no randomness, and every table
+//! is a pure function of deterministic state. `scripts/ci.sh` runs it
+//! twice and diffs.
 
 use tero::chaos::FaultPlan;
 use tero::core::pipeline::ExtractionMode;
 use tero::core::sharded::{run_sharded_observed, ShardedConfig};
-use tero::net::default_net_fault;
-use tero::ops::{default_stage_budgets, BudgetSource, BudgetTable, HealthMonitor, ShardStatus};
-use tero::trace::SpanRecord;
+use tero::core::stages::default_stage_budgets;
+use tero::net::{default_net_fault, HealthMonitor, ShardStatus};
+use tero::trace::{BudgetSource, BudgetTable, SpanRecord};
 use tero::world::WorldConfig;
 
 fn main() {
@@ -81,8 +81,8 @@ fn main() {
     println!();
 
     // The monitor is created inside the first observation (the net
-    // registry only exists once the run is underway) and polls the mesh
-    // after every window.
+    // registry only exists once the run is underway) and observes the
+    // mesh after every window.
     let mut monitor: Option<HealthMonitor> = None;
     let mut reports = Vec::new();
     let out = run_sharded_observed(&cfg, |view| {

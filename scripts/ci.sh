@@ -122,12 +122,12 @@ grep -q "^net.timeouts  *0$" "$trace_dir/nq.out" \
   || { echo "FAIL: quiet sharded run timed out"; exit 1; }
 
 echo "==> ops console determinism (ops_console twice mid-fault, stdout byte-compare)"
-# The console polls a 3-shard mesh through the quiet ops endpoint while
-# the stock NetFault plan kills a primary and partitions a link, prints
-# one health report per window, the latency-budget table, and the mesh
-# trace summary. Quiet polling draws no RNG and charges no simulated
-# time, so monitoring must not perturb the run: two runs of the same
-# seed must produce identical stdout.
+# The console checks every host of a 3-shard mesh for reachability
+# while the stock NetFault plan kills a primary and partitions a link,
+# prints one health report per window, the latency-budget table, and
+# the mesh trace summary. A reachability check sends no frame, draws no
+# RNG and charges no simulated time, so monitoring must not perturb the
+# run: two runs of the same seed must produce identical stdout.
 same_twice ops ops_console 4242
 # The console must see the injected fault and the recovery.
 grep -q "partitioned" "$trace_dir/ops.1.out" \

@@ -23,10 +23,9 @@
 //! | [`world`] | `tero-world` | synthetic Twitch world with ground truth |
 //! | [`core`] | `tero-core` | the Tero pipeline itself |
 //! | [`chaos`] | `tero-chaos` | deterministic fault injection (API 5xx, CDN faults, crashes, network faults) |
-//! | [`net`] | `tero-net` | networked store: wire frames, shard servers, partition-tolerant client |
+//! | [`net`] | `tero-net` | networked store: wire frames, shard servers, partition-tolerant client, mesh health and starvation diagnosis |
 //! | [`pool`] | `tero-pool` | thread pool with deterministic ordered results |
-//! | [`trace`] | `tero-trace` | structured tracing: spans, flight recorder, sample provenance |
-//! | [`ops`] | `tero-ops` | live operations: mesh health model, starvation diagnosis, latency budgets |
+//! | [`trace`] | `tero-trace` | structured tracing: spans, flight recorder, sample provenance, latency budgets |
 //! | [`serve`] | `tero-serve` | distribution query front-end: sketch queries, hot-key cache, load generator |
 //!
 //! ## Quickstart
@@ -54,7 +53,6 @@ pub use tero_core as core;
 pub use tero_geoparse as geoparse;
 pub use tero_net as net;
 pub use tero_obs as obs;
-pub use tero_ops as ops;
 pub use tero_pool as pool;
 pub use tero_serve as serve;
 pub use tero_simnet as simnet;

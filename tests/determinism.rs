@@ -454,12 +454,17 @@ fn a_clean_cursor_past_its_list_skips_no_later_record() {
 fn a_damaged_committed_cursor_is_refused() {
     // A committed download cursor that did not decode used to be dropped
     // in silence: the resumed engine started a fresh cursor, polled from
-    // the epoch again and queued every thumbnail a second time. Handing
-    // such a snapshot over is an error now, and the untouched snapshot
-    // still resumes to the uninterrupted report.
+    // the epoch again and queued every thumbnail a second time. So was
+    // a progress marker or counter value that did not parse: a marker
+    // read as absent (a wrong `thumbnails` total), and a counter was
+    // skipped and then overwritten with a smaller value. Handing such a
+    // snapshot over is an error now, and the untouched snapshot still
+    // resumes to the uninterrupted report.
     use tero::core::{CursorError, StoreSnapshot};
     use tero::store::KvStore;
     const CURSOR_KEY: &str = "engine:download_cursor";
+    const MARKERS_KEY: &str = "engine:cursor";
+    const COUNTERS_KEY: &str = "engine:counters";
     let reference = fingerprint(&windowed_tero(1).run(&mut windowed_world(None)));
 
     let from = SimTime::EPOCH + SimDuration::from_hours(30);
@@ -486,21 +491,30 @@ fn a_damaged_committed_cursor_is_refused() {
     let missing = edited(&|kv| {
         kv.del(CURSOR_KEY);
     });
+    let bad_marker = edited(&|kv| kv.hset(MARKERS_KEY, "tasks_processed", "12x"));
+    let bad_counter = edited(&|kv| kv.hset(COUNTERS_KEY, "download.polls", "-1"));
+    let not_a_number = |key, field: &str| {
+        Err(CursorError::NotANumber {
+            key,
+            field: field.to_string(),
+        })
+    };
     let second = windowed_tero(2);
     for (damaged, what) in [
         (garbage, "garbage"),
         (truncated, "truncated"),
         (missing, "missing"),
+        (bad_marker, "bad marker"),
+        (bad_counter, "bad counter"),
     ] {
         let refused = second.restore_engine(damaged);
-        assert!(
-            matches!(
-                (what, &refused),
-                ("garbage" | "truncated", Err(CursorError::Undecodable(_)))
-                    | ("missing", Err(CursorError::Missing))
-            ),
-            "{what}: {refused:?}"
-        );
+        let expected = match what {
+            "bad marker" => refused == not_a_number(MARKERS_KEY, "tasks_processed"),
+            "bad counter" => refused == not_a_number(COUNTERS_KEY, "download.polls"),
+            "missing" => refused == Err(CursorError::Missing),
+            _ => matches!(refused, Err(CursorError::Undecodable(_))),
+        };
+        assert!(expected, "{what}: {refused:?}");
     }
     second
         .restore_engine(snap)

@@ -1,14 +1,14 @@
 //! The observability pins: the stitched mesh trace is byte-identical
-//! across merge worker counts and replays, the `tero-ops` health
-//! reports flag the injected partition window (and the recovery) with
-//! deterministic encodings, and a stage's span and its latency histogram
-//! hold the same clock readings.
+//! across merge worker counts and replays, the mesh health reports flag
+//! the injected partition window (and the recovery) deterministically
+//! without perturbing the run they watch, and a stage's span and its
+//! latency histogram hold the same clock readings.
 
 use tero::chaos::FaultPlan;
 use tero::core::pipeline::{ExtractionMode, Tero, WindowOutcome};
-use tero::core::sharded::{run_sharded, run_sharded_observed, ShardedConfig};
-use tero::net::default_net_fault;
-use tero::ops::{HealthMonitor, HealthReport, ShardStatus, Starvation};
+use tero::core::sharded::{run_sharded, run_sharded_observed, ShardedConfig, ShardedOutcome};
+use tero::core::stages::default_stage_budgets;
+use tero::net::{default_net_fault, HealthMonitor, HealthReport, ShardStatus, Starvation};
 use tero::types::{SimDuration, SimTime};
 use tero::world::{World, WorldConfig};
 
@@ -144,20 +144,20 @@ fn health_reports_flag_the_injected_partition_and_recovery() {
             ..FaultPlan::quiet(4242)
         },
         net_seed: 4242,
-        trace: false,
+        trace: true,
         merge_workers: 0,
     };
     let run = || {
         let mut monitor: Option<HealthMonitor> = None;
         let mut reports: Vec<HealthReport> = Vec::new();
-        run_sharded_observed(&cfg, |view| {
+        let out = run_sharded_observed(&cfg, |view| {
             let monitor =
                 monitor.get_or_insert_with(|| HealthMonitor::new(view.net, view.net_registry));
             reports.push(monitor.observe(view.window, view.clients, view.engine_registries));
         });
-        reports
+        (reports, out)
     };
-    let reports = run();
+    let (reports, watched) = run();
     assert_eq!(reports.len(), windows as usize);
 
     // The kill window reads Partitioned with the primary visibly down,
@@ -165,7 +165,7 @@ fn health_reports_flag_the_injected_partition_and_recovery() {
     let w2 = &reports[2];
     assert_eq!(w2.shards[1].status, ShardStatus::Partitioned);
     assert!(!w2.shards[1].primary.reachable);
-    assert_eq!(w2.starvation(), Starvation::Network);
+    assert_eq!(w2.starvation, Starvation::Network);
 
     // Full recovery by the final window.
     let last = reports.last().expect("six windows ran");
@@ -176,20 +176,35 @@ fn health_reports_flag_the_injected_partition_and_recovery() {
         last.render_text()
     );
 
-    // Reports replay byte-identically, and the JSON round-trips.
-    let reports_b = run();
-    for (a, b) in reports.iter().zip(&reports_b) {
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.render_text(), b.render_text());
-    }
-    let parsed: HealthReport =
-        serde_json::from_str(&reports[2].to_json()).expect("reports parse back");
-    assert_eq!(parsed, reports[2].clone());
+    // Reports replay identically.
+    assert_eq!(reports, run().0);
+
+    // Monitoring perturbs nothing: the same config run with no observer
+    // records the same mesh trace, the same network and fault counters,
+    // and the same report.
+    let unwatched = run_sharded(&cfg);
+    assert!(
+        watched.mesh_chrome_trace() == unwatched.mesh_chrome_trace(),
+        "monitoring changed the mesh trace"
+    );
+    let mesh_counters = |out: &ShardedOutcome| -> Vec<(String, u64)> {
+        let snap = out.net_registry.snapshot();
+        snap.counters
+            .into_iter()
+            .filter(|c| c.name.starts_with("net.") || c.name.starts_with("chaos."))
+            .map(|c| (c.name, c.value))
+            .collect()
+    };
+    let counters = mesh_counters(&watched);
+    assert!(counters.iter().any(|(name, _)| name == "net.frames"));
+    assert_eq!(counters, mesh_counters(&unwatched));
+    assert_eq!(watched.report.digest(), unwatched.report.digest());
 }
 
 /// Stage time has one source: each stage invocation opens one guard —
 /// its `stage.<name>` span — whose single clock reading feeds both the
-/// span's `wall_us` and the `stage.<name>.us` histogram.
+/// span's `wall_us` and the `stage.<name>.us` histogram. The budget
+/// table reads the same spans, so each of its rows must name one.
 #[test]
 fn stage_time_has_one_source() {
     let run = |knobs_on: bool| {
@@ -215,6 +230,14 @@ fn stage_time_has_one_source() {
     };
 
     let (spans, snap) = run(true);
+    // Every declared budget row names a span the run records.
+    for budget in default_stage_budgets() {
+        assert!(
+            spans.iter().any(|s| *s.name == *budget.stage),
+            "budget row {} matches no recorded span",
+            budget.stage
+        );
+    }
     for stage in ["ingest", "extract", "locate", "clean", "publish"] {
         let name = format!("stage.{stage}");
         let walls: Vec<u64> = spans

@@ -5,9 +5,13 @@
 //! documented name must appear in a populated registry, and each
 //! registered name must have a catalogue row whose *Type* column names
 //! the kind the registry holds. Adding a metric without a row, a row
-//! without a metric, or a row of the wrong type fails here.
+//! without a metric, or a row of the wrong type fails here. So does a
+//! `tero::<module>` path or `tero_<crate>` name in the prose docs that
+//! no longer resolves.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fs::{read_dir, read_to_string};
+use std::path::Path;
 use tero::core::pipeline::{ExtractionMode, Tero, WindowOutcome};
 use tero::core::serving::ServeGranularity;
 use tero::serve::{QueryEngine, SketchRef};
@@ -114,11 +118,11 @@ fn populated_registry() -> tero_obs::Registry {
     net_kv.set("ops:net", "1");
     assert_eq!(net_kv.get("ops:net").as_deref(), Some("1"));
 
-    // The ops layer registers `ops.*` / `health.*` on construction and
-    // moves them with one observation of the quiet mesh.
-    let mut monitor = tero::ops::HealthMonitor::new(&mesh, &tero.obs);
+    // The health monitor registers `ops.*` / `health.*` on construction
+    // and moves them with one observation of the quiet mesh.
+    let mut monitor = tero::net::HealthMonitor::new(&mesh, &tero.obs);
     let report = monitor.observe(0, &[client], std::slice::from_ref(&tero.obs));
-    assert_eq!(report.count(tero::ops::ShardStatus::Healthy), 1);
+    assert_eq!(report.count(tero::net::ShardStatus::Healthy), 1);
 
     let mut sim = Simulator::new();
     sim.instrument(&tero.obs);
@@ -273,4 +277,68 @@ fn trace_metrics_are_catalogued_and_consistent() {
     assert_eq!(snap.counter("trace.spans"), Some(0));
     assert_eq!(snap.counter("trace.ring.evicted"), Some(0));
     assert_eq!(snap.counter("trace.export_bytes"), Some(0));
+}
+
+/// Every `{prefix}<name>` token in `text` (not preceded by an identifier
+/// character), `<name>` being the lowercase identifier that follows.
+fn prefixed_names<'a>(text: &'a str, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+    text.match_indices(prefix).filter_map(move |(at, _)| {
+        if text[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_') {
+            return None;
+        }
+        let rest = &text[at + prefix.len()..];
+        let len = rest
+            .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(rest.len());
+        (len > 0).then(|| &text[at..at + prefix.len() + len])
+    })
+}
+
+#[test]
+fn doc_paths_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // `tero::<module>`: the modules the facade re-exports.
+    let facade = read_to_string(root.join("src/lib.rs")).expect("facade source");
+    let mut known: BTreeSet<String> = facade
+        .lines()
+        .filter_map(|l| {
+            let module = l.strip_prefix("pub use tero_")?.split_once(" as ")?.1;
+            Some(format!("tero::{}", module.strip_suffix(';')?))
+        })
+        .collect();
+    assert!(known.contains("tero::core"), "facade parse: {known:?}");
+    // `tero_<crate>`: the packages under crates/.
+    for krate in read_dir(root.join("crates")).expect("crates/").flatten() {
+        let Ok(manifest) = read_to_string(krate.path().join("Cargo.toml")) else {
+            continue;
+        };
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+            .expect("package name");
+        known.insert(name.replace('-', "_"));
+    }
+
+    let mut docs = vec![root.join("README.md"), root.join("DESIGN.md")];
+    docs.extend(
+        read_dir(root.join("docs"))
+            .expect("docs/")
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "md")),
+    );
+    let mut unresolved = Vec::new();
+    for doc in &docs {
+        let text = read_to_string(doc).expect("readable doc");
+        let shown = doc.strip_prefix(root).unwrap_or(doc).display();
+        for name in prefixed_names(&text, "tero::").chain(prefixed_names(&text, "tero_")) {
+            if !known.contains(name) {
+                unresolved.push(format!("{shown}: {name}"));
+            }
+        }
+    }
+    assert!(
+        unresolved.is_empty(),
+        "unresolved doc paths: {unresolved:#?}"
+    );
 }
