@@ -12,11 +12,13 @@
 //! stage spends an explicit per-window simulated-API budget and commits
 //! canonical `engine:locate:*` results as they settle; the aggregation
 //! stage re-analyses, in memory, only the `{location, game}` groups the
-//! window dirtied (see `docs/AGGREGATION.md`). The window that reaches
-//! the horizon makes the same calls — locate without its budget, then
-//! the view refresh and the aggregation pass — and only then does the
-//! one horizon-only stage run: publish takes the aggregation stage's
-//! analyses into the report.
+//! window dirtied (see `docs/AGGREGATION.md`); and the serving refresh,
+//! the one writer of the served distributions, re-serves the groups
+//! that moved. The window that reaches the horizon is such a window;
+//! `Engine::finish` then makes the same calls once more with no locate
+//! budget, so the queue drains and every served group is canonical, and
+//! only then does the one horizon-only stage run: publish takes the
+//! aggregation stage's analyses into the report.
 //! After every per-window stage the
 //! engine **commits**: the download cursor, the funnel ledger delta,
 //! every counter, the cleaner's `engine:clean:cursors`, and the
@@ -69,7 +71,9 @@ pub struct StoreSnapshot {
 }
 
 /// The staged engine for one run. Created lazily by the first
-/// [`Tero::run_window`] call and dropped when the run completes.
+/// [`Tero::run_window`] call (the sharded orchestrator creates its
+/// per-shard and merge engines itself) and dropped when the run
+/// completes.
 pub struct Engine {
     wiring: Wiring,
     /// The download module's resumable event-loop state, spanning the
@@ -81,7 +85,7 @@ pub struct Engine {
     agg: AggStage,
     /// Series fed by the clean stage since the last aggregation pass —
     /// the aggregation stage's dirty-member input. Cleared after each
-    /// pass; the horizon pass consumes whatever the last window left.
+    /// pass.
     agg_pending: BTreeSet<(AnonId, GameId)>,
     /// Ingest queued thumbnail tasks the extract stage has not drained
     /// yet. Engine state, not window state: a kill fires after the ingest
@@ -317,23 +321,14 @@ impl Engine {
     }
 
     /// Advance the run to `to` (clamped to the horizon): run the
-    /// per-window stages with a commit after each, honour any scheduled
-    /// [`tero_chaos::EngineKill`], and — when `finalize` is set and the
-    /// horizon is reached — publish. After ingest a stage runs only if
-    /// one of its inputs moved (the run conditions are one table in
-    /// `docs/ARCHITECTURE.md`); a window that moved nothing runs none and
-    /// still commits twice. With `finalize` off, reaching the
-    /// horizon is a window like any other and returns
-    /// [`WindowOutcome::Advanced`]: a sharded orchestrator drives every
-    /// per-shard engine this way, then merges their committed state and
-    /// publishes the merged store exactly once.
-    pub(crate) fn drive(
-        &mut self,
-        tero: &Tero,
-        world: &mut World,
-        to: SimTime,
-        finalize: bool,
-    ) -> WindowOutcome {
+    /// per-window stages with a commit after each and honour any
+    /// scheduled [`tero_chaos::EngineKill`]. After ingest a stage runs
+    /// only if one of its inputs moved (the run conditions are one table
+    /// in `docs/ARCHITECTURE.md`); a window that moved nothing runs none
+    /// and still commits twice. Returns [`WindowOutcome::Advanced`] or
+    /// [`WindowOutcome::Killed`]: the window that reaches the horizon is
+    /// a window like any other, and [`Engine::finish`] completes the run.
+    pub(crate) fn drive(&mut self, tero: &Tero, world: &mut World, to: SimTime) -> WindowOutcome {
         let to = to.min(self.horizon);
         if self.ingested_to.is_none_or(|t| t < to) {
             {
@@ -358,70 +353,81 @@ impl Engine {
             self.wiring.metrics.window_killed.inc();
             return WindowOutcome::Killed;
         }
-        let at_horizon = finalize && to >= self.horizon;
         if self.extracted_to.is_none_or(|t| t < to) {
-            let mut cx = self.wiring.cx(tero, world);
             let all = std::mem::take(&mut self.first_pass);
             let tasks_queued = std::mem::take(&mut self.tasks_queued);
             let tags_grew = std::mem::take(&mut self.tags_grew);
+            let mut cx = self.wiring.cx(tero, world);
             let extracted = if all || tasks_queued {
                 self.extract.run(&mut cx)
             } else {
                 Extracted::default()
             };
-            // Clean incrementally over the records extract just appended,
-            // then run the window's budgeted locate slice over the names
+            // Clean incrementally over the records extract just appended;
+            // the window's budgeted locate slice then sees the names
             // extract just registered, the tag lists ingest just grew and
             // whatever earlier budgets left queued.
             let appended = all || extracted.records > 0;
             if appended {
                 self.agg_pending.extend(self.clean.advance(&mut cx));
             }
-            let names_or_tags = all || extracted.new_name || tags_grew;
-            let located = (names_or_tags || self.locate.has_backlog())
-                && self.locate.advance(&mut cx, tero.locate_budget);
-            // The horizon window leaves the view refresh and the
-            // aggregation pass to `finish`, after locate has drained its
-            // queue, and skips the serving refresh: publish rewrites the
-            // whole distribution family.
-            if !at_horizon {
-                let fresh = if appended {
-                    self.clean.refresh_views(&mut cx)
-                } else {
-                    BTreeSet::new()
-                };
-                let refreshed = if all || located || !self.agg_pending.is_empty() {
-                    self.agg.advance(
-                        &mut cx,
-                        self.clean.views(),
-                        self.locate.locations(),
-                        &self.agg_pending,
-                    )
-                } else {
-                    BTreeSet::new()
-                };
-                self.agg_pending.clear();
-                // The four conditions it tests per group, plus what feeds
-                // its provisional lookups.
-                if names_or_tags || located || !fresh.is_empty() || !refreshed.is_empty() {
-                    self.clean.refresh_serving(
-                        &mut cx,
-                        &self.locate,
-                        &self.agg,
-                        &fresh,
-                        &refreshed,
-                    );
-                }
-            }
+            let names_or_tags = extracted.new_name || tags_grew;
+            self.settle(
+                tero,
+                world,
+                tero.locate_budget,
+                all,
+                names_or_tags,
+                appended,
+            );
             self.extracted_to = Some(to);
             self.commit(tero);
         }
         self.window_index += 1;
         self.wiring.metrics.window_runs.inc();
-        if at_horizon {
-            WindowOutcome::Complete(self.finish(tero, world))
+        WindowOutcome::Advanced
+    }
+
+    /// The calls every window makes after the clean feed, each gated on
+    /// its inputs: the locate slice under `budget` (`None`: the queue
+    /// drains), the view refresh, the aggregation pass over the pending
+    /// series, and the serving refresh. `all`: the engine's first pass,
+    /// which runs every call; `names_or_tags`: extract registered a name
+    /// or a poll grew a `tags:*` list; `appended`: the clean feed moved a
+    /// series.
+    fn settle(
+        &mut self,
+        tero: &Tero,
+        world: &mut World,
+        budget: Option<u64>,
+        all: bool,
+        names_or_tags: bool,
+        appended: bool,
+    ) {
+        let mut cx = self.wiring.cx(tero, world);
+        let located = (all || names_or_tags || self.locate.has_backlog())
+            && self.locate.advance(&mut cx, budget);
+        let fresh = if appended {
+            self.clean.refresh_views(&mut cx)
         } else {
-            WindowOutcome::Advanced
+            BTreeSet::new()
+        };
+        let refreshed = if all || located || !self.agg_pending.is_empty() {
+            self.agg.advance(
+                &mut cx,
+                self.clean.views(),
+                self.locate.locations(),
+                &self.agg_pending,
+            )
+        } else {
+            BTreeSet::new()
+        };
+        self.agg_pending.clear();
+        // The four conditions it tests per group: a membership or a
+        // provenance moves only with a verdict or a fed series.
+        if all || located || !fresh.is_empty() || !refreshed.is_empty() {
+            self.clean
+                .refresh_serving(&mut cx, &self.locate, &self.agg, &fresh, &refreshed);
         }
     }
 
@@ -523,23 +529,19 @@ impl Engine {
         }
     }
 
-    /// Finish the run at the horizon with the calls every window makes —
-    /// the locate slice (no budget: the queue drains), the view refresh
-    /// (only series fed since their last view are stale), the aggregation
-    /// pass over the pending series — then hand the cleaner's state to
-    /// publish, which takes the aggregation stage's analyses into the
-    /// report.
-    /// Called once, when a window reaches the horizon.
-    fn finish(&mut self, tero: &Tero, world: &mut World) -> TeroReport {
+    /// Finish the run at the horizon with the calls every window makes,
+    /// the locate slice without a budget (the queue drains, so the
+    /// serving refresh leaves every group canonical), then hand the
+    /// cleaner's state to publish, which takes the aggregation stage's
+    /// analyses into the report. Called once, after the window that
+    /// reaches the horizon — or straight after [`Engine::restore`] when
+    /// the restored store is already extracted to it (the sharded merge).
+    pub(crate) fn finish(&mut self, tero: &Tero, world: &mut World) -> TeroReport {
+        // The unbudgeted slice runs even with nothing queued, so every
+        // run counts exactly one (`stage.locate.runs`, the trace).
+        let all = std::mem::take(&mut self.first_pass);
+        self.settle(tero, world, None, all, true, all);
         let mut cx = self.wiring.cx(tero, world);
-        self.locate.advance(&mut cx, None);
-        self.clean.refresh_views(&mut cx);
-        self.agg.advance(
-            &mut cx,
-            self.clean.views(),
-            self.locate.locations(),
-            &self.agg_pending,
-        );
         let cleaned = self.clean.take_cleaned(&mut cx);
         publish(
             &mut cx,
@@ -737,7 +739,7 @@ mod tests {
         let mut engine = Engine::new(&tero, &world, SimTime::EPOCH);
         let half = SimTime::from_micros(world.horizon.as_micros() / 2);
         assert!(matches!(
-            engine.drive(&tero, &mut world, half, false),
+            engine.drive(&tero, &mut world, half),
             WindowOutcome::Advanced
         ));
         let snap = engine.snapshot();
@@ -800,7 +802,7 @@ mod tests {
         let mut engine = Engine::new(&tero, &world, SimTime::EPOCH);
         let half = SimTime::from_micros(world.horizon.as_micros() / 2);
         assert!(matches!(
-            engine.drive(&tero, &mut world, half, true),
+            engine.drive(&tero, &mut world, half),
             WindowOutcome::Advanced
         ));
         // Drop one `engine:names` row that has a committed profile, as a
@@ -821,10 +823,11 @@ mod tests {
         let fresh = calibrated_tero();
         let mut restored = Engine::restore(&fresh, &world, &snap).unwrap();
         let horizon = world.horizon;
-        let WindowOutcome::Complete(report) = restored.drive(&fresh, &mut world, horizon, true)
-        else {
-            panic!("the restored run reaches the horizon");
-        };
+        assert!(matches!(
+            restored.drive(&fresh, &mut world, horizon),
+            WindowOutcome::Advanced
+        ));
+        let report = restored.finish(&fresh, &mut world);
         assert!(report.streamers_seen > 0);
     }
 

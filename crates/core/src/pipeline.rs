@@ -158,8 +158,8 @@ pub struct PipelineMetrics {
     pub(crate) window_commits: CounterHandle,
     /// Serving-layer sketch accounting: values folded into the extract
     /// stage's raw sketches, sketch encodings committed to the store
-    /// (raw at window commits, distributions at publish), and the total
-    /// encoded bytes written.
+    /// (raw at window commits, distributions at serving refreshes), and
+    /// the total encoded bytes written.
     pub(crate) sketch_inserts: CounterHandle,
     pub(crate) sketch_commits: CounterHandle,
     pub(crate) sketch_bytes: CounterHandle,
@@ -176,8 +176,8 @@ pub struct PipelineMetrics {
     pub(crate) clean_provisional_locations: CounterHandle,
     /// Canonical-vs-provisional split of the live serving view: how
     /// many `engine:serve:dist:*` keys currently carry each provenance
-    /// marker. Levels, not totals — set after every serving refresh and
-    /// by the publish finalizer (which pins provisional to zero).
+    /// marker. Levels, not totals — set after every serving refresh;
+    /// provisional reads zero once the horizon's refresh has run.
     pub(crate) clean_dists_canonical: GaugeHandle,
     pub(crate) clean_dists_provisional: GaugeHandle,
     /// Budgeted-locate accounting (`locate.budget.*`, `locate.queue.*`,
@@ -419,37 +419,15 @@ impl Tero {
 
     /// Process one window of the run: ingest then extract up to `to`
     /// (clamped to the world horizon), committing resumable state after
-    /// each stage; when `to` reaches the horizon, run the finalize stages
-    /// and return [`WindowOutcome::Complete`].
+    /// each stage; when `to` reaches the horizon, finish the run and
+    /// return [`WindowOutcome::Complete`].
     ///
     /// The first call creates the engine (`from` sets the start of the
-    /// download range; later calls ignore it); subsequent calls must use
-    /// non-decreasing `to`. Driving the run as any sequence of windows
-    /// produces a report byte-identical to [`Tero::run`].
+    /// download range; later calls ignore it), taking it out of its slot
+    /// and putting it back unless the run completed; subsequent calls
+    /// must use non-decreasing `to`. Driving the run as any sequence of
+    /// windows produces a report byte-identical to [`Tero::run`].
     pub fn run_window(&self, world: &mut World, from: SimTime, to: SimTime) -> WindowOutcome {
-        self.drive_window(world, from, to, true)
-    }
-
-    /// Like [`Tero::run_window`], but never finalizes: a window that
-    /// reaches the horizon still runs ingest and extract (committing
-    /// after each) and returns [`WindowOutcome::Advanced`], leaving the
-    /// engine in place. The sharded orchestrator ([`crate::sharded`])
-    /// drives every per-shard engine this way, then merges the committed
-    /// per-shard state and finalizes the merged store exactly once.
-    pub fn advance_window(&self, world: &mut World, from: SimTime, to: SimTime) -> WindowOutcome {
-        self.drive_window(world, from, to, false)
-    }
-
-    /// Take the engine out of its slot (creating or restoring it on the
-    /// first call), drive one window, and put it back unless the run
-    /// completed.
-    fn drive_window(
-        &self,
-        world: &mut World,
-        from: SimTime,
-        to: SimTime,
-        finalize: bool,
-    ) -> WindowOutcome {
         let mut slot = self.engine.lock();
         let mut engine = match std::mem::take(&mut *slot) {
             EngineSlot::Running(engine) => engine,
@@ -459,7 +437,12 @@ impl Tero {
                 Box::new(Engine::resume(self, world, &snap, cursor))
             }
         };
-        let outcome = engine.drive(self, world, to, finalize);
+        let outcome = match engine.drive(self, world, to) {
+            WindowOutcome::Advanced if to >= world.horizon => {
+                WindowOutcome::Complete(engine.finish(self, world))
+            }
+            outcome => outcome,
+        };
         if matches!(outcome, WindowOutcome::Complete(_)) {
             // The engine is dropped, but its KV store — holding the
             // committed serving sketches — stays alive for `tero-serve`.
@@ -492,7 +475,7 @@ impl Tero {
     /// nothing to serve: [`ServingError::NoCompletedRun`] when no run
     /// has finalized on this `Tero`, and — the subtle case —
     /// [`ServingError::NoDistributions`] when a run completed but its
-    /// publish stage wrote zero distribution sketches (every
+    /// serving view holds zero distribution sketches (every
     /// `{location, game}` group fell below [`Tero::min_streamers`],
     /// which small random worlds hit routinely). A plain
     /// [`Tero::serving_store`] returns `Some(store)` in that second

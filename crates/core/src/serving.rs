@@ -12,10 +12,12 @@
 //!   in flight, and it survives a chaos kill/resume.
 //! * **Distribution sketches** ([`dist_sketch_key`], one per `{granularity,
 //!   game, location}`): the cleaned per-`{location, game}` §5.2
-//!   distributions, written by the publish stage at finalize from exactly
-//!   the values behind the report's `LocationDistribution`s. These are
-//!   what `tero-serve` answers percentile/CDF/histogram/Wasserstein
-//!   queries from.
+//!   distributions, written only by the clean stage's serving refresh
+//!   after every window. Mid-run a group may be provisional; at the
+//!   horizon every group is canonical and each sketch is built from
+//!   exactly the values behind the report's `LocationDistribution`s.
+//!   These are what `tero-serve` answers
+//!   percentile/CDF/histogram/Wasserstein queries from.
 //!
 //! The granularity tag (`r`/`c`) comes *before* the location key because
 //! region-level and country-level groups can share a key string (a
@@ -38,8 +40,9 @@ use tero_types::{AnonId, GameId, Location};
 pub const SERVE_PREFIX: &str = "engine:serve:";
 
 /// Monotonic version of the serving view. Bumped once per engine commit
-/// that touched a sketch and once by the publish stage; cache entries
-/// carry the version they were computed at and expire when it moves.
+/// that touched a raw sketch and once per serving refresh that changed
+/// a distribution; cache entries carry the version they were computed
+/// at and expire when it moves.
 pub const SERVE_VERSION_KEY: &str = "engine:serve:version";
 
 /// Prefix of the per-`{streamer, game}` raw sketches.
@@ -54,20 +57,22 @@ pub const DIST_SKETCH_PREFIX: &str = "engine:serve:dist:";
 /// `engine:serve:dist_meta:{same suffix}` holding a
 /// [`DistProvenance`] tag. The `_meta` spelling (underscore, not a
 /// colon segment) keeps the marker family out of any
-/// `keys_with_prefix(DIST_SKETCH_PREFIX)` scan.
-pub const DIST_META_PREFIX: &str = "engine:serve:dist_meta:";
+/// `keys_with_prefix(DIST_SKETCH_PREFIX)` scan. [`dist_meta_key`] is
+/// the one way to name a marker.
+const DIST_META_PREFIX: &str = "engine:serve:dist_meta:";
 
 /// Whether a served distribution was aggregated under canonical
 /// (budgeted-locate, §3.1) locations or the mid-run provisional
-/// fallback. By the horizon every marker is canonical — the publish
-/// finalizer rewrites the whole family from the aggregation stage's
-/// analyses.
+/// fallback. By the horizon every marker is canonical — the horizon's
+/// locate slice drains the queue, and the serving refresh after it
+/// re-serves every group that held a provisional member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistProvenance {
     /// Every group member carried a committed `engine:locate:*` result.
     Canonical,
     /// At least one member was still located by the provisional
-    /// tags-only lookup (its budgeted profile fetch hasn't landed yet).
+    /// social-profile-only lookup (its budgeted profile fetch hasn't
+    /// landed yet).
     Provisional,
 }
 
@@ -144,8 +149,8 @@ impl ServeGranularity {
 /// result of [`crate::pipeline::Tero::try_serving_store`].
 ///
 /// The dangerous case is [`ServingError::NoDistributions`]: a run
-/// *completed* but the publish stage emitted zero distribution
-/// sketches, so a query engine built over the store would answer every
+/// *completed* but its serving view holds zero distribution sketches,
+/// so a query engine built over the store would answer every
 /// percentile/CDF query with "unknown location" rather than failing
 /// loudly. This happens legitimately on small or unlucky worlds — §5.2
 /// drops every `{location, game}` group below the `min_streamers`
@@ -159,7 +164,7 @@ pub enum ServingError {
     /// No run has completed on this `Tero` yet: either nothing was run,
     /// or a windowed run is still in flight and has not finalized.
     NoCompletedRun,
-    /// A run completed, but its publish stage wrote no
+    /// A run completed, but its serving view holds no
     /// [`dist_sketch_key`] entries — every candidate `{location, game}`
     /// group fell below the publish threshold.
     NoDistributions,

@@ -22,19 +22,22 @@
 //! * **additive** for the per-engine task counters and the funnel
 //!   ledger.
 //!
-//! Engines are driven window by window with [`Tero::advance_window`]
-//! (ingest + extract + commit, no finalize), sequentially within each
-//! window, with [`SimNet::set_window`] advancing the fault timeline
+//! Each engine is an [`Engine`] driven window by window with the same
+//! calls as any windowed run, the window that reaches the horizon
+//! included; none of them finishes. Engines run sequentially within
+//! each window, with [`SimNet::set_window`] advancing the fault timeline
 //! first. At the horizon the per-engine snapshots — already
 //! namespace-scoped by the client — are folded with
 //! [`KvSnapshot::merged`] (lists concatenate, hashes merge field-wise),
 //! the additive markers are corrected to their across-engine sums, and
-//! the merged state is restored into one fresh local [`Tero`] whose
-//! only remaining work is the finalize stages. The report that
+//! the merged state is restored ([`Engine::restore`]) into one engine of
+//! a fresh local [`Tero`] over engine 0's world, whose only remaining
+//! work is `Engine::finish`. Its serving refresh replaces the engines'
+//! partial distribution groups with the merged ones. The report that
 //! produces is byte-identical to a fault-free single-process run over
 //! the same world — the invariant `tests/net_failover.rs` pins down.
 
-use crate::engine::{StoreSnapshot, ENGINE_KEY};
+use crate::engine::{Engine, StoreSnapshot, ENGINE_KEY};
 use crate::pipeline::{ExtractionMode, Tero, TeroReport, WindowOutcome};
 use std::sync::Arc;
 use tero_chaos::{ChaosInjector, FaultPlan};
@@ -209,13 +212,13 @@ pub fn run_sharded_observed(
         }
     }
 
-    // One Tero + private world per engine. Store facades go through the
-    // mesh; `worker_threads: 1` keeps every store access (and therefore
-    // every chaos draw on the shared net stream) in one deterministic
-    // sequential order. The merged report is unaffected: reports are
-    // identical at any worker count.
+    // One Tero + private world + engine per engine. Store facades go
+    // through the mesh; `worker_threads: 1` keeps every store access (and
+    // therefore every chaos draw on the shared net stream) in one
+    // deterministic sequential order. The merged report is unaffected:
+    // reports are identical at any worker count.
     let mut clients: Vec<Arc<ShardedStoreClient>> = Vec::with_capacity(cfg.engines);
-    let mut engines: Vec<(Tero, World, KvStore)> = (0..cfg.engines)
+    let mut engines: Vec<(Tero, World, Engine)> = (0..cfg.engines)
         .map(|i| {
             let client = Arc::new(ShardedStoreClient::new(
                 net.clone(),
@@ -231,7 +234,7 @@ pub fn run_sharded_observed(
                 mode: cfg.mode,
                 min_streamers: cfg.min_streamers,
                 worker_threads: 1,
-                stores: Some((kv.clone(), objects)),
+                stores: Some((kv, objects)),
                 shard: Some(ShardSpec {
                     index: i as u32,
                     count: cfg.engines as u32,
@@ -247,7 +250,9 @@ pub fn run_sharded_observed(
                 mesh.push((engine_host(i), tero.trace.clone()));
             }
             clients.push(client);
-            (tero, World::build(cfg.world.clone()), kv)
+            let world = World::build(cfg.world.clone());
+            let engine = Engine::new(&tero, &world, SimTime::EPOCH);
+            (tero, world, engine)
         })
         .collect();
     let engine_registries: Vec<Registry> = engines
@@ -263,11 +268,11 @@ pub fn run_sharded_observed(
     for w in 0..cfg.windows {
         net.set_window(w);
         let to = SimTime::from_micros(horizon.as_micros() * (w + 1) / cfg.windows);
-        for (tero, world, _) in engines.iter_mut() {
-            let outcome = tero.advance_window(world, SimTime::EPOCH, to);
+        for (tero, world, engine) in engines.iter_mut() {
+            let outcome = engine.drive(tero, world, to);
             assert!(
                 matches!(outcome, WindowOutcome::Advanced),
-                "advance_window never finalizes and the worlds carry no engine kills"
+                "the worlds carry no engine kills"
             );
         }
         observe(&MeshView {
@@ -287,14 +292,14 @@ pub fn run_sharded_observed(
     let mut obj_parts = Vec::with_capacity(cfg.engines);
     let mut tasks_processed = 0u64;
     let mut extracted = 0u64;
-    for (tero, _, kv) in &engines {
-        let snap = tero
-            .engine_snapshot()
-            .expect("engine still running after advance-only windows");
+    for (_, _, engine) in &engines {
+        let snap = engine.snapshot();
         kv_parts.push(snap.kv);
         obj_parts.push(snap.objects);
         let marker = |field: &str| -> u64 {
-            kv.hget(ENGINE_KEY, field)
+            engine
+                .kv_store()
+                .hget(ENGINE_KEY, field)
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0)
         };
@@ -311,8 +316,12 @@ pub fn run_sharded_observed(
     };
 
     // Finalize the merged state exactly once, locally: the restored
-    // engine sees ingest and extract already at the horizon, so the
-    // first window call runs only clean → locate → publish.
+    // engine's ingest and extract are already at the horizon, so it only
+    // finishes — its first pass runs every gated call, and the serving
+    // refresh replaces the engines' partial groups with the merged ones.
+    // Finishing reads the gazetteer and the social directory, which
+    // ingest leaves alone, and a profile only for a name still queued;
+    // the drain leaves none, so engine 0's world serves.
     let mut merge_tero = Tero {
         mode: cfg.mode,
         min_streamers: cfg.min_streamers,
@@ -325,17 +334,10 @@ pub fn run_sharded_observed(
         merge_tero.trace.set_enabled(true);
         mesh.push(("merge".to_string(), merge_tero.trace.clone()));
     }
-    let mut merge_world = World::build(cfg.world.clone());
-    merge_tero
-        .restore_engine(merged)
-        .expect("each engine committed a decodable cursor");
-    let report = loop {
-        if let WindowOutcome::Complete(report) =
-            merge_tero.run_window(&mut merge_world, SimTime::EPOCH, horizon)
-        {
-            break report;
-        }
-    };
+    let world = &mut engines[0].1;
+    let report = Engine::restore(&merge_tero, world, &merged)
+        .expect("each engine committed a decodable cursor")
+        .finish(&merge_tero, world);
     mesh.sort_by(|a, b| a.0.cmp(&b.0));
     ShardedOutcome {
         report,

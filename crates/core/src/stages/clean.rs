@@ -30,32 +30,37 @@
 //!   not a tolerance (`online_view_matches_batch_under_any_window_split`
 //!   below pins it) — so the report is assembled from the cached views
 //!   (`CleanStage::take_cleaned`), not from a second pass.
-//! * **Refresh** — after each non-final window the stage regroups the
-//!   series under the *canonical* locations the budgeted locate stage
-//!   has committed so far, falling back to *provisional* tags-only
-//!   lookups for streamers whose profile fetch hasn't landed yet, and
-//!   recomputes the distribution sketch of every `{location, game}`
-//!   group whose membership, member data, settled aggregation state or
-//!   provenance changed — so `engine:serve:dist:*` answers track the
-//!   run window by window. All-canonical groups reuse the aggregation
-//!   stage's analysis verbatim (marker `c`); mixed or provisional groups
-//!   are analysed against the current views and screened against the
-//!   region group's merged clusters in the aggregation stage (marker
-//!   `p`). Every sketch carries an `engine:serve:dist_meta:*`
-//!   provenance marker.
+//! * **Refresh** — after each window, the horizon's included, the stage
+//!   regroups the series under the *canonical* locations the budgeted
+//!   locate stage has committed so far, falling back to *provisional*
+//!   social-profile-only lookups for streamers whose profile fetch
+//!   hasn't landed yet, and recomputes the distribution sketch of every
+//!   `{location, game}` group whose membership, member data, settled
+//!   aggregation state or provenance changed — so `engine:serve:dist:*`
+//!   answers track the run window by window. All-canonical groups reuse
+//!   the aggregation stage's analysis verbatim (marker `c`); mixed or
+//!   provisional groups are analysed against the current views and
+//!   screened against the region group's merged clusters in the
+//!   aggregation stage (marker `p`). Every sketch carries an
+//!   `engine:serve:dist_meta:*` provenance marker. This refresh is the
+//!   family's only writer: at the horizon the locate queue is drained,
+//!   every group is canonical, and the family holds exactly the
+//!   distributions the report publishes.
 //!
 //! The stage commits only its per-list cursors ([`CLEAN_CURSORS_KEY`]);
 //! [`CleanStage::rebuild`] replays the lists up to them after a chaos
-//! kill or a fresh-process restore.
+//! kill or a fresh-process restore, and reads the committed distribution
+//! keys back so the refresh can delete the ones it no longer serves.
 
-use super::locate::{tag_observations, LocateStage};
+use super::locate::LocateStage;
 use super::{parse_sample_list_key, SampleRecord, StageCx, SAMPLES_PREFIX};
 use crate::analysis::anomaly::{detect_anomalies, AnomalyReport, SegmentLabel, SpikeEvent};
 use crate::analysis::clusters::{classify_streamer, ClassifiedStreamer};
 use crate::analysis::segments::{Segment, StreamSeries};
 use crate::location::{LocationModule, LocationSource};
 use crate::serving::{
-    dist_meta_key, dist_sketch_key, DistProvenance, ServeGranularity, SERVE_VERSION_KEY,
+    dist_meta_key, dist_provenance, dist_sketch_key, DistProvenance, ServeGranularity,
+    DIST_SKETCH_PREFIX, SERVE_VERSION_KEY,
 };
 use crate::stages::agg::{analyze_group, reject_outside, AggStage};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -331,14 +336,17 @@ impl<'a> Views<'a> {
 #[derive(Debug, Default)]
 pub struct CleanStage {
     states: BTreeMap<(AnonId, GameId), SeriesState>,
-    /// Provisional-location cache: tag-list length at last lookup and the
-    /// result. Invalidated when the streamer's tag list grows.
-    loc_cache: BTreeMap<AnonId, (usize, Option<(Location, LocationSource)>)>,
+    /// Provisional-location cache: the social-profile lookup's result,
+    /// which depends on nothing that changes during a run.
+    loc_cache: BTreeMap<AnonId, Option<(Location, LocationSource)>>,
     /// Members of every `{location, game}` group at the last refresh,
     /// keyed by distribution-sketch key — the membership-change detector.
+    /// Empty after a restore, so the first refresh recomputes every group.
     group_members: BTreeMap<String, Vec<AnonId>>,
-    /// Distribution-sketch keys this stage currently has committed,
-    /// with the provenance each was committed under.
+    /// Distribution-sketch keys committed in the store, with the
+    /// provenance each was committed under; [`CleanStage::rebuild`]
+    /// reads them back, so a restored stage deletes what it no longer
+    /// serves.
     online_keys: BTreeMap<String, DistProvenance>,
 }
 
@@ -450,16 +458,20 @@ impl CleanStage {
     }
 
     /// Refresh the serving-layer distribution sketches from the current
-    /// views and the locate/aggregation stages' state: group
-    /// the series under `locate`'s canonical locations (provisional
-    /// tags-only fallbacks for streamers whose budgeted profile lookup
-    /// hasn't landed yet), and recompute every `{location, game}` group whose
-    /// membership, member data, settled aggregation state or provenance
-    /// changed since the last refresh. All-canonical groups serve the
-    /// aggregation stage's distribution verbatim; mixed or provisional
-    /// groups are analysed against the current views and screened
-    /// against the region group's merged clusters in `agg`. One
-    /// serve-version bump per refresh that changed anything.
+    /// views and the locate/aggregation stages' state — the only writer
+    /// of `engine:serve:dist:*`: group the series under `locate`'s
+    /// canonical locations (provisional social-profile-only fallbacks for
+    /// streamers whose budgeted profile lookup hasn't landed yet), and
+    /// recompute every `{location, game}` group whose membership, member
+    /// data, settled aggregation state or provenance changed since the
+    /// last refresh; delete the groups that vanished or publish nothing.
+    /// All-canonical groups serve the aggregation stage's distribution
+    /// verbatim; mixed or provisional groups are analysed against the
+    /// current views and screened against the region group's merged
+    /// clusters in `agg`. One serve-version bump per refresh that changed
+    /// anything. Once the horizon's locate slice has drained the queue
+    /// every group is canonical, so the family holds exactly the
+    /// aggregation stage's distributions — what the report publishes.
     pub(crate) fn refresh_serving(
         &mut self,
         cx: &mut StageCx<'_>,
@@ -469,38 +481,25 @@ impl CleanStage {
         agg_refreshed: &BTreeSet<String>,
     ) {
         let tero = cx.tero;
-        // Provisional locations — tags + social directory only, no
-        // profile text — for the streamers the locate stage hasn't
-        // settled yet. Located streamers use their committed
+        // Provisional locations — the social profile only, no profile
+        // text and no API spend — for the streamers still queued behind
+        // the locate budget. A lookup without a description reads no
+        // tags, and the social directory is fixed, so each is made once;
+        // a streamer whose committed verdict is `None` would get `None`
+        // from it too. Located streamers use their committed
         // `engine:locate:*` result, which is canonical from the window
         // it lands in.
         let canonical = locate.locations();
         let location_module = LocationModule::new(&cx.world.gaz);
         let mut locations: HashMap<AnonId, (Location, LocationSource)> = canonical.clone();
         let mut lookups = 0u64;
-        for (anon, name) in locate.names() {
-            if canonical.contains_key(anon) {
-                continue;
-            }
-            let tags_key = format!("tags:{}", name.as_str());
-            let n_tags = cx.kv.llen(&tags_key);
-            let located = match self.loc_cache.get(anon) {
-                Some((seen, cached)) if *seen == n_tags => cached.clone(),
-                _ => {
-                    lookups += 1;
-                    let tags = tag_observations(cx.kv, &tags_key);
-                    let located = location_module.locate(
-                        name.as_str(),
-                        None,
-                        &cx.world.social_directory,
-                        &tags,
-                    );
-                    self.loc_cache.insert(*anon, (n_tags, located.clone()));
-                    located
-                }
-            };
+        for (anon, name) in locate.queued() {
+            let located = self.loc_cache.entry(*anon).or_insert_with(|| {
+                lookups += 1;
+                location_module.locate(name.as_str(), None, &cx.world.social_directory, &[])
+            });
             if let Some(ls) = located {
-                locations.insert(*anon, ls);
+                locations.insert(*anon, ls.clone());
             }
         }
         cx.metrics.clean_provisional_locations.add(lookups);
@@ -560,9 +559,8 @@ impl CleanStage {
                 let dist = if prov == DistProvenance::Canonical {
                     // Every member carries a committed locate result, so
                     // the aggregation stage analysed exactly this group
-                    // this window: serve its settled distribution — the
-                    // same bytes the publish finalizer will write at the
-                    // horizon.
+                    // this window: serve its settled distribution — at
+                    // the horizon, the one the report publishes.
                     agg.analysis_for(spec.granularity, &spec.loc_key, spec.game)
                         .and_then(|a| a.distribution.clone())
                 } else if spec.members.len() >= tero.min_streamers {
@@ -723,7 +721,18 @@ impl CleanStage {
     /// reconstructs the identical sealed/tail split. A cursor past the
     /// end of its list (a damaged or badly merged snapshot) resumes at
     /// the end of what was replayed, so no later record is skipped.
+    ///
+    /// The committed distribution sketches are read back into the
+    /// serving refresh's key map, each under the provenance its marker
+    /// holds (provisional when the marker is missing or not `c`/`p`):
+    /// the first refresh after a restore then deletes every group the
+    /// restored store serves and this run no longer does, the groups of
+    /// a merged sharded store included.
     pub fn rebuild(&mut self, kv: &KvStore, params: &TeroParams) {
+        for key in kv.keys_with_prefix(DIST_SKETCH_PREFIX) {
+            let prov = dist_provenance(kv, &key).unwrap_or(DistProvenance::Provisional);
+            self.online_keys.insert(key, prov);
+        }
         let cursors = kv.hgetall(CLEAN_CURSORS_KEY);
         for key in kv.keys_with_prefix(SAMPLES_PREFIX) {
             let Some((anon, game)) = parse_sample_list_key(&key) else {

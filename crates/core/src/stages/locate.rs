@@ -103,10 +103,10 @@ impl LocateStage {
         &self.canonical
     }
 
-    /// Username per seen streamer: the [`NAMES_KEY`] hash as of the last
-    /// slice, parsed.
-    pub(crate) fn names(&self) -> &BTreeMap<AnonId, StreamerId> {
-        &self.names
+    /// The seen streamers whose lookup no budget has admitted yet, in
+    /// admission order.
+    pub(crate) fn queued(&self) -> impl Iterator<Item = &(AnonId, StreamerId)> {
+        self.queue.iter()
     }
 
     /// Whether seen streamers are still waiting for a budget to admit
@@ -275,7 +275,7 @@ impl LocateStage {
 /// A streamer's country-tag history, one observation per poll that saw
 /// a tag. A non-destructive read: the `tags:*` lists stay in place as
 /// the stage's replay log.
-pub(crate) fn tag_observations(kv: &KvStore, tags_key: &str) -> Vec<TagObservation> {
+fn tag_observations(kv: &KvStore, tags_key: &str) -> Vec<TagObservation> {
     kv.lrange_from(tags_key, 0)
         .into_iter()
         .enumerate()

@@ -3,9 +3,10 @@
 //! ([`crate::stages::agg`]) this stage no longer computes anything
 //! group-wise — it takes the aggregation stage's in-memory
 //! per-`{location, game}` analyses in key order (byte-identical to the
-//! old batch fan-out's merge order), rewrites the serving distribution
-//! family from them, runs the sample-provenance pass and §6 behaviour
-//! preparation, and assembles the final [`TeroReport`].
+//! old batch fan-out's merge order), runs the sample-provenance pass and
+//! §6 behaviour preparation, and assembles the final [`TeroReport`]. It
+//! writes nothing to the serving view: the horizon's serving refresh has
+//! already committed the same distributions, all canonical.
 
 use super::agg::{AggStage, MemberOutcome};
 use super::clean::Cleaned;
@@ -14,14 +15,10 @@ use super::locate::LocateStage;
 use super::StageCx;
 use crate::analysis::anomaly::SegmentLabel;
 use crate::analysis::clusters::{ChangeKind, EndPointChange, LatencyCluster};
-use crate::analysis::distributions::LocationDistribution;
 use crate::behavior::BehaviorStream;
 use crate::download::DownloadStats;
 use crate::pipeline::TeroReport;
-use crate::serving::{
-    dist_meta_key, dist_sketch_key, DistProvenance, ServeGranularity, DIST_META_PREFIX,
-    DIST_SKETCH_PREFIX, SERVE_VERSION_KEY,
-};
+use crate::serving::ServeGranularity;
 use std::collections::{BTreeMap, BTreeSet};
 use tero_trace::{DropReason, SampleKey, SampleState};
 use tero_types::{AnonId, GameId, SimTime};
@@ -52,24 +49,7 @@ pub(crate) fn publish(
     cx.metrics.streamers_located.add(locations.len() as u64);
     cx.metrics.st_locate.records_out.add(locations.len() as u64);
     m.records_in.add(anomalies.len() as u64);
-    let tero = cx.tero;
-    let ledger = tero.trace.ledger();
-
-    // Drop every per-window distribution sketch (and its provenance
-    // marker) the online refresh wrote along the way: the replay
-    // below rewrites the whole distribution family from the settled
-    // aggregation state, so the final serving bytes are identical to
-    // a single-shot run.
-    let mut cleared_online = false;
-    for key in cx
-        .kv
-        .keys_with_prefix(DIST_SKETCH_PREFIX)
-        .into_iter()
-        .chain(cx.kv.keys_with_prefix(DIST_META_PREFIX))
-    {
-        cx.kv.del(&key);
-        cleared_online = true;
-    }
+    let ledger = cx.tero.trace.ledger();
 
     // ---- Replay of the settled §5/§6 aggregation -------------------
     // The aggregation stage already analysed every `{location, game}`
@@ -93,33 +73,14 @@ pub(crate) fn publish(
             region_outcomes.insert((anon, key.1), outcome);
         }
         location_clusters.insert((key.0.clone(), key.1), analysis.clusters);
-        if let Some(dist) = analysis.distribution {
-            commit_dist_sketch(cx, ServeGranularity::Region, &key.0, key.1, &dist);
-            mark_canonical(cx, ServeGranularity::Region, &key.0, key.1);
-            distributions.push(dist);
-        }
+        distributions.extend(analysis.distribution);
         shared_anomalies.extend(analysis.shared);
     }
     for (key, analysis) in agg.take_groups(ServeGranularity::Country) {
         for (anon, outcome) in analysis.outcomes {
             country_outcomes.insert((anon, key.1), outcome);
         }
-        if let Some(dist) = analysis.distribution {
-            commit_dist_sketch(cx, ServeGranularity::Country, &key.0, key.1, &dist);
-            mark_canonical(cx, ServeGranularity::Country, &key.0, key.1);
-            distributions.push(dist);
-        }
-    }
-    // Every served distribution now carries canonical locations.
-    cx.metrics
-        .clean_dists_canonical
-        .set(distributions.len() as i64);
-    cx.metrics.clean_dists_provisional.set(0);
-    // One version bump for the whole publish pass: the serving view
-    // moved (canonical distributions written, or stale per-window
-    // ones cleared), so `tero-serve` caches must drop stale answers.
-    if cleared_online || !distributions.is_empty() {
-        cx.kv.incr_by(SERVE_VERSION_KEY, 1);
+        distributions.extend(analysis.distribution);
     }
 
     // ---- Sample provenance -----------------------------------------
@@ -273,38 +234,4 @@ pub(crate) fn publish(
         shared_anomalies,
         behavior_streams,
     }
-}
-
-/// Encode one published distribution as a serving-layer sketch and commit
-/// it under the granularity-tagged key. The sketch is built from exactly
-/// the values behind the report's `LocationDistribution`, so a serving
-/// answer and the report answer summarise the same sample multiset.
-fn commit_dist_sketch(
-    cx: &mut StageCx<'_>,
-    granularity: ServeGranularity,
-    location_key: &str,
-    game: GameId,
-    dist: &LocationDistribution,
-) {
-    let sketch = tero_stats::QuantileSketch::from_values(&dist.values_ms);
-    let encoded = sketch.encode();
-    cx.metrics.sketch_bytes.add(encoded.len() as u64);
-    cx.metrics.sketch_commits.inc();
-    cx.kv
-        .set(&dist_sketch_key(granularity, game, location_key), encoded);
-}
-
-/// Write the canonical provenance marker next to a just-committed
-/// distribution sketch (the publish finalizer only ever writes
-/// canonical ones — every location it aggregates under is a settled
-/// `engine:locate:*` result).
-fn mark_canonical(
-    cx: &mut StageCx<'_>,
-    granularity: ServeGranularity,
-    location_key: &str,
-    game: GameId,
-) {
-    let key = dist_meta_key(&dist_sketch_key(granularity, game, location_key))
-        .expect("dist keys always map to meta keys");
-    cx.kv.set(&key, DistProvenance::Canonical.tag());
 }

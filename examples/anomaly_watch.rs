@@ -73,9 +73,9 @@ fn main() {
     // served latency picture was aggregated under: every committed
     // distribution sketch carries a provenance marker (`c` = canonical,
     // all members located by committed profile-backed `engine:locate:*`
-    // results; `p` = a mid-run provisional tags-only fallback). At the
-    // horizon the publish finalizer rewrites the family from the settled
-    // aggregation state, so the watch must read 100 % canonical.
+    // results; `p` = a mid-run provisional social-profile-only
+    // fallback). The horizon's locate slice drains the queue before the
+    // last serving refresh, so the watch must read 100 % canonical.
     use tero::core::serving::{dist_provenance, DistProvenance, DIST_SKETCH_PREFIX};
     let store = tero.serving_store().expect("completed run serves");
     let dist_keys = store.keys_with_prefix(DIST_SKETCH_PREFIX);

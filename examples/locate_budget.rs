@@ -12,8 +12,8 @@
 //! Every window the locate stage admits queued streamers while the
 //! budget covers the worst-case lookup cost and defers the rest; the
 //! per-window serving refresh groups series under whatever locations
-//! are canonical so far, falling back to tags-only provisional lookups
-//! for the still-queued. At the horizon the queue is drained regardless
+//! are canonical so far, falling back to social-profile-only provisional
+//! lookups for the still-queued. At the horizon the queue is drained regardless
 //! of budget, so the final report and committed state are byte-identical
 //! to an unbudgeted run (`tests/determinism.rs`). Stdout is
 //! **byte-stable**: for a fixed seed it is identical across repeat runs
@@ -110,8 +110,8 @@ fn main() {
     };
 
     // The horizon drain ignores the budget: the queue empties, the
-    // publish finalizer rewrites the serving family from the settled
-    // aggregation state, and every marker reads canonical.
+    // serving refresh after it flips every provisional group to the
+    // settled aggregation state, and every marker reads canonical.
     let store = tero.serving_store().expect("run completed");
     let (canonical, provisional) = served_provenance(&store);
     assert_eq!(

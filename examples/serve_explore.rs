@@ -104,10 +104,11 @@ fn main() {
     );
     // Every sketch carries a provenance marker: `c` when all members were
     // located by committed (profile-backed) `engine:locate:*` results, `p`
-    // when a mid-run window served a provisional tags-only fallback. By
-    // the horizon the publish finalizer has rewritten the family from the
-    // settled aggregation state, so the markers must read 100 % canonical
-    // regardless of the window schedule.
+    // when a mid-run window served a provisional social-profile-only
+    // fallback. The horizon's locate slice drains the queue before the
+    // last serving refresh, which then serves the settled aggregation
+    // state, so the markers must read 100 % canonical regardless of the
+    // window schedule.
     let store = tero.serving_store().expect("completed run serves");
     for (granularity, game, location_key) in &served {
         let target = SketchRef::dist(*granularity, *game, location_key);

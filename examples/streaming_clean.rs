@@ -8,12 +8,12 @@
 //! cargo run --release --example streaming_clean -- 7     # explicit seed
 //! ```
 //!
-//! After every non-final window the clean stage reseals its per-series
-//! state and rebuilds the distribution sketch of every dirty
-//! `{location, game}` group — under the *canonical* locations the
-//! budgeted locate stage has committed so far (all of them, at the
-//! default unlimited budget), with provisional tags-only fallbacks for
-//! anyone still queued. This example snapshots the in-flight engine's
+//! After every window the clean stage reseals its per-series state and
+//! rebuilds the distribution sketch of every dirty `{location, game}`
+//! group — under the *canonical* locations the budgeted locate stage
+//! has committed so far (all of them, at the default unlimited budget),
+//! with provisional social-profile-only fallbacks for anyone still
+//! queued. This example snapshots the in-flight engine's
 //! store after each window and queries those mid-run sketches, printing
 //! each one's provenance marker (`c`/`p`). Stdout is **byte-stable**:
 //! for a fixed seed it is identical across repeat runs and worker
@@ -111,9 +111,10 @@ fn main() {
         }
     };
 
-    // The horizon settles the mid-run view: the publish finalizer
-    // takes the aggregation stage's analyses and rewrites the whole
-    // family under canonical locations (every marker reads `c`). Same
+    // The horizon settles the mid-run view: its locate slice drains the
+    // queue and the serving refresh after it serves the aggregation
+    // stage's analyses under canonical locations (every marker reads
+    // `c`). Same
     // cleaning — the online views are byte-identical to a batch clean
     // (the docs/CLEANING.md contract) — so any drift between the last
     // mid-run view and this one is late-arriving data, not relocation.

@@ -10,6 +10,9 @@
 //! for window sizes ∈ {1 day, 3 days, full horizon}, with and without a
 //! non-trivial fault-injection plan.
 
+mod common;
+
+use common::serving_bytes;
 use std::collections::BTreeMap;
 use tero::chaos::{ChaosInjector, EngineKill, FaultPlan};
 use tero::core::pipeline::{ExtractionMode, Tero, TeroReport, WindowOutcome};
@@ -770,7 +773,8 @@ fn locate_budget_zero_defers_every_lookup_and_converges() {
     let mut world = pinned_world();
     let tero_ref = windowed_tero(2);
     let reference = fingerprint(&tero_ref.run(&mut world));
-    let ref_state = locate_state(&tero_ref.serving_store().expect("run completed"));
+    let ref_store = tero_ref.serving_store().expect("run completed");
+    let ref_state = locate_state(&ref_store);
     let ref_spent = funnel(&tero_ref)
         .get("locate.budget.spent")
         .copied()
@@ -779,7 +783,7 @@ fn locate_budget_zero_defers_every_lookup_and_converges() {
 
     // Zero budget: the first window admits no lookup — everything is
     // deferred, the queue gauge shows the backlog, and every served
-    // distribution falls back to provisional tags-only locations.
+    // distribution falls back to provisional social-profile locations.
     let day = SimDuration::from_hours(24);
     let mut world = pinned_world();
     let tero = Tero {
@@ -819,7 +823,10 @@ fn locate_budget_zero_defers_every_lookup_and_converges() {
 
     // Finishing the drive drains the queue at the horizon; the final
     // report and committed state match the unlimited-budget run byte
-    // for byte, and every marker flips to canonical.
+    // for byte, and every marker flips to canonical. No pass rewrites
+    // the served family at the horizon: the serving refresh after the
+    // drain must flip each provisional group to canonical and delete the
+    // groups only provisional locations formed.
     let horizon = world.horizon;
     let mut to = SimTime::EPOCH + day + day;
     let report = loop {
@@ -845,6 +852,11 @@ fn locate_budget_zero_defers_every_lookup_and_converges() {
             .iter()
             .all(|p| *p == DistProvenance::Canonical),
         "the horizon serves canonical locations only"
+    );
+    assert_eq!(
+        serving_bytes(&store),
+        serving_bytes(&ref_store),
+        "zero-budget served family diverged"
     );
     assert_eq!(
         funnel(&tero).get("locate.budget.spent").copied(),
@@ -886,7 +898,8 @@ fn an_idle_window_still_spends_the_locate_budget() {
     let tero_ref = windowed_tero(2);
     let reference = fingerprint(&tero_ref.run(&mut windowed_world(None)));
     let ref_counters = schedule_invariant(funnel(&tero_ref));
-    let ref_state = locate_state(&tero_ref.serving_store().expect("run completed"));
+    let ref_store = tero_ref.serving_store().expect("run completed");
+    let ref_state = locate_state(&ref_store);
 
     let mut world = windowed_world(None);
     let tero = Tero {
@@ -924,12 +937,67 @@ fn an_idle_window_still_spends_the_locate_budget() {
         "{drained_idle} of the {queued} draining windows popped no event"
     );
 
+    // The served family at the horizon is the unbudgeted run's too, left
+    // by the serving refresh alone.
     let report = drive_from(&tero, &mut world, to, SimDuration::from_hours(24));
     assert_eq!(fingerprint(&report), reference);
     assert_eq!(schedule_invariant(funnel(&tero)), ref_counters);
-    assert_eq!(
-        locate_state(&tero.serving_store().expect("run completed")),
-        ref_state
+    let store = tero.serving_store().expect("run completed");
+    assert_eq!(locate_state(&store), ref_state);
+    assert_eq!(serving_bytes(&store), serving_bytes(&ref_store));
+}
+
+#[test]
+fn a_restored_engine_deletes_groups_it_no_longer_serves() {
+    // A restored engine used to start with an empty map of the groups
+    // its serving refresh had committed, so a committed distribution
+    // whose group had since vanished stayed served until the horizon's
+    // publish wiped the family. Plant two such groups in a mid-run
+    // snapshot, one with a marker that is neither `c` nor `p`: the first
+    // window after the restore must delete both, marker and all.
+    use tero::core::serving::{
+        dist_meta_key, dist_sketch_key, ServeGranularity, DIST_SKETCH_PREFIX,
+    };
+    use tero::stats::QuantileSketch;
+    use tero_types::GameId;
+
+    let day = SimDuration::from_hours(24);
+    let mut world = pinned_world();
+    let first = windowed_tero(2);
+    assert!(matches!(
+        first.run_window(&mut world, SimTime::EPOCH, SimTime::EPOCH + day),
+        WindowOutcome::Advanced
+    ));
+    let mut snap = first.engine_snapshot().expect("windowed run in flight");
+    drop(first);
+    let planted = tero::store::KvStore::new();
+    planted.restore(&snap.kv);
+    let ghosts = ["Atlantis", "Lemuria"]
+        .map(|loc| dist_sketch_key(ServeGranularity::Region, GameId::LeagueOfLegends, loc));
+    for (key, marker) in ghosts.iter().zip(["c", "x"]) {
+        planted.set(key, QuantileSketch::from_values(&[40.0, 42.0]).encode());
+        planted.set(&dist_meta_key(key).expect("a dist key"), marker);
+    }
+    snap.kv = planted.snapshot();
+
+    let second = windowed_tero(2);
+    second
+        .restore_engine(snap)
+        .expect("the snapshot's cursor decodes");
+    assert!(matches!(
+        second.run_window(&mut world, SimTime::EPOCH, SimTime::EPOCH + day + day),
+        WindowOutcome::Advanced
+    ));
+    let after = tero::store::KvStore::new();
+    after.restore(&second.engine_snapshot().expect("run in flight").kv);
+    for key in &ghosts {
+        assert_eq!(after.get(key), None, "{key} is still served");
+        let meta = dist_meta_key(key).expect("a dist key");
+        assert_eq!(after.get(&meta), None, "{meta} outlived its sketch");
+    }
+    assert!(
+        !after.keys_with_prefix(DIST_SKETCH_PREFIX).is_empty(),
+        "the real groups are still served"
     );
 }
 

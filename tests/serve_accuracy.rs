@@ -12,9 +12,11 @@
 //! * **Emptiness**: a percentile of nothing is `None`, not a number —
 //!   absent and empty distributions answer identically.
 
-use std::collections::BTreeMap;
+mod common;
+
+use common::serving_bytes;
 use tero::core::pipeline::{ExtractionMode, Tero, TeroReport, WindowOutcome};
-use tero::core::serving::{ServeGranularity, SERVE_PREFIX, SERVE_VERSION_KEY};
+use tero::core::serving::ServeGranularity;
 use tero::serve::{fold_answers, LoadGen, QueryEngine, SketchRef, QUERY_PERCENTILES};
 use tero::stats::{percentile_nearest_rank, QuantileSketch, DEFAULT_ALPHA};
 use tero::store::KvStore;
@@ -102,19 +104,6 @@ fn try_serving_store_types_the_empty_conditions() {
         t.try_serving_store().unwrap_err(),
         tero::core::serving::ServingError::NoDistributions
     );
-}
-
-/// Every committed serving key → value, minus the version counter (its
-/// count is window-schedule-dependent by design; the sketches are not).
-fn serving_bytes(kv: &KvStore) -> BTreeMap<String, String> {
-    kv.keys_with_prefix(SERVE_PREFIX)
-        .into_iter()
-        .filter(|k| k != SERVE_VERSION_KEY)
-        .map(|k| {
-            let v = kv.get(&k).expect("listed key exists");
-            (k, v)
-        })
-        .collect()
 }
 
 #[test]
