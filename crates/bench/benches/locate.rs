@@ -91,7 +91,7 @@ fn bench_locate(c: &mut Criterion) {
     // the measured routine executes the *next* 1-day window — the same
     // new data in every variant, history growing from 1 to 7 days. Every
     // group with a fed member is dirty, so this row pays the locate
-    // slice, the dirty-group re-analyses and the serving refresh; the
+    // slice and the dirty-group re-analyses, which re-serve; the
     // dirty-group *count* is the same in every variant, so growth across
     // `days` is bounded by the re-analysed members' own histories, never
     // by groups the window left clean.

@@ -31,7 +31,7 @@ fn bench_window(c: &mut Criterion) {
     // measured routine executes the *next* 1-day window — same new data
     // in every variant, history growing from 1 to 7 days — so a flat
     // series across `days` is the proof. `min_streamers` is set above
-    // any group size so the serving refresh's distribution rebuilds
+    // any group size so the aggregation pass's distribution rebuilds
     // (which legitimately summarise all history, like sketch commits)
     // stay out of the measurement.
     // The same scaling claim from the other side: 16 near-empty sliver

@@ -7,18 +7,18 @@
 //!
 //! The engine processes `[from, horizon]` as a sequence of windows. The
 //! ingest, extract, clean, locate and aggregation stages all advance per
-//! window: the clean stage stitches, seals and re-serves incrementally
+//! window: the clean stage stitches, seals and re-analyses incrementally
 //! over each window's new records (see `docs/CLEANING.md`); the locate
 //! stage spends an explicit per-window simulated-API budget and commits
-//! canonical `engine:locate:*` results as they settle; the aggregation
-//! stage re-analyses, in memory, only the `{location, game}` groups the
-//! window dirtied (see `docs/AGGREGATION.md`); and the serving refresh,
-//! the one writer of the served distributions, re-serves the groups
-//! that moved. The window that reaches the horizon is such a window;
-//! `Engine::finish` then makes the same calls once more with no locate
-//! budget, so the queue drains and every served group is canonical, and
-//! only then does the one horizon-only stage run: publish takes the
-//! aggregation stage's analyses into the report.
+//! canonical `engine:locate:*` results as they settle; and the
+//! aggregation stage re-analyses, in memory, only the `{location, game}`
+//! groups the window dirtied and re-serves them — it is the one writer
+//! of the served distributions (see `docs/AGGREGATION.md`). The window
+//! that reaches the horizon is such a window; `Engine::finish` then
+//! makes the same calls once more with no locate budget, so the queue
+//! drains and every served group is canonical, and only then does the
+//! one horizon-only stage run: publish takes the aggregation stage's
+//! analyses into the report.
 //! After every per-window stage the
 //! engine **commits**: the download cursor, the funnel ledger delta,
 //! every counter, the cleaner's `engine:clean:cursors`, and the
@@ -313,9 +313,11 @@ impl Engine {
         engine.clean.rebuild(kv, &tero.params);
         // Rebuild the budgeted locate stage from its committed
         // `engine:locate:*` hashes (profile outcomes are never re-drawn).
-        // The aggregation stage restores empty: its first pass, which
-        // `first_pass` guarantees, analyses every group.
+        // The aggregation stage restores empty but for the served keys it
+        // reads back: its first pass, which `first_pass` guarantees,
+        // analyses every group and deletes what it no longer serves.
         engine.locate.rebuild(kv);
+        engine.agg.rebuild(kv);
         engine.wiring.metrics.window_resumed.inc();
         engine
     }
@@ -390,11 +392,11 @@ impl Engine {
 
     /// The calls every window makes after the clean feed, each gated on
     /// its inputs: the locate slice under `budget` (`None`: the queue
-    /// drains), the view refresh, the aggregation pass over the pending
-    /// series, and the serving refresh. `all`: the engine's first pass,
-    /// which runs every call; `names_or_tags`: extract registered a name
-    /// or a poll grew a `tags:*` list; `appended`: the clean feed moved a
-    /// series.
+    /// drains), the view refresh, and the aggregation pass over the
+    /// pending series, which serves what it re-analysed. `all`: the
+    /// engine's first pass, which runs every call; `names_or_tags`:
+    /// extract registered a name or a poll grew a `tags:*` list;
+    /// `appended`: the clean feed moved a series.
     fn settle(
         &mut self,
         tero: &Tero,
@@ -407,28 +409,16 @@ impl Engine {
         let mut cx = self.wiring.cx(tero, world);
         let located = (all || names_or_tags || self.locate.has_backlog())
             && self.locate.advance(&mut cx, budget);
-        let fresh = if appended {
-            self.clean.refresh_views(&mut cx)
-        } else {
-            BTreeSet::new()
-        };
-        let refreshed = if all || located || !self.agg_pending.is_empty() {
-            self.agg.advance(
-                &mut cx,
-                self.clean.views(),
-                self.locate.locations(),
-                &self.agg_pending,
-            )
-        } else {
-            BTreeSet::new()
-        };
-        self.agg_pending.clear();
-        // The four conditions it tests per group: a membership or a
-        // provenance moves only with a verdict or a fed series.
-        if all || located || !fresh.is_empty() || !refreshed.is_empty() {
-            self.clean
-                .refresh_serving(&mut cx, &self.locate, &self.agg, &fresh, &refreshed);
+        if appended {
+            self.clean.refresh_views(&mut cx);
         }
+        // A membership or a provenance moves only with a verdict or a
+        // fed series.
+        if all || located || !self.agg_pending.is_empty() {
+            self.agg
+                .advance(&mut cx, self.clean.views(), &self.locate, &self.agg_pending);
+        }
+        self.agg_pending.clear();
     }
 
     /// Bring the committed `engine:` state up to date with this point, so
@@ -531,7 +521,7 @@ impl Engine {
 
     /// Finish the run at the horizon with the calls every window makes,
     /// the locate slice without a budget (the queue drains, so the
-    /// serving refresh leaves every group canonical), then hand the
+    /// aggregation pass leaves every served group canonical), then hand the
     /// cleaner's state to publish, which takes the aggregation stage's
     /// analyses into the report. Called once, after the window that
     /// reaches the horizon — or straight after [`Engine::restore`] when

@@ -158,13 +158,15 @@ pub struct PipelineMetrics {
     pub(crate) window_commits: CounterHandle,
     /// Serving-layer sketch accounting: values folded into the extract
     /// stage's raw sketches, sketch encodings committed to the store
-    /// (raw at window commits, distributions at serving refreshes), and
+    /// (raw at window commits, distributions at aggregation passes), and
     /// the total encoded bytes written.
     pub(crate) sketch_inserts: CounterHandle,
     pub(crate) sketch_commits: CounterHandle,
     pub(crate) sketch_bytes: CounterHandle,
-    /// Online-cleaning accounting (`clean.*`): per-window work done by
-    /// the incremental clean stage. All schedule-dependent — a finer
+    /// Online-cleaning and serving accounting (`clean.*`): per-window
+    /// work done by the incremental clean stage, plus the distributions
+    /// the aggregation stage serves and the provisional lookups the
+    /// locate stage makes for them. All schedule-dependent — a finer
     /// window schedule feeds/seals/refreshes in more, smaller steps —
     /// and therefore excluded from the determinism tests'
     /// schedule-invariant counter set (see ARCHITECTURE.md).
@@ -176,8 +178,8 @@ pub struct PipelineMetrics {
     pub(crate) clean_provisional_locations: CounterHandle,
     /// Canonical-vs-provisional split of the live serving view: how
     /// many `engine:serve:dist:*` keys currently carry each provenance
-    /// marker. Levels, not totals — set after every serving refresh;
-    /// provisional reads zero once the horizon's refresh has run.
+    /// marker. Levels, not totals — set after every aggregation pass;
+    /// provisional reads zero once the horizon's pass has run.
     pub(crate) clean_dists_canonical: GaugeHandle,
     pub(crate) clean_dists_provisional: GaugeHandle,
     /// Budgeted-locate accounting (`locate.budget.*`, `locate.queue.*`,

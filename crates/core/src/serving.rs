@@ -12,8 +12,8 @@
 //!   in flight, and it survives a chaos kill/resume.
 //! * **Distribution sketches** ([`dist_sketch_key`], one per `{granularity,
 //!   game, location}`): the cleaned per-`{location, game}` §5.2
-//!   distributions, written only by the clean stage's serving refresh
-//!   after every window. Mid-run a group may be provisional; at the
+//!   distributions, written only by the aggregation stage's pass, for
+//!   the groups it re-analysed. Mid-run a group may be provisional; at the
 //!   horizon every group is canonical and each sketch is built from
 //!   exactly the values behind the report's `LocationDistribution`s.
 //!   These are what `tero-serve` answers
@@ -40,7 +40,7 @@ use tero_types::{AnonId, GameId, Location};
 pub const SERVE_PREFIX: &str = "engine:serve:";
 
 /// Monotonic version of the serving view. Bumped once per engine commit
-/// that touched a raw sketch and once per serving refresh that changed
+/// that touched a raw sketch and once per aggregation pass that changed
 /// a distribution; cache entries carry the version they were computed
 /// at and expire when it moves.
 pub const SERVE_VERSION_KEY: &str = "engine:serve:version";
@@ -64,7 +64,7 @@ const DIST_META_PREFIX: &str = "engine:serve:dist_meta:";
 /// Whether a served distribution was aggregated under canonical
 /// (budgeted-locate, §3.1) locations or the mid-run provisional
 /// fallback. By the horizon every marker is canonical — the horizon's
-/// locate slice drains the queue, and the serving refresh after it
+/// locate slice drains the queue, and the aggregation pass after it
 /// re-serves every group that held a provisional member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistProvenance {

@@ -32,7 +32,7 @@
 //! the additive markers are corrected to their across-engine sums, and
 //! the merged state is restored ([`Engine::restore`]) into one engine of
 //! a fresh local [`Tero`] over engine 0's world, whose only remaining
-//! work is `Engine::finish`. Its serving refresh replaces the engines'
+//! work is `Engine::finish`. Its aggregation pass replaces the engines'
 //! partial distribution groups with the merged ones. The report that
 //! produces is byte-identical to a fault-free single-process run over
 //! the same world — the invariant `tests/net_failover.rs` pins down.
@@ -317,8 +317,9 @@ pub fn run_sharded_observed(
 
     // Finalize the merged state exactly once, locally: the restored
     // engine's ingest and extract are already at the horizon, so it only
-    // finishes — its first pass runs every gated call, and the serving
-    // refresh replaces the engines' partial groups with the merged ones.
+    // finishes — its first pass runs every gated call, and the
+    // aggregation pass replaces the engines' partial groups with the
+    // merged ones.
     // Finishing reads the gazetteer and the social directory, which
     // ingest leaves alone, and a profile only for a name still queued;
     // the drain leaves none, so engine 0's world serves.

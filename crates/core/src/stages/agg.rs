@@ -1,28 +1,39 @@
 //! The incremental §5/§6 aggregation stage: per-`{location, game}`
 //! group analyses — merged clusters, end-point changes, published
 //! distributions, shared anomalies and member outcomes — maintained
-//! window by window instead of once at the horizon.
+//! window by window instead of once at the horizon, and the one writer
+//! of the served distributions (`engine:serve:dist*`).
 //!
-//! Each pass re-derives the desired group memberships from the series
-//! the clean stage tracks and the *canonical* locations the budgeted
-//! locate stage has committed so far, then re-analyses only the *dirty*
-//! groups: those whose membership moved, or with a member whose series
-//! gained sealed data since the group was last analysed. Clean groups
-//! keep their analyses untouched, so a window's aggregation cost
-//! tracks the window's dirty groups, not total history
-//! (`benches/locate.rs` pins the shape).
+//! Each pass groups the series the clean stage tracks under their
+//! *serving* locations (`LocateStage::serving_location`): the
+//! canonical verdict the budgeted locate stage committed, else the
+//! provisional social-profile-only lookup of a streamer still queued.
+//! One walk over the series builds both granularities' memberships,
+//! each member carrying whether its location is canonical. The pass then
+//! re-analyses only the *dirty* groups: those whose membership moved — a
+//! provenance flip included — or with a member whose series gained data
+//! since the group was last analysed. Clean groups keep their analyses
+//! untouched, so a window's aggregation cost tracks the window's dirty
+//! groups, not total history (`benches/locate.rs` pins the shape).
 //!
-//! The stage commits nothing: its groups live in memory, the serving
-//! refresh reads them through `AggStage::analysis_for` (the region
-//! groups' merged clusters are the live cluster picture it screens
-//! provisional distributions against), and publish takes them at the
-//! horizon. A restored stage starts empty, so its first pass
-//! re-analyses every group from the restored views; at the horizon the
-//! analyses are identical across every window schedule, worker count
-//! and restore point, because each group's analysis is a pure function
-//! of its members' horizon views and canonical locations.
+//! Every refreshed group that publishes a distribution is served: its
+//! sketch and its provenance marker (`c` when every member is
+//! canonical, `p` otherwise). A group that vanished or publishes nothing
+//! any more is deleted, and the serve version is bumped once per pass
+//! that changed the family. At the horizon the locate queue is drained,
+//! every group is canonical, and the family holds exactly the
+//! distributions publish takes into the report.
+//!
+//! The analyses live in memory. A restored stage starts empty, so its
+//! first pass re-analyses and re-serves every group from the restored
+//! views, and deletes the served keys `AggStage::rebuild` read back
+//! that it no longer has. At the horizon the analyses are identical
+//! across every window schedule, worker count and restore point, because
+//! each group's analysis is a pure function of its members' horizon
+//! views and canonical locations.
 
 use super::clean::Views;
+use super::locate::LocateStage;
 use super::StageCx;
 use crate::analysis::clusters::{
     endpoint_changes, merge_location_clusters, ChangeKind, ClassifiedStreamer, EndPointChange,
@@ -30,20 +41,50 @@ use crate::analysis::clusters::{
 };
 use crate::analysis::distributions::{location_distribution, LocationDistribution};
 use crate::analysis::shared::{detect_shared_anomalies, SharedAnomaly, StreamerActivity};
-use crate::location::LocationSource;
 use crate::pipeline::Tero;
-use crate::serving::{dist_sketch_key, ServeGranularity};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::serving::{
+    dist_meta_key, dist_sketch_key, DistProvenance, ServeGranularity, DIST_SKETCH_PREFIX,
+    SERVE_VERSION_KEY,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use tero_geoparse::Gazetteer;
+use tero_stats::QuantileSketch;
+use tero_store::KvStore;
 use tero_types::{AnonId, GameId, Location, SimTime};
 use tero_world::games::{corrected_distance_to, primary_server};
+
+/// A group's members in series (= AnonId) order, each with whether its
+/// serving location is canonical.
+type Members = Vec<(AnonId, bool)>;
+
+/// One group of a pass's desired grouping: its location (its first
+/// member's, at the group's granularity) and its members.
+type Desired = BTreeMap<(String, GameId), (Location, Members)>;
 
 /// One maintained group: the membership its analysis was computed for,
 /// and the analysis itself.
 #[derive(Debug)]
 struct GroupEntry {
-    members: Vec<AnonId>,
+    members: Members,
     analysis: GroupAnalysis,
+}
+
+/// The served keys a pass moved, each set in key order: the refreshed
+/// groups' keys, rewritten (`Some`) or deleted (`None`), and the keys of
+/// the groups that vanished.
+#[derive(Default)]
+struct Moved {
+    refreshed: BTreeMap<String, Option<(DistProvenance, QuantileSketch)>>,
+    gone: BTreeSet<String>,
+}
+
+/// The marker a group with these members is served under.
+fn provenance(members: &[(AnonId, bool)]) -> DistProvenance {
+    if members.iter().all(|&(_, canonical)| canonical) {
+        DistProvenance::Canonical
+    } else {
+        DistProvenance::Provisional
+    }
 }
 
 /// The incremental aggregation stage.
@@ -53,40 +94,62 @@ pub struct AggStage {
     /// region-level (the full §3.3.3/§5/§6 product set), then
     /// country-level (distributions only; Figs 9, 11, 12).
     groups: [BTreeMap<(String, GameId), GroupEntry>; 2],
+    /// The served distribution keys a restore read back, until the first
+    /// pass re-serves or deletes them.
+    restored: BTreeSet<String>,
 }
 
 impl AggStage {
-    /// The maintained analysis of one group, if any.
-    pub(crate) fn analysis_for(
-        &self,
-        granularity: ServeGranularity,
-        location_key: &str,
-        game: GameId,
-    ) -> Option<&GroupAnalysis> {
-        self.groups[granularity as usize]
-            .get(&(location_key.to_string(), game))
-            .map(|e| &e.analysis)
-    }
-
-    /// One aggregation pass: group the series `views` covers under the
-    /// canonical `locations` at both granularities, re-analyse the dirty groups
-    /// (`pending` lists the series that gained sealed data since the
-    /// last pass), and drop vanished groups.
-    /// Returns the [`dist_sketch_key`]s of every group that changed, so
-    /// the serving refresh can skip the rest.
+    /// One aggregation pass: group the series `views` covers under
+    /// `locate`'s serving locations at both granularities, re-analyse
+    /// the dirty groups (`pending` lists the series that gained data
+    /// since the last pass), drop vanished groups, and commit what moved
+    /// to the served family.
     pub(crate) fn advance(
         &mut self,
         cx: &mut StageCx<'_>,
         views: Views<'_>,
-        locations: &HashMap<AnonId, (Location, LocationSource)>,
+        locate: &LocateStage,
         pending: &BTreeSet<(AnonId, GameId)>,
-    ) -> BTreeSet<String> {
+    ) {
         let _sp = cx.sp_run.child("stage.aggregate");
-        let mut refreshed = BTreeSet::new();
-        for granularity in [ServeGranularity::Region, ServeGranularity::Country] {
-            self.pass(cx, views, locations, pending, granularity, &mut refreshed);
+        let granularities = [ServeGranularity::Region, ServeGranularity::Country];
+        let mut desired: [Desired; 2] = Default::default();
+        for (anon, game) in views.series() {
+            let Some((loc, canonical)) = locate.serving_location(anon) else {
+                continue;
+            };
+            for granularity in granularities {
+                let level = granularity.level(loc);
+                desired[granularity as usize]
+                    .entry((level.key(), game))
+                    .or_insert_with(|| (level, Vec::new()))
+                    .1
+                    .push((anon, canonical));
+            }
         }
-        refreshed
+        let mut moved = Moved::default();
+        for (granularity, desired) in granularities.into_iter().zip(desired) {
+            self.pass(cx, views, desired, pending, granularity, &mut moved);
+        }
+        // A restored store may serve groups this stage never held; every
+        // group it does hold was refreshed by this, its first, pass.
+        for key in std::mem::take(&mut self.restored) {
+            if !moved.refreshed.contains_key(&key) {
+                moved.gone.insert(key);
+            }
+        }
+        self.commit(cx, moved);
+    }
+
+    /// Read back the served distribution keys after a restore, so the
+    /// first pass deletes those it no longer serves — the groups of a
+    /// merged sharded store included.
+    pub(crate) fn rebuild(&mut self, kv: &KvStore) {
+        self.restored = kv
+            .keys_with_prefix(DIST_SKETCH_PREFIX)
+            .into_iter()
+            .collect();
     }
 
     /// Hand the settled analyses of one granularity to the publish
@@ -101,59 +164,107 @@ impl AggStage {
             .map(|(k, e)| (k, e.analysis))
     }
 
-    /// The per-granularity half of [`AggStage::advance`].
+    /// The per-granularity half of [`AggStage::advance`]: re-analyse the
+    /// dirty groups of `desired` and collect the served keys that moved.
     fn pass(
         &mut self,
         cx: &mut StageCx<'_>,
         views: Views<'_>,
-        locations: &HashMap<AnonId, (Location, LocationSource)>,
+        desired: Desired,
         pending: &BTreeSet<(AnonId, GameId)>,
         granularity: ServeGranularity,
-        refreshed: &mut BTreeSet<String>,
+        moved: &mut Moved,
     ) {
-        // Desired membership, in series (= AnonId) order per group —
-        // exactly how the batch publish pass built its groups.
-        let mut desired: BTreeMap<(String, GameId), Vec<AnonId>> = BTreeMap::new();
-        for (anon, game) in views.series() {
-            if let Some((loc, _)) = locations.get(&anon) {
-                let key = granularity.level(loc).key();
-                desired.entry((key, game)).or_default().push(anon);
-            }
-        }
-        let stored = &self.groups[granularity as usize];
+        let stored = &mut self.groups[granularity as usize];
         let vanished: Vec<(String, GameId)> = stored
             .keys()
             .filter(|k| !desired.contains_key(*k))
             .cloned()
             .collect();
-        let dirty: Vec<(&(String, GameId), &Vec<AnonId>)> = desired
-            .iter()
-            .filter(|(key, members)| {
-                stored.get(*key).map(|e| &e.members) != Some(*members)
-                    || members.iter().any(|a| pending.contains(&(*a, key.1)))
+        for key in vanished {
+            let entry = stored.remove(&key).expect("a listed group");
+            if entry.analysis.distribution.is_some() {
+                moved
+                    .gone
+                    .insert(dist_sketch_key(granularity, key.1, &key.0));
+            }
+        }
+        let dirty: Vec<((String, GameId), (Location, Members))> = desired
+            .into_iter()
+            .filter(|(key, (_, members))| {
+                stored.get(key).map(|e| &e.members) != Some(members)
+                    || members.iter().any(|&(a, _)| pending.contains(&(a, key.1)))
             })
             .collect();
         cx.metrics.agg_dirty_groups.add(dirty.len() as u64);
         let tero = cx.tero;
         let gaz = &cx.world.gaz;
-        let results: Vec<GroupAnalysis> = cx.pool.par_map(&dirty, |(key, members)| {
-            analyze_group(tero, gaz, key.1, members, locations, views, granularity)
-        });
-        let map = &mut self.groups[granularity as usize];
-        for ((key, members), analysis) in dirty.into_iter().zip(results) {
-            refreshed.insert(dist_sketch_key(granularity, key.1, &key.0));
-            map.insert(
-                key.clone(),
-                GroupEntry {
-                    members: members.clone(),
-                    analysis,
-                },
-            );
+        let results: Vec<GroupAnalysis> =
+            cx.pool.par_map(&dirty, |((_, game), (location, members))| {
+                analyze_group(tero, gaz, *game, location, members, views, granularity)
+            });
+        for ((key, (_, members)), analysis) in dirty.into_iter().zip(results) {
+            let sketch_key = dist_sketch_key(granularity, key.1, &key.0);
+            let was_served = stored
+                .get(&key)
+                .is_some_and(|e| e.analysis.distribution.is_some())
+                || self.restored.contains(&sketch_key);
+            let served = analysis.distribution.as_ref().map(|d| {
+                (
+                    provenance(&members),
+                    QuantileSketch::from_values(&d.values_ms),
+                )
+            });
+            if served.is_some() || was_served {
+                moved.refreshed.insert(sketch_key, served);
+            }
+            stored.insert(key, GroupEntry { members, analysis });
         }
-        for key in vanished {
-            map.remove(&key);
-            refreshed.insert(dist_sketch_key(granularity, key.1, &key.0));
+    }
+
+    /// Write the served keys that moved — each sketch or deletion with
+    /// its marker, the refreshed groups before the vanished ones — set
+    /// the `clean.dists_*` gauges, and bump the serve version once if
+    /// anything changed.
+    fn commit(&self, cx: &mut StageCx<'_>, moved: Moved) {
+        let changed = !moved.refreshed.is_empty() || !moved.gone.is_empty();
+        let mut written = 0u64;
+        for (key, served) in moved.refreshed {
+            let meta = dist_meta_key(&key).expect("a dist key");
+            match served {
+                Some((prov, sketch)) => {
+                    let encoded = sketch.encode();
+                    cx.metrics.sketch_bytes.add(encoded.len() as u64);
+                    cx.metrics.sketch_commits.inc();
+                    cx.kv.set(&key, encoded);
+                    cx.kv.set(&meta, prov.tag());
+                    written += 1;
+                }
+                None => {
+                    cx.kv.del(&key);
+                    cx.kv.del(&meta);
+                }
+            }
         }
+        for key in moved.gone {
+            cx.kv.del(&key);
+            cx.kv.del(&dist_meta_key(&key).expect("a dist key"));
+        }
+        let (mut canonical, mut provisional) = (0, 0);
+        for entry in self.groups.iter().flat_map(BTreeMap::values) {
+            if entry.analysis.distribution.is_some() {
+                match provenance(&entry.members) {
+                    DistProvenance::Canonical => canonical += 1,
+                    DistProvenance::Provisional => provisional += 1,
+                }
+            }
+        }
+        cx.metrics.clean_dists_canonical.set(canonical);
+        cx.metrics.clean_dists_provisional.set(provisional);
+        if changed {
+            cx.kv.incr_by(SERVE_VERSION_KEY, 1);
+        }
+        cx.metrics.clean_dists_refreshed.add(written);
     }
 }
 
@@ -189,20 +300,22 @@ pub(crate) struct GroupAnalysis {
     pub(crate) outcomes: Vec<(AnonId, MemberOutcome)>,
 }
 
-/// Analyse one `{location, game}` group: merged clusters, end-point
-/// changes, the published distribution and shared anomalies. Pure with
-/// respect to the pipeline's mutable state, so groups can run in
-/// parallel; at [`ServeGranularity::Country`] only the distribution is
-/// produced (matching the sequential country loop).
-pub(crate) fn analyze_group(
+/// Analyse one `{location, game}` group at `location` (the group's
+/// location at its granularity): merged clusters, end-point changes, the
+/// published distribution and shared anomalies. Pure with respect to
+/// the pipeline's mutable state, so groups can run in parallel; at
+/// [`ServeGranularity::Country`] only the distribution is produced
+/// (matching the sequential country loop).
+fn analyze_group(
     tero: &Tero,
     gaz: &Gazetteer,
     game: GameId,
-    members: &[AnonId],
-    locations: &HashMap<AnonId, (Location, LocationSource)>,
+    location: &Location,
+    members: &[(AnonId, bool)],
     views: Views<'_>,
     granularity: ServeGranularity,
 ) -> GroupAnalysis {
+    let members: Vec<AnonId> = members.iter().map(|&(anon, _)| anon).collect();
     let classified_members: Vec<&ClassifiedStreamer> = members
         .iter()
         .filter_map(|a| views.classified_for(*a, game))
@@ -212,7 +325,7 @@ pub(crate) fn analyze_group(
     // Step 4: end-point changes for everyone in the group.
     let mut movers: Vec<AnonId> = Vec::new();
     let mut all_changes: Vec<(AnonId, Vec<EndPointChange>)> = Vec::new();
-    for anon in members {
+    for anon in &members {
         if let Some(report) = views.report_for(*anon, game) {
             let changes = endpoint_changes(report, &clusters, tero.params.lat_gap_ms);
             if changes
@@ -236,16 +349,12 @@ pub(crate) fn analyze_group(
         .collect();
     let mut distribution = None;
     if contributors.len() >= tero.min_streamers {
-        let group_loc = locations
-            .get(&members[0])
-            .map(|(l, _)| granularity.level(l))
-            .expect("grouped member is located");
-        let server = primary_server(gaz, game, &group_loc);
+        let server = primary_server(gaz, game, location);
         let distance = server
             .as_ref()
-            .and_then(|s| corrected_distance_to(gaz, &group_loc, s));
+            .and_then(|s| corrected_distance_to(gaz, location, s));
         if let Some(mut dist) = location_distribution(
-            group_loc,
+            location.clone(),
             game,
             &contributors,
             server.map(|s| s.location),
@@ -260,10 +369,6 @@ pub(crate) fn analyze_group(
 
     // Shared anomalies over the group (region granularity only).
     let shared = if granularity == ServeGranularity::Region {
-        let region_loc = locations
-            .get(&members[0])
-            .map(|(l, _)| granularity.level(l))
-            .expect("grouped member is located");
         let activities: Vec<StreamerActivity> = members
             .iter()
             .filter_map(|a| {
@@ -280,7 +385,7 @@ pub(crate) fn analyze_group(
                 })
             })
             .collect();
-        detect_shared_anomalies(game, &region_loc, &activities)
+        detect_shared_anomalies(game, location, &activities)
     } else {
         Vec::new()
     };
@@ -316,11 +421,7 @@ pub(crate) fn analyze_group(
 /// rarely land inside the location's real clusters and leaves the filter
 /// to the data-set's users; applying it screens location errors at the
 /// cost of some legitimate tail mass.
-pub(crate) fn reject_outside(
-    dist: &mut LocationDistribution,
-    clusters: &[LatencyCluster],
-    gap: u32,
-) -> bool {
+fn reject_outside(dist: &mut LocationDistribution, clusters: &[LatencyCluster], gap: u32) -> bool {
     if clusters.is_empty() {
         return false;
     }

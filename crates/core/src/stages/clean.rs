@@ -30,43 +30,21 @@
 //!   not a tolerance (`online_view_matches_batch_under_any_window_split`
 //!   below pins it) — so the report is assembled from the cached views
 //!   (`CleanStage::take_cleaned`), not from a second pass.
-//! * **Refresh** — after each window, the horizon's included, the stage
-//!   regroups the series under the *canonical* locations the budgeted
-//!   locate stage has committed so far, falling back to *provisional*
-//!   social-profile-only lookups for streamers whose profile fetch
-//!   hasn't landed yet, and recomputes the distribution sketch of every
-//!   `{location, game}` group whose membership, member data, settled
-//!   aggregation state or provenance changed — so `engine:serve:dist:*`
-//!   answers track the run window by window. All-canonical groups reuse
-//!   the aggregation stage's analysis verbatim (marker `c`); mixed or
-//!   provisional groups are analysed against the current views and
-//!   screened against the region group's merged clusters in the
-//!   aggregation stage (marker `p`). Every sketch carries an
-//!   `engine:serve:dist_meta:*` provenance marker. This refresh is the
-//!   family's only writer: at the horizon the locate queue is drained,
-//!   every group is canonical, and the family holds exactly the
-//!   distributions the report publishes.
 //!
-//! The stage commits only its per-list cursors ([`CLEAN_CURSORS_KEY`]);
-//! [`CleanStage::rebuild`] replays the lists up to them after a chaos
-//! kill or a fresh-process restore, and reads the committed distribution
-//! keys back so the refresh can delete the ones it no longer serves.
+//! The cached views are what the aggregation stage
+//! ([`crate::stages::agg`]) groups and serves window by window; this
+//! stage serves nothing itself. It commits only its per-list cursors
+//! ([`CLEAN_CURSORS_KEY`]); [`CleanStage::rebuild`] replays the lists up
+//! to them after a chaos kill or a fresh-process restore.
 
-use super::locate::LocateStage;
 use super::{parse_sample_list_key, SampleRecord, StageCx, SAMPLES_PREFIX};
 use crate::analysis::anomaly::{detect_anomalies, AnomalyReport, SegmentLabel, SpikeEvent};
 use crate::analysis::clusters::{classify_streamer, ClassifiedStreamer};
 use crate::analysis::segments::{Segment, StreamSeries};
-use crate::location::{LocationModule, LocationSource};
-use crate::serving::{
-    dist_meta_key, dist_provenance, dist_sketch_key, DistProvenance, ServeGranularity,
-    DIST_SKETCH_PREFIX, SERVE_VERSION_KEY,
-};
-use crate::stages::agg::{analyze_group, reject_outside, AggStage};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use tero_store::KvStore;
 use tero_trace::{Level, TaskTrace};
-use tero_types::{AnonId, GameId, LatencySample, Location, SimDuration, SimTime, TeroParams};
+use tero_types::{AnonId, GameId, LatencySample, SimDuration, SimTime, TeroParams};
 
 /// A gap larger than this starts a new stream (thumbnails are ≥ 5 min
 /// apart; in-stream breaks reach ~35 min; offline periods are longer).
@@ -306,8 +284,7 @@ impl SeriesState {
 }
 
 /// Read-only lookup over the cleaner's cached per-series analyses, for
-/// the group-level refresh and the aggregation stage — in every window
-/// and at the horizon alike.
+/// the aggregation stage — in every window and at the horizon alike.
 #[derive(Clone, Copy)]
 pub(crate) struct Views<'a>(&'a BTreeMap<(AnonId, GameId), SeriesState>);
 
@@ -336,18 +313,6 @@ impl<'a> Views<'a> {
 #[derive(Debug, Default)]
 pub struct CleanStage {
     states: BTreeMap<(AnonId, GameId), SeriesState>,
-    /// Provisional-location cache: the social-profile lookup's result,
-    /// which depends on nothing that changes during a run.
-    loc_cache: BTreeMap<AnonId, Option<(Location, LocationSource)>>,
-    /// Members of every `{location, game}` group at the last refresh,
-    /// keyed by distribution-sketch key — the membership-change detector.
-    /// Empty after a restore, so the first refresh recomputes every group.
-    group_members: BTreeMap<String, Vec<AnonId>>,
-    /// Distribution-sketch keys committed in the store, with the
-    /// provenance each was committed under; [`CleanStage::rebuild`]
-    /// reads them back, so a restored stage deletes what it no longer
-    /// serves.
-    online_keys: BTreeMap<String, DistProvenance>,
 }
 
 impl CleanStage {
@@ -360,7 +325,7 @@ impl CleanStage {
     /// records, seal newly closed stable blocks, and commit the fed
     /// series' cursors. Returns the set of series that received
     /// new records (the engine feeds it to the aggregation stage's dirty
-    /// tracking and to `CleanStage::refresh_serving`). Per-window cost
+    /// tracking). Per-window cost
     /// is proportional to the new data plus the unsealed tails, not the
     /// total history (`benches/window.rs`, `clean_scaling`).
     pub fn advance(&mut self, cx: &mut StageCx<'_>) -> BTreeSet<(AnonId, GameId)> {
@@ -425,11 +390,11 @@ impl CleanStage {
     /// Recompute the cached view of every series fed since its last view
     /// — the one analyze fan-out (`stage.analyze`, one `analyze.task` per
     /// series), pure per-series work whose results are merged in key
-    /// order. Returns the set of series whose views were recomputed.
-    pub(crate) fn refresh_views(&mut self, cx: &mut StageCx<'_>) -> BTreeSet<(AnonId, GameId)> {
+    /// order.
+    pub(crate) fn refresh_views(&mut self, cx: &mut StageCx<'_>) {
         let stale: Vec<&SeriesState> = self.states.values().filter(|s| s.view.is_none()).collect();
         if stale.is_empty() {
-            return BTreeSet::new();
+            return;
         }
         let sp_analyze = cx.sp_run.child("stage.analyze");
         let analyze_stage = cx.tero.trace.stage(&sp_analyze, "analyze.task");
@@ -454,208 +419,6 @@ impl CleanStage {
         }
         analyze_stage.flush(traces);
         cx.metrics.clean_views.add(keys.len() as u64);
-        keys.into_iter().collect()
-    }
-
-    /// Refresh the serving-layer distribution sketches from the current
-    /// views and the locate/aggregation stages' state — the only writer
-    /// of `engine:serve:dist:*`: group the series under `locate`'s
-    /// canonical locations (provisional social-profile-only fallbacks for
-    /// streamers whose budgeted profile lookup hasn't landed yet), and
-    /// recompute every `{location, game}` group whose membership, member
-    /// data, settled aggregation state or provenance changed since the
-    /// last refresh; delete the groups that vanished or publish nothing.
-    /// All-canonical groups serve the aggregation stage's distribution
-    /// verbatim; mixed or provisional groups are analysed against the
-    /// current views and screened against the region group's merged
-    /// clusters in `agg`. One serve-version bump per refresh that changed
-    /// anything. Once the horizon's locate slice has drained the queue
-    /// every group is canonical, so the family holds exactly the
-    /// aggregation stage's distributions — what the report publishes.
-    pub(crate) fn refresh_serving(
-        &mut self,
-        cx: &mut StageCx<'_>,
-        locate: &LocateStage,
-        agg: &AggStage,
-        fresh: &BTreeSet<(AnonId, GameId)>,
-        agg_refreshed: &BTreeSet<String>,
-    ) {
-        let tero = cx.tero;
-        // Provisional locations — the social profile only, no profile
-        // text and no API spend — for the streamers still queued behind
-        // the locate budget. A lookup without a description reads no
-        // tags, and the social directory is fixed, so each is made once;
-        // a streamer whose committed verdict is `None` would get `None`
-        // from it too. Located streamers use their committed
-        // `engine:locate:*` result, which is canonical from the window
-        // it lands in.
-        let canonical = locate.locations();
-        let location_module = LocationModule::new(&cx.world.gaz);
-        let mut locations: HashMap<AnonId, (Location, LocationSource)> = canonical.clone();
-        let mut lookups = 0u64;
-        for (anon, name) in locate.queued() {
-            let located = self.loc_cache.entry(*anon).or_insert_with(|| {
-                lookups += 1;
-                location_module.locate(name.as_str(), None, &cx.world.social_directory, &[])
-            });
-            if let Some(ls) = located {
-                locations.insert(*anon, ls.clone());
-            }
-        }
-        cx.metrics.clean_provisional_locations.add(lookups);
-
-        // Regroup at both granularities, keyed by sketch key.
-        struct GroupSpec {
-            granularity: ServeGranularity,
-            game: GameId,
-            loc_key: String,
-            members: Vec<AnonId>,
-        }
-        let mut groups: BTreeMap<String, GroupSpec> = BTreeMap::new();
-        for (anon, game) in self.states.keys() {
-            let Some((loc, _)) = locations.get(anon) else {
-                continue;
-            };
-            for granularity in [ServeGranularity::Region, ServeGranularity::Country] {
-                let loc_key = granularity.level(loc).key();
-                let key = dist_sketch_key(granularity, *game, &loc_key);
-                groups
-                    .entry(key)
-                    .or_insert_with(|| GroupSpec {
-                        granularity,
-                        game: *game,
-                        loc_key,
-                        members: Vec::new(),
-                    })
-                    .members
-                    .push(*anon);
-            }
-        }
-
-        // Recompute only groups that moved: membership changed, a member
-        // received new data, the settled aggregation state behind the
-        // group was re-committed, or the group's provenance flipped.
-        let gap = tero.params.lat_gap_ms;
-        let mut results: Vec<(String, DistProvenance, Option<tero_stats::QuantileSketch>)> =
-            Vec::new();
-        {
-            let views = Views(&self.states);
-            for (key, spec) in &groups {
-                let prov = if spec.members.iter().all(|a| canonical.contains_key(a)) {
-                    DistProvenance::Canonical
-                } else {
-                    DistProvenance::Provisional
-                };
-                let membership_changed = self.group_members.get(key) != Some(&spec.members);
-                let member_fresh = spec
-                    .members
-                    .iter()
-                    .any(|a| fresh.contains(&(*a, spec.game)));
-                let agg_moved = agg_refreshed.contains(key);
-                let prov_moved = self.online_keys.get(key).is_some_and(|p| *p != prov);
-                if !membership_changed && !member_fresh && !agg_moved && !prov_moved {
-                    continue;
-                }
-                let dist = if prov == DistProvenance::Canonical {
-                    // Every member carries a committed locate result, so
-                    // the aggregation stage analysed exactly this group
-                    // this window: serve its settled distribution — at
-                    // the horizon, the one the report publishes.
-                    agg.analysis_for(spec.granularity, &spec.loc_key, spec.game)
-                        .and_then(|a| a.distribution.clone())
-                } else if spec.members.len() >= tero.min_streamers {
-                    let mut dist = analyze_group(
-                        tero,
-                        &cx.world.gaz,
-                        spec.game,
-                        &spec.members,
-                        &locations,
-                        views,
-                        spec.granularity,
-                    )
-                    .distribution;
-                    // §3.1.2 screen for provisional groups: a mislocated
-                    // provisional member's samples rarely land inside the
-                    // location's *canonical* latency clusters, so filter
-                    // against the aggregation stage's merged clusters of
-                    // the region (on top of the group's own merged
-                    // clusters, which `analyze_group` already applied).
-                    if tero.reject_outside_clusters && spec.granularity == ServeGranularity::Region
-                    {
-                        if let (Some(d), Some(clusters)) = (
-                            dist.as_mut(),
-                            agg.analysis_for(spec.granularity, &spec.loc_key, spec.game)
-                                .map(|a| a.clusters.as_slice()),
-                        ) {
-                            reject_outside(d, clusters, gap);
-                        }
-                    }
-                    dist
-                } else {
-                    None
-                };
-                results.push((
-                    key.clone(),
-                    prov,
-                    dist.map(|d| tero_stats::QuantileSketch::from_values(&d.values_ms)),
-                ));
-            }
-        }
-        let mut changed = false;
-        let mut written = 0u64;
-        for (key, prov, sketch) in results {
-            let meta = dist_meta_key(&key).expect("online keys are dist keys");
-            match sketch {
-                Some(sketch) => {
-                    let encoded = sketch.encode();
-                    cx.metrics.sketch_bytes.add(encoded.len() as u64);
-                    cx.metrics.sketch_commits.inc();
-                    cx.kv.set(&key, encoded);
-                    cx.kv.set(&meta, prov.tag());
-                    self.online_keys.insert(key, prov);
-                    written += 1;
-                    changed = true;
-                }
-                None => {
-                    if self.online_keys.remove(&key).is_some() {
-                        cx.kv.del(&key);
-                        cx.kv.del(&meta);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        // Groups that vanished entirely (membership moved away).
-        let gone: Vec<String> = self
-            .online_keys
-            .keys()
-            .filter(|k| !groups.contains_key(*k))
-            .cloned()
-            .collect();
-        for key in gone {
-            cx.kv.del(&key);
-            cx.kv
-                .del(&dist_meta_key(&key).expect("online keys are dist keys"));
-            self.online_keys.remove(&key);
-            changed = true;
-        }
-        self.group_members = groups
-            .into_iter()
-            .map(|(k, spec)| (k, spec.members))
-            .collect();
-        let canonical_count = self
-            .online_keys
-            .values()
-            .filter(|p| **p == DistProvenance::Canonical)
-            .count();
-        cx.metrics.clean_dists_canonical.set(canonical_count as i64);
-        cx.metrics
-            .clean_dists_provisional
-            .set((self.online_keys.len() - canonical_count) as i64);
-        if changed {
-            cx.kv.incr_by(SERVE_VERSION_KEY, 1);
-        }
-        cx.metrics.clean_dists_refreshed.add(written);
     }
 
     /// The horizon hand-off: move every series' streams and cached view
@@ -721,18 +484,7 @@ impl CleanStage {
     /// reconstructs the identical sealed/tail split. A cursor past the
     /// end of its list (a damaged or badly merged snapshot) resumes at
     /// the end of what was replayed, so no later record is skipped.
-    ///
-    /// The committed distribution sketches are read back into the
-    /// serving refresh's key map, each under the provenance its marker
-    /// holds (provisional when the marker is missing or not `c`/`p`):
-    /// the first refresh after a restore then deletes every group the
-    /// restored store serves and this run no longer does, the groups of
-    /// a merged sharded store included.
     pub fn rebuild(&mut self, kv: &KvStore, params: &TeroParams) {
-        for key in kv.keys_with_prefix(DIST_SKETCH_PREFIX) {
-            let prov = dist_provenance(kv, &key).unwrap_or(DistProvenance::Provisional);
-            self.online_keys.insert(key, prov);
-        }
         let cursors = kv.hgetall(CLEAN_CURSORS_KEY);
         for key in kv.keys_with_prefix(SAMPLES_PREFIX) {
             let Some((anon, game)) = parse_sample_list_key(&key) else {
@@ -947,8 +699,13 @@ mod tests {
                 stage.refresh_views(&mut cx);
             }
         }
-        let at_horizon = stage.refresh_views(&mut cx);
-        assert_eq!(at_horizon.len(), 2, "only the last window's series");
+        let before = metrics.clean_views.get();
+        stage.refresh_views(&mut cx);
+        assert_eq!(
+            metrics.clean_views.get() - before,
+            2,
+            "only the last window's series"
+        );
         assert_eq!(stage.states.len(), 5);
         for state in stage.states.values() {
             let view = state.view.as_ref().expect("every view is fresh");

@@ -23,6 +23,14 @@
 //! [`LOCATE_RESULTS_KEY`]); at the horizon the tag history is complete
 //! and the committed results are byte-identical to what the old
 //! single-shot locate pass produced.
+//!
+//! A streamer still queued at the end of a slice gets a *provisional*
+//! location instead: the social profile alone — no description, no tags,
+//! no API spend. A lookup without a description reads no tags and the
+//! social directory is fixed, so each is made once, and dropped when the
+//! budget admits the streamer. The aggregation stage serves a streamer
+//! from its canonical verdict, else from its provisional location
+//! (`LocateStage::serving_location`).
 
 use super::{StageCx, NAMES_KEY};
 use crate::location::{LocationModule, LocationSource};
@@ -93,6 +101,10 @@ pub struct LocateStage {
     /// Carry-over queue: seen streamers whose lookup hasn't been
     /// admitted by any window's budget yet, in arrival order.
     queue: VecDeque<(AnonId, StreamerId)>,
+    /// The social-profile-only lookup of every queued streamer, made at
+    /// the end of the first slice that leaves it queued and dropped at
+    /// admission. Not committed: a restored stage makes them again.
+    provisional: HashMap<AnonId, Option<Location>>,
     /// Total simulated API calls spent.
     api_calls: u64,
 }
@@ -103,10 +115,14 @@ impl LocateStage {
         &self.canonical
     }
 
-    /// The seen streamers whose lookup no budget has admitted yet, in
-    /// admission order.
-    pub(crate) fn queued(&self) -> impl Iterator<Item = &(AnonId, StreamerId)> {
-        self.queue.iter()
+    /// Where `anon` is served from, and whether that location is
+    /// canonical: its committed verdict, else the provisional lookup of
+    /// a streamer still queued. `None` when neither locates it.
+    pub(crate) fn serving_location(&self, anon: AnonId) -> Option<(&Location, bool)> {
+        match self.canonical.get(&anon) {
+            Some((loc, _)) => Some((loc, true)),
+            None => Some((self.provisional.get(&anon)?.as_ref()?, false)),
+        }
     }
 
     /// Whether seen streamers are still waiting for a budget to admit
@@ -121,16 +137,21 @@ impl LocateStage {
     }
 
     /// One slice: queue newly-seen streamers, admit lookups while
-    /// `budget` lasts (`None`: drain the queue), and re-evaluate any
-    /// committed streamer whose tag history grew. A window passes
+    /// `budget` lasts (`None`: drain the queue), locate what stays queued
+    /// provisionally, and re-evaluate any committed streamer whose tag
+    /// history grew. A window passes
     /// [`crate::pipeline::Tero::locate_budget`]; the horizon passes
     /// `None`, and since the tag history is complete by then, what it
     /// leaves committed is final. Returns whether any verdict was
     /// written — a profile committed in this slice gets its first one.
+    /// A new provisional lookup needs no return: it is made in the slice
+    /// after the extract that registered the name, and any record that
+    /// extract appended is already pending aggregation.
     pub(crate) fn advance(&mut self, cx: &mut StageCx<'_>, budget: Option<u64>) -> bool {
         let _span = cx.enter(&cx.metrics.st_locate);
         self.enqueue_new(cx);
         self.process_queue(cx, budget);
+        self.locate_queued(cx);
         self.reevaluate(cx)
     }
 
@@ -185,6 +206,7 @@ impl LocateStage {
             }
             let (anon, name) = (*anon, name.clone());
             self.queue.pop_front();
+            self.provisional.remove(&anon);
             let faults = cx
                 .world
                 .chaos()
@@ -220,6 +242,22 @@ impl LocateStage {
         cx.metrics.locate_api_calls.set(self.api_calls as i64);
         cx.kv
             .hset(LOCATE_META_KEY, "api_calls", self.api_calls.to_string());
+    }
+
+    /// Make the provisional lookup of every queued streamer that has
+    /// none yet (`clean.provisional_locations` counts them).
+    fn locate_queued(&mut self, cx: &mut StageCx<'_>) {
+        let location_module = LocationModule::new(&cx.world.gaz);
+        let mut lookups = 0u64;
+        for (anon, name) in &self.queue {
+            self.provisional.entry(*anon).or_insert_with(|| {
+                lookups += 1;
+                location_module
+                    .locate(name.as_str(), None, &cx.world.social_directory, &[])
+                    .map(|(loc, _)| loc)
+            });
+        }
+        cx.metrics.clean_provisional_locations.add(lookups);
     }
 
     /// Settle the verdict of every profile-committed streamer whose tag

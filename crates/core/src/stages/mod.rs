@@ -23,16 +23,20 @@
 //!   lookups carry over), commits resumable `engine:locate:*` state, and
 //!   re-evaluates committed results as tag history grows — so locations
 //!   become canonical as soon as a streamer is located, not at the
-//!   horizon (see `docs/AGGREGATION.md`);
+//!   horizon — and locates the still-queued provisionally from their
+//!   social profile (see `docs/AGGREGATION.md`);
 //! * [`clean`] — §3.3 per-`{streamer, game}` stitching (streams split at
 //!   gaps larger than [`clean::STREAM_GAP`]), segmentation, anomaly
 //!   detection and classification — run *online*: every window feeds the
-//!   new records, seals finished blocks, and refreshes the per-window
-//!   serving distributions (see `docs/CLEANING.md`);
+//!   new records, seals finished blocks, and refreshes the cached views
+//!   of the series it fed (see `docs/CLEANING.md`);
 //! * [`agg`] — the §3.3.3/§5/§6 per-`{location, game}` group analyses
 //!   (merged clusters, end-point changes, distributions, shared
-//!   anomalies), maintained incrementally in memory: each window
-//!   re-analyses only the groups whose membership or sealed data moved;
+//!   anomalies), maintained incrementally in memory under each
+//!   streamer's serving location: each window re-analyses only the
+//!   groups whose membership, provenance or member data moved, and
+//!   serves their distributions — the one writer of
+//!   `engine:serve:dist*`;
 //! * [`publish`] — the horizon finalizer: takes the aggregation stage's
 //!   analyses, runs the provenance pass, and assembles the
 //!   final report, once the window that reaches the horizon has made

@@ -5,8 +5,9 @@
 //! per-`{location, game}` analyses in key order (byte-identical to the
 //! old batch fan-out's merge order), runs the sample-provenance pass and
 //! §6 behaviour preparation, and assembles the final [`TeroReport`]. It
-//! writes nothing to the serving view: the horizon's serving refresh has
-//! already committed the same distributions, all canonical.
+//! writes nothing to the serving view: the aggregation stage's pass after
+//! the horizon's drain has already served the same distributions, all
+//! canonical.
 
 use super::agg::{AggStage, MemberOutcome};
 use super::clean::Cleaned;
@@ -164,21 +165,20 @@ pub(crate) fn publish(
     // Order every streamer's streams across games to detect game
     // changes between consecutive streams. A BTreeMap keeps the
     // emitted order deterministic across processes.
-    let mut per_streamer: BTreeMap<AnonId, Vec<(SimTime, SimTime, GameId, usize)>> =
-        BTreeMap::new();
+    let mut per_streamer: BTreeMap<AnonId, Vec<(SimTime, SimTime, GameId)>> = BTreeMap::new();
     for ((anon, game), series) in &streams {
-        for (idx, s) in series.iter().enumerate() {
+        for s in series {
             if let (Some(first), Some(last)) = (s.samples.first(), s.samples.last()) {
                 per_streamer
                     .entry(*anon)
                     .or_default()
-                    .push((first.at, last.at, *game, idx));
+                    .push((first.at, last.at, *game));
             }
         }
     }
     for (anon, mut entries) in per_streamer {
         entries.sort_by_key(|e| e.0);
-        for (i, &(start, end, game, idx)) in entries.iter().enumerate() {
+        for (i, &(start, end, game)) in entries.iter().enumerate() {
             let game_changed_after = entries.get(i + 1).is_some_and(|n| n.2 != game);
             let report = anomalies.get(&(anon, game));
             let spikes = report
@@ -206,7 +206,6 @@ pub(crate) fn publish(
                 first_server_change,
                 game_changed_after,
             });
-            let _ = idx;
         }
     }
 

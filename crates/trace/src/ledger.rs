@@ -17,9 +17,12 @@
 //!
 //! ## Caveats (documented, asserted nowhere else)
 //!
-//! * `reject_outside_clusters` (Appendix C's stricter filter) is off by
-//!   default and not modeled as a distinct reason; runs that enable it
-//!   should expect `reconcile` mismatches.
+//! * `reject_outside_clusters` (§3.1.2's suggested mislocation screen) is
+//!   off by default and not modeled as a distinct reason. It edits only a
+//!   published distribution's values, while provenance books each sample
+//!   from the group's member outcomes, so a value it screens out stays
+//!   booked [`SampleState::Published`] and `reconcile` still holds — the
+//!   ledger and the funnel counters come from the same decisions.
 //! * Shared-anomaly detection (§6) is detection-only in this pipeline —
 //!   it annotates groups but never removes samples, so it contributes no
 //!   drops.

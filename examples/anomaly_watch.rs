@@ -75,7 +75,7 @@ fn main() {
     // all members located by committed profile-backed `engine:locate:*`
     // results; `p` = a mid-run provisional social-profile-only
     // fallback). The horizon's locate slice drains the queue before the
-    // last serving refresh, so the watch must read 100 % canonical.
+    // last aggregation pass, so the watch must read 100 % canonical.
     use tero::core::serving::{dist_provenance, DistProvenance, DIST_SKETCH_PREFIX};
     let store = tero.serving_store().expect("completed run serves");
     let dist_keys = store.keys_with_prefix(DIST_SKETCH_PREFIX);

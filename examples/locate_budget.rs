@@ -10,19 +10,22 @@
 //! ```
 //!
 //! Every window the locate stage admits queued streamers while the
-//! budget covers the worst-case lookup cost and defers the rest; the
-//! per-window serving refresh groups series under whatever locations
-//! are canonical so far, falling back to social-profile-only provisional
-//! lookups for the still-queued. At the horizon the queue is drained regardless
-//! of budget, so the final report and committed state are byte-identical
-//! to an unbudgeted run (`tests/determinism.rs`). Stdout is
-//! **byte-stable**: for a fixed seed it is identical across repeat runs
-//! and worker counts, because everything printed derives from committed
-//! `engine:locate:*` / `engine:serve:*` state and deterministic
-//! counters. `scripts/ci.sh` runs this example twice and diffs stdout.
+//! budget covers the worst-case lookup cost, defers the rest, and
+//! locates the still-queued provisionally from their social profile; the
+//! aggregation pass groups series under whatever locations are canonical
+//! so far, else provisional, and serves the groups it re-analysed. At the
+//! horizon the queue is drained regardless of budget, so the final
+//! report and committed state are byte-identical to an unbudgeted run
+//! (`tests/determinism.rs`). Each window line ends with an FNV-1a digest
+//! of every served distribution sketch and marker, key and value, so the
+//! mid-run serving bytes are checked too. Stdout is **byte-stable**: for
+//! a fixed seed it is identical across repeat runs and worker counts,
+//! because everything printed derives from committed `engine:locate:*` /
+//! `engine:serve:*` state and deterministic counters. `scripts/ci.sh`
+//! runs this example twice and diffs stdout.
 
 use tero::core::pipeline::{ExtractionMode, Tero, WindowOutcome};
-use tero::core::serving::{dist_provenance, DistProvenance, DIST_SKETCH_PREFIX};
+use tero::core::serving::{dist_meta_key, dist_provenance, DistProvenance, DIST_SKETCH_PREFIX};
 use tero::core::stages::locate::LOCATE_PROFILES_KEY;
 use tero::core::stages::NAMES_KEY;
 use tero::store::KvStore;
@@ -41,6 +44,23 @@ fn served_provenance(kv: &KvStore) -> (usize, usize) {
         }
     }
     (canonical, provisional)
+}
+
+/// FNV-1a over every committed distribution sketch and its marker, key
+/// and value, in key order.
+fn served_digest(kv: &KvStore) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for key in kv.keys_with_prefix(DIST_SKETCH_PREFIX) {
+        let meta = dist_meta_key(&key).expect("a dist key");
+        let (sketch, marker) = (kv.get(&key), kv.get(&meta));
+        for part in [Some(key), sketch, Some(meta), marker] {
+            for byte in part.unwrap_or_default().bytes().chain([0]) {
+                hash ^= byte as u64;
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
 }
 
 fn main() {
@@ -101,7 +121,8 @@ fn main() {
                 let (canonical, provisional) = served_provenance(&kv);
                 println!(
                     "window {window}: spent={spent} settled={settled}/{seen} queued={queued} \
-                     served c={canonical} p={provisional}"
+                     served c={canonical} p={provisional} digest={:016x}",
+                    served_digest(&kv)
                 );
                 to = (to + day).min(horizon);
             }
@@ -110,8 +131,8 @@ fn main() {
     };
 
     // The horizon drain ignores the budget: the queue empties, the
-    // serving refresh after it flips every provisional group to the
-    // settled aggregation state, and every marker reads canonical.
+    // aggregation pass after it flips every provisional group to the
+    // settled canonical analysis, and every marker reads canonical.
     let store = tero.serving_store().expect("run completed");
     let (canonical, provisional) = served_provenance(&store);
     assert_eq!(
@@ -120,8 +141,9 @@ fn main() {
     );
     println!();
     println!(
-        "horizon: {} streamers located, served c={canonical} p={provisional}",
-        report.locations.len()
+        "horizon: {} streamers located, served c={canonical} p={provisional} digest={:016x}",
+        report.locations.len(),
+        served_digest(&store)
     );
     let metrics = tero.metrics_snapshot();
     println!(

@@ -106,8 +106,8 @@ fn main() {
     // located by committed (profile-backed) `engine:locate:*` results, `p`
     // when a mid-run window served a provisional social-profile-only
     // fallback. The horizon's locate slice drains the queue before the
-    // last serving refresh, which then serves the settled aggregation
-    // state, so the markers must read 100 % canonical regardless of the
+    // last aggregation pass, which then serves the settled canonical
+    // analyses, so the markers must read 100 % canonical regardless of the
     // window schedule.
     let store = tero.serving_store().expect("completed run serves");
     for (granularity, game, location_key) in &served {

@@ -1,7 +1,7 @@
 //! Online-cleaner explorer: drive a pinned-streamer world through 1-day
 //! windows and watch the served per-`{location, game}` distributions
 //! refresh — and drift — window by window, without waiting for the
-//! horizon (docs/CLEANING.md).
+//! horizon (docs/CLEANING.md, docs/AGGREGATION.md).
 //!
 //! ```sh
 //! cargo run --release --example streaming_clean          # default seed
@@ -9,10 +9,11 @@
 //! ```
 //!
 //! After every window the clean stage reseals its per-series state and
-//! rebuilds the distribution sketch of every dirty `{location, game}`
-//! group — under the *canonical* locations the budgeted locate stage
-//! has committed so far (all of them, at the default unlimited budget),
-//! with provisional social-profile-only fallbacks for anyone still
+//! refreshes the views of the series it fed, and the aggregation stage
+//! re-analyses and re-serves every dirty `{location, game}` group —
+//! under the *canonical* locations the budgeted locate stage has
+//! committed so far (all of them, at the default unlimited budget),
+//! with provisional social-profile-only locations for anyone still
 //! queued. This example snapshots the in-flight engine's
 //! store after each window and queries those mid-run sketches, printing
 //! each one's provenance marker (`c`/`p`). Stdout is **byte-stable**:
@@ -112,9 +113,8 @@ fn main() {
     };
 
     // The horizon settles the mid-run view: its locate slice drains the
-    // queue and the serving refresh after it serves the aggregation
-    // stage's analyses under canonical locations (every marker reads
-    // `c`). Same
+    // queue and the aggregation pass after it serves its analyses under
+    // canonical locations (every marker reads `c`). Same
     // cleaning — the online views are byte-identical to a batch clean
     // (the docs/CLEANING.md contract) — so any drift between the last
     // mid-run view and this one is late-arriving data, not relocation.

@@ -83,8 +83,8 @@ echo "==> serving determinism (serve_explore twice + 4 and 1440 windows, stdout 
 # streams; only stderr carries run-specific facts like the serving
 # version. Stdout must be byte-identical run-to-run AND between the
 # single-shot and a 4- or 1440-window schedule. The served family has
-# one writer, the per-window serving refresh: 1440 slices of the 3-day
-# world are 3-minute windows, where that refresh runs hundreds of times
+# one writer, the per-window aggregation pass: 1440 slices of the 3-day
+# world are 3-minute windows, where that pass runs hundreds of times
 # and must still leave exactly the single-shot run's bytes.
 same_twice serve serve_explore 7
 for n in 4 1440; do
@@ -103,7 +103,9 @@ same_twice clean streaming_clean 7
 echo "==> budgeted locate determinism (locate_budget twice, stdout byte-compare)"
 # The example drives 1-day windows under a tight per-window API budget
 # and prints the coverage ramp — spend, carry-over queue, served
-# canonical/provisional marker counts per window — all derived from
+# canonical/provisional marker counts and an FNV-1a digest of every
+# served sketch and marker per window, so the budgeted mid-run serving
+# bytes are byte-checked too — all derived from
 # committed engine:locate:* / engine:serve:* state and deterministic
 # counters, so two runs of the same seed must produce identical stdout
 # (docs/AGGREGATION.md).

@@ -824,7 +824,7 @@ fn locate_budget_zero_defers_every_lookup_and_converges() {
     // Finishing the drive drains the queue at the horizon; the final
     // report and committed state match the unlimited-budget run byte
     // for byte, and every marker flips to canonical. No pass rewrites
-    // the served family at the horizon: the serving refresh after the
+    // the served family at the horizon: the aggregation pass after the
     // drain must flip each provisional group to canonical and delete the
     // groups only provisional locations formed.
     let horizon = world.horizon;
@@ -938,7 +938,7 @@ fn an_idle_window_still_spends_the_locate_budget() {
     );
 
     // The served family at the horizon is the unbudgeted run's too, left
-    // by the serving refresh alone.
+    // by the aggregation pass alone.
     let report = drive_from(&tero, &mut world, to, SimDuration::from_hours(24));
     assert_eq!(fingerprint(&report), reference);
     assert_eq!(schedule_invariant(funnel(&tero)), ref_counters);
@@ -950,11 +950,11 @@ fn an_idle_window_still_spends_the_locate_budget() {
 #[test]
 fn a_restored_engine_deletes_groups_it_no_longer_serves() {
     // A restored engine used to start with an empty map of the groups
-    // its serving refresh had committed, so a committed distribution
-    // whose group had since vanished stayed served until the horizon's
-    // publish wiped the family. Plant two such groups in a mid-run
-    // snapshot, one with a marker that is neither `c` nor `p`: the first
-    // window after the restore must delete both, marker and all.
+    // it had served, so a committed distribution whose group had since
+    // vanished stayed served until the horizon's publish wiped the
+    // family. Plant two such groups in a mid-run snapshot, one with a
+    // marker that is neither `c` nor `p`: the first window after the
+    // restore must delete both, marker and all.
     use tero::core::serving::{
         dist_meta_key, dist_sketch_key, ServeGranularity, DIST_SKETCH_PREFIX,
     };
@@ -1038,6 +1038,103 @@ fn windows_after_location_serve_canonical_distributions() {
             .iter()
             .all(|p| *p == DistProvenance::Canonical),
         "the horizon serves canonical locations only"
+    );
+}
+
+#[test]
+fn admitting_a_groups_last_provisional_member_reserves_it_canonical() {
+    // A budget of five calls admits one lookup a window, and most
+    // half-minute windows feed no series. When such a window admits a
+    // group's only provisional member and its canonical verdict keeps it
+    // in the group, neither the membership nor any member's data moves —
+    // only the group's provenance. The group must still be re-served,
+    // marked `c`, with one serve-version bump.
+    use tero::core::serving::{
+        dist_meta_key, parse_dist_sketch_key, serve_version, DIST_SKETCH_PREFIX,
+    };
+    use tero::core::stages::locate::LOCATE_RESULTS_KEY;
+    use tero::store::{KvStore, ObjectStore};
+    use tero_types::Location;
+
+    let kv = KvStore::new();
+    let tero = Tero {
+        locate_budget: Some(5),
+        stores: Some((kv.clone(), ObjectStore::new())),
+        ..windowed_tero(2)
+    };
+    // Every served sketch with its marker.
+    let served = |kv: &KvStore| -> BTreeMap<String, (String, String)> {
+        kv.keys_with_prefix(DIST_SKETCH_PREFIX)
+            .into_iter()
+            .map(|key| {
+                let meta = dist_meta_key(&key).expect("a dist key");
+                let entry = (
+                    kv.get(&key).expect("listed"),
+                    kv.get(&meta).expect("marked"),
+                );
+                (key, entry)
+            })
+            .collect()
+    };
+    let depth = |t: &Tero| {
+        t.metrics_snapshot()
+            .gauge("locate.queue.depth")
+            .map_or(0, |g| g.value)
+    };
+    let fed = |t: &Tero| t.obs.counter("clean.series_dirty").get();
+
+    let mut world = pinned_world();
+    let mut to = SimTime::EPOCH + SimDuration::from_hours(24);
+    assert!(matches!(
+        tero.run_window(&mut world, SimTime::EPOCH, to),
+        WindowOutcome::Advanced
+    ));
+    let mut flips = 0;
+    while depth(&tero) > 0 {
+        let before = served(&kv);
+        let version = serve_version(&kv);
+        let verdicts = kv.hgetall(LOCATE_RESULTS_KEY);
+        let fed_before = fed(&tero);
+        to += HALF_MINUTE;
+        assert!(matches!(
+            tero.run_window(&mut world, SimTime::EPOCH, to),
+            WindowOutcome::Advanced
+        ));
+        if fed(&tero) != fed_before {
+            continue;
+        }
+        // Where each streamer this window admitted is located, at region
+        // and at country level (`ServeGranularity as usize` order).
+        let admitted: Vec<[String; 2]> = kv
+            .hgetall(LOCATE_RESULTS_KEY)
+            .into_iter()
+            .filter(|(anon, _)| !verdicts.contains_key(anon))
+            .filter_map(|(_, json)| {
+                let verdict: serde_json::Value = serde_json::from_str(&json).ok()?;
+                let located = verdict.field("located").as_array()?.first()?.clone();
+                let loc: Location = serde_json::from_value(located).ok()?;
+                Some([loc.to_region_level().key(), loc.to_country_level().key()])
+            })
+            .collect();
+        for (key, (sketch, marker)) in &served(&kv) {
+            let (granularity, _, loc_key) = parse_dist_sketch_key(key).expect("a dist key");
+            let kept = admitted
+                .iter()
+                .any(|keys| keys[granularity as usize] == loc_key);
+            let was = before.get(key).map(|(s, m)| (s == sketch, m.as_str()));
+            if kept && marker == "c" && was == Some((true, "p")) {
+                assert_eq!(
+                    serve_version(&kv),
+                    version + 1,
+                    "{key} flipped without exactly one version bump"
+                );
+                flips += 1;
+            }
+        }
+    }
+    assert!(
+        flips > 0,
+        "no idle window admitted a group's last provisional member"
     );
 }
 

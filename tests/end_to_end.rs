@@ -166,7 +166,10 @@ fn anonymisation_hides_usernames() {
 #[test]
 fn cluster_rejection_tightens_distributions() {
     // §3.1.2's opt-in: rejecting values outside the location's clusters can
-    // only remove mass, never add it, and the summary stays ordered.
+    // only remove mass, never add it, and the summary stays ordered. The
+    // screen edits only a distribution's values, and provenance books each
+    // sample from the member outcomes it leaves alone: the ledger
+    // reconciles under both settings, with the same `Published` count.
     let run = |reject: bool| {
         let mut world = small_world(77);
         let tero = Tero {
@@ -175,10 +178,17 @@ fn cluster_rejection_tightens_distributions() {
             reject_outside_clusters: reject,
             ..Tero::default()
         };
-        tero.run(&mut world)
+        let report = tero.run(&mut world);
+        tero.trace
+            .ledger()
+            .reconcile(&tero.obs)
+            .expect("the ledger reconciles with and without the screen");
+        let published = tero.obs.counter("pipeline.funnel.published").get();
+        (report, published)
     };
-    let plain = run(false);
-    let filtered = run(true);
+    let (plain, plain_published) = run(false);
+    let (filtered, filtered_published) = run(true);
+    assert_eq!(filtered_published, plain_published);
     assert_eq!(plain.distributions.len(), filtered.distributions.len());
     for (a, b) in plain.distributions.iter().zip(&filtered.distributions) {
         assert_eq!(a.location, b.location);

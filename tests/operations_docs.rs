@@ -51,8 +51,7 @@ fn documented_names() -> BTreeSet<String> {
 /// (FullOcr, so the `ocr.*` engines fire) plus the opt-in subsystems
 /// (serving, the store mesh, the ops plane, the simulator). The run
 /// is driven as 1-day windows so the online cleaner's per-window
-/// refresh counters (`clean.*`) move too — a single-shot run is one
-/// finalizing window, which skips the serving refresh.
+/// counters (`clean.*`) move too.
 fn populated_registry() -> tero_obs::Registry {
     let mut world = World::build(WorldConfig {
         seed: 9,
