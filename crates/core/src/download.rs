@@ -1173,7 +1173,7 @@ mod tests {
             stats.downloaded
         );
         assert!(stats.downloaded <= truth);
-        assert_eq!(objects.count("thumbs") as u64, stats.downloaded);
+        assert_eq!(objects.snapshot().len() as u64, stats.downloaded);
 
         // Tasks decode and reference stored objects.
         let tasks = module.drain_tasks();
@@ -1527,7 +1527,7 @@ mod tests {
         assert!(truncated > 50 && same_content > 50);
         assert_eq!(stats.cdn_faults, truncated);
         assert_eq!(snap.counter("store.object.writes"), Some(stats.downloaded));
-        assert_eq!(objects.count("thumbs") as u64, stats.downloaded);
+        assert_eq!(objects.snapshot().len() as u64, stats.downloaded);
         assert_eq!(
             snap.counter("download.get_attempts").unwrap(),
             stats.downloaded + same_content + truncated + stats.offline_signals

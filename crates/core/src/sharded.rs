@@ -7,7 +7,9 @@
 //! through its own partition-tolerant [`ShardedStoreClient`] — with
 //! deadlines, retries, circuit breakers and lease-based failover — so
 //! the whole pipeline keeps committing through the `NetFault` schedule
-//! of the supplied [`FaultPlan`].
+//! of the supplied [`FaultPlan`]. The store servers keep one store per
+//! client, so every engine writes its keys as a single-process run
+//! would, and sees, sweeps, snapshots and resyncs only its own.
 //!
 //! # How the merge preserves byte-identity
 //!
@@ -26,16 +28,17 @@
 //! calls as any windowed run, the window that reaches the horizon
 //! included; none of them finishes. Engines run sequentially within
 //! each window, with [`SimNet::set_window`] advancing the fault timeline
-//! first. At the horizon the per-engine snapshots — already
-//! namespace-scoped by the client — are folded with
-//! [`KvSnapshot::merged`] (lists concatenate, hashes merge field-wise),
-//! the additive markers are corrected to their across-engine sums, and
-//! the merged state is restored ([`Engine::restore`]) into one engine of
-//! a fresh local [`Tero`] over engine 0's world, whose only remaining
-//! work is `Engine::finish`. Its aggregation pass replaces the engines'
-//! partial distribution groups with the merged ones. The report that
-//! produces is byte-identical to a fault-free single-process run over
-//! the same world — the invariant `tests/net_failover.rs` pins down.
+//! first. At the horizon the per-engine snapshots — each holding that
+//! engine's state only, because the servers keep it apart — are folded
+//! with [`KvSnapshot::merged`] (lists concatenate, hashes merge
+//! field-wise), the additive markers are corrected to their
+//! across-engine sums, and the merged state is restored
+//! ([`Engine::restore`]) into one engine of a fresh local [`Tero`] over
+//! engine 0's world, whose only remaining work is `Engine::finish`. Its
+//! aggregation pass replaces the engines' partial distribution groups
+//! with the merged ones. The report that produces is byte-identical to a
+//! fault-free single-process run over the same world — the invariant
+//! `tests/net_failover.rs` pins down.
 
 use crate::engine::{Engine, StoreSnapshot, ENGINE_KEY};
 use crate::pipeline::{ExtractionMode, Tero, TeroReport, WindowOutcome};
@@ -285,9 +288,9 @@ pub fn run_sharded_observed(
         });
     }
 
-    // Merge: namespace-scoped per-engine snapshots, plus a correction
-    // part (appended last, so its fields win) fixing the additive
-    // progress markers to their across-engine sums.
+    // Merge: the per-engine snapshots, plus a correction part (appended
+    // last, so its fields win) fixing the additive progress markers to
+    // their across-engine sums.
     let mut kv_parts = Vec::with_capacity(cfg.engines + 1);
     let mut obj_parts = Vec::with_capacity(cfg.engines);
     let mut tasks_processed = 0u64;

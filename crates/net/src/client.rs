@@ -1,22 +1,27 @@
 //! The partition-tolerant sharded store client.
 //!
 //! [`ShardedStoreClient`] is the [`RemoteStore`] implementation an
-//! engine's store facade plugs into. Each logical operation is:
+//! engine's store facade plugs into. Keys and buckets cross the wire as
+//! the engine wrote them: every store server keeps one store per client
+//! id (see [`crate::server`]), so engines sharing the store mesh never
+//! collide. Each logical operation is:
 //!
-//! 1. **namespaced** — keys get the engine's `e{i}:` prefix (buckets
-//!    likewise), so engines sharing the store mesh never collide;
-//! 2. **routed** — the prefixed key's [`consistent_hash`] picks one of
-//!    the `M` shards (fan-out operations visit every shard);
-//! 3. **executed robustly** — bounded retries with exponential backoff
+//! 1. **routed** — the key's (or bucket's) [`consistent_hash`] picks one
+//!    of the `M` shards; fan-out operations visit every shard, and a
+//!    restore sends each shard the part of the snapshot that routes to
+//!    it;
+//! 2. **executed robustly** — bounded retries with exponential backoff
 //!    and deterministic jitter against the shard's *acting* primary,
-//!    under a per-shard circuit [`Breaker`];
-//! 4. **replicated** — writes land on the primary, then the replica,
-//!    so the replica always holds a superset of every engine's writes
+//!    under a per-shard circuit [`Breaker`]; a response that does not
+//!    decode or answers another request counts as a failed attempt;
+//! 3. **replicated** — writes land on the primary, then the replica,
+//!    so the replica always holds a superset of this client's writes
 //!    (the invariant that makes failover and resync lossless);
-//! 5. **failed over** — when the primary is unreachable, the client
+//! 4. **failed over** — when the primary is unreachable, the client
 //!    promotes the replica under a window-TTL lease and keeps
 //!    committing; at lease expiry it probes the primary, resyncs it
-//!    from the replica (full raw snapshot → restore), and demotes the
+//!    from the replica (this client's full raw snapshot → restore, which
+//!    leaves other clients' state on the primary alone), and demotes the
 //!    lease.
 //!
 //! Everything is deterministic: the backoff jitter comes from the
@@ -80,8 +85,8 @@ pub struct NetMetrics {
     pub retries: CounterHandle,
     /// Replica promotions under a new lease (`net.failovers`).
     pub failovers: CounterHandle,
-    /// Lease TTLs extended because the primary stayed dead
-    /// (`net.lease_renewals`).
+    /// Lease TTLs extended because the primary stayed dead or could not
+    /// be resynced (`net.lease_renewals`).
     pub lease_renewals: CounterHandle,
     /// Full snapshot→restore state copies onto a stale peer
     /// (`net.resyncs`).
@@ -140,7 +145,6 @@ struct ClientInner {
 pub struct ShardedStoreClient {
     host: String,
     client_id: u64,
-    namespace: String,
     net: SimNet,
     metrics: NetMetrics,
     /// Tracer plus this client's derived trace id; first `set_trace`
@@ -189,7 +193,6 @@ impl ShardedStoreClient {
         ShardedStoreClient {
             host: engine_host(engine_index),
             client_id: engine_index as u64,
-            namespace: format!("e{engine_index}:"),
             net,
             metrics: NetMetrics::register(registry),
             trace: OnceLock::new(),
@@ -200,11 +203,6 @@ impl ShardedStoreClient {
                 shards: shard_states,
             }),
         }
-    }
-
-    /// This client's namespace prefix (`e{i}:`).
-    pub fn namespace(&self) -> &str {
-        &self.namespace
     }
 
     /// Number of store shards this client routes across.
@@ -274,8 +272,10 @@ impl ShardedStoreClient {
     /// Retry an already-encoded frame against one destination. Every
     /// attempt reuses the frame verbatim — same `seq` — so a request
     /// the server applied but whose response was lost is answered from
-    /// the server's dedup cache, never re-applied. Failed attempts
-    /// charge the deadline plus a deterministic jittered backoff.
+    /// the server's dedup cache, never re-applied. Failed attempts —
+    /// a lost frame, or a response that does not decode or carries
+    /// another `seq` — charge the deadline plus a deterministic jittered
+    /// backoff.
     fn send_frame(
         &self,
         inner: &mut ClientInner,
@@ -290,12 +290,8 @@ impl ShardedStoreClient {
             self.metrics.bytes.add(frame.len() as u64);
             let (elapsed, result) = self.net.exchange(&self.host, to, frame);
             inner.clock += elapsed;
-            match result {
-                Ok(bytes) => {
-                    let resp = decode(&bytes).expect("malformed response frame");
-                    assert_eq!(resp.seq, seq, "response for a different request");
-                    return Ok(resp.payload);
-                }
+            match result.and_then(|bytes| response_to(&bytes, seq)) {
+                Ok(payload) => return Ok(payload),
                 Err(e) => {
                     last = e;
                     self.metrics.timeouts.inc();
@@ -310,52 +306,40 @@ impl ShardedStoreClient {
         Err(last)
     }
 
-    /// Copy the full raw state of `from` onto `to` (KV and objects).
-    /// Used for both directions of resync; panics if either side is
-    /// unreachable, because the caller already established it is not.
-    fn resync(&self, inner: &mut ClientInner, from: &str, to: &str) {
-        let kv_snap = match self.exchange(
-            inner,
-            from,
+    /// Copy this client's full raw state on `from` onto `to` (KV and
+    /// objects); the servers keep other clients' state apart, so theirs
+    /// stays as it is on both hosts. Used for both directions of resync.
+    /// Returns whether every leg completed: frame loss can defeat one
+    /// exchange's attempts even between hosts the caller just reached,
+    /// and a peer whose copy failed stays stale, to be copied again later
+    /// (a restore replaces, so a half-done copy does no harm).
+    fn resync(&self, inner: &mut ClientInner, from: &str, to: &str) -> bool {
+        let snapshots = [
             Payload::KvReq(KvRequest::Snapshot),
-            MAX_ATTEMPTS,
-        ) {
-            Ok(Payload::KvResp(KvResponse::Snapshot(s))) => s,
-            other => panic!("resync: KV snapshot from {from} failed: {other:?}"),
-        };
-        match self.exchange(
-            inner,
-            to,
-            Payload::KvReq(KvRequest::Restore { snapshot: kv_snap }),
-            MAX_ATTEMPTS,
-        ) {
-            Ok(Payload::KvResp(KvResponse::Unit)) => {}
-            other => panic!("resync: KV restore onto {to} failed: {other:?}"),
-        }
-        let obj_snap = match self.exchange(
-            inner,
-            from,
             Payload::ObjReq(ObjRequest::Snapshot),
-            MAX_ATTEMPTS,
-        ) {
-            Ok(Payload::ObjResp(ObjResponse::Snapshot(s))) => s,
-            other => panic!("resync: object snapshot from {from} failed: {other:?}"),
-        };
-        match self.exchange(
-            inner,
-            to,
-            Payload::ObjReq(ObjRequest::Restore { snapshot: obj_snap }),
-            MAX_ATTEMPTS,
-        ) {
-            Ok(Payload::ObjResp(ObjResponse::Unit)) => {}
-            other => panic!("resync: object restore onto {to} failed: {other:?}"),
+        ];
+        for request in snapshots {
+            let restore = match self.exchange(inner, from, request, MAX_ATTEMPTS) {
+                Ok(Payload::KvResp(KvResponse::Snapshot(snapshot))) => {
+                    Payload::KvReq(KvRequest::Restore { snapshot })
+                }
+                Ok(Payload::ObjResp(ObjResponse::Snapshot(snapshot))) => {
+                    Payload::ObjReq(ObjRequest::Restore { snapshot })
+                }
+                _ => return false,
+            };
+            if self.exchange(inner, to, restore, MAX_ATTEMPTS).is_err() {
+                return false;
+            }
         }
         self.metrics.resyncs.inc();
+        true
     }
 
     /// At lease expiry, probe the configured primary: if it answers,
     /// resync it from the replica (it missed every write made under the
-    /// lease) and demote the lease; otherwise renew the lease.
+    /// lease) and demote the lease; if it does not, or the copy does not
+    /// complete, renew the lease.
     fn maybe_reclaim_primary(&self, inner: &mut ClientInner, shard: usize, window: u64) {
         let Some(until) = inner.shards[shard].lease_until else {
             return;
@@ -365,13 +349,11 @@ impl ShardedStoreClient {
         }
         let primary = inner.shards[shard].primary.clone();
         let replica = inner.shards[shard].replica.clone();
-        if self
+        let reclaimed = self
             .exchange(inner, &primary, Payload::Ping, PROBE_ATTEMPTS)
             .is_ok()
-        {
-            if inner.shards[shard].primary_stale {
-                self.resync(inner, &replica, &primary);
-            }
+            && (!inner.shards[shard].primary_stale || self.resync(inner, &replica, &primary));
+        if reclaimed {
             let st = &mut inner.shards[shard];
             st.lease_until = None;
             st.primary_stale = false;
@@ -395,24 +377,25 @@ impl ShardedStoreClient {
         }
         let primary = inner.shards[shard].primary.clone();
         let replica = inner.shards[shard].replica.clone();
-        if self
+        let healed = self
             .exchange(inner, &replica, Payload::Ping, PROBE_ATTEMPTS)
             .is_ok()
-        {
-            self.resync(inner, &primary, &replica);
+            && self.resync(inner, &primary, &replica);
+        if healed {
             inner.shards[shard].replica_stale = false;
         } else {
-            // The replica looks genuinely down: stop probing it until
-            // the next window. (A successful probe does not set this,
-            // so transient loss heals on the very next operation.)
+            // The replica looks genuinely down, or the copy failed: stop
+            // trying until the next window. (A heal that completes does
+            // not set this, so transient loss heals on the very next
+            // operation.)
             inner.shards[shard].last_heal_window = Some(window);
         }
     }
 
-    /// Execute one already-namespaced request on its shard, with
-    /// breaker, failover and replication. Never returns an error: the
-    /// operation either completes or the client panics because the
-    /// fault plan left no healthy replica.
+    /// Execute one request on its shard, with breaker, failover and
+    /// replication. Never returns an error: the operation either
+    /// completes or the client panics because the fault plan left no
+    /// healthy replica.
     fn run_on_shard(&self, inner: &mut ClientInner, shard: usize, payload: Payload) -> Payload {
         let window = self.net.window();
         self.maybe_reclaim_primary(inner, shard, window);
@@ -547,212 +530,73 @@ impl ShardedStoreClient {
         }
     }
 
-    /// Route an already-prefixed KV request by its key.
-    fn routed_kv(&self, inner: &mut ClientInner, req: KvRequest) -> KvResponse {
-        let shard = {
-            let key = req.routing_key().expect("routed request has a key");
-            let n = inner.shards.len();
-            (consistent_hash(key.as_bytes(), ROUTE_SALT) % n as u64) as usize
-        };
-        self.run_kv_on_shard(inner, shard, req)
-    }
-
-    /// Route an already-prefixed object request by its bucket.
-    fn routed_obj(&self, inner: &mut ClientInner, req: ObjRequest) -> ObjResponse {
-        let shard = {
-            let bucket = req.routing_bucket().expect("routed request has a bucket");
-            let n = inner.shards.len();
-            (consistent_hash(bucket.as_bytes(), ROUTE_SALT) % n as u64) as usize
-        };
-        self.run_obj_on_shard(inner, shard, req)
-    }
-
-    /// All keys in this client's namespace, as stored (prefix intact).
-    fn namespace_keys(&self, inner: &mut ClientInner, extra_prefix: &str) -> Vec<String> {
-        let prefix = format!("{}{extra_prefix}", self.namespace);
-        let mut keys = Vec::new();
-        for shard in 0..inner.shards.len() {
-            match self.run_kv_on_shard(
-                inner,
-                shard,
-                KvRequest::KeysWithPrefix {
-                    prefix: prefix.clone(),
-                },
-            ) {
-                KvResponse::Strs(mut ks) => keys.append(&mut ks),
-                other => panic!("keys_with_prefix answered with {other:?}"),
-            }
-        }
-        keys.sort();
-        keys
-    }
-
+    /// Run a fan-out KV request: the same request on every shard with
+    /// the answers folded, except a restore, which sends each shard the
+    /// part of the snapshot that routes to it.
     fn kv_fanout(&self, inner: &mut ClientInner, req: KvRequest) -> KvResponse {
+        let n = inner.shards.len();
+        if let KvRequest::Restore { snapshot } = req {
+            for (shard, part) in snapshot
+                .partition(n, |key| route(key, n))
+                .into_iter()
+                .enumerate()
+            {
+                self.run_kv_on_shard(inner, shard, KvRequest::Restore { snapshot: part });
+            }
+            return KvResponse::Unit;
+        }
+        let (mut keys, mut count, mut parts) = (Vec::new(), 0, Vec::new());
+        for shard in 0..n {
+            match self.run_kv_on_shard(inner, shard, req.clone()) {
+                KvResponse::Strs(mut ks) => keys.append(&mut ks),
+                KvResponse::Uint(c) => count += c,
+                KvResponse::Snapshot(s) => parts.push(s),
+                other => panic!("{req:?} answered with {other:?}"),
+            }
+        }
         match req {
-            KvRequest::KeysWithPrefix { prefix } => {
-                let keys = self.namespace_keys(inner, &prefix);
-                KvResponse::Strs(
-                    keys.iter()
-                        .map(|k| {
-                            k.strip_prefix(&self.namespace)
-                                .expect("namespace-scanned key carries the prefix")
-                                .to_string()
-                        })
-                        .collect(),
-                )
-            }
-            KvRequest::Len => KvResponse::Uint(self.namespace_keys(inner, "").len() as u64),
-            KvRequest::Clear => {
-                for key in self.namespace_keys(inner, "") {
-                    self.routed_kv(inner, KvRequest::Del { key });
-                }
-                KvResponse::Unit
-            }
-            KvRequest::SweepExpired { now, prefix } => {
-                // Scoped to this client's namespace: the sweep runs at
-                // *this* engine's logical clock and must never evict a
-                // co-tenant engine's TTL leases.
-                let prefix = format!("{}{prefix}", self.namespace);
-                let mut swept = 0;
-                for shard in 0..inner.shards.len() {
-                    let req = KvRequest::SweepExpired {
-                        now,
-                        prefix: prefix.clone(),
-                    };
-                    match self.run_kv_on_shard(inner, shard, req) {
-                        KvResponse::Uint(n) => swept += n,
-                        other => panic!("sweep_expired answered with {other:?}"),
-                    }
-                }
-                KvResponse::Uint(swept)
-            }
-            KvRequest::Snapshot => {
-                let mut parts = Vec::new();
-                for shard in 0..inner.shards.len() {
-                    match self.run_kv_on_shard(inner, shard, KvRequest::Snapshot) {
-                        KvResponse::Snapshot(s) => parts.push(s),
-                        other => panic!("snapshot answered with {other:?}"),
-                    }
-                }
-                KvResponse::Snapshot(KvSnapshot::merged(&parts).strip_prefix(&self.namespace))
-            }
-            KvRequest::Restore { snapshot } => {
-                for key in self.namespace_keys(inner, "") {
-                    self.routed_kv(inner, KvRequest::Del { key });
-                }
-                for req in snapshot.with_prefix(&self.namespace).restore_requests() {
-                    self.routed_kv(inner, req);
-                }
-                KvResponse::Unit
-            }
-            other => panic!("{other:?} is not a fan-out request"),
+            KvRequest::KeysWithPrefix { .. } => KvResponse::Strs(keys),
+            KvRequest::Snapshot => KvResponse::Snapshot(KvSnapshot::merged(&parts)),
+            // `Len` and `SweepExpired` count.
+            _ => KvResponse::Uint(count),
         }
     }
 
-    fn obj_fanout_snapshot(&self, inner: &mut ClientInner) -> ObjectSnapshot {
-        let mut parts = Vec::new();
-        for shard in 0..inner.shards.len() {
-            match self.run_obj_on_shard(inner, shard, ObjRequest::Snapshot) {
-                ObjResponse::Snapshot(s) => parts.push(s),
-                other => panic!("object snapshot answered with {other:?}"),
-            }
-        }
-        ObjectSnapshot::merged(&parts).strip_prefix(&self.namespace)
-    }
-
+    /// [`ShardedStoreClient::kv_fanout`] for objects.
     fn obj_fanout(&self, inner: &mut ClientInner, req: ObjRequest) -> ObjResponse {
-        match req {
-            ObjRequest::TotalBytes => {
-                // Deployment-wide figure: the mesh is shared, so this
-                // sums every namespace — matching what an operator's
-                // storage dashboard would show.
-                let mut total = 0;
-                for shard in 0..inner.shards.len() {
-                    match self.run_obj_on_shard(inner, shard, ObjRequest::TotalBytes) {
-                        ObjResponse::Uint(n) => total += n,
-                        other => panic!("total_bytes answered with {other:?}"),
-                    }
-                }
-                ObjResponse::Uint(total)
+        let n = inner.shards.len();
+        if let ObjRequest::Restore { snapshot } = req {
+            for (shard, part) in snapshot
+                .partition(n, |bucket| route(bucket, n))
+                .into_iter()
+                .enumerate()
+            {
+                self.run_obj_on_shard(inner, shard, ObjRequest::Restore { snapshot: part });
             }
-            ObjRequest::Snapshot => ObjResponse::Snapshot(self.obj_fanout_snapshot(inner)),
-            ObjRequest::Restore { snapshot } => {
-                for bucket in self.obj_fanout_snapshot(inner).bucket_names() {
-                    self.routed_obj(
-                        inner,
-                        ObjRequest::DeleteBucket {
-                            bucket: format!("{}{bucket}", self.namespace),
-                        },
-                    );
-                }
-                for req in snapshot.with_prefix(&self.namespace).restore_requests() {
-                    self.routed_obj(inner, req);
-                }
-                ObjResponse::Unit
-            }
-            other => panic!("{other:?} is not a fan-out request"),
+            return ObjResponse::Unit;
         }
+        let mut parts = Vec::with_capacity(n);
+        for shard in 0..n {
+            match self.run_obj_on_shard(inner, shard, req.clone()) {
+                ObjResponse::Snapshot(s) => parts.push(s),
+                other => panic!("{req:?} answered with {other:?}"),
+            }
+        }
+        ObjResponse::Snapshot(ObjectSnapshot::merged(&parts))
     }
 }
 
-/// Rewrite a routed KV request's key with the namespace prefix.
-fn prefix_kv(req: KvRequest, ns: &str) -> KvRequest {
-    let p = |key: String| format!("{ns}{key}");
-    match req {
-        KvRequest::Set { key, value } => KvRequest::Set { key: p(key), value },
-        KvRequest::SetWithTtl {
-            key,
-            value,
-            expires_at,
-        } => KvRequest::SetWithTtl {
-            key: p(key),
-            value,
-            expires_at,
-        },
-        KvRequest::Get { key } => KvRequest::Get { key: p(key) },
-        KvRequest::Del { key } => KvRequest::Del { key: p(key) },
-        KvRequest::Exists { key } => KvRequest::Exists { key: p(key) },
-        KvRequest::IncrBy { key, delta } => KvRequest::IncrBy { key: p(key), delta },
-        KvRequest::Rpush { key, value } => KvRequest::Rpush { key: p(key), value },
-        KvRequest::RpushBatch { key, values } => KvRequest::RpushBatch {
-            key: p(key),
-            values,
-        },
-        KvRequest::Lpop { key } => KvRequest::Lpop { key: p(key) },
-        KvRequest::LpopBatch { key, n } => KvRequest::LpopBatch { key: p(key), n },
-        KvRequest::Llen { key } => KvRequest::Llen { key: p(key) },
-        KvRequest::LrangeFrom { key, start } => KvRequest::LrangeFrom { key: p(key), start },
-        KvRequest::Hset { key, fields } => KvRequest::Hset {
-            key: p(key),
-            fields,
-        },
-        KvRequest::Hget { key, field } => KvRequest::Hget { key: p(key), field },
-        KvRequest::Hgetall { key } => KvRequest::Hgetall { key: p(key) },
-        other => other,
-    }
+/// The shard a key or bucket routes to.
+fn route(name: &str, shards: usize) -> usize {
+    (consistent_hash(name.as_bytes(), ROUTE_SALT) % shards as u64) as usize
 }
 
-/// Rewrite a routed object request's bucket with the namespace prefix.
-fn prefix_obj(req: ObjRequest, ns: &str) -> ObjRequest {
-    let p = |bucket: String| format!("{ns}{bucket}");
-    match req {
-        ObjRequest::Put { bucket, key, data } => ObjRequest::Put {
-            bucket: p(bucket),
-            key,
-            data,
-        },
-        ObjRequest::Get { bucket, key } => ObjRequest::Get {
-            bucket: p(bucket),
-            key,
-        },
-        ObjRequest::Delete { bucket, key } => ObjRequest::Delete {
-            bucket: p(bucket),
-            key,
-        },
-        ObjRequest::DeleteBucket { bucket } => ObjRequest::DeleteBucket { bucket: p(bucket) },
-        ObjRequest::List { bucket } => ObjRequest::List { bucket: p(bucket) },
-        ObjRequest::Count { bucket } => ObjRequest::Count { bucket: p(bucket) },
-        other => other,
+/// The payload of a response frame to request `seq`, or `FrameLost` for
+/// bytes that do not decode or answer another request.
+fn response_to(bytes: &[u8], seq: u64) -> Result<Payload, NetError> {
+    match decode(bytes) {
+        Ok(resp) if resp.seq == seq => Ok(resp.payload),
+        _ => Err(NetError::FrameLost),
     }
 }
 
@@ -768,22 +612,20 @@ impl RemoteStore for ShardedStoreClient {
     fn kv(&self, req: KvRequest) -> KvResponse {
         let mut inner = self.inner.lock();
         self.metrics.requests.inc();
-        if req.routing_key().is_some() {
-            let req = prefix_kv(req, &self.namespace);
-            self.routed_kv(&mut inner, req)
-        } else {
-            self.kv_fanout(&mut inner, req)
+        let n = inner.shards.len();
+        match req.routing_key().map(|key| route(key, n)) {
+            Some(shard) => self.run_kv_on_shard(&mut inner, shard, req),
+            None => self.kv_fanout(&mut inner, req),
         }
     }
 
     fn obj(&self, req: ObjRequest) -> ObjResponse {
         let mut inner = self.inner.lock();
         self.metrics.requests.inc();
-        if req.routing_bucket().is_some() {
-            let req = prefix_obj(req, &self.namespace);
-            self.routed_obj(&mut inner, req)
-        } else {
-            self.obj_fanout(&mut inner, req)
+        let n = inner.shards.len();
+        match req.routing_bucket().map(|bucket| route(bucket, n)) {
+            Some(shard) => self.run_obj_on_shard(&mut inner, shard, req),
+            None => self.obj_fanout(&mut inner, req),
         }
     }
 }
@@ -792,7 +634,7 @@ impl std::fmt::Debug for ShardedStoreClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStoreClient")
             .field("host", &self.host)
-            .field("namespace", &self.namespace)
+            .field("client_id", &self.client_id)
             .finish()
     }
 }
@@ -821,6 +663,32 @@ mod tests {
         (KvStore::remote(client.clone()), ObjectStore::remote(client))
     }
 
+    /// `host`'s copy of client `client`'s KV store.
+    fn server_kv(net: &SimNet, host: &str, client: u64) -> KvStore {
+        net.server(host)
+            .expect("registered")
+            .kv(client)
+            .expect("the client reached the host")
+    }
+
+    fn kill(host: &str, from_window: u64, until_window: u64) -> HostKill {
+        HostKill {
+            host: host.into(),
+            from_window,
+            until_window,
+        }
+    }
+
+    fn killing(kills: Vec<HostKill>) -> FaultPlan {
+        FaultPlan {
+            net: NetFault {
+                kills,
+                ..NetFault::quiet()
+            },
+            ..FaultPlan::quiet(7)
+        }
+    }
+
     #[test]
     fn quiet_mesh_behaves_like_a_local_store() {
         let net = mesh(FaultPlan::quiet(1), 3);
@@ -837,12 +705,13 @@ mod tests {
             kv.keys_with_prefix(""),
             vec!["c".to_string(), "h".into(), "k".into(), "q".into()]
         );
+        assert_eq!(kv.len(), 4);
         objects.put("b", "x", vec![1, 2, 3]);
         assert_eq!(
             objects.get("b", "x").map(|b| b.to_vec()),
             Some(vec![1, 2, 3])
         );
-        assert_eq!(objects.list("b"), vec!["x".to_string()]);
+        assert_eq!(objects.snapshot().len(), 1);
     }
 
     #[test]
@@ -855,8 +724,19 @@ mod tests {
         assert_eq!(kv0.get("k").as_deref(), Some("zero"));
         assert_eq!(kv1.get("k").as_deref(), Some("one"));
         assert_eq!(kv0.keys_with_prefix(""), vec!["k".to_string()]);
-        // Snapshots are namespace-scoped too.
+        // Snapshots are the client's own too.
         assert_eq!(kv0.snapshot().len(), 1);
+        // A TTL sweep runs at its client's clock: client 0 sweeping late
+        // expires its own lease and leaves client 1's.
+        kv0.set_with_ttl("lease", "zero", SimTime::from_secs(10));
+        kv1.set_with_ttl("lease", "one", SimTime::from_secs(10));
+        assert_eq!(kv0.sweep_expired(SimTime::from_secs(1_000)), 1);
+        assert!(!kv0.exists("lease"));
+        assert_eq!(kv1.get("lease").as_deref(), Some("one"));
+        // A restore replaces its client's keys only.
+        kv0.restore(&KvSnapshot::default());
+        assert!(kv0.is_empty());
+        assert_eq!(kv1.keys_with_prefix(""), ["k", "lease"]);
     }
 
     #[test]
@@ -872,11 +752,14 @@ mod tests {
         let obj_snap = objects.snapshot();
         kv.set("s", "changed");
         kv.rpush("l", "c");
+        kv.set("added", "later");
         objects.put("b", "k2", vec![1]);
+        objects.put("c", "k", vec![2]);
         kv.restore(&kv_snap);
         objects.restore(&obj_snap);
         assert_eq!(kv.get("s").as_deref(), Some("v"));
         assert_eq!(kv.llen("l"), 2);
+        assert!(!kv.exists("added"));
         assert_eq!(kv.snapshot(), kv_snap);
         assert_eq!(objects.snapshot(), obj_snap);
     }
@@ -886,26 +769,14 @@ mod tests {
         let net = mesh(FaultPlan::quiet(1), 1);
         let (kv, _) = stores(&net, 0, 1, 1);
         kv.set("k", "v");
-        let primary = net.server("shard0p").expect("registered");
-        let replica = net.server("shard0r").expect("registered");
-        assert_eq!(primary.kv().get("e0:k").as_deref(), Some("v"));
-        assert_eq!(replica.kv().get("e0:k").as_deref(), Some("v"));
+        for host in ["shard0p", "shard0r"] {
+            assert_eq!(server_kv(&net, host, 0).get("k").as_deref(), Some("v"));
+        }
     }
 
     #[test]
     fn killed_primary_fails_over_and_resyncs_on_revival() {
-        let plan = FaultPlan {
-            net: NetFault {
-                kills: vec![HostKill {
-                    host: "shard0p".into(),
-                    from_window: 1,
-                    until_window: 2,
-                }],
-                ..NetFault::quiet()
-            },
-            ..FaultPlan::quiet(7)
-        };
-        let net = mesh(plan, 1);
+        let net = mesh(killing(vec![kill("shard0p", 1, 2)]), 1);
         let registry = Registry::new();
         let client = Arc::new(ShardedStoreClient::new(net.clone(), 0, 1, &registry, 3));
         let kv = KvStore::remote(client.clone() as Arc<dyn RemoteStore>);
@@ -917,12 +788,7 @@ mod tests {
         let snap = registry.snapshot();
         assert!(snap.counter("net.failovers").unwrap() >= 1);
         // The dead primary never saw the write.
-        assert!(net
-            .server("shard0p")
-            .expect("registered")
-            .kv()
-            .get("e0:during")
-            .is_none());
+        assert!(server_kv(&net, "shard0p", 0).get("during").is_none());
         // Primary revives; lease expires after LEASE_WINDOWS; the next
         // operation reclaims it and resyncs the missed writes.
         net.set_window(3);
@@ -930,11 +796,7 @@ mod tests {
         let snap = registry.snapshot();
         assert!(snap.counter("net.resyncs").unwrap() >= 1);
         assert_eq!(
-            net.server("shard0p")
-                .expect("registered")
-                .kv()
-                .get("e0:during")
-                .as_deref(),
+            server_kv(&net, "shard0p", 0).get("during").as_deref(),
             Some("2"),
             "revived primary was resynced from the replica"
         );
@@ -942,40 +804,91 @@ mod tests {
 
     #[test]
     fn killed_replica_marks_stale_and_heals() {
-        let plan = FaultPlan {
-            net: NetFault {
-                kills: vec![HostKill {
-                    host: "shard0r".into(),
-                    from_window: 0,
-                    until_window: 1,
-                }],
-                ..NetFault::quiet()
-            },
-            ..FaultPlan::quiet(7)
-        };
-        let net = mesh(plan, 1);
+        let net = mesh(killing(vec![kill("shard0r", 0, 1)]), 1);
         let registry = Registry::new();
         let client = Arc::new(ShardedStoreClient::new(net.clone(), 0, 1, &registry, 3));
         let kv = KvStore::remote(client.clone() as Arc<dyn RemoteStore>);
         kv.set("k", "v"); // replica unreachable → stale
-        assert!(net
-            .server("shard0r")
-            .expect("registered")
-            .kv()
-            .get("e0:k")
-            .is_none());
+        assert!(net.server("shard0r").expect("registered").kv(0).is_none());
         net.set_window(1); // replica back; next op heals it
         kv.set("k2", "v2");
         assert_eq!(
-            net.server("shard0r")
-                .expect("registered")
-                .kv()
-                .get("e0:k")
-                .as_deref(),
+            server_kv(&net, "shard0r", 0).get("k").as_deref(),
             Some("v"),
             "healed replica holds the missed write"
         );
         assert!(registry.snapshot().counter("net.resyncs").unwrap() >= 1);
+    }
+
+    #[test]
+    fn one_clients_resync_keeps_another_clients_write() {
+        let net = mesh(
+            killing(vec![kill("shard0r", 0, 1), kill("shard0p", 1, 3)]),
+            1,
+        );
+        let registry = Registry::new();
+        let client0 = Arc::new(ShardedStoreClient::new(net.clone(), 0, 1, &registry, 3));
+        let kv0 = KvStore::remote(client0 as Arc<dyn RemoteStore>);
+        let (kv1, _) = stores(&net, 1, 1, 4);
+        // Window 0: the replica misses client 1's write, so client 1
+        // marks it stale.
+        kv1.set("k", "v1");
+        // Window 1: client 0 writes and fails over to the replica.
+        net.set_window(1);
+        kv0.set("a", "0");
+        assert_eq!(registry.snapshot().counter("net.failovers"), Some(1));
+        // Window 3: client 0 writes again and reclaims the primary through
+        // a resync from the replica, which never held client 1's write.
+        net.set_window(3);
+        kv0.set("b", "0");
+        assert_eq!(registry.snapshot().counter("net.resyncs"), Some(1));
+        assert_eq!(kv1.get("k").as_deref(), Some("v1"));
+        assert_eq!(kv0.keys_with_prefix(""), ["a", "b"]);
+    }
+
+    #[test]
+    fn a_resync_cut_short_by_frame_loss_is_retried_not_fatal() {
+        // Under these draws every attempt of one exchange of the reclaim's
+        // copy is lost: the copy is abandoned and the lease renewed, and a
+        // later copy completes.
+        let plan = FaultPlan {
+            net: NetFault {
+                frame_drop_rate: 0.15,
+                ..killing(vec![kill("shard0p", 1, 2)]).net
+            },
+            ..FaultPlan::quiet(29)
+        };
+        let net = mesh(plan, 1);
+        let registry = Registry::new();
+        let client = Arc::new(ShardedStoreClient::new(net.clone(), 0, 1, &registry, 29));
+        let kv = KvStore::remote(client as Arc<dyn RemoteStore>);
+        let keys: Vec<String> = (0..6)
+            .flat_map(|w| (0..8).map(move |i| format!("k{w}:{i}")))
+            .collect();
+        for (n, key) in keys.iter().enumerate() {
+            net.set_window(n as u64 / 8);
+            kv.set(key, "v");
+        }
+        assert!(keys.iter().all(|key| kv.get(key).as_deref() == Some("v")));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("net.lease_renewals"), Some(1));
+        assert_eq!(snap.counter("net.resyncs"), Some(1));
+    }
+
+    #[test]
+    fn a_response_that_fails_its_checks_is_a_lost_frame() {
+        let frame = |seq| {
+            encode(&Frame {
+                client: 0,
+                seq,
+                ctx: None,
+                payload: Payload::Pong,
+            })
+        };
+        assert_eq!(response_to(&frame(3), 3), Ok(Payload::Pong));
+        assert_eq!(response_to(&frame(2), 3), Err(NetError::FrameLost));
+        assert_eq!(response_to(b"TNv2", 3), Err(NetError::FrameLost));
+        assert_eq!(response_to(&frame(3)[1..], 3), Err(NetError::FrameLost));
     }
 
     #[test]
@@ -994,9 +907,12 @@ mod tests {
             kv.rpush("q", format!("{i}"));
         }
         assert_eq!(kv.llen("q"), 50, "every push landed exactly once");
-        let got: Vec<String> = kv.lpop_batch("q", 50);
         let want: Vec<String> = (0..50).map(|i| format!("{i}")).collect();
-        assert_eq!(got, want, "order preserved despite retries");
+        assert_eq!(
+            kv.lrange_from("q", 0),
+            want,
+            "order preserved despite retries"
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   [`ChaosInjector`](tero_chaos::ChaosInjector)'s
 //!   [`NetFault`](tero_chaos::NetFault) schedule;
 //! * [`server`] — [`StoreServer`], one store shard: a local KV + object
-//!   store behind a frame handler with per-client request deduplication;
+//!   store and a request-deduplication entry per client, behind a frame
+//!   handler that answers hostile bytes with nothing;
 //! * [`client`] — [`ShardedStoreClient`], the [`RemoteStore`](tero_store::RemoteStore) the engine's
 //!   store facade plugs into: consistent-hash routing, per-request
 //!   deadlines, exponential backoff with deterministic jitter, per-shard

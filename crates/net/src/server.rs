@@ -1,10 +1,17 @@
-//! One store shard: a local KV + object store behind a frame handler.
+//! One store shard: a local KV + object store per client behind a frame
+//! handler.
 //!
 //! A [`StoreServer`] is what a `shard{N}p` / `shard{N}r` host runs. It
-//! owns plain in-process stores and executes decoded requests through
+//! keeps one plain in-process KV store and one object store for each
+//! client id, made at that client's first frame, and executes every
+//! decoded request against the *sender's* stores through
 //! [`tero_store::apply_kv`] / [`tero_store::apply_obj`] — the same
 //! executors a loopback test double uses, so server behaviour is the
-//! local-store behaviour by construction.
+//! local-store behaviour by construction. Tenancy lives here and nowhere
+//! else: keys arrive as the engine wrote them, and a scan, a TTL sweep, a
+//! snapshot or a restore reaches the sender's state only — so one
+//! client's resync of a peer leaves every other client's state on that
+//! peer alone.
 //!
 //! **Exactly-once:** list mutations (`rpush`, `lpop`) are not
 //! idempotent, and the transport may lose a *response* after the server
@@ -13,6 +20,10 @@
 //! a frame re-carrying that `seq` is answered from cache without
 //! touching the stores. The client bumps `seq` once per logical
 //! operation and reuses it on retries, which makes every retry safe.
+//!
+//! **Hostile bytes:** a frame that does not decode, or that carries a
+//! response rather than a request, is answered with nothing — the
+//! transport reports it as a lost frame — and touches no client's state.
 //!
 //! **Tracing:** when a tracer is attached via [`StoreServer::set_trace`]
 //! and an incoming frame carries a [`TraceContext`], handling is wrapped
@@ -28,12 +39,19 @@ use std::sync::{Arc, OnceLock};
 use tero_store::{apply_kv, apply_obj, KvStore, ObjectStore};
 use tero_trace::{SpanGuard, TraceContext, Tracer};
 
-struct ServerInner {
-    name: String,
+/// What a server holds for one client.
+#[derive(Default)]
+struct Tenant {
     kv: KvStore,
     objects: ObjectStore,
-    /// Per-client retry cache: client id → (last seq, encoded response).
-    dedup: Mutex<HashMap<u64, (u64, Vec<u8>)>>,
+    /// Retry cache: the last seq executed and its encoded response.
+    last: Option<(u64, Vec<u8>)>,
+}
+
+struct ServerInner {
+    name: String,
+    /// Client id → that client's stores, made at its first frame.
+    tenants: Mutex<HashMap<u64, Tenant>>,
     /// Host-local tracer for `server.*` spans; first `set_trace` wins.
     trace: OnceLock<Tracer>,
 }
@@ -45,14 +63,12 @@ pub struct StoreServer {
 }
 
 impl StoreServer {
-    /// Create a server with empty stores, named after its host.
+    /// Create a server holding no client's stores, named after its host.
     pub fn new(name: impl Into<String>) -> StoreServer {
         StoreServer {
             inner: Arc::new(ServerInner {
                 name: name.into(),
-                kv: KvStore::new(),
-                objects: ObjectStore::new(),
-                dedup: Mutex::new(HashMap::new()),
+                tenants: Mutex::new(HashMap::new()),
                 trace: OnceLock::new(),
             }),
         }
@@ -63,14 +79,10 @@ impl StoreServer {
         &self.inner.name
     }
 
-    /// Direct handle to the shard's KV store (tests and debugging).
-    pub fn kv(&self) -> &KvStore {
-        &self.inner.kv
-    }
-
-    /// Direct handle to the shard's object store (tests and debugging).
-    pub fn objects(&self) -> &ObjectStore {
-        &self.inner.objects
+    /// Direct handle to `client`'s KV store on this shard, or `None`
+    /// before that client's first frame (tests and debugging).
+    pub fn kv(&self, client: u64) -> Option<KvStore> {
+        Some(self.inner.tenants.lock().get(&client)?.kv.clone())
     }
 
     /// Attach the host's tracer. Frames carrying a [`TraceContext`]
@@ -87,37 +99,36 @@ impl StoreServer {
         Some(tracer.span_remote(name, ctx))
     }
 
-    /// Execute one request frame and produce the response frame.
-    ///
-    /// Panics on malformed frames: inside the simulation the only frame
-    /// producer is [`crate::client`], so corruption is a programming
-    /// error, not an operational condition.
-    pub fn handle(&self, bytes: &[u8]) -> Vec<u8> {
-        let frame = decode(bytes).expect("server received malformed frame");
-        {
-            let dedup = self.inner.dedup.lock();
-            if let Some((last_seq, cached)) = dedup.get(&frame.client) {
+    /// Execute one request frame against the sender's stores and produce
+    /// the response frame. A frame that does not decode, or carries a
+    /// response, gets no answer (`None`) and changes nothing.
+    pub fn handle(&self, bytes: &[u8]) -> Option<Vec<u8>> {
+        let frame = decode(bytes).ok()?;
+        let span = match &frame.payload {
+            Payload::KvReq(_) => "server.kv",
+            Payload::ObjReq(_) => "server.obj",
+            Payload::Ping => "server.ping",
+            Payload::KvResp(_) | Payload::ObjResp(_) | Payload::Pong => return None,
+        };
+        let (kv, objects) = {
+            let mut tenants = self.inner.tenants.lock();
+            let tenant = tenants.entry(frame.client).or_default();
+            if let Some((last_seq, cached)) = &tenant.last {
                 if *last_seq == frame.seq {
                     let cached = cached.clone();
-                    drop(dedup);
+                    drop(tenants);
                     let _sp = self.span_for(frame.ctx, "server.replay");
-                    return cached;
+                    return Some(cached);
                 }
             }
-        }
-        let _sp = self.span_for(
-            frame.ctx,
-            match &frame.payload {
-                Payload::KvReq(_) => "server.kv",
-                Payload::ObjReq(_) => "server.obj",
-                _ => "server.ping",
-            },
-        );
+            (tenant.kv.clone(), tenant.objects.clone())
+        };
+        let _sp = self.span_for(frame.ctx, span);
         let payload = match frame.payload {
-            Payload::KvReq(req) => Payload::KvResp(apply_kv(&self.inner.kv, req)),
-            Payload::ObjReq(req) => Payload::ObjResp(apply_obj(&self.inner.objects, req)),
-            Payload::Ping => Payload::Pong,
-            other => panic!("server received non-request frame {other:?}"),
+            Payload::KvReq(req) => Payload::KvResp(apply_kv(&kv, req)),
+            Payload::ObjReq(req) => Payload::ObjResp(apply_obj(&objects, req)),
+            // A ping: responses were refused above.
+            _ => Payload::Pong,
         };
         let out = encode(&Frame {
             client: frame.client,
@@ -125,11 +136,10 @@ impl StoreServer {
             ctx: None,
             payload,
         });
-        self.inner
-            .dedup
-            .lock()
-            .insert(frame.client, (frame.seq, out.clone()));
-        out
+        if let Some(tenant) = self.inner.tenants.lock().get_mut(&frame.client) {
+            tenant.last = Some((frame.seq, out.clone()));
+        }
+        Some(out)
     }
 }
 
@@ -144,15 +154,27 @@ impl std::fmt::Debug for StoreServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tero_store::{KvRequest, KvResponse};
+    use crate::frame::{FrameError, HEADER_LEN};
+    use tero_store::{KvRequest, KvResponse, ObjResponse};
 
-    fn kv_frame(seq: u64, req: KvRequest) -> Vec<u8> {
+    fn frame(client: u64, seq: u64, payload: Payload) -> Vec<u8> {
         encode(&Frame {
-            client: 1,
+            client,
             seq,
             ctx: None,
-            payload: Payload::KvReq(req),
+            payload,
         })
+    }
+
+    fn kv_frame(seq: u64, req: KvRequest) -> Vec<u8> {
+        frame(1, seq, Payload::KvReq(req))
+    }
+
+    fn push_q(value: &str) -> KvRequest {
+        KvRequest::Rpush {
+            key: "q".into(),
+            value: value.into(),
+        }
     }
 
     fn kv_resp(bytes: &[u8]) -> KvResponse {
@@ -162,69 +184,117 @@ mod tests {
         }
     }
 
+    fn handle(server: &StoreServer, bytes: &[u8]) -> Vec<u8> {
+        server.handle(bytes).expect("a request is answered")
+    }
+
+    fn llen(server: &StoreServer, client: u64) -> usize {
+        server
+            .kv(client)
+            .expect("the client sent a frame")
+            .llen("q")
+    }
+
     #[test]
-    fn executes_requests_against_local_stores() {
+    fn executes_requests_against_the_senders_stores() {
         let server = StoreServer::new("shard0p");
-        let resp = server.handle(&kv_frame(
-            1,
-            KvRequest::Rpush {
-                key: "q".into(),
-                value: "a".into(),
-            },
-        ));
+        assert!(server.kv(1).is_none(), "no frame, no stores");
+        let resp = handle(&server, &kv_frame(1, push_q("a")));
         assert_eq!(kv_resp(&resp), KvResponse::Uint(1));
-        assert_eq!(server.kv().llen("q"), 1);
+        assert_eq!(llen(&server, 1), 1);
     }
 
     #[test]
     fn retried_seq_is_answered_from_cache_not_reapplied() {
         let server = StoreServer::new("shard0p");
-        let push = kv_frame(
-            7,
-            KvRequest::Rpush {
-                key: "q".into(),
-                value: "a".into(),
-            },
-        );
-        let first = server.handle(&push);
+        let push = kv_frame(7, push_q("a"));
+        let first = handle(&server, &push);
         // The response was "lost"; the client retries the same frame.
-        let second = server.handle(&push);
+        let second = handle(&server, &push);
         assert_eq!(first, second, "retry must see the cached response");
-        assert_eq!(server.kv().llen("q"), 1, "mutation applied exactly once");
+        assert_eq!(llen(&server, 1), 1, "mutation applied exactly once");
         // A new seq executes normally again.
-        let resp = server.handle(&kv_frame(8, KvRequest::Lpop { key: "q".into() }));
+        let resp = handle(&server, &kv_frame(8, KvRequest::Lpop { key: "q".into() }));
         assert_eq!(kv_resp(&resp), KvResponse::MaybeStr(Some("a".into())));
     }
 
     #[test]
-    fn dedup_is_per_client() {
+    fn clients_are_tenants() {
         let server = StoreServer::new("shard0p");
-        let mk = |client: u64| {
-            encode(&Frame {
-                client,
-                seq: 1,
-                ctx: None,
-                payload: Payload::KvReq(KvRequest::Rpush {
-                    key: "q".into(),
-                    value: format!("c{client}"),
-                }),
-            })
-        };
-        server.handle(&mk(1));
-        server.handle(&mk(2));
-        assert_eq!(server.kv().llen("q"), 2, "distinct clients both apply");
+        handle(&server, &frame(1, 1, Payload::KvReq(push_q("c1"))));
+        handle(&server, &frame(2, 1, Payload::KvReq(push_q("c2"))));
+        // Same seq, different client: both apply, each to its own list.
+        assert_eq!(llen(&server, 1), 1);
+        assert_eq!(llen(&server, 2), 1);
+        // A restore replaces the sender's store only.
+        let snapshot = tero_store::KvSnapshot::default();
+        handle(
+            &server,
+            &frame(1, 2, Payload::KvReq(KvRequest::Restore { snapshot })),
+        );
+        assert_eq!(llen(&server, 1), 0);
+        assert_eq!(llen(&server, 2), 1);
     }
 
     #[test]
     fn ping_pongs() {
         let server = StoreServer::new("shard0p");
-        let resp = server.handle(&encode(&Frame {
-            client: 9,
-            seq: 1,
-            ctx: None,
-            payload: Payload::Ping,
-        }));
+        let resp = handle(&server, &frame(9, 1, Payload::Ping));
         assert_eq!(decode(&resp).expect("pong").payload, Payload::Pong);
+    }
+
+    #[test]
+    fn hostile_frames_get_no_answer_and_touch_no_store() {
+        let server = StoreServer::new("shard0p");
+        handle(&server, &kv_frame(1, push_q("a")));
+        let before = server.kv(1).expect("client 1's store").snapshot();
+
+        let with_body = |body: &[u8]| {
+            let mut bytes = frame(2, 1, Payload::KvReq(KvRequest::Len));
+            bytes.truncate(HEADER_LEN);
+            bytes[HEADER_LEN - 4..].copy_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(body);
+            bytes
+        };
+        let mut hostile = vec![(
+            frame(2, 1, Payload::Ping)[..HEADER_LEN - 1].to_vec(),
+            Some(FrameError::Truncated),
+        )];
+        let mut bad_magic = frame(2, 1, Payload::Ping);
+        bad_magic[0] = b'X';
+        hostile.push((bad_magic, Some(FrameError::BadMagic)));
+        for kind in [6, 7] {
+            let mut bytes = frame(2, 1, Payload::Ping);
+            bytes[4] = kind;
+            hostile.push((bytes, Some(FrameError::BadKind(kind))));
+        }
+        let mut long = kv_frame(2, KvRequest::Len);
+        long.push(b'}');
+        hostile.push((long, Some(FrameError::LengthMismatch)));
+        hostile.push((with_body(b"not json"), Some(FrameError::BadBody)));
+        hostile.push((with_body(&[0xff, 0xfe]), Some(FrameError::BadBody)));
+        // Responses sent to a server, one carrying client 1's cached seq.
+        for (client, seq, payload) in [
+            (1, 1, Payload::KvResp(KvResponse::Unit)),
+            (2, 1, Payload::ObjResp(ObjResponse::Unit)),
+            (2, 1, Payload::Pong),
+        ] {
+            hostile.push((frame(client, seq, payload), None));
+        }
+
+        for (bytes, error) in &hostile {
+            if let Some(error) = error {
+                assert_eq!(decode(bytes).as_ref().err(), Some(error));
+            }
+            assert_eq!(server.handle(bytes), None, "{error:?} was answered");
+        }
+        assert_eq!(server.kv(1).expect("still there").snapshot(), before);
+        assert!(server.kv(2).is_none(), "a hostile frame made a tenant");
+        // Client 1's retry cache still answers its last request.
+        assert_eq!(
+            kv_resp(&handle(&server, &kv_frame(1, push_q("a")))),
+            KvResponse::Uint(1)
+        );
     }
 
     #[test]
@@ -242,13 +312,10 @@ mod tests {
             client: 1,
             seq: 1,
             ctx: Some(ctx),
-            payload: Payload::KvReq(KvRequest::Rpush {
-                key: "q".into(),
-                value: "a".into(),
-            }),
+            payload: Payload::KvReq(push_q("a")),
         });
-        server.handle(&push);
-        server.handle(&push); // retry → replay span
+        handle(&server, &push);
+        handle(&server, &push); // retry → replay span
         let (spans, _) = tracer.records();
         let names: Vec<&str> = spans.iter().map(|s| &*s.name).collect();
         assert_eq!(names, ["server.kv", "server.replay"]);

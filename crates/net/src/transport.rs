@@ -93,8 +93,9 @@ pub enum NetError {
     Partitioned,
     /// The destination host is killed this window.
     HostDown,
-    /// A frame leg was dropped in flight. The request may or may not
-    /// have been applied — only the server's dedup cache knows.
+    /// A frame leg was dropped in flight — the request may or may not
+    /// have been applied, only the server's dedup cache knows — or the
+    /// server answered nothing because the frame was no request.
     FrameLost,
     /// No host with that name is registered.
     UnknownHost,
@@ -226,7 +227,10 @@ impl SimNet {
             Some(s) => s,
             None => return (elapsed, Err(NetError::UnknownHost)),
         };
-        let response = server.handle(frame);
+        // A frame the server cannot take as a request gets no answer.
+        let Some(response) = server.handle(frame) else {
+            return (elapsed, Err(NetError::FrameLost));
+        };
         // Response leg — a drop here loses the reply *after* the server
         // applied the request; the retry hits the dedup cache.
         match chaos.net_frame_fault() {
@@ -319,6 +323,23 @@ mod tests {
         assert!(net.exchange("engine1", "shard0p", &ping(1)).1.is_ok());
         net.set_window(2);
         assert!(net.exchange("engine0", "shard0p", &ping(4)).1.is_ok());
+    }
+
+    #[test]
+    fn a_frame_the_server_refuses_is_lost() {
+        let net = quiet_net(1);
+        let pong = encode(&Frame {
+            client: 0,
+            seq: 1,
+            ctx: None,
+            payload: Payload::Pong,
+        });
+        for bytes in [&b"garbage"[..], &pong] {
+            assert_eq!(
+                net.exchange("engine0", "shard0p", bytes).1,
+                Err(NetError::FrameLost)
+            );
+        }
     }
 
     #[test]

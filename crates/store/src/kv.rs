@@ -10,7 +10,10 @@
 //! speaking a wire protocol to networked store servers (see
 //! `tero-net`). Metrics and chaos write-drops live in the facade, so
 //! both deployments observe identical `store.kv.*` accounting and
-//! fault-injection draw order.
+//! fault-injection draw order. A remote store is its client's own:
+//! the servers keep one store per client, so keys cross the wire as
+//! written, and a scan, a TTL sweep or a snapshot sees only that
+//! client's keys.
 
 use crate::remote::{KvRequest, KvResponse, RemoteStore};
 use parking_lot::Mutex;
@@ -437,36 +440,6 @@ impl KvStore {
         }
     }
 
-    /// Pop up to `n` values from the head of the list at `key`. Returns an
-    /// empty vector when the list is missing or empty. Tero's batch-pulling
-    /// workers use this: "each image-processing process pulls a fixed-size
-    /// batch when ready" (App. B).
-    pub fn lpop_batch(&self, key: &str, n: usize) -> Vec<String> {
-        let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                match map.get_mut(key) {
-                    Some(Entry {
-                        value: Value::List(l),
-                        ..
-                    }) => {
-                        let take = n.min(l.len());
-                        l.drain(..take).collect()
-                    }
-                    _ => vec![],
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::LpopBatch {
-                key: key.to_string(),
-                n: n as u64,
-            }) {
-                KvResponse::Strs(v) => v,
-                other => unreachable!("lpop_batch returned {other:?}"),
-            },
-        }
-    }
-
     /// Read the list at `key` from index `start` to the tail, without
     /// consuming anything (Redis `LRANGE key start -1`). Returns an empty
     /// vector when the list is missing or `start` is past the end.
@@ -475,7 +448,7 @@ impl KvStore {
     /// stage (see `tero-core`'s online clean stage) remembers how many
     /// records it has already processed and fetches only the suffix,
     /// while the list itself stays intact for replay after a crash — the
-    /// non-destructive complement of [`KvStore::lpop_batch`].
+    /// non-destructive complement of [`KvStore::lpop`].
     pub fn lrange_from(&self, key: &str, start: usize) -> Vec<String> {
         let _op = self.observe(false);
         match &self.backend {
@@ -641,25 +614,18 @@ impl KvStore {
 
     /// Drop every key whose TTL is at or before `now` (logical time).
     /// Returns the number of keys removed. The pipeline's coordinator calls
-    /// this on its periodic tick.
+    /// this on its periodic tick. On a remote backend the sweep reaches
+    /// only this client's keys, so it runs at this client's logical clock
+    /// and never expires another client's TTL leases.
     pub fn sweep_expired(&self, now: SimTime) -> usize {
-        self.sweep_expired_scoped(now, "")
-    }
-
-    /// [`KvStore::sweep_expired`] restricted to keys starting with
-    /// `prefix` (empty = everything). Multi-tenant servers need the
-    /// scope: one tenant's periodic sweep runs at *its* logical clock,
-    /// and letting it evict another tenant's TTL leases would expire
-    /// them at times the other tenant never chose.
-    pub fn sweep_expired_scoped(&self, now: SimTime, prefix: &str) -> usize {
         let _op = self.observe(true);
         match &self.backend {
             Backend::Local(shards) => {
                 let mut removed = 0;
                 for shard in shards.iter() {
                     let mut map = shard.map.lock();
-                    map.retain(|k, e| match e.expires_at {
-                        Some(t) if t <= now && k.starts_with(prefix) => {
+                    map.retain(|_, e| match e.expires_at {
+                        Some(t) if t <= now => {
                             removed += 1;
                             false
                         }
@@ -668,10 +634,7 @@ impl KvStore {
                 }
                 removed
             }
-            Backend::Remote(r) => match r.kv(KvRequest::SweepExpired {
-                now,
-                prefix: prefix.to_string(),
-            }) {
+            Backend::Remote(r) => match r.kv(KvRequest::SweepExpired { now }) {
                 KvResponse::Uint(n) => n as usize,
                 other => unreachable!("sweep_expired returned {other:?}"),
             },
@@ -692,20 +655,6 @@ impl KvStore {
     /// Whether the store holds no keys.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Remove every key (test helper).
-    pub fn clear(&self) {
-        match &self.backend {
-            Backend::Local(shards) => {
-                for shard in shards.iter() {
-                    shard.map.lock().clear();
-                }
-            }
-            Backend::Remote(r) => {
-                r.kv(KvRequest::Clear);
-            }
-        }
     }
 
     /// Capture the full store contents as a deterministic, serializable
@@ -753,7 +702,9 @@ impl KvStore {
     pub fn restore(&self, snapshot: &KvSnapshot) {
         match &self.backend {
             Backend::Local(shards) => {
-                self.clear();
+                for shard in shards.iter() {
+                    shard.map.lock().clear();
+                }
                 for entry in &snapshot.entries {
                     let value = match &entry.value {
                         SnapshotValue::Str(s) => Value::Str(s.clone()),
@@ -859,88 +810,16 @@ impl KvSnapshot {
         }
     }
 
-    /// A copy holding only the entries whose key starts with `prefix`,
-    /// with the prefix stripped. Used by namespaced shard clients to
-    /// carve their own view out of a shared server snapshot.
-    pub fn strip_prefix(&self, prefix: &str) -> KvSnapshot {
-        KvSnapshot {
-            entries: self
-                .entries
-                .iter()
-                .filter_map(|e| {
-                    e.key.strip_prefix(prefix).map(|k| SnapshotEntry {
-                        key: k.to_string(),
-                        value: e.value.clone(),
-                        expires_at: e.expires_at,
-                    })
-                })
-                .collect(),
+    /// Split into `parts` snapshots, entry by entry, by `part_of(key)` (an
+    /// index below `parts`); each part stays sorted by key. A client that
+    /// routes keys across several servers restores each server from its
+    /// part.
+    pub fn partition(self, parts: usize, part_of: impl Fn(&str) -> usize) -> Vec<KvSnapshot> {
+        let mut out = vec![KvSnapshot::default(); parts];
+        for entry in self.entries {
+            out[part_of(&entry.key)].entries.push(entry);
         }
-    }
-
-    /// Decompose into the per-key write requests that recreate this
-    /// snapshot's entries on an empty (or pre-cleared) store. Unlike
-    /// [`KvRequest::Restore`], which replaces
-    /// a whole server's state, these requests are routable key-by-key —
-    /// a namespaced sharded client uses them to restore only its own
-    /// slice. List and hash entries are preceded by a `Del` so the
-    /// sequence is a replacement even when keys already exist. TTLs are
-    /// preserved for string entries (the only kind `set_with_ttl`
-    /// produces).
-    pub fn restore_requests(&self) -> Vec<crate::KvRequest> {
-        use crate::KvRequest;
-        let mut reqs = Vec::new();
-        for entry in &self.entries {
-            match &entry.value {
-                SnapshotValue::Str(v) => reqs.push(match entry.expires_at {
-                    Some(expires_at) => KvRequest::SetWithTtl {
-                        key: entry.key.clone(),
-                        value: v.clone(),
-                        expires_at,
-                    },
-                    None => KvRequest::Set {
-                        key: entry.key.clone(),
-                        value: v.clone(),
-                    },
-                }),
-                SnapshotValue::List(values) => {
-                    reqs.push(KvRequest::Del {
-                        key: entry.key.clone(),
-                    });
-                    reqs.push(KvRequest::RpushBatch {
-                        key: entry.key.clone(),
-                        values: values.clone(),
-                    });
-                }
-                SnapshotValue::Hash(fields) => {
-                    reqs.push(KvRequest::Del {
-                        key: entry.key.clone(),
-                    });
-                    reqs.push(KvRequest::Hset {
-                        key: entry.key.clone(),
-                        fields: fields.clone(),
-                    });
-                }
-            }
-        }
-        reqs
-    }
-
-    /// A copy with `prefix` prepended to every key — the inverse of
-    /// [`KvSnapshot::strip_prefix`], used when a namespaced client pushes
-    /// a snapshot back into the shared servers.
-    pub fn with_prefix(&self, prefix: &str) -> KvSnapshot {
-        KvSnapshot {
-            entries: self
-                .entries
-                .iter()
-                .map(|e| SnapshotEntry {
-                    key: format!("{prefix}{}", e.key),
-                    value: e.value.clone(),
-                    expires_at: e.expires_at,
-                })
-                .collect(),
-        }
+        out
     }
 }
 
@@ -1002,7 +881,8 @@ mod tests {
         kv.rpush("q", "c");
         assert_eq!(kv.llen("q"), 3);
         assert_eq!(kv.lpop("q").as_deref(), Some("a"));
-        assert_eq!(kv.lpop_batch("q", 10), vec!["b", "c"]);
+        assert_eq!(kv.lpop("q").as_deref(), Some("b"));
+        assert_eq!(kv.lpop("q").as_deref(), Some("c"));
         assert_eq!(kv.lpop("q"), None);
     }
 
@@ -1162,7 +1042,7 @@ mod tests {
         }
         assert_eq!(kv.snapshot(), loops.snapshot());
         assert_eq!(kv.rpush_batch("q", ["d".to_string()]), 4);
-        assert_eq!(kv.lpop_batch("q", 10), vec!["a", "b", "c", "d"]);
+        assert_eq!(kv.lrange_from("q", 0), vec!["a", "b", "c", "d"]);
     }
 
     #[test]
@@ -1216,23 +1096,34 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_and_strip() {
+    fn snapshot_merge_and_partition() {
         let a = KvStore::new();
-        a.set("e0:x", "1");
-        a.rpush("e0:engine:ledger", "r1");
+        a.set("x", "1");
+        a.rpush("engine:ledger", "r1");
         let b = KvStore::new();
-        b.set("e1:y", "2");
-        b.rpush("e1:engine:ledger", "r2");
+        b.set("y", "2");
+        b.rpush("engine:ledger", "r2");
 
-        let sa = a.snapshot().strip_prefix("e0:");
-        let sb = b.snapshot().strip_prefix("e1:");
-        let merged = KvSnapshot::merged(&[sa, sb]);
+        let merged = KvSnapshot::merged(&[a.snapshot(), b.snapshot()]);
         let kv = KvStore::new();
         kv.restore(&merged);
         assert_eq!(kv.get("x").as_deref(), Some("1"));
         assert_eq!(kv.get("y").as_deref(), Some("2"));
         // Ledger lists concatenate in argument order.
-        assert_eq!(kv.lpop_batch("engine:ledger", 10), vec!["r1", "r2"]);
+        assert_eq!(kv.lrange_from("engine:ledger", 0), vec!["r1", "r2"]);
+
+        // Partitioned parts hold every entry once, each part sorted, and
+        // merge back into the whole.
+        let parts = merged
+            .clone()
+            .partition(2, |key| key.starts_with("engine:") as usize);
+        assert_eq!(
+            parts.iter().map(KvSnapshot::len).collect::<Vec<_>>(),
+            [2, 1]
+        );
+        assert_eq!(parts[1].get("x"), None);
+        assert_eq!(parts[0].get("y"), Some("2"));
+        assert_eq!(KvSnapshot::merged(&parts), merged);
     }
 
     #[test]
@@ -1285,7 +1176,7 @@ mod tests {
         assert_eq!(kv.rpush_batch("q", ["y", "z"].map(String::from)), 3);
         assert_eq!(kv.llen("q"), 3);
         assert_eq!(kv.lpop("q").as_deref(), Some("x"));
-        assert_eq!(kv.lpop_batch("q", 2), vec!["y", "z"]);
+        assert_eq!(kv.lrange_from("q", 1), vec!["z"]);
         kv.hset("h", "f", "v");
         assert_eq!(kv.hget("h", "f").as_deref(), Some("v"));
         kv.hset_many(

@@ -13,8 +13,8 @@
 //! §1).
 //!
 //! * [`KvStore`] — a sharded key-value store with strings, lists (work
-//!   queues the consumers pull from when ready, one entry or a batch at a
-//!   time), hashes, counters and logical-time TTLs;
+//!   queues the consumers pull from when ready, and logs they read from a
+//!   cursor), hashes, counters and logical-time TTLs;
 //! * [`ObjectStore`] — buckets of immutable byte blobs keyed by name.
 //!
 //! Everything here follows the paper's push/pull discipline: producers push

@@ -2,14 +2,15 @@
 //!
 //! Tero's download module stores every thumbnail it fetches here
 //! (App. B) and image-processing reads it back; nothing in the pipeline
-//! deletes one — §7's data-minimisation rule (drop an image once it is
-//! processed) is what `delete` / `delete_bucket` and the occupancy
-//! accounting are for.
+//! deletes one yet — §7's data-minimisation rule (drop an image once it
+//! is processed) is what `delete` is for.
 //!
 //! Like [`KvStore`](crate::KvStore), the public API is a facade over
 //! either the in-process map or a [`RemoteStore`] client; metrics and
 //! chaos write-drops stay on the facade side so both deployments
-//! account identically.
+//! account identically. A remote store is its client's own: buckets
+//! cross the wire as named, and a snapshot holds only that client's
+//! objects.
 
 use crate::remote::{ObjRequest, ObjResponse, RemoteStore};
 use bytes::Bytes;
@@ -19,11 +20,8 @@ use std::sync::{Arc, OnceLock};
 use tero_chaos::ChaosInjector;
 use tero_obs::{CounterHandle, HistogramHandle, Registry, StageTimer};
 
-#[derive(Default)]
-struct Inner {
-    buckets: HashMap<String, HashMap<String, Bytes>>,
-    total_bytes: usize,
-}
+/// Bucket name → object key → payload.
+type Buckets = HashMap<String, HashMap<String, Bytes>>;
 
 /// Metric handles installed by [`ObjectStore::instrument`].
 struct ObjectMetrics {
@@ -36,14 +34,14 @@ struct ObjectMetrics {
 
 /// Where the objects actually live.
 enum Backend {
-    Local(Arc<RwLock<Inner>>),
+    Local(Arc<RwLock<Buckets>>),
     Remote(Arc<dyn RemoteStore>),
 }
 
 impl Clone for Backend {
     fn clone(&self) -> Self {
         match self {
-            Backend::Local(inner) => Backend::Local(Arc::clone(inner)),
+            Backend::Local(buckets) => Backend::Local(Arc::clone(buckets)),
             Backend::Remote(r) => Backend::Remote(Arc::clone(r)),
         }
     }
@@ -121,15 +119,12 @@ impl ObjectStore {
             m.put_bytes.add(data.len() as u64);
         }
         match &self.backend {
-            Backend::Local(inner) => {
-                let mut inner = inner.write();
-                let b = inner.buckets.entry(bucket.to_string()).or_default();
-                let old = b.insert(key.to_string(), data.clone());
-                // Borrow of `b` ends here; update accounting on `inner`.
-                inner.total_bytes += data.len();
-                if let Some(old) = old {
-                    inner.total_bytes -= old.len();
-                }
+            Backend::Local(buckets) => {
+                buckets
+                    .write()
+                    .entry(bucket.to_string())
+                    .or_default()
+                    .insert(key.to_string(), data);
             }
             Backend::Remote(r) => {
                 r.obj(ObjRequest::Put {
@@ -146,7 +141,7 @@ impl ObjectStore {
     pub fn get(&self, bucket: &str, key: &str) -> Option<Bytes> {
         let _op = self.observe(false);
         match &self.backend {
-            Backend::Local(inner) => inner.read().buckets.get(bucket)?.get(key).cloned(),
+            Backend::Local(buckets) => buckets.read().get(bucket)?.get(key).cloned(),
             Backend::Remote(r) => match r.obj(ObjRequest::Get {
                 bucket: bucket.to_string(),
                 key: key.to_string(),
@@ -161,17 +156,11 @@ impl ObjectStore {
     pub fn delete(&self, bucket: &str, key: &str) -> bool {
         let _op = self.observe(true);
         match &self.backend {
-            Backend::Local(inner) => {
-                let mut inner = inner.write();
-                let removed = inner.buckets.get_mut(bucket).and_then(|b| b.remove(key));
-                match removed {
-                    Some(data) => {
-                        inner.total_bytes -= data.len();
-                        true
-                    }
-                    None => false,
-                }
-            }
+            Backend::Local(buckets) => buckets
+                .write()
+                .get_mut(bucket)
+                .and_then(|b| b.remove(key))
+                .is_some(),
             Backend::Remote(r) => match r.obj(ObjRequest::Delete {
                 bucket: bucket.to_string(),
                 key: key.to_string(),
@@ -182,92 +171,15 @@ impl ObjectStore {
         }
     }
 
-    /// Delete a whole bucket. Returns the number of objects removed.
-    pub fn delete_bucket(&self, bucket: &str) -> usize {
-        let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(inner) => {
-                let mut inner = inner.write();
-                match inner.buckets.remove(bucket) {
-                    Some(b) => {
-                        let n = b.len();
-                        let bytes: usize = b.values().map(|v| v.len()).sum();
-                        inner.total_bytes -= bytes;
-                        n
-                    }
-                    None => 0,
-                }
-            }
-            Backend::Remote(r) => match r.obj(ObjRequest::DeleteBucket {
-                bucket: bucket.to_string(),
-            }) {
-                ObjResponse::Uint(n) => n as usize,
-                other => unreachable!("delete_bucket returned {other:?}"),
-            },
-        }
-    }
-
-    /// Keys in a bucket, sorted.
-    pub fn list(&self, bucket: &str) -> Vec<String> {
-        let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(inner) => {
-                let inner = inner.read();
-                let mut keys: Vec<String> = inner
-                    .buckets
-                    .get(bucket)
-                    .map(|b| b.keys().cloned().collect())
-                    .unwrap_or_default();
-                keys.sort_unstable();
-                keys
-            }
-            Backend::Remote(r) => match r.obj(ObjRequest::List {
-                bucket: bucket.to_string(),
-            }) {
-                ObjResponse::Strs(mut keys) => {
-                    keys.sort_unstable();
-                    keys
-                }
-                other => unreachable!("list returned {other:?}"),
-            },
-        }
-    }
-
-    /// Number of objects in a bucket.
-    pub fn count(&self, bucket: &str) -> usize {
-        let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(inner) => inner.read().buckets.get(bucket).map_or(0, |b| b.len()),
-            Backend::Remote(r) => match r.obj(ObjRequest::Count {
-                bucket: bucket.to_string(),
-            }) {
-                ObjResponse::Uint(n) => n as usize,
-                other => unreachable!("count returned {other:?}"),
-            },
-        }
-    }
-
-    /// Total payload bytes across all buckets.
-    pub fn total_bytes(&self) -> usize {
-        let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(inner) => inner.read().total_bytes,
-            Backend::Remote(r) => match r.obj(ObjRequest::TotalBytes) {
-                ObjResponse::Uint(n) => n as usize,
-                other => unreachable!("total_bytes returned {other:?}"),
-            },
-        }
-    }
-
     /// Capture every object as a deterministic, serializable snapshot
     /// (sorted by bucket then key). Administrative — not counted in
     /// `store.object.*`.
     pub fn snapshot(&self) -> ObjectSnapshot {
         match &self.backend {
-            Backend::Local(inner) => {
-                let inner = inner.read();
+            Backend::Local(buckets) => {
+                let buckets = buckets.read();
                 let mut objects = Vec::new();
-                for (bucket, contents) in &inner.buckets {
+                for (bucket, contents) in buckets.iter() {
                     for (key, data) in contents {
                         objects.push((bucket.clone(), key.clone(), data.to_vec()));
                     }
@@ -286,14 +198,11 @@ impl ObjectStore {
     /// injection and is not counted in `store.object.*`.
     pub fn restore(&self, snapshot: &ObjectSnapshot) {
         match &self.backend {
-            Backend::Local(inner) => {
-                let mut inner = inner.write();
-                inner.buckets.clear();
-                inner.total_bytes = 0;
+            Backend::Local(buckets) => {
+                let mut buckets = buckets.write();
+                buckets.clear();
                 for (bucket, key, data) in &snapshot.objects {
-                    inner.total_bytes += data.len();
-                    inner
-                        .buckets
+                    buckets
                         .entry(bucket.clone())
                         .or_default()
                         .insert(key.clone(), Bytes::from(data.clone()));
@@ -346,80 +255,26 @@ impl ObjectSnapshot {
         }
     }
 
-    /// A copy holding only the objects whose bucket starts with
-    /// `prefix`, with the prefix stripped from the bucket name. Used by
-    /// namespaced shard clients.
-    pub fn strip_prefix(&self, prefix: &str) -> ObjectSnapshot {
-        ObjectSnapshot {
-            objects: self
-                .objects
-                .iter()
-                .filter_map(|(bucket, key, data)| {
-                    bucket
-                        .strip_prefix(prefix)
-                        .map(|b| (b.to_string(), key.clone(), data.clone()))
-                })
-                .collect(),
+    /// Split into `parts` snapshots, object by object, by
+    /// `part_of(bucket)` (an index below `parts`); each part stays sorted.
+    /// A client that routes buckets across several servers restores each
+    /// server from its part.
+    pub fn partition(self, parts: usize, part_of: impl Fn(&str) -> usize) -> Vec<ObjectSnapshot> {
+        let mut out = vec![ObjectSnapshot::default(); parts];
+        for object in self.objects {
+            out[part_of(&object.0)].objects.push(object);
         }
-    }
-
-    /// The distinct bucket names captured, sorted.
-    pub fn bucket_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.objects.iter().map(|(b, _, _)| b.clone()).collect();
-        names.sort();
-        names.dedup();
-        names
-    }
-
-    /// Decompose into the per-bucket requests that recreate this
-    /// snapshot on a store: a `DeleteBucket` per captured bucket (so the
-    /// sequence replaces existing contents), then a `Put` per object.
-    /// Routable bucket-by-bucket, unlike
-    /// [`ObjRequest::Restore`], which
-    /// replaces a whole server's state.
-    pub fn restore_requests(&self) -> Vec<crate::ObjRequest> {
-        use crate::ObjRequest;
-        let mut reqs: Vec<ObjRequest> = self
-            .bucket_names()
-            .into_iter()
-            .map(|bucket| ObjRequest::DeleteBucket { bucket })
-            .collect();
-        reqs.extend(
-            self.objects
-                .iter()
-                .map(|(bucket, key, data)| ObjRequest::Put {
-                    bucket: bucket.clone(),
-                    key: key.clone(),
-                    data: data.clone(),
-                }),
-        );
-        reqs
-    }
-
-    /// A copy with `prefix` prepended to every bucket name — the inverse
-    /// of [`ObjectSnapshot::strip_prefix`], used when a namespaced client
-    /// pushes a snapshot back into the shared servers.
-    pub fn with_prefix(&self, prefix: &str) -> ObjectSnapshot {
-        ObjectSnapshot {
-            objects: self
-                .objects
-                .iter()
-                .map(|(bucket, key, data)| (format!("{prefix}{bucket}"), key.clone(), data.clone()))
-                .collect(),
-        }
+        out
     }
 }
 
 impl std::fmt::Debug for ObjectStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.backend {
-            Backend::Local(inner) => {
-                let inner = inner.read();
-                f.debug_struct("ObjectStore")
-                    .field("buckets", &inner.buckets.len())
-                    .field("total_bytes", &inner.total_bytes)
-                    .finish()
-            }
+            Backend::Local(buckets) => f
+                .debug_struct("ObjectStore")
+                .field("buckets", &buckets.read().len())
+                .finish(),
             Backend::Remote(_) => f
                 .debug_struct("ObjectStore")
                 .field("backend", &"remote")
@@ -447,30 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn accounting_tracks_replacement() {
+    fn put_replaces() {
         let s = ObjectStore::new();
         s.put("b", "k", vec![0u8; 100]);
-        assert_eq!(s.total_bytes(), 100);
-        s.put("b", "k", vec![0u8; 40]);
-        assert_eq!(s.total_bytes(), 40, "replacement adjusts accounting");
-        s.put("b", "k2", vec![0u8; 10]);
-        assert_eq!(s.total_bytes(), 50);
-        s.delete("b", "k");
-        assert_eq!(s.total_bytes(), 10);
-    }
-
-    #[test]
-    fn bucket_operations() {
-        let s = ObjectStore::new();
-        s.put("x", "2", &b"b"[..]);
-        s.put("x", "1", &b"a"[..]);
-        s.put("y", "3", &b"c"[..]);
-        assert_eq!(s.list("x"), vec!["1", "2"]);
-        assert_eq!(s.count("x"), 2);
-        assert_eq!(s.delete_bucket("x"), 2);
-        assert_eq!(s.count("x"), 0);
-        assert_eq!(s.total_bytes(), 1);
-        assert_eq!(s.delete_bucket("x"), 0);
+        s.put("b", "k", vec![1u8; 40]);
+        assert_eq!(s.get("b", "k").unwrap(), Bytes::from(vec![1u8; 40]));
+        assert_eq!(s.snapshot().len(), 1);
     }
 
     #[test]
@@ -489,8 +326,10 @@ mod tests {
             other.get("thumbs", "a").unwrap(),
             Bytes::from_static(b"one")
         );
-        assert_eq!(other.count("stale"), 0, "restore replaces prior contents");
-        assert_eq!(other.total_bytes(), s.total_bytes());
+        assert!(
+            other.get("stale", "k").is_none(),
+            "restore replaces prior contents"
+        );
         assert_eq!(other.snapshot(), snap, "roundtrip is lossless");
 
         let json = serde_json::to_string(&snap).unwrap();
@@ -499,19 +338,26 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_and_strip() {
+    fn snapshot_merge_and_partition() {
         let a = ObjectStore::new();
-        a.put("e0:thumbs", "x", &b"1"[..]);
+        a.put("thumbs", "x", &b"1"[..]);
         let b = ObjectStore::new();
-        b.put("e1:thumbs", "y", &b"2"[..]);
-        let merged = ObjectSnapshot::merged(&[
-            a.snapshot().strip_prefix("e0:"),
-            b.snapshot().strip_prefix("e1:"),
-        ]);
+        b.put("thumbs", "y", &b"2"[..]);
+        b.put("aux", "z", &b"3"[..]);
+        let merged = ObjectSnapshot::merged(&[a.snapshot(), b.snapshot()]);
         let s = ObjectStore::new();
         s.restore(&merged);
         assert_eq!(s.get("thumbs", "x").unwrap(), Bytes::from_static(b"1"));
         assert_eq!(s.get("thumbs", "y").unwrap(), Bytes::from_static(b"2"));
+
+        let parts = merged
+            .clone()
+            .partition(2, |bucket| (bucket == "thumbs") as usize);
+        assert_eq!(
+            parts.iter().map(ObjectSnapshot::len).collect::<Vec<_>>(),
+            [1, 2]
+        );
+        assert_eq!(ObjectSnapshot::merged(&parts), merged);
     }
 
     #[test]
@@ -529,8 +375,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(s.count("shared"), 400);
-        assert_eq!(s.total_bytes(), 4_000);
+        assert_eq!(s.snapshot().len(), 400);
     }
 
     #[test]
@@ -550,14 +395,11 @@ mod tests {
         let s = ObjectStore::remote(Arc::new(Loopback(ObjectStore::new())));
         s.put("b", "k", &b"payload"[..]);
         assert_eq!(s.get("b", "k").unwrap(), Bytes::from_static(b"payload"));
-        assert_eq!(s.list("b"), vec!["k"]);
-        assert_eq!(s.count("b"), 1);
-        assert_eq!(s.total_bytes(), 7);
         let snap = s.snapshot();
         assert_eq!(snap.len(), 1);
         assert!(s.delete("b", "k"));
-        assert_eq!(s.delete_bucket("b"), 0);
+        assert!(!s.delete("b", "k"));
         s.restore(&snap);
-        assert_eq!(s.count("b"), 1);
+        assert_eq!(s.get("b", "k").unwrap(), Bytes::from_static(b"payload"));
     }
 }

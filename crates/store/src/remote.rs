@@ -12,7 +12,10 @@
 //!
 //! Requests and responses are plain data so they can be framed onto a
 //! wire verbatim; `tero-net::frame` gives them a length-prefixed
-//! binary encoding.
+//! binary encoding. They carry keys and buckets exactly as the facade
+//! was handed them: a store server keeps one store per client and
+//! applies each request to the sender's, so tenancy never shows in a
+//! key.
 
 use crate::{KvSnapshot, ObjectSnapshot};
 use serde::{Deserialize, Serialize};
@@ -79,13 +82,6 @@ pub enum KvRequest {
         /// Target list key.
         key: String,
     },
-    /// `lpop_batch(key, n)`.
-    LpopBatch {
-        /// Target list key.
-        key: String,
-        /// Maximum number of elements to pop.
-        n: u64,
-    },
     /// `llen(key)`.
     Llen {
         /// Target list key.
@@ -125,25 +121,22 @@ pub enum KvRequest {
         /// Key prefix to scan for.
         prefix: String,
     },
-    /// `sweep_expired(now)` — fans out to every shard. `prefix` scopes
-    /// the sweep: only expired keys starting with it are removed (empty
-    /// = the whole store). A namespaced client rewrites the prefix so
-    /// one tenant's sweep never evicts another tenant's TTL leases.
+    /// `sweep_expired(now)` — fans out to every shard. A server sweeps
+    /// the sender's store only, so one client's sweep never evicts
+    /// another client's TTL leases.
     SweepExpired {
         /// Logical sweep instant.
         now: SimTime,
-        /// Key-prefix scope of the sweep.
-        prefix: String,
     },
     /// `len()` — fans out to every shard.
     Len,
-    /// `clear()` — fans out to every shard.
-    Clear,
-    /// `snapshot()` — fans out and merges (the client filters to its
-    /// own namespace).
+    /// `snapshot()` — fans out and merges. A server answers with the
+    /// sender's store only.
     Snapshot,
-    /// `restore(snapshot)` — administrative full-state replacement,
-    /// also used for replica resync after a partition heals.
+    /// `restore(snapshot)` — administrative replacement of the sender's
+    /// store on one server; a client sends each shard the part of the
+    /// snapshot that routes to it. Resync uses it too, so copying one
+    /// client's state onto a peer leaves every other client's alone.
     Restore {
         /// State to install.
         snapshot: KvSnapshot,
@@ -164,7 +157,6 @@ impl KvRequest {
             | KvRequest::Rpush { key, .. }
             | KvRequest::RpushBatch { key, .. }
             | KvRequest::Lpop { key }
-            | KvRequest::LpopBatch { key, .. }
             | KvRequest::Llen { key }
             | KvRequest::LrangeFrom { key, .. }
             | KvRequest::Hset { key, .. }
@@ -186,10 +178,8 @@ impl KvRequest {
                 | KvRequest::Rpush { .. }
                 | KvRequest::RpushBatch { .. }
                 | KvRequest::Lpop { .. }
-                | KvRequest::LpopBatch { .. }
                 | KvRequest::Hset { .. }
                 | KvRequest::SweepExpired { .. }
-                | KvRequest::Clear
                 | KvRequest::Restore { .. }
         )
     }
@@ -198,7 +188,7 @@ impl KvRequest {
 /// The result of one [`KvRequest`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum KvResponse {
-    /// No payload (`set`, `hset`, `clear`, `restore`).
+    /// No payload (`set`, `hset`, `restore`).
     Unit,
     /// A boolean (`del`, `exists`).
     Bool(bool),
@@ -208,7 +198,7 @@ pub enum KvResponse {
     Uint(u64),
     /// An optional string (`get`, `lpop`, `hget`).
     MaybeStr(Option<String>),
-    /// A string list (`lpop_batch`, `keys_with_prefix`).
+    /// A string list (`lrange_from`, `keys_with_prefix`).
     Strs(Vec<String>),
     /// Sorted `(field, value)` pairs (`hgetall`).
     Pairs(Vec<(String, String)>),
@@ -243,26 +233,11 @@ pub enum ObjRequest {
         /// Object key.
         key: String,
     },
-    /// `delete_bucket(bucket)`.
-    DeleteBucket {
-        /// Bucket to drop entirely.
-        bucket: String,
-    },
-    /// `list(bucket)`.
-    List {
-        /// Bucket to enumerate.
-        bucket: String,
-    },
-    /// `count(bucket)`.
-    Count {
-        /// Bucket to count.
-        bucket: String,
-    },
-    /// `total_bytes()` — fans out to every shard.
-    TotalBytes,
-    /// `snapshot()` — fans out and merges.
+    /// `snapshot()` — fans out and merges; a server answers with the
+    /// sender's objects only.
     Snapshot,
-    /// `restore(snapshot)` — administrative, also used for resync.
+    /// `restore(snapshot)` — administrative replacement of the sender's
+    /// objects on one server, also used for resync.
     Restore {
         /// State to install.
         snapshot: ObjectSnapshot,
@@ -276,10 +251,7 @@ impl ObjRequest {
         match self {
             ObjRequest::Put { bucket, .. }
             | ObjRequest::Get { bucket, .. }
-            | ObjRequest::Delete { bucket, .. }
-            | ObjRequest::DeleteBucket { bucket }
-            | ObjRequest::List { bucket }
-            | ObjRequest::Count { bucket } => Some(bucket),
+            | ObjRequest::Delete { bucket, .. } => Some(bucket),
             _ => None,
         }
     }
@@ -288,10 +260,7 @@ impl ObjRequest {
     pub fn is_write(&self) -> bool {
         matches!(
             self,
-            ObjRequest::Put { .. }
-                | ObjRequest::Delete { .. }
-                | ObjRequest::DeleteBucket { .. }
-                | ObjRequest::Restore { .. }
+            ObjRequest::Put { .. } | ObjRequest::Delete { .. } | ObjRequest::Restore { .. }
         )
     }
 }
@@ -303,12 +272,8 @@ pub enum ObjResponse {
     Unit,
     /// A boolean (`delete`).
     Bool(bool),
-    /// An unsigned count (`delete_bucket`, `count`, `total_bytes`).
-    Uint(u64),
     /// Optional payload bytes (`get`).
     MaybeBytes(Option<Vec<u8>>),
-    /// Sorted object keys (`list`).
-    Strs(Vec<String>),
     /// A full-state snapshot (`snapshot`).
     Snapshot(ObjectSnapshot),
 }
@@ -354,7 +319,6 @@ pub fn apply_kv(store: &crate::KvStore, req: KvRequest) -> KvResponse {
             KvResponse::Uint(store.rpush_batch(&key, values) as u64)
         }
         KvRequest::Lpop { key } => KvResponse::MaybeStr(store.lpop(&key)),
-        KvRequest::LpopBatch { key, n } => KvResponse::Strs(store.lpop_batch(&key, n as usize)),
         KvRequest::Llen { key } => KvResponse::Uint(store.llen(&key) as u64),
         KvRequest::LrangeFrom { key, start } => {
             KvResponse::Strs(store.lrange_from(&key, start as usize))
@@ -370,14 +334,8 @@ pub fn apply_kv(store: &crate::KvStore, req: KvRequest) -> KvResponse {
             KvResponse::Pairs(pairs)
         }
         KvRequest::KeysWithPrefix { prefix } => KvResponse::Strs(store.keys_with_prefix(&prefix)),
-        KvRequest::SweepExpired { now, prefix } => {
-            KvResponse::Uint(store.sweep_expired_scoped(now, &prefix) as u64)
-        }
+        KvRequest::SweepExpired { now } => KvResponse::Uint(store.sweep_expired(now) as u64),
         KvRequest::Len => KvResponse::Uint(store.len() as u64),
-        KvRequest::Clear => {
-            store.clear();
-            KvResponse::Unit
-        }
         KvRequest::Snapshot => KvResponse::Snapshot(store.snapshot()),
         KvRequest::Restore { snapshot } => {
             store.restore(&snapshot);
@@ -398,12 +356,6 @@ pub fn apply_obj(store: &crate::ObjectStore, req: ObjRequest) -> ObjResponse {
             ObjResponse::MaybeBytes(store.get(&bucket, &key).map(|b| b.to_vec()))
         }
         ObjRequest::Delete { bucket, key } => ObjResponse::Bool(store.delete(&bucket, &key)),
-        ObjRequest::DeleteBucket { bucket } => {
-            ObjResponse::Uint(store.delete_bucket(&bucket) as u64)
-        }
-        ObjRequest::List { bucket } => ObjResponse::Strs(store.list(&bucket)),
-        ObjRequest::Count { bucket } => ObjResponse::Uint(store.count(&bucket) as u64),
-        ObjRequest::TotalBytes => ObjResponse::Uint(store.total_bytes() as u64),
         ObjRequest::Snapshot => ObjResponse::Snapshot(store.snapshot()),
         ObjRequest::Restore { snapshot } => {
             store.restore(&snapshot);

@@ -120,6 +120,11 @@ echo "==> sharded topology (sharded_explore twice under the stock NetFault plan,
 # seed, so two runs must produce identical stdout: the sharded run is
 # replay-deterministic under faults.
 same_twice sharded sharded_explore 4242
+# The byte-compared run must go through a resync: each copies one
+# engine's own state between a shard's hosts, which the merge then
+# proves lost nothing.
+grep -Eq "^net.resyncs +[1-9][0-9]*$" "$trace_dir/sharded.1.out" \
+  || { echo "FAIL: the stock-plan sharded run resynced nothing"; exit 1; }
 # And the happy path: a quiet plan must recover nothing (the example
 # prints the counters; failovers/timeouts are asserted zero here).
 cargo run --quiet --release --example sharded_explore -- 4242 quiet > "$trace_dir/nq.out" 2>/dev/null

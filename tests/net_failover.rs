@@ -7,7 +7,8 @@
 use tero::chaos::{FaultPlan, HostKill, NetFault, NetPartition};
 use tero::core::pipeline::{ExtractionMode, Tero};
 use tero::core::sharded::{run_sharded, ShardedConfig, ShardedOutcome};
-use tero::types::SimDuration;
+use tero::net::default_net_fault;
+use tero::types::{GameId, Location, SimDuration};
 use tero::world::{World, WorldConfig};
 
 fn world_cfg() -> WorldConfig {
@@ -167,4 +168,81 @@ fn more_engines_and_shards_still_merge_identically() {
     };
     let out = run_sharded(&cfg);
     assert_eq!(out.report.digest(), single_process_digest());
+}
+
+/// Both resync directions, each copying one engine's state only:
+/// `shard0r` misses window 0's writes, so each engine heals its own copy
+/// there from the primary; later `engine1` is cut off from `shard0p` long
+/// enough to fail over and, at lease expiry, reclaim the primary by a
+/// copy from the replica — while `engine0` kept writing to both.
+#[test]
+fn per_engine_resyncs_in_both_directions_merge_identically() {
+    let cfg = ShardedConfig {
+        windows: 6,
+        plan: FaultPlan {
+            net: NetFault {
+                kills: vec![HostKill {
+                    host: "shard0r".into(),
+                    from_window: 0,
+                    until_window: 1,
+                }],
+                partitions: vec![NetPartition {
+                    a: "engine1".into(),
+                    b: "shard0p".into(),
+                    from_window: 2,
+                    until_window: 4,
+                }],
+                ..NetFault::quiet()
+            },
+            ..FaultPlan::quiet(97)
+        },
+        ..faulty_config()
+    };
+    let out = run_sharded(&cfg);
+    assert_eq!(out.report.digest(), single_process_digest());
+    assert!(counter(&out, "net.failovers") >= 1, "engine1 failed over");
+    assert!(counter(&out, "net.resyncs") >= 2, "both directions ran");
+}
+
+/// A world with organically placed streamers beside pinned ones, under
+/// the stock fault plan. Its merge lost a `(streamer, game)` series while
+/// one engine's resync of a store host replaced every engine's state
+/// there with the peer's, dropping writes the other engine had made.
+#[test]
+fn organic_world_under_the_stock_plan_keeps_every_series() {
+    let world = WorldConfig {
+        seed: 17_026_080_507_310_378_593,
+        n_streamers: 2,
+        days: 1,
+        pinned: ["Netherlands", "Poland"]
+            .map(|country| (Location::country(country), GameId::LeagueOfLegends, 3))
+            .to_vec(),
+        api_budget_per_min: 2_000,
+        ..WorldConfig::default()
+    };
+    let single = Tero {
+        mode: ExtractionMode::Calibrated,
+        min_streamers: 2,
+        ..Tero::default()
+    }
+    .run(&mut World::build(world.clone()));
+    let out = run_sharded(&ShardedConfig {
+        engines: 2,
+        shards: 3,
+        windows: 4,
+        world,
+        mode: ExtractionMode::Calibrated,
+        min_streamers: 2,
+        plan: FaultPlan {
+            net: default_net_fault(3, 4),
+            ..FaultPlan::quiet(105)
+        },
+        net_seed: 105,
+        ..ShardedConfig::default()
+    });
+    assert_eq!(
+        out.report.streams.keys().collect::<Vec<_>>(),
+        single.streams.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(out.report.digest(), single.digest());
 }
