@@ -255,9 +255,9 @@ impl ShardedStoreClient {
         &self,
         inner: &mut ClientInner,
         to: &str,
-        payload: Payload,
+        payload: Payload<'_>,
         attempts: u32,
-    ) -> Result<Payload, NetError> {
+    ) -> Result<Payload<'static>, NetError> {
         inner.seq += 1;
         let seq = inner.seq;
         let frame = encode(&Frame {
@@ -283,7 +283,7 @@ impl ShardedStoreClient {
         frame: &[u8],
         seq: u64,
         attempts: u32,
-    ) -> Result<Payload, NetError> {
+    ) -> Result<Payload<'static>, NetError> {
         let mut last = NetError::FrameLost;
         for attempt in 1..=attempts {
             self.metrics.frames.inc();
@@ -396,7 +396,12 @@ impl ShardedStoreClient {
     /// replication. Never returns an error: the operation either
     /// completes or the client panics because the fault plan left no
     /// healthy replica.
-    fn run_on_shard(&self, inner: &mut ClientInner, shard: usize, payload: Payload) -> Payload {
+    fn run_on_shard(
+        &self,
+        inner: &mut ClientInner,
+        shard: usize,
+        payload: Payload<'_>,
+    ) -> Payload<'static> {
         let window = self.net.window();
         self.maybe_reclaim_primary(inner, shard, window);
         self.maybe_heal_replica(inner, shard, window);
@@ -511,7 +516,12 @@ impl ShardedStoreClient {
         )
     }
 
-    fn run_kv_on_shard(&self, inner: &mut ClientInner, shard: usize, req: KvRequest) -> KvResponse {
+    fn run_kv_on_shard(
+        &self,
+        inner: &mut ClientInner,
+        shard: usize,
+        req: KvRequest<'_>,
+    ) -> KvResponse {
         match self.run_on_shard(inner, shard, Payload::KvReq(req)) {
             Payload::KvResp(resp) => resp,
             other => panic!("KV request answered with {other:?}"),
@@ -522,7 +532,7 @@ impl ShardedStoreClient {
         &self,
         inner: &mut ClientInner,
         shard: usize,
-        req: ObjRequest,
+        req: ObjRequest<'_>,
     ) -> ObjResponse {
         match self.run_on_shard(inner, shard, Payload::ObjReq(req)) {
             Payload::ObjResp(resp) => resp,
@@ -533,7 +543,7 @@ impl ShardedStoreClient {
     /// Run a fan-out KV request: the same request on every shard with
     /// the answers folded, except a restore, which sends each shard the
     /// part of the snapshot that routes to it.
-    fn kv_fanout(&self, inner: &mut ClientInner, req: KvRequest) -> KvResponse {
+    fn kv_fanout(&self, inner: &mut ClientInner, req: KvRequest<'_>) -> KvResponse {
         let n = inner.shards.len();
         if let KvRequest::Restore { snapshot } = req {
             for (shard, part) in snapshot
@@ -563,7 +573,7 @@ impl ShardedStoreClient {
     }
 
     /// [`ShardedStoreClient::kv_fanout`] for objects.
-    fn obj_fanout(&self, inner: &mut ClientInner, req: ObjRequest) -> ObjResponse {
+    fn obj_fanout(&self, inner: &mut ClientInner, req: ObjRequest<'_>) -> ObjResponse {
         let n = inner.shards.len();
         if let ObjRequest::Restore { snapshot } = req {
             for (shard, part) in snapshot
@@ -593,14 +603,14 @@ fn route(name: &str, shards: usize) -> usize {
 
 /// The payload of a response frame to request `seq`, or `FrameLost` for
 /// bytes that do not decode or answer another request.
-fn response_to(bytes: &[u8], seq: u64) -> Result<Payload, NetError> {
+fn response_to(bytes: &[u8], seq: u64) -> Result<Payload<'static>, NetError> {
     match decode(bytes) {
         Ok(resp) if resp.seq == seq => Ok(resp.payload),
         _ => Err(NetError::FrameLost),
     }
 }
 
-fn payload_is_write(payload: &Payload) -> bool {
+fn payload_is_write(payload: &Payload<'_>) -> bool {
     match payload {
         Payload::KvReq(r) => r.is_write(),
         Payload::ObjReq(r) => r.is_write(),
@@ -609,7 +619,7 @@ fn payload_is_write(payload: &Payload) -> bool {
 }
 
 impl RemoteStore for ShardedStoreClient {
-    fn kv(&self, req: KvRequest) -> KvResponse {
+    fn kv(&self, req: KvRequest<'_>) -> KvResponse {
         let mut inner = self.inner.lock();
         self.metrics.requests.inc();
         let n = inner.shards.len();
@@ -619,7 +629,7 @@ impl RemoteStore for ShardedStoreClient {
         }
     }
 
-    fn obj(&self, req: ObjRequest) -> ObjResponse {
+    fn obj(&self, req: ObjRequest<'_>) -> ObjResponse {
         let mut inner = self.inner.lock();
         self.metrics.requests.inc();
         let n = inner.shards.len();

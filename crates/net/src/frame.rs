@@ -39,13 +39,13 @@ pub const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 24 + 4;
 
 /// The typed content of a frame.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
+pub enum Payload<'a> {
     /// A KV operation (client → server).
-    KvReq(KvRequest),
+    KvReq(KvRequest<'a>),
     /// A KV result (server → client).
     KvResp(KvResponse),
     /// An object operation (client → server).
-    ObjReq(ObjRequest),
+    ObjReq(ObjRequest<'a>),
     /// An object result (server → client).
     ObjResp(ObjResponse),
     /// Liveness probe (client → server), used by failover to decide
@@ -55,7 +55,7 @@ pub enum Payload {
     Pong,
 }
 
-impl Payload {
+impl Payload<'_> {
     fn kind(&self) -> u8 {
         match self {
             Payload::KvReq(_) => 0,
@@ -70,7 +70,7 @@ impl Payload {
 
 /// One framed message.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
+pub struct Frame<'a> {
     /// Stable identity of the sending client (engine index).
     pub client: u64,
     /// Per-client operation sequence number; retries reuse it.
@@ -80,7 +80,7 @@ pub struct Frame {
     /// one logical operation carries the same context.
     pub ctx: Option<TraceContext>,
     /// Typed content.
-    pub payload: Payload,
+    pub payload: Payload<'a>,
 }
 
 /// Why a byte string failed to parse as a frame.
@@ -120,7 +120,7 @@ fn parse_body<T: Deserialize>(body: &[u8]) -> Result<T, FrameError> {
 }
 
 /// Encode a frame to wire bytes.
-pub fn encode(frame: &Frame) -> Vec<u8> {
+pub fn encode(frame: &Frame<'_>) -> Vec<u8> {
     let body = match &frame.payload {
         Payload::KvReq(r) => body_json(r),
         Payload::KvResp(r) => body_json(r),
@@ -147,8 +147,8 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Decode wire bytes back into a frame.
-pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
+/// Decode wire bytes back into a frame, which owns its strings.
+pub fn decode(bytes: &[u8]) -> Result<Frame<'static>, FrameError> {
     if bytes.len() < HEADER_LEN {
         return Err(FrameError::Truncated);
     }
@@ -192,8 +192,9 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
 mod tests {
     use super::*;
     use tero_store::{KvStore, ObjectStore};
+    use tero_types::SimTime;
 
-    fn round_trip(payload: Payload) {
+    fn round_trip(payload: Payload<'_>) {
         let frame = Frame {
             client: 3,
             seq: 99,
@@ -257,7 +258,90 @@ mod tests {
             key: "s1/0".into(),
             data: vec![0, 1, 254, 255],
         }));
-        round_trip(Payload::ObjResp(ObjResponse::MaybeBytes(Some(vec![7; 32]))));
+        round_trip(Payload::ObjResp(ObjResponse::MaybeBytes(Some(
+            vec![7; 32].into(),
+        ))));
+    }
+
+    /// One frame body for every request and response variant, pinned as
+    /// bytes: a change to the wire shows here first.
+    #[test]
+    fn wire_bodies_are_pinned() {
+        use KvRequest as K;
+        use KvResponse as KR;
+        use ObjRequest as O;
+        use ObjResponse as OR;
+        let kv = KvStore::new();
+        kv.set("k", "v");
+        kv.set_with_ttl("lease", "x", SimTime::from_secs(30));
+        kv.rpush("q", "a");
+        kv.hset("h", "f", "1");
+        let objects = ObjectStore::new();
+        objects.put("thumbs", "s/0", vec![0u8, 7, 255]);
+        let (kv_snap, obj_snap) = (kv.snapshot(), objects.snapshot());
+        let kvs = r#"{"entries":[{"key":"h","value":{"Hash":[["f","1"]]},"expires_at":null},{"key":"k","value":{"Str":"v"},"expires_at":null},{"key":"lease","value":{"Str":"x"},"expires_at":30000000},{"key":"q","value":{"List":["a"]},"expires_at":null}]}"#;
+        let objs = r#"{"objects":[["thumbs","s/0",[0,7,255]]]}"#;
+        let (k, q, h, t, s0) = (
+            || "k".into(),
+            || "q".into(),
+            || "h".into(),
+            || "thumbs".into(),
+            || "s/0".into(),
+        );
+        #[rustfmt::skip]
+        let pinned: Vec<(Payload, String)> = vec![
+            (Payload::KvReq(K::Set { key: k(), value: r#"v "q""#.into() }), r#"{"Set":{"key":"k","value":"v \"q\""}}"#.into()),
+            (Payload::KvReq(K::SetWithTtl { key: "lease".into(), value: "x".into(), expires_at: SimTime::from_secs(30) }), r#"{"SetWithTtl":{"key":"lease","value":"x","expires_at":30000000}}"#.into()),
+            (Payload::KvReq(K::Get { key: k() }), r#"{"Get":{"key":"k"}}"#.into()),
+            (Payload::KvReq(K::Del { key: k() }), r#"{"Del":{"key":"k"}}"#.into()),
+            (Payload::KvReq(K::Exists { key: k() }), r#"{"Exists":{"key":"k"}}"#.into()),
+            (Payload::KvReq(K::IncrBy { key: "c".into(), delta: -3 }), r#"{"IncrBy":{"key":"c","delta":-3}}"#.into()),
+            (Payload::KvReq(K::Rpush { key: q(), value: "a".into() }), r#"{"Rpush":{"key":"q","value":"a"}}"#.into()),
+            (Payload::KvReq(K::RpushBatch { key: q(), values: vec!["b".into(), "c".into()] }), r#"{"RpushBatch":{"key":"q","values":["b","c"]}}"#.into()),
+            (Payload::KvReq(K::Lpop { key: q() }), r#"{"Lpop":{"key":"q"}}"#.into()),
+            (Payload::KvReq(K::Llen { key: q() }), r#"{"Llen":{"key":"q"}}"#.into()),
+            (Payload::KvReq(K::LrangeFrom { key: q(), start: 1 }), r#"{"LrangeFrom":{"key":"q","start":1}}"#.into()),
+            (Payload::KvReq(K::Hset { key: h(), fields: vec![("f".into(), "1".into()), ("g".into(), "2".into())] }), r#"{"Hset":{"key":"h","fields":[["f","1"],["g","2"]]}}"#.into()),
+            (Payload::KvReq(K::Hget { key: h(), field: "f".into() }), r#"{"Hget":{"key":"h","field":"f"}}"#.into()),
+            (Payload::KvReq(K::Hgetall { key: h() }), r#"{"Hgetall":{"key":"h"}}"#.into()),
+            (Payload::KvReq(K::KeysWithPrefix { prefix: "engine:".into() }), r#"{"KeysWithPrefix":{"prefix":"engine:"}}"#.into()),
+            (Payload::KvReq(K::SweepExpired { now: SimTime::from_secs(60) }), r#"{"SweepExpired":{"now":60000000}}"#.into()),
+            (Payload::KvReq(K::Len), r#""Len""#.into()),
+            (Payload::KvReq(K::Snapshot), r#""Snapshot""#.into()),
+            (Payload::KvReq(K::Restore { snapshot: kv_snap.clone() }), format!(r#"{{"Restore":{{"snapshot":{kvs}}}}}"#)),
+            (Payload::KvResp(KR::Unit), r#""Unit""#.into()),
+            (Payload::KvResp(KR::Bool(true)), r#"{"Bool":true}"#.into()),
+            (Payload::KvResp(KR::Int(-3)), r#"{"Int":-3}"#.into()),
+            (Payload::KvResp(KR::Uint(2)), r#"{"Uint":2}"#.into()),
+            (Payload::KvResp(KR::MaybeStr(Some("v".into()))), r#"{"MaybeStr":"v"}"#.into()),
+            (Payload::KvResp(KR::MaybeStr(None)), r#"{"MaybeStr":null}"#.into()),
+            (Payload::KvResp(KR::Strs(vec!["a".into(), "b".into()])), r#"{"Strs":["a","b"]}"#.into()),
+            (Payload::KvResp(KR::Pairs(vec![("f".into(), "1".into())])), r#"{"Pairs":[["f","1"]]}"#.into()),
+            (Payload::KvResp(KR::Snapshot(kv_snap)), format!(r#"{{"Snapshot":{kvs}}}"#)),
+            // New since the pin was taken: no frame carried it before.
+            (Payload::KvResp(KR::WrongType), r#""WrongType""#.into()),
+            (Payload::ObjReq(O::Put { bucket: t(), key: s0(), data: vec![0, 7, 255] }), r#"{"Put":{"bucket":"thumbs","key":"s/0","data":[0,7,255]}}"#.into()),
+            (Payload::ObjReq(O::Get { bucket: t(), key: s0() }), r#"{"Get":{"bucket":"thumbs","key":"s/0"}}"#.into()),
+            (Payload::ObjReq(O::Delete { bucket: t(), key: s0() }), r#"{"Delete":{"bucket":"thumbs","key":"s/0"}}"#.into()),
+            (Payload::ObjReq(O::Snapshot), r#""Snapshot""#.into()),
+            (Payload::ObjReq(O::Restore { snapshot: obj_snap.clone() }), format!(r#"{{"Restore":{{"snapshot":{objs}}}}}"#)),
+            (Payload::ObjResp(OR::Unit), r#""Unit""#.into()),
+            (Payload::ObjResp(OR::Bool(false)), r#"{"Bool":false}"#.into()),
+            (Payload::ObjResp(OR::MaybeBytes(Some(vec![0, 7, 255].into()))), r#"{"MaybeBytes":[0,7,255]}"#.into()),
+            (Payload::ObjResp(OR::MaybeBytes(None)), r#"{"MaybeBytes":null}"#.into()),
+            (Payload::ObjResp(OR::Snapshot(obj_snap)), format!(r#"{{"Snapshot":{objs}}}"#)),
+        ];
+        for (payload, body) in pinned {
+            let frame = Frame {
+                client: 1,
+                seq: 2,
+                ctx: None,
+                payload,
+            };
+            let bytes = encode(&frame);
+            assert_eq!(&bytes[HEADER_LEN..], body.as_bytes(), "{:?}", frame.payload);
+            assert_eq!(decode(&bytes).expect("round trip"), frame);
+        }
     }
 
     #[test]
@@ -293,7 +377,7 @@ mod tests {
                 payload: Payload::KvReq(req),
             };
             match decode(&encode(&frame)).expect("round trip").payload {
-                Payload::KvReq(req) => assert_eq!(tero_store::apply_kv(&kv, req), KvResponse::Unit),
+                Payload::KvReq(req) => assert_eq!(kv.apply(req), KvResponse::Unit),
                 other => panic!("decoded {other:?}"),
             }
         };

@@ -20,7 +20,8 @@
 //!   [`NetFault`](tero_chaos::NetFault) schedule;
 //! * [`server`] — [`StoreServer`], one store shard: a local KV + object
 //!   store and a request-deduplication entry per client, behind a frame
-//!   handler that answers hostile bytes with nothing;
+//!   handler that runs each request through the store's own `apply` and
+//!   answers hostile bytes with nothing;
 //! * [`client`] — [`ShardedStoreClient`], the [`RemoteStore`](tero_store::RemoteStore) the engine's
 //!   store facade plugs into: consistent-hash routing, per-request
 //!   deadlines, exponential backoff with deterministic jitter, per-shard

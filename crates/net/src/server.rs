@@ -4,10 +4,10 @@
 //! A [`StoreServer`] is what a `shard{N}p` / `shard{N}r` host runs. It
 //! keeps one plain in-process KV store and one object store for each
 //! client id, made at that client's first frame, and executes every
-//! decoded request against the *sender's* stores through
-//! [`tero_store::apply_kv`] / [`tero_store::apply_obj`] — the same
-//! executors a loopback test double uses, so server behaviour is the
-//! local-store behaviour by construction. Tenancy lives here and nowhere
+//! decoded request against the *sender's* stores through their own
+//! [`KvStore::apply`] / [`ObjectStore::apply`] — the one request path
+//! every in-process store runs, so server behaviour is the local-store
+//! behaviour by construction. Tenancy lives here and nowhere
 //! else: keys arrive as the engine wrote them, and a scan, a TTL sweep, a
 //! snapshot or a restore reaches the sender's state only — so one
 //! client's resync of a peer leaves every other client's state on that
@@ -24,6 +24,8 @@
 //! **Hostile bytes:** a frame that does not decode, or that carries a
 //! response rather than a request, is answered with nothing — the
 //! transport reports it as a lost frame — and touches no client's state.
+//! A well-formed write on a key of another type changes nothing and is
+//! answered `WrongType`; it is the client's facade that panics on it.
 //!
 //! **Tracing:** when a tracer is attached via [`StoreServer::set_trace`]
 //! and an incoming frame carries a [`TraceContext`], handling is wrapped
@@ -36,7 +38,7 @@ use crate::frame::{decode, encode, Frame, Payload};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use tero_store::{apply_kv, apply_obj, KvStore, ObjectStore};
+use tero_store::{KvStore, ObjectStore};
 use tero_trace::{SpanGuard, TraceContext, Tracer};
 
 /// What a server holds for one client.
@@ -125,8 +127,8 @@ impl StoreServer {
         };
         let _sp = self.span_for(frame.ctx, span);
         let payload = match frame.payload {
-            Payload::KvReq(req) => Payload::KvResp(apply_kv(&kv, req)),
-            Payload::ObjReq(req) => Payload::ObjResp(apply_obj(&objects, req)),
+            Payload::KvReq(req) => Payload::KvResp(kv.apply(req)),
+            Payload::ObjReq(req) => Payload::ObjResp(objects.apply(req)),
             // A ping: responses were refused above.
             _ => Payload::Pong,
         };
@@ -157,7 +159,7 @@ mod tests {
     use crate::frame::{FrameError, HEADER_LEN};
     use tero_store::{KvRequest, KvResponse, ObjResponse};
 
-    fn frame(client: u64, seq: u64, payload: Payload) -> Vec<u8> {
+    fn frame(client: u64, seq: u64, payload: Payload<'_>) -> Vec<u8> {
         encode(&Frame {
             client,
             seq,
@@ -166,11 +168,11 @@ mod tests {
         })
     }
 
-    fn kv_frame(seq: u64, req: KvRequest) -> Vec<u8> {
+    fn kv_frame(seq: u64, req: KvRequest<'_>) -> Vec<u8> {
         frame(1, seq, Payload::KvReq(req))
     }
 
-    fn push_q(value: &str) -> KvRequest {
+    fn push_q(value: &str) -> KvRequest<'_> {
         KvRequest::Rpush {
             key: "q".into(),
             value: value.into(),
@@ -290,11 +292,52 @@ mod tests {
         }
         assert_eq!(server.kv(1).expect("still there").snapshot(), before);
         assert!(server.kv(2).is_none(), "a hostile frame made a tenant");
+
         // Client 1's retry cache still answers its last request.
         assert_eq!(
             kv_resp(&handle(&server, &kv_frame(1, push_q("a")))),
             KvResponse::Uint(1)
         );
+        // Well-formed writes on a key of another type: answered, not a
+        // panic, and nothing changes. `q` is a list; `s` holds "abc".
+        handle(
+            &server,
+            &kv_frame(
+                2,
+                KvRequest::Set {
+                    key: "s".into(),
+                    value: "abc".into(),
+                },
+            ),
+        );
+        let before = server.kv(1).expect("client 1's store").snapshot();
+        let confused = [
+            KvRequest::Rpush {
+                key: "s".into(),
+                value: "x".into(),
+            },
+            KvRequest::RpushBatch {
+                key: "s".into(),
+                values: vec!["x".into()],
+            },
+            KvRequest::Hset {
+                key: "q".into(),
+                fields: vec![("f".into(), "v".into())],
+            },
+            KvRequest::IncrBy {
+                key: "s".into(),
+                delta: 1,
+            },
+            KvRequest::IncrBy {
+                key: "q".into(),
+                delta: 1,
+            },
+        ];
+        for (seq, req) in (3..).zip(confused) {
+            let answer = kv_resp(&handle(&server, &kv_frame(seq, req)));
+            assert_eq!(answer, KvResponse::WrongType);
+        }
+        assert_eq!(server.kv(1).expect("still there").snapshot(), before);
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! (streamer-location state), key scans by prefix, and TTLs against the
 //! simulation's logical clock.
 //!
-//! The public API is a *facade* over one of two backends: the
-//! in-process shard array (the default), or a [`RemoteStore`] client
-//! speaking a wire protocol to networked store servers (see
-//! `tero-net`). Metrics and chaos write-drops live in the facade, so
-//! both deployments observe identical `store.kv.*` accounting and
-//! fault-injection draw order. A remote store is its client's own:
+//! Each public method counts itself in `store.kv.*`, takes its chaos
+//! write-drop draws, then builds one [`KvRequest`] and runs it through
+//! [`KvStore::apply`], the only place that looks at the backend: the
+//! in-process shard array (the default), whose executor lives here, or a
+//! [`RemoteStore`] client speaking a wire protocol to networked store
+//! servers (see `tero-net`) — which run each request through the
+//! `apply` of a plain local store. So both deployments observe identical
+//! `store.kv.*` accounting and fault-injection draw order, and a server
+//! behaves as the local store does. A remote store is its client's own:
 //! the servers keep one store per client, so keys cross the wire as
 //! written, and a scan, a TTL sweep or a snapshot sees only that
 //! client's keys.
@@ -18,6 +21,7 @@
 use crate::remote::{KvRequest, KvResponse, RemoteStore};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use tero_chaos::ChaosInjector;
@@ -62,20 +66,12 @@ struct Shard {
 }
 
 /// Where the data actually lives.
+#[derive(Clone)]
 enum Backend {
     /// The in-process shard array.
     Local(Arc<[Shard; SHARDS]>),
     /// A networked client (routing, retries and failover live there).
     Remote(Arc<dyn RemoteStore>),
-}
-
-impl Clone for Backend {
-    fn clone(&self) -> Self {
-        match self {
-            Backend::Local(shards) => Backend::Local(Arc::clone(shards)),
-            Backend::Remote(r) => Backend::Remote(Arc::clone(r)),
-        }
-    }
 }
 
 /// A sharded key-value store. Cloning is cheap (shared handle).
@@ -90,6 +86,18 @@ impl Default for KvStore {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The payload of `$variant`, the answer the request asked for. A
+/// `WrongType` answer panics with the message given, if any.
+macro_rules! answer {
+    ($resp:expr, $variant:ident $(, $($wrong:tt)+)?) => {
+        match $resp {
+            KvResponse::$variant(v) => v,
+            $(KvResponse::WrongType => panic!($($wrong)+),)?
+            other => unreachable!("answered {other:?}"),
+        }
+    };
 }
 
 fn key_hash(key: &str) -> usize {
@@ -169,62 +177,43 @@ impl KvStore {
         Some(m.registry.stage_timer(&m.op_us))
     }
 
-    /// The local shard owning `key`. Panics on a remote backend — every
-    /// caller dispatches on the backend first.
-    fn local_shard<'a>(shards: &'a Arc<[Shard; SHARDS]>, key: &str) -> &'a Shard {
-        &shards[key_hash(key)]
+    /// Execute one request — the only place that looks at the backend.
+    /// An in-process store runs it on its shard array; a remote one hands
+    /// it to its [`RemoteStore`]. A store server runs every request it
+    /// decodes through here, on a plain local store. Neither counted nor
+    /// fault-injected: both are the public methods' business. A write on
+    /// a key of another type, or an increment of a non-numeric value,
+    /// changes nothing and answers [`KvResponse::WrongType`].
+    #[inline(always)]
+    pub fn apply(&self, req: KvRequest<'_>) -> KvResponse {
+        match &self.backend {
+            Backend::Local(shards) => execute(shards, req),
+            Backend::Remote(r) => r.kv(req),
+        }
     }
 
     /// Set a string value (no TTL).
     pub fn set(&self, key: &str, value: impl Into<String>) {
         let _op = self.observe(true);
-        if self.dropped_write(key) {
-            return;
-        }
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                map.insert(
-                    key.to_string(),
-                    Entry {
-                        value: Value::Str(value.into()),
-                        expires_at: None,
-                    },
-                );
-            }
-            Backend::Remote(r) => {
-                r.kv(KvRequest::Set {
-                    key: key.to_string(),
-                    value: value.into(),
-                });
-            }
+        if !self.dropped_write(key) {
+            let value = Cow::Owned(value.into());
+            self.apply(KvRequest::Set {
+                key: key.into(),
+                value,
+            });
         }
     }
 
     /// Set a string value that expires at logical time `expires_at`.
     pub fn set_with_ttl(&self, key: &str, value: impl Into<String>, expires_at: SimTime) {
         let _op = self.observe(true);
-        if self.dropped_write(key) {
-            return;
-        }
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                map.insert(
-                    key.to_string(),
-                    Entry {
-                        value: Value::Str(value.into()),
-                        expires_at: Some(expires_at),
-                    },
-                );
-            }
-            Backend::Remote(r) => {
-                r.kv(KvRequest::SetWithTtl {
-                    key: key.to_string(),
-                    value: value.into(),
-                    expires_at,
-                });
-            }
+        if !self.dropped_write(key) {
+            let value = Cow::Owned(value.into());
+            self.apply(KvRequest::SetWithTtl {
+                key: key.into(),
+                value,
+                expires_at,
+            });
         }
     }
 
@@ -232,53 +221,19 @@ impl KvStore {
     /// non-string value.
     pub fn get(&self, key: &str) -> Option<String> {
         let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let map = Self::local_shard(shards, key).map.lock();
-                match map.get(key)?.value {
-                    Value::Str(ref s) => Some(s.clone()),
-                    _ => None,
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::Get {
-                key: key.to_string(),
-            }) {
-                KvResponse::MaybeStr(v) => v,
-                other => unreachable!("get returned {other:?}"),
-            },
-        }
+        answer!(self.apply(KvRequest::Get { key: key.into() }), MaybeStr)
     }
 
     /// Delete a key of any type. Returns whether it existed.
     pub fn del(&self, key: &str) -> bool {
         let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => Self::local_shard(shards, key)
-                .map
-                .lock()
-                .remove(key)
-                .is_some(),
-            Backend::Remote(r) => match r.kv(KvRequest::Del {
-                key: key.to_string(),
-            }) {
-                KvResponse::Bool(b) => b,
-                other => unreachable!("del returned {other:?}"),
-            },
-        }
+        answer!(self.apply(KvRequest::Del { key: key.into() }), Bool)
     }
 
     /// Whether a key exists (of any type).
     pub fn exists(&self, key: &str) -> bool {
         let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(shards) => Self::local_shard(shards, key).map.lock().contains_key(key),
-            Backend::Remote(r) => match r.kv(KvRequest::Exists {
-                key: key.to_string(),
-            }) {
-                KvResponse::Bool(b) => b,
-                other => unreachable!("exists returned {other:?}"),
-            },
-        }
+        answer!(self.apply(KvRequest::Exists { key: key.into() }), Bool)
     }
 
     /// Atomically increment a counter key by `delta`, creating it at 0
@@ -286,158 +241,65 @@ impl KvStore {
     /// non-numeric string or non-string value.
     pub fn incr_by(&self, key: &str, delta: i64) -> i64 {
         let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                let entry = map.entry(key.to_string()).or_insert(Entry {
-                    value: Value::Str("0".to_string()),
-                    expires_at: None,
-                });
-                match entry.value {
-                    Value::Str(ref mut s) => {
-                        let cur: i64 = s.parse().expect("incr_by on non-numeric value");
-                        let next = cur + delta;
-                        *s = next.to_string();
-                        next
-                    }
-                    _ => panic!("incr_by on non-string key {key}"),
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::IncrBy {
-                key: key.to_string(),
-                delta,
-            }) {
-                KvResponse::Int(v) => v,
-                other => unreachable!("incr_by returned {other:?}"),
-            },
-        }
+        let req = KvRequest::IncrBy {
+            key: key.into(),
+            delta,
+        };
+        answer!(
+            self.apply(req),
+            Int,
+            "incr_by on non-numeric or non-string key {key}"
+        )
     }
 
     /// Push a value to the tail of the list at `key`, creating the list if
     /// needed. Returns the new length.
     pub fn rpush(&self, key: &str, value: impl Into<String>) -> usize {
         let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                if self.dropped_write(key) {
-                    // Acked-but-lost: report the length the client expects to see.
-                    return match map.get(key).map(|e| &e.value) {
-                        Some(Value::List(l)) => l.len() + 1,
-                        _ => 1,
-                    };
-                }
-                let entry = map.entry(key.to_string()).or_insert(Entry {
-                    value: Value::List(VecDeque::new()),
-                    expires_at: None,
-                });
-                match entry.value {
-                    Value::List(ref mut l) => {
-                        l.push_back(value.into());
-                        l.len()
-                    }
-                    _ => panic!("rpush on non-list key {key}"),
-                }
-            }
-            Backend::Remote(r) => {
-                if self.dropped_write(key) {
-                    // Acked-but-lost: report the expected post-push length.
-                    return match r.kv(KvRequest::Llen {
-                        key: key.to_string(),
-                    }) {
-                        KvResponse::Uint(n) => n as usize + 1,
-                        other => unreachable!("llen returned {other:?}"),
-                    };
-                }
-                match r.kv(KvRequest::Rpush {
-                    key: key.to_string(),
-                    value: value.into(),
-                }) {
-                    KvResponse::Uint(n) => n as usize,
-                    other => unreachable!("rpush returned {other:?}"),
-                }
-            }
+        if self.dropped_write(key) {
+            // Acked-but-lost: report the length the client expects to see.
+            return self.list_len(key) + 1;
         }
+        let value = Cow::Owned(value.into());
+        let req = KvRequest::Rpush {
+            key: key.into(),
+            value,
+        };
+        answer!(self.apply(req), Uint, "rpush on non-list key {key}") as usize
     }
 
-    /// Push a batch of values to the tail of the list at `key` under a
-    /// single lock acquisition. Counts as one store operation. Each
-    /// element is still subject to an independent fault-injection draw
-    /// (matching a loop of [`KvStore::rpush`] calls), so replay streams
-    /// line up whichever API the producer uses. Returns the length the
-    /// client observes after the push.
+    /// Push a batch of values to the tail of the list at `key` as one
+    /// request. Counts as one store operation. Each element is still
+    /// subject to an independent fault-injection draw (matching a loop of
+    /// [`KvStore::rpush`] calls), so replay streams line up whichever API
+    /// the producer uses; only the kept elements are sent. Returns the
+    /// length the client observes after the push.
     pub fn rpush_batch<I>(&self, key: &str, values: I) -> usize
     where
         I: IntoIterator,
         I::Item: Into<String>,
     {
         let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                let entry = map.entry(key.to_string()).or_insert(Entry {
-                    value: Value::List(VecDeque::new()),
-                    expires_at: None,
-                });
-                match entry.value {
-                    Value::List(ref mut l) => {
-                        let mut acked = l.len();
-                        for v in values {
-                            acked += 1;
-                            if !self.dropped_write(key) {
-                                l.push_back(v.into());
-                            }
-                        }
-                        acked
-                    }
-                    _ => panic!("rpush_batch on non-list key {key}"),
-                }
-            }
-            Backend::Remote(r) => {
-                // Draw the per-element fault decisions at the facade (same
-                // stream order as the local path), ship only the kept
-                // elements, and ack the full count.
-                let mut dropped = 0usize;
-                let kept: Vec<String> = values
-                    .into_iter()
-                    .filter_map(|v| {
-                        if self.dropped_write(key) {
-                            dropped += 1;
-                            None
-                        } else {
-                            Some(v.into())
-                        }
-                    })
-                    .collect();
-                match r.kv(KvRequest::RpushBatch {
-                    key: key.to_string(),
-                    values: kept,
-                }) {
-                    KvResponse::Uint(n) => n as usize + dropped,
-                    other => unreachable!("rpush_batch returned {other:?}"),
-                }
-            }
-        }
+        let mut dropped = 0;
+        let values = values
+            .into_iter()
+            .filter_map(|v| {
+                let lost = self.dropped_write(key);
+                dropped += lost as usize;
+                (!lost).then(|| v.into())
+            })
+            .collect();
+        let req = KvRequest::RpushBatch {
+            key: key.into(),
+            values,
+        };
+        answer!(self.apply(req), Uint, "rpush_batch on non-list key {key}") as usize + dropped
     }
 
     /// Pop from the head of the list at `key`.
     pub fn lpop(&self, key: &str) -> Option<String> {
         let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                match map.get_mut(key)?.value {
-                    Value::List(ref mut l) => l.pop_front(),
-                    _ => None,
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::Lpop {
-                key: key.to_string(),
-            }) {
-                KvResponse::MaybeStr(v) => v,
-                other => unreachable!("lpop returned {other:?}"),
-            },
-        }
+        answer!(self.apply(KvRequest::Lpop { key: key.into() }), MaybeStr)
     }
 
     /// Read the list at `key` from index `start` to the tail, without
@@ -451,48 +313,22 @@ impl KvStore {
     /// non-destructive complement of [`KvStore::lpop`].
     pub fn lrange_from(&self, key: &str, start: usize) -> Vec<String> {
         let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let map = Self::local_shard(shards, key).map.lock();
-                match map.get(key) {
-                    Some(Entry {
-                        value: Value::List(l),
-                        ..
-                    }) => l.iter().skip(start).cloned().collect(),
-                    _ => vec![],
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::LrangeFrom {
-                key: key.to_string(),
-                start: start as u64,
-            }) {
-                KvResponse::Strs(v) => v,
-                other => unreachable!("lrange_from returned {other:?}"),
-            },
-        }
+        let req = KvRequest::LrangeFrom {
+            key: key.into(),
+            start: start as u64,
+        };
+        answer!(self.apply(req), Strs)
     }
 
     /// Length of the list at `key` (0 when missing).
     pub fn llen(&self, key: &str) -> usize {
         let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let map = Self::local_shard(shards, key).map.lock();
-                match map.get(key) {
-                    Some(Entry {
-                        value: Value::List(l),
-                        ..
-                    }) => l.len(),
-                    _ => 0,
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::Llen {
-                key: key.to_string(),
-            }) {
-                KvResponse::Uint(n) => n as usize,
-                other => unreachable!("llen returned {other:?}"),
-            },
-        }
+        self.list_len(key)
+    }
+
+    /// [`KvStore::llen`] uncounted: a dropped `rpush` answers from it.
+    fn list_len(&self, key: &str) -> usize {
+        answer!(self.apply(KvRequest::Llen { key: key.into() }), Uint) as usize
     }
 
     /// Set a field in the hash at `key`: [`KvStore::hset_many`] with one
@@ -502,114 +338,57 @@ impl KvStore {
     }
 
     /// Set several fields of the hash at `key` as one store operation:
-    /// one `store.kv.writes` tick, one lock acquisition, one request on a
-    /// remote backend, however many fields. Fields apply in order (a
-    /// repeated field keeps its last value) and each is still subject to
-    /// an independent fault-injection draw, in field order, so replay
-    /// streams line up with a loop of [`KvStore::hset`] calls. An empty
-    /// list — or one whose every field was dropped — touches nothing.
+    /// one `store.kv.writes` tick, one request, however many fields.
+    /// Fields apply in order (a repeated field keeps its last value) and
+    /// each is still subject to an independent fault-injection draw, in
+    /// field order, so replay streams line up with a loop of
+    /// [`KvStore::hset`] calls. An empty list — or one whose every field
+    /// was dropped — sends nothing.
     pub fn hset_many(&self, key: &str, fields: impl IntoIterator<Item = (String, String)>) {
         let _op = self.observe(true);
-        let mut kept = fields.into_iter().filter(|_| !self.dropped_write(key));
-        // The first kept field is taken by hand: a `peekable` (and
-        // `HashMap::extend`'s reserve) cost the one-field call 10-30 ns of
-        // its ~105 (`store.kv_hset_ns`).
-        let Some((field, value)) = kept.next() else {
+        let fields: Vec<_> = fields
+            .into_iter()
+            .filter(|_| !self.dropped_write(key))
+            .collect();
+        if fields.is_empty() {
             return;
+        }
+        let req = KvRequest::Hset {
+            key: key.into(),
+            fields,
         };
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut map = Self::local_shard(shards, key).map.lock();
-                let entry = map.entry(key.to_string()).or_insert(Entry {
-                    value: Value::Hash(HashMap::new()),
-                    expires_at: None,
-                });
-                match entry.value {
-                    Value::Hash(ref mut h) => {
-                        h.insert(field, value);
-                        for (field, value) in kept {
-                            h.insert(field, value);
-                        }
-                    }
-                    _ => panic!("hset on non-hash key {key}"),
-                }
-            }
-            Backend::Remote(r) => {
-                r.kv(KvRequest::Hset {
-                    key: key.to_string(),
-                    fields: std::iter::once((field, value)).chain(kept).collect(),
-                });
-            }
+        if let KvResponse::WrongType = self.apply(req) {
+            panic!("hset on non-hash key {key}");
         }
     }
 
     /// Get a field from the hash at `key`.
     pub fn hget(&self, key: &str, field: &str) -> Option<String> {
         let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let map = Self::local_shard(shards, key).map.lock();
-                match map.get(key)?.value {
-                    Value::Hash(ref h) => h.get(field).cloned(),
-                    _ => None,
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::Hget {
-                key: key.to_string(),
-                field: field.to_string(),
-            }) {
-                KvResponse::MaybeStr(v) => v,
-                other => unreachable!("hget returned {other:?}"),
-            },
-        }
+        let req = KvRequest::Hget {
+            key: key.into(),
+            field: field.into(),
+        };
+        answer!(self.apply(req), MaybeStr)
     }
 
     /// All fields of the hash at `key`.
     pub fn hgetall(&self, key: &str) -> HashMap<String, String> {
         let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let map = Self::local_shard(shards, key).map.lock();
-                match map.get(key) {
-                    Some(Entry {
-                        value: Value::Hash(h),
-                        ..
-                    }) => h.clone(),
-                    _ => HashMap::new(),
-                }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::Hgetall {
-                key: key.to_string(),
-            }) {
-                KvResponse::Pairs(pairs) => pairs.into_iter().collect(),
-                other => unreachable!("hgetall returned {other:?}"),
-            },
-        }
+        let pairs = answer!(self.apply(KvRequest::Hgetall { key: key.into() }), Pairs);
+        pairs.into_iter().collect()
     }
 
-    /// All keys starting with `prefix`, across all shards. O(total keys).
+    /// All keys starting with `prefix`, sorted. O(total keys).
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
         let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut out = Vec::new();
-                for shard in shards.iter() {
-                    let map = shard.map.lock();
-                    out.extend(map.keys().filter(|k| k.starts_with(prefix)).cloned());
-                }
-                out.sort_unstable();
-                out
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::KeysWithPrefix {
-                prefix: prefix.to_string(),
-            }) {
-                KvResponse::Strs(mut keys) => {
-                    keys.sort_unstable();
-                    keys
-                }
-                other => unreachable!("keys_with_prefix returned {other:?}"),
-            },
-        }
+        let req = KvRequest::KeysWithPrefix {
+            prefix: prefix.into(),
+        };
+        // Sorted per shard; a remote store concatenates its shards'.
+        let mut keys = answer!(self.apply(req), Strs);
+        keys.sort_unstable();
+        keys
     }
 
     /// Drop every key whose TTL is at or before `now` (logical time).
@@ -619,37 +398,12 @@ impl KvStore {
     /// and never expires another client's TTL leases.
     pub fn sweep_expired(&self, now: SimTime) -> usize {
         let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut removed = 0;
-                for shard in shards.iter() {
-                    let mut map = shard.map.lock();
-                    map.retain(|_, e| match e.expires_at {
-                        Some(t) if t <= now => {
-                            removed += 1;
-                            false
-                        }
-                        _ => true,
-                    });
-                }
-                removed
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::SweepExpired { now }) {
-                KvResponse::Uint(n) => n as usize,
-                other => unreachable!("sweep_expired returned {other:?}"),
-            },
-        }
+        answer!(self.apply(KvRequest::SweepExpired { now }), Uint) as usize
     }
 
     /// Total number of keys.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Local(shards) => shards.iter().map(|s| s.map.lock().len()).sum(),
-            Backend::Remote(r) => match r.kv(KvRequest::Len) {
-                KvResponse::Uint(n) => n as usize,
-                other => unreachable!("len returned {other:?}"),
-            },
-        }
+        answer!(self.apply(KvRequest::Len), Uint) as usize
     }
 
     /// Whether the store holds no keys.
@@ -662,37 +416,7 @@ impl KvStore {
     /// Two stores holding the same data produce equal snapshots however
     /// the data arrived. Administrative — not counted in `store.kv.*`.
     pub fn snapshot(&self) -> KvSnapshot {
-        match &self.backend {
-            Backend::Local(shards) => {
-                let mut entries = Vec::new();
-                for shard in shards.iter() {
-                    let map = shard.map.lock();
-                    for (key, entry) in map.iter() {
-                        let value = match &entry.value {
-                            Value::Str(s) => SnapshotValue::Str(s.clone()),
-                            Value::List(l) => SnapshotValue::List(l.iter().cloned().collect()),
-                            Value::Hash(h) => {
-                                let mut fields: Vec<(String, String)> =
-                                    h.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                                fields.sort();
-                                SnapshotValue::Hash(fields)
-                            }
-                        };
-                        entries.push(SnapshotEntry {
-                            key: key.clone(),
-                            value,
-                            expires_at: entry.expires_at,
-                        });
-                    }
-                }
-                entries.sort_by(|a, b| a.key.cmp(&b.key));
-                KvSnapshot { entries }
-            }
-            Backend::Remote(r) => match r.kv(KvRequest::Snapshot) {
-                KvResponse::Snapshot(s) => s,
-                other => unreachable!("snapshot returned {other:?}"),
-            },
-        }
+        answer!(self.apply(KvRequest::Snapshot), Snapshot)
     }
 
     /// Replace the full store contents with a snapshot's. TTLs are
@@ -700,35 +424,204 @@ impl KvStore {
     /// processes). Bypasses fault injection and, like `snapshot`, is not
     /// counted in `store.kv.*`.
     pub fn restore(&self, snapshot: &KvSnapshot) {
-        match &self.backend {
-            Backend::Local(shards) => {
-                for shard in shards.iter() {
-                    shard.map.lock().clear();
-                }
-                for entry in &snapshot.entries {
-                    let value = match &entry.value {
-                        SnapshotValue::Str(s) => Value::Str(s.clone()),
-                        SnapshotValue::List(l) => Value::List(l.iter().cloned().collect()),
-                        SnapshotValue::Hash(fields) => {
-                            Value::Hash(fields.iter().cloned().collect())
-                        }
-                    };
-                    Self::local_shard(shards, &entry.key).map.lock().insert(
-                        entry.key.clone(),
-                        Entry {
-                            value,
-                            expires_at: entry.expires_at,
-                        },
-                    );
-                }
+        let snapshot = snapshot.clone();
+        self.apply(KvRequest::Restore { snapshot });
+    }
+}
+
+/// The local executor: run one request on the shard array.
+#[inline(always)]
+fn execute(shards: &[Shard; SHARDS], req: KvRequest<'_>) -> KvResponse {
+    let shard = |key: &str| shards[key_hash(key)].map.lock();
+    let entry = |value, expires_at| Entry { value, expires_at };
+    match req {
+        KvRequest::Set { key, value } => {
+            let value = entry(Value::Str(value.into_owned()), None);
+            shard(&key).insert(key.into_owned(), value);
+            KvResponse::Unit
+        }
+        KvRequest::SetWithTtl {
+            key,
+            value,
+            expires_at,
+        } => {
+            let value = entry(Value::Str(value.into_owned()), Some(expires_at));
+            shard(&key).insert(key.into_owned(), value);
+            KvResponse::Unit
+        }
+        KvRequest::Get { key } => {
+            KvResponse::MaybeStr(match shard(&key).get(&*key).map(|e| &e.value) {
+                Some(Value::Str(s)) => Some(s.clone()),
+                _ => None,
+            })
+        }
+        KvRequest::Del { key } => KvResponse::Bool(shard(&key).remove(&*key).is_some()),
+        KvRequest::Exists { key } => KvResponse::Bool(shard(&key).contains_key(&*key)),
+        KvRequest::IncrBy { key, delta } => upsert(
+            &mut shard(&key),
+            key,
+            || Value::Str("0".into()),
+            |value| {
+                let Value::Str(s) = value else {
+                    return KvResponse::WrongType;
+                };
+                let Ok(cur) = s.parse::<i64>() else {
+                    return KvResponse::WrongType;
+                };
+                *s = (cur + delta).to_string();
+                KvResponse::Int(cur + delta)
+            },
+        ),
+        KvRequest::Rpush { key, value } => upsert(&mut shard(&key), key, list, |v| match v {
+            Value::List(l) => {
+                l.push_back(value.into_owned());
+                KvResponse::Uint(l.len() as u64)
             }
-            Backend::Remote(r) => {
-                r.kv(KvRequest::Restore {
-                    snapshot: snapshot.clone(),
+            _ => KvResponse::WrongType,
+        }),
+        KvRequest::RpushBatch { key, values } => upsert(&mut shard(&key), key, list, |v| match v {
+            Value::List(l) => {
+                l.extend(values);
+                KvResponse::Uint(l.len() as u64)
+            }
+            _ => KvResponse::WrongType,
+        }),
+        KvRequest::Lpop { key } => {
+            KvResponse::MaybeStr(match shard(&key).get_mut(&*key).map(|e| &mut e.value) {
+                Some(Value::List(l)) => l.pop_front(),
+                _ => None,
+            })
+        }
+        KvRequest::Llen { key } => {
+            KvResponse::Uint(match shard(&key).get(&*key).map(|e| &e.value) {
+                Some(Value::List(l)) => l.len() as u64,
+                _ => 0,
+            })
+        }
+        KvRequest::LrangeFrom { key, start } => {
+            KvResponse::Strs(match shard(&key).get(&*key).map(|e| &e.value) {
+                Some(Value::List(l)) => l.iter().skip(start as usize).cloned().collect(),
+                _ => vec![],
+            })
+        }
+        KvRequest::Hset { fields, .. } if fields.is_empty() => KvResponse::Unit,
+        KvRequest::Hset { key, fields } => upsert(&mut shard(&key), key, hash, |v| match v {
+            Value::Hash(h) => {
+                for (field, value) in fields {
+                    h.insert(field, value);
+                }
+                KvResponse::Unit
+            }
+            _ => KvResponse::WrongType,
+        }),
+        KvRequest::Hget { key, field } => {
+            KvResponse::MaybeStr(match shard(&key).get(&*key).map(|e| &e.value) {
+                Some(Value::Hash(h)) => h.get(&*field).cloned(),
+                _ => None,
+            })
+        }
+        KvRequest::Hgetall { key } => {
+            KvResponse::Pairs(match shard(&key).get(&*key).map(|e| &e.value) {
+                Some(Value::Hash(h)) => sorted(h),
+                _ => vec![],
+            })
+        }
+        KvRequest::KeysWithPrefix { prefix } => {
+            let mut keys = Vec::new();
+            for shard in shards {
+                let map = shard.map.lock();
+                keys.extend(map.keys().filter(|k| k.starts_with(&*prefix)).cloned());
+            }
+            keys.sort_unstable();
+            KvResponse::Strs(keys)
+        }
+        KvRequest::SweepExpired { now } => {
+            let mut removed = 0;
+            for shard in shards {
+                shard.map.lock().retain(|_, e| match e.expires_at {
+                    Some(t) if t <= now => {
+                        removed += 1;
+                        false
+                    }
+                    _ => true,
                 });
             }
+            KvResponse::Uint(removed)
+        }
+        KvRequest::Len => KvResponse::Uint(shards.iter().map(|s| s.map.lock().len() as u64).sum()),
+        KvRequest::Snapshot => {
+            let mut entries = Vec::new();
+            for shard in shards {
+                for (key, entry) in shard.map.lock().iter() {
+                    let value = match &entry.value {
+                        Value::Str(s) => SnapshotValue::Str(s.clone()),
+                        Value::List(l) => SnapshotValue::List(l.iter().cloned().collect()),
+                        Value::Hash(h) => SnapshotValue::Hash(sorted(h)),
+                    };
+                    entries.push(SnapshotEntry {
+                        key: key.clone(),
+                        value,
+                        expires_at: entry.expires_at,
+                    });
+                }
+            }
+            entries.sort_by(|a, b| a.key.cmp(&b.key));
+            KvResponse::Snapshot(KvSnapshot { entries })
+        }
+        KvRequest::Restore { snapshot } => {
+            for shard in shards {
+                shard.map.lock().clear();
+            }
+            for SnapshotEntry {
+                key,
+                value,
+                expires_at,
+            } in snapshot.entries
+            {
+                let value = match value {
+                    SnapshotValue::Str(s) => Value::Str(s),
+                    SnapshotValue::List(l) => Value::List(l.into()),
+                    SnapshotValue::Hash(fields) => Value::Hash(fields.into_iter().collect()),
+                };
+                shard(&key).insert(key, entry(value, expires_at));
+            }
+            KvResponse::Unit
         }
     }
+}
+
+/// A hash's `(field, value)` pairs, sorted by field: the same bytes
+/// however the hash was built.
+fn sorted(hash: &HashMap<String, String>) -> Vec<(String, String)> {
+    let mut pairs: Vec<_> = hash.iter().map(|(f, v)| (f.clone(), v.clone())).collect();
+    pairs.sort();
+    pairs
+}
+
+/// Run `op` on the value at `key`, stored first as `empty()` if the key
+/// is missing. A key that exists is looked up without being copied.
+fn upsert(
+    map: &mut HashMap<String, Entry>,
+    key: Cow<'_, str>,
+    empty: fn() -> Value,
+    op: impl FnOnce(&mut Value) -> KvResponse,
+) -> KvResponse {
+    if let Some(entry) = map.get_mut(&*key) {
+        return op(&mut entry.value);
+    }
+    let entry = map.entry(key.into_owned()).or_insert(Entry {
+        value: empty(),
+        expires_at: None,
+    });
+    op(&mut entry.value)
+}
+
+fn list() -> Value {
+    Value::List(VecDeque::new())
+}
+
+fn hash() -> Value {
+    Value::Hash(HashMap::new())
 }
 
 /// A point-in-time copy of a [`KvStore`], in deterministic order. Produced
@@ -844,7 +737,14 @@ enum SnapshotValue {
 
 impl std::fmt::Debug for KvStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KvStore").field("len", &self.len()).finish()
+        // A remote `len` is a request on every shard: a debug print must
+        // not move the mesh's counters or fault draws.
+        let mut out = f.debug_struct("KvStore");
+        match &self.backend {
+            Backend::Local(_) => out.field("len", &self.len()),
+            Backend::Remote(_) => out.field("backend", &"remote"),
+        }
+        .finish()
     }
 }
 
@@ -1151,47 +1051,5 @@ mod tests {
         kv.set("str", "v");
         assert_eq!(kv.lpop("str"), None, "lpop on a string returns None");
         assert_eq!(kv.hget("str", "f"), None);
-    }
-
-    #[test]
-    fn remote_backend_round_trips_through_requests() {
-        use crate::remote::{KvRequest, KvResponse, ObjRequest, ObjResponse, RemoteStore};
-
-        /// A loopback remote: executes every request on one local store.
-        struct Loopback(KvStore);
-        impl RemoteStore for Loopback {
-            fn kv(&self, req: KvRequest) -> KvResponse {
-                crate::apply_kv(&self.0, req)
-            }
-            fn obj(&self, _req: ObjRequest) -> ObjResponse {
-                unimplemented!("kv-only loopback")
-            }
-        }
-
-        let kv = KvStore::remote(Arc::new(Loopback(KvStore::new())));
-        kv.set("a", "1");
-        assert_eq!(kv.get("a").as_deref(), Some("1"));
-        assert_eq!(kv.incr_by("c", 7), 7);
-        assert_eq!(kv.rpush("q", "x"), 1);
-        assert_eq!(kv.rpush_batch("q", ["y", "z"].map(String::from)), 3);
-        assert_eq!(kv.llen("q"), 3);
-        assert_eq!(kv.lpop("q").as_deref(), Some("x"));
-        assert_eq!(kv.lrange_from("q", 1), vec!["z"]);
-        kv.hset("h", "f", "v");
-        assert_eq!(kv.hget("h", "f").as_deref(), Some("v"));
-        kv.hset_many(
-            "h",
-            [("g", "1"), ("f", "w")].map(|(f, v)| (f.to_string(), v.to_string())),
-        );
-        assert_eq!(kv.hget("h", "f").as_deref(), Some("w"));
-        assert_eq!(kv.hgetall("h").len(), 2);
-        kv.set_with_ttl("lease", "l", SimTime::from_secs(5));
-        assert_eq!(kv.sweep_expired(SimTime::from_secs(5)), 1);
-        assert_eq!(kv.keys_with_prefix("a"), vec!["a"]);
-        assert!(kv.exists("a") && kv.del("a") && !kv.exists("a"));
-        let snap = kv.snapshot();
-        let local = KvStore::new();
-        local.restore(&snap);
-        assert_eq!(local.snapshot(), snap);
     }
 }

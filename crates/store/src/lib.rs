@@ -25,12 +25,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod kv;
-pub mod object;
-pub mod remote;
+mod kv;
+mod object;
+mod remote;
 
 pub use kv::{KvSnapshot, KvStore, PROTECTED_PREFIX};
 pub use object::{ObjectSnapshot, ObjectStore};
-pub use remote::{
-    apply_kv, apply_obj, KvRequest, KvResponse, ObjRequest, ObjResponse, RemoteStore,
-};
+pub use remote::{KvRequest, KvResponse, ObjRequest, ObjResponse, RemoteStore};

@@ -5,12 +5,14 @@
 //! deletes one yet — §7's data-minimisation rule (drop an image once it
 //! is processed) is what `delete` is for.
 //!
-//! Like [`KvStore`](crate::KvStore), the public API is a facade over
-//! either the in-process map or a [`RemoteStore`] client; metrics and
-//! chaos write-drops stay on the facade side so both deployments
-//! account identically. A remote store is its client's own: buckets
-//! cross the wire as named, and a snapshot holds only that client's
-//! objects.
+//! Like [`KvStore`](crate::KvStore), each public method counts itself
+//! and takes its chaos write-drop draw, then builds one [`ObjRequest`]
+//! and runs it through [`ObjectStore::apply`], the only place that looks
+//! at the backend: the in-process bucket map, whose executor lives here,
+//! or a [`RemoteStore`] client, whose servers run each request through
+//! a plain local store's `apply`. So both deployments account
+//! identically. A remote store is its client's own: buckets cross the
+//! wire as named, and a snapshot holds only that client's objects.
 
 use crate::remote::{ObjRequest, ObjResponse, RemoteStore};
 use bytes::Bytes;
@@ -33,18 +35,10 @@ struct ObjectMetrics {
 }
 
 /// Where the objects actually live.
+#[derive(Clone)]
 enum Backend {
     Local(Arc<RwLock<Buckets>>),
     Remote(Arc<dyn RemoteStore>),
-}
-
-impl Clone for Backend {
-    fn clone(&self) -> Self {
-        match self {
-            Backend::Local(buckets) => Backend::Local(Arc::clone(buckets)),
-            Backend::Remote(r) => Backend::Remote(Arc::clone(r)),
-        }
-    }
 }
 
 impl Default for Backend {
@@ -72,8 +66,7 @@ impl ObjectStore {
     pub fn remote(backend: Arc<dyn RemoteStore>) -> Self {
         ObjectStore {
             backend: Backend::Remote(backend),
-            metrics: Arc::new(OnceLock::new()),
-            chaos: Arc::new(OnceLock::new()),
+            ..ObjectStore::default()
         }
     }
 
@@ -108,8 +101,23 @@ impl ObjectStore {
         let _ = self.chaos.set(injector);
     }
 
+    /// Execute one request — the only place that looks at the backend.
+    /// An in-process store runs it on its bucket map; a remote one hands
+    /// it to its [`RemoteStore`]. A store server runs every request it
+    /// decodes through here, on a plain local store. Neither counted nor
+    /// fault-injected: both are the public methods' business.
+    #[inline(always)]
+    pub fn apply(&self, req: ObjRequest<'_>) -> ObjResponse {
+        match &self.backend {
+            Backend::Local(buckets) => execute(buckets, req),
+            Backend::Remote(r) => r.obj(req),
+        }
+    }
+
     /// Store an object, replacing any previous object with the same key.
-    pub fn put(&self, bucket: &str, key: &str, data: impl Into<Bytes>) {
+    /// The in-process store keeps the vector it is handed: a slice is
+    /// copied once, a `Vec` not at all.
+    pub fn put(&self, bucket: &str, key: &str, data: impl Into<Vec<u8>>) {
         let _op = self.observe(true);
         if self.chaos.get().is_some_and(|c| c.drop_object_write()) {
             return;
@@ -118,56 +126,37 @@ impl ObjectStore {
         if let Some(m) = self.metrics.get() {
             m.put_bytes.add(data.len() as u64);
         }
-        match &self.backend {
-            Backend::Local(buckets) => {
-                buckets
-                    .write()
-                    .entry(bucket.to_string())
-                    .or_default()
-                    .insert(key.to_string(), data);
-            }
-            Backend::Remote(r) => {
-                r.obj(ObjRequest::Put {
-                    bucket: bucket.to_string(),
-                    key: key.to_string(),
-                    data: data.to_vec(),
-                });
-            }
-        }
+        self.apply(ObjRequest::Put {
+            bucket: bucket.into(),
+            key: key.into(),
+            data,
+        });
     }
 
     /// Fetch an object (cheap on the local backend: `Bytes` is
     /// reference-counted).
     pub fn get(&self, bucket: &str, key: &str) -> Option<Bytes> {
         let _op = self.observe(false);
-        match &self.backend {
-            Backend::Local(buckets) => buckets.read().get(bucket)?.get(key).cloned(),
-            Backend::Remote(r) => match r.obj(ObjRequest::Get {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
-            }) {
-                ObjResponse::MaybeBytes(v) => v.map(Bytes::from),
-                other => unreachable!("get returned {other:?}"),
-            },
+        let req = ObjRequest::Get {
+            bucket: bucket.into(),
+            key: key.into(),
+        };
+        match self.apply(req) {
+            ObjResponse::MaybeBytes(v) => v,
+            other => unreachable!("get answered {other:?}"),
         }
     }
 
     /// Delete an object. Returns whether it existed.
     pub fn delete(&self, bucket: &str, key: &str) -> bool {
         let _op = self.observe(true);
-        match &self.backend {
-            Backend::Local(buckets) => buckets
-                .write()
-                .get_mut(bucket)
-                .and_then(|b| b.remove(key))
-                .is_some(),
-            Backend::Remote(r) => match r.obj(ObjRequest::Delete {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
-            }) {
-                ObjResponse::Bool(b) => b,
-                other => unreachable!("delete returned {other:?}"),
-            },
+        let req = ObjRequest::Delete {
+            bucket: bucket.into(),
+            key: key.into(),
+        };
+        match self.apply(req) {
+            ObjResponse::Bool(b) => b,
+            other => unreachable!("delete answered {other:?}"),
         }
     }
 
@@ -175,44 +164,57 @@ impl ObjectStore {
     /// (sorted by bucket then key). Administrative — not counted in
     /// `store.object.*`.
     pub fn snapshot(&self) -> ObjectSnapshot {
-        match &self.backend {
-            Backend::Local(buckets) => {
-                let buckets = buckets.read();
-                let mut objects = Vec::new();
-                for (bucket, contents) in buckets.iter() {
-                    for (key, data) in contents {
-                        objects.push((bucket.clone(), key.clone(), data.to_vec()));
-                    }
-                }
-                objects.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-                ObjectSnapshot { objects }
-            }
-            Backend::Remote(r) => match r.obj(ObjRequest::Snapshot) {
-                ObjResponse::Snapshot(s) => s,
-                other => unreachable!("snapshot returned {other:?}"),
-            },
+        match self.apply(ObjRequest::Snapshot) {
+            ObjResponse::Snapshot(s) => s,
+            other => unreachable!("snapshot answered {other:?}"),
         }
     }
 
     /// Replace the full store contents with a snapshot's. Bypasses fault
     /// injection and is not counted in `store.object.*`.
     pub fn restore(&self, snapshot: &ObjectSnapshot) {
-        match &self.backend {
-            Backend::Local(buckets) => {
-                let mut buckets = buckets.write();
-                buckets.clear();
-                for (bucket, key, data) in &snapshot.objects {
-                    buckets
-                        .entry(bucket.clone())
-                        .or_default()
-                        .insert(key.clone(), Bytes::from(data.clone()));
+        let snapshot = snapshot.clone();
+        self.apply(ObjRequest::Restore { snapshot });
+    }
+}
+
+/// The local executor: run one request on the bucket map.
+#[inline(always)]
+fn execute(buckets: &RwLock<Buckets>, req: ObjRequest<'_>) -> ObjResponse {
+    match req {
+        ObjRequest::Put { bucket, key, data } => {
+            let mut buckets = buckets.write();
+            let objects = buckets.entry(bucket.into_owned()).or_default();
+            objects.insert(key.into_owned(), Bytes::from(data));
+            ObjResponse::Unit
+        }
+        ObjRequest::Get { bucket, key } => {
+            let buckets = buckets.read();
+            ObjResponse::MaybeBytes(buckets.get(&*bucket).and_then(|b| b.get(&*key)).cloned())
+        }
+        ObjRequest::Delete { bucket, key } => {
+            let mut buckets = buckets.write();
+            let removed = buckets.get_mut(&*bucket).and_then(|b| b.remove(&*key));
+            ObjResponse::Bool(removed.is_some())
+        }
+        ObjRequest::Snapshot => {
+            let mut objects = Vec::new();
+            for (bucket, contents) in buckets.read().iter() {
+                for (key, data) in contents {
+                    objects.push((bucket.clone(), key.clone(), data.to_vec()));
                 }
             }
-            Backend::Remote(r) => {
-                r.obj(ObjRequest::Restore {
-                    snapshot: snapshot.clone(),
-                });
+            objects.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+            ObjResponse::Snapshot(ObjectSnapshot { objects })
+        }
+        ObjRequest::Restore { snapshot } => {
+            let mut buckets = buckets.write();
+            buckets.clear();
+            for (bucket, key, data) in snapshot.objects {
+                let objects = buckets.entry(bucket).or_default();
+                objects.insert(key, Bytes::from(data));
             }
+            ObjResponse::Unit
         }
     }
 }
@@ -376,30 +378,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(s.snapshot().len(), 400);
-    }
-
-    #[test]
-    fn remote_backend_round_trips_through_requests() {
-        use crate::remote::{KvRequest, KvResponse, ObjRequest, ObjResponse, RemoteStore};
-
-        struct Loopback(ObjectStore);
-        impl RemoteStore for Loopback {
-            fn kv(&self, _req: KvRequest) -> KvResponse {
-                unimplemented!("object-only loopback")
-            }
-            fn obj(&self, req: ObjRequest) -> ObjResponse {
-                crate::apply_obj(&self.0, req)
-            }
-        }
-
-        let s = ObjectStore::remote(Arc::new(Loopback(ObjectStore::new())));
-        s.put("b", "k", &b"payload"[..]);
-        assert_eq!(s.get("b", "k").unwrap(), Bytes::from_static(b"payload"));
-        let snap = s.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert!(s.delete("b", "k"));
-        assert!(!s.delete("b", "k"));
-        s.restore(&snap);
-        assert_eq!(s.get("b", "k").unwrap(), Bytes::from_static(b"payload"));
     }
 }

@@ -1,96 +1,102 @@
-//! The remote-store boundary: typed request/response pairs for every
+//! The store's one request path: typed request/response pairs for every
 //! KV and object operation, and the [`RemoteStore`] trait a networked
 //! client implements.
 //!
-//! [`KvStore`](crate::KvStore) and [`ObjectStore`](crate::ObjectStore)
-//! are facades: their public API is identical whether the backend is
-//! the in-process shard array or a [`RemoteStore`] speaking a wire
-//! protocol (see the `tero-net` crate). The facade keeps metrics and
-//! chaos write-drops on its side of the boundary, so a networked
+//! Every public [`KvStore`](crate::KvStore) / [`ObjectStore`](crate::ObjectStore)
+//! method counts itself in `store.*`, takes its chaos write-drop draws,
+//! then builds one request and hands it to the store's `apply` — the
+//! only place that looks at the backend. On an in-process store `apply`
+//! runs the request on the shard array (or bucket map); on a remote one
+//! it passes the request to the [`RemoteStore`]. A store server runs each
+//! request it decodes through the `apply` of a plain local store, so
+//! server behaviour is local behaviour by construction, and a networked
 //! deployment observes exactly the same `store.*` accounting and fault
 //! semantics as a single-process run — only the transport differs.
 //!
-//! Requests and responses are plain data so they can be framed onto a
-//! wire verbatim; `tero-net::frame` gives them a length-prefixed
-//! binary encoding. They carry keys and buckets exactly as the facade
-//! was handed them: a store server keeps one store per client and
-//! applies each request to the sender's, so tenancy never shows in a
-//! key.
+//! Requests borrow their keys, buckets, fields and string values
+//! (`Cow<'a, str>`), so a local read allocates no more than the map
+//! lookup needs; a decoded request owns its strings. `tero-net::frame`
+//! gives requests and responses a length-prefixed binary encoding. They
+//! carry keys and buckets exactly as the facade was handed them: a store
+//! server keeps one store per client and applies each request to the
+//! sender's, so tenancy never shows in a key.
 
 use crate::{KvSnapshot, ObjectSnapshot};
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use tero_types::SimTime;
 
 /// One KV operation, as data. Mirrors the [`KvStore`](crate::KvStore)
 /// method surface one-to-one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum KvRequest {
+pub enum KvRequest<'a> {
     /// `set(key, value)`.
     Set {
         /// Target key.
-        key: String,
+        key: Cow<'a, str>,
         /// String value to store.
-        value: String,
+        value: Cow<'a, str>,
     },
     /// `set_with_ttl(key, value, expires_at)`.
     SetWithTtl {
         /// Target key.
-        key: String,
+        key: Cow<'a, str>,
         /// String value to store.
-        value: String,
+        value: Cow<'a, str>,
         /// Logical expiry instant.
         expires_at: SimTime,
     },
     /// `get(key)`.
     Get {
         /// Target key.
-        key: String,
+        key: Cow<'a, str>,
     },
     /// `del(key)`.
     Del {
         /// Target key.
-        key: String,
+        key: Cow<'a, str>,
     },
     /// `exists(key)`.
     Exists {
         /// Target key.
-        key: String,
+        key: Cow<'a, str>,
     },
     /// `incr_by(key, delta)` — applied atomically by the owning server.
     IncrBy {
         /// Target key.
-        key: String,
+        key: Cow<'a, str>,
         /// Signed increment.
         delta: i64,
     },
     /// `rpush(key, value)`.
     Rpush {
         /// Target list key.
-        key: String,
+        key: Cow<'a, str>,
         /// Element to append.
-        value: String,
+        value: Cow<'a, str>,
     },
     /// `rpush_batch(key, values)`.
     RpushBatch {
         /// Target list key.
-        key: String,
+        key: Cow<'a, str>,
         /// Elements to append, in order.
         values: Vec<String>,
     },
     /// `lpop(key)`.
     Lpop {
         /// Target list key.
-        key: String,
+        key: Cow<'a, str>,
     },
     /// `llen(key)`.
     Llen {
         /// Target list key.
-        key: String,
+        key: Cow<'a, str>,
     },
     /// `lrange_from(key, start)` — non-destructive suffix read.
     LrangeFrom {
         /// Target list key.
-        key: String,
+        key: Cow<'a, str>,
         /// Index of the first element to return.
         start: u64,
     },
@@ -99,27 +105,27 @@ pub enum KvRequest {
     /// its last value; an empty list creates nothing.
     Hset {
         /// Target hash key.
-        key: String,
+        key: Cow<'a, str>,
         /// `(field, value)` pairs to set, in order.
         fields: Vec<(String, String)>,
     },
     /// `hget(key, field)`.
     Hget {
         /// Target hash key.
-        key: String,
+        key: Cow<'a, str>,
         /// Field name.
-        field: String,
+        field: Cow<'a, str>,
     },
     /// `hgetall(key)` — the response carries sorted `(field, value)`
     /// pairs so it is deterministic on the wire.
     Hgetall {
         /// Target hash key.
-        key: String,
+        key: Cow<'a, str>,
     },
     /// `keys_with_prefix(prefix)` — fans out to every shard.
     KeysWithPrefix {
         /// Key prefix to scan for.
-        prefix: String,
+        prefix: Cow<'a, str>,
     },
     /// `sweep_expired(now)` — fans out to every shard. A server sweeps
     /// the sender's store only, so one client's sweep never evicts
@@ -143,7 +149,7 @@ pub enum KvRequest {
     },
 }
 
-impl KvRequest {
+impl KvRequest<'_> {
     /// The key this request routes by, or `None` for fan-out
     /// (all-shard) operations.
     pub fn routing_key(&self) -> Option<&str> {
@@ -161,7 +167,7 @@ impl KvRequest {
             | KvRequest::LrangeFrom { key, .. }
             | KvRequest::Hset { key, .. }
             | KvRequest::Hget { key, .. }
-            | KvRequest::Hgetall { key } => Some(key),
+            | KvRequest::Hgetall { key } => Some(&**key),
             _ => None,
         }
     }
@@ -204,34 +210,38 @@ pub enum KvResponse {
     Pairs(Vec<(String, String)>),
     /// A full-state snapshot (`snapshot`).
     Snapshot(KvSnapshot),
+    /// A write met a key holding another type (`rpush` on a string, …),
+    /// or an increment met a non-numeric value: nothing changed. The
+    /// facade panics on it, as on any store that is used wrongly.
+    WrongType,
 }
 
 /// One object-store operation, as data. Mirrors the
 /// [`ObjectStore`](crate::ObjectStore) method surface.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ObjRequest {
+pub enum ObjRequest<'a> {
     /// `put(bucket, key, data)`.
     Put {
         /// Target bucket.
-        bucket: String,
+        bucket: Cow<'a, str>,
         /// Object key.
-        key: String,
+        key: Cow<'a, str>,
         /// Payload bytes.
         data: Vec<u8>,
     },
     /// `get(bucket, key)`.
     Get {
         /// Target bucket.
-        bucket: String,
+        bucket: Cow<'a, str>,
         /// Object key.
-        key: String,
+        key: Cow<'a, str>,
     },
     /// `delete(bucket, key)`.
     Delete {
         /// Target bucket.
-        bucket: String,
+        bucket: Cow<'a, str>,
         /// Object key.
-        key: String,
+        key: Cow<'a, str>,
     },
     /// `snapshot()` — fans out and merges; a server answers with the
     /// sender's objects only.
@@ -244,14 +254,14 @@ pub enum ObjRequest {
     },
 }
 
-impl ObjRequest {
+impl ObjRequest<'_> {
     /// The bucket this request routes by, or `None` for fan-out
     /// operations.
     pub fn routing_bucket(&self) -> Option<&str> {
         match self {
             ObjRequest::Put { bucket, .. }
             | ObjRequest::Get { bucket, .. }
-            | ObjRequest::Delete { bucket, .. } => Some(bucket),
+            | ObjRequest::Delete { bucket, .. } => Some(&**bucket),
             _ => None,
         }
     }
@@ -273,7 +283,7 @@ pub enum ObjResponse {
     /// A boolean (`delete`).
     Bool(bool),
     /// Optional payload bytes (`get`).
-    MaybeBytes(Option<Vec<u8>>),
+    MaybeBytes(Option<Bytes>),
     /// A full-state snapshot (`snapshot`).
     Snapshot(ObjectSnapshot),
 }
@@ -288,78 +298,7 @@ pub enum ObjResponse {
 /// above never learns the difference.
 pub trait RemoteStore: Send + Sync {
     /// Execute one KV operation to completion.
-    fn kv(&self, req: KvRequest) -> KvResponse;
+    fn kv(&self, req: KvRequest<'_>) -> KvResponse;
     /// Execute one object operation to completion.
-    fn obj(&self, req: ObjRequest) -> ObjResponse;
-}
-
-/// Execute one [`KvRequest`] against a concrete store — the server side
-/// of the wire protocol. Used by `tero-net::StoreServer` (and any
-/// loopback test double).
-pub fn apply_kv(store: &crate::KvStore, req: KvRequest) -> KvResponse {
-    match req {
-        KvRequest::Set { key, value } => {
-            store.set(&key, value);
-            KvResponse::Unit
-        }
-        KvRequest::SetWithTtl {
-            key,
-            value,
-            expires_at,
-        } => {
-            store.set_with_ttl(&key, value, expires_at);
-            KvResponse::Unit
-        }
-        KvRequest::Get { key } => KvResponse::MaybeStr(store.get(&key)),
-        KvRequest::Del { key } => KvResponse::Bool(store.del(&key)),
-        KvRequest::Exists { key } => KvResponse::Bool(store.exists(&key)),
-        KvRequest::IncrBy { key, delta } => KvResponse::Int(store.incr_by(&key, delta)),
-        KvRequest::Rpush { key, value } => KvResponse::Uint(store.rpush(&key, value) as u64),
-        KvRequest::RpushBatch { key, values } => {
-            KvResponse::Uint(store.rpush_batch(&key, values) as u64)
-        }
-        KvRequest::Lpop { key } => KvResponse::MaybeStr(store.lpop(&key)),
-        KvRequest::Llen { key } => KvResponse::Uint(store.llen(&key) as u64),
-        KvRequest::LrangeFrom { key, start } => {
-            KvResponse::Strs(store.lrange_from(&key, start as usize))
-        }
-        KvRequest::Hset { key, fields } => {
-            store.hset_many(&key, fields);
-            KvResponse::Unit
-        }
-        KvRequest::Hget { key, field } => KvResponse::MaybeStr(store.hget(&key, &field)),
-        KvRequest::Hgetall { key } => {
-            let mut pairs: Vec<(String, String)> = store.hgetall(&key).into_iter().collect();
-            pairs.sort();
-            KvResponse::Pairs(pairs)
-        }
-        KvRequest::KeysWithPrefix { prefix } => KvResponse::Strs(store.keys_with_prefix(&prefix)),
-        KvRequest::SweepExpired { now } => KvResponse::Uint(store.sweep_expired(now) as u64),
-        KvRequest::Len => KvResponse::Uint(store.len() as u64),
-        KvRequest::Snapshot => KvResponse::Snapshot(store.snapshot()),
-        KvRequest::Restore { snapshot } => {
-            store.restore(&snapshot);
-            KvResponse::Unit
-        }
-    }
-}
-
-/// Execute one [`ObjRequest`] against a concrete store — the server
-/// side of the wire protocol.
-pub fn apply_obj(store: &crate::ObjectStore, req: ObjRequest) -> ObjResponse {
-    match req {
-        ObjRequest::Put { bucket, key, data } => {
-            store.put(&bucket, &key, data);
-            ObjResponse::Unit
-        }
-        ObjRequest::Get { bucket, key } => {
-            ObjResponse::MaybeBytes(store.get(&bucket, &key).map(|b| b.to_vec()))
-        }
-        ObjRequest::Delete { bucket, key } => ObjResponse::Bool(store.delete(&bucket, &key)),
-        ObjRequest::Snapshot => ObjResponse::Snapshot(store.snapshot()),
-        ObjRequest::Restore { snapshot } => {
-            store.restore(&snapshot);
-            ObjResponse::Unit
-        }
-    }
+    fn obj(&self, req: ObjRequest<'_>) -> ObjResponse;
 }

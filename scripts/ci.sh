@@ -132,6 +132,12 @@ grep -q "^net.failovers  *0$" "$trace_dir/nq.out" \
   || { echo "FAIL: quiet sharded run performed a failover"; exit 1; }
 grep -q "^net.timeouts  *0$" "$trace_dir/nq.out" \
   || { echo "FAIL: quiet sharded run timed out"; exit 1; }
+# The quiet mesh's traffic, pinned: a change that moves what crosses the
+# wire edits these lines in its own diff.
+for pin in "net.requests 8734" "net.frames 18649" "net.bytes 67625907"; do
+  grep -q "^${pin% *}  *${pin#* }$" "$trace_dir/nq.out" \
+    || { echo "FAIL: quiet sharded run moved ${pin% *} off ${pin#* }"; exit 1; }
+done
 
 echo "==> ops console determinism (ops_console twice mid-fault, stdout byte-compare)"
 # The console checks every host of a 3-shard mesh for reachability
