@@ -210,23 +210,24 @@ impl QueryEngine {
             .collect()
     }
 
-    /// Answer one query.
+    /// Answer one query. The serving version is read once: a query over
+    /// two sketches checks both against the same version.
     pub fn query(&self, q: &Query) -> Answer {
         self.metrics.queries.inc();
         let _t = self.metrics.registry.stage_timer(&self.metrics.query_us);
+        let version = self.version();
+        let sketch = |target: &SketchRef| self.sketch(version, target);
         match q {
             Query::Percentile { target, p } => {
-                Answer::Value(self.sketch(target).and_then(|s| s.quantile(*p)))
+                Answer::Value(sketch(target).and_then(|s| s.quantile(*p)))
             }
-            Query::Cdf { target, x } => Answer::Value(self.sketch(target).and_then(|s| s.cdf(*x))),
-            Query::Histogram { target } => Answer::Histogram(
-                self.sketch(target)
-                    .map(|s| s.histogram())
-                    .unwrap_or_default(),
-            ),
+            Query::Cdf { target, x } => Answer::Value(sketch(target).and_then(|s| s.cdf(*x))),
+            Query::Histogram { target } => {
+                Answer::Histogram(sketch(target).map(|s| s.histogram()).unwrap_or_default())
+            }
             Query::Wasserstein { a, b } => Answer::Value(
-                self.sketch(a)
-                    .zip(self.sketch(b))
+                sketch(a)
+                    .zip(sketch(b))
                     .and_then(|(a, b)| a.wasserstein(&b)),
             ),
         }
@@ -275,7 +276,7 @@ impl QueryEngine {
     pub fn boxplot(&self, target: &SketchRef) -> Option<BoxplotStats> {
         self.metrics.queries.inc();
         let _t = self.metrics.registry.stage_timer(&self.metrics.query_us);
-        self.sketch(target)?.boxplot()
+        self.sketch(self.version(), target)?.boxplot()
     }
 
     /// Cache counters so far: `(hits, misses, evictions)`.
@@ -287,11 +288,11 @@ impl QueryEngine {
         )
     }
 
-    /// Fetch a decoded sketch through the hot-key cache. The cache lock
-    /// covers the probe and the insert, never the store read or the
-    /// decode between them: clients that miss load side by side.
-    fn sketch(&self, target: &SketchRef) -> Option<QuantileSketch> {
-        let version = serve_version(&self.kv);
+    /// Fetch a decoded sketch through the hot-key cache at `version`,
+    /// read before the call. The cache lock covers the probe and the
+    /// insert, never the store read or the decode between them: clients
+    /// that miss load side by side.
+    fn sketch(&self, version: u64, target: &SketchRef) -> Option<QuantileSketch> {
         if let Some(hit) = self.probe(version, target.key()) {
             return Some(hit);
         }
@@ -514,6 +515,28 @@ mod tests {
         assert_eq!(cached.cache_stats(), (2, 1, 0));
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("serve.cache.entries").unwrap().value, 0);
+    }
+
+    #[test]
+    fn a_query_reads_the_version_once() {
+        let game = GameId::ALL[0];
+        let a = SketchRef::raw(AnonId(1), game);
+        let b = SketchRef::raw(AnonId(2), game);
+        let kv = store_with(&[10.0, 20.0, 30.0], &a);
+        kv.set(b.key(), QuantileSketch::from_values(&[15.0, 25.0]).encode());
+        let store = Registry::new();
+        kv.instrument(&store);
+        let reads = || store.snapshot().counter("store.kv.reads").unwrap_or(0);
+        let engine = QueryEngine::with_cache_capacity(kv, &Registry::new(), 0);
+        // The version once, then each sketch.
+        for (q, expected) in [
+            (Query::Wasserstein { a: a.clone(), b }, 3),
+            (Query::Percentile { target: a, p: 50.0 }, 2),
+        ] {
+            let before = reads();
+            assert!(engine.query(&q).is_answered());
+            assert_eq!(reads() - before, expected, "{q:?}");
+        }
     }
 
     #[test]

@@ -77,6 +77,19 @@ pub const DEFAULT_ALPHA: f64 = 0.01;
 /// Midpoint-rule resolution of [`QuantileSketch::wasserstein`].
 pub const WASSERSTEIN_GRID: usize = 256;
 
+/// The fraction `quantile` computes at each grid point: the midpoint
+/// percentile `(i + 0.5) / grid · 100`, then `/ 100`, folded at compile
+/// time with the same operations in the same order.
+const GRID_FRACTIONS: [f64; WASSERSTEIN_GRID] = {
+    let mut table = [0.0; WASSERSTEIN_GRID];
+    let mut i = 0;
+    while i < WASSERSTEIN_GRID {
+        table[i] = (i as f64 + 0.5) / WASSERSTEIN_GRID as f64 * 100.0 / 100.0;
+        i += 1;
+    }
+    table
+};
+
 /// A mergeable quantile sketch over non-negative `f64` values.
 ///
 /// Insertion and merging only touch integer bucket counts (plus exact
@@ -287,14 +300,18 @@ impl QuantileSketch {
     /// every distribution (§5.2): p5/p25/p50/p75/p95 plus count and
     /// exact mean. `None` when empty.
     pub fn boxplot(&self) -> Option<crate::descriptive::BoxplotStats> {
+        let mean = self.mean()?;
+        // Five ascending ranks: one walk answers them, each as `quantile`.
+        let mut walk = RankWalk::new(self);
+        let mut at = |p: f64| walk.value_at(self.target_rank(p / 100.0));
         Some(crate::descriptive::BoxplotStats {
             n: usize::try_from(self.count).unwrap_or(usize::MAX),
-            mean: self.mean()?,
-            p5: self.quantile(5.0)?,
-            p25: self.quantile(25.0)?,
-            p50: self.quantile(50.0)?,
-            p75: self.quantile(75.0)?,
-            p95: self.quantile(95.0)?,
+            mean,
+            p5: at(5.0),
+            p25: at(25.0),
+            p50: at(50.0),
+            p75: at(75.0),
+            p95: at(95.0),
         })
     }
 
@@ -361,10 +378,7 @@ impl QuantileSketch {
         // answers all of them.
         let (mut a, mut b) = (RankWalk::new(self), RankWalk::new(other));
         let mut acc = 0.0;
-        for i in 0..WASSERSTEIN_GRID {
-            // The percentile `quantile` would be asked, already in range.
-            let q = (i as f64 + 0.5) / WASSERSTEIN_GRID as f64 * 100.0;
-            let fraction = q / 100.0;
+        for &fraction in &GRID_FRACTIONS {
             let a = a.value_at(self.target_rank(fraction));
             let b = b.value_at(other.target_rank(fraction));
             acc += (a - b).abs();
@@ -475,9 +489,12 @@ impl QuantileSketch {
 }
 
 /// A forward-only reader of one sketch's quantile function: answers
-/// ranks that never decrease, moving over each bucket once and computing
-/// a bucket's bounds once however many ranks land in it. A fresh walk
-/// asked one rank is [`QuantileSketch::quantile`].
+/// ranks that never decrease, moving over each bucket once. A bucket's
+/// two `powi`s run when a rank first lands in it, not once per rank, and
+/// a rank asked twice in a row (a sketch of fewer values than the ranks
+/// asked of it) is answered from the last call. Every answer is the
+/// floating-point expression a fresh walk computes: a fresh walk asked
+/// one rank is [`QuantileSketch::quantile`].
 struct RankWalk<'a> {
     sketch: &'a QuantileSketch,
     /// The bucket the walk stands in, and the mass before it.
@@ -485,6 +502,9 @@ struct RankWalk<'a> {
     cumulative: u64,
     /// That bucket's `bucket_bounds`, once a rank has landed in it.
     bounds: Option<(f64, f64)>,
+    /// The last rank answered, and its value. Rank 0 is never asked, and
+    /// would be 0.0 if it were.
+    last: (u64, f64),
 }
 
 impl<'a> RankWalk<'a> {
@@ -494,6 +514,7 @@ impl<'a> RankWalk<'a> {
             pos: 0,
             cumulative: sketch.zero,
             bounds: None,
+            last: (0, 0.0),
         }
     }
 
@@ -501,13 +522,27 @@ impl<'a> RankWalk<'a> {
     /// interpolation by rank inside the containing bucket, clamped to the
     /// exact `[min, max]`. `target` must not be below an earlier call's.
     fn value_at(&mut self, target: u64) -> f64 {
+        if target != self.last.0 {
+            self.last = (target, self.find(target));
+        }
+        self.last.1
+    }
+
+    fn find(&mut self, target: u64) -> f64 {
         let s = self.sketch;
         if target <= s.zero {
             return 0.0;
         }
         while let Some(&(idx, n)) = s.buckets.get(self.pos) {
             if self.cumulative + n >= target {
-                let (lo, hi) = *self.bounds.get_or_insert_with(|| s.bucket_bounds(idx));
+                // An explicit branch to an out-of-line call, not
+                // `get_or_insert_with`: inlined, `powi` is speculatable,
+                // and LLVM hoists both calls above the test of the cache,
+                // running them on every rank.
+                let (lo, hi) = match self.bounds {
+                    Some(bounds) => bounds,
+                    None => *self.bounds.insert(bucket_bounds_out_of_line(s, idx)),
+                };
                 let into = (target - self.cumulative) as f64 / n as f64;
                 let est = lo + into * (hi - lo);
                 return est.clamp(s.min, s.max);
@@ -518,6 +553,13 @@ impl<'a> RankWalk<'a> {
         }
         s.max
     }
+}
+
+/// [`QuantileSketch::bucket_bounds`] behind a call the compiler cannot
+/// hoist out of [`RankWalk::find`]'s bucket-entry branch.
+#[inline(never)]
+fn bucket_bounds_out_of_line(s: &QuantileSketch, idx: i32) -> (f64, f64) {
+    s.bucket_bounds(idx)
 }
 
 /// A float as the wire writes it: `null` when not finite, one decimal
@@ -888,6 +930,81 @@ mod tests {
                 a.wasserstein(&b).map(f64::to_bits),
                 wasserstein_scan(&a, &b).map(f64::to_bits)
             );
+        }
+    }
+
+    /// The two distributions the `serve_cold` benchmark fixture (seed
+    /// 4242) serves to its Wasserstein queries, as committed.
+    const SERVED: [&str; 2] = [
+        "{\"alpha\":0.01,\"zero\":0,\"buckets\":[[0,1],[55,1],[70,14],[81,21],[90,17],\
+         [98,16],[104,9],[110,3],[116,3],[120,1],[125,4],[129,1],[136,1],[148,2],[153,2],\
+         [157,1]],\"sum\":698.0,\"min\":1.0,\"max\":23.0}",
+        "{\"alpha\":0.01,\"zero\":0,\"buckets\":[[70,1],[81,4],[104,1],[110,1],[116,4],\
+         [120,5],[132,1],[136,12],[139,20],[142,2],[145,1]],\"sum\":702.0,\"min\":4.0,\
+         \"max\":18.0}",
+    ];
+
+    /// `n` values spread over ~70 ms, a few dozen buckets.
+    fn spread(n: u64) -> QuantileSketch {
+        let values: Vec<f64> = (1..=n).map(|i| 1.0 + (i * 37 % 101) as f64 * 0.7).collect();
+        QuantileSketch::from_values(&values)
+    }
+
+    #[test]
+    fn wasserstein_bits_are_pinned() {
+        let [a, b] = SERVED.map(|raw| QuantileSketch::decode(raw).expect("fixture decodes"));
+        let one = QuantileSketch::from_values(&[42.0]);
+        let mut zeros = QuantileSketch::default();
+        zeros.insert_n(0.0, 200);
+        zeros.insert_n(12.0, 30);
+        zeros.insert_n(40.0, 20);
+        let (v255, v256, v257) = (spread(255), spread(256), spread(257));
+        // Under 256 values ranks repeat (the memo answers), at 257 they
+        // skip; the literals are what the walk answered before it had the
+        // memo, the out-of-line bounds or the fraction table.
+        for (x, y, bits) in [
+            (&a, &b, 0x401a_84da_b763_943d_u64),
+            (&b, &a, 0x401a_84da_b763_943d),
+            (&a, &a, 0),
+            (&b, &b, 0),
+            (&one, &a, 0x4041_644f_ee3b_1a54),
+            (&v255, &b, 0x4036_d3a6_8a99_49c4),
+            (&v256, &a, 0x403d_0962_0e07_94dd),
+            (&v257, &b, 0x4036_cf45_da39_4ef8),
+            (&v255, &v257, 0x3fc6_5738_788a_e371),
+            (&zeros, &a, 0x4019_c37b_dbf0_272b),
+            (&v256, &zeros, 0x403f_9bc0_52e5_e60b),
+        ] {
+            let walked = x.wasserstein(y).map(f64::to_bits);
+            assert_eq!(walked, wasserstein_scan(x, y).map(f64::to_bits));
+            assert_eq!(walked, Some(bits), "{:#018x}", walked.unwrap_or(0));
+        }
+    }
+
+    #[test]
+    fn boxplot_fields_are_quantile_bits() {
+        let mut zeros = QuantileSketch::default();
+        zeros.insert_n(0.0, 9);
+        zeros.insert_n(3.5, 2);
+        let sketches = SERVED.map(|raw| QuantileSketch::decode(raw).expect("fixture decodes"));
+        for s in sketches
+            .iter()
+            .chain(&[spread(1), spread(7), spread(257), zeros])
+        {
+            let bp = s.boxplot().expect("non-empty");
+            for (p, field) in [
+                (5.0, bp.p5),
+                (25.0, bp.p25),
+                (50.0, bp.p50),
+                (75.0, bp.p75),
+                (95.0, bp.p95),
+            ] {
+                assert_eq!(
+                    s.quantile(p).map(f64::to_bits),
+                    Some(field.to_bits()),
+                    "p{p}"
+                );
+            }
         }
     }
 

@@ -87,6 +87,11 @@ echo "==> serving determinism (serve_explore twice + 4 and 1440 windows, stdout 
 # world are 3-minute windows, where that pass runs hundreds of times
 # and must still leave exactly the single-shot run's bytes.
 same_twice serve serve_explore 7
+# The served answers' bits, pinned: a change that moves any of them
+# edits this line in its own diff.
+pin="answer checksum 0x4e504a2d383dff38"
+grep -q "$pin$" "$trace_dir/serve.1.out" \
+  || { echo "FAIL: serve_explore 7 no longer prints '$pin'"; exit 1; }
 for n in 4 1440; do
   cargo run --quiet --release --example serve_explore -- 7 "$n" > "$trace_dir/serve.w$n.out" 2>/dev/null
   cmp "$trace_dir/serve.1.out" "$trace_dir/serve.w$n.out" \
