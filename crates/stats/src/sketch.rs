@@ -441,7 +441,12 @@ impl QuantileSketch {
         c.eat(b",\"zero\":")?;
         let zero = c.u64()?;
         c.eat(b",\"buckets\":[")?;
-        let mut buckets: Vec<(i32, u64)> = Vec::new();
+        // One allocation, sized from the bytes left: the shortest bucket
+        // is six bytes (`[0,1],`, or `[0,1]]` for the last), so no input
+        // holds more buckets than that. A hostile one can make this reserve
+        // for buckets it does not hold, but never more than 16 bytes of
+        // vector per 6 bytes of input it supplied.
+        let mut buckets: Vec<(i32, u64)> = Vec::with_capacity((c.src.len() - c.pos) / 6);
         let mut count = zero;
         if c.eat_byte(b']').is_none() {
             loop {
@@ -1301,6 +1306,17 @@ mod tests {
         // Garbage is rejected, not misparsed.
         assert!(QuantileSketch::decode("not json").is_none());
         assert!(QuantileSketch::decode("{\"alpha\":7.0}").is_none());
+    }
+
+    #[test]
+    fn a_megabyte_of_open_brackets_is_rejected() {
+        // The bucket reservation reads the input's length: a long run that
+        // is no bucket at all is refused like any other garbage.
+        let raw = format!(
+            "{{\"alpha\":0.01,\"zero\":0,\"buckets\":[{}",
+            "[".repeat(1 << 20)
+        );
+        assert!(QuantileSketch::decode(&raw).is_none());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Differential tests: every rewritten kernel against its naive
 //! predecessor in [`crate::reference`], bit for bit, plus the golden
-//! end-to-end pin of the whole combiner. (The grain kernel's own edge
-//! cases — the exact path forced, the guard band hit — sit beside it in
-//! [`crate::scene`].)
+//! end-to-end pin of the whole combiner. (The guard-banded kernels' own
+//! edge cases — the exact path forced, the guard band hit — sit beside
+//! them: the grain in [`crate::scene`], the blur in
+//! [`crate::preprocess`].)
 //!
 //! Image sizes mix the word-boundary cases of the packed representation
 //! (63 / 64 / 65 / 129 columns, the 210-column production stage), the
@@ -380,6 +381,56 @@ fn golden_extraction_matches_reference_combiner() {
     assert!(
         reprocessed > 50 && scenes - reprocessed > 50,
         "{reprocessed} reprocessed"
+    );
+}
+
+/// The guard-banded blur against the `f64` one on the stages production
+/// blurs: seeded HUD crops of every scenario and game under grain 0–8 and
+/// noise {0, 0–0.02}, upscaled three times, at radius 1 and 2 and (the
+/// EasyOCR-like engine's stage) radius 1 after the median filter. Every
+/// pixel must be the reference's, and the exact path must stay rare.
+#[test]
+fn blur_matches_reference_on_hud_crops() {
+    let scenarios = [
+        ScenarioKind::Typical,
+        ScenarioKind::LightFont,
+        ScenarioKind::PartiallyHidden,
+        ScenarioKind::ClockOverlay,
+    ];
+    let (mut buf, mut out) = (Vec::new(), Image::default());
+    let (mut pixels, mut exact) = (0, 0);
+    for seed in 0..3_000u64 {
+        let mut rng = SimRng::new(seed);
+        let latency = rng.range_u64(1, 1000) as u32;
+        let mut scene = hud(
+            match scenarios[seed as usize % 4] {
+                ScenarioKind::Typical => HudScene::typical(latency),
+                ScenarioKind::LightFont => HudScene::light_font(latency),
+                ScenarioKind::PartiallyHidden => HudScene::partially_hidden(latency, rng.f64()),
+                ScenarioKind::ClockOverlay => HudScene::clock_overlay(latency, 12, 34),
+            },
+            HUDS[seed as usize / 4 % HUDS.len()],
+        );
+        scene.grain = if seed % 3 == 0 { 0.0 } else { rng.f64() * 8.0 };
+        scene.noise = if seed % 2 == 0 { 0.0 } else { rng.f64() * 0.02 };
+        let thumb = scene.render(&mut rng);
+        let roi = scene.roi();
+        let upscaled = thumb.crop(roi.0, roi.1, roi.2, roi.3).upscale(3);
+        let median = preprocess::median3(&upscaled);
+        for (stage, radius) in [(&upscaled, 1), (&upscaled, 2), (&median, 1)] {
+            exact +=
+                preprocess::blur_into(stage, radius, preprocess::BLUR_GUARD, &mut buf, &mut out);
+            pixels += stage.pixels.len();
+            assert_eq!(
+                out,
+                reference::gaussian_blur(stage, radius),
+                "radius {radius} {scene:?} seed {seed}"
+            );
+        }
+    }
+    assert!(
+        exact > 0 && exact * 100 < pixels,
+        "{exact} of {pixels} exact"
     );
 }
 

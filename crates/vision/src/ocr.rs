@@ -27,7 +27,7 @@ use crate::bits::BitImage;
 use crate::font::{glyph, Glyph, GLYPH_H, GLYPH_W, TEMPLATE_CHARS};
 use crate::image::Image;
 use crate::preprocess::{
-    blur_into, finish_bits, median3_into, otsu_threshold, PreprocessConfig, Scratch,
+    blur_into, finish_bits, median3_into, otsu_threshold, PreprocessConfig, Scratch, BLUR_GUARD,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -297,7 +297,7 @@ impl OcrEngine {
         }
         let blur = cfg.blur_radius + self.extra_blur();
         if blur > 0 {
-            blur_into(stage, blur, blur_buf, smoothed);
+            blur_into(stage, blur, BLUR_GUARD, blur_buf, smoothed);
             (stage, raw) = (smoothed, false);
         }
         let otsu = if raw {

@@ -101,8 +101,8 @@ pub(crate) struct Scratch {
     pub(crate) denoised: Image,
     /// Output of the Gaussian blur.
     pub(crate) smoothed: Image,
-    /// The blur's `f64` working rows.
-    pub(crate) blur_buf: Vec<f64>,
+    /// The blur's `f32` working rows.
+    pub(crate) blur_buf: Vec<f32>,
     /// The binary stage and its ping-pong partner.
     pub(crate) bits: BitImage,
     pub(crate) spare: BitImage,
@@ -112,40 +112,73 @@ pub(crate) struct Scratch {
 /// discretised kernel normalised to unit sum.
 pub fn gaussian_blur(img: &Image, radius: usize) -> Image {
     let mut out = Image::default();
-    blur_into(img, radius, &mut Vec::new(), &mut out);
+    blur_into(img, radius, BLUR_GUARD, &mut Vec::new(), &mut out);
     out
 }
 
-/// [`gaussian_blur`] into caller-owned buffers.
+/// Guard band of the blur per `taps + 1`: `2 · 256 · 2⁻²⁴`. See
+/// [`blur_into`] for the bound it covers.
+pub(crate) const BLUR_GUARD: f32 = 2.0 * 256.0 / 16_777_216.0;
+
+/// [`gaussian_blur`] into caller-owned buffers; returns how many pixels
+/// took the exact path.
 ///
-/// Each pass runs tap by tap over whole rows (so the inner loops are plain
-/// `a[x] += k * b[x]` over slices), which leaves every pixel the exact
-/// sequence of `f64` operations of the textbook per-pixel loop: add the
-/// taps in kernel order, divide by the kernel sum — a true divide, since a
-/// reciprocal multiply rounds differently.
-pub(crate) fn blur_into(img: &Image, radius: usize, buf: &mut Vec<f64>, out: &mut Image) {
+/// The result is, pixel for pixel, the textbook `f64` blur: each
+/// horizontal sum `Σ k_i · p` taken in kernel order and divided by
+/// `ksum`, the vertical sum of those taken the same way, divided again,
+/// then `round().clamp(0, 255)`. That is what `reference::gaussian_blur`
+/// computes, and it is within `2(t+1) · 2⁻⁵³ · 255` of the real value for
+/// `t` taps.
+///
+/// Since the output is a `u8`, only a pixel near a rounding boundary
+/// needs that sequence. Every pixel is first blurred in `f32`, tap by tap
+/// over whole rows (so the loops are plain `a[x] += w · b[x]` over
+/// slices), with weights `(k_i / ksum) as f32` and no divides. A weight
+/// is then within `2⁻²⁴` of its real value relatively and a `t`-term sum
+/// within `γ_t ≈ t · 2⁻²⁴` of its own, so for inputs in `0..=255` each
+/// pass adds at most `(t + 1) · 2⁻²⁴ · 255` and the `f32` result is
+/// within `2(t + 1) · 2⁻²⁴ · 255` of the real value (≈ 1.8e-4 at radius
+/// 2), to first order. The band is that bound with 256 for 255,
+/// `guard · (t + 1)` with `guard` = [`BLUR_GUARD`]: the extra
+/// `2(t + 1) · 2⁻²⁴` covers the second-order terms and the `f64` error
+/// for every `t` whose band is under ½. A pixel whose `f32` value lies
+/// farther than the band from a half-integer rounds as the `f64` one
+/// does; one inside it is recomputed by the reference expression. A
+/// guard large enough to make the band ½ sends every pixel down that
+/// exact path.
+pub(crate) fn blur_into(
+    img: &Image,
+    radius: usize,
+    guard: f32,
+    buf: &mut Vec<f32>,
+    out: &mut Image,
+) -> usize {
     let (w, h) = (img.width, img.height);
     out.reshape(w, h);
     if radius == 0 || w == 0 || h == 0 {
         out.pixels.copy_from_slice(&img.pixels);
-        return;
+        return 0;
     }
-    let sigma = radius as f64 / 1.5;
-    let kernel: Vec<f64> = (-(radius as i64)..=(radius as i64))
-        .map(|d| (-(d as f64).powi(2) / (2.0 * sigma * sigma)).exp())
-        .collect();
+    let kernel = gaussian_kernel(radius);
     let ksum: f64 = kernel.iter().sum();
+    let weights: Vec<f32> = kernel.iter().map(|&k| (k / ksum) as f32).collect();
+    let taps = kernel.len();
+    // A pixel is decided in `f32` when its distance to the nearest
+    // half-integer exceeds the band: when `|f| < 0.5 - band` for the
+    // residual `f` of rounding to the nearest integer. A band of ½ or
+    // more decides none.
+    let limit = 0.5 - guard * (taps + 1) as f32;
 
     // Three regions, each fully overwritten before it is read: a ring of
-    // the `2 * radius + 1` horizontally blurred rows the vertical pass is
-    // reading (row `y` lives in slot `y % taps`), one padded source row,
-    // one output row.
-    let taps = kernel.len();
+    // the `taps` horizontally blurred rows the vertical pass is reading
+    // (row `y` lives in slot `y % taps`), one padded source row, one
+    // output row.
     buf.resize(taps * w + (w + 2 * radius) + w, 0.0);
     let (ring, rest) = buf.split_at_mut(taps * w);
     let (padded, acc) = rest.split_at_mut(w + 2 * radius);
     let slot = |y: usize| (y % taps) * w..(y % taps + 1) * w;
 
+    let mut exact = 0;
     let mut blurred = 0; // source rows that have been through the horizontal pass
     for (y, dst) in out.pixels.chunks_exact_mut(w).enumerate() {
         // Horizontal pass, up to the lowest row this output row reads; each
@@ -157,37 +190,58 @@ pub(crate) fn blur_into(img: &Image, radius: usize, buf: &mut Vec<f64>, out: &mu
                 // integer upscale): same result.
                 ring.copy_within(slot(blurred - 1), slot(blurred).start);
             } else {
-                padded[..radius].fill(src[0] as f64);
+                padded[..radius].fill(src[0] as f32);
                 for (p, &s) in padded[radius..radius + w].iter_mut().zip(src) {
-                    *p = s as f64;
+                    *p = s as f32;
                 }
-                padded[radius + w..].fill(src[w - 1] as f64);
+                padded[radius + w..].fill(src[w - 1] as f32);
                 let row = &mut ring[slot(blurred)];
-                for (i, &k) in kernel.iter().enumerate() {
+                for (i, &k) in weights.iter().enumerate() {
                     accumulate(row, k, &padded[i..i + w], i == 0);
-                }
-                for v in row.iter_mut() {
-                    *v /= ksum;
                 }
             }
             blurred += 1;
         }
         // Vertical pass, rows clamped at the top and bottom edge.
-        for (i, &k) in kernel.iter().enumerate() {
+        for (i, &k) in weights.iter().enumerate() {
             let sy = (y + i).saturating_sub(radius).min(h - 1);
             accumulate(acc, k, &ring[slot(sy)], i == 0);
         }
+        // Round by the 1.5 · 2²³ shift: `a + SHIFT` lands where one unit
+        // is the last mantissa bit, so its low byte is `a` rounded to the
+        // nearest integer (every value here is in `0..256`), and taking
+        // `SHIFT` off again leaves that integer exactly.
+        const SHIFT: f32 = 12_582_912.0;
+        let mut near = 0u32;
         for (d, &a) in dst.iter_mut().zip(acc.iter()) {
-            *d = round_to_u8(a / ksum);
+            let shifted = a + SHIFT;
+            *d = shifted.to_bits() as u8;
+            near += ((a - (shifted - SHIFT)).abs() >= limit) as u32;
+        }
+        if near > 0 {
+            for (x, (d, &a)) in dst.iter_mut().zip(acc.iter()).enumerate() {
+                if (a - ((a + SHIFT) - SHIFT)).abs() >= limit {
+                    *d = round_to_u8(exact_value(img, &kernel, ksum, x, y));
+                }
+            }
+            exact += near as usize;
         }
     }
+    exact
 }
 
-/// One kernel tap over a whole row: `acc[x] += k * src[x]`. The first tap
-/// stores instead of adding to a zeroed row, which is the same value:
-/// every product here is `+0.0` or positive, and `0.0 + p == p` for those.
+/// The `2 · radius + 1` taps of the blur, unnormalised: σ = radius / 1.5.
+fn gaussian_kernel(radius: usize) -> Vec<f64> {
+    let sigma = radius as f64 / 1.5;
+    (-(radius as i64)..=(radius as i64))
+        .map(|d| (-(d as f64).powi(2) / (2.0 * sigma * sigma)).exp())
+        .collect()
+}
+
+/// One kernel tap over a whole row: `acc[x] += k * src[x]`, the first
+/// tap a store.
 #[inline]
-fn accumulate(acc: &mut [f64], k: f64, src: &[f64], first: bool) {
+fn accumulate(acc: &mut [f32], k: f32, src: &[f32], first: bool) {
     if first {
         for (a, &s) in acc.iter_mut().zip(src) {
             *a = k * s;
@@ -197,6 +251,25 @@ fn accumulate(acc: &mut [f64], k: f64, src: &[f64], first: bool) {
             *a += k * s;
         }
     }
+}
+
+/// Pixel `(x, y)` of the blur before rounding, by the `f64` reference
+/// expression operation for operation: each row's horizontal taps in
+/// kernel order, `/ ksum`, then the vertical taps over those, `/ ksum`.
+#[cold]
+fn exact_value(img: &Image, kernel: &[f64], ksum: f64, x: usize, y: usize) -> f64 {
+    let (w, h, radius) = (img.width, img.height, kernel.len() / 2);
+    let mut v = 0.0;
+    for (i, &ki) in kernel.iter().enumerate() {
+        let sy = (y + i).saturating_sub(radius).min(h - 1);
+        let row = &img.pixels[sy * w..(sy + 1) * w];
+        let mut sum = 0.0;
+        for (j, &kj) in kernel.iter().enumerate() {
+            sum += kj * row[(x + j).saturating_sub(radius).min(w - 1)] as f64;
+        }
+        v += ki * (sum / ksum);
+    }
+    v / ksum
 }
 
 /// `v.round().clamp(0.0, 255.0) as u8` without the libm call or a
@@ -385,6 +458,80 @@ mod tests {
             .filter(|&&p| p > 20 && p < 180)
             .count();
         assert!(mids > 0);
+    }
+
+    /// Random gray, then rendered text with specks, each at the sizes the
+    /// edge clamps and the row copy care about.
+    fn blur_inputs() -> Vec<Image> {
+        let mut rng = tero_types::SimRng::new(5);
+        let mut images = Vec::new();
+        for (w, h) in [(1, 1), (2, 7), (5, 3), (64, 9), (70, 26)] {
+            let mut img = Image::filled(w, h, 0);
+            img.pixels
+                .iter_mut()
+                .for_each(|p| *p = rng.range_u64(0, 256) as u8);
+            images.push(img.clone());
+            images.push(img.upscale(3));
+        }
+        let mut text = Image::filled(70, 26, 230);
+        text.blit(&rasterize("87ms", 2, 20, 230), 4, 4);
+        text.set(50, 20, 0);
+        images.push(text.upscale(3));
+        images
+    }
+
+    #[test]
+    fn blur_with_every_pixel_exact_matches_fast_and_reference() {
+        // A guard of one half puts every residual inside the band.
+        let mut buf = Vec::new();
+        for img in blur_inputs() {
+            for radius in 1..=3 {
+                let (mut exact, mut fast) = (Image::default(), Image::default());
+                let n = blur_into(&img, radius, 0.5, &mut buf, &mut exact);
+                blur_into(&img, radius, BLUR_GUARD, &mut buf, &mut fast);
+                let at = format!("radius {radius} {}x{}", img.width, img.height);
+                assert_eq!(n, img.pixels.len(), "{at}");
+                assert_eq!(exact, fast, "{at}");
+                assert_eq!(exact, crate::reference::gaussian_blur(&img, radius), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn values_in_the_guard_band_take_the_exact_path() {
+        // A 5×5 patch, zero but for a 2×2 block right of and below its
+        // centre, all of which radius 2 reads there. The blocks were
+        // searched for: the centre's `f64` value lies 7e-11 under 22.5 and
+        // 1.3e-12 over 18.5 (far inside the band, on the side only that
+        // sequence knows), or 4.2e-4 over 12.5 and under 10.5 (about twice
+        // the band, just outside it).
+        let (kernel, radius) = (gaussian_kernel(2), 2);
+        let ksum: f64 = kernel.iter().sum();
+        let band = (BLUR_GUARD * (kernel.len() + 1) as f32) as f64;
+        let mut buf = Vec::new();
+        for (block, half, offset, want, exact) in [
+            ([[232, 43], [42, 47]], 22.5, -1e-7..0.0, 22, 1),
+            ([[7, 243], [138, 89]], 18.5, 0.0..1e-7, 19, 1),
+            ([[0, 0], [117, 237]], 12.5, 2.0 * band..3.0 * band, 13, 0),
+            ([[0, 0], [94, 209]], 10.5, -3.0 * band..-2.0 * band, 10, 0),
+        ] {
+            let mut img = Image::filled(5, 5, 0);
+            for (dy, row) in block.iter().enumerate() {
+                for (dx, &p) in row.iter().enumerate() {
+                    img.set(3 + dx, 2 + dy, p);
+                }
+            }
+            let v = exact_value(&img, &kernel, ksum, 2, 2);
+            assert!(offset.contains(&(v - half)), "{block:?}: {v}");
+            let mut out = Image::default();
+            let n = blur_into(&img, radius, BLUR_GUARD, &mut buf, &mut out);
+            assert_eq!((n, out.get(2, 2)), (exact, want), "{block:?}");
+            assert_eq!(
+                out,
+                crate::reference::gaussian_blur(&img, radius),
+                "{block:?}"
+            );
+        }
     }
 
     #[test]

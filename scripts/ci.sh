@@ -56,6 +56,15 @@ same_twice() {
     || { echo "FAIL: $example stdout differs across identical runs"; exit 1; }
 }
 
+echo "==> OCR bits (fig06_ocr_examples stdout against results/)"
+# Every reading Fig 6 prints — three engines and the vote on each example
+# crop — follows from the OCR kernels' output pixels: a kernel change that
+# moves one pixel's rounding shows here. A change that means to move them
+# regenerates the file in its own diff.
+cargo run --quiet --release -p tero-bench --bin fig06_ocr_examples > "$trace_dir/fig06.out"
+cmp "$trace_dir/fig06.out" results/fig06_ocr_examples.txt \
+  || { echo "FAIL: fig06_ocr_examples stdout differs from results/fig06_ocr_examples.txt"; exit 1; }
+
 echo "==> trace determinism (trace_explore twice, byte-compare + JSON parse)"
 same_twice trace trace_explore 7 "{}.json"
 cmp "$trace_dir/trace.1.json" "$trace_dir/trace.2.json" \

@@ -213,3 +213,25 @@ fn game_labels_are_among_known_games() {
         assert!(GameId::ALL.contains(game));
     }
 }
+
+#[test]
+fn full_ocr_report_digest_is_pinned() {
+    // The OCR output of a `FullOcr` run, pinned: the report digest holds
+    // every extracted value, so a kernel change that moves one reading
+    // moves this literal. A change that means to move one edits the
+    // literal in its own diff.
+    let mut world = small_world(71);
+    let tero = Tero {
+        mode: ExtractionMode::FullOcr,
+        min_streamers: 3,
+        ..Tero::default()
+    };
+    let digest = tero.run(&mut world).digest();
+    let fnv = digest.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        fnv, 0x3763_a66c_e282_c0ef,
+        "FullOcr report digest FNV-1a {fnv:#018x}"
+    );
+}
