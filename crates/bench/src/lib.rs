@@ -98,7 +98,7 @@ pub fn ascii_box(stats: &BoxplotStats, lo: f64, hi: f64, width: usize) -> String
 }
 
 /// Where regenerators drop their JSON results.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = std::env::var("TERO_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
     let path = PathBuf::from(dir);
     let _ = std::fs::create_dir_all(&path);

@@ -88,7 +88,7 @@ impl AnomalyReport {
     /// without materialising them (the pipeline counts survivors per
     /// series; allocating a fresh sample vector per report just to `len()`
     /// it dominated the analysis stage's allocations).
-    pub fn clean_count(&self) -> usize {
+    pub(crate) fn clean_count(&self) -> usize {
         self.segments
             .iter()
             .zip(&self.labels)
@@ -125,7 +125,7 @@ impl AnomalyReport {
     }
 
     /// Stable segments with their indices (the clustering input).
-    pub fn stable_segments(&self) -> Vec<(usize, &Segment)> {
+    pub(crate) fn stable_segments(&self) -> Vec<(usize, &Segment)> {
         self.segments
             .iter()
             .enumerate()

@@ -47,7 +47,7 @@ impl LatencyCluster {
 
     /// Whether a segment's value range falls inside this cluster (used for
     /// end-point-change attribution).
-    pub fn contains_segment(&self, seg: &Segment, gap: u32) -> bool {
+    pub(crate) fn contains_segment(&self, seg: &Segment, gap: u32) -> bool {
         seg.min_ms() < self.max_ms.saturating_add(gap)
             && self.min_ms < seg.max_ms().saturating_add(gap)
     }

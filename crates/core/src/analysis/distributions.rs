@@ -37,7 +37,7 @@ pub struct LocationDistribution {
 /// classified streamers (only high-quality ones contribute, and mobile
 /// streamers with possible location changes must already be excluded by
 /// the caller).
-pub fn location_distribution(
+pub(crate) fn location_distribution(
     location: Location,
     game: GameId,
     streamers: &[&ClassifiedStreamer],

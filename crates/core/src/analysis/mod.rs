@@ -9,9 +9,3 @@ pub mod clusters;
 pub mod distributions;
 pub mod segments;
 pub mod shared;
-
-pub use anomaly::{detect_anomalies, AnomalyReport, SegmentLabel};
-pub use clusters::{cluster_segments, merge_location_clusters, ClassifiedStreamer, LatencyCluster};
-pub use distributions::{location_distribution, LocationDistribution};
-pub use segments::{segment_stream, Segment, StreamSeries};
-pub use shared::{detect_shared_anomalies, SharedAnomaly};

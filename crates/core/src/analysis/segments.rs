@@ -55,7 +55,7 @@ impl Segment {
 
     /// Whether every measurement of `self` lies within `gap` of the value
     /// range of `other` (the §3.3.2 cleanup criterion).
-    pub fn within_gap_of(&self, other: &Segment, gap: u32) -> bool {
+    pub(crate) fn within_gap_of(&self, other: &Segment, gap: u32) -> bool {
         let lo = other.min_ms().saturating_sub(gap);
         let hi = other.max_ms().saturating_add(gap);
         self.samples

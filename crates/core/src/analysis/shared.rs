@@ -14,7 +14,7 @@ use tero_types::{AnonId, GameId, Location, SimDuration, SimTime};
 /// The window around a spike within which another streamer counts as
 /// "streaming during the spike" / "spiking with it": ±6 minutes (the 90th
 /// percentile of thumbnail inter-arrival is 6 minutes, Fig 13).
-pub const SHARED_WINDOW: SimDuration = SimDuration(12 * 60 * 1_000_000);
+pub(crate) const SHARED_WINDOW: SimDuration = SimDuration(12 * 60 * 1_000_000);
 
 /// One streamer's contribution to a `{game, region}` aggregate.
 #[derive(Debug, Clone)]

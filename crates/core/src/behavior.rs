@@ -42,7 +42,7 @@ pub struct BehaviorStream {
 
 impl BehaviorStream {
     /// Number of spikes of at least `size_ms` occurring before `cutoff`.
-    pub fn spikes_before(&self, size_ms: f64, cutoff: SimTime) -> u32 {
+    pub(crate) fn spikes_before(&self, size_ms: f64, cutoff: SimTime) -> u32 {
         self.spikes
             .iter()
             .filter(|s| s.magnitude_ms >= size_ms && s.start < cutoff)

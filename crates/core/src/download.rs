@@ -32,6 +32,7 @@
 //! * **Poison queue entries** → quarantined onto the
 //!   `queue:thumbs:dead` dead-letter list instead of silently dropped.
 
+use crate::keys::parse_decimal;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -47,7 +48,7 @@ use tero_world::World;
 /// KV list holding tasks that could not be processed (undecodable queue
 /// entries, corrupt stored payloads). Never dropped silently; drained via
 /// [`DownloadModule::drain_dead_letters`].
-pub const DEAD_LETTER_QUEUE: &str = "queue:thumbs:dead";
+pub(crate) const DEAD_LETTER_QUEUE: &str = "queue:thumbs:dead";
 
 /// Maximum consecutive backoff retries before giving up on a round
 /// (API polls skip to the next regular poll; fetches defer to the
@@ -96,6 +97,9 @@ fn unescape_field(s: &str) -> Option<String> {
     while i < bytes.len() {
         if bytes[i] == b'%' {
             let hex = s.get(i + 1..i + 3)?;
+            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return None;
+            }
             out.push(u8::from_str_radix(hex, 16).ok()?);
             i += 3;
         } else {
@@ -139,7 +143,7 @@ impl ThumbnailTask {
         let streamer = StreamerId::new(&unescape_field(parts.next()?)?);
         let slug = parts.next()?;
         let game_label = GameId::ALL.into_iter().find(|g| g.slug() == slug)?;
-        let generated_at = SimTime::from_micros(parts.next()?.parse().ok()?);
+        let generated_at = SimTime::from_micros(parse_decimal(parts.next()?)?);
         let object_key = parts.next()?.to_string();
         Some(ThumbnailTask {
             streamer,
@@ -245,7 +249,7 @@ impl PartialOrd for HeapEv {
 /// Cursors serialize (`serde`) so the engine can persist one whenever a
 /// window moved it and a fresh process can resume from the persisted copy.
 #[derive(Debug)]
-pub struct DownloadCursor {
+pub(crate) struct DownloadCursor {
     from: SimTime,
     until: SimTime,
     /// Where the next window starts (trace span bookkeeping only). Not
@@ -282,7 +286,7 @@ impl DownloadCursor {
     /// A fresh cursor covering `[from, until]`. Worker vectors and the
     /// initial poll/crash events are installed lazily by the first
     /// `run_cursor` call (they depend on module knobs).
-    pub fn new(from: SimTime, until: SimTime) -> DownloadCursor {
+    pub(crate) fn new(from: SimTime, until: SimTime) -> DownloadCursor {
         DownloadCursor {
             from,
             until,
@@ -303,12 +307,12 @@ impl DownloadCursor {
     }
 
     /// Cumulative statistics across every window driven so far.
-    pub fn stats(&self) -> &DownloadStats {
+    pub(crate) fn stats(&self) -> &DownloadStats {
         &self.stats
     }
 
     /// The run's global bounds, `(from, until)`.
-    pub fn bounds(&self) -> (SimTime, SimTime) {
+    pub(crate) fn bounds(&self) -> (SimTime, SimTime) {
         (self.from, self.until)
     }
 
@@ -575,7 +579,7 @@ impl DownloadModule {
 
     /// Render fetched thumbnail bodies on `pool` instead of inline. What
     /// is stored, and in which order, does not depend on its width.
-    pub fn set_pool(&mut self, pool: &Pool) {
+    pub(crate) fn set_pool(&mut self, pool: &Pool) {
         self.pool = pool.clone();
     }
 
@@ -584,7 +588,7 @@ impl DownloadModule {
     /// tasks on the KV list `queue:thumbs`.
     ///
     /// Implemented as one full-range window over a fresh
-    /// [`DownloadCursor`]; the engine drives `run_cursor` window by
+    /// `DownloadCursor`; the engine drives `run_cursor` window by
     /// window.
     pub fn run(&mut self, world: &mut World, from: SimTime, until: SimTime) -> DownloadStats {
         let mut cursor = DownloadCursor::new(from, until);

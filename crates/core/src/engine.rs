@@ -32,6 +32,7 @@
 //! re-runs only the work after the last commit.
 
 use crate::download::{DownloadCursor, DownloadModule};
+use crate::keys::{anon_field, game_field, parse_anon_field, parse_decimal, parse_game_field};
 use crate::pipeline::{PipelineMetrics, Tero, TeroReport, WindowOutcome};
 use crate::serving::{parse_raw_sketch_key, raw_sketch_key, RAW_SKETCH_PREFIX, SERVE_VERSION_KEY};
 use crate::stages::agg::AggStage;
@@ -137,7 +138,6 @@ impl Wiring {
             world,
             pool: &self.pool,
             kv: &self.kv,
-            objects: &self.objects,
             download: &self.download,
             metrics: &self.metrics,
             sp_run: &self.sp_run,
@@ -615,31 +615,31 @@ pub(crate) fn committed_cursor(snap: &KvSnapshot) -> Result<Option<DownloadCurso
 /// Wire encoding of one ledger record:
 /// `{anon:016x}|{game_idx:02}|{at_micros}|{state}` with state `?`
 /// (pending), `P` (published) or `D{drop_reason_idx}`.
-fn encode_ledger_record(key: &SampleKey, state: &SampleState) -> String {
-    let game_idx = key.game.index();
+pub(crate) fn encode_ledger_record(key: &SampleKey, state: &SampleState) -> String {
     let state = match state {
         SampleState::Pending => "?".to_string(),
         SampleState::Published => "P".to_string(),
         SampleState::Dropped(reason) => format!("D{}", reason.index()),
     };
     format!(
-        "{:016x}|{game_idx:02}|{}|{state}",
-        key.anon.0,
+        "{}|{}|{}|{state}",
+        anon_field(key.anon),
+        game_field(key.game),
         key.at.as_micros()
     )
 }
 
 /// Decode an [`encode_ledger_record`] string.
-fn decode_ledger_record(raw: &str) -> Option<(SampleKey, SampleState)> {
+pub(crate) fn decode_ledger_record(raw: &str) -> Option<(SampleKey, SampleState)> {
     let mut parts = raw.split('|');
-    let anon = AnonId(u64::from_str_radix(parts.next()?, 16).ok()?);
-    let game = *GameId::ALL.get(parts.next()?.parse::<usize>().ok()?)?;
-    let at = SimTime::from_micros(parts.next()?.parse().ok()?);
+    let anon = parse_anon_field(parts.next()?)?;
+    let game = parse_game_field(parts.next()?)?;
+    let at = SimTime::from_micros(parse_decimal(parts.next()?)?);
     let state = match parts.next()? {
         "?" => SampleState::Pending,
         "P" => SampleState::Published,
         s => {
-            let idx: usize = s.strip_prefix('D')?.parse().ok()?;
+            let idx: usize = parse_decimal(s.strip_prefix('D')?)?;
             SampleState::Dropped(*DropReason::ALL.get(idx)?)
         }
     };

@@ -73,7 +73,7 @@ impl ImageProcessor {
 
     /// A processor recording per-engine OCR outcomes (`ocr.*`) into
     /// `registry`. All metric handles are resolved here, once.
-    pub fn with_registry(registry: &Registry) -> Self {
+    pub(crate) fn with_registry(registry: &Registry) -> Self {
         let engines = ENGINE_NAMES.map(|name| EngineObs {
             read: registry.counter(&format!("ocr.{name}.read")),
             miss: registry.counter(&format!("ocr.{name}.miss")),

@@ -24,7 +24,7 @@
 //!   pool, download module, tracer, chaos) once and calls the stages
 //!   windowed, with resumable cursors committed into the store;
 //! * [`pipeline`] — the [`pipeline::Tero`] orchestrator: configuration,
-//!   [`pipeline::PipelineMetrics`], and the [`pipeline::Tero::run`] /
+//!   `pipeline::PipelineMetrics`, and the [`pipeline::Tero::run`] /
 //!   [`pipeline::Tero::run_window`] entry points against a `tero-world`
 //!   platform;
 //! * [`serving`] — the serving-layer key schema: where the engine commits
@@ -39,11 +39,10 @@ pub mod behavior;
 pub mod download;
 pub mod engine;
 pub mod imageproc;
+mod keys;
 pub mod location;
 pub mod pipeline;
 pub mod serving;
 pub mod sharded;
 pub mod stages;
-
 pub use engine::{CursorError, StoreSnapshot};
-pub use pipeline::{Tero, TeroReport, WindowOutcome};

@@ -133,7 +133,7 @@ impl Default for Tero {
 /// Every counter and histogram handle the stages bump, resolved (and
 /// eagerly registered, so the catalogue is complete even on clean runs)
 /// once per run, by [`Engine::new`] against [`Tero::obs`].
-pub struct PipelineMetrics {
+pub(crate) struct PipelineMetrics {
     pub(crate) streams_stitched: CounterHandle,
     pub(crate) streamers_located: CounterHandle,
     pub(crate) segments_built: CounterHandle,
@@ -208,7 +208,7 @@ pub struct PipelineMetrics {
 
 impl PipelineMetrics {
     /// Resolve every pipeline handle against `registry`.
-    pub fn new(registry: &Registry) -> PipelineMetrics {
+    pub(crate) fn new(registry: &Registry) -> PipelineMetrics {
         // Timed by `Tero::run`, which outlives the engines it drives and
         // takes the handle by name; registered here so a windowed drive
         // lists it too.

@@ -31,6 +31,7 @@
 //! drops them when it changes, so a committed window invalidates the
 //! cache without any cross-component signalling.
 
+use crate::keys::{game_field, parse_game_field, parse_series_key, series_key};
 use tero_stats::QuantileSketch;
 use tero_store::KvStore;
 use tero_types::{AnonId, GameId, Location};
@@ -86,7 +87,7 @@ impl DistProvenance {
     }
 
     /// Parse a stored [`DistProvenance::tag`] value.
-    pub fn from_tag(tag: &str) -> Option<DistProvenance> {
+    pub(crate) fn from_tag(tag: &str) -> Option<DistProvenance> {
         match tag {
             "c" => Some(DistProvenance::Canonical),
             "p" => Some(DistProvenance::Provisional),
@@ -136,7 +137,7 @@ impl ServeGranularity {
     }
 
     /// Parse a [`ServeGranularity::tag`] character.
-    pub fn from_tag(tag: &str) -> Option<ServeGranularity> {
+    pub(crate) fn from_tag(tag: &str) -> Option<ServeGranularity> {
         match tag {
             "r" => Some(ServeGranularity::Region),
             "c" => Some(ServeGranularity::Country),
@@ -188,16 +189,12 @@ impl std::error::Error for ServingError {}
 /// The KV key of one `{streamer, game}` raw sketch:
 /// `engine:serve:raw:{anon:016x}:{game_idx:02}`.
 pub fn raw_sketch_key(anon: AnonId, game: GameId) -> String {
-    format!("{RAW_SKETCH_PREFIX}{:016x}:{:02}", anon.0, game.index())
+    series_key(RAW_SKETCH_PREFIX, anon, game)
 }
 
 /// Parse a [`raw_sketch_key`] back into its `{streamer, game}` pair.
 pub fn parse_raw_sketch_key(key: &str) -> Option<(AnonId, GameId)> {
-    let rest = key.strip_prefix(RAW_SKETCH_PREFIX)?;
-    let (anon_hex, idx) = rest.split_once(':')?;
-    let anon = u64::from_str_radix(anon_hex, 16).ok()?;
-    let game = *GameId::ALL.get(idx.parse::<usize>().ok()?)?;
-    Some((AnonId(anon), game))
+    parse_series_key(RAW_SKETCH_PREFIX, key)
 }
 
 /// The KV key of one published distribution sketch:
@@ -205,9 +202,9 @@ pub fn parse_raw_sketch_key(key: &str) -> Option<(AnonId, GameId)> {
 /// `location_key` is `Location::key()` at the group's granularity.
 pub fn dist_sketch_key(granularity: ServeGranularity, game: GameId, location_key: &str) -> String {
     format!(
-        "{DIST_SKETCH_PREFIX}{}:{:02}:{location_key}",
+        "{DIST_SKETCH_PREFIX}{}:{}:{location_key}",
         granularity.tag(),
-        game.index()
+        game_field(game)
     )
 }
 
@@ -217,8 +214,7 @@ pub fn parse_dist_sketch_key(key: &str) -> Option<(ServeGranularity, GameId, &st
     let (tag, rest) = rest.split_once(':')?;
     let granularity = ServeGranularity::from_tag(tag)?;
     let (idx, location_key) = rest.split_once(':')?;
-    let game = *GameId::ALL.get(idx.parse::<usize>().ok()?)?;
-    Some((granularity, game, location_key))
+    Some((granularity, parse_game_field(idx)?, location_key))
 }
 
 /// The serving view's current version (0 before anything committed).

@@ -89,7 +89,7 @@ fn provenance(members: &[(AnonId, bool)]) -> DistProvenance {
 
 /// The incremental aggregation stage.
 #[derive(Debug, Default)]
-pub struct AggStage {
+pub(crate) struct AggStage {
     /// The maintained groups, indexed by `ServeGranularity as usize`:
     /// region-level (the full §3.3.3/§5/§6 product set), then
     /// country-level (distributions only; Figs 9, 11, 12).

@@ -10,7 +10,7 @@
 //! resumable per-series state and advances it every window:
 //!
 //! * **Feed** — each window in which extract appended a record,
-//!   [`CleanStage::advance`] reads only the *new*
+//!   `CleanStage::advance` reads only the *new*
 //!   records of every `engine:samples:*` list (a non-destructive
 //!   [`tero_store::KvStore::lrange_from`] from the series' cursor) and
 //!   extends the stream-stitching and segmentation folds.
@@ -34,7 +34,7 @@
 //! The cached views are what the aggregation stage
 //! ([`crate::stages::agg`]) groups and serves window by window; this
 //! stage serves nothing itself. It commits only its per-list cursors
-//! ([`CLEAN_CURSORS_KEY`]); [`CleanStage::rebuild`] replays the lists up
+//! ([`CLEAN_CURSORS_KEY`]); `CleanStage::rebuild` replays the lists up
 //! to them after a chaos kill or a fresh-process restore.
 
 use super::{parse_sample_list_key, SampleRecord, StageCx, SAMPLES_PREFIX};
@@ -48,13 +48,13 @@ use tero_types::{AnonId, GameId, LatencySample, SimDuration, SimTime, TeroParams
 
 /// A gap larger than this starts a new stream (thumbnails are ≥ 5 min
 /// apart; in-stream breaks reach ~35 min; offline periods are longer).
-pub const STREAM_GAP: SimDuration = SimDuration(45 * 60 * 1_000_000);
+pub(crate) const STREAM_GAP: SimDuration = SimDuration(45 * 60 * 1_000_000);
 
 /// KV hash mapping each `engine:samples:*` list key to the number of
 /// records the cleaner has consumed from it — the stage's only committed
 /// state. Lives under the chaos-exempt [`tero_store::PROTECTED_PREFIX`],
 /// like the engine's other cursors. The lists themselves are the ground
-/// truth; [`CleanStage::rebuild`] replays each list up to its committed
+/// truth; `CleanStage::rebuild` replays each list up to its committed
 /// cursor to reconstruct the in-memory state exactly.
 pub const CLEAN_CURSORS_KEY: &str = "engine:clean:cursors";
 
@@ -311,7 +311,7 @@ impl<'a> Views<'a> {
 
 /// The clean stage: stateful, windowed, resumable.
 #[derive(Debug, Default)]
-pub struct CleanStage {
+pub(crate) struct CleanStage {
     states: BTreeMap<(AnonId, GameId), SeriesState>,
 }
 
@@ -328,7 +328,7 @@ impl CleanStage {
     /// tracking). Per-window cost
     /// is proportional to the new data plus the unsealed tails, not the
     /// total history (`benches/window.rs`, `clean_scaling`).
-    pub fn advance(&mut self, cx: &mut StageCx<'_>) -> BTreeSet<(AnonId, GameId)> {
+    pub(crate) fn advance(&mut self, cx: &mut StageCx<'_>) -> BTreeSet<(AnonId, GameId)> {
         let _span = cx.enter(&cx.metrics.st_clean);
         let params = &cx.tero.params;
         let mut fed_records = 0u64;
@@ -484,7 +484,7 @@ impl CleanStage {
     /// reconstructs the identical sealed/tail split. A cursor past the
     /// end of its list (a damaged or badly merged snapshot) resumes at
     /// the end of what was replayed, so no later record is skipped.
-    pub fn rebuild(&mut self, kv: &KvStore, params: &TeroParams) {
+    pub(crate) fn rebuild(&mut self, kv: &KvStore, params: &TeroParams) {
         let cursors = kv.hgetall(CLEAN_CURSORS_KEY);
         for key in kv.keys_with_prefix(SAMPLES_PREFIX) {
             let Some((anon, game)) = parse_sample_list_key(&key) else {
@@ -666,7 +666,6 @@ mod tests {
             world: &mut world,
             pool: &pool,
             kv: &kv,
-            objects: &objects,
             download: &download,
             metrics: &metrics,
             sp_run: &sp_run,

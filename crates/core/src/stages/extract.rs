@@ -6,12 +6,13 @@
 //! that walks results in task order, so the outcome is byte-identical at
 //! any worker count and over any window schedule. Extracted measurements
 //! leave the stage as [`SampleRecord`]s appended to per-`{streamer,
-//! game}` KV lists ([`super::sample_list_key`]); usernames land in the
+//! game}` KV lists (`super::sample_list_key`); usernames land in the
 //! [`super::NAMES_KEY`] hash for the locate stage.
 
 use super::{sample_list_key, SampleRecord, StageCx, NAMES_KEY};
 use crate::download::ThumbnailTask;
 use crate::imageproc::ImageProcessor;
+use crate::keys::anon_field;
 use crate::pipeline::ExtractionMode;
 use std::collections::{BTreeMap, BTreeSet};
 use tero_stats::QuantileSketch;
@@ -24,7 +25,7 @@ use tero_world::World;
 
 /// The extract stage. Carries the OCR front-end and the cumulative task
 /// counters the engine persists at each window commit.
-pub struct ExtractStage {
+pub(crate) struct ExtractStage {
     processor: ImageProcessor,
     /// Thumbnail tasks processed so far (== `pipeline.funnel.ingested`).
     pub tasks_processed: u64,
@@ -53,7 +54,7 @@ pub(crate) struct Extracted {
 
 impl ExtractStage {
     /// A fresh extract stage reporting into `registry`.
-    pub fn new(registry: &tero_obs::Registry) -> ExtractStage {
+    pub(crate) fn new(registry: &tero_obs::Registry) -> ExtractStage {
         ExtractStage {
             processor: ImageProcessor::with_registry(registry),
             tasks_processed: 0,
@@ -131,7 +132,7 @@ impl ExtractStage {
             };
             ledger.ingest(key);
             cx.metrics.funnel_ingested.inc();
-            let anon_hex = format!("{:016x}", anon.0);
+            let anon_hex = anon_field(anon);
             if cx.kv.hget(NAMES_KEY, &anon_hex).is_none() {
                 cx.kv.hset(NAMES_KEY, &anon_hex, task.streamer.as_str());
                 new_name = true;

@@ -33,6 +33,7 @@
 //! (`LocateStage::serving_location`).
 
 use super::{StageCx, NAMES_KEY};
+use crate::keys::{anon_field, parse_anon_field};
 use crate::location::{LocationModule, LocationSource};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -56,7 +57,7 @@ pub const LOCATE_RESULTS_KEY: &str = "engine:locate:results";
 
 /// Hash of stage bookkeeping (`api_calls`: total simulated API calls
 /// spent so far — resumes the `location.api_calls` gauge).
-pub const LOCATE_META_KEY: &str = "engine:locate:meta";
+pub(crate) const LOCATE_META_KEY: &str = "engine:locate:meta";
 
 /// Lookup attempts per streamer: the first call plus up to four
 /// retries. A streamer whose keyed fault stream yields this many
@@ -86,7 +87,7 @@ struct LocateResult {
 /// committed `engine:locate:*` hashes; `LocateStage::rebuild`
 /// reconstructs it from the store after a kill or snapshot restore.
 #[derive(Debug, Default)]
-pub struct LocateStage {
+pub(crate) struct LocateStage {
     /// Username per seen streamer (the names-hash rows, parsed).
     names: BTreeMap<AnonId, StreamerId>,
     /// Streamers already counted into `records_in`.
@@ -229,7 +230,7 @@ impl LocateStage {
             };
             cx.kv.hset(
                 LOCATE_PROFILES_KEY,
-                &format!("{:016x}", anon.0),
+                &anon_field(anon),
                 serde_json::to_string(&outcome).expect("profile outcomes serialize"),
             );
             self.profiles.insert(anon, outcome);
@@ -300,7 +301,7 @@ impl LocateStage {
             let result = LocateResult { tags_seen, located };
             cx.kv.hset(
                 LOCATE_RESULTS_KEY,
-                &format!("{:016x}", anon.0),
+                &anon_field(*anon),
                 serde_json::to_string(&result).expect("locate results serialize"),
             );
             self.results.insert(*anon, result);
@@ -328,10 +329,7 @@ fn tag_observations(kv: &KvStore, tags_key: &str) -> Vec<TagObservation> {
 fn parse_names(kv: &KvStore) -> BTreeMap<AnonId, StreamerId> {
     kv.hgetall(NAMES_KEY)
         .into_iter()
-        .filter_map(|(hex, name)| {
-            let anon = u64::from_str_radix(&hex, 16).ok()?;
-            Some((AnonId(anon), StreamerId::new(&name)))
-        })
+        .filter_map(|(hex, name)| Some((parse_anon_field(&hex)?, StreamerId::new(&name))))
         .collect()
 }
 
@@ -340,8 +338,7 @@ fn parse_hash<T: serde::de::DeserializeOwned>(kv: &KvStore, key: &str) -> BTreeM
     kv.hgetall(key)
         .into_iter()
         .filter_map(|(hex, json)| {
-            let anon = u64::from_str_radix(&hex, 16).ok()?;
-            Some((AnonId(anon), serde_json::from_str(&json).ok()?))
+            Some((parse_anon_field(&hex)?, serde_json::from_str(&json).ok()?))
         })
         .collect()
 }

@@ -7,10 +7,10 @@
 //! [`tero_store::KvStore`] lists and [`tero_store::ObjectStore`] blobs —
 //! never through shared memory. The [`crate::engine::Engine`] owns the
 //! wiring (stores, pool, tracer, chaos) once and calls the stages either
-//! as one full-horizon window ([`crate::Tero::run`]) or incrementally
-//! ([`crate::Tero::run_window`]). Ingest is the App. A
+//! as one full-horizon window ([`crate::pipeline::Tero::run`]) or incrementally
+//! ([`crate::pipeline::Tero::run_window`]). Ingest is the App. A
 //! [`crate::download::DownloadModule`] itself, which the engine advances
-//! through a resumable [`crate::download::DownloadCursor`]; each call
+//! through a resumable `crate::download::DownloadCursor`; each call
 //! returns what it moved (`download::Ingested`), as the other stages do,
 //! and the engine gates extract and locate on that. The rest:
 //!
@@ -26,7 +26,7 @@
 //!   horizon — and locates the still-queued provisionally from their
 //!   social profile (see `docs/AGGREGATION.md`);
 //! * [`clean`] — §3.3 per-`{streamer, game}` stitching (streams split at
-//!   gaps larger than [`clean::STREAM_GAP`]), segmentation, anomaly
+//!   gaps larger than `clean::STREAM_GAP`), segmentation, anomaly
 //!   detection and classification — run *online*: every window feeds the
 //!   new records, seals finished blocks, and refreshes the cached views
 //!   of the series it fed (see `docs/CLEANING.md`);
@@ -50,10 +50,11 @@ pub mod locate;
 pub mod publish;
 
 use crate::download::DownloadModule;
+use crate::keys::{parse_decimal, parse_series_key, series_key};
 use crate::pipeline::{PipelineMetrics, Tero};
 use tero_obs::StageMetrics;
 use tero_pool::Pool;
-use tero_store::{KvStore, ObjectStore};
+use tero_store::KvStore;
 use tero_trace::{Budget, SpanGuard};
 use tero_types::{AnonId, GameId, SimTime};
 use tero_world::World;
@@ -61,7 +62,7 @@ use tero_world::World;
 /// Everything a stage call may touch. The engine builds one per step of
 /// a window, so the borrows stay scoped to it; stages keep their own
 /// resumable state in their struct, not in the context.
-pub struct StageCx<'a> {
+pub(crate) struct StageCx<'a> {
     /// The orchestrator's configuration (params, mode, salt, tracer…).
     pub tero: &'a Tero,
     /// The simulated platform the run executes against.
@@ -70,8 +71,6 @@ pub struct StageCx<'a> {
     pub pool: &'a Pool,
     /// The engine's KV store — queues, leases and `engine:*` state.
     pub kv: &'a KvStore,
-    /// The engine's object store — thumbnail blobs.
-    pub objects: &'a ObjectStore,
     /// The download module: ingest runs it, and extract uses its
     /// store-facing helpers (task drain, dead-letter, image load).
     pub download: &'a DownloadModule,
@@ -89,7 +88,7 @@ impl<'a> StageCx<'a> {
     /// `wall_us` (tracer wall clock on) and to the `stage.<name>.us`
     /// histogram (registry timing on). Inner phases and fan-outs may
     /// hang children off the guard.
-    pub fn enter(&self, m: &StageMetrics) -> SpanGuard {
+    pub(crate) fn enter(&self, m: &StageMetrics) -> SpanGuard {
         self.sp_run.child_timed(&m.span, m.begin())
     }
 }
@@ -128,17 +127,13 @@ pub const SAMPLES_PREFIX: &str = "engine:samples:";
 pub const NAMES_KEY: &str = "engine:names";
 
 /// The KV list key for one `{streamer, game}` sample series.
-pub fn sample_list_key(anon: AnonId, game: GameId) -> String {
-    format!("{SAMPLES_PREFIX}{:016x}:{:02}", anon.0, game.index())
+pub(crate) fn sample_list_key(anon: AnonId, game: GameId) -> String {
+    series_key(SAMPLES_PREFIX, anon, game)
 }
 
 /// Parse a [`sample_list_key`] back into its `{streamer, game}` pair.
-pub fn parse_sample_list_key(key: &str) -> Option<(AnonId, GameId)> {
-    let rest = key.strip_prefix(SAMPLES_PREFIX)?;
-    let (anon_hex, idx) = rest.split_once(':')?;
-    let anon = u64::from_str_radix(anon_hex, 16).ok()?;
-    let game = *GameId::ALL.get(idx.parse::<usize>().ok()?)?;
-    Some((AnonId(anon), game))
+pub(crate) fn parse_sample_list_key(key: &str) -> Option<(AnonId, GameId)> {
+    parse_series_key(SAMPLES_PREFIX, key)
 }
 
 /// One extracted measurement, as it travels between the extract and
@@ -166,15 +161,15 @@ impl SampleRecord {
     /// Decode a [`SampleRecord::encode`] string.
     pub fn decode(raw: &str) -> Option<SampleRecord> {
         let mut parts = raw.split('|');
-        let at = SimTime::from_micros(parts.next()?.parse().ok()?);
-        let primary = parts.next()?.parse().ok()?;
+        let at = SimTime::from_micros(parse_decimal(parts.next()?)?);
+        let primary = parse_decimal(parts.next()?)?;
         let alt_raw = parts.next()?;
         if parts.next().is_some() {
             return None;
         }
         let alternative = match alt_raw {
             "-" => None,
-            v => Some(v.parse().ok()?),
+            v => Some(parse_decimal(v)?),
         };
         Some(SampleRecord {
             at,

@@ -1913,11 +1913,6 @@ impl Gazetteer {
     pub fn continent_of(&self, country: &str) -> Option<Continent> {
         self.country_continent.get(country).copied()
     }
-
-    /// Number of distinct countries.
-    pub fn country_count(&self) -> usize {
-        self.country_continent.len()
-    }
 }
 
 impl Default for Gazetteer {
@@ -1933,8 +1928,9 @@ mod tests {
     #[test]
     fn builds_with_expected_sizes() {
         let g = Gazetteer::new();
-        assert!(g.country_count() >= 70, "{} countries", g.country_count());
         assert!(g.places().len() >= 230, "{} places", g.places().len());
+        let countries = g.country_continent.len();
+        assert!(countries >= 70, "{countries} countries");
     }
 
     #[test]

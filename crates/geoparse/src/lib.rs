@@ -9,7 +9,7 @@
 //! conservative filter and combination rules. This crate rebuilds the whole
 //! stack offline:
 //!
-//! * [`gazetteer`] — an embedded gazetteer of countries, first-level regions
+//! * `gazetteer` — an embedded gazetteer of countries, first-level regions
 //!   and cities with coordinates, areas, populations and aliases (including
 //!   every location named in the paper's figures and server tables);
 //! * [`tools`] — the five tools, each with a distinct, realistic
@@ -26,13 +26,10 @@
 
 pub mod combine;
 pub mod filter;
-pub mod gazetteer;
+mod gazetteer;
 pub mod profiles;
 pub mod tags;
 pub mod tools;
 
-pub use combine::{combine_twitch_description, combine_twitter_location};
-pub use filter::conservative_filter;
 pub use gazetteer::{Gazetteer, Place, PlaceKind};
 pub use profiles::{match_profile, SocialProfile};
-pub use tools::{GeoTool, ToolKind};

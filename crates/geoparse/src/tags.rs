@@ -22,7 +22,7 @@ pub struct TagObservation {
 /// Derive a stable country from a user's tag history: the country whose tag
 /// appears in the longest run of *consecutive* observations, provided that
 /// run has at least `min_run` observations.
-pub fn stable_country(history: &[TagObservation], min_run: usize) -> Option<String> {
+pub(crate) fn stable_country(history: &[TagObservation], min_run: usize) -> Option<String> {
     let mut best: Option<(String, usize)> = None;
     let mut current: Option<(String, usize)> = None;
     for obs in history {

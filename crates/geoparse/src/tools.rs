@@ -354,7 +354,7 @@ fn resolve_to_single(mut matches: Vec<&Place>) -> Vec<Location> {
 
 /// A candidate n-gram of 1..=`max_n` consecutive words.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NGram {
+pub(crate) struct NGram {
     /// The n-gram text, words joined by single spaces.
     pub text: String,
     /// Number of words.
@@ -367,7 +367,7 @@ pub struct NGram {
 
 /// Tokenise text into words (letters, digits, hyphens, periods and
 /// apostrophes within a word) and produce all n-grams up to `max_n` words.
-pub fn ngrams(text: &str, max_n: usize) -> Vec<NGram> {
+pub(crate) fn ngrams(text: &str, max_n: usize) -> Vec<NGram> {
     let words: Vec<&str> = text
         .split(|c: char| c.is_whitespace() || ",;!?()\"".contains(c))
         .map(|w| w.trim_matches(|c: char| "..'-:".contains(c)))

@@ -72,7 +72,7 @@ const ROUTE_SALT: u64 = 0x7e60_11e7;
 /// Counter handles for the `net.*` catalogue. Registered eagerly so the
 /// metric cross-check sees every name whether or not it fires.
 #[derive(Clone)]
-pub struct NetMetrics {
+pub(crate) struct NetMetrics {
     /// Logical store operations issued (`net.requests`).
     pub requests: CounterHandle,
     /// Frames put on the wire, including retries (`net.frames`).
@@ -97,7 +97,7 @@ pub struct NetMetrics {
 
 impl NetMetrics {
     /// Resolve (and eagerly create) every `net.*` counter.
-    pub fn register(registry: &Registry) -> NetMetrics {
+    pub(crate) fn register(registry: &Registry) -> NetMetrics {
         NetMetrics {
             requests: registry.counter("net.requests"),
             frames: registry.counter("net.frames"),

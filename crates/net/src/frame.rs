@@ -31,11 +31,11 @@ use tero_store::{KvRequest, KvResponse, ObjRequest, ObjResponse};
 use tero_trace::TraceContext;
 
 /// Frame magic: "TN" + protocol version 2 (v2 added the trace words).
-pub const MAGIC: [u8; 4] = *b"TNv2";
+pub(crate) const MAGIC: [u8; 4] = *b"TNv2";
 
 /// Fixed header size in bytes (magic + kind + client + seq + trace
 /// context + body_len).
-pub const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 24 + 4;
+pub(crate) const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 24 + 4;
 
 /// The typed content of a frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +88,7 @@ pub struct Frame<'a> {
 pub enum FrameError {
     /// Fewer bytes than the fixed header.
     Truncated,
-    /// The magic did not match [`MAGIC`].
+    /// The first four bytes were not the frame magic `TNv2`.
     BadMagic,
     /// Unknown kind byte.
     BadKind(u8),

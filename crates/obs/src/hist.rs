@@ -132,19 +132,6 @@ impl Histogram {
         }
         Some(self.max() as f64)
     }
-
-    /// Bucket counts as `(lower_bound, count)` pairs for non-empty
-    /// buckets, in ascending value order.
-    pub fn nonempty_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_bounds(i).0, n))
-            })
-            .collect()
-    }
 }
 
 /// `[lo, hi)` value bounds of bucket `i`.
@@ -247,18 +234,5 @@ mod tests {
         // k+1, so 1023 and 1024 land in different buckets.
         assert_eq!(Histogram::bucket_for(1023), 10);
         assert_eq!(Histogram::bucket_for(1024), 11);
-        let h = Histogram::new();
-        h.record(1023);
-        h.record(1024);
-        assert_eq!(h.nonempty_buckets(), vec![(512, 1), (1024, 1)]);
-    }
-
-    #[test]
-    fn nonempty_buckets_report_lower_bounds() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(5);
-        h.record(6);
-        assert_eq!(h.nonempty_buckets(), vec![(0, 1), (4, 2)]);
     }
 }

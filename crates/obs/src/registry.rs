@@ -50,7 +50,7 @@ impl Registry {
 
     /// Whether wall-clock stage timing is enabled.
     #[inline]
-    pub fn timing_enabled(&self) -> bool {
+    pub(crate) fn timing_enabled(&self) -> bool {
         self.inner.timing.load(Ordering::Relaxed)
     }
 

@@ -25,11 +25,6 @@ impl StageTimer {
         }
     }
 
-    /// Whether this guard will record on drop.
-    pub fn is_enabled(&self) -> bool {
-        self.start.is_some()
-    }
-
     /// Stop and record now instead of at scope end.
     pub fn stop(self) {
         drop(self);
@@ -68,7 +63,6 @@ mod tests {
         let r = Registry::new();
         let h = r.histogram("stage.us");
         let t = r.stage_timer(&h);
-        assert!(!t.is_enabled());
         t.stop();
         assert_eq!(h.count(), 0);
     }

@@ -25,7 +25,7 @@ use tero_stats::QuantileSketch;
 /// version its contents were read at. Not thread-safe on its own — the
 /// query engine wraps it in a mutex.
 #[derive(Debug)]
-pub struct HotKeyCache {
+pub(crate) struct HotKeyCache {
     capacity: usize,
     version: u64,
     /// Key → (last-touched tick, decoded sketch).
@@ -36,7 +36,7 @@ pub struct HotKeyCache {
 impl HotKeyCache {
     /// An empty cache holding at most `capacity` sketches. Capacity 0
     /// disables caching: every lookup misses and nothing is stored.
-    pub fn new(capacity: usize) -> HotKeyCache {
+    pub(crate) fn new(capacity: usize) -> HotKeyCache {
         HotKeyCache {
             capacity,
             version: 0,
@@ -46,20 +46,15 @@ impl HotKeyCache {
     }
 
     /// Number of cached sketches.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Reconcile with the serving view's current version: if it moved
     /// on, drop everything. An older `version` than the cache has already
     /// seen is a late reader, not a rollback, and is ignored. Returns the
     /// number of entries invalidated.
-    pub fn sync_version(&mut self, version: u64) -> usize {
+    pub(crate) fn sync_version(&mut self, version: u64) -> usize {
         if version <= self.version {
             return 0;
         }
@@ -70,7 +65,7 @@ impl HotKeyCache {
     }
 
     /// Look up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<&QuantileSketch> {
+    pub(crate) fn get(&mut self, key: &str) -> Option<&QuantileSketch> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.entries.get_mut(key)?;
@@ -85,7 +80,12 @@ impl HotKeyCache {
     /// Returns the number of evictions (0 or 1) if it stored the sketch,
     /// `None` if it declined — which it always does at capacity 0, before
     /// it builds a key or clones anything.
-    pub fn insert(&mut self, version: u64, key: &str, sketch: &QuantileSketch) -> Option<u64> {
+    pub(crate) fn insert(
+        &mut self,
+        version: u64,
+        key: &str,
+        sketch: &QuantileSketch,
+    ) -> Option<u64> {
         if self.capacity == 0 || version != self.version {
             return None;
         }
@@ -153,7 +153,7 @@ mod tests {
         cache.insert(0, "b", &sketch(2.0));
         assert_eq!(cache.sync_version(0), 0, "same version keeps entries");
         assert_eq!(cache.sync_version(3), 2, "new version invalidates all");
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.sync_version(3), 0);
     }
 
@@ -176,6 +176,6 @@ mod tests {
         let mut cache = HotKeyCache::new(0);
         assert_eq!(cache.insert(0, "a", &sketch(1.0)), None);
         assert!(cache.get("a").is_none());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 }

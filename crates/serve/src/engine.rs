@@ -44,7 +44,7 @@ impl SketchRef {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// The `p`-th percentile (0–100) of a distribution, by the shared
-    /// nearest-rank definition (see `tero_stats::sketch`).
+    /// nearest-rank definition (see `tero_stats::QuantileSketch::quantile`).
     Percentile {
         /// The distribution to query.
         target: SketchRef,
@@ -95,7 +95,7 @@ impl Answer {
     }
 
     /// Whether the query found a non-empty distribution.
-    pub fn is_answered(&self) -> bool {
+    pub(crate) fn is_answered(&self) -> bool {
         match self {
             Answer::Value(v) => v.is_some(),
             Answer::Histogram(rows) => !rows.is_empty(),
@@ -146,11 +146,11 @@ impl ServeMetrics {
 }
 
 /// Default hot-key cache capacity (decoded sketches).
-pub const DEFAULT_CACHE_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// The distribution query front-end.
 ///
-/// Wraps a serving store — [`tero_core::Tero::serving_store`] after a
+/// Wraps a serving store — [`tero_core::pipeline::Tero::serving_store`] after a
 /// completed run, or any `KvStore` an engine committed into — and answers
 /// [`Query`]s from the committed sketches, through a hot-key LRU cache of
 /// decoded sketches. Thread-safe: the load generator fans queries out
@@ -163,7 +163,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 ///
 /// The store's serve version must never decrease under a live engine:
 /// the cache's version stamp only moves forward (a smaller version is a
-/// late reader, see [`HotKeyCache::sync_version`]), so after a
+/// late reader, see `HotKeyCache::sync_version`), so after a
 /// `KvStore::restore` in place, or a failover to a replica that lags,
 /// sketches cached before the rollback would be served until the counter
 /// passed the old stamp. Build a fresh engine over a restored store.
@@ -511,7 +511,7 @@ mod tests {
             assert_eq!(engine.percentile(&target, p), cached.percentile(&target, p));
         }
         assert_eq!(engine.cache_stats(), (0, 3, 0), "every query is a miss");
-        assert!(lock(&engine.cache).is_empty());
+        assert_eq!(lock(&engine.cache).len(), 0);
         assert_eq!(cached.cache_stats(), (2, 1, 0));
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("serve.cache.entries").unwrap().value, 0);

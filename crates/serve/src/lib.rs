@@ -10,9 +10,9 @@
 //!
 //! * [`engine`] — the [`QueryEngine`]: typed [`Query`]s and [`Answer`]s
 //!   over a serving store, through a hot-key cache of decoded sketches;
-//! * [`cache`] — the [`HotKeyCache`]: bounded LRU, invalidated whole
+//! * `cache` — the `HotKeyCache`: bounded LRU, invalidated whole
 //!   when the serving version moves (one bump per window commit);
-//! * [`loadgen`] — the seeded [`LoadGen`] and [`run_load`] replay:
+//! * `loadgen` — the seeded [`LoadGen`] and [`run_load`] replay:
 //!   a deterministic production-shaped query mix fanned out over
 //!   `tero-pool` against one shared engine.
 //!
@@ -59,10 +59,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod engine;
-pub mod loadgen;
+mod loadgen;
 
-pub use cache::HotKeyCache;
-pub use engine::{Answer, Query, QueryEngine, SketchRef, DEFAULT_CACHE_CAPACITY};
+pub use engine::{Answer, Query, QueryEngine, SketchRef};
 pub use loadgen::{fold_answers, run_load, LoadGen, LoadReport, QUERY_PERCENTILES};

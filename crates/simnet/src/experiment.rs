@@ -156,7 +156,7 @@ pub const UDP_END_S: u64 = 240;
 /// When the TCP flows start.
 pub const TCP_START_S: u64 = 180;
 /// Total experiment duration, seconds.
-pub const EXPERIMENT_END_S: u64 = 300;
+pub(crate) const EXPERIMENT_END_S: u64 = 300;
 
 /// Run one experiment. `duration_scale` shrinks the 5-minute protocol for
 /// tests (1.0 = the paper's timeline).

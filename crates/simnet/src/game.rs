@@ -68,7 +68,7 @@ impl GameClient {
     }
 
     /// Handle a server update.
-    pub fn on_update(&mut self, server_ts: SimTime, displayed_ms: f64, now: SimTime) {
+    pub(crate) fn on_update(&mut self, server_ts: SimTime, displayed_ms: f64, now: SimTime) {
         self.last_server_ts = Some((server_ts, now));
         self.displayed_ms = Some(displayed_ms);
     }
@@ -105,7 +105,7 @@ impl GameServerSession {
     }
 
     /// Handle an input packet: recover the network RTT from the echo.
-    pub fn on_input(&mut self, echo_ts: SimTime, hold_ms: u64, now: SimTime) {
+    pub(crate) fn on_input(&mut self, echo_ts: SimTime, hold_ms: u64, now: SimTime) {
         if hold_ms == u64::MAX || echo_ts == SimTime::EPOCH {
             return; // client had nothing to echo yet
         }

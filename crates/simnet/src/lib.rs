@@ -15,24 +15,24 @@
 //! * a game client/server protocol whose server measures application-layer
 //!   RTT and displays a **windowed average** — the mechanism behind the
 //!   paper's observation that gaming latency lags network latency by a few
-//!   seconds at sharp congestion transitions ([`game`]);
-//! * the Fig 3 testbed and the Table 2 experiment matrix ([`testbed`],
+//!   seconds at sharp congestion transitions (`game`);
+//! * the Fig 3 testbed and the Table 2 experiment matrix (`testbed`,
 //!   [`experiment`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod experiment;
-pub mod game;
+mod game;
 pub mod link;
-pub mod packet;
+mod packet;
 pub mod sim;
 pub mod tcp;
-pub mod testbed;
+mod testbed;
 pub mod udp;
 
-pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult, GameProfile};
-pub use link::{Link, LinkConfig, LinkId};
+pub use game::{GameClient, GameServerSession};
+pub use link::LinkConfig;
 pub use packet::{NodeId, Packet, PacketKind};
 pub use sim::Simulator;
 pub use testbed::Testbed;

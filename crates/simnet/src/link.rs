@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use tero_types::{SimDuration, SimTime};
 
 /// Index of a directed link.
-pub type LinkId = usize;
+pub(crate) type LinkId = usize;
 
 /// Static configuration of a directed link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,7 +85,7 @@ impl Link {
     }
 
     /// Offer a packet to the link at time `now`.
-    pub fn offer(&mut self, pkt: Packet, now: SimTime) -> (Offer, Option<Packet>) {
+    pub(crate) fn offer(&mut self, pkt: Packet, now: SimTime) -> (Offer, Option<Packet>) {
         if !self.busy {
             self.busy = true;
             let tx = SimDuration::from_secs_f64(pkt.tx_time_ms(self.cfg.rate_bps) / 1_000.0);
@@ -110,7 +110,7 @@ impl Link {
 
     /// The transmitter finished a packet; start the next queued one, if
     /// any. Returns the same schedule information as [`Link::offer`].
-    pub fn on_free(&mut self, now: SimTime) -> Option<(Packet, SimTime, SimTime)> {
+    pub(crate) fn on_free(&mut self, now: SimTime) -> Option<(Packet, SimTime, SimTime)> {
         self.delivered += 1;
         match self.queue.pop_front() {
             Some(pkt) => {
@@ -127,20 +127,10 @@ impl Link {
         }
     }
 
-    /// Number of packets waiting (excluding the one in transmission).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Bytes waiting in the queue.
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
-    }
-
     /// Instantaneous one-way latency a new arrival would experience:
     /// queued bytes drained at line rate, plus its own serialization,
     /// plus propagation. In milliseconds.
-    pub fn current_latency_ms(&self, packet_bytes: u32) -> f64 {
+    pub(crate) fn current_latency_ms(&self, packet_bytes: u32) -> f64 {
         let queue_ms = (self.queued_bytes as f64 * 8.0) / self.cfg.rate_bps * 1_000.0;
         let tx_ms = (packet_bytes as f64 * 8.0) / self.cfg.rate_bps * 1_000.0;
         queue_ms + tx_ms + self.cfg.prop.as_millis() as f64
@@ -201,8 +191,8 @@ mod tests {
         assert_eq!(l.offer(pkt(1250), now).0, Offer::Queued);
         assert_eq!(l.offer(pkt(1250), now).0, Offer::Dropped);
         assert_eq!(l.drops, 1);
-        assert_eq!(l.queue_len(), 2);
-        assert_eq!(l.queued_bytes(), 2_500);
+        assert_eq!(l.queue.len(), 2);
+        assert_eq!(l.queued_bytes, 2_500);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use tero_types::SimTime;
 pub type NodeId = usize;
 
 /// What a packet carries. Flow indices refer to the simulator's flow
-/// tables; game fields implement the RTT-echo protocol of [`crate::game`].
+/// tables; game fields implement the RTT-echo protocol of the `game` module.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketKind {
     /// UDP constant-bit-rate background traffic.
@@ -67,7 +67,7 @@ pub struct Packet {
 
 impl Packet {
     /// Serialization time of this packet on a link of the given rate.
-    pub fn tx_time_ms(&self, rate_bps: f64) -> f64 {
+    pub(crate) fn tx_time_ms(&self, rate_bps: f64) -> f64 {
         (self.size_bytes as f64 * 8.0) / rate_bps * 1_000.0
     }
 }

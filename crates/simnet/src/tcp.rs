@@ -51,7 +51,7 @@ pub struct TcpFlow {
     dupacks: u32,
     cc: CcState,
     recover: u64,
-    srtt_ms: Option<f64>,
+    pub(crate) srtt_ms: Option<f64>,
     rttvar_ms: f64,
     rto: SimDuration,
     /// Generation counter: a scheduled RTO event is valid only if its
@@ -76,7 +76,7 @@ pub struct TcpFlow {
 
 /// What the flow asks the simulator to do after handling an event.
 #[derive(Debug, Default)]
-pub struct TcpActions {
+pub(crate) struct TcpActions {
     /// Packets to inject at the appropriate source node.
     pub send: Vec<Packet>,
     /// Restart the RTO timer at this absolute time (with the flow's new
@@ -119,19 +119,9 @@ impl TcpFlow {
     }
 
     /// App-limited variant (Table 2's staggered 10 %-BD flows).
-    pub fn with_app_limit(mut self, bps: f64) -> Self {
+    pub(crate) fn with_app_limit(mut self, bps: f64) -> Self {
         self.app_limit_bps = Some(bps);
         self
-    }
-
-    /// Current congestion window, in segments.
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// Current smoothed RTT estimate in ms, if any sample was taken.
-    pub fn srtt_ms(&self) -> Option<f64> {
-        self.srtt_ms
     }
 
     /// Segments in flight.
@@ -163,7 +153,7 @@ impl TcpFlow {
 
     /// Offer the sender a chance to transmit new segments (called on
     /// start, on ACKs, and on pacing ticks for app-limited flows).
-    pub fn try_send(&mut self, now: SimTime, flow_idx: usize) -> TcpActions {
+    pub(crate) fn try_send(&mut self, now: SimTime, flow_idx: usize) -> TcpActions {
         let mut actions = TcpActions::default();
         if now < self.start || now >= self.stop {
             return actions;
@@ -190,7 +180,7 @@ impl TcpFlow {
 
     /// Receiver side: handle an arriving data segment; returns the ACK to
     /// send back.
-    pub fn on_data(&mut self, seq: u64, now: SimTime, flow_idx: usize) -> Packet {
+    pub(crate) fn on_data(&mut self, seq: u64, now: SimTime, flow_idx: usize) -> Packet {
         if seq == self.rcv_nxt {
             self.rcv_nxt += 1;
             self.delivered += 1;
@@ -215,7 +205,7 @@ impl TcpFlow {
     }
 
     /// Sender side: handle a cumulative ACK.
-    pub fn on_ack(&mut self, ack: u64, now: SimTime, flow_idx: usize) -> TcpActions {
+    pub(crate) fn on_ack(&mut self, ack: u64, now: SimTime, flow_idx: usize) -> TcpActions {
         let mut actions = TcpActions::default();
         if ack > self.snd_una {
             // New data acknowledged.
@@ -296,7 +286,7 @@ impl TcpFlow {
 
     /// Retransmission timeout fired (the simulator checks `gen` against
     /// `rto_gen` before calling).
-    pub fn on_rto(&mut self, now: SimTime, flow_idx: usize) -> TcpActions {
+    pub(crate) fn on_rto(&mut self, now: SimTime, flow_idx: usize) -> TcpActions {
         let mut actions = TcpActions::default();
         if self.flight() == 0 {
             return actions;
@@ -351,7 +341,7 @@ mod tests {
         // window opens.
         let t = SimTime::from_millis(50);
         let a = f.on_ack(2, t, 0);
-        assert!((f.cwnd() - 4.0).abs() < 1e-9);
+        assert!((f.cwnd - 4.0).abs() < 1e-9);
         assert_eq!(a.send.len(), 4, "window growth releases segments");
     }
 
@@ -363,9 +353,9 @@ mod tests {
         f.try_send(SimTime::EPOCH, 0);
         f.on_ack(2, SimTime::from_millis(10), 0);
         assert_eq!(f.cc, CcState::CongestionAvoidance);
-        let before = f.cwnd();
+        let before = f.cwnd;
         f.on_ack(4, SimTime::from_millis(20), 0);
-        let growth = f.cwnd() - before;
+        let growth = f.cwnd - before;
         assert!(growth < 1.0, "sub-linear growth per ack batch: {growth}");
     }
 
@@ -390,7 +380,7 @@ mod tests {
         // Recovery completes on a new ACK covering `recover`.
         let done = f.on_ack(8, SimTime::from_millis(60), 0);
         assert_eq!(f.cc, CcState::CongestionAvoidance);
-        assert!((f.cwnd() - f.ssthresh).abs() < 1e-9);
+        assert!((f.cwnd - f.ssthresh).abs() < 1e-9);
         let _ = done;
     }
 
@@ -402,7 +392,7 @@ mod tests {
         let before_rto = f.rto;
         let a = f.on_rto(SimTime::from_secs(1), 0);
         assert_eq!(a.send.len(), 1, "retransmit head of line");
-        assert!((f.cwnd() - 1.0).abs() < 1e-9);
+        assert!((f.cwnd - 1.0).abs() < 1e-9);
         assert_eq!(f.cc, CcState::SlowStart);
         assert_eq!(f.rto.as_micros(), before_rto.as_micros() * 2, "backoff");
         assert_eq!(f.timeouts, 1);
@@ -447,7 +437,7 @@ mod tests {
         let mut f = flow();
         f.try_send(SimTime::EPOCH, 0);
         f.on_ack(1, SimTime::from_millis(100), 0);
-        assert!((f.srtt_ms().unwrap() - 100.0).abs() < 1e-9);
+        assert!((f.srtt_ms.unwrap() - 100.0).abs() < 1e-9);
         // RTO at least 200 ms (clamped), at most srtt + 4*rttvar.
         assert!(f.rto.as_millis() >= 200);
         assert!(f.rto.as_millis() <= 400);

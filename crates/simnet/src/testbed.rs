@@ -51,7 +51,7 @@ pub struct Testbed {
 /// * `server_one_way` — propagation to the game server (sets the base
 ///   gaming latency, which differs per game);
 /// * `display_window` — the server's RTT-averaging window.
-pub fn build_testbed(
+pub(crate) fn build_testbed(
     bottleneck_bps: f64,
     bottleneck_queue: usize,
     server_one_way: SimDuration,

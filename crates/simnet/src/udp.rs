@@ -72,7 +72,7 @@ impl UdpFlow {
 
     /// The interval to the next packet, with jitter applied (mean remains
     /// the nominal interval).
-    pub fn next_interval(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn next_interval(&self, rng: &mut SimRng) -> SimDuration {
         let nominal = self.interval();
         if self.jitter <= 0.0 {
             return nominal;

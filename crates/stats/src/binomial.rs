@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Binomial probability mass `Pr[X = k]` for `X ~ Bin(n, p)`, computed in
 /// log space for stability.
-pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
+pub(crate) fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
     if k > n {
         return 0.0;
     }
@@ -25,11 +25,6 @@ pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
     }
     let ln = ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (1.0 - p).ln();
     ln.exp()
-}
-
-/// Binomial survival `Pr[X ≥ k]` for `X ~ Bin(n, p)`.
-pub fn binomial_sf(n: u64, k: u64, p: f64) -> f64 {
-    (k..=n).map(|i| binomial_pmf(n, i, p)).sum::<f64>().min(1.0)
 }
 
 /// The App. F shared-anomaly test for one `{location, game}` aggregate.
@@ -46,7 +41,7 @@ pub struct SharedAnomalyTest {
 
 impl SharedAnomalyTest {
     /// The paper's significance threshold for `Pr[D spikes]`: 0.01 %.
-    pub const PAPER_ALPHA: f64 = 1e-4;
+    pub(crate) const PAPER_ALPHA: f64 = 1e-4;
 
     /// Build the test from spike/measurement counts (Eq. 1).
     pub fn from_counts(spikes: u64, measurements: u64) -> Option<SharedAnomalyTest> {
@@ -100,18 +95,6 @@ mod tests {
         assert_eq!(binomial_pmf(5, 3, 0.0), 0.0);
         assert_eq!(binomial_pmf(5, 5, 1.0), 1.0);
         assert_eq!(binomial_pmf(5, 7, 0.5), 0.0, "k > n");
-    }
-
-    #[test]
-    fn sf_matches_complement() {
-        let n = 20;
-        let p = 0.2;
-        for k in 0..=n {
-            let sf = binomial_sf(n, k, p);
-            let cdf: f64 = (0..k).map(|i| binomial_pmf(n, i, p)).sum();
-            assert!((sf + cdf - 1.0).abs() < 1e-9);
-        }
-        assert!((binomial_sf(10, 0, 0.3) - 1.0).abs() < 1e-10);
     }
 
     #[test]

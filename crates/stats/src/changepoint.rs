@@ -9,8 +9,8 @@
 //! Two entry points share one implementation:
 //!
 //! * [`pelt_mean_shift`] — the offline baseline: hand it the whole series.
-//! * [`OnlinePelt`] — the streaming form: [`OnlinePelt::push`] one value at
-//!   a time and read [`OnlinePelt::segment_ends`] whenever a fresh
+//! * `OnlinePelt` — the streaming form: `OnlinePelt::push` one value at
+//!   a time and read `OnlinePelt::segment_ends` whenever a fresh
 //!   segmentation is needed. The PELT recursion is already sequential in
 //!   the series index — `f[t]` depends only on `f[0..t]` and prefix sums —
 //!   so the online detector runs the *identical* float operations in the
@@ -50,7 +50,7 @@ fn seg_cost(s1: &[f64], s2: &[f64], a: usize, b: usize) -> f64 {
 /// programming arrays); each [`OnlinePelt::push`] costs `O(|candidates|)`,
 /// which PELT's pruning keeps small on series with detectable structure.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OnlinePelt {
+pub(crate) struct OnlinePelt {
     penalty: f64,
     min_seg: usize,
     /// Prefix sums of the values (`s1[i]` = sum of the first `i`).
@@ -70,7 +70,7 @@ impl OnlinePelt {
     /// changepoints (must be fixed up front — see the module docs for why
     /// a data-dependent penalty forfeits the byte-equality contract);
     /// `min_seg_len` is the minimum number of points per segment (≥ 1).
-    pub fn new(penalty: f64, min_seg_len: usize) -> OnlinePelt {
+    pub(crate) fn new(penalty: f64, min_seg_len: usize) -> OnlinePelt {
         OnlinePelt {
             penalty,
             min_seg: min_seg_len.max(1),
@@ -83,18 +83,13 @@ impl OnlinePelt {
     }
 
     /// Number of values pushed so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.s1.len() - 1
-    }
-
-    /// Whether no values have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Feed the next value. Runs one step of the PELT recursion — the
     /// exact loop body of the batch algorithm at `t = len()`.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         let i = self.len();
         self.s1.push(self.s1[i] + x);
         self.s2.push(self.s2[i] + x * x);
@@ -141,7 +136,7 @@ impl OnlinePelt {
     /// (exclusive), always ending with `len()` — e.g. `[5, 12]` means
     /// segments `0..5` and `5..12`. Identical to
     /// [`pelt_mean_shift`] over the values pushed so far.
-    pub fn segment_ends(&self) -> Vec<usize> {
+    pub(crate) fn segment_ends(&self) -> Vec<usize> {
         let n = self.len();
         if n == 0 {
             return vec![];
@@ -158,14 +153,6 @@ impl OnlinePelt {
         ends.reverse();
         ends
     }
-
-    /// Number of changepoints in the current optimal segmentation
-    /// (segments − 1). Later pushes may *revise* this downward as well as
-    /// up — PELT re-optimises globally — so a count read mid-stream is
-    /// not a prefix of the final one.
-    pub fn change_count(&self) -> usize {
-        self.segment_ends().len().saturating_sub(1)
-    }
 }
 
 /// Detect changepoints in `xs` with the PELT algorithm under the mean-shift
@@ -176,7 +163,7 @@ impl OnlinePelt {
 /// [`bic_penalty`] for a standard default. `min_seg_len` is the minimum
 /// number of points per segment (≥ 1).
 ///
-/// This is a thin wrapper over [`OnlinePelt`]: the batch and streaming
+/// This is a thin wrapper over `OnlinePelt`: the batch and streaming
 /// detectors are one implementation, which is what makes their
 /// equivalence exact rather than approximate.
 pub fn pelt_mean_shift(xs: &[f64], penalty: f64, min_seg_len: usize) -> Vec<usize> {
@@ -192,7 +179,7 @@ pub fn pelt_mean_shift(xs: &[f64], penalty: f64, min_seg_len: usize) -> Vec<usiz
 /// inflate it.
 ///
 /// Note this penalty reads the *whole* series (`n` and the MAD), so it is
-/// only available offline; the streaming [`OnlinePelt`] requires a fixed
+/// only available offline; the streaming `OnlinePelt` requires a fixed
 /// penalty chosen up front (see the module docs).
 pub fn bic_penalty(xs: &[f64]) -> f64 {
     let n = xs.len();
@@ -275,9 +262,8 @@ mod tests {
         assert_eq!(pelt_mean_shift(&[1.0], 1.0, 3), vec![1]);
         assert_eq!(pelt_mean_shift(&[1.0, 2.0, 3.0], 1.0, 3), vec![3]);
         let empty = OnlinePelt::new(1.0, 3);
-        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
         assert!(empty.segment_ends().is_empty());
-        assert_eq!(empty.change_count(), 0);
     }
 
     #[test]

@@ -24,20 +24,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Sample variance (n − 1 denominator). `NaN` when fewer than 2 points.
-pub fn sample_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Percentile `p ∈ [0, 100]` by linear interpolation between closest ranks
 /// (the "linear" method of NumPy). The input need not be sorted. Returns
 /// `NaN` for an empty slice.
@@ -71,7 +57,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// rank `ceil(p/100 · n)`, clamped to at least rank 1. `None` when empty.
 ///
 /// This is the definition shared by `tero_obs::Histogram::percentile` and
-/// [`tero_stats::sketch::QuantileSketch::quantile`](crate::sketch::QuantileSketch::quantile)
+/// [`QuantileSketch::quantile`](crate::QuantileSketch::quantile)
 /// — the one docs/OPERATIONS.md quotes for every served p50/p95/p99. It
 /// always returns an observed sample, unlike [`percentile`] which
 /// linearly interpolates *between* samples (the §5.2 report method); on a
@@ -155,16 +141,6 @@ impl std::fmt::Display for BoxplotStats {
     }
 }
 
-/// Empirical CDF evaluation points for plotting: returns `(sorted values,
-/// cumulative probabilities)`.
-pub fn ecdf(xs: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in ecdf input"));
-    let n = sorted.len();
-    let probs = (1..=n).map(|i| i as f64 / n as f64).collect();
-    (sorted, probs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,11 +150,8 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
         assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
         assert!(mean(&[]).is_nan());
         assert!(variance(&[]).is_nan());
-        assert!(sample_variance(&[1.0]).is_nan());
-        assert!((sample_variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -232,13 +205,5 @@ mod tests {
         let s = b.scaled(0.1);
         assert!((s.p50 - 2.0).abs() < 1e-12);
         assert_eq!(s.n, 3);
-    }
-
-    #[test]
-    fn ecdf_monotone() {
-        let (vals, probs) = ecdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(vals, vec![1.0, 2.0, 3.0]);
-        assert!((probs[2] - 1.0).abs() < 1e-12);
-        assert!(probs.windows(2).all(|w| w[0] <= w[1]));
     }
 }

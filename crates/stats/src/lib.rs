@@ -6,47 +6,45 @@
 //!
 //! * [`descriptive`] — means, variances, percentiles, and the 5/25/50/75/95
 //!   boxplot statistics used for every latency distribution (§5.2);
-//! * [`special`] — `erf`, the normal pdf/cdf and its inverse, `ln Γ`;
-//! * [`binomial`] — the shared-anomaly statistical test of App. F
+//! * `special` — `erf`, the normal pdf/cdf and its inverse, `ln Γ`;
+//! * `binomial` — the shared-anomaly statistical test of App. F
 //!   (after Padmanabhan et al. \[41\]);
-//! * [`wasserstein`] — 1-D optimal transport distance and the *uneven-ness*
+//! * `wasserstein` — 1-D optimal transport distance and the *uneven-ness*
 //!   score of Fig 8;
-//! * [`probit`] — Probit regression by Newton–Raphson MLE with average
+//! * `probit` — Probit regression by Newton–Raphson MLE with average
 //!   marginal effects and Wald significance (§6, Table 5);
 //! * [`changepoint`] — PELT (Killick et al. \[26\]), the changepoint baseline
 //!   the paper tried before designing its QoE-based detector (§3.3.2);
-//! * [`lof`], [`iforest`], [`mcd`] — the three unsupervised anomaly-detection
+//! * [`lof`], `iforest`, `mcd` — the three unsupervised anomaly-detection
 //!   baselines of App. J (Local Outlier Factor, Isolation Forest, Minimum
 //!   Covariance Determinant);
-//! * [`outliers`] — the inter-quartile-range rule used to threshold
+//! * `outliers` — the inter-quartile-range rule used to threshold
 //!   Isolation-Forest scores (App. J);
-//! * [`sketch`] — the mergeable DDSketch-style quantile sketch behind the
+//! * `sketch` — the mergeable DDSketch-style quantile sketch behind the
 //!   `tero-serve` query front-end (percentile/CDF/histogram/Wasserstein
 //!   answers within a documented relative-error bound).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod binomial;
+mod binomial;
 pub mod changepoint;
 pub mod descriptive;
-pub mod iforest;
+mod iforest;
 pub mod lof;
-pub mod mcd;
-pub mod outliers;
-pub mod probit;
-pub mod sketch;
-pub mod special;
-pub mod wasserstein;
+mod mcd;
+mod outliers;
+mod probit;
+mod sketch;
+mod special;
+mod wasserstein;
 
-pub use binomial::{binomial_pmf, binomial_sf, SharedAnomalyTest};
-pub use changepoint::{pelt_mean_shift, OnlinePelt};
-pub use descriptive::{mean, percentile, percentile_nearest_rank, std_dev, variance, BoxplotStats};
+pub use binomial::SharedAnomalyTest;
+pub use changepoint::pelt_mean_shift;
+pub use descriptive::{mean, percentile, percentile_nearest_rank, BoxplotStats};
 pub use iforest::IsolationForest;
-pub use lof::local_outlier_factor;
 pub use mcd::UnivariateMcd;
-pub use outliers::iqr_outliers;
 pub use probit::{ProbitFit, ProbitModel};
 pub use sketch::{QuantileSketch, DEFAULT_ALPHA};
-pub use special::{erf, inv_norm_cdf, ln_gamma, norm_cdf, norm_pdf};
+pub use special::norm_cdf;
 pub use wasserstein::{unevenness_score, wasserstein_1d};

@@ -70,23 +70,9 @@ impl UnivariateMcd {
     }
 
     /// Squared robust (Mahalanobis) distance of a point.
-    pub fn robust_distance_sq(&self, x: f64) -> f64 {
+    pub(crate) fn robust_distance_sq(&self, x: f64) -> f64 {
         let d = (x - self.location) / self.scale;
         d * d
-    }
-
-    /// Flag outliers at χ²₁ quantile `1 − alpha` (e.g. `alpha = 0.025` gives
-    /// the classical 97.5 % cutoff).
-    pub fn outliers_chi2(&self, xs: &[f64], alpha: f64) -> Vec<usize> {
-        // χ²₁ quantile = (z_{1−alpha/2})²? No: if D² ~ χ²₁ then
-        // P(D² > q) = alpha  ⇔  q = (Φ⁻¹(1 − alpha/2))².
-        let z = inv_norm_cdf(1.0 - alpha / 2.0);
-        let q = z * z;
-        xs.iter()
-            .enumerate()
-            .filter(|(_, &x)| self.robust_distance_sq(x) > q)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Flag the top `contamination` fraction of points by robust distance —
@@ -165,19 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn chi2_outlier_detection() {
-        let mut rng = SimRng::new(7);
-        let mut xs: Vec<f64> = (0..500).map(|_| rng.normal_with(30.0, 1.5)).collect();
-        xs.push(80.0);
-        xs.push(85.0);
-        let mcd = UnivariateMcd::fit(&xs, None).unwrap();
-        let out = mcd.outliers_chi2(&xs, 0.01);
-        assert!(out.contains(&500) && out.contains(&501), "out {out:?}");
-        // False-positive rate near the nominal alpha.
-        assert!(out.len() < 20, "too many: {}", out.len());
-    }
-
-    #[test]
     fn contamination_flagging_counts() {
         let mut rng = SimRng::new(9);
         let xs: Vec<f64> = (0..200).map(|_| rng.normal_with(10.0, 1.0)).collect();
@@ -207,11 +180,10 @@ mod tests {
         let constant = vec![4.0; 20];
         let mcd = UnivariateMcd::fit(&constant, None).unwrap();
         assert_eq!(mcd.location, 4.0);
-        assert!(mcd.outliers_chi2(&constant, 0.01).is_empty());
-        // A single deviant among constants is flagged.
+        // A single deviant among constants is the one flagged.
         let mut xs = constant.clone();
         xs.push(10.0);
         let mcd = UnivariateMcd::fit(&xs, None).unwrap();
-        assert_eq!(mcd.outliers_chi2(&xs, 0.01), vec![20]);
+        assert_eq!(mcd.outliers_by_contamination(&xs, 1.0 / 21.0), vec![20]);
     }
 }

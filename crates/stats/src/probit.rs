@@ -55,16 +55,6 @@ impl ProbitModel {
         self.ys.push(y);
     }
 
-    /// Add one observation with multiple predictors.
-    pub fn push_multi(&mut self, x: &[f64], y: bool) {
-        assert!(
-            self.xs.is_empty() || self.xs[0].len() == x.len(),
-            "inconsistent predictor count"
-        );
-        self.xs.push(x.to_vec());
-        self.ys.push(y);
-    }
-
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.ys.len()
@@ -191,19 +181,6 @@ impl ProbitModel {
     }
 }
 
-impl ProbitFit {
-    /// Predicted probability for a single-predictor model.
-    pub fn predict(&self, x: f64) -> f64 {
-        assert_eq!(self.beta.len(), 2, "predict() is for single-predictor fits");
-        norm_cdf(self.beta[0] + self.beta[1] * x)
-    }
-
-    /// Is the first predictor's effect significant at level `alpha`?
-    pub fn significant_at(&self, alpha: f64) -> bool {
-        self.p_value.get(1).is_some_and(|&p| p <= alpha)
-    }
-}
-
 /// Solve `A x = b` for small dense symmetric `A` by Gaussian elimination
 /// with partial pivoting. Returns `None` on (numerical) singularity.
 #[allow(clippy::needless_range_loop)]
@@ -288,23 +265,13 @@ mod tests {
         assert!(fit.converged);
         assert!((fit.beta[0] + 1.5).abs() < 0.08, "b0 {}", fit.beta[0]);
         assert!((fit.beta[1] - 0.2).abs() < 0.02, "b1 {}", fit.beta[1]);
-        assert!(fit.significant_at(0.01));
+        assert!(fit.p_value[1] <= 0.01, "p={}", fit.p_value[1]);
     }
 
     #[test]
-    fn marginal_effect_matches_numeric_derivative() {
+    fn marginal_effect_is_attenuated() {
         let m = synth(20_000, -1.0, 0.15, 7);
         let fit = m.fit().unwrap();
-        // AME should equal the average numeric slope of the prediction fn.
-        let eps = 1e-5;
-        let mut num = 0.0;
-        let mut count = 0.0;
-        for x in 0..10 {
-            let x = x as f64;
-            num += (fit.predict(x + eps) - fit.predict(x - eps)) / (2.0 * eps);
-            count += 1.0;
-        }
-        let _ = num / count; // not the same weighting; just sanity-range check
         assert!(fit.marginal_effect[0] > 0.0);
         assert!(fit.marginal_effect[0] < 0.15, "AME is attenuated vs beta");
     }
@@ -314,7 +281,7 @@ mod tests {
         let m = synth(5_000, -1.0, 0.0, 99);
         let fit = m.fit().unwrap();
         assert!(fit.beta[1].abs() < 0.05);
-        assert!(!fit.significant_at(0.001), "p={}", fit.p_value[1]);
+        assert!(fit.p_value[1] > 0.001, "p={}", fit.p_value[1]);
     }
 
     #[test]
@@ -335,7 +302,8 @@ mod tests {
             let x1 = rng.f64() * 4.0;
             let x2 = rng.f64() * 4.0;
             let p = norm_cdf(-1.0 + 0.5 * x1 - 0.3 * x2);
-            m.push_multi(&[x1, x2], rng.chance(p));
+            m.xs.push(vec![x1, x2]);
+            m.ys.push(rng.chance(p));
         }
         let fit = m.fit().unwrap();
         assert!((fit.beta[1] - 0.5).abs() < 0.05, "b1 {}", fit.beta[1]);

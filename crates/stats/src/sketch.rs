@@ -75,7 +75,7 @@ use std::fmt::Write as _;
 pub const DEFAULT_ALPHA: f64 = 0.01;
 
 /// Midpoint-rule resolution of [`QuantileSketch::wasserstein`].
-pub const WASSERSTEIN_GRID: usize = 256;
+pub(crate) const WASSERSTEIN_GRID: usize = 256;
 
 /// The fraction `quantile` computes at each grid point: the midpoint
 /// percentile `(i + 0.5) / grid · 100`, then `/ 100`, folded at compile
@@ -261,22 +261,6 @@ impl QuantileSketch {
         self.max = self.max.max(other.max);
     }
 
-    /// Merge an iterator of sketches into one, in the order given.
-    /// Callers that want a pinned byte-identical result across processes
-    /// should iterate a sorted key order (e.g. a `BTreeMap`), though the
-    /// merged *contents* are the same for any order. `None` when the
-    /// iterator is empty.
-    pub fn merge_all<'a>(
-        sketches: impl IntoIterator<Item = &'a QuantileSketch>,
-    ) -> Option<QuantileSketch> {
-        let mut iter = sketches.into_iter();
-        let mut acc = iter.next()?.clone();
-        for s in iter {
-            acc.merge(s);
-        }
-        Some(acc)
-    }
-
     /// The `p`-th percentile (0–100) by the shared nearest-rank
     /// definition (see the module docs): target rank `ceil(p/100 · n)`
     /// clamped to at least 1, linear interpolation by rank inside the
@@ -367,7 +351,7 @@ impl QuantileSketch {
 
     /// Approximate 1-D Wasserstein-1 distance to another sketch, by the
     /// quantile-function integral `∫|F⁻¹(q) − G⁻¹(q)| dq` evaluated with
-    /// a midpoint rule at [`WASSERSTEIN_GRID`] ranks. Deterministic; the
+    /// a midpoint rule at `WASSERSTEIN_GRID` ranks. Deterministic; the
     /// discretisation adds `O(1/grid)` rank error on top of the per-value
     /// relative bound. `None` when either sketch is empty.
     pub fn wasserstein(&self, other: &QuantileSketch) -> Option<f64> {
@@ -1217,16 +1201,6 @@ mod tests {
         let mut flipped = QuantileSketch::from_values(&b);
         flipped.merge(&QuantileSketch::from_values(&a));
         assert_eq!(flipped.encode(), bulk.encode());
-    }
-
-    #[test]
-    fn merge_all_in_sorted_order() {
-        let parts: Vec<QuantileSketch> = (0..4)
-            .map(|k| QuantileSketch::from_values(&[(k + 1) as f64, (k + 10) as f64]))
-            .collect();
-        let merged = QuantileSketch::merge_all(parts.iter()).unwrap();
-        assert_eq!(merged.count(), 8);
-        assert!(QuantileSketch::merge_all(std::iter::empty()).is_none());
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn erfc_large(y: f64) -> f64 {
 }
 
 /// Error function, accurate to double precision.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let y = x.abs();
     if y <= 0.46875 {
         let z = if y > 1e-10 { y * y } else { 0.0 };
@@ -110,7 +110,7 @@ pub fn erf(x: f64) -> f64 {
 
 /// Complementary error function, accurate to double precision (including
 /// the far tail, where `1 - erf(x)` would underflow to 0 in naive code).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let y = x.abs();
     let r = if y <= 0.46875 {
         return 1.0 - erf(x);
@@ -125,7 +125,7 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Standard normal probability density.
-pub fn norm_pdf(x: f64) -> f64 {
+pub(crate) fn norm_pdf(x: f64) -> f64 {
     (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
@@ -136,7 +136,7 @@ pub fn norm_cdf(x: f64) -> f64 {
 
 /// Inverse standard normal CDF (quantile function), via Acklam's algorithm
 /// with a Halley refinement step. Accurate to ~1e-13 on `(0, 1)`.
-pub fn inv_norm_cdf(p: f64) -> f64 {
+pub(crate) fn inv_norm_cdf(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "inv_norm_cdf requires p in (0,1), got {p}"
@@ -194,7 +194,7 @@ pub fn inv_norm_cdf(p: f64) -> f64 {
 }
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -222,7 +222,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// `ln C(n, k)` — log binomial coefficient via log-gamma.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }

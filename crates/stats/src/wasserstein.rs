@@ -49,7 +49,7 @@ pub fn wasserstein_1d(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Uses the CDF-difference integral with exact piecewise-linear integration:
 /// `W1 = ∫₀^span |F_emp(x) − x/span| dx`.
-pub fn wasserstein_to_uniform(samples: &[f64], span: f64) -> f64 {
+pub(crate) fn wasserstein_to_uniform(samples: &[f64], span: f64) -> f64 {
     assert!(!samples.is_empty(), "wasserstein_to_uniform: empty input");
     assert!(span > 0.0, "wasserstein_to_uniform: span must be positive");
     let mut xs: Vec<f64> = samples.iter().map(|&x| x.clamp(0.0, span)).collect();

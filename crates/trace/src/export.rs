@@ -11,7 +11,7 @@
 //! Write [`Tracer::chrome_trace`] to a `.json` file and load it at
 //! <https://ui.perfetto.dev> (or `chrome://tracing`). Spans appear as `X`
 //! slices and events as instants; `tid 0` is the sequential coordinator
-//! and `tid 1..=8` are the [`VIRTUAL_LANES`] that fan-out task spans are
+//! and `tid 1..=8` are the `VIRTUAL_LANES` that fan-out task spans are
 //! spread across by input index. Timestamps are logical ticks (one
 //! "microsecond" per record boundary), not wall time — the horizontal axis
 //! shows pipeline structure, not duration.

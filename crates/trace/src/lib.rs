@@ -7,13 +7,13 @@
 //! 1. **Spans & events** ([`Tracer`], [`SpanGuard`], [`Level`]): hierarchical
 //!    spans carrying both simulated time ([`tero_types::SimTime`]) and
 //!    optional wall time, plus a leveled event journal. Span ids and record
-//!    order are fully deterministic (see [`span`] for the contract), so
+//!    order are fully deterministic (the `span` module states the contract), so
 //!    traces are byte-identical across `worker_threads ∈ {1, 2, 8}`. Spans
 //!    propagate across `tero_pool::par_map` workers via a stamped context
 //!    ([`StageCtx`] / [`TaskCtx`]), and a bounded ring-buffer *flight
 //!    recorder* mode retains only the last N spans/events for post-mortem
 //!    dumps after a chaos fault.
-//! 2. **Exporters** ([`export`]): Chrome trace-event JSON (loadable in
+//! 2. **Exporters** (`export`): Chrome trace-event JSON (loadable in
 //!    Perfetto / `chrome://tracing`, with pool lanes as tids) and an
 //!    aligned-text timeline.
 //! 3. **Sample provenance** ([`Ledger`], [`DropReason`]): every sample
@@ -44,15 +44,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod budget;
-pub mod export;
-pub mod ledger;
-pub mod span;
+mod budget;
+mod export;
+mod ledger;
+mod span;
 
 pub use budget::{Budget, BudgetRow, BudgetSource, BudgetTable};
 pub use export::merged_chrome_trace;
 pub use ledger::{DropReason, Ledger, LedgerSummary, ReconcileError, SampleKey, SampleState};
 pub use span::{
     EventRecord, Level, SpanGuard, SpanRecord, StageCtx, TaskCtx, TaskTrace, TraceContext, Tracer,
-    VIRTUAL_LANES,
 };

@@ -50,7 +50,7 @@ use tero_types::SimTime;
 /// Task spans are spread over `1 + index % VIRTUAL_LANES` by *input index*,
 /// not by the OS thread that executed them, keeping exports byte-identical
 /// across `worker_threads` settings. Lane 0 is the sequential coordinator.
-pub const VIRTUAL_LANES: u64 = 8;
+pub(crate) const VIRTUAL_LANES: u64 = 8;
 
 /// Severity of a journal event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Mean Earth radius in kilometres (IUGG).
-pub const EARTH_RADIUS_KM: f64 = 6371.0088;
+pub(crate) const EARTH_RADIUS_KM: f64 = 6371.0088;
 
 /// A latitude/longitude pair in degrees.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -29,11 +29,6 @@ impl LatLon {
             lon: lon - 180.0,
         }
     }
-
-    /// Great-circle distance to another point, in kilometres.
-    pub fn distance_km(&self, other: &LatLon) -> f64 {
-        haversine_km(*self, *other)
-    }
 }
 
 /// Great-circle (haversine) distance between two points, in kilometres.
@@ -54,23 +49,13 @@ pub fn haversine_km(a: LatLon, b: LatLon) -> f64 {
 /// The second component models the intra-location spread and matters most
 /// when streamer and server are in the same place (plain geodesic distance
 /// would be zero there). For a roughly disc-shaped location of radius `r`,
-/// the average distance from the centre is `2r/3`, which is what
-/// [`mean_radius_km_for_area`] assumes.
+/// the average distance from the centre is `2r/3`.
 pub fn corrected_distance_km(
     streamer_center: LatLon,
     server_center: LatLon,
     streamer_mean_radius_km: f64,
 ) -> f64 {
     haversine_km(streamer_center, server_center) + streamer_mean_radius_km.max(0.0)
-}
-
-/// Average distance of a uniformly random point of a disc-shaped location
-/// with the given area (km²) from the disc's centre: `2/3 · sqrt(area/pi)`.
-pub fn mean_radius_km_for_area(area_km2: f64) -> f64 {
-    if area_km2 <= 0.0 {
-        return 0.0;
-    }
-    (2.0 / 3.0) * (area_km2 / std::f64::consts::PI).sqrt()
 }
 
 /// Minimum one-way speed-of-light-in-fibre propagation delay in milliseconds
@@ -144,20 +129,6 @@ mod tests {
         assert!(close(d, 7.5, 1e-9));
         // Negative radius input is treated as zero.
         assert!(close(corrected_distance_km(ams, ams, -3.0), 0.0, 1e-9));
-    }
-
-    #[test]
-    fn mean_radius_scales_with_area() {
-        assert_eq!(mean_radius_km_for_area(0.0), 0.0);
-        let r100 = mean_radius_km_for_area(100.0);
-        let r400 = mean_radius_km_for_area(400.0);
-        assert!(close(r400 / r100, 2.0, 1e-9)); // sqrt scaling
-                                                // Disc of radius 1 km has area pi; mean distance 2/3.
-        assert!(close(
-            mean_radius_km_for_area(std::f64::consts::PI),
-            2.0 / 3.0,
-            1e-9
-        ));
     }
 
     #[test]

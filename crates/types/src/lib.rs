@@ -5,8 +5,8 @@
 //!
 //! This crate is deliberately dependency-light: everything else in the
 //! workspace builds on the vocabulary defined here — simulated time
-//! ([`SimTime`]), anonymised identifiers ([`ids`]), geography and the paper's
-//! *corrected distance* ([`geo`]), the `{city, region, country}` location
+//! ([`SimTime`]), anonymised identifiers (`ids`), geography and the paper's
+//! *corrected distance* (`geo`), the `{city, region, country}` location
 //! tuple ([`Location`]), the configurable parameters of Table 1
 //! ([`TeroParams`]), the deterministic random-number generator
 //! ([`SimRng`]) that makes every experiment bit-reproducible, and the
@@ -15,14 +15,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod geo;
-pub mod ids;
-pub mod latency;
+mod geo;
+mod ids;
+mod latency;
 pub mod location;
-pub mod params;
+mod params;
 pub mod retry;
-pub mod rng;
-pub mod time;
+mod rng;
+mod time;
 
 pub use geo::{corrected_distance_km, fiber_delay_ms, haversine_km, LatLon};
 pub use ids::{consistent_hash, AnonId, GameId, ShardSpec, StreamerId};

@@ -44,12 +44,6 @@ impl TeroParams {
         self.stable_len = d;
         self
     }
-
-    /// Builder-style override of `MaxSpikes`.
-    pub fn with_max_spikes(mut self, p: f64) -> Self {
-        self.max_spikes = p.clamp(0.0, 1.0);
-        self
-    }
 }
 
 impl Default for TeroParams {
@@ -83,16 +77,13 @@ mod tests {
         let p5 = p.with_stable_len(SimDuration::from_mins(5));
         assert_eq!(p5.stable_points(), 1);
         // Degenerate StableLen still demands at least one point.
-        let p0 = p.with_stable_len(SimDuration::ZERO);
+        let p0 = p.with_stable_len(SimDuration::from_micros(0));
         assert_eq!(p0.stable_points(), 1);
     }
 
     #[test]
     fn builders() {
-        let p = TeroParams::default()
-            .with_lat_gap_ms(8)
-            .with_max_spikes(1.5);
+        let p = TeroParams::default().with_lat_gap_ms(8);
         assert_eq!(p.lat_gap_ms, 8);
-        assert!((p.max_spikes - 1.0).abs() < 1e-12, "clamped to 1");
     }
 }

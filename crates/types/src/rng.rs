@@ -150,17 +150,6 @@ impl SimRng {
         }
     }
 
-    /// Geometric-ish draw: number of failures before the first success of a
-    /// Bernoulli(p) process. Returns 0 when `p >= 1`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        if p >= 1.0 {
-            return 0;
-        }
-        let p = p.max(1e-12);
-        let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
     /// Choose a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "SimRng::choose on empty slice");
@@ -325,16 +314,5 @@ mod tests {
         let mut c2 = parent.fork();
         let same = (0..32).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert!(same < 2);
-    }
-
-    #[test]
-    fn geometric_mean_matches() {
-        let mut rng = SimRng::new(37);
-        let p: f64 = 0.25;
-        let n = 50_000;
-        let mean = (0..n).map(|_| rng.geometric(p) as f64).sum::<f64>() / n as f64;
-        let expect = (1.0 - p) / p;
-        assert!((mean - expect).abs() < 0.1, "mean {mean} expect {expect}");
-        assert_eq!(rng.geometric(1.0), 0);
     }
 }

@@ -112,9 +112,6 @@ impl SimTime {
 }
 
 impl SimDuration {
-    /// The zero-length duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-
     /// Construct from whole microseconds.
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
@@ -294,14 +291,14 @@ mod tests {
         assert_eq!((t + d) - t, d);
         // Saturating subtraction never underflows.
         assert_eq!(SimTime::EPOCH - d, SimTime::EPOCH);
-        assert_eq!(SimTime::EPOCH.since(t), SimDuration::ZERO);
+        assert_eq!(SimTime::EPOCH.since(t), SimDuration::from_micros(0));
     }
 
     #[test]
     fn duration_scaling() {
         let d = SimDuration::from_secs(10);
         assert_eq!(d.mul_f64(0.5).as_millis(), 5_000);
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
+        assert_eq!(d.mul_f64(0.0), SimDuration::from_micros(0));
         assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1_500);
         assert_eq!(SimDuration::from_secs_f64(0.0002).as_micros(), 200);
         assert_eq!(SimDuration::from_millis_f64(0.25).as_micros(), 250);

@@ -164,3 +164,32 @@ impl BitImage {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn morph(img: &Image, dilate: bool) -> Image {
+        let mut out = BitImage::default();
+        BitImage::packed(img, 0).morph_into(&mut out, dilate);
+        out.to_image()
+    }
+
+    #[test]
+    fn dilate_then_erode_closes_gaps() {
+        // Two ink pixels with a 1-px gap: closing merges them.
+        let mut img = Image::filled(9, 3, 255);
+        img.set(2, 1, 0);
+        img.set(4, 1, 0);
+        let closed = morph(&morph(&img, true), false);
+        assert_eq!(closed.get(3, 1), 0, "gap filled");
+        assert_eq!(closed.get(2, 1), 0);
+    }
+
+    #[test]
+    fn erode_removes_isolated_pixels() {
+        let mut img = Image::filled(9, 9, 255);
+        img.set(4, 4, 0);
+        assert!(!morph(&img, false).pixels.contains(&0));
+    }
+}

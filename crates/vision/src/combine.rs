@@ -179,7 +179,7 @@ impl OcrCombiner {
     /// [`OcrCombiner::extract`] plus the per-engine [`ExtractDetail`] that
     /// observability consumers (the image-processing module's per-engine
     /// counters) record.
-    pub fn extract_with_detail(&self, crop: &Image) -> (CombineOutcome, ExtractDetail) {
+    pub(crate) fn extract_with_detail(&self, crop: &Image) -> (CombineOutcome, ExtractDetail) {
         let mut scratch = Scratch::default();
         let first = self.pass(crop, &self.preprocess_cfg, &mut scratch);
         if let Some((primary, alternative)) = vote(first) {

@@ -11,6 +11,7 @@
 //! contents mix random gray, all-ink, no-ink, single-pixel, random binary
 //! and rendered text. Every assertion names width, height and seed.
 
+use crate::bits::BitImage;
 use crate::combine::{CombineOutcome, OcrCombiner};
 use crate::font::{rasterize, TEMPLATE_CHARS};
 use crate::image::Image;
@@ -115,8 +116,12 @@ proptest! {
         let (w, h) = dims(pick, random, seed);
         let gray = image(w, h, seed);
         for img in [&gray, &binary(&gray)] {
-            prop_assert_eq!(preprocess::dilate(img), reference::dilate(img), "dilate {}x{} seed {}", w, h, seed);
-            prop_assert_eq!(preprocess::erode(img), reference::erode(img), "erode {}x{} seed {}", w, h, seed);
+            for dilate in [true, false] {
+                let mut out = BitImage::default();
+                BitImage::packed(img, 0).morph_into(&mut out, dilate);
+                let old = if dilate { reference::dilate(img) } else { reference::erode(img) };
+                prop_assert_eq!(out.to_image(), old, "dilate {} {}x{} seed {}", dilate, w, h, seed);
+            }
         }
     }
 
@@ -200,10 +205,11 @@ proptest! {
         let (w, h) = dims(pick, random, seed);
         let gray = image(w, h, seed);
         for img in [&gray, &binary(&gray)] {
-            let (new, old) = (ocr::segment_glyphs(img), reference::segment_glyphs(img));
+            let new = ocr::segment_bits(&BitImage::packed(img, 0));
+            let old = reference::segment_glyphs(img);
             prop_assert_eq!(new.len(), old.len(), "box count {}x{} seed {}", w, h, seed);
             for (a, b) in new.iter().zip(&old) {
-                prop_assert_eq!(&a.img, &b.img, "box image {}x{} seed {}", w, h, seed);
+                prop_assert_eq!(&img.crop(a.x, a.y, a.w, a.h), &b.img, "box image {}x{} seed {}", w, h, seed);
                 prop_assert_eq!(a.is_blob, b.is_blob, "is_blob {}x{} seed {}", w, h, seed);
             }
         }
@@ -217,10 +223,14 @@ proptest! {
     ) {
         let (w, h) = dims(pick, random, seed);
         let img = binary(&image(w, h, seed));
+        let bits = BitImage::packed(&img, 0);
+        let whole = ocr::GlyphRect { x: 0, y: 0, w, h, is_blob: false };
         for (tw, th) in template_grids() {
             for frac in [0.30, 0.40, 0.50] {
+                let mut cells = vec![false; tw * th];
+                ocr::quantize_rect(&bits, &whole, tw, th, frac, |i| cells[i] = true);
                 prop_assert_eq!(
-                    ocr::quantize_to(&img, tw, th, frac),
+                    cells,
                     reference::quantize_to(&img, tw, th, frac),
                     "quantize {}x{} at {} {}x{} seed {}", tw, th, frac, w, h, seed
                 );

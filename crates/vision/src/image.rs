@@ -22,7 +22,7 @@ impl Image {
     /// `u32`s, then the pixels. The header goes in front of the pixels in
     /// their own buffer, which moves them up in place when it was
     /// allocated with the header's eight bytes to spare (as
-    /// [`crate::HudScene::render`] does) and reallocates otherwise.
+    /// [`crate::scene::HudScene::render`] does) and reallocates otherwise.
     pub fn into_payload(self) -> Vec<u8> {
         let mut header = [0u8; PAYLOAD_HEADER];
         header[..4].copy_from_slice(&(self.width as u32).to_le_bytes());
@@ -70,16 +70,6 @@ impl Image {
         self.pixels[y * self.width + x]
     }
 
-    /// Pixel at `(x, y)` or `None` when out of bounds.
-    #[inline]
-    pub fn get_checked(&self, x: usize, y: usize) -> Option<u8> {
-        if x < self.width && y < self.height {
-            Some(self.pixels[y * self.width + x])
-        } else {
-            None
-        }
-    }
-
     /// Set pixel `(x, y)`; silently ignores out-of-bounds writes (callers
     /// draw shapes that may extend past the edge).
     #[inline]
@@ -91,7 +81,7 @@ impl Image {
 
     /// Fill the axis-aligned rectangle with corner `(x, y)` and the given
     /// size, clipped to the image.
-    pub fn fill_rect(&mut self, x: usize, y: usize, w: usize, h: usize, shade: u8) {
+    pub(crate) fn fill_rect(&mut self, x: usize, y: usize, w: usize, h: usize, shade: u8) {
         let x1 = (x + w).min(self.width);
         let y1 = (y + h).min(self.height);
         for yy in y.min(self.height)..y1 {
@@ -103,7 +93,7 @@ impl Image {
 
     /// Copy `src` into this image with its top-left corner at `(x, y)`,
     /// clipped to the destination.
-    pub fn blit(&mut self, src: &Image, x: usize, y: usize) {
+    pub(crate) fn blit(&mut self, src: &Image, x: usize, y: usize) {
         for sy in 0..src.height {
             let dy = y + sy;
             if dy >= self.height {
@@ -169,12 +159,6 @@ impl Image {
         Some(self.pixels.iter().map(|&p| p as f64).sum::<f64>() / self.pixels.len() as f64)
     }
 
-    /// Count of pixels darker than `threshold` (foreground under dark-on-
-    /// light convention).
-    pub fn count_below(&self, threshold: u8) -> usize {
-        self.pixels.iter().filter(|&&p| p < threshold).count()
-    }
-
     /// Render as ASCII art (dark pixels become `#`), used for the Fig 6
     /// example gallery.
     pub fn to_ascii(&self) -> String {
@@ -205,8 +189,6 @@ mod tests {
         assert_eq!(img.pixels.len(), 12);
         img.set(2, 1, 0);
         assert_eq!(img.get(2, 1), 0);
-        assert_eq!(img.get_checked(3, 2), Some(255));
-        assert_eq!(img.get_checked(4, 0), None);
         // Out-of-bounds set is a no-op.
         img.set(100, 100, 7);
     }
@@ -236,7 +218,7 @@ mod tests {
         img.fill_rect(8, 8, 5, 5, 0);
         assert_eq!(img.get(9, 9), 0);
         assert_eq!(img.get(7, 7), 255);
-        assert_eq!(img.count_below(128), 4);
+        assert_eq!(img.pixels.iter().filter(|&&p| p == 0).count(), 4);
     }
 
     #[test]
@@ -275,7 +257,6 @@ mod tests {
         let mut img = Image::filled(2, 2, 0);
         img.set(0, 0, 200);
         assert_eq!(img.mean(), Some(50.0));
-        assert_eq!(img.count_below(10), 3);
         assert_eq!(Image::filled(0, 0, 0).mean(), None);
     }
 

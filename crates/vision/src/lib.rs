@@ -7,7 +7,7 @@
 //! *complementary*, enabling a 2-of-3 vote. This crate rebuilds the whole
 //! stack from scratch, offline:
 //!
-//! * [`image`] — an 8-bit grayscale raster type;
+//! * `image` — an 8-bit grayscale raster type;
 //! * [`font`] — a 5×7 bitmap font whose glyph shapes reproduce the paper's
 //!   confusion pairs (8 ↔ B/S, 0 ↔ O, 4 ↔ A);
 //! * [`scene`] — a HUD *scene composer* that renders synthetic thumbnails
@@ -29,14 +29,12 @@ pub mod combine;
 #[cfg(test)]
 mod differential;
 pub mod font;
-pub mod image;
+mod image;
 pub mod ocr;
 pub mod preprocess;
 #[cfg(test)]
 mod reference;
 pub mod scene;
 
-pub use combine::{CombineOutcome, OcrCombiner};
+pub use combine::CombineOutcome;
 pub use image::Image;
-pub use ocr::{OcrEngine, OcrEngineKind};
-pub use scene::{HudScene, ScenarioKind};

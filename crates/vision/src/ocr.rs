@@ -237,7 +237,7 @@ impl OcrEngine {
     /// The strict engine's low factor makes faint strokes vanish — its
     /// misses; the lenient policies keep them, occasionally as misshapen
     /// glyphs — their confusions.
-    pub fn threshold_factor(&self) -> f64 {
+    pub(crate) fn threshold_factor(&self) -> f64 {
         match self.kind {
             OcrEngineKind::TesseractLike => 0.82,
             OcrEngineKind::EasyOcrLike => 1.0,
@@ -249,7 +249,7 @@ impl OcrEngine {
     /// blur). PaddleOCR-like smooths harder, which suppresses speck noise
     /// at the cost of fine stroke detail — a different error set from the
     /// other two.
-    pub fn extra_blur(&self) -> usize {
+    pub(crate) fn extra_blur(&self) -> usize {
         match self.kind {
             OcrEngineKind::PaddleOcrLike => 1,
             _ => 0,
@@ -259,7 +259,7 @@ impl OcrEngine {
     /// Whether the engine denoises with a median filter before smoothing
     /// (EasyOCR-like's distinctive stage: salt-and-pepper specks vanish,
     /// so its error set under noise differs from the other engines').
-    pub fn uses_median(&self) -> bool {
+    pub(crate) fn uses_median(&self) -> bool {
         self.kind == OcrEngineKind::EasyOcrLike
     }
 
@@ -308,49 +308,25 @@ impl OcrEngine {
         finish_bits(stage, otsu, self.threshold_factor(), cfg, bits, spare);
         self.recognize_bits(bits)
     }
-
-    /// Recognise and return the raw string (convenience).
-    pub fn recognize_string(&self, bin: &Image) -> String {
-        self.recognize(bin).iter().map(|c| c.ch).collect()
-    }
 }
 
-/// One segmented glyph candidate, cropped to its own ink bounding box.
-#[derive(Debug, Clone)]
-pub struct GlyphBox {
-    /// The cropped glyph image.
-    pub img: Image,
-    /// True when the box is too wide to be a single glyph (e.g. an
-    /// occluding menu blob).
-    pub is_blob: bool,
-}
-
-/// Segment a binarised text line into glyph boxes by column projection:
-/// consecutive columns with enough ink form a run; each run is cropped to
-/// its own ink bounding box. Runs wider than 1.8× the width a 5×7 glyph of
-/// that run's height would have are flagged as blobs.
-pub fn segment_glyphs(bin: &Image) -> Vec<GlyphBox> {
-    segment_bits(&BitImage::packed(bin, 0))
-        .iter()
-        .map(|r| GlyphBox {
-            img: bin.crop(r.x, r.y, r.w, r.h),
-            is_blob: r.is_blob,
-        })
-        .collect()
-}
-
-/// Where a segmented glyph sits in the binary stage.
+/// Where a segmented glyph sits in the binary stage: its column run,
+/// cropped to its own ink bounding rows.
 #[derive(Debug, Clone, Copy)]
-struct GlyphRect {
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    is_blob: bool,
+pub(crate) struct GlyphRect {
+    pub(crate) x: usize,
+    pub(crate) y: usize,
+    pub(crate) w: usize,
+    pub(crate) h: usize,
+    /// Too wide to be a single glyph (e.g. an occluding menu blob).
+    pub(crate) is_blob: bool,
 }
 
-/// [`segment_glyphs`] on the packed binary stage.
-fn segment_bits(bin: &BitImage) -> Vec<GlyphRect> {
+/// Segment a binarised text line into glyph rectangles by column
+/// projection: consecutive columns with enough ink form a run; each run is
+/// cropped to its own ink bounding rows. Runs wider than 1.8× the width a
+/// 5×7 glyph of that run's height would have are flagged as blobs.
+pub(crate) fn segment_bits(bin: &BitImage) -> Vec<GlyphRect> {
     if bin.width == 0 || bin.height == 0 {
         return vec![];
     }
@@ -393,25 +369,10 @@ fn crop_run(bin: &BitImage, x0: usize, x1: usize) -> Option<GlyphRect> {
     })
 }
 
-/// Downsample a cropped glyph image onto a `tw × th` template grid: a cell
-/// is ink when at least `ink_frac` of its pixels are ink.
-pub fn quantize_to(img: &Image, tw: usize, th: usize, ink_frac: f64) -> Vec<bool> {
-    let bits = BitImage::packed(img, 0);
-    let whole = GlyphRect {
-        x: 0,
-        y: 0,
-        w: img.width,
-        h: img.height,
-        is_blob: false,
-    };
-    let mut cells = vec![false; tw * th];
-    quantize_rect(&bits, &whole, tw, th, ink_frac, |i| cells[i] = true);
-    cells
-}
-
-/// [`quantize_to`] for the glyph at `r` of the packed stage: calls `ink`
-/// with the index (`row * tw + col`) of every ink cell.
-fn quantize_rect(
+/// Downsample the glyph at `r` of the packed stage onto a `tw × th`
+/// template grid: a cell is ink when at least `ink_frac` of its pixels are
+/// ink. Calls `ink` with the index (`row * tw + col`) of every ink cell.
+pub(crate) fn quantize_rect(
     bin: &BitImage,
     r: &GlyphRect,
     tw: usize,
@@ -445,6 +406,10 @@ mod tests {
     use crate::font::rasterize;
     use crate::preprocess::{preprocess, PreprocessConfig};
 
+    fn read(engine: &OcrEngine, bin: &Image) -> String {
+        engine.recognize(bin).iter().map(|c| c.ch).collect()
+    }
+
     fn render_and_preprocess(text: &str) -> Image {
         let text_img = rasterize(text, 2, 20, 230);
         let mut canvas = Image::filled(text_img.width + 12, text_img.height + 8, 230);
@@ -457,7 +422,7 @@ mod tests {
         let bin = render_and_preprocess("45ms");
         for kind in OcrEngineKind::ALL {
             let engine = OcrEngine::new(kind);
-            let s = engine.recognize_string(&bin);
+            let s = read(&engine, &bin);
             // The digits must come through intact; decorations may degrade
             // (e.g. the strict engine fragments 'm' after its extra erosion),
             // which cleanup tolerates.
@@ -481,7 +446,7 @@ mod tests {
             // "00" is correctly read but rejected by cleanup as the lobby
             // placeholder (App. E step 3).
             let want = if d == 0 { None } else { Some(d * 11) };
-            assert_eq!(out, want, "digit {d}: {:?}", engine.recognize_string(&bin));
+            assert_eq!(out, want, "digit {d}: {:?}", read(&engine, &bin));
         }
     }
 
@@ -491,13 +456,7 @@ mod tests {
         for kind in [OcrEngineKind::EasyOcrLike, OcrEngineKind::PaddleOcrLike] {
             let engine = OcrEngine::new(kind);
             let out = crate::combine::cleanup(&engine.recognize(&bin));
-            assert_eq!(
-                out,
-                Some(187),
-                "{}: {:?}",
-                kind.name(),
-                engine.recognize_string(&bin)
-            );
+            assert_eq!(out, Some(187), "{}: {:?}", kind.name(), read(&engine, &bin));
         }
     }
 
@@ -506,16 +465,16 @@ mod tests {
         let bin = render_and_preprocess("ping 62");
         let engine = OcrEngine::new(OcrEngineKind::EasyOcrLike);
         let out = crate::combine::cleanup(&engine.recognize(&bin));
-        assert_eq!(out, Some(62), "read {:?}", engine.recognize_string(&bin));
+        assert_eq!(out, Some(62), "read {:?}", read(&engine, &bin));
     }
 
     #[test]
     fn segmentation_counts_glyphs() {
         let bin = render_and_preprocess("123");
-        let boxes = segment_glyphs(&bin);
+        let boxes = segment_bits(&BitImage::packed(&bin, 0));
         assert_eq!(boxes.len(), 3);
         assert!(boxes.iter().all(|b| !b.is_blob));
-        assert!(segment_glyphs(&Image::filled(10, 10, 255)).is_empty());
+        assert!(segment_bits(&BitImage::packed(&Image::filled(10, 10, 255), 0)).is_empty());
     }
 
     #[test]
@@ -526,10 +485,10 @@ mod tests {
         let digit = rasterize("5", 2, 20, 230);
         canvas.blit(&digit, 60, 4);
         let bin = preprocess(&canvas, &PreprocessConfig::default());
-        let boxes = segment_glyphs(&bin);
+        let boxes = segment_bits(&BitImage::packed(&bin, 0));
         assert!(boxes.iter().any(|b| b.is_blob), "blob not flagged");
         let engine = OcrEngine::new(OcrEngineKind::EasyOcrLike);
-        assert_eq!(engine.recognize_string(&bin), "5", "blob must be dropped");
+        assert_eq!(read(&engine, &bin), "5", "blob must be dropped");
     }
 
     #[test]
@@ -537,7 +496,17 @@ mod tests {
         // '8' fills its whole 5×7 box; rasterised at scale 4 and quantised
         // back on a 5×7 grid it must reproduce the template exactly.
         let img = rasterize("8", 4, 0, 255);
-        let q = quantize_to(&img, 5, 7, 0.5);
+        let whole = GlyphRect {
+            x: 0,
+            y: 0,
+            w: img.width,
+            h: img.height,
+            is_blob: false,
+        };
+        let mut q = [false; 5 * 7];
+        quantize_rect(&BitImage::packed(&img, 0), &whole, 5, 7, 0.5, |i| {
+            q[i] = true
+        });
         let g = glyph('8').unwrap();
         for (i, &cell) in q.iter().enumerate() {
             let (r, c) = (i / 5, i % 5);

@@ -358,7 +358,7 @@ fn median9(p: [u8; 9]) -> u8 {
 /// Otsu's method \[40\]: the threshold that maximises between-class variance
 /// of the gray-level histogram.
 #[allow(clippy::needless_range_loop)]
-pub fn otsu_threshold(img: &Image) -> u8 {
+pub(crate) fn otsu_threshold(img: &Image) -> u8 {
     let mut hist = [0u64; 256];
     for &p in &img.pixels {
         hist[p as usize] += 1;
@@ -403,28 +403,14 @@ pub fn binarize(img: &Image, threshold: u8) -> Image {
     BitImage::packed(img, threshold).to_image()
 }
 
-/// Morphological dilation of the *ink* (0) regions with a 3×3 structuring
-/// element: a pixel becomes ink if any 8-neighbour is ink.
-pub fn dilate(img: &Image) -> Image {
-    morph(img, true)
-}
-
-/// Morphological erosion of the ink regions: a pixel stays ink only if all
-/// 8-neighbours are ink.
-pub fn erode(img: &Image) -> Image {
-    morph(img, false)
-}
-
-fn morph(img: &Image, dilate: bool) -> Image {
-    let mut out = BitImage::default();
-    BitImage::packed(img, 0).morph_into(&mut out, dilate);
-    out.to_image()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::font::rasterize;
+
+    fn ink(img: &Image) -> usize {
+        img.pixels.iter().filter(|&&p| p < 128).count()
+    }
 
     #[test]
     fn otsu_separates_bimodal_image() {
@@ -535,25 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn dilate_then_erode_closes_gaps() {
-        // Two ink pixels with a 1-px gap: closing merges them.
-        let mut img = Image::filled(9, 3, 255);
-        img.set(2, 1, 0);
-        img.set(4, 1, 0);
-        let closed = erode(&dilate(&img));
-        assert_eq!(closed.get(3, 1), 0, "gap filled");
-        assert_eq!(closed.get(2, 1), 0);
-    }
-
-    #[test]
-    fn erode_removes_isolated_pixels() {
-        let mut img = Image::filled(9, 9, 255);
-        img.set(4, 4, 0);
-        let eroded = erode(&img);
-        assert_eq!(eroded.count_below(128), 0);
-    }
-
-    #[test]
     fn median_filter_kills_specks_keeps_strokes() {
         let mut img = Image::filled(30, 30, 230);
         // A 6-px-wide stroke and an isolated dark pixel.
@@ -582,12 +549,12 @@ mod tests {
         let strict = finish_binary(&gray, 0.82, &cfg);
         let standard = finish_binary(&gray, 1.0, &cfg);
         assert!(
-            standard.count_below(128) > strict.count_below(128),
+            ink(&standard) > ink(&strict),
             "standard threshold must keep more faint ink: {} vs {}",
-            standard.count_below(128),
-            strict.count_below(128)
+            ink(&standard),
+            ink(&strict)
         );
-        assert_eq!(strict.count_below(128), 0, "strict loses the faint text");
+        assert_eq!(ink(&strict), 0, "strict loses the faint text");
     }
 
     #[test]
@@ -600,8 +567,7 @@ mod tests {
         // Binary output only.
         assert!(out.pixels.iter().all(|&p| p == 0 || p == 255));
         // Ink present in sensible quantity.
-        let ink = out.count_below(128);
-        let frac = ink as f64 / out.pixels.len() as f64;
+        let frac = ink(&out) as f64 / out.pixels.len() as f64;
         assert!(frac > 0.02 && frac < 0.5, "ink fraction {frac}");
     }
 
@@ -617,7 +583,7 @@ mod tests {
         let out = preprocess(&canvas, &PreprocessConfig::default());
         // The text rows (above the dark block) have little to no ink.
         let text_region = out.crop(0, 0, 70 * 3, 17 * 3);
-        let frac = text_region.count_below(128) as f64 / text_region.pixels.len() as f64;
+        let frac = ink(&text_region) as f64 / text_region.pixels.len() as f64;
         assert!(frac < 0.05, "low-contrast text should vanish, got {frac}");
     }
 }

@@ -7,7 +7,7 @@
 use crate::combine::{cleanup, vote, CombineOutcome, ExtractDetail, OcrCombiner};
 use crate::font::{glyph, rasterize, Glyph, GLYPH_H, GLYPH_SPACING, GLYPH_W, TEMPLATE_CHARS};
 use crate::image::Image;
-use crate::ocr::{GlyphBox, OcrChar, OcrEngine, OcrEngineKind};
+use crate::ocr::{OcrChar, OcrEngine, OcrEngineKind};
 use crate::preprocess::{otsu_threshold, PreprocessConfig};
 use crate::scene::{HudScene, ScenarioKind, THUMB_H, THUMB_W};
 use std::sync::OnceLock;
@@ -329,6 +329,12 @@ pub(crate) fn recognize_gray(
     }
     let bin = finish_binary(&stage, engine.threshold_factor(), cfg);
     recognize(engine.kind(), &bin)
+}
+
+/// One segmented glyph candidate, cropped to its own ink bounding box.
+pub(crate) struct GlyphBox {
+    pub(crate) img: Image,
+    pub(crate) is_blob: bool,
 }
 
 #[allow(clippy::needless_range_loop)]

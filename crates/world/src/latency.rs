@@ -27,7 +27,7 @@ use tero_types::{
 /// show the same qualitative winners and losers; all other regions get a
 /// stable hash-derived multiplier in a realistic range.
 #[allow(clippy::type_complexity)]
-pub fn region_quality(country: &str, region: Option<&str>) -> (f64, f64) {
+pub(crate) fn region_quality(country: &str, region: Option<&str>) -> (f64, f64) {
     let key = (country, region.unwrap_or(""));
     let overrides: &[((&str, &str), (f64, f64))] = &[
         // US doughnut contrast (Fig 10): DC/NC poor, Missouri/Texas good.
@@ -141,7 +141,7 @@ impl NetProfile {
     }
 
     /// Base (uncongested) RTT in ms from `home` to `server`.
-    pub fn base_rtt_ms(&self, _gaz: &Gazetteer, home: &Place, server: &GameServer) -> f64 {
+    pub(crate) fn base_rtt_ms(&self, _gaz: &Gazetteer, home: &Place, server: &GameServer) -> f64 {
         let d = corrected_distance_km(home.center, server.center, home.mean_radius_km);
         2.0 * fiber_delay_ms(d) * self.path_stretch + self.access_ms
     }
@@ -167,7 +167,7 @@ impl Spike {
 
 /// Draw a spike schedule for a play interval `[start, end)` under the
 /// given profile.
-pub fn draw_spikes(
+pub(crate) fn draw_spikes(
     profile: &NetProfile,
     start: SimTime,
     end: SimTime,
@@ -224,7 +224,7 @@ impl SharedEvent {
 }
 
 /// Evaluate the full ground-truth RTT at time `t`.
-pub fn true_rtt_ms(
+pub(crate) fn true_rtt_ms(
     base_ms: f64,
     jitter_sd: f64,
     spikes: &[Spike],

@@ -14,7 +14,7 @@
 //!   propensities (ground truth for Table 5);
 //! * [`textgen`] — description / Twitter-field text generation with known
 //!   ground truth (formal, informal, misleading, bait, non-geographic);
-//! * [`latency`] — the ground-truth latency process per
+//! * `latency` — the ground-truth latency process per
 //!   `{streamer, server}`: corrected-distance propagation, ISP access
 //!   delay, jitter, spikes, and regional shared-anomaly events;
 //! * [`sessions`] — streams, thumbnail timing (Fig 13), breaks, mid-stream
@@ -22,20 +22,19 @@
 //! * [`twitch`] — the platform simulator: a rate-limited Helix-like API and
 //!   a CDN whose thumbnail URLs are overwritten every ~5 minutes and
 //!   redirect when the streamer goes offline (App. A's environment);
-//! * [`world`] — ties everything together behind a single [`World`] handle.
+//! * `world` — ties everything together behind a single [`World`] handle.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod games;
-pub mod latency;
+mod latency;
 pub mod population;
 pub mod sessions;
 pub mod streamer;
 pub mod textgen;
 pub mod twitch;
-pub mod world;
+mod world;
 
-pub use games::{primary_server, server_locations, GameServer};
-pub use streamer::Streamer;
+pub use latency::{NetProfile, SharedEvent, Spike};
 pub use world::{World, WorldConfig};

@@ -12,7 +12,7 @@ use tero_types::{Continent, SimRng};
 
 /// Twitch-popularity multiplier per continent (unitless; shapes Fig 7's
 /// "Tero" bars relative to raw population).
-pub fn twitch_weight(continent: Continent) -> f64 {
+pub(crate) fn twitch_weight(continent: Continent) -> f64 {
     match continent {
         Continent::NorthAmerica => 3.0,
         Continent::SouthAmerica => 1.8,

@@ -60,7 +60,7 @@ impl TruthStream {
 /// Draw the next thumbnail interval: nominally 5 minutes, uniformly
 /// jittered up to +60 s (Fig 13's inter-arrival CDF lives in [300 s,
 /// ~400 s]), with occasional longer gaps when the streamer takes a break.
-pub fn thumbnail_interval(rng: &mut SimRng) -> SimDuration {
+pub(crate) fn thumbnail_interval(rng: &mut SimRng) -> SimDuration {
     let base = SimDuration::from_secs(300 + rng.below(61));
     if rng.chance(0.05) {
         base + SimDuration::from_secs(300 + rng.below(1_500))

@@ -66,7 +66,7 @@ impl Behavior {
     /// order of magnitude above the server-change ones, matching Table 5's
     /// headline contrast ("significantly easier to change games than
     /// servers").
-    pub fn for_game(game: GameId, rng: &mut SimRng) -> Behavior {
+    pub(crate) fn for_game(game: GameId, rng: &mut SimRng) -> Behavior {
         // Server-change propensities sit well above the paper's real-world
         // rates (3.12 % of tuples ever change): our worlds are three orders
         // of magnitude smaller than 196k tuples, so the rates are scaled up
@@ -144,7 +144,7 @@ pub struct Streamer {
 
 /// Game popularity weights used when assigning games to streamers
 /// (League of Legends and Warzone dominate, as in the paper's Nobs).
-pub fn game_weights() -> [(GameId, f64); 9] {
+pub(crate) fn game_weights() -> [(GameId, f64); 9] {
     [
         (GameId::LeagueOfLegends, 0.25),
         (GameId::CodWarzone, 0.22),
@@ -276,7 +276,7 @@ impl Streamer {
     }
 
     /// The streamer's true location at time `t` (handles moves).
-    pub fn location_at(&self, t: SimTime) -> &Place {
+    pub(crate) fn location_at(&self, t: SimTime) -> &Place {
         match &self.second_home {
             Some((place, move_at)) if t >= *move_at => place,
             _ => &self.home,
@@ -284,7 +284,7 @@ impl Streamer {
     }
 
     /// The network profile in effect at time `t`.
-    pub fn net_at(&self, t: SimTime) -> &NetProfile {
+    pub(crate) fn net_at(&self, t: SimTime) -> &NetProfile {
         match (&self.second_home, &self.net_second) {
             (Some((_, move_at)), Some(net2)) if t >= *move_at => net2,
             _ => &self.net,

@@ -29,18 +29,6 @@ pub enum DescriptionStyle {
     NonGeo,
 }
 
-impl DescriptionStyle {
-    /// Whether a perfect extractor should output the true location for
-    /// this style (`Bait`/`NonGeo` should yield nothing; `Misleading`
-    /// yields something wrong).
-    pub fn has_true_location(self) -> bool {
-        matches!(
-            self,
-            DescriptionStyle::Formal | DescriptionStyle::Informal | DescriptionStyle::CountryOnly
-        )
-    }
-}
-
 const NONGEO_LINES: &[&str] = &[
     "pro gamer, road to top 500",
     "daily streams, good vibes only",
@@ -104,19 +92,6 @@ pub enum TwitterFieldStyle {
     Empty,
 }
 
-impl TwitterFieldStyle {
-    /// Whether the field carries the true location.
-    pub fn has_true_location(self) -> bool {
-        matches!(
-            self,
-            TwitterFieldStyle::CityRegion
-                | TwitterFieldStyle::CityCountry
-                | TwitterFieldStyle::CityOnly
-                | TwitterFieldStyle::Joke
-        )
-    }
-}
-
 const FICTION_FIELDS: &[&str] = &[
     "the moon",
     "everywhere and nowhere",
@@ -125,7 +100,7 @@ const FICTION_FIELDS: &[&str] = &[
 ];
 
 /// Generate a Twitter location field of the given style.
-pub fn twitter_field(style: TwitterFieldStyle, home: &Place, rng: &mut SimRng) -> String {
+pub(crate) fn twitter_field(style: TwitterFieldStyle, home: &Place, rng: &mut SimRng) -> String {
     let country = &home.location.country;
     let region = home.location.region.as_deref().unwrap_or(country);
     let city = home.location.city.as_deref().unwrap_or(region);
@@ -142,7 +117,7 @@ pub fn twitter_field(style: TwitterFieldStyle, home: &Place, rng: &mut SimRng) -
 /// Sample a description style with realistic frequencies: most
 /// descriptions carry no location (the paper located only 2.77 % of
 /// streamers overall; descriptions yielded ~1 %).
-pub fn sample_description_style(rng: &mut SimRng) -> DescriptionStyle {
+pub(crate) fn sample_description_style(rng: &mut SimRng) -> DescriptionStyle {
     let styles = [
         DescriptionStyle::Formal,
         DescriptionStyle::Informal,
@@ -159,7 +134,7 @@ pub fn sample_description_style(rng: &mut SimRng) -> DescriptionStyle {
 
 /// Sample a Twitter-field style: Twitter fields are location-ish far more
 /// often (the paper extracts from ~70 % of them).
-pub fn sample_twitter_style(rng: &mut SimRng) -> TwitterFieldStyle {
+pub(crate) fn sample_twitter_style(rng: &mut SimRng) -> TwitterFieldStyle {
     let styles = [
         TwitterFieldStyle::CityRegion,
         TwitterFieldStyle::CityCountry,

@@ -89,7 +89,7 @@ impl ApiError {
 
 /// A token-bucket rate limiter (per-minute budget, like Helix).
 #[derive(Debug, Clone)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     budget: u32,
     used: u32,
     window_start: SimTime,
@@ -97,7 +97,7 @@ pub struct RateLimiter {
 
 impl RateLimiter {
     /// A limiter allowing `budget` requests per minute.
-    pub fn new(budget: u32) -> Self {
+    pub(crate) fn new(budget: u32) -> Self {
         RateLimiter {
             budget,
             used: 0,
@@ -106,7 +106,7 @@ impl RateLimiter {
     }
 
     /// Try to spend one request at `now`.
-    pub fn check(&mut self, now: SimTime) -> Result<(), RateLimited> {
+    pub(crate) fn check(&mut self, now: SimTime) -> Result<(), RateLimited> {
         let window = 60_000_000; // 1 minute in µs
         if now.as_micros() >= self.window_start.as_micros() + window {
             self.window_start = SimTime::from_micros((now.as_micros() / window) * window);
@@ -258,14 +258,6 @@ impl TwitchSim {
         }
     }
 
-    /// HEAD request: just the content timestamp and next expected update
-    /// of what a fetch would return (there is no body to truncate). Draws
-    /// the same fault a fetch would.
-    pub fn cdn_head(&self, url: &str, now: SimTime) -> Option<(SimTime, Option<SimTime>)> {
-        let (body, next_update) = self.cdn_lookup(url, now)?;
-        (body.fault != Some(CdnFault::Timeout)).then_some((body.sample.t, next_update))
-    }
-
     /// The bytes of a fetched thumbnail, in the form the object store
     /// keeps ([`Image::into_payload`]): rendered, then mangled by the
     /// fault the fetch drew.
@@ -356,40 +348,33 @@ mod tests {
     }
 
     #[test]
-    fn cdn_head_matches_get() {
+    fn cdn_fetch_reports_the_live_sample_and_its_successor() {
         use crate::{World, WorldConfig};
         use tero_chaos::{ChaosInjector, FaultPlan};
-        // Two copies of one world under one fault plan: one is only ever
-        // fetched from, the other only ever HEADed.
-        let build = || {
-            let mut world = World::build(WorldConfig {
-                seed: 8,
-                n_streamers: 12,
-                days: 2,
-                ..WorldConfig::default()
-            });
-            world.install_chaos(ChaosInjector::new(FaultPlan {
-                cdn_timeout_rate: 0.2,
-                cdn_truncate_rate: 0.2,
-                cdn_corrupt_rate: 0.2,
-                ..FaultPlan::quiet(8)
-            }));
-            world
-        };
-        let (get, head) = (build(), build());
+        let mut world = World::build(WorldConfig {
+            seed: 8,
+            n_streamers: 12,
+            days: 2,
+            ..WorldConfig::default()
+        });
+        world.install_chaos(ChaosInjector::new(FaultPlan {
+            cdn_timeout_rate: 0.2,
+            cdn_truncate_rate: 0.2,
+            cdn_corrupt_rate: 0.2,
+            ..FaultPlan::quiet(8)
+        }));
         let (mut checked, mut offline) = (0, 0);
         let (mut whole, mut timed_out, mut truncated) = (0, 0, 0);
-        for (streamer, timeline) in get.streamers().iter().zip(get.timelines()) {
+        for (streamer, timeline) in world.streamers().iter().zip(world.timelines()) {
             let url = format!("cdn://thumbs/{}", streamer.id.as_str());
             for stream in timeline {
-                // Before the first thumbnail the URL is offline: no draw.
+                // Before the first thumbnail the URL is offline.
                 let early = stream.start;
                 if stream.samples.first().is_some_and(|s| s.t > early) {
                     assert!(matches!(
-                        get.twitch.cdn_fetch(&url, early),
+                        world.twitch.cdn_fetch(&url, early),
                         CdnResponse::Offline
                     ));
-                    assert_eq!(head.twitch.cdn_head(&url, early), None);
                     offline += 1;
                 }
                 for (i, sample) in stream.samples.iter().enumerate().take(12) {
@@ -399,29 +384,23 @@ mod tests {
                         if t >= stream.end || next.is_some_and(|n| t >= n) {
                             continue;
                         }
-                        let meta = Some((sample.t, next));
-                        let expected = match get.twitch.cdn_fetch(&url, t) {
+                        match world.twitch.cdn_fetch(&url, t) {
                             CdnResponse::Thumbnail {
                                 generated_at,
                                 next_update,
                                 ..
                             } => {
                                 whole += 1;
-                                assert_eq!(Some((generated_at, next_update)), meta);
-                                meta
+                                assert_eq!(
+                                    (generated_at, next_update),
+                                    (sample.t, next),
+                                    "{url} at {t:?}"
+                                );
                             }
-                            // A HEAD has no body to lose.
-                            CdnResponse::Truncated => {
-                                truncated += 1;
-                                meta
-                            }
-                            CdnResponse::TimedOut => {
-                                timed_out += 1;
-                                None
-                            }
+                            CdnResponse::Truncated => truncated += 1,
+                            CdnResponse::TimedOut => timed_out += 1,
                             CdnResponse::Offline => panic!("live sample not served"),
-                        };
-                        assert_eq!(head.twitch.cdn_head(&url, t), expected, "{url} at {t:?}");
+                        }
                         checked += 1;
                     }
                 }
@@ -432,11 +411,6 @@ mod tests {
             "{checked} live, {offline} offline"
         );
         assert!(whole > 30 && timed_out > 30 && truncated > 30);
-        // Both injectors stand at the same draw.
-        let (get, head) = (get.chaos().unwrap(), head.chaos().unwrap());
-        for _ in 0..32 {
-            assert_eq!(get.cdn_fault(), head.cdn_fault());
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! quantiles sit within the documented relative-error bound of the exact
 //! nearest-rank values, and empty distributions answer `None` rather
 //! than inventing a number. Under all three sits the wire form itself:
-//! the committed bytes are a contract (`tero_stats::sketch`, *Wire
+//! the committed bytes are a contract (`crates/stats/src/sketch.rs`, *Wire
 //! form*), pinned here as literals so that it does not rest on a
 //! test-only reference implementation alone.
 
