@@ -27,17 +27,37 @@ impl BitImage {
 
     /// Binarize `img` into this buffer: pixels at or below `threshold` are
     /// ink. A threshold of 0 reads an already-binary image (0 = ink).
+    ///
+    /// Eight pixels at a time, in one `u64`: `p ≤ t` exactly when
+    /// `p + (255 - t)` does not carry out of its byte. The low seven bits
+    /// of every byte are added at once (a byte's sum stays under 256, so
+    /// nothing crosses into its neighbour); the carry out of bit 7 is then
+    /// the majority of the two top bits and the carry into them.
     pub(crate) fn pack(&mut self, img: &Image, threshold: u8) {
+        const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+        const TOP: u64 = 0x8080_8080_8080_8080;
         self.reshape(img.width, img.height);
         if self.stride == 0 {
             return;
         }
+        let c = 0x0101_0101_0101_0101 * u64::from(255 - threshold);
+        let ink8 = |p: u64| {
+            let low = (p & LOW7) + (c & LOW7);
+            let carry = p & c | (p | c) & low;
+            // One flag per byte at bit 8i, gathered into bit i by a
+            // multiply whose partial products never collide.
+            ((!carry & TOP) >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+        };
         let rows = img.pixels.chunks_exact(img.width);
         for (src, dst) in rows.zip(self.words.chunks_exact_mut(self.stride)) {
             for (chunk, word) in src.chunks(64).zip(dst) {
+                let (groups, tail) = chunk.as_chunks::<8>();
                 let mut w = 0u64;
-                for (i, &p) in chunk.iter().enumerate() {
-                    w |= ((p <= threshold) as u64) << i;
+                for (g, &bytes) in groups.iter().enumerate() {
+                    w |= ink8(u64::from_le_bytes(bytes)) << (8 * g);
+                }
+                for (i, &p) in tail.iter().enumerate() {
+                    w |= u64::from(p <= threshold) << (8 * groups.len() + i);
                 }
                 *word = w;
             }
@@ -101,6 +121,19 @@ impl BitImage {
             }
             dst[s - 1] &= tail;
         }
+    }
+
+    /// Pixels `x..x + 64` of row `y`, one bit each (zero past the row).
+    #[inline]
+    pub(crate) fn bits_at(&self, x: usize, y: usize) -> u64 {
+        let row = &self.words[y * self.stride..(y + 1) * self.stride];
+        let (w, shift) = (x / 64, x % 64);
+        let lo = row.get(w).map_or(0, |&v| v >> shift);
+        let hi = match shift {
+            0 => 0,
+            _ => row.get(w + 1).map_or(0, |&v| v << (64 - shift)),
+        };
+        lo | hi
     }
 
     /// Ink pixels of row `y` in columns `[x0, x1)`.

@@ -153,22 +153,13 @@ impl OcrCombiner {
         OcrCombiner::default()
     }
 
-    /// Run one pass: the shared upscale stage, then per-engine smoothing,
-    /// binarization, recognition and cleanup (each engine runs its own
-    /// preprocessing policy — the source of their complementary errors).
-    fn pass(
-        &self,
-        crop: &Image,
-        cfg: &PreprocessConfig,
-        scratch: &mut Scratch,
-    ) -> [Option<u32>; 3] {
-        let upscaled = crop.upscale(cfg.upscale.max(1));
-        let mut raw_otsu = None;
-        let mut out = [None; 3];
-        for (slot, engine) in out.iter_mut().zip(&self.engines) {
-            *slot = cleanup(&engine.read_gray(&upscaled, cfg, scratch, &mut raw_otsu));
-        }
-        out
+    /// Run one pass: per-engine smoothing, binarization, recognition and
+    /// cleanup on the upscaled crop `scratch` holds (each engine runs its
+    /// own preprocessing policy — the source of their complementary
+    /// errors).
+    fn pass(&self, cfg: &PreprocessConfig, scratch: &mut Scratch) -> [Option<u32>; 3] {
+        self.engines
+            .map(|engine| cleanup(&engine.read_gray(cfg, scratch)))
     }
 
     /// Extract a latency measurement from a cropped region of interest.
@@ -180,8 +171,9 @@ impl OcrCombiner {
     /// observability consumers (the image-processing module's per-engine
     /// counters) record.
     pub(crate) fn extract_with_detail(&self, crop: &Image) -> (CombineOutcome, ExtractDetail) {
-        let mut scratch = Scratch::default();
-        let first = self.pass(crop, &self.preprocess_cfg, &mut scratch);
+        let factor = |cfg: &PreprocessConfig| cfg.upscale.max(1);
+        let mut scratch = Scratch::new(crop.upscale(factor(&self.preprocess_cfg)));
+        let first = self.pass(&self.preprocess_cfg, &mut scratch);
         if let Some((primary, alternative)) = vote(first) {
             return (
                 CombineOutcome::Extracted {
@@ -194,8 +186,14 @@ impl OcrCombiner {
                 },
             );
         }
-        // Reprocess without pre-processing (App. E step 4).
-        let second = self.pass(crop, &self.reprocess_cfg, &mut scratch);
+        // Reprocess without pre-processing (App. E step 4). Both passes
+        // upscale alike by default, and then the stages the first pass
+        // computed serve the second: its PaddleOCR-like stage (no blur
+        // plus its own 1) is the first pass's Tesseract-like one.
+        if factor(&self.reprocess_cfg) != factor(&self.preprocess_cfg) {
+            scratch = Scratch::new(crop.upscale(factor(&self.reprocess_cfg)));
+        }
+        let second = self.pass(&self.reprocess_cfg, &mut scratch);
         let detail = ExtractDetail {
             engine_values: second,
             reprocessed: true,
@@ -239,7 +237,7 @@ impl OcrCombiner {
             .iter()
             .find(|e| e.kind() == kind)
             .expect("engine kind present");
-        cleanup(&engine.recognize_gray(&upscaled, &self.preprocess_cfg))
+        cleanup(&engine.read_gray(&self.preprocess_cfg, &mut Scratch::new(upscaled)))
     }
 }
 
@@ -323,6 +321,21 @@ mod tests {
         match combiner.extract_from_thumbnail(&thumb, scene.roi()) {
             CombineOutcome::Extracted { primary, .. } => assert_eq!(primary, 87),
             other => panic!("expected extraction, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn roi_past_the_edge_reads_nothing() {
+        // The caller's ROI is clipped, even one whose far corner
+        // overflows: an empty crop, no measurement.
+        let thumb = HudScene::typical(87).render(&mut SimRng::new(42));
+        let combiner = OcrCombiner::new();
+        for roi in [(usize::MAX - 4, 0, 10, 10), (0, usize::MAX, 10, usize::MAX)] {
+            assert_eq!(
+                combiner.extract_from_thumbnail(&thumb, roi),
+                CombineOutcome::NoMeasurement,
+                "{roi:?}"
+            );
         }
     }
 

@@ -16,9 +16,9 @@ use crate::combine::{CombineOutcome, OcrCombiner};
 use crate::font::{rasterize, TEMPLATE_CHARS};
 use crate::image::Image;
 use crate::ocr::{self, OcrEngine, OcrEngineKind};
-use crate::preprocess::{self, PreprocessConfig};
+use crate::preprocess::{self, PreprocessConfig, Scratch};
 use crate::reference;
-use crate::scene::{Decoration, HudScene, ScenarioKind};
+use crate::scene::{self, Decoration, HudScene, ScenarioKind};
 use proptest::prelude::*;
 use tero_types::SimRng;
 
@@ -327,14 +327,12 @@ proptest! {
     }
 }
 
-/// The golden pin: every scenario on every game's HUD over seeded scenes
-/// with varied noise, grain, occlusion and clock, cropped at the right ROI
-/// and — every third scene — at another game's (a mislabeled stream).
-#[test]
-fn golden_extraction_matches_reference_combiner() {
-    let combiner = OcrCombiner::new();
-    let mut scenes = 0;
-    let (mut extracted, mut reprocessed) = (0, 0);
+/// The golden scenes: every scenario on every game's HUD over seeded
+/// scenes with varied noise, grain, occlusion and clock, cropped at the
+/// right ROI and — every third scene — at another game's (a mislabeled
+/// stream). Each crop comes with its label.
+fn golden_crops() -> Vec<(String, Image)> {
+    let mut crops = Vec::new();
     for (g, &spec) in HUDS.iter().enumerate() {
         for scenario in [
             ScenarioKind::Typical,
@@ -369,19 +367,32 @@ fn golden_extraction_matches_reference_combiner() {
                 } else {
                     scene.roi()
                 };
-                let crop = thumb.crop(roi.0, roi.1, roi.2, roi.3);
-                let new = combiner.extract_with_detail(&crop);
-                assert_eq!(
-                    new,
-                    reference::extract_with_detail(&combiner, &crop),
-                    "game {g} {scenario:?} seed {seed}"
-                );
-                extracted += (new.0 != CombineOutcome::NoMeasurement) as usize;
-                reprocessed += new.1.reprocessed as usize;
-                scenes += 1;
+                let label = format!("game {g} {scenario:?} seed {seed}");
+                crops.push((label, thumb.crop(roi.0, roi.1, roi.2, roi.3)));
             }
         }
     }
+    crops
+}
+
+/// The golden pin: the whole combiner against the reference one on every
+/// golden scene.
+#[test]
+fn golden_extraction_matches_reference_combiner() {
+    let combiner = OcrCombiner::new();
+    let crops = golden_crops();
+    let (mut extracted, mut reprocessed) = (0, 0);
+    for (label, crop) in &crops {
+        let new = combiner.extract_with_detail(crop);
+        assert_eq!(
+            new,
+            reference::extract_with_detail(&combiner, crop),
+            "{label}"
+        );
+        extracted += (new.0 != CombineOutcome::NoMeasurement) as usize;
+        reprocessed += new.1.reprocessed as usize;
+    }
+    let scenes = crops.len();
     assert!(scenes >= 200, "{scenes} scenes");
     // The pin covers both passes and both outcomes.
     assert!(
@@ -466,5 +477,117 @@ fn blur_rounding_matches_round_clamp() {
                 v = f64::from_bits(v.to_bits() + 1);
             }
         }
+    }
+}
+
+/// The `f32` grain against the `f64` one over whole renders: 2 304 seeded
+/// scenes, every scenario on every game's HUD, under grain 1–8, 0.3 and
+/// 150 and noise 0 or 0.005–0.065. The pixels and the RNG's end state
+/// must be the reference's, and the exact path must stay rare.
+#[test]
+fn scene_render_soak_matches_reference() {
+    let scenarios = [
+        ScenarioKind::Typical,
+        ScenarioKind::LightFont,
+        ScenarioKind::PartiallyHidden,
+        ScenarioKind::ClockOverlay,
+    ];
+    let (mut pixels, mut exact) = (0, 0);
+    for seed in 0..2_304u64 {
+        let mut rng = SimRng::new(seed ^ 0x5eed);
+        let latency = rng.range_u64(1, 1000) as u32;
+        let mut scene = hud(
+            match scenarios[seed as usize % 4] {
+                ScenarioKind::Typical => HudScene::typical(latency),
+                ScenarioKind::LightFont => HudScene::light_font(latency),
+                ScenarioKind::PartiallyHidden => HudScene::partially_hidden(latency, rng.f64()),
+                ScenarioKind::ClockOverlay => HudScene::clock_overlay(latency, 23, 59),
+            },
+            HUDS[seed as usize / 4 % HUDS.len()],
+        );
+        scene.grain = match seed / 36 % 8 {
+            0 => 0.3,
+            1 => 150.0,
+            _ => 1.0 + rng.f64() * 7.0,
+        };
+        scene.noise = if seed % 3 == 0 {
+            0.0
+        } else {
+            0.005 + rng.f64() * 0.06
+        };
+        let mut old_rng = rng.clone();
+        let mut new = scene.compose(&mut rng);
+        exact += scene::add_grain(
+            &mut new.pixels,
+            scene.grain,
+            scene.noise,
+            &mut rng,
+            scene::GUARD_BAND,
+        );
+        pixels += new.pixels.len();
+        let old = reference::render(&scene, &mut old_rng);
+        assert!(new == old, "pixels differ: {scene:?} seed {seed}");
+        assert_eq!(rng, old_rng, "rng end state: {scene:?} seed {seed}");
+    }
+    assert!(
+        exact > 0 && exact * 100 < pixels,
+        "{exact} of {pixels} exact"
+    );
+}
+
+/// The word-wide threshold against the byte-wise one: every threshold on
+/// every width from 1 to 200, over rows holding all 256 byte values and
+/// seeded ones. Bits past the width stay zero.
+#[test]
+fn pack_matches_reference_at_every_threshold_and_width() {
+    let mut rng = SimRng::new(0x9ac);
+    let mut bits = BitImage::default();
+    for w in 1..=200usize {
+        // Every byte value, then two seeded rows.
+        let h = 256usize.div_ceil(w) + 2;
+        let mut img = Image::filled(w, h, 0);
+        for (i, p) in img.pixels.iter_mut().enumerate() {
+            *p = if i < 256 {
+                i as u8
+            } else {
+                rng.range_u64(0, 256) as u8
+            };
+        }
+        for t in 0..=255u8 {
+            bits.pack(&img, t);
+            assert_eq!(
+                bits.to_image(),
+                reference::binarize(&img, t),
+                "threshold {t} width {w}"
+            );
+            let cols = bits.columns_with_ink(1);
+            let past = match w % 64 {
+                0 => 0,
+                r => cols[w / 64] >> r,
+            };
+            assert!(
+                past == 0 && cols.len() == w.div_ceil(64),
+                "bits past width {w} at threshold {t}"
+            );
+        }
+    }
+}
+
+/// The stage memo on the golden scenes: the reprocess pass's
+/// PaddleOCR-like read, served from the stage the first pass left behind,
+/// equals a fresh read of the same crop.
+#[test]
+fn reprocess_read_through_the_memo_matches_a_fresh_one() {
+    let [first, second] = configs();
+    let paddle = OcrEngine::new(OcrEngineKind::PaddleOcrLike);
+    for (label, crop) in golden_crops() {
+        let upscaled = crop.upscale(3);
+        let mut scratch = Scratch::new(upscaled.clone());
+        for kind in OcrEngineKind::ALL {
+            OcrEngine::new(kind).read_gray(&first, &mut scratch);
+        }
+        let memo = paddle.read_gray(&second, &mut scratch);
+        let fresh = paddle.read_gray(&second, &mut Scratch::new(upscaled));
+        assert!(same_chars(&memo, &fresh), "{label}");
     }
 }

@@ -114,8 +114,8 @@ impl Image {
     pub fn crop(&self, x: usize, y: usize, w: usize, h: usize) -> Image {
         let x0 = x.min(self.width);
         let y0 = y.min(self.height);
-        let x1 = (x + w).min(self.width);
-        let y1 = (y + h).min(self.height);
+        let x1 = x.saturating_add(w).min(self.width);
+        let y1 = y.saturating_add(h).min(self.height);
         let mut pixels = Vec::with_capacity((x1 - x0) * (y1 - y0));
         for yy in y0..y1 {
             pixels.extend_from_slice(&self.pixels[yy * self.width + x0..yy * self.width + x1]);
@@ -238,6 +238,12 @@ mod tests {
         assert_eq!((c.width, c.height), (2, 2));
         let empty = img.crop(10, 10, 2, 2);
         assert_eq!((empty.width, empty.height), (0, 0));
+        // A size or corner near `usize::MAX` clips too, rather than
+        // overflowing.
+        let c = img.crop(1, 2, usize::MAX, usize::MAX);
+        assert_eq!((c.width, c.height), (4, 3));
+        let far = img.crop(usize::MAX - 1, usize::MAX, 10, usize::MAX);
+        assert_eq!(far, Image::filled(0, 0, 0));
     }
 
     #[test]

@@ -26,9 +26,7 @@
 use crate::bits::BitImage;
 use crate::font::{glyph, Glyph, GLYPH_H, GLYPH_W, TEMPLATE_CHARS};
 use crate::image::Image;
-use crate::preprocess::{
-    blur_into, finish_bits, median3_into, otsu_threshold, PreprocessConfig, Scratch, BLUR_GUARD,
-};
+use crate::preprocess::{finish_bits, PreprocessConfig, Scratch};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -191,15 +189,16 @@ impl OcrEngine {
         // penalty that keeps thin glyphs from matching wide templates and
         // vice versa.
         let mut on_grid = vec![(0u64, 0.0f64); bank.grids.len()];
-        let mut out = Vec::new();
+        let (mut table, mut out) = (InkTable::default(), Vec::new());
         for gb in segment_bits(bin) {
             if gb.is_blob {
                 continue;
             }
             let g_aspect = gb.w as f64 / gb.h.max(1) as f64;
+            table.fill(bin, &gb);
             for (slot, grid) in on_grid.iter_mut().zip(&bank.grids) {
                 let mut cells = 0u64;
-                quantize_rect(bin, &gb, grid.w, grid.h, ink_frac, |i| cells |= 1 << i);
+                table.quantize(grid.w, grid.h, ink_frac, |i| cells |= 1 << i);
                 *slot = (cells, 6.0 * (g_aspect / grid.aspect).ln().abs());
             }
             let mut best: Option<(char, f64)> = None;
@@ -268,43 +267,16 @@ impl OcrEngine {
     /// (real OCR engines run their own preprocessing, which is where much
     /// of their complementary behaviour comes from).
     pub fn recognize_gray(&self, upscaled: &Image, cfg: &PreprocessConfig) -> Vec<OcrChar> {
-        self.read_gray(upscaled, cfg, &mut Scratch::default(), &mut None)
+        self.read_gray(cfg, &mut Scratch::new(upscaled.clone()))
     }
 
-    /// [`OcrEngine::recognize_gray`] with the caller's buffers. `raw_otsu`
-    /// caches the Otsu threshold of `upscaled` itself: engines whose policy
-    /// leaves the gray stage untouched (those without extra smoothing, on a
-    /// no-blur pass) share one histogram.
-    pub(crate) fn read_gray(
-        &self,
-        upscaled: &Image,
-        cfg: &PreprocessConfig,
-        scratch: &mut Scratch,
-        raw_otsu: &mut Option<u8>,
-    ) -> Vec<OcrChar> {
-        let Scratch {
-            denoised,
-            smoothed,
-            blur_buf,
-            bits,
-            spare,
-        } = scratch;
-        let mut stage = upscaled;
-        let mut raw = true;
-        if self.uses_median() && cfg.blur_radius > 0 {
-            median3_into(stage, denoised);
-            (stage, raw) = (denoised, false);
-        }
+    /// [`OcrEngine::recognize_gray`] on the upscaled crop `scratch` holds,
+    /// its stage taken from (or left in) the memo there.
+    pub(crate) fn read_gray(&self, cfg: &PreprocessConfig, scratch: &mut Scratch) -> Vec<OcrChar> {
+        let median = self.uses_median() && cfg.blur_radius > 0;
         let blur = cfg.blur_radius + self.extra_blur();
-        if blur > 0 {
-            blur_into(stage, blur, BLUR_GUARD, blur_buf, smoothed);
-            (stage, raw) = (smoothed, false);
-        }
-        let otsu = if raw {
-            *raw_otsu.get_or_insert_with(|| otsu_threshold(stage))
-        } else {
-            otsu_threshold(stage)
-        };
+        let (stage, otsu) = scratch.stages.get(median, blur);
+        let (bits, spare) = (&mut scratch.bits, &mut scratch.spare);
         finish_bits(stage, otsu, self.threshold_factor(), cfg, bits, spare);
         self.recognize_bits(bits)
     }
@@ -369,32 +341,80 @@ fn crop_run(bin: &BitImage, x0: usize, x1: usize) -> Option<GlyphRect> {
     })
 }
 
-/// Downsample the glyph at `r` of the packed stage onto a `tw × th`
-/// template grid: a cell is ink when at least `ink_frac` of its pixels are
-/// ink. Calls `ink` with the index (`row * tw + col`) of every ink cell.
+/// [`InkTable::quantize`] of the glyph at `r` of the packed stage, on a
+/// table of its own.
+#[cfg(test)]
 pub(crate) fn quantize_rect(
     bin: &BitImage,
     r: &GlyphRect,
     tw: usize,
     th: usize,
     ink_frac: f64,
-    mut ink: impl FnMut(usize),
+    ink: impl FnMut(usize),
 ) {
-    if r.w == 0 || r.h == 0 {
-        return;
+    let mut table = InkTable::default();
+    table.fill(bin, r);
+    table.quantize(tw, th, ink_frac, ink);
+}
+
+/// A glyph's ink as a summed-area table: entry `(x, y)` counts the ink in
+/// the rectangle's first `y` rows and `x` columns. Its pixels are read
+/// once however many template grids it is quantised onto, and a cell of
+/// any grid is four lookups.
+#[derive(Debug, Default)]
+struct InkTable {
+    w: usize,
+    h: usize,
+    sums: Vec<u32>,
+    /// The column spans of the grid being quantised onto.
+    cols: Vec<(usize, usize)>,
+}
+
+impl InkTable {
+    /// Tabulate the glyph at `r` of the packed stage.
+    fn fill(&mut self, bin: &BitImage, r: &GlyphRect) {
+        let stride = r.w + 1;
+        (self.w, self.h) = (r.w, r.h);
+        self.sums.clear();
+        self.sums.resize((r.h + 1) * stride, 0);
+        for y in 0..r.h {
+            let (above, row) = self.sums[y * stride..(y + 2) * stride].split_at_mut(stride);
+            let mut run = 0;
+            let chunks = row[1..].chunks_mut(64).zip(above[1..].chunks(64));
+            for (i, (sums, above)) in chunks.enumerate() {
+                let bits = bin.bits_at(r.x + 64 * i, r.y + y);
+                for (j, (s, &a)) in sums.iter_mut().zip(above).enumerate() {
+                    run += (bits >> j & 1) as u32;
+                    *s = a + run;
+                }
+            }
+        }
     }
-    for row in 0..th {
-        let y0 = row * r.h / th;
-        let y1 = ((row + 1) * r.h / th).max(y0 + 1).min(r.h);
-        for col in 0..tw {
-            let x0 = col * r.w / tw;
-            let x1 = ((col + 1) * r.w / tw).max(x0 + 1).min(r.w);
-            let total = (y1 - y0) * (x1 - x0);
-            let count: usize = (r.y + y0..r.y + y1)
-                .map(|y| bin.count_row(y, r.x + x0, r.x + x1))
-                .sum();
-            if (count as f64) >= ink_frac * total as f64 {
-                ink(row * tw + col);
+
+    /// Downsample the tabulated glyph onto a `tw × th` template grid: a
+    /// cell is ink when at least `ink_frac` of its pixels are ink. Calls
+    /// `ink` with the index (`row * tw + col`) of every ink cell.
+    fn quantize(&mut self, tw: usize, th: usize, ink_frac: f64, mut ink: impl FnMut(usize)) {
+        let (w, h, stride) = (self.w, self.h, self.w + 1);
+        if w == 0 || h == 0 {
+            return;
+        }
+        // Each column's span, divided out once rather than once a cell.
+        self.cols.clear();
+        self.cols.extend((0..tw).map(|col| {
+            let x0 = col * w / tw;
+            (x0, ((col + 1) * w / tw).max(x0 + 1).min(w))
+        }));
+        let at = |x: usize, y: usize| self.sums[y * stride + x];
+        for row in 0..th {
+            let y0 = row * h / th;
+            let y1 = ((row + 1) * h / th).max(y0 + 1).min(h);
+            for (col, &(x0, x1)) in self.cols.iter().enumerate() {
+                let total = (y1 - y0) * (x1 - x0);
+                let count = (at(x1, y1) - at(x1, y0)) - (at(x0, y1) - at(x0, y0));
+                if (count as f64) >= ink_frac * total as f64 {
+                    ink(row * tw + col);
+                }
             }
         }
     }

@@ -93,19 +93,83 @@ pub(crate) fn finish_bits(
     }
 }
 
-/// Working buffers of one extraction, allocated once and reused by every
-/// engine on both passes.
-#[derive(Debug, Default)]
+/// Working buffers of one extraction, reused by every engine on both
+/// passes, and the gray stages of its upscaled crop.
+#[derive(Debug)]
 pub(crate) struct Scratch {
-    /// Output of the median filter.
-    pub(crate) denoised: Image,
-    /// Output of the Gaussian blur.
-    pub(crate) smoothed: Image,
-    /// The blur's `f32` working rows.
-    pub(crate) blur_buf: Vec<f32>,
+    pub(crate) stages: Stages,
     /// The binary stage and its ping-pong partner.
     pub(crate) bits: BitImage,
     pub(crate) spare: BitImage,
+}
+
+impl Scratch {
+    /// Buffers for the stages of one upscaled crop.
+    pub(crate) fn new(upscaled: Image) -> Scratch {
+        Scratch {
+            stages: Stages {
+                upscaled,
+                memo: Vec::new(),
+                denoised: Image::default(),
+                blur_buf: Vec::new(),
+            },
+            bits: BitImage::default(),
+            spare: BitImage::default(),
+        }
+    }
+}
+
+/// The gray stages of one upscaled crop, each computed once with its Otsu
+/// threshold: an engine's stage depends only on whether it runs the
+/// median filter and on its blur radius, and engines (and passes) that
+/// agree on both share one.
+#[derive(Debug)]
+pub(crate) struct Stages {
+    upscaled: Image,
+    /// `(median, blur)`, the stage (empty for the raw `(false, 0)`, which
+    /// is `upscaled` itself) and its Otsu threshold.
+    memo: Vec<((bool, usize), Image, u8)>,
+    /// Output of the median filter ahead of a blur.
+    denoised: Image,
+    /// The blur's `f32` working rows.
+    blur_buf: Vec<f32>,
+}
+
+impl Stages {
+    /// The upscaled crop after the median filter (when `median`) and a
+    /// blur of radius `blur` (none for 0), and its Otsu threshold.
+    pub(crate) fn get(&mut self, median: bool, blur: usize) -> (&Image, u8) {
+        let key = (median, blur);
+        let raw = key == (false, 0);
+        let i = match self.memo.iter().position(|(k, ..)| *k == key) {
+            Some(i) => i,
+            None => {
+                let (src, mut image) = (&self.upscaled, Image::default());
+                match key {
+                    (false, 0) => {}
+                    (true, 0) => median3_into(src, &mut image),
+                    (false, r) => {
+                        blur_into(src, r, BLUR_GUARD, &mut self.blur_buf, &mut image);
+                    }
+                    (true, r) => {
+                        median3_into(src, &mut self.denoised);
+                        blur_into(
+                            &self.denoised,
+                            r,
+                            BLUR_GUARD,
+                            &mut self.blur_buf,
+                            &mut image,
+                        );
+                    }
+                }
+                let otsu = otsu_threshold(if raw { src } else { &image });
+                self.memo.push((key, image, otsu));
+                self.memo.len() - 1
+            }
+        };
+        let (_, image, otsu) = &self.memo[i];
+        (if raw { &self.upscaled } else { image }, *otsu)
+    }
 }
 
 /// Separable Gaussian blur with the given radius (σ ≈ radius/1.5), using a

@@ -168,6 +168,14 @@ impl HudScene {
 
     /// Render the thumbnail. Deterministic given the RNG state.
     pub fn render(&self, rng: &mut SimRng) -> Image {
+        let mut img = self.compose(rng);
+        add_grain(&mut img.pixels, self.grain, self.noise, rng, GUARD_BAND);
+        img
+    }
+
+    /// The thumbnail before grain and noise: clutter, HUD panel, text and
+    /// menu.
+    pub(crate) fn compose(&self, rng: &mut SimRng) -> Image {
         // Room to spare for `Image::into_payload`'s header: a thumbnail on
         // its way to the object store is never copied.
         let mut pixels = Vec::with_capacity(THUMB_W * THUMB_H + PAYLOAD_HEADER);
@@ -215,21 +223,19 @@ impl HudScene {
                 55,
             );
         }
-
-        add_grain(&mut img.pixels, self.grain, self.noise, rng, GUARD_BAND);
         img
     }
 }
 
-/// Half-width of the band around a rounding boundary, per unit of grain
-/// (floored at one), inside which [`add_grain`] recomputes a pixel with
-/// libm. [`fast_normal`] is within 1e-10 of the true Box–Muller value
-/// (its two truncated series, bounded where they are written; a test pins
-/// it against libm), libm within an ulp of it (~1e-15 here), and the sum
-/// `pixel + grain · z` rounds by less again: the two paths differ by
-/// under `grain · 1e-10`, ten thousand times less than the band, so a
-/// value outside it rounds to the same `u8` on both.
-const GUARD_BAND: f64 = 1e-6;
+/// Guard of [`add_grain`]'s band: twice `f32`'s unit roundoff,
+/// `2 · 2⁻²⁴`. See [`grain_row`] for the bound it covers.
+pub(crate) const GUARD_BAND: f64 = 2.0 / 16_777_216.0;
+
+/// Half-width of the band around a rounding boundary inside which a
+/// pixel under `grain` is recomputed exactly.
+fn grain_band(guard: f64, grain: f64) -> f64 {
+    guard * (256.0 + 344.0 * grain)
+}
 
 /// Bit pattern of `√½`, the lower edge of the mantissa range `ln` is
 /// expanded on.
@@ -242,17 +248,22 @@ const SQRT_HALF_BITS: u64 = 0x3FE6_A09E_667F_3BCD;
 ///
 /// Which draw a pixel gets depends only on earlier draws, never on the
 /// arithmetic, so a row's uniforms are drawn first and the normals
-/// computed afterwards in a straight loop without libm. The output is a
-/// `u8`: the approximate normal decides the rounding unless the value
-/// lies within `guard · max(grain, 1)` of a half-integer, where the
-/// libm expression is evaluated instead. Returns how many pixels took
-/// that exact path.
-fn add_grain(pixels: &mut [u8], grain: f64, noise: f64, rng: &mut SimRng, guard: f64) -> usize {
+/// computed afterwards in straight `f32` loops without libm. The output
+/// is a `u8`: the approximate value decides the rounding unless it lies
+/// within [`grain_band`] of a half-integer, where the libm expression is
+/// evaluated instead. Returns how many pixels took that exact path.
+pub(crate) fn add_grain(
+    pixels: &mut [u8],
+    grain: f64,
+    noise: f64,
+    rng: &mut SimRng,
+    guard: f64,
+) -> usize {
     let (grainy, noisy) = (grain > 0.0, noise > 0.0);
     if !grainy && !noisy {
         return 0;
     }
-    let band = guard * grain.max(1.0);
+    let band = grain_band(guard, grain);
     let (mut u1, mut u2) = ([0.0f64; THUMB_W], [0.0f64; THUMB_W]);
     let mut salt: Vec<(usize, u8)> = Vec::new();
     let mut exact = 0;
@@ -280,70 +291,123 @@ fn add_grain(pixels: &mut [u8], grain: f64, noise: f64, rng: &mut SimRng, guard:
 
 /// Add `grain · z(u1, u2)` to each pixel of one row and round; returns
 /// how many pixels fell inside `band` and were recomputed exactly.
+///
+/// The result is, pixel for pixel, [`exact_pixel`]'s: the `f64` libm
+/// Box–Muller value, added and rounded. Only a pixel near a rounding
+/// boundary needs that sequence. Every pixel is first computed in `f32`
+/// by [`normal_f32`], from `u1`'s exponent `k` and mantissa `m` (split in
+/// `f64`, where `m − 1` is exact) and the folded `u2`. With `u = 2⁻²⁴`,
+/// to first order:
+///
+/// - `ln u1` is within `9u` of itself relatively: `m ± 1` and their
+///   quotient `s` add `3u`, the atanh series `1.2u` (its first dropped
+///   term, `w⁵/11`, is under `0.04u`), the product by `2s`, `k · ln 2`
+///   and the last sum `u` each, and for `k ≠ 0` the sum is at least half
+///   its larger term;
+/// - the radius `√(−2 ln u1)` is then within `5.5u` relatively, and is at
+///   most `√(106 ln 2) < 8.58`, since `u1 ≥ 2⁻⁵³` as `SimRng` draws it;
+/// - the sine series through `y¹¹` (first dropped term `(π/2)¹³/13! <
+///   u`), its Horner steps (`γ₁₀ · sinh(π/2)/(π/2)` over a polynomial of
+///   at least `2/π`) and `y`'s rounding keep the sine within `29u`;
+/// - so `z` is within `36u · radius` of the real normal (the test
+///   `normal_f32_tracks_libm` holds it to that), and `grain · z`, with
+///   `grain` rounded to `f32` and the product, within
+///   `38u · 8.58 · grain < 330u · grain`; adding the shade rounds by at
+///   most `256u` more, for the values in `0..256` that can round to
+///   different `u8`s (anything else clamps to 0 or 255 on both paths).
+///
+/// The `f32` value is thus within `(256 + 330 · grain) · u` of the real
+/// one (≈ 1.5e-5 + 2e-5 · grain), and libm's `f64` within ~1e-14 · grain
+/// of it. [`grain_band`] is twice the bound with 344 for 330, covering
+/// the second-order terms: a value farther than that from a half-integer
+/// rounds as the `f64` one does, and one inside it is recomputed by
+/// [`exact_pixel`] from the shade before grain. A band of ½ or more, or
+/// a grain that is not finite, sends every pixel down that exact path.
 fn grain_row(row: &mut [u8], u1: &[f64], u2: &[f64], grain: f64, band: f64) -> usize {
     let n = row.len().min(THUMB_W);
     let (row, u1, u2) = (&mut row[..n], &u1[..n], &u2[..n]);
-    // `t - 1.5` is the grainy value, clamped one past either end of the
-    // `u8` range so `t` is positive and truncation is `floor`.
-    let mut t = [0.0f64; THUMB_W];
-    for i in 0..n {
-        let v = row[i] as f64 + grain * fast_normal(u1[i], u2[i]);
-        t[i] = v.clamp(-1.0, 256.0) + 1.5;
+    if band >= 0.5 || !grain.is_finite() {
+        for ((p, &u1), &u2) in row.iter_mut().zip(u1).zip(u2) {
+            *p = exact_pixel(*p, grain, u1, u2);
+        }
+        return n;
     }
-    let mut exact = 0;
+    let (mut below, mut above, mut k, mut y) = (
+        [0.0f32; THUMB_W],
+        [0.0; THUMB_W],
+        [0.0; THUMB_W],
+        [0.0; THUMB_W],
+    );
+    let mut shade = [0.0f32; THUMB_W];
     for i in 0..n {
-        let floor = t[i] as i32;
-        let frac = t[i] - floor as f64;
-        // Written so a NaN (only a non-finite grain makes one) is exact.
-        row[i] = if frac > band && frac < 1.0 - band {
-            (floor - 1).clamp(0, 255) as u8
-        } else {
-            exact += 1;
-            exact_pixel(row[i], grain, u1[i], u2[i])
-        };
+        (below[i], above[i], k[i], y[i]) = normal_inputs(u1[i], u2[i]);
+        shade[i] = row[i] as f32;
     }
-    exact
+    // Round by the 1.5 · 2²³ shift: `v + SHIFT` lands where one unit is
+    // the last mantissa bit, so its low byte is `v` rounded to the nearest
+    // integer (`v` is clamped to `0..=255`, past every boundary that
+    // moves a `u8`), and taking `SHIFT` off again leaves that integer.
+    const SHIFT: f32 = 12_582_912.0;
+    let (g, limit) = (grain as f32, (0.5 - band) as f32);
+    let mut value = [0.0f32; THUMB_W];
+    let mut near = 0u32;
+    for i in 0..n {
+        let v = (shade[i] + g * normal_f32(below[i], above[i], k[i], y[i])).clamp(0.0, 255.0);
+        let shifted = v + SHIFT;
+        row[i] = shifted.to_bits() as u8;
+        near += ((v - (shifted - SHIFT)).abs() >= limit) as u32;
+        value[i] = v;
+    }
+    if near > 0 {
+        for i in 0..n {
+            let v = value[i];
+            if (v - ((v + SHIFT) - SHIFT)).abs() >= limit {
+                row[i] = exact_pixel(shade[i] as u8, grain, u1[i], u2[i]);
+            }
+        }
+    }
+    near as usize
 }
 
 /// One pixel by the expression of `SimRng::normal_with(0.0, grain)`,
 /// operation for operation.
+#[cold]
 fn exact_pixel(p: u8, grain: f64, u1: f64, u2: f64) -> u8 {
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     (p as f64 + (0.0 + grain * z)).round().clamp(0.0, 255.0) as u8
 }
 
-/// Box–Muller's `√(-2 ln u1) · cos(2π u2)` for `u1 ∈ (0, 1]`,
-/// `u2 ∈ [0, 1)`, branch-free and without libm, to within 1e-10.
-#[inline]
-fn fast_normal(u1: f64, u2: f64) -> f64 {
-    // u1 = m · 2^k with m ∈ [√½, √2): adding the distance from √½ to 1
-    // carries into the exponent exactly when the mantissa is past √2.
+/// [`normal_f32`]'s arguments, split in `f64`: `u1 = m · 2^k` with
+/// `m ∈ [√½, √2)` as `m − 1` (exact), `m + 1` and `k`, and the folded
+/// angle `y = 2π(|u2 − ½| − ¼) ∈ [−π/2, π/2]` (both subtractions exact).
+#[inline(always)]
+fn normal_inputs(u1: f64, u2: f64) -> (f32, f32, f32, f32) {
+    // Adding the distance from √½ to 1 carries into the exponent exactly
+    // when the mantissa is past √2.
     let ix = u1.to_bits() + (1.0f64.to_bits() - SQRT_HALF_BITS);
-    let k = (ix >> 52) as i32 - 1023;
     let m = f64::from_bits((ix & 0x000F_FFFF_FFFF_FFFF) + SQRT_HALF_BITS);
-    // ln m = 2 atanh(s) with |s| < 0.1716. The first dropped term, s¹²/13,
-    // is under 5e-11 of the sum, and the series keeps that relative
-    // precision as u1 → 1, where the radius is the root of a tiny number.
-    let s = (m - 1.0) / (m + 1.0);
-    let w = s * s;
-    let series = 1.0
-        + w * (1.0 / 3.0 + w * (1.0 / 5.0 + w * (1.0 / 7.0 + w * (1.0 / 9.0 + w * (1.0 / 11.0)))));
-    let ln = k as f64 * std::f64::consts::LN_2 + 2.0 * s * series;
-    let radius = (-2.0 * ln).sqrt();
-    // cos(2π u2) = sin(2π b) with b = |u2 - ½| - ¼ ∈ [-¼, ¼] (both
-    // subtractions are exact), then Taylor through y¹⁵: the first dropped
-    // term is at most (π/2)¹⁷/17! < 7e-12.
+    let k = (ix >> 52) as i32 - 1023;
     let y = std::f64::consts::TAU * ((u2 - 0.5).abs() - 0.25);
+    ((m - 1.0) as f32, (m + 1.0) as f32, k as f32, y as f32)
+}
+
+/// Box–Muller's `√(−2 ln u1) · cos(2π u2)` in `f32`, without libm or a
+/// branch, from `u1 = m · 2^k` as `m − 1`, `m + 1` and `k`, and the cosine
+/// as `sin y` for `y = 2π(|u2 − ½| − ¼)`. [`grain_row`] bounds its error.
+#[inline(always)]
+fn normal_f32(below: f32, above: f32, k: f32, y: f32) -> f32 {
+    // ln m = 2 atanh(s) with |s| < 0.1716.
+    let s = below / above;
+    let w = s * s;
+    let series = 1.0 + w * (1.0 / 3.0 + w * (1.0 / 5.0 + w * (1.0 / 7.0 + w * (1.0 / 9.0))));
+    let ln = k * std::f32::consts::LN_2 + 2.0 * s * series;
+    let radius = (-2.0 * ln).sqrt();
     let y2 = y * y;
     let sin = y
         * (1.0
             + y2 * (-1.0 / 6.0
                 + y2 * (1.0 / 120.0
-                    + y2 * (-1.0 / 5040.0
-                        + y2 * (1.0 / 362_880.0
-                            + y2 * (-1.0 / 39_916_800.0
-                                + y2 * (1.0 / 6_227_020_800.0
-                                    + y2 * (-1.0 / 1_307_674_368_000.0))))))));
+                    + y2 * (-1.0 / 5040.0 + y2 * (1.0 / 362_880.0 + y2 * (-1.0 / 39_916_800.0))))));
     radius * sin
 }
 
@@ -433,15 +497,21 @@ mod tests {
     }
 
     #[test]
-    fn fast_normal_tracks_libm() {
+    fn normal_f32_tracks_libm() {
+        // Within the `36u · radius` `grain_row` derives, u = 2⁻²⁴.
         let libm = |u1: f64, u2: f64| (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        let tiny = 1.0 / (1u64 << 53) as f64;
+        let fast = |u1: f64, u2: f64| {
+            let (below, above, k, y) = normal_inputs(u1, u2);
+            normal_f32(below, above, k, y) as f64
+        };
+        let (u, tiny) = (1.0 / (1u64 << 24) as f64, 1.0 / (1u64 << 53) as f64);
         let sqrt_half = f64::from_bits(SQRT_HALF_BITS);
         let mut worst = 0.0f64;
         let mut check = |u1: f64, u2: f64| {
-            let err = (fast_normal(u1, u2) - libm(u1, u2)).abs();
-            assert!(err < 1e-10, "u1 {u1:e} u2 {u2:e} err {err:e}");
-            worst = worst.max(err);
+            let radius = (-2.0 * u1.ln()).sqrt();
+            let err = (fast(u1, u2) - libm(u1, u2)).abs();
+            assert!(err <= 36.0 * u * radius, "u1 {u1:e} u2 {u2:e} err {err:e}");
+            worst = worst.max(err / (u * radius));
         };
         // Both ends of each range, the mantissa split, the quadrant folds.
         let edges1 = [
@@ -481,7 +551,7 @@ mod tests {
             };
             check(u1, rng.f64());
         }
-        assert_eq!(fast_normal(1.0, 0.3), 0.0, "ln 1 is exactly zero");
+        assert_eq!(fast(1.0, 0.3), 0.0, "ln 1 is exactly zero");
         assert!(worst > 0.0, "the approximation is not libm");
     }
 
@@ -538,28 +608,42 @@ mod tests {
         // u2 = 0 makes the cosine 1, so u1 = exp(-r²/2) puts the normal at
         // r: shade 100 under grain 4 lands on 103.5 for r = 0.875, as
         // close as an f64 `u1` allows — far inside the band, and on
-        // whichever side of the tie libm says.
-        let (grain, band) = (4.0, GUARD_BAND * 4.0);
+        // whichever side of the tie libm says. Offsets of 0.9 band fall
+        // just inside the band, of 2 bands well outside it.
+        let grain = 4.0;
+        let band = grain_band(GUARD_BAND, grain);
         let u1_for = |r: f64| (-r * r / 2.0).exp();
+        let value = |u1: f64| 100.0 + grain * (-2.0 * u1.ln()).sqrt();
         let naive = |p: u8, u1: f64| {
             let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * 0.0f64).cos();
             (p as f64 + (0.0 + grain * z)).round().clamp(0.0, 255.0) as u8
         };
+        let at = |bands: f64| u1_for(0.875 + bands * band / grain);
         let u1 = [
             u1_for(0.875),
             u1_for(0.8),
             u1_for(0.875 + 1e-8),
             u1_for(0.875 - 1e-8),
+            at(0.9),
+            at(-0.9),
         ];
-        let mut row = [100u8; 4];
-        let exact = grain_row(&mut row, &u1, &[0.0; 4], grain, band);
-        assert_eq!(exact, 3, "the tie and its two near misses, not 103.2");
+        for &u1 in &u1[4..] {
+            let off = (value(u1) - 103.5).abs() / band;
+            assert!((0.85..0.95).contains(&off), "{off} bands");
+        }
+        let mut row = [100u8; 6];
+        let exact = grain_row(&mut row, &u1, &[0.0; 6], grain, band);
+        assert_eq!(exact, 5, "all but 103.2");
         for (i, &got) in row.iter().enumerate() {
             assert_eq!(got, naive(100, u1[i]), "pixel {i}");
         }
-        assert_eq!((row[1], row[2], row[3]), (103, 104, 103));
-        // Just outside the band on either side the fast path decides.
-        let u1 = [u1_for(0.875 + 1e-5), u1_for(0.875 - 1e-5)];
+        assert_eq!(row[1..], [103, 104, 103, 104, 103]);
+        // Twice the band out on either side the fast path decides.
+        let u1 = [at(2.0), at(-2.0)];
+        for &u1 in &u1 {
+            let off = (value(u1) - 103.5).abs() / band;
+            assert!((1.95..2.05).contains(&off), "{off} bands");
+        }
         let mut row = [100u8; 2];
         assert_eq!(grain_row(&mut row, &u1, &[0.0; 2], grain, band), 0);
         assert_eq!(row, [104, 103]);

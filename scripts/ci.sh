@@ -56,7 +56,7 @@ same_twice() {
     || { echo "FAIL: $example stdout differs across identical runs"; exit 1; }
 }
 
-echo "==> OCR bits (fig06_ocr_examples stdout against results/)"
+echo "==> OCR bits (fig06_ocr_examples and tab04_fig05_ocr_errors stdout against results/)"
 # Every reading Fig 6 prints — three engines and the vote on each example
 # crop — follows from the OCR kernels' output pixels: a kernel change that
 # moves one pixel's rounding shows here. A change that means to move them
@@ -64,6 +64,13 @@ echo "==> OCR bits (fig06_ocr_examples stdout against results/)"
 cargo run --quiet --release -p tero-bench --bin fig06_ocr_examples > "$trace_dir/fig06.out"
 cmp "$trace_dir/fig06.out" results/fig06_ocr_examples.txt \
   || { echo "FAIL: fig06_ocr_examples stdout differs from results/fig06_ocr_examples.txt"; exit 1; }
+# Table 4 drives 12 000 renders through all three engines and both
+# passes: every thumbnail pixel the renderer rounds and every stage the
+# OCR memo serves shows in its counts. (It rewrites
+# results/tab04_fig05_ocr_errors.json with the same bytes.)
+cargo run --quiet --release -p tero-bench --bin tab04_fig05_ocr_errors -- --n 4000 --reps 3 > "$trace_dir/tab04.out"
+cmp "$trace_dir/tab04.out" results/tab04_fig05_ocr_errors.txt \
+  || { echo "FAIL: tab04_fig05_ocr_errors stdout differs from results/tab04_fig05_ocr_errors.txt"; exit 1; }
 
 echo "==> trace determinism (trace_explore twice, byte-compare + JSON parse)"
 same_twice trace trace_explore 7 "{}.json"

@@ -43,7 +43,7 @@ const TABLE: &[(&str, u64, u64, u64, u64)] = &[
     ("store",     1775,  63,   6,   0),
     ("trace",     2205,  81,   2,   5),
     ("types",     1700, 109,   0,   1),
-    ("vision",    3800,  62,   2,   0),
+    ("vision",    4143,  62,   2,   0),
     ("world",     2982,  69,   6,   9),
 ];
 

@@ -3,6 +3,7 @@
 
 use tero::core::pipeline::{ExtractionMode, Tero};
 use tero::types::{AnonId, GameId};
+use tero::world::twitch::render_thumbnail;
 use tero::world::{World, WorldConfig};
 
 fn small_world(seed: u64) -> World {
@@ -199,6 +200,38 @@ fn cluster_rejection_tightens_distributions() {
         );
         assert!(b.stats.p5 <= b.stats.p50 && b.stats.p50 <= b.stats.p95);
     }
+}
+
+#[test]
+fn thumbnail_render_digest_is_pinned() {
+    // Every thumbnail the CDN stand-in serves, pinned: a `Calibrated` run
+    // never reads a blob, so only this test sees a render that moves a
+    // pixel. A change that means to move one edits the literal in its
+    // own diff.
+    let world = World::build(WorldConfig {
+        seed: 73,
+        n_streamers: 30,
+        days: 4,
+        ..WorldConfig::default()
+    });
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    let mut thumbnails = 0;
+    for (streamer, timeline) in world.streamers().iter().zip(world.timelines()) {
+        for stream in timeline {
+            for sample in &stream.samples {
+                let payload = render_thumbnail(streamer, stream.game, sample).into_payload();
+                fnv = payload.iter().fold(fnv, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+                thumbnails += 1;
+            }
+        }
+    }
+    assert_eq!(
+        (thumbnails, fnv),
+        (1519, 0xc78f_19d8_c770_c491),
+        "thumbnail render FNV-1a {fnv:#018x}"
+    );
 }
 
 #[test]
