@@ -45,13 +45,15 @@ impl SketchRef {
 pub enum Query {
     /// The `p`-th percentile (0–100) of a distribution, by the shared
     /// nearest-rank definition (see `tero_stats::QuantileSketch::quantile`).
+    /// A NaN `p` answers `None`.
     Percentile {
         /// The distribution to query.
         target: SketchRef,
         /// Percentile in `[0, 100]`.
         p: f64,
     },
-    /// The fraction of the distribution's mass at or below `x` ms.
+    /// The fraction of the distribution's mass at or below `x` ms. A NaN
+    /// `x` answers `None`.
     Cdf {
         /// The distribution to query.
         target: SketchRef,
@@ -75,7 +77,8 @@ pub enum Query {
 
 /// A query's answer. Scalar queries answer `None` when the distribution
 /// does not exist or is empty — mirroring `Histogram::percentile` and
-/// `BoxplotStats::from_samples`, a percentile of nothing is not a number.
+/// `BoxplotStats::from_samples`, a percentile of nothing is not a number —
+/// and when a percentile or CDF point is NaN.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// A percentile, CDF or Wasserstein value.
@@ -170,6 +173,9 @@ pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 256;
 pub struct QueryEngine {
     kv: KvStore,
     cache: Mutex<HotKeyCache>,
+    /// Whether the cache can hold anything: a capacity-0 engine never
+    /// takes its lock.
+    caching: bool,
     metrics: ServeMetrics,
 }
 
@@ -181,12 +187,13 @@ impl QueryEngine {
     }
 
     /// An engine with an explicit hot-key cache capacity. Capacity 0
-    /// disables the cache (every query decodes from the store) — the
-    /// cache-off arm of the benchmarks.
+    /// disables the cache (every query decodes from the store, and none
+    /// takes the cache's lock) — the cache-off arm of the benchmarks.
     pub fn with_cache_capacity(kv: KvStore, registry: &Registry, capacity: usize) -> QueryEngine {
         QueryEngine {
             kv,
             cache: Mutex::new(HotKeyCache::new(capacity)),
+            caching: capacity > 0,
             metrics: ServeMetrics::new(registry),
         }
     }
@@ -305,6 +312,10 @@ impl QueryEngine {
     /// reconciles the cache with the serving version, so an engine commit
     /// between two queries invalidates every cached sketch.
     fn probe(&self, version: u64, key: &str) -> Option<QuantileSketch> {
+        if !self.caching {
+            self.metrics.cache_misses.inc();
+            return None;
+        }
         let hit = {
             let mut cache = lock(&self.cache);
             cache.sync_version(version);
@@ -324,6 +335,9 @@ impl QueryEngine {
     /// ran, the cache declines it (see [`HotKeyCache::insert`]); a cache
     /// that declined has not changed and has nothing to report.
     fn admit(&self, version: u64, key: &str, sketch: &QuantileSketch) {
+        if !self.caching {
+            return;
+        }
         let mut cache = lock(&self.cache);
         if let Some(evicted) = cache.insert(version, key, sketch) {
             self.metrics.cache_evictions.add(evicted);
@@ -536,6 +550,23 @@ mod tests {
             let before = reads();
             assert!(engine.query(&q).is_answered());
             assert_eq!(reads() - before, expected, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn a_nan_percentile_or_cdf_point_answers_none() {
+        let target = SketchRef::raw(AnonId(7), GameId::ALL[0]);
+        let kv = store_with(&[10.0, 20.0, 30.0, 40.0], &target);
+        for capacity in [0, DEFAULT_CACHE_CAPACITY] {
+            let engine = QueryEngine::with_cache_capacity(kv.clone(), &Registry::new(), capacity);
+            assert_eq!(engine.percentile(&target, f64::NAN), None);
+            assert_eq!(engine.cdf(&target, f64::NAN), None);
+            let q = Query::Percentile {
+                target: target.clone(),
+                p: f64::NAN,
+            };
+            assert_eq!(engine.query(&q).checksum(), Answer::Value(None).checksum());
+            assert!(engine.percentile(&target, 50.0).is_some());
         }
     }
 

@@ -69,6 +69,7 @@
 //! `None` — eighteen quintillion milliseconds of latency in one sketch.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Default relative accuracy `α`: served quantiles within ~2 % of the
 /// exact nearest-rank value (see the module docs for the exact bound).
@@ -79,7 +80,8 @@ pub(crate) const WASSERSTEIN_GRID: usize = 256;
 
 /// The fraction `quantile` computes at each grid point: the midpoint
 /// percentile `(i + 0.5) / grid · 100`, then `/ 100`, folded at compile
-/// time with the same operations in the same order.
+/// time with the same operations in the same order. Both steps are exact,
+/// so entry `i` is `(2i + 1) / 512` (see [`QuantileSketch::grid_rank`]).
 const GRID_FRACTIONS: [f64; WASSERSTEIN_GRID] = {
     let mut table = [0.0; WASSERSTEIN_GRID];
     let mut i = 0;
@@ -89,6 +91,60 @@ const GRID_FRACTIONS: [f64; WASSERSTEIN_GRID] = {
     }
     table
 };
+
+/// Below this count `(2i + 1) · n` fits the 53-bit significand, so the
+/// grid's `f64` rank product is exact and an integer formula equals it.
+const GRID_EXACT_COUNT: u64 = 1 << 43;
+
+/// `10^k` for the exponents an `f64` holds exactly: the divisors of
+/// [`WireCursor::f64`]'s fast path. Each step is an exact product.
+const POW10: [f64; 23] = {
+    let mut table = [1.0; 23];
+    let mut k = 1;
+    while k < table.len() {
+        table[k] = table[k - 1] * 10.0;
+        k += 1;
+    }
+    table
+};
+
+/// The bucket indices whose bounds are tabled for [`DEFAULT_ALPHA`]:
+/// `|i| ≤ POWER_REACH`, values from ~4·10⁻¹¹ to ~3·10¹⁰ ms.
+const POWER_REACH: i32 = 1_200;
+
+/// `γ^(k − POWER_REACH)` at entry `k` for the default accuracy, computed
+/// once per process by the `powi` an untabled bound runs.
+fn default_powers() -> &'static PowerTable {
+    static TABLE: OnceLock<PowerTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let gamma = gamma_of(DEFAULT_ALPHA);
+        std::array::from_fn(|k| gamma.powi(k as i32 - POWER_REACH))
+    })
+}
+
+type PowerTable = [f64; 2 * POWER_REACH as usize + 1];
+
+/// `(1+α)/(1−α)`, the bucket-width ratio.
+fn gamma_of(alpha: f64) -> f64 {
+    (1.0 + alpha) / (1.0 - alpha)
+}
+
+/// `x.ceil() as u64` without the libm call: truncation, plus one when it
+/// cut a fraction off. `as` saturates and sends NaN to 0 on both sides,
+/// and every `f64` from 2⁵² up is already an integer.
+#[inline]
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from((t as f64) < x))
+}
+
+/// `x.ceil() as i32` the same way: truncation runs toward zero, so only
+/// a positive fraction needs the one added.
+#[inline]
+fn ceil_i32(x: f64) -> i32 {
+    let t = x as i32;
+    t.saturating_add(i32::from(f64::from(t) < x))
+}
 
 /// A mergeable quantile sketch over non-negative `f64` values.
 ///
@@ -132,11 +188,18 @@ impl QuantileSketch {
             alpha > 0.0 && alpha < 1.0,
             "sketch accuracy must be in (0, 1), got {alpha}"
         );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let gamma = gamma_of(alpha);
+        // Every decode builds a sketch: the default's logarithm is taken once.
+        static DEFAULT_LN_GAMMA: OnceLock<f64> = OnceLock::new();
+        let ln_gamma = if alpha == DEFAULT_ALPHA {
+            *DEFAULT_LN_GAMMA.get_or_init(|| gamma.ln())
+        } else {
+            gamma.ln()
+        };
         QuantileSketch {
             alpha,
             gamma,
-            ln_gamma: gamma.ln(),
+            ln_gamma,
             zero: 0,
             buckets: Vec::new(),
             count: 0,
@@ -161,13 +224,17 @@ impl QuantileSketch {
     /// `i` covers `(γ^(i-1), γ^i]` (upper-inclusive).
     #[inline]
     fn bucket_for(&self, v: f64) -> i32 {
-        (v.ln() / self.ln_gamma).ceil() as i32
+        ceil_i32(v.ln() / self.ln_gamma)
     }
 
-    /// `(lo, hi]` value bounds of bucket `i`.
+    /// The bucket bounds of this sketch's accuracy, for a query to read
+    /// as many of as it needs.
     #[inline]
-    fn bucket_bounds(&self, i: i32) -> (f64, f64) {
-        (self.gamma.powi(i - 1), self.gamma.powi(i))
+    fn bounds(&self) -> Bounds {
+        Bounds {
+            table: (self.alpha == DEFAULT_ALPHA).then(default_powers),
+            gamma: self.gamma,
+        }
     }
 
     /// Insert one value. Non-positive values land in the exact zero
@@ -267,8 +334,11 @@ impl QuantileSketch {
     /// containing bucket, clamped to the exact `[min, max]`. `None` when
     /// the sketch is empty, mirroring `tero_obs::Histogram::percentile`
     /// and `BoxplotStats::from_samples` — a percentile of nothing is not
-    /// a number.
+    /// a number — and `None` when `p` is NaN, which names no rank.
     pub fn quantile(&self, p: f64) -> Option<f64> {
+        if p.is_nan() {
+            return None;
+        }
         let fraction = p.clamp(0.0, 100.0) / 100.0;
         (self.count > 0).then(|| RankWalk::new(self).value_at(self.target_rank(fraction)))
     }
@@ -277,7 +347,20 @@ impl QuantileSketch {
     /// `ceil(fraction · n)`, at least 1.
     #[inline]
     fn target_rank(&self, fraction: f64) -> u64 {
-        (fraction * self.count as f64).ceil().max(1.0) as u64
+        ceil_u64(fraction * self.count as f64).max(1)
+    }
+
+    /// [`Self::target_rank`] of `GRID_FRACTIONS[i]`. Below
+    /// [`GRID_EXACT_COUNT`] the product `(2i + 1) / 512 · n` is exact, so
+    /// its ceiling is integer arithmetic; larger counts take the `f64`
+    /// product. A non-empty sketch's rank is at least 1 either way.
+    #[inline]
+    fn grid_rank(&self, i: usize) -> u64 {
+        if self.count < GRID_EXACT_COUNT {
+            ((2 * i as u64 + 1) * self.count + 511) >> 9
+        } else {
+            self.target_rank(GRID_FRACTIONS[i])
+        }
     }
 
     /// The sketch-served five-number summary the paper publishes for
@@ -302,9 +385,9 @@ impl QuantileSketch {
     /// The empirical CDF at `x`: the fraction of inserted mass ≤ `x`,
     /// with linear rank interpolation inside `x`'s bucket. Exact at every
     /// bucket boundary; inside a bucket the error is bounded by that
-    /// bucket's mass fraction. `None` when empty.
+    /// bucket's mass fraction. `None` when empty or when `x` is NaN.
     pub fn cdf(&self, x: f64) -> Option<f64> {
-        if self.count == 0 {
+        if self.count == 0 || x.is_nan() {
             return None;
         }
         if x < self.min.max(0.0) {
@@ -324,7 +407,7 @@ impl QuantileSketch {
                 below += n;
             } else if i == idx {
                 // Interpolate by rank across x's position in the bucket.
-                let (lo, hi) = self.bucket_bounds(i);
+                let (lo, hi) = self.bounds().of(i);
                 let frac = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
                 below += (frac * n as f64).round() as u64;
             } else {
@@ -342,10 +425,11 @@ impl QuantileSketch {
         if self.zero > 0 {
             rows.push((0.0, 0.0, self.zero));
         }
-        for &(idx, n) in &self.buckets {
-            let (lo, hi) = self.bucket_bounds(idx);
-            rows.push((lo, hi, n));
-        }
+        let bounds = self.bounds();
+        rows.extend(self.buckets.iter().map(|&(idx, n)| {
+            let (lo, hi) = bounds.of(idx);
+            (lo, hi, n)
+        }));
         rows
     }
 
@@ -362,9 +446,9 @@ impl QuantileSketch {
         // answers all of them.
         let (mut a, mut b) = (RankWalk::new(self), RankWalk::new(other));
         let mut acc = 0.0;
-        for &fraction in &GRID_FRACTIONS {
-            let a = a.value_at(self.target_rank(fraction));
-            let b = b.value_at(other.target_rank(fraction));
+        for i in 0..WASSERSTEIN_GRID {
+            let a = a.value_at(self.grid_rank(i));
+            let b = b.value_at(other.grid_rank(i));
             acc += (a - b).abs();
         }
         Some(acc / WASSERSTEIN_GRID as f64)
@@ -477,20 +561,51 @@ impl QuantileSketch {
     }
 }
 
+/// The `(lo, hi]` value bounds of bucket `i`, `(γ^(i-1), γ^i)`: two
+/// loads for the default accuracy's tabled indices, the same two `powi`s
+/// the table was filled by for anything else.
+#[derive(Clone, Copy)]
+struct Bounds {
+    table: Option<&'static PowerTable>,
+    gamma: f64,
+}
+
+impl Bounds {
+    #[inline]
+    fn of(self, i: i32) -> (f64, f64) {
+        if let Some(table) = self.table {
+            // `table[k]` is γ^(k − POWER_REACH).
+            let k = i64::from(i) + i64::from(POWER_REACH);
+            if (1..table.len() as i64).contains(&k) {
+                let k = k as usize;
+                return (table[k - 1], table[k]);
+            }
+        }
+        powi_bounds(self.gamma, i)
+    }
+}
+
+/// The untabled bounds, out of line: no caller's hot loop carries the
+/// two library calls. (`i32::MIN` comes only from hostile bytes; its
+/// lower bound wraps, as release arithmetic always did.)
+#[cold]
+#[inline(never)]
+fn powi_bounds(gamma: f64, i: i32) -> (f64, f64) {
+    (gamma.powi(i.wrapping_sub(1)), gamma.powi(i))
+}
+
 /// A forward-only reader of one sketch's quantile function: answers
-/// ranks that never decrease, moving over each bucket once. A bucket's
-/// two `powi`s run when a rank first lands in it, not once per rank, and
-/// a rank asked twice in a row (a sketch of fewer values than the ranks
-/// asked of it) is answered from the last call. Every answer is the
+/// ranks that never decrease, moving over each bucket once, and a rank
+/// asked twice in a row (a sketch of fewer values than the ranks asked
+/// of it) is answered from the last call. Every answer is the
 /// floating-point expression a fresh walk computes: a fresh walk asked
 /// one rank is [`QuantileSketch::quantile`].
 struct RankWalk<'a> {
     sketch: &'a QuantileSketch,
+    bounds: Bounds,
     /// The bucket the walk stands in, and the mass before it.
     pos: usize,
     cumulative: u64,
-    /// That bucket's `bucket_bounds`, once a rank has landed in it.
-    bounds: Option<(f64, f64)>,
     /// The last rank answered, and its value. Rank 0 is never asked, and
     /// would be 0.0 if it were.
     last: (u64, f64),
@@ -500,9 +615,9 @@ impl<'a> RankWalk<'a> {
     fn new(sketch: &'a QuantileSketch) -> RankWalk<'a> {
         RankWalk {
             sketch,
+            bounds: sketch.bounds(),
             pos: 0,
             cumulative: sketch.zero,
-            bounds: None,
             last: (0, 0.0),
         }
     }
@@ -510,6 +625,9 @@ impl<'a> RankWalk<'a> {
     /// The value at 1-based rank `target` of a non-empty sketch: linear
     /// interpolation by rank inside the containing bucket, clamped to the
     /// exact `[min, max]`. `target` must not be below an earlier call's.
+    /// Inlined, so that a repeated rank costs its caller a compare and a
+    /// load; a new one calls [`Self::find`].
+    #[inline]
     fn value_at(&mut self, target: u64) -> f64 {
         if target != self.last.0 {
             self.last = (target, self.find(target));
@@ -517,6 +635,7 @@ impl<'a> RankWalk<'a> {
         self.last.1
     }
 
+    #[inline(never)]
     fn find(&mut self, target: u64) -> f64 {
         let s = self.sketch;
         if target <= s.zero {
@@ -524,31 +643,16 @@ impl<'a> RankWalk<'a> {
         }
         while let Some(&(idx, n)) = s.buckets.get(self.pos) {
             if self.cumulative + n >= target {
-                // An explicit branch to an out-of-line call, not
-                // `get_or_insert_with`: inlined, `powi` is speculatable,
-                // and LLVM hoists both calls above the test of the cache,
-                // running them on every rank.
-                let (lo, hi) = match self.bounds {
-                    Some(bounds) => bounds,
-                    None => *self.bounds.insert(bucket_bounds_out_of_line(s, idx)),
-                };
+                let (lo, hi) = self.bounds.of(idx);
                 let into = (target - self.cumulative) as f64 / n as f64;
                 let est = lo + into * (hi - lo);
                 return est.clamp(s.min, s.max);
             }
             self.cumulative += n;
             self.pos += 1;
-            self.bounds = None;
         }
         s.max
     }
-}
-
-/// [`QuantileSketch::bucket_bounds`] behind a call the compiler cannot
-/// hoist out of [`RankWalk::find`]'s bucket-entry branch.
-#[inline(never)]
-fn bucket_bounds_out_of_line(s: &QuantileSketch, idx: i32) -> (f64, f64) {
-    s.bucket_bounds(idx)
 }
 
 /// A float as the wire writes it: `null` when not finite, one decimal
@@ -636,6 +740,12 @@ impl WireCursor<'_> {
     /// integral value from 1e15 up, which has to fit `u64` (`i64` when
     /// negative) as it does for the tree parser; `-?digits.digits` is
     /// anything else, so its whole part fits a `u64` with room to spare.
+    ///
+    /// `-?digits.digits` takes Clinger's fast path when it can: digits
+    /// that make a significand `m < 2⁵³` with `k ≤ 22` of them after the
+    /// point are `m / 10^k`, both operands exact, and one correctly
+    /// rounded division is the correctly rounded value `str::parse`
+    /// returns. Any other spelling goes to `str::parse`.
     fn f64(&mut self) -> Option<f64> {
         let start = self.pos;
         let negative = self.eat_byte(b'-').is_some();
@@ -652,6 +762,15 @@ impl WireCursor<'_> {
             return None;
         }
         self.pos += fraction;
+        if let Some(&divisor) = POW10.get(fraction) {
+            let significand = rest[..fraction].iter().try_fold(whole, |m, &digit| {
+                m.checked_mul(10)?.checked_add(u64::from(digit - b'0'))
+            });
+            if let Some(m) = significand.filter(|&m| m < 1 << 53) {
+                let magnitude = m as f64 / divisor;
+                return Some(if negative { -magnitude } else { magnitude });
+            }
+        }
         std::str::from_utf8(&self.src[start..self.pos])
             .ok()?
             .parse()
@@ -743,7 +862,7 @@ mod tests {
         let mut cumulative = s.zero;
         for &(idx, n) in &s.buckets {
             if cumulative + n >= target {
-                let (lo, hi) = s.bucket_bounds(idx);
+                let (lo, hi) = (s.gamma.powi(idx - 1), s.gamma.powi(idx));
                 let into = (target - cumulative) as f64 / n as f64;
                 let est = lo + into * (hi - lo);
                 return Some(est.clamp(s.min, s.max));
@@ -967,6 +1086,192 @@ mod tests {
             let walked = x.wasserstein(y).map(f64::to_bits);
             assert_eq!(walked, wasserstein_scan(x, y).map(f64::to_bits));
             assert_eq!(walked, Some(bits), "{:#018x}", walked.unwrap_or(0));
+        }
+    }
+
+    /// Values an `f64` ceiling can go wrong at: zero of either sign, NaN,
+    /// the infinities, one ulp either side of integers, the 2⁵² edge past
+    /// which every value is an integer, and both types' saturation points.
+    fn ceiling_corners() -> Vec<f64> {
+        let mut xs = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        xs.extend([f64::MIN_POSITIVE, -f64::MIN_POSITIVE, f64::MAX, f64::MIN]);
+        for whole in [
+            1.0,
+            2.0,
+            3.0,
+            255.0,
+            (1u64 << 31) as f64,
+            (1u64 << 32) as f64,
+            (1u64 << 52) as f64,
+            (1u64 << 53) as f64,
+            (1u64 << 63) as f64,
+            18_446_744_073_709_551_616.0, // 2^64
+        ] {
+            for x in [whole, -whole] {
+                xs.extend([x, x.next_up(), x.next_down(), x + 0.5, x - 0.5]);
+            }
+        }
+        xs
+    }
+
+    #[test]
+    fn integer_ceilings_equal_the_libm_ones() {
+        let sevenths = (-40_000..40_000).map(|k| f64::from(k) / 7.0);
+        for x in ceiling_corners().into_iter().chain(sevenths) {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e}");
+            assert_eq!(ceil_u64(x).max(1), x.ceil().max(1.0) as u64, "{x:e}");
+            assert_eq!(ceil_i32(x), x.ceil() as i32, "{x:e}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn integer_ceilings_equal_the_libm_ones_on_any_bits(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(ceil_u64(x), x.ceil() as u64);
+            prop_assert_eq!(ceil_i32(x), x.ceil() as i32);
+            // The bucket index's ratio is a few hundred at most.
+            let small = x % 4096.0;
+            prop_assert_eq!(ceil_i32(small), small.ceil() as i32);
+        }
+    }
+
+    #[test]
+    fn grid_ranks_equal_the_float_ranks() {
+        for (i, &fraction) in GRID_FRACTIONS.iter().enumerate() {
+            assert_eq!(fraction, (2 * i + 1) as f64 / 512.0, "fraction {i}");
+        }
+        let edge = GRID_EXACT_COUNT;
+        let counts = (1..=5_000)
+            .chain([1 << 20, 120_000_000_000])
+            .chain(edge - 3..=edge + 3)
+            .chain([u64::MAX / 511, u64::MAX]);
+        for count in counts {
+            let s = QuantileSketch {
+                count,
+                ..QuantileSketch::default()
+            };
+            for (i, &fraction) in GRID_FRACTIONS.iter().enumerate() {
+                let float = (fraction * count as f64).ceil().max(1.0) as u64;
+                assert_eq!(s.grid_rank(i), float, "count {count}, grid point {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn tabled_bounds_equal_powi() {
+        let gamma = std::hint::black_box(gamma_of(DEFAULT_ALPHA));
+        for (k, &power) in default_powers().iter().enumerate() {
+            let i = k as i32 - POWER_REACH;
+            assert_eq!(power.to_bits(), gamma.powi(i).to_bits(), "γ^{i}");
+        }
+        // Past either end of the table, and at another accuracy, the
+        // bounds are the same `powi`s.
+        let other = QuantileSketch::new(0.02);
+        let ends = [i32::MIN, i32::MIN + 1, -1_500, i32::MAX - 1, i32::MAX];
+        for i in (-POWER_REACH - 3..=POWER_REACH + 3).chain(ends) {
+            for s in [&QuantileSketch::default(), &other] {
+                let want = (s.gamma.powi(i.wrapping_sub(1)), s.gamma.powi(i));
+                let got = s.bounds().of(i);
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "lo of {i}");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "hi of {i}");
+            }
+        }
+    }
+
+    /// `WireCursor::f64` over `raw` alone: the value, if it read all of it.
+    fn read_f64(raw: &str) -> Option<f64> {
+        let mut c = WireCursor {
+            src: raw.as_bytes(),
+            pos: 0,
+        };
+        c.f64().filter(|_| c.pos == raw.len())
+    }
+
+    /// A finite float through [`push_f64`] and back: what `str::parse`
+    /// reads from the same bytes, except an integral value from 2⁶⁴ up,
+    /// which the wire writes and does not read.
+    fn assert_reads_as_parse(f: f64) {
+        let mut wire = String::new();
+        push_f64(&mut wire, f);
+        let parsed: f64 = wire.parse().expect("push_f64 writes a float");
+        assert_eq!(parsed.to_bits(), f.to_bits(), "{wire} parses back");
+        match read_f64(&wire) {
+            Some(read) => assert_eq!(read.to_bits(), parsed.to_bits(), "{wire}"),
+            None => assert!(!wire.contains('.') && f.abs() >= 1.8e19, "{wire}"),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn the_float_decode_reads_what_parse_reads(
+            bits in any::<u64>(),
+            subnormal in 1u64..1 << 52,
+            integral in 1e15f64..1e21,
+            digits in 10_000_000_000_000_000u64..100_000_000_000_000_000,
+            point in 1u32..24,
+            short in 0u64..1 << 54,
+        ) {
+            let any = f64::from_bits(bits);
+            if any.is_finite() {
+                assert_reads_as_parse(any);
+            }
+            assert_reads_as_parse(f64::from_bits(subnormal));
+            assert_reads_as_parse(-f64::from_bits(subnormal));
+            assert_reads_as_parse(integral.floor());
+            // Seventeen significant digits, the most a shortest form has.
+            assert_reads_as_parse(digits as f64 / POW10[point as usize - 1]);
+            // Significands either side of 2^53, the point at every place.
+            let scale = 10u128.pow(point);
+            let (whole, fraction) = (u128::from(short) / scale, u128::from(short) % scale);
+            let raw = format!("{whole}.{fraction:0>width$}", width = point as usize);
+            let parsed: f64 = raw.parse().expect("digits.digits parses");
+            prop_assert_eq!(read_f64(&raw).map(f64::to_bits), Some(parsed.to_bits()), "{}", raw);
+        }
+    }
+
+    #[test]
+    fn the_float_decode_edges_read_what_parse_reads() {
+        for raw in [
+            "9007199254740991.0",       // significand 2^53 − 1: fast
+            "9007199254740992.0",       // 2^53: parsed
+            "900719925474099.1",        // 2^53 − 1 again, one digit after the point
+            "0.9007199254740993",       // 2^53 + 1: parsed
+            "0.0000000000000000000001", // 22 digits after the point: fast
+            "0.00000000000000000000001",
+            "0.0000009007199254740991", // 2^53 − 1 over 10^22: fast
+            "0.00000009007199254740991",
+            "1.0000000000000000000001",
+            "123.4567890123456789012",
+            "0.1",
+            "0.3",
+            "-0.0", // the sign bit survives the fast path
+            "0.0",
+            "-1.5",
+            "18446744073709551615.0",
+            "0.000000000000000000000000000000000000000000001",
+        ] {
+            let parsed: f64 = raw.parse().expect("test spelling parses");
+            assert_eq!(
+                read_f64(raw).map(f64::to_bits),
+                Some(parsed.to_bits()),
+                "{raw}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_percentile_or_cdf_point_answers_none() {
+        let s = QuantileSketch::from_values(&[10.0, 20.0, 30.0, 40.0]);
+        assert_eq!(s.quantile(f64::NAN), None);
+        assert_eq!(s.cdf(f64::NAN), None);
+        let zeros = QuantileSketch::from_values(&[0.0, 0.0, 30.0, 40.0]);
+        assert_eq!(zeros.quantile(f64::NAN), None);
+        assert_eq!(zeros.cdf(f64::NAN), None);
+        // Every other input still has an answer.
+        for p in [f64::NEG_INFINITY, -1.0, 0.0, 50.0, 100.0, f64::INFINITY] {
+            assert!(s.quantile(p).is_some(), "p{p}");
+            assert!(s.cdf(p).is_some(), "x = {p}");
         }
     }
 

@@ -22,7 +22,7 @@ cargo build --release --examples
 echo "==> cargo test (facade suites; tests/determinism.rs holds the run-condition tests: idle windows run no stage, a locate budget spent through idle windows, a kill after ingest with tasks queued and with a tag list grown, generated window schedules)"
 cargo test -q
 
-echo "==> workspace unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, download.* names registered at instrument and none by a run, online clean view equals the batch detector, OCR and grain kernels bit for bit, CDN fetch metadata and faults, pool order, the caller as worker 0 and its panic, sketch codec against its tree reference, streaming PELT equals the batch baseline, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
+echo "==> workspace unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, download.* names registered at instrument and none by a run, online clean view equals the batch detector, OCR and grain kernels bit for bit, CDN fetch metadata and faults, pool order, the caller as worker 0 and its panic, sketch codec against its tree reference, the sketch's integer ranks, tabled bucket bounds and fast float decode against the libm, powi and str::parse expressions they replace, streaming PELT equals the batch baseline, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
 # `cargo test` above covers the root package only; the contracts the
 # facade tests lean on are pinned in the crates' own unit tests. Every
 # other workspace member runs — the vendored shims and tero-bench
@@ -104,7 +104,10 @@ echo "==> serving determinism (serve_explore twice + 4 and 1440 windows, stdout 
 # and must still leave exactly the single-shot run's bytes.
 same_twice serve serve_explore 7
 # The served answers' bits, pinned: a change that moves any of them
-# edits this line in its own diff.
+# edits this line in its own diff. This pin goes through the cached
+# engine; the cold path (cache off: every query a store read, a decode
+# and a walk) has its own literal in the tier-1 suite,
+# tests/serve_accuracy.rs's cold_replay_checksum_is_pinned.
 pin="answer checksum 0x4e504a2d383dff38"
 grep -q "$pin$" "$trace_dir/serve.1.out" \
   || { echo "FAIL: serve_explore 7 no longer prints '$pin'"; exit 1; }

@@ -37,9 +37,9 @@ const TABLE: &[(&str, u64, u64, u64, u64)] = &[
     ("net",       2764,  47,  12,   7),
     ("obs",       1131,  60,   1,   3),
     ("pool",       315,   7,   1,   0),
-    ("serve",     1030,  30,   2,   0),
+    ("serve",     1061,  30,   2,   0),
     ("simnet",    2305,  61,   3,   9),
-    ("stats",     3584,  70,  13,   0),
+    ("stats",     3889,  70,  13,   0),
     ("store",     1775,  63,   6,   0),
     ("trace",     2205,  81,   2,   5),
     ("types",     1700, 109,   0,   1),

@@ -183,6 +183,32 @@ fn replay_checksum_survives_schedule_changes() {
     assert_eq!(fold(&ra), fold(&rb));
 }
 
+/// The cold path's answer bits, pinned: a fixed query stream replayed
+/// through an engine with the cache off, so every query reads the store,
+/// decodes the sketch and walks it. The other checksums in this suite
+/// compare one engine with another built by the same code; this literal
+/// holds whatever arithmetic a cold query runs to the bits it answered
+/// before, and a change that means to move an answer edits it.
+#[test]
+fn cold_replay_checksum_is_pinned() {
+    let (_, kv) = run(11, 1, 1);
+    let engine = QueryEngine::with_cache_capacity(kv, &tero_obs::Registry::new(), 0);
+    let targets: Vec<SketchRef> = engine
+        .distributions()
+        .iter()
+        .map(|(g, game, loc)| SketchRef::dist(*g, *game, loc))
+        .collect();
+    let queries = LoadGen::new(4242, targets).generate(4_000);
+    let report = fold_answers(&queries.iter().map(|q| engine.query(q)).collect::<Vec<_>>());
+    assert_eq!(engine.cache_stats().0, 0, "the cache is off");
+    assert_eq!(
+        (report.queries, report.answered, report.checksum),
+        (4_000, 4_000, 0x51d2_4518_95ef_91c5),
+        "{:#018x}",
+        report.checksum
+    );
+}
+
 #[test]
 fn empty_and_absent_distributions_answer_none() {
     let kv = KvStore::new();
