@@ -1081,6 +1081,16 @@ impl DownloadModule {
         image
     }
 
+    /// Delete a processed thumbnail from the object store: §7 drops an
+    /// image once it has been processed. The extract stage calls it for
+    /// every task it resolves; a dead-lettered task keeps its image for
+    /// [`DownloadModule::requeue_dead`]. A key already deleted (two
+    /// tasks fetched the same thumbnail) deletes nothing and still
+    /// counts one `store.object.writes`.
+    pub(crate) fn drop_image(&self, object_key: &str) {
+        self.objects.delete("thumbs", object_key);
+    }
+
     /// Country-tag history collected for a streamer during the run.
     pub fn tag_history(&self, username: &str) -> Vec<String> {
         let mut out = Vec::new();

@@ -1,7 +1,6 @@
 //! The staged execution engine: owns the run-scoped wiring (stores, pool,
 //! download module, tracer spans, chaos hookup) once, and calls the
-//! [`crate::stages`] either as a single full-horizon window or
-//! incrementally.
+//! [`crate::stages`] window by window.
 //!
 //! # Windowed execution and crash recovery
 //!
@@ -45,6 +44,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tero_obs::CounterHandle;
 use tero_pool::Pool;
+use tero_stats::QuantileSketch;
 use tero_store::{KvSnapshot, KvStore, ObjectSnapshot, ObjectStore};
 use tero_trace::{DropReason, SampleKey, SampleState, SpanGuard};
 use tero_types::{AnonId, GameId, SimTime};
@@ -66,8 +66,10 @@ pub(crate) const LEDGER_KEY: &str = "engine:ledger";
 pub struct StoreSnapshot {
     /// The KV store: queues, leases, and all committed `engine:` state.
     pub kv: KvSnapshot,
-    /// The object store: every thumbnail blob ingest has stored. Extract
-    /// reads a blob and leaves it; nothing deletes one.
+    /// The object store: the thumbnail blobs ingest has stored and
+    /// extract has not resolved yet — the queued tasks' and the
+    /// dead-lettered ones'. Extract deletes a blob in the window that
+    /// resolves its task.
     pub objects: ObjectSnapshot,
 }
 
@@ -221,7 +223,8 @@ impl Engine {
     /// deserialise the download cursor and progress markers. Fails,
     /// before touching anything, with a [`CursorError`] when the
     /// committed cursor does not decode, is missing although ingest ran,
-    /// or a committed marker or counter value is not a number.
+    /// a committed marker or counter value is not a number, or a
+    /// committed ledger record or raw sketch does not decode.
     pub fn restore(
         tero: &Tero,
         world: &World,
@@ -261,7 +264,8 @@ impl Engine {
             })
             .collect();
         // Replay the ledger: every committed record is re-ingested in its
-        // original FIFO order, and resolved records resolve immediately.
+        // original FIFO order, and resolved records resolve immediately
+        // (`committed_cursor` has checked that each one decodes).
         let records = kv.lrange_from(LEDGER_KEY, 0);
         let ledger = tero.trace.ledger();
         for raw in &records {
@@ -295,15 +299,13 @@ impl Engine {
         // Rebuild the extract stage's raw serving sketches from the
         // committed view, so later windows extend them instead of
         // restarting from empty (the committed sketch already holds every
-        // value extracted before the kill).
+        // value extracted before the kill; `committed_cursor` has checked
+        // that each one decodes).
         for key in kv.keys_with_prefix(RAW_SKETCH_PREFIX) {
             let Some(pair) = parse_raw_sketch_key(&key) else {
                 continue;
             };
-            if let Some(sketch) = kv
-                .get(&key)
-                .and_then(|raw| tero_stats::QuantileSketch::decode(&raw))
-            {
+            if let Some(sketch) = kv.get(&key).and_then(|raw| QuantileSketch::decode(&raw)) {
                 engine.extract.sketches.insert(pair, sketch);
             }
         }
@@ -550,7 +552,7 @@ impl Engine {
     }
 }
 
-/// Why a snapshot's committed progress cannot be resumed from.
+/// Why a snapshot's committed state cannot be resumed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CursorError {
     /// `engine:download_cursor` does not decode; the decoder's message.
@@ -566,6 +568,18 @@ pub enum CursorError {
         /// The field whose value does not parse.
         field: String,
     },
+    /// The `engine:ledger` record at this list index does not decode.
+    /// Replaying the others would lose its sample from the books.
+    LedgerRecord {
+        /// The record's index in the list.
+        index: usize,
+    },
+    /// The raw serving sketch under this key does not decode. Extract
+    /// would rebuild its pair from empty and overwrite the committed one.
+    RawSketch {
+        /// The sketch's KV key.
+        key: String,
+    },
 }
 
 impl std::fmt::Display for CursorError {
@@ -580,6 +594,12 @@ impl std::fmt::Display for CursorError {
             CursorError::NotANumber { key, field } => {
                 write!(f, "committed {key} field {field} is not a u64")
             }
+            CursorError::LedgerRecord { index } => {
+                write!(f, "committed {LEDGER_KEY} record {index} does not decode")
+            }
+            CursorError::RawSketch { key } => {
+                write!(f, "committed raw sketch {key} does not decode")
+            }
         }
     }
 }
@@ -593,7 +613,10 @@ impl std::error::Error for CursorError {}
 /// `engine:cursor` has `ingested_to`, is an error. So is a progress
 /// marker or counter value that does not parse: resuming would read it
 /// as absent, report a wrong total, and let the next commit overwrite
-/// the counter with a smaller value. A missing field is legal.
+/// the counter with a smaller value. A missing field is legal. So is a
+/// ledger record or a raw sketch that does not decode an error: the
+/// resume would skip it, losing a sample from the ledger's books or a
+/// pair's committed values from its sketch.
 pub(crate) fn committed_cursor(snap: &KvSnapshot) -> Result<Option<DownloadCursor>, CursorError> {
     let markers = snap.hash_fields(ENGINE_KEY).unwrap_or_default();
     let counters = snap.hash_fields(COUNTERS_KEY).unwrap_or_default();
@@ -602,6 +625,21 @@ pub(crate) fn committed_cursor(snap: &KvSnapshot) -> Result<Option<DownloadCurso
             let field = field.clone();
             return Err(CursorError::NotANumber { key, field });
         }
+    }
+    let ledger = snap.list(LEDGER_KEY).unwrap_or_default();
+    if let Some(index) = ledger
+        .iter()
+        .position(|r| decode_ledger_record(r).is_none())
+    {
+        return Err(CursorError::LedgerRecord { index });
+    }
+    let undecodable = snap
+        .strings_with_prefix(RAW_SKETCH_PREFIX)
+        .filter(|(key, _)| parse_raw_sketch_key(key).is_some())
+        .find(|(_, raw)| raw.and_then(QuantileSketch::decode).is_none());
+    if let Some((key, _)) = undecodable {
+        let key = key.to_string();
+        return Err(CursorError::RawSketch { key });
     }
     match snap.get(CURSOR_KEY) {
         Some(raw) => serde_json::from_str(raw)

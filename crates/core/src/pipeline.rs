@@ -4,12 +4,13 @@
 //! through the stores of `tero-store` and run against a `tero-world`
 //! platform.
 //!
-//! [`Tero::run`] processes the whole horizon as one window;
-//! [`Tero::run_window`] drives the same engine incrementally, one time
-//! slice at a time, committing resumable state into the store after every
-//! per-window stage. Both produce byte-identical reports, funnel counters
-//! and ledger books — at any window schedule and any worker count, and
-//! across a chaos kill/resume (see `tests/determinism.rs`).
+//! [`Tero::run`] walks the whole horizon in fixed-width windows;
+//! [`Tero::run_window`] drives the same engine on the caller's schedule,
+//! one time slice at a time. Each commits resumable state into the store
+//! after every per-window stage. Both produce byte-identical reports,
+//! funnel counters and ledger books — at any window schedule and any
+//! worker count, and across a chaos kill/resume (see
+//! `tests/determinism.rs`).
 //!
 //! The three hot stages — thumbnail extraction, per-`{streamer, game}`
 //! cleaning analysis, and per-group aggregation — fan out over
@@ -37,6 +38,11 @@ use tero_trace::{DropReason, Tracer};
 use tero_types::{AnonId, GameId, Location, ShardSpec, SimDuration, SimTime, TeroParams};
 use tero_world::games::match_length_mins;
 use tero_world::World;
+
+/// The window width [`Tero::run`] walks the horizon in. A run holds at
+/// most one window's images: narrower windows hold fewer but pay more
+/// per-window commits (docs/PERFORMANCE.md measures the choice).
+const RUN_WINDOW: SimDuration = SimDuration::from_hours(8);
 
 /// How thumbnails are turned into measurements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +101,8 @@ pub struct Tero {
     pub trace: Tracer,
     /// The engine slot behind [`Tero::run_window`]: holds the staged
     /// engine between windows, or a [`StoreSnapshot`] scheduled for
-    /// restore. [`Tero::run`] resets it and drives one full-horizon
-    /// window.
+    /// restore. [`Tero::run`] resets it and drives the horizon in
+    /// fixed-width windows.
     pub engine: EngineCell,
     /// Pre-built store backends for the engine. `None` (the default)
     /// gives each run private in-process stores; a sharded deployment
@@ -401,20 +407,25 @@ impl Tero {
         self.obs.snapshot()
     }
 
-    /// Run the full pipeline over a world's entire data-set, as one
-    /// horizon-sized window through the staged engine.
+    /// Run the full pipeline over a world's entire data-set, through the
+    /// staged engine in 8-hour windows: a thumbnail's image leaves the
+    /// object store in the window that extracts it, so a run holds at
+    /// most one window's images, whatever the horizon. The report is the
+    /// one any window schedule produces.
     pub fn run(&self, world: &mut World) -> TeroReport {
         let run_us = self.obs.histogram("pipeline.run_us");
         let _run_timer = self.obs.stage_timer(&run_us);
         self.engine.reset();
         let horizon = world.horizon;
-        // A scheduled engine kill returns `Killed` once; looping resumes
-        // from the commit and completes — `run()` under chaos degrades to
-        // kill-and-resume instead of dying.
+        let mut to = (SimTime::EPOCH + RUN_WINDOW).min(horizon);
         loop {
-            if let WindowOutcome::Complete(report) = self.run_window(world, SimTime::EPOCH, horizon)
-            {
-                return report;
+            match self.run_window(world, SimTime::EPOCH, to) {
+                WindowOutcome::Complete(report) => return report,
+                WindowOutcome::Advanced => to = (to + RUN_WINDOW).min(horizon),
+                // A scheduled engine kill returns `Killed` once; driving
+                // the same window again resumes from its commit — `run()`
+                // under chaos degrades to kill-and-resume instead of dying.
+                WindowOutcome::Killed => {}
             }
         }
     }
@@ -506,9 +517,10 @@ impl Tero {
     /// Schedule `snapshot` to be restored on the next
     /// [`Tero::run_window`] call, resuming a killed run in this `Tero`.
     /// The committed download cursor is decoded here: a snapshot whose
-    /// cursor does not decode, or lacks one although its ingest ran, or
+    /// cursor does not decode, or lacks one although its ingest ran,
     /// whose `engine:cursor` / `engine:counters` hold a value that is
-    /// not a number, is refused with the slot left as it was.
+    /// not a number, or whose ledger record or raw sketch does not
+    /// decode, is refused with the slot left as it was.
     pub fn restore_engine(&self, snapshot: StoreSnapshot) -> Result<(), CursorError> {
         let cursor = committed_cursor(&snapshot.kv)?;
         *self.engine.lock() = EngineSlot::Restore(Box::new((snapshot, cursor)));
@@ -653,14 +665,15 @@ mod tests {
         // Store counters are live: the run reads and writes the kv store.
         assert!(snap.counter("store.kv.writes").unwrap() > 0);
         assert!(snap.counter("store.object.writes").unwrap() > 0);
-        // The staged engine's own accounting: one window, one commit per
-        // per-window stage, no kills, no resumes.
-        assert_eq!(snap.counter("pipeline.window.runs"), Some(1));
-        assert_eq!(snap.counter("pipeline.window.commits"), Some(2));
+        // The staged engine's own accounting: the 3-day horizon walked in
+        // nine 8-hour windows, each ingesting once and committing once
+        // per per-window stage; no kills, no resumes.
+        assert_eq!(snap.counter("pipeline.window.runs"), Some(9));
+        assert_eq!(snap.counter("pipeline.window.commits"), Some(18));
         assert_eq!(snap.counter("pipeline.window.killed"), Some(0));
         assert_eq!(snap.counter("pipeline.window.resumed"), Some(0));
         // Per-stage record flow matches the report.
-        assert_eq!(snap.counter("stage.ingest.runs"), Some(1));
+        assert_eq!(snap.counter("stage.ingest.runs"), Some(9));
         assert_eq!(
             snap.counter("stage.extract.records_in"),
             Some(report.thumbnails)

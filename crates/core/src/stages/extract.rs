@@ -7,7 +7,9 @@
 //! any worker count and over any window schedule. Extracted measurements
 //! leave the stage as [`SampleRecord`]s appended to per-`{streamer,
 //! game}` KV lists (`super::sample_list_key`); usernames land in the
-//! [`super::NAMES_KEY`] hash for the locate stage.
+//! [`super::NAMES_KEY`] hash for the locate stage. A resolved task's
+//! thumbnail is deleted from the object store in the same merge; a
+//! dead-lettered one keeps it for a requeue.
 
 use super::{sample_list_key, SampleRecord, StageCx, NAMES_KEY};
 use crate::download::ThumbnailTask;
@@ -75,10 +77,18 @@ impl ExtractStage {
         // streamers its shard owns. Filtering happens before any
         // accounting, so the ledger, funnel and sample lists of one
         // engine cover exactly its shard — disjoint across engines,
-        // union equal to a single-process run.
+        // union equal to a single-process run. A task filtered out here
+        // is never extracted by this engine, so its image goes now.
         if let Some(spec) = cx.tero.shard {
             let salt = cx.tero.salt;
-            tasks.retain(|t| spec.owns(AnonId::from_streamer(&t.streamer, salt)));
+            let download = cx.download;
+            tasks.retain(|t| {
+                let owned = spec.owns(AnonId::from_streamer(&t.streamer, salt));
+                if !owned {
+                    download.drop_image(&t.object_key);
+                }
+                owned
+            });
         }
         m.records_in.add(tasks.len() as u64);
 
@@ -145,6 +155,10 @@ impl ExtractStage {
                 cx.download.dead_letter(task.encode());
                 continue;
             };
+            // The task is resolved: its image has been read (in the fan-out
+            // above) or was never needed, so it leaves the store now, before
+            // the window's commit counts the delete.
+            cx.download.drop_image(&task.object_key);
             if let CombineOutcome::Extracted {
                 primary,
                 alternative,

@@ -6,9 +6,9 @@
 //! state, and stages hand work to each other through
 //! [`tero_store::KvStore`] lists and [`tero_store::ObjectStore`] blobs —
 //! never through shared memory. The [`crate::engine::Engine`] owns the
-//! wiring (stores, pool, tracer, chaos) once and calls the stages either
-//! as one full-horizon window ([`crate::pipeline::Tero::run`]) or incrementally
-//! ([`crate::pipeline::Tero::run_window`]). Ingest is the App. A
+//! wiring (stores, pool, tracer, chaos) once and calls the stages window
+//! by window, on a fixed schedule ([`crate::pipeline::Tero::run`]) or the
+//! caller's ([`crate::pipeline::Tero::run_window`]). Ingest is the App. A
 //! [`crate::download::DownloadModule`] itself, which the engine advances
 //! through a resumable `crate::download::DownloadCursor`; each call
 //! returns what it moved (`download::Ingested`), as the other stages do,

@@ -87,6 +87,12 @@ impl StoreServer {
         Some(self.inner.tenants.lock().get(&client)?.kv.clone())
     }
 
+    /// Direct handle to `client`'s object store on this shard, or `None`
+    /// before that client's first frame (tests and debugging).
+    pub fn objects(&self, client: u64) -> Option<ObjectStore> {
+        Some(self.inner.tenants.lock().get(&client)?.objects.clone())
+    }
+
     /// Attach the host's tracer. Frames carrying a [`TraceContext`]
     /// then record `server.*` spans parented to the remote client span.
     /// First call wins, like `Tracer::instrument`.

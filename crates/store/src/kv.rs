@@ -660,6 +660,31 @@ impl KvSnapshot {
         }
     }
 
+    /// The items of the list stored under `key`, head first, read without
+    /// restoring the snapshot.
+    pub fn list(&self, key: &str) -> Option<&[String]> {
+        match &self.entry(key)?.value {
+            SnapshotValue::List(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Every key that starts with `prefix`, with its string value (`None`
+    /// for a list or a hash), in snapshot order, read without restoring
+    /// the snapshot.
+    pub fn strings_with_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a str, Option<&'a str>)> + 'a {
+        self.entries
+            .iter()
+            .filter(move |entry| entry.key.starts_with(prefix))
+            .map(|entry| match &entry.value {
+                SnapshotValue::Str(value) => (entry.key.as_str(), Some(value.as_str())),
+                _ => (entry.key.as_str(), None),
+            })
+    }
+
     fn entry(&self, key: &str) -> Option<&SnapshotEntry> {
         self.entries.iter().find(|entry| entry.key == key)
     }
@@ -959,9 +984,20 @@ mod tests {
         assert_eq!(snap.get("s"), Some("v"));
         let pairs = [("a", "1"), ("b", "2")].map(|(f, v)| (f.to_string(), v.to_string()));
         assert_eq!(snap.hash_fields("h"), Some(&pairs[..]));
+        assert_eq!(
+            snap.list("q"),
+            Some(&["1".to_string(), "2".to_string()][..])
+        );
         // Each reads its own type only, like the store's own accessors.
         assert_eq!(snap.get("h"), None);
         assert_eq!(snap.hash_fields("s"), None);
+        assert_eq!(snap.list("s"), None);
+        let prefixed: Vec<_> = snap.strings_with_prefix("l").collect();
+        assert_eq!(prefixed, [("lease", Some("x"))]);
+        assert_eq!(
+            snap.strings_with_prefix("q").collect::<Vec<_>>(),
+            [("q", None)]
+        );
 
         let other = KvStore::new();
         other.set("stale", "gone");

@@ -1,9 +1,9 @@
 //! An S3/Ceph-like object store: buckets of named immutable blobs.
 //!
 //! Tero's download module stores every thumbnail it fetches here
-//! (App. B) and image-processing reads it back; nothing in the pipeline
-//! deletes one yet — §7's data-minimisation rule (drop an image once it
-//! is processed) is what `delete` is for.
+//! (App. B), image-processing reads it back, and the extract stage
+//! deletes it once the task is resolved — §7's data-minimisation rule
+//! (drop an image once it is processed).
 //!
 //! Like [`KvStore`](crate::KvStore), each public method counts itself
 //! and takes its chaos write-drop draw, then builds one [`ObjRequest`]

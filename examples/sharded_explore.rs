@@ -17,8 +17,9 @@
 //! merged report digest equals the single-process digest by the
 //! sharded-merge contract, and the `net.*` / `chaos.injected.net_*`
 //! counters replay exactly under a fixed plan and net seed
-//! (`tests/net_failover.rs`). `scripts/ci.sh` runs the faulty mode
-//! twice and diffs stdout, then the quiet mode once.
+//! (`tests/net_failover.rs`). It also prints how many thumbnail blobs
+//! the mesh's hosts still hold after the merge. `scripts/ci.sh` runs the
+//! faulty mode twice and diffs stdout, then the quiet mode once.
 
 use tero::chaos::FaultPlan;
 use tero::core::pipeline::{ExtractionMode, Tero};
@@ -101,6 +102,17 @@ fn main() {
     );
     println!("merged == single-process: {digests_match}");
     assert!(digests_match, "sharded merge lost byte-identity");
+    // Every engine deletes a thumbnail once it is extracted, or once its
+    // shard filter drops it, so no host keeps a blob for any engine.
+    let blobs: usize = out
+        .net
+        .hosts()
+        .iter()
+        .filter_map(|host| out.net.server(host))
+        .flat_map(|server| (0..engines as u64).filter_map(move |c| server.objects(c)))
+        .map(|objects| objects.snapshot().len())
+        .sum();
+    println!("blobs left on the mesh: {blobs}");
 
     // Deterministic under a fixed plan + net seed, so safe on stdout.
     println!("\n== injected faults ==");

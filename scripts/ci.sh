@@ -19,7 +19,7 @@ cargo build --release
 echo "==> cargo build --examples"
 cargo build --release --examples
 
-echo "==> cargo test (facade suites; tests/determinism.rs holds the run-condition tests: idle windows run no stage, a locate budget spent through idle windows, a kill after ingest with tasks queued and with a tag list grown, generated window schedules)"
+echo "==> cargo test (facade suites; tests/determinism.rs holds the run-condition tests: idle windows run no stage, a locate budget spent through idle windows, a kill after ingest with tasks queued and with a tag list grown, generated window schedules; the blob lifecycle: no blob outlives the window that resolves its task, a killed window keeps its queued blobs, a dead-lettered task keeps its blob, a sharded run leaves none, two tasks on one key both load)"
 cargo test -q
 
 echo "==> workspace unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, download.* names registered at instrument and none by a run, online clean view equals the batch detector, OCR and grain kernels bit for bit, CDN fetch metadata and faults, pool order, the caller as worker 0 and its panic, sketch codec against its tree reference, the sketch's integer ranks, tabled bucket bounds and fast float decode against the libm, powi and str::parse expressions they replace, streaming PELT equals the batch baseline, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
@@ -158,10 +158,14 @@ grep -q "^net.timeouts  *0$" "$trace_dir/nq.out" \
   || { echo "FAIL: quiet sharded run timed out"; exit 1; }
 # The quiet mesh's traffic, pinned: a change that moves what crosses the
 # wire edits these lines in its own diff.
-for pin in "net.requests 8734" "net.frames 18649" "net.bytes 67625907"; do
+for pin in "net.requests 9324" "net.frames 19829" "net.bytes 67763723"; do
   grep -q "^${pin% *}  *${pin#* }$" "$trace_dir/nq.out" \
     || { echo "FAIL: quiet sharded run moved ${pin% *} off ${pin#* }"; exit 1; }
 done
+# Each engine deletes a thumbnail once extracted or filtered out by its
+# shard: after the merge no host holds a blob for any engine.
+grep -q "^blobs left on the mesh: 0$" "$trace_dir/nq.out" \
+  || { echo "FAIL: quiet sharded run left blobs on the mesh"; exit 1; }
 
 echo "==> ops console determinism (ops_console twice mid-fault, stdout byte-compare)"
 # The console checks every host of a 3-shard mesh for reachability

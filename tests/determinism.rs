@@ -526,6 +526,94 @@ fn a_damaged_committed_cursor_is_refused() {
     assert_eq!(fingerprint(&report), reference);
 }
 
+/// A snapshot of the 4-day world's run after its first 30 hours, the
+/// world it ran on, and where it stopped.
+fn snapshot_after_30_hours() -> (tero::core::StoreSnapshot, World, SimTime) {
+    let from = SimTime::EPOCH + SimDuration::from_hours(30);
+    let mut world = windowed_world(None);
+    let first = windowed_tero(2);
+    assert!(matches!(
+        first.run_window(&mut world, SimTime::EPOCH, from),
+        WindowOutcome::Advanced
+    ));
+    let snap = first.engine_snapshot().expect("windowed run in flight");
+    (snap, world, from)
+}
+
+/// `snap` with its KV edited by `edit`.
+fn kv_edited(
+    snap: &tero::core::StoreSnapshot,
+    edit: impl FnOnce(&tero::store::KvStore),
+) -> tero::core::StoreSnapshot {
+    let kv = tero::store::KvStore::new();
+    kv.restore(&snap.kv);
+    edit(&kv);
+    tero::core::StoreSnapshot {
+        kv: kv.snapshot(),
+        objects: snap.objects.clone(),
+    }
+}
+
+#[test]
+fn an_undecodable_ledger_record_is_refused() {
+    // A committed ledger record that did not decode used to be skipped:
+    // the replayed ledger lost that sample, and its books no longer
+    // added up. The restore refuses it now, naming the record.
+    use tero::core::CursorError;
+    const LEDGER_KEY: &str = "engine:ledger";
+    let (snap, mut world, from) = snapshot_after_30_hours();
+    let records = snap
+        .kv
+        .list(LEDGER_KEY)
+        .expect("the run committed its ledger");
+    let index = records.len() / 2;
+    let damaged = kv_edited(&snap, |kv| {
+        let mut records = kv.lrange_from(LEDGER_KEY, 0);
+        records[index].push_str("|extra");
+        kv.del(LEDGER_KEY);
+        kv.rpush_batch(LEDGER_KEY, records);
+    });
+    let second = windowed_tero(2);
+    assert_eq!(
+        second.restore_engine(damaged),
+        Err(CursorError::LedgerRecord { index })
+    );
+    second
+        .restore_engine(snap)
+        .expect("the untouched snapshot restores");
+    let report = drive_from(&second, &mut world, from, SimDuration::from_hours(24));
+    let reference = fingerprint(&windowed_tero(1).run(&mut windowed_world(None)));
+    assert_eq!(fingerprint(&report), reference);
+}
+
+#[test]
+fn an_undecodable_raw_sketch_is_refused() {
+    // A committed raw sketch that did not decode used to be skipped: the
+    // resumed extract stage rebuilt that pair's sketch from empty and
+    // its next commit overwrote the committed values. The restore
+    // refuses it now, naming the key.
+    use tero::core::serving::RAW_SKETCH_PREFIX;
+    use tero::core::CursorError;
+    let (snap, _, _) = snapshot_after_30_hours();
+    let (key, raw) = snap
+        .kv
+        .strings_with_prefix(RAW_SKETCH_PREFIX)
+        .next()
+        .expect("the first 30 hours extracted something");
+    let (key, truncated) = (
+        key.to_string(),
+        raw.expect("a sketch is a string")[..5].to_string(),
+    );
+    for value in [truncated.as_str(), "garbage"] {
+        let damaged = kv_edited(&snap, |kv| kv.set(&key, value));
+        assert_eq!(
+            windowed_tero(2).restore_engine(damaged),
+            Err(CursorError::RawSketch { key: key.clone() }),
+            "{value:?}"
+        );
+    }
+}
+
 /// The online cleaner's only committed state, `engine:clean:cursors`,
 /// rendered order-stably: one field per sample list, the number of
 /// records consumed from it. At the horizon every list is consumed to
@@ -1634,4 +1722,292 @@ fn generated_schedules_match_single_shot() {
             .drive()
             .assert_matches(&reference, &format!("{schedule:?}"));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The blob lifecycle: §7 drops a thumbnail once it is processed. Ingest
+// puts a blob; the extract stage deletes it in the window that resolves
+// its task, before that window's commit. A dead-lettered task keeps its
+// blob for a requeue; a sharded engine deletes the blobs of the tasks it
+// filters out.
+
+/// The distinct object keys of the tasks a snapshot holds in `list`.
+fn task_keys(snap: &tero::core::StoreSnapshot, list: &str) -> std::collections::BTreeSet<String> {
+    use tero::core::download::ThumbnailTask;
+    snap.kv
+        .list(list)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|raw| ThumbnailTask::decode(raw))
+        .map(|task| task.object_key)
+        .collect()
+}
+
+/// How many of `keys` a snapshot holds a blob for. Equal to
+/// `snap.objects.len()` exactly when every blob it holds is one of them.
+fn blobs_among(
+    snap: &tero::core::StoreSnapshot,
+    keys: &std::collections::BTreeSet<String>,
+) -> usize {
+    let objects = tero::store::ObjectStore::new();
+    objects.restore(&snap.objects);
+    keys.iter()
+        .filter(|key| objects.get("thumbs", key).is_some())
+        .count()
+}
+
+const HOUR: SimDuration = SimDuration::from_hours(1);
+
+#[test]
+fn every_window_leaves_no_blob_behind() {
+    for mode in [ExtractionMode::Calibrated, ExtractionMode::FullOcr] {
+        for workers in [1, 2, 8] {
+            let what = format!("{mode:?}, {workers} workers");
+            let tero = Tero {
+                mode,
+                ..windowed_tero(workers)
+            };
+            let mut world = day_world(Some(FaultPlan::quiet(7)));
+            let mut to = SimTime::EPOCH + HOUR;
+            loop {
+                match tero.run_window(&mut world, SimTime::EPOCH, to) {
+                    WindowOutcome::Complete(_) => break,
+                    WindowOutcome::Advanced => {}
+                    WindowOutcome::Killed => unreachable!("no kill planned"),
+                }
+                let snap = tero.engine_snapshot().expect("windowed run in flight");
+                assert!(snap.objects.is_empty(), "{what}: blobs left at {to:?}");
+                to += HOUR;
+            }
+            // One put and one delete per thumbnail.
+            let counters = funnel(&tero);
+            assert!(counters["download.get_hits"] > 300, "{what}: a real ingest");
+            assert_eq!(
+                counters["store.object.writes"],
+                2 * counters["download.get_hits"],
+                "{what}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_killed_window_keeps_exactly_its_queued_blobs() {
+    // The kill fires between the ingest commit and extract: the blobs of
+    // the window's queued tasks are in the store, and only those. The
+    // window driven again — in-process or in a fresh `Tero` restored from
+    // the snapshot — resolves the tasks and deletes them.
+    let plan = FaultPlan {
+        engine_kills: vec![EngineKill { window: 12 }],
+        ..FaultPlan::quiet(7)
+    };
+    for from_snapshot in [false, true] {
+        let mut world = day_world(Some(plan.clone()));
+        let mut tero = windowed_tero(2);
+        let mut to = SimTime::EPOCH + HOUR;
+        let mut killed = false;
+        loop {
+            match tero.run_window(&mut world, SimTime::EPOCH, to) {
+                WindowOutcome::Complete(_) => break,
+                WindowOutcome::Advanced => {
+                    let snap = tero.engine_snapshot().expect("windowed run in flight");
+                    assert!(snap.objects.is_empty(), "blobs left at {to:?}");
+                    to += HOUR;
+                }
+                WindowOutcome::Killed => {
+                    killed = true;
+                    let snap = tero.engine_snapshot().expect("a killed run is in flight");
+                    let queued = task_keys(&snap, "queue:thumbs");
+                    assert!(queued.len() > 10, "the killed window queued tasks");
+                    assert_eq!(snap.objects.len(), queued.len());
+                    assert_eq!(blobs_among(&snap, &queued), queued.len());
+                    if from_snapshot {
+                        tero = windowed_tero(2);
+                        tero.restore_engine(snap)
+                            .expect("the snapshot's cursor decodes");
+                    }
+                }
+            }
+        }
+        assert!(killed, "the planned kill fired");
+    }
+}
+
+#[test]
+fn under_faults_only_dead_lettered_tasks_keep_their_blobs() {
+    // A task whose image is missing or does not decode is dead-lettered
+    // and keeps its blob for `requeue_dead`; every other blob is deleted
+    // by the window that resolves its task. The stock plan's CDN faults
+    // are caught at fetch, so one queued blob is damaged by hand: the
+    // run is killed after an ingest, the blob overwritten with a payload
+    // too short to decode, and the run resumed from the snapshot.
+    use tero::store::ObjectStore;
+    let plan = FaultPlan {
+        engine_kills: vec![EngineKill { window: 12 }],
+        ..FaultPlan::default_plan(7)
+    };
+    let mut world = day_world(Some(plan));
+    let mut tero = Tero {
+        mode: ExtractionMode::FullOcr,
+        ..windowed_tero(2)
+    };
+    let mut to = SimTime::EPOCH + HOUR;
+    let mut damaged = None;
+    loop {
+        match tero.run_window(&mut world, SimTime::EPOCH, to) {
+            WindowOutcome::Complete(_) => break,
+            WindowOutcome::Advanced => {}
+            WindowOutcome::Killed => {
+                let mut snap = tero.engine_snapshot().expect("a killed run is in flight");
+                let key = task_keys(&snap, "queue:thumbs")
+                    .pop_first()
+                    .expect("the killed window queued tasks");
+                let objects = ObjectStore::new();
+                objects.restore(&snap.objects);
+                objects.put("thumbs", &key, &b"tero"[..]);
+                snap.objects = objects.snapshot();
+                tero = Tero {
+                    mode: ExtractionMode::FullOcr,
+                    ..windowed_tero(2)
+                };
+                tero.restore_engine(snap)
+                    .expect("the snapshot's cursor decodes");
+                damaged = Some(key);
+                continue;
+            }
+        }
+        let snap = tero.engine_snapshot().expect("windowed run in flight");
+        let dead = task_keys(&snap, "queue:thumbs:dead");
+        assert_eq!(blobs_among(&snap, &dead), snap.objects.len(), "at {to:?}");
+        if let Some(key) = &damaged {
+            assert!(dead.contains(key), "the damaged task is dead-lettered");
+            assert_eq!(snap.objects.len(), 1, "only its blob is left, at {to:?}");
+        }
+        to += HOUR;
+    }
+    assert!(damaged.is_some(), "the planned kill fired");
+}
+
+#[test]
+fn two_tasks_sharing_an_object_key_both_load() {
+    // Two tasks can name one object key (a streamer re-acquired on a
+    // thumbnail already fetched). Both must read the image: the pool
+    // reads every task's image before the ordered merge deletes any.
+    // The pair is made by queueing a copy of a task a kill left queued.
+    use tero::store::{KvStore, ObjectStore};
+    let (kv, objects) = (KvStore::new(), ObjectStore::new());
+    let tero = Tero {
+        mode: ExtractionMode::FullOcr,
+        stores: Some((kv.clone(), objects.clone())),
+        ..windowed_tero(2)
+    };
+    let plan = FaultPlan {
+        engine_kills: vec![EngineKill { window: 12 }],
+        ..FaultPlan::quiet(7)
+    };
+    let mut world = day_world(Some(plan));
+    let mut to = SimTime::EPOCH + HOUR;
+    while let WindowOutcome::Advanced = tero.run_window(&mut world, SimTime::EPOCH, to) {
+        to += HOUR;
+    }
+    let queued = kv.lrange_from("queue:thumbs", 0);
+    assert!(!queued.is_empty(), "the kill left tasks queued");
+    kv.rpush("queue:thumbs", queued[0].clone());
+    let counter = |name: &str| tero.obs.counter(name).get();
+    let reads = counter("store.object.reads");
+    assert!(matches!(
+        tero.run_window(&mut world, SimTime::EPOCH, to),
+        WindowOutcome::Advanced
+    ));
+    assert_eq!(
+        counter("store.object.reads") - reads,
+        queued.len() as u64 + 1
+    );
+    assert_eq!(counter("pipeline.funnel.dropped.dead_letter"), 0);
+    assert!(objects.snapshot().is_empty(), "both deletes ran");
+}
+
+#[test]
+fn one_horizon_window_matches_the_walked_run() {
+    // `Tero::run` walks the horizon in fixed windows; the one-window
+    // schedule is a `run_window` to the horizon. Both give the same
+    // report and served family, and leave no blob behind.
+    use tero::store::{KvStore, ObjectStore};
+    for mode in [ExtractionMode::Calibrated, ExtractionMode::FullOcr] {
+        let run = |one_window: bool| {
+            let (kv, objects) = (KvStore::new(), ObjectStore::new());
+            let tero = Tero {
+                mode,
+                stores: Some((kv.clone(), objects.clone())),
+                ..windowed_tero(2)
+            };
+            let mut world = pinned_world();
+            let report = if one_window {
+                let horizon = world.horizon;
+                match tero.run_window(&mut world, SimTime::EPOCH, horizon) {
+                    WindowOutcome::Complete(report) => report,
+                    _ => unreachable!("one window to the horizon completes the run"),
+                }
+            } else {
+                tero.run(&mut world)
+            };
+            let windows = funnel(&tero)["pipeline.window.runs"];
+            (
+                fingerprint(&report),
+                serving_bytes(&kv),
+                objects.snapshot(),
+                windows,
+            )
+        };
+        let (walked, walked_served, walked_objects, walked_windows) = run(false);
+        let (one, one_served, one_objects, one_windows) = run(true);
+        assert_eq!((walked_windows, one_windows), (12, 1), "{mode:?}");
+        assert_eq!(one, walked, "{mode:?}: report");
+        assert!(
+            !walked_served.is_empty(),
+            "{mode:?}: the pinned world serves"
+        );
+        assert_eq!(one_served, walked_served, "{mode:?}: served family");
+        assert!(
+            walked_objects.is_empty(),
+            "{mode:?}: blobs left by Tero::run"
+        );
+        assert!(one_objects.is_empty(), "{mode:?}: blobs left by one window");
+    }
+}
+
+#[test]
+fn a_sharded_run_leaves_no_blob_on_the_mesh() {
+    // Each engine deletes what it extracts and, at its shard filter, what
+    // it never will: after the merge no host holds a blob for any engine.
+    use tero::core::sharded::{run_sharded, ShardedConfig};
+    let engines = 2;
+    let out = run_sharded(&ShardedConfig {
+        engines,
+        shards: 3,
+        windows: 4,
+        world: WorldConfig {
+            seed: 4242,
+            n_streamers: 12,
+            days: 1,
+            ..WorldConfig::default()
+        },
+        mode: ExtractionMode::Calibrated,
+        min_streamers: 3,
+        plan: FaultPlan::quiet(4242),
+        net_seed: 4242,
+        ..ShardedConfig::default()
+    });
+    let mut stores = 0;
+    for host in out.net.hosts() {
+        let server = out.net.server(&host).expect("a listed host");
+        for client in 0..engines as u64 {
+            if let Some(objects) = server.objects(client) {
+                stores += 1;
+                assert!(objects.snapshot().is_empty(), "{host}, engine {client}");
+            }
+        }
+    }
+    assert!(stores >= engines, "every engine stored through the mesh");
+    assert!(out.report.thumbnails > 100, "a real run");
 }
