@@ -5,11 +5,9 @@
 //! Paper's shape: most locations have only one or two clusters heavier
 //! than 10 %; a looser threshold merges clusters, a tighter one splits
 //! them.
-//!
-//! Usage: `fig02_latency_clusters [--per 60] [--days 8]`
 
+use crate::{header, run_lol_world, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, run_lol_world, write_json};
 use tero_core::analysis::clusters::merge_location_clusters;
 use tero_types::{GameId, Location};
 
@@ -20,9 +18,10 @@ struct ClusterRow {
     clusters: Vec<(u32, u32, f64)>, // (min_ms, max_ms, weight)
 }
 
-fn main() {
-    let per = arg_usize("--per", 60);
-    let days = arg_usize("--days", 8) as u64;
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let per = args.count("--per");
+    let days = args.count("--days") as u64;
 
     // Fig 2's locations (city pins grouped at region level).
     let pins = vec![
@@ -33,8 +32,8 @@ fn main() {
         Location::city("Canada", "Ontario", "Toronto"),
         Location::city("United States", "California", "Los Angeles"),
     ];
-    header("Fig 2 / Fig 14: latency clusters per location");
-    let (_world, report) = run_lol_world(&pins, per, days, 202);
+    header(&mut text, "Fig 2 / Fig 14: latency clusters per location");
+    let report = run_lol_world(&pins, per, days, 202);
 
     let labels = [
         ("Ile-de-France (FR)", "France/Ile-de-France"),
@@ -48,8 +47,9 @@ fn main() {
     let mut rows: Vec<ClusterRow> = Vec::new();
     for factor in [1.0f64, 0.5, 1.5] {
         let gap = (15.0 * factor).round() as u32;
-        println!();
-        println!(
+        writeln!(text);
+        writeln!(
+            text,
             "merge threshold ×{factor} LatGap ({gap} ms){}",
             if factor == 1.0 {
                 "  — Fig 2"
@@ -93,7 +93,11 @@ fn main() {
                 }
                 strip.replace_range(pos..pos + 1, &size.to_string());
             }
-            println!("  {label:<22} |{strip:<61}| {} clusters", clusters.len());
+            writeln!(
+                text,
+                "  {label:<22} |{strip:<61}| {} clusters",
+                clusters.len()
+            );
             rows.push(ClusterRow {
                 location: label.to_string(),
                 factor,
@@ -101,9 +105,15 @@ fn main() {
             });
         }
     }
-    println!();
-    println!("legend: O >75%  o 50-75%  * 25-50%  . <25% of streamers; x-axis 0..80 ms");
-    println!("(paper: most locations have one or two clusters heavier than 10 %)");
+    writeln!(text);
+    writeln!(
+        text,
+        "legend: O >75%  o 50-75%  * 25-50%  . <25% of streamers; x-axis 0..80 ms"
+    );
+    writeln!(
+        text,
+        "(paper: most locations have one or two clusters heavier than 10 %)"
+    );
 
-    write_json("fig02_fig14_latency_clusters", &rows);
+    Outcome::with_json(text, "fig02_fig14_latency_clusters", &rows)
 }

@@ -12,11 +12,10 @@
 //! 4 ms cluster at the start/end of background traffic and recover within
 //! a few seconds (the display-window lag).
 //!
-//! Usage: `fig04_gaming_vs_network [--scale 0.2] [--reps 3]`
-//! (`--scale` shrinks the 5-minute protocol; 1.0 = paper timeline).
+//! `--scale` shrinks the 5-minute protocol; 1 is the paper's timeline.
 
+use crate::{header, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_f64, arg_usize, header, write_json};
 use tero_simnet::experiment::{
     run_experiment, ExperimentConfig, GameProfile, STARTUP_END_S, TCP_START_S, UDP_END_S,
 };
@@ -37,11 +36,18 @@ struct Row {
     startup_ok: bool,
 }
 
-fn main() {
-    let scale = arg_f64("--scale", 1.0);
-    let reps = arg_usize("--reps", 3);
-    header("Fig 4: difference between gaming and network latency");
-    println!("(protocol scale {scale}, {reps} repetitions per experiment)");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let scale = args.real("--scale");
+    let reps = args.count("--reps");
+    header(
+        &mut text,
+        "Fig 4: difference between gaming and network latency",
+    );
+    writeln!(
+        text,
+        "(protocol scale {scale}, {reps} repetitions per experiment)"
+    );
 
     let mut rows: Vec<Row> = Vec::new();
     for game in [GameProfile::GENSHIN, GameProfile::LOL] {
@@ -75,7 +81,9 @@ fn main() {
                     }
                 }
             }
-            let stats = BoxplotStats::from_samples(&diffs).expect("diffs");
+            let Some(stats) = BoxplotStats::from_samples(&diffs) else {
+                continue;
+            };
             let diff_max = diffs.iter().cloned().fold(0.0, f64::max);
             rows.push(Row {
                 game: config.game.name,
@@ -98,13 +106,10 @@ fn main() {
     }
 
     // Paper sorts experiments by the worst network latency they created.
-    rows.sort_by(|a, b| {
-        a.max_bottleneck_ms
-            .partial_cmp(&b.max_bottleneck_ms)
-            .unwrap()
-    });
+    rows.sort_by(|a, b| a.max_bottleneck_ms.total_cmp(&b.max_bottleneck_ms));
 
-    println!(
+    writeln!(
+        text,
         "{:<18} {:>5} {:>6} | {:>12} | {:>8} {:>8} {:>8} | {:>14} | {:>6}",
         "game",
         "bw",
@@ -117,7 +122,8 @@ fn main() {
         "@trans"
     );
     for r in &rows {
-        println!(
+        writeln!(
+            text,
             "{:<18} {:>4.1}G {:>6} | {:>12.1} | {:>8.2} {:>8.2} {:>8.1} | {:>8.1}±{:<4.1} | {:>5.0}%",
             r.game,
             r.bottleneck_gbps,
@@ -133,22 +139,25 @@ fn main() {
     }
 
     let worst_p95 = rows.iter().map(|r| r.diff_p95_ms).fold(0.0, f64::max);
-    println!();
-    println!("worst per-experiment p95 difference: {worst_p95:.2} ms (paper: ≤ 8.5 ms)");
-    let genshin_control = rows
-        .iter()
-        .filter(|r| r.game.starts_with("Genshin"))
-        .map(|r| r.control_mean_ms)
-        .sum::<f64>()
-        / 8.0;
-    let lol_control = rows
-        .iter()
-        .filter(|r| r.game.starts_with("League"))
-        .map(|r| r.control_mean_ms)
-        .sum::<f64>()
-        / 8.0;
-    println!("Genshin Impact control latency ≈ {genshin_control:.1} ms (paper: 15 ± 1.5 ms)");
-    println!("League of Legends control latency ≈ {lol_control:.1} ms (paper: 37 ± 1.4 ms)");
+    writeln!(text);
+    writeln!(
+        text,
+        "worst per-experiment p95 difference: {worst_p95:.2} ms (paper: ≤ 8.5 ms)"
+    );
+    // Eight experiments a game.
+    let control = |game: &str| {
+        let of_game = rows.iter().filter(|r| r.game.starts_with(game));
+        of_game.map(|r| r.control_mean_ms).sum::<f64>() / 8.0
+    };
+    let (genshin_control, lol_control) = (control("Genshin"), control("League"));
+    writeln!(
+        text,
+        "Genshin Impact control latency ≈ {genshin_control:.1} ms (paper: 15 ± 1.5 ms)"
+    );
+    writeln!(
+        text,
+        "League of Legends control latency ≈ {lol_control:.1} ms (paper: 37 ± 1.4 ms)"
+    );
 
-    write_json("fig04_gaming_vs_network", &rows);
+    Outcome::with_json(text, "fig04_gaming_vs_network", &rows)
 }

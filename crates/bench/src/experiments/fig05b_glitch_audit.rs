@@ -14,11 +14,9 @@
 //! "101 misread as 107"), so they barely affect regional analysis. Also
 //! audits false positives (paper: 25.87 % of non-zero glitches were real
 //! values, typically location/server changes interrupted mid-stream).
-//!
-//! Usage: `fig05b_glitch_audit [--n 40] [--days 4]`
 
+use crate::{header, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::pipeline::{ExtractionMode, Tero};
 use tero_types::AnonId;
 use tero_world::{World, WorldConfig};
@@ -34,10 +32,14 @@ struct Output {
     false_positive_pct: f64,
 }
 
-fn main() {
-    let n = arg_usize("--n", 40);
-    let days = arg_usize("--days", 4) as u64;
-    header("Fig 5b: incorrect measurements detected vs missed by data-analysis");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let days = args.count("--days") as u64;
+    header(
+        &mut text,
+        "Fig 5b: incorrect measurements detected vs missed by data-analysis",
+    );
 
     let mut world = World::build(WorldConfig {
         seed: 55,
@@ -148,31 +150,40 @@ fn main() {
     out.missed_small_error_pct = 100.0 * out.missed_within_latgap as f64 / out.missed.max(1) as f64;
     out.false_positive_pct = 100.0 * discarded_right as f64 / discarded_total.max(1) as f64;
 
-    println!();
-    println!("incorrect measurements extracted: {}", out.incorrect_total);
-    println!(
+    writeln!(text);
+    writeln!(
+        text,
+        "incorrect measurements extracted: {}",
+        out.incorrect_total
+    );
+    writeln!(
+        text,
         "  detected by data-analysis:  {} ({:.1} %)   (paper: ~74.6 % with alt-correction + discards)",
         out.detected, out.detected_pct
     );
-    println!(
+    writeln!(
+        text,
         "  missed (survived cleaning): {} ({:.1} %)   (paper: ~30 % missed)",
         out.missed,
         100.0 - out.detected_pct
     );
-    println!(
+    writeln!(
+        text,
         "  of missed, within LatGap of the truth: {:.1} %  (paper: >50 % are small errors like 101→107)",
         out.missed_small_error_pct
     );
-    println!(
+    writeln!(
+        text,
         "residual error rate in the clean series: {:.2} % ({} of {})",
         100.0 * clean_wrong as f64 / clean_total.max(1) as f64,
         clean_wrong,
         clean_total
     );
-    println!(
+    writeln!(
+        text,
         "false positives among glitch-flagged points: {:.1} %  (paper: 25.87 % of non-zero glitches)",
         out.false_positive_pct
     );
 
-    write_json("fig05b_glitch_audit", &out);
+    Outcome::with_json(text, "fig05b_glitch_audit", &out)
 }

@@ -6,11 +6,9 @@
 //! and population shares. The paper's shape: Tero's users concentrate in
 //! the Americas and Europe; Asia is far below its Internet-user share
 //! (Twitch competes with regional platforms); Africa is nearly absent.
-//!
-//! Usage: `fig07_continents [--n 4000]`
 
+use crate::{header, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
 use tero_geoparse::Gazetteer;
 use tero_types::Continent;
 use tero_types::SimRng;
@@ -24,9 +22,10 @@ struct Row {
     population_pct: f64,
 }
 
-fn main() {
-    let n = arg_usize("--n", 4_000);
-    header("Fig 7: users by continent");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    header(&mut text, "Fig 7: users by continent");
 
     let gaz = Gazetteer::new();
     let model = PopulationModel::new(&gaz);
@@ -39,7 +38,8 @@ fn main() {
     }
 
     let mut rows = Vec::new();
-    println!(
+    writeln!(
+        text,
         "{:>4} {:>10} {:>15} {:>13}",
         "", "Tero %", "Internet users %", "population %"
     );
@@ -47,7 +47,8 @@ fn main() {
         let tero = 100.0 * counts.get(&c).copied().unwrap_or(0) as f64 / n as f64;
         let internet = 100.0 * internet_user_share(c);
         let pop = 100.0 * population_share(c);
-        println!(
+        writeln!(
+            text,
             "{:>4} {tero:>9.1}% {internet:>14.1}% {pop:>12.1}%",
             c.code()
         );
@@ -58,9 +59,12 @@ fn main() {
             population_pct: pop,
         });
     }
-    println!();
-    println!("shape check: NA+SA+EU dominate Tero; Asia far below its Internet share;");
-    println!("Africa nearly absent — as in the paper's Fig 7.");
+    writeln!(text);
+    writeln!(
+        text,
+        "shape check: NA+SA+EU dominate Tero; Asia far below its Internet share;"
+    );
+    writeln!(text, "Africa nearly absent — as in the paper's Fig 7.");
 
-    write_json("fig07_continents", &rows);
+    Outcome::with_json(text, "fig07_continents", &rows)
 }

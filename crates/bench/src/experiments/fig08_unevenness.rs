@@ -6,12 +6,10 @@
 //! Wasserstein distance between arrival offsets and the uniform
 //! distribution, normalised by the worst case, leans toward 0 once ≥3
 //! streamers are active (≤0.5 for 80 % of windows).
-//!
-//! Usage: `fig08_unevenness [--n 120] [--days 6]`
 
+use crate::{header, Args, Outcome, Text};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::download::DownloadModule;
 use tero_stats::unevenness_score;
 use tero_store::{KvStore, ObjectStore};
@@ -23,10 +21,14 @@ struct Output {
     per_count: Vec<(usize, Vec<f64>)>, // (streamers per window, score CDF deciles)
 }
 
-fn main() {
-    let n = arg_usize("--n", 120);
-    let days = arg_usize("--days", 6) as u64;
-    header("Fig 8: uneven-ness of arrivals per 5-minute window");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let days = args.count("--days") as u64;
+    header(
+        &mut text,
+        "Fig 8: uneven-ness of arrivals per 5-minute window",
+    );
 
     let mut world = World::build(WorldConfig {
         seed: 808,
@@ -69,19 +71,21 @@ fn main() {
             .push(unevenness_score(&offsets, 300.0));
     }
 
-    println!();
-    println!(
+    writeln!(text);
+    writeln!(
+        text,
         "{:>20} {:>8} {:>10} {:>10} {:>14}",
         "streamers/window", "windows", "median", "p80", "share ≤ 0.5"
     );
     let mut per_count = Vec::new();
     for (count, scores) in &by_count {
         let mut s = scores.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        s.sort_by(f64::total_cmp);
         let med = tero_stats::descriptive::percentile_sorted(&s, 50.0);
         let p80 = tero_stats::descriptive::percentile_sorted(&s, 80.0);
         let below = s.iter().filter(|&&x| x <= 0.5).count() as f64 / s.len() as f64;
-        println!(
+        writeln!(
+            text,
             "{:>19}{} {:>8} {:>10.2} {:>10.2} {:>13.0}%",
             count,
             if *count == 6 { "+" } else { " " },
@@ -95,9 +99,12 @@ fn main() {
             .collect();
         per_count.push((*count, deciles));
     }
-    println!();
-    println!("(paper: with ≥3 active streamers, uneven-ness leans uniform — scores");
-    println!(" below ~0.5 for 80 % of windows)");
+    writeln!(text);
+    writeln!(
+        text,
+        "(paper: with ≥3 active streamers, uneven-ness leans uniform — scores"
+    );
+    writeln!(text, " below ~0.5 for 80 % of windows)");
 
-    write_json("fig08_unevenness", &Output { per_count });
+    Outcome::with_json(text, "fig08_unevenness", &Output { per_count })
 }

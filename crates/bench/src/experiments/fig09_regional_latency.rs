@@ -10,11 +10,9 @@
 //! Netherlands/Chile (all < 500 km from their servers); worst at Bolivia,
 //! Greece, Saudi Arabia, Hawaii; Turkey's 75th percentile as bad as
 //! double-distance Brazil; Bolivia as bad as 3.5×-distance Hawaii.
-//!
-//! Usage: `fig09_regional_latency [--per 80] [--days 10]`
 
+use crate::{ascii_box, boxplot_row, header, run_lol_world, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, ascii_box, boxplot_row, header, run_lol_world, write_json};
 use tero_types::{GameId, Location};
 
 #[derive(Serialize)]
@@ -31,9 +29,10 @@ struct Row {
     normalized_p50: Option<f64>,
 }
 
-fn main() {
-    let per = arg_usize("--per", 80);
-    let days = arg_usize("--days", 10) as u64;
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let per = args.count("--per");
+    let days = args.count("--days") as u64;
 
     let locations = vec![
         Location::country("South Korea"),
@@ -51,8 +50,11 @@ fn main() {
         Location::country("Lithuania"),
         Location::region("United States", "Montana"),
     ];
-    header("Fig 9: LoL latency by location (building world, running pipeline)");
-    let (_world, report) = run_lol_world(&locations, per, days, 909);
+    header(
+        &mut text,
+        "Fig 9: LoL latency by location (building world, running pipeline)",
+    );
+    let report = run_lol_world(&locations, per, days, 909);
 
     let mut rows: Vec<Row> = Vec::new();
     for loc in &locations {
@@ -75,9 +77,9 @@ fn main() {
     }
 
     // (a) sorted by absolute median.
-    rows.sort_by(|a, b| a.p50.partial_cmp(&b.p50).unwrap());
-    println!();
-    println!("(a) by absolute latency (best → worst):");
+    rows.sort_by(|a, b| a.p50.total_cmp(&b.p50));
+    writeln!(text);
+    writeln!(text, "(a) by absolute latency (best → worst):");
     for (loc, r) in rows.iter().map(|r| (&r.label, r)) {
         let server = r.server.as_deref().unwrap_or("?");
         let km = r.corrected_km.unwrap_or(0.0);
@@ -90,51 +92,62 @@ fn main() {
             p75: r.p75,
             p95: r.p95,
         };
-        println!(
+        writeln!(
+            text,
             "  {:<28} [{}] {:>5.0} km via {server}",
             loc,
             ascii_box(&stats, 0.0, 200.0, 50),
             km
         );
-        println!("    {}", boxplot_row("", &stats));
+        writeln!(text, "    {}", boxplot_row("", &stats));
     }
 
     // (b) by distance-normalised median.
-    let mut by_norm: Vec<&Row> = rows.iter().filter(|r| r.normalized_p50.is_some()).collect();
-    by_norm.sort_by(|a, b| b.normalized_p50.partial_cmp(&a.normalized_p50).unwrap());
-    println!();
-    println!("(b) by distance-normalised latency (worst → best, ms per 1000 km):");
-    for r in &by_norm {
-        println!(
+    let mut by_norm: Vec<(&Row, f64)> = rows
+        .iter()
+        .filter_map(|r| Some((r, r.normalized_p50?)))
+        .collect();
+    by_norm.sort_by(|a, b| b.1.total_cmp(&a.1));
+    writeln!(text);
+    writeln!(
+        text,
+        "(b) by distance-normalised latency (worst → best, ms per 1000 km):"
+    );
+    for (r, normalized_p50) in &by_norm {
+        writeln!(
+            text,
             "  {:<28} {:>8.1} ms/Mm   (absolute p50 {:>5.1} ms over {:>5.0} km)",
             r.label,
-            r.normalized_p50.unwrap(),
+            normalized_p50,
             r.p50,
             r.corrected_km.unwrap_or(0.0)
         );
     }
 
     // Paper cross-checks.
-    println!();
+    writeln!(text);
     let get = |name: &str| rows.iter().find(|r| r.label.contains(name));
     if let (Some(tr), Some(br)) = (get("Turkey"), get("Brazil")) {
-        println!(
+        writeln!(
+            text,
             "Turkey p75 {:.0} ms at {:.0} km vs Brazil p75 {:.0} ms at {:.0} km (paper: similar p75, double distance)",
             tr.p75, tr.corrected_km.unwrap_or(0.0), br.p75, br.corrected_km.unwrap_or(0.0)
         );
     }
     if let (Some(bo), Some(hi)) = (get("Bolivia"), get("Hawaii")) {
-        println!(
+        writeln!(
+            text,
             "Bolivia p75 {:.0} ms at {:.0} km vs Hawaii p75 {:.0} ms at {:.0} km (paper: similar p75, 3.5x distance)",
             bo.p75, bo.corrected_km.unwrap_or(0.0), hi.p75, hi.corrected_km.unwrap_or(0.0)
         );
     }
     if let (Some(gr), Some(sa)) = (get("Greece"), get("Saudi")) {
-        println!(
+        writeln!(
+            text,
             "Greece p75 {:.0} ms vs Saudi Arabia p75 {:.0} ms (paper: ~25 ms apart at similar distance)",
             gr.p75, sa.p75
         );
     }
 
-    write_json("fig09_regional_latency", &rows);
+    Outcome::with_json(text, "fig09_regional_latency", &rows)
 }

@@ -5,11 +5,9 @@
 //! This is the paper's "measurement where no infrastructure exists"
 //! showcase: Tero produces distributions for places no open platform
 //! covers.
-//!
-//! Usage: `fig12_underserved [--per 60] [--days 8]`
 
+use crate::{ascii_box, header, run_lol_world, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, ascii_box, header, run_lol_world, write_json};
 use tero_types::{GameId, Location};
 
 #[derive(Serialize)]
@@ -23,9 +21,10 @@ struct Row {
     n: usize,
 }
 
-fn main() {
-    let per = arg_usize("--per", 60);
-    let days = arg_usize("--days", 8) as u64;
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let per = args.count("--per");
+    let days = args.count("--days") as u64;
 
     // Panel (a): El Salvador and Mexican/Central-American peers; panel
     // (b): Jamaica and Caribbean/Colombian peers — all served by Miami.
@@ -52,13 +51,16 @@ fn main() {
     locations.sort();
     locations.dedup();
 
-    header("Fig 12: El Salvador & Jamaica vs similar-distance peers (Miami server)");
-    let (_world, report) = run_lol_world(&locations, per, days, 1212);
+    header(
+        &mut text,
+        "Fig 12: El Salvador & Jamaica vs similar-distance peers (Miami server)",
+    );
+    let report = run_lol_world(&locations, per, days, 1212);
 
     let mut rows = Vec::new();
     for (panel, members) in [("(a) El Salvador", &panel_a), ("(b) Jamaica", &panel_b)] {
-        println!();
-        println!("{panel}:");
+        writeln!(text);
+        writeln!(text, "{panel}:");
         for loc in members {
             let Some(dist) = report.distribution(loc, GameId::LeagueOfLegends) else {
                 eprintln!("warning: no distribution for {loc}");
@@ -82,7 +84,8 @@ fn main() {
                 p75: r.p75,
                 p95: r.p75,
             };
-            println!(
+            writeln!(
+                text,
                 "  {:<30} [{}] p50 {:>5.1} ms ({:>4.0} km from Miami)",
                 r.location,
                 ascii_box(&stats, 0.0, 120.0, 40),
@@ -92,9 +95,15 @@ fn main() {
             rows.push(r);
         }
     }
-    println!();
-    println!("El Salvador and Jamaica have no RIPE probes; these distributions are the");
-    println!("kind of measurement only a passive source like Tero can provide (§5.2).");
+    writeln!(text);
+    writeln!(
+        text,
+        "El Salvador and Jamaica have no RIPE probes; these distributions are the"
+    );
+    writeln!(
+        text,
+        "kind of measurement only a passive source like Tero can provide (§5.2)."
+    );
 
-    write_json("fig12_underserved", &rows);
+    Outcome::with_json(text, "fig12_underserved", &rows)
 }

@@ -4,11 +4,9 @@
 //! simulated world. The paper: inter-arrivals concentrate in [300 s,
 //! ~400 s] with a 90th percentile of 6 minutes (which sets App. F's
 //! 12-minute shared-anomaly window).
-//!
-//! Usage: `fig13_interarrival [--n 60]`
 
+use crate::{header, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::download::DownloadModule;
 use tero_store::{KvStore, ObjectStore};
 use tero_types::SimTime;
@@ -24,9 +22,10 @@ struct Output {
     cdf: Vec<(u64, f64)>,
 }
 
-fn main() {
-    let n = arg_usize("--n", 60);
-    header("Fig 13: CDF of thumbnail inter-arrival time");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    header(&mut text, "Fig 13: CDF of thumbnail inter-arrival time");
 
     let mut world = World::build(WorldConfig {
         seed: 13,
@@ -54,29 +53,34 @@ fn main() {
             }
         }
     }
-    gaps_s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    gaps_s.sort_by(f64::total_cmp);
     let pct = |p: f64| tero_stats::descriptive::percentile_sorted(&gaps_s, p);
 
-    println!("inter-arrivals measured: {}", gaps_s.len());
-    println!(
+    writeln!(text, "inter-arrivals measured: {}", gaps_s.len());
+    writeln!(
+        text,
         "p10 {:.0} s   p50 {:.0} s   p90 {:.0} s   p99 {:.0} s",
         pct(10.0),
         pct(50.0),
         pct(90.0),
         pct(99.0)
     );
-    println!("(paper: mass in [300 s, ~400 s], 90th percentile = 6 min = 360 s)");
-    println!();
-    println!("CDF:");
+    writeln!(
+        text,
+        "(paper: mass in [300 s, ~400 s], 90th percentile = 6 min = 360 s)"
+    );
+    writeln!(text);
+    writeln!(text, "CDF:");
     let mut cdf = Vec::new();
     for &t in &[300u64, 320, 340, 360, 380, 400, 600, 1200, 2400] {
         let frac =
             gaps_s.iter().filter(|&&g| g <= t as f64).count() as f64 / gaps_s.len().max(1) as f64;
-        println!("  ≤ {t:>5} s: {:>5.1}%", 100.0 * frac);
+        writeln!(text, "  ≤ {t:>5} s: {:>5.1}%", 100.0 * frac);
         cdf.push((t, frac));
     }
 
-    write_json(
+    Outcome::with_json(
+        text,
         "fig13_interarrival",
         &Output {
             count: gaps_s.len(),
@@ -86,5 +90,5 @@ fn main() {
             p99_s: pct(99.0),
             cdf,
         },
-    );
+    )
 }

@@ -12,16 +12,13 @@
 //!   slows around 25–30 minutes, motivating `StableLen = 30 min`;
 //! * (c) the proportion of kept-but-unstable points per user by `LatGap` —
 //!   paper: nearly independent of `LatGap` once it is ≥ 15 ms.
-//!
-//! Usage: `fig15_sensitivity [--n 250] [--days 10]`
 
+use crate::{header, run_calibrated, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::analysis::anomaly::{detect_anomalies, SegmentLabel};
 use tero_core::analysis::segments::{segment_stream, Segment};
-use tero_core::pipeline::{ExtractionMode, Tero};
 use tero_types::{SimDuration, TeroParams};
-use tero_world::{World, WorldConfig};
+use tero_world::WorldConfig;
 
 #[derive(Serialize)]
 struct GridPoint {
@@ -35,23 +32,20 @@ struct GridPoint {
     unstable_kept_pct_p50: f64,
 }
 
-fn main() {
-    let n = arg_usize("--n", 250);
-    let days = arg_usize("--days", 10) as u64;
-    header("Fig 15: sensitivity to StableLen and LatGap");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let days = args.count("--days") as u64;
+    header(&mut text, "Fig 15: sensitivity to StableLen and LatGap");
 
-    let mut world = World::build(WorldConfig {
+    let report = run_calibrated(WorldConfig {
         seed: 1515,
         n_streamers: n,
         days,
         ..WorldConfig::default()
     });
-    let tero = Tero {
-        mode: ExtractionMode::Calibrated,
-        ..Tero::default()
-    };
-    let report = tero.run(&mut world);
-    println!(
+    writeln!(
+        text,
         "extracted series: {} {{streamer, game}} tuples",
         report.streams.len()
     );
@@ -117,7 +111,7 @@ fn main() {
                     unstable_fracs.push(kept_unstable as f64 / total as f64);
                 }
             }
-            unstable_fracs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            unstable_fracs.sort_by(f64::total_cmp);
             grid.push(GridPoint {
                 stable_len_min: stable_min,
                 lat_gap_ms: lat_gap,
@@ -133,14 +127,16 @@ fn main() {
     }
 
     // (a) at the default LatGap.
-    println!();
-    println!("(a) LatGap = 15 ms:");
-    println!(
+    writeln!(text);
+    writeln!(text, "(a) LatGap = 15 ms:");
+    writeln!(
+        text,
         "{:>10} {:>11} {:>12} {:>9} {:>10}",
         "StableLen", "users kept", "points kept", "spikes %", "glitches %"
     );
     for g in grid.iter().filter(|g| g.lat_gap_ms == 15) {
-        println!(
+        writeln!(
+            text,
             "{:>7}min {:>10.1}% {:>11.1}% {:>8.2}% {:>9.2}%",
             g.stable_len_min,
             g.users_kept_pct,
@@ -150,38 +146,48 @@ fn main() {
         );
     }
 
-    println!();
-    println!("(b) significant spikes (≥15 ms) by StableLen and LatGap:");
-    print!("{:>10}", "StableLen");
+    writeln!(text);
+    writeln!(
+        text,
+        "(b) significant spikes (≥15 ms) by StableLen and LatGap:"
+    );
+    write!(text, "{:>10}", "StableLen");
     for lg in [8, 15, 25] {
-        print!(" {:>9}", format!("gap {lg}ms"));
+        write!(text, " {:>9}", format!("gap {lg}ms"));
     }
-    println!();
+    writeln!(text);
     for &sl in &[5u64, 15, 25, 35, 45, 55] {
-        print!("{sl:>7}min");
-        for lg in [8u32, 15, 25] {
-            let g = grid
-                .iter()
-                .find(|g| g.lat_gap_ms == lg && g.stable_len_min == sl)
-                .unwrap();
-            print!(" {:>9}", g.significant_spikes_15ms);
+        write!(text, "{sl:>7}min");
+        // The grid runs LatGap-major, so a StableLen's points come in
+        // the columns' order.
+        for g in grid.iter().filter(|g| g.stable_len_min == sl) {
+            write!(text, " {:>9}", g.significant_spikes_15ms);
         }
-        println!();
+        writeln!(text);
     }
 
-    println!();
-    println!("(c) median kept-but-unstable points per user, by LatGap (StableLen 25 min):");
-    for lg in [8u32, 15, 25] {
-        let g = grid
-            .iter()
-            .find(|g| g.lat_gap_ms == lg && g.stable_len_min == 25)
-            .unwrap();
-        println!("  LatGap {lg:>2} ms: {:.2}%", g.unstable_kept_pct_p50);
+    writeln!(text);
+    writeln!(
+        text,
+        "(c) median kept-but-unstable points per user, by LatGap (StableLen 25 min):"
+    );
+    for g in grid.iter().filter(|g| g.stable_len_min == 25) {
+        writeln!(
+            text,
+            "  LatGap {:>2} ms: {:.2}%",
+            g.lat_gap_ms, g.unstable_kept_pct_p50
+        );
     }
-    println!();
-    println!("(paper: users discarded grow quickly with StableLen while points do not;");
-    println!(" significant-spike growth slows around 25 min; the unstable share is");
-    println!(" nearly LatGap-independent once LatGap ≥ 15 ms)");
+    writeln!(text);
+    writeln!(
+        text,
+        "(paper: users discarded grow quickly with StableLen while points do not;"
+    );
+    writeln!(
+        text,
+        " significant-spike growth slows around 25 min; the unstable share is"
+    );
+    writeln!(text, " nearly LatGap-independent once LatGap ≥ 15 ms)");
 
-    write_json("fig15_sensitivity", &grid);
+    Outcome::with_json(text, "fig15_sensitivity", &grid)
 }

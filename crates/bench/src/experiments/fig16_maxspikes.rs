@@ -6,13 +6,10 @@
 //!   `MaxSpikes` tightens;
 //! * (c) spikes and shared anomalies surviving at each `MaxSpikes` (users
 //!   above the cap are dropped wholesale).
-//!
-//! Usage: `fig16_maxspikes [--n 250] [--days 10]`
 
+use crate::{header, run_calibrated, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::analysis::shared::{detect_shared_anomalies, StreamerActivity};
-use tero_core::pipeline::{ExtractionMode, Tero};
 use tero_types::SimTime;
 use tero_world::{World, WorldConfig};
 
@@ -32,10 +29,11 @@ struct Output {
     sweep: Vec<Sweep>,
 }
 
-fn main() {
-    let n = arg_usize("--n", 250);
-    let days = arg_usize("--days", 10) as u64;
-    header("Fig 16: sensitivity to MaxSpikes");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let days = args.count("--days") as u64;
+    header(&mut text, "Fig 16: sensitivity to MaxSpikes");
 
     // Half the population concentrated at hubs so the shared-anomaly
     // column has the {region, game} density the App. F test needs.
@@ -45,7 +43,7 @@ fn main() {
         (World::city(&gaz, "Los Angeles"), game, n / 4),
         (World::city(&gaz, "London"), game, n / 4),
     ];
-    let mut world = World::build(WorldConfig {
+    let report = run_calibrated(WorldConfig {
         seed: 1616,
         n_streamers: n / 2,
         days,
@@ -54,11 +52,6 @@ fn main() {
         api_budget_per_min: 2_000,
         ..WorldConfig::default()
     });
-    let tero = Tero {
-        mode: ExtractionMode::Calibrated,
-        ..Tero::default()
-    };
-    let report = tero.run(&mut world);
 
     // (a) per-user spike proportions.
     let mut fractions: Vec<f64> = report
@@ -67,14 +60,14 @@ fn main() {
         .filter(|r| !r.all_unstable)
         .map(|r| r.spike_fraction())
         .collect();
-    fractions.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    println!();
-    println!("(a) per-user spike-proportion distribution:");
+    fractions.sort_by(f64::total_cmp);
+    writeln!(text);
+    writeln!(text, "(a) per-user spike-proportion distribution:");
     let deciles: Vec<f64> = (0..=10)
         .map(|d| tero_stats::descriptive::percentile_sorted(&fractions, d as f64 * 10.0) * 100.0)
         .collect();
     for (d, v) in deciles.iter().enumerate() {
-        println!("  p{:<3} {v:>6.2}%", d * 10);
+        writeln!(text, "  p{:<3} {v:>6.2}%", d * 10);
     }
 
     // (b)/(c): sweep MaxSpikes.
@@ -82,9 +75,10 @@ fn main() {
     let total_spikes: usize = report.anomalies.values().map(|r| r.spikes.len()).sum();
     let total_points: usize = report.anomalies.values().map(|r| r.total_samples()).sum();
 
-    println!();
-    println!("(b)/(c) sweeping MaxSpikes:");
-    println!(
+    writeln!(text);
+    writeln!(text, "(b)/(c) sweeping MaxSpikes:");
+    writeln!(
+        text,
         "{:>10} {:>12} {:>13} {:>13} {:>12} {:>9}",
         "MaxSpikes", "users lost", "spikes lost", "points lost", "spikes kept", "shared"
     );
@@ -132,7 +126,8 @@ fn main() {
             let region = tero_types::Location::country(key.clone());
             shared += detect_shared_anomalies(*game, &region, activities).len();
         }
-        println!(
+        writeln!(
+            text,
             "{:>9}% {:>11.1}% {:>12.1}% {:>12.1}% {:>12} {:>9}",
             cap_pct,
             100.0 * users_lost as f64 / total_users.max(1) as f64,
@@ -150,16 +145,26 @@ fn main() {
             shared_anomalies: shared,
         });
     }
-    println!();
-    println!("(paper: tightening MaxSpikes discards spike-heavy users quickly while");
-    println!(" losing few points overall; shared anomalies survive until the cap");
-    println!(" cuts into ordinary users — 50 % is the operating point)");
+    writeln!(text);
+    writeln!(
+        text,
+        "(paper: tightening MaxSpikes discards spike-heavy users quickly while"
+    );
+    writeln!(
+        text,
+        " losing few points overall; shared anomalies survive until the cap"
+    );
+    writeln!(
+        text,
+        " cuts into ordinary users — 50 % is the operating point)"
+    );
 
-    write_json(
+    Outcome::with_json(
+        text,
         "fig16_maxspikes",
         &Output {
             spike_fraction_deciles: deciles,
             sweep,
         },
-    );
+    )
 }

@@ -12,17 +12,14 @@
 //! QoE-only (the QoE detector is as good or better); the baselines flag up
 //! to ~20 % extra "spikes" that are mostly server/location changes or
 //! sub-LatGap wiggles; for glitches the baselines over-flag heavily.
-//!
-//! Usage: `fig17_18_anomaly_baselines [--n 200] [--days 8]`
 
+use crate::{header, run_calibrated, Args, Outcome, Text};
 use serde::Serialize;
 use std::collections::HashSet;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::analysis::anomaly::SegmentLabel;
-use tero_core::pipeline::{ExtractionMode, Tero};
 use tero_stats::{lof::lof_outliers, IsolationForest, UnivariateMcd};
 use tero_types::SimRng;
-use tero_world::{World, WorldConfig};
+use tero_world::WorldConfig;
 
 const SIGNIFICANT_MS: f64 = 15.0;
 
@@ -50,22 +47,21 @@ struct Output {
     glitches: Vec<(String, f64, f64, f64)>,
 }
 
-fn main() {
-    let n = arg_usize("--n", 200);
-    let days = arg_usize("--days", 8) as u64;
-    header("Figs 17-18: QoE-based detection vs LOF / iForest / MCD");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let days = args.count("--days") as u64;
+    header(
+        &mut text,
+        "Figs 17-18: QoE-based detection vs LOF / iForest / MCD",
+    );
 
-    let mut world = World::build(WorldConfig {
+    let report = run_calibrated(WorldConfig {
         seed: 1718,
         n_streamers: n,
         days,
         ..WorldConfig::default()
     });
-    let tero = Tero {
-        mode: ExtractionMode::Calibrated,
-        ..Tero::default()
-    };
-    let report = tero.run(&mut world);
 
     // Per-series inputs: values (with alternatives applied where the QoE
     // detector corrected), QoE spike/glitch index sets, the series mean.
@@ -109,7 +105,7 @@ fn main() {
             mean,
         });
     }
-    println!("series analysed: {}", inputs.len());
+    writeln!(text, "series analysed: {}", inputs.len());
 
     let techniques: [&str; 3] = ["MCD", "LOF", "iForests"];
     let mut spike_rows = Vec::new();
@@ -172,31 +168,42 @@ fn main() {
         glitch_rows.push((tech.to_string(), c, a, q));
     }
 
-    println!();
-    println!("Fig 18 — significant spikes:");
-    println!(
+    writeln!(text);
+    writeln!(text, "Fig 18 — significant spikes:");
+    writeln!(
+        text,
         "{:>10} {:>10} {:>18} {:>14}",
         "", "common %", "anomaly-det only %", "QoE only %"
     );
     for (t, c, a, q) in &spike_rows {
-        println!("{t:>10} {c:>9.1}% {a:>17.1}% {q:>13.1}%");
+        writeln!(text, "{t:>10} {c:>9.1}% {a:>17.1}% {q:>13.1}%");
     }
-    println!();
-    println!("Fig 17 — significant glitches:");
+    writeln!(text);
+    writeln!(text, "Fig 17 — significant glitches:");
     for (t, c, a, q) in &glitch_rows {
-        println!("{t:>10} {c:>9.1}% {a:>17.1}% {q:>13.1}%");
+        writeln!(text, "{t:>10} {c:>9.1}% {a:>17.1}% {q:>13.1}%");
     }
-    println!();
-    println!("(paper: ~70 % of spike mass is common/QoE-only; the baselines also");
-    println!(" flag server/location changes and sub-LatGap wiggles that the QoE");
-    println!(" detector rightly ignores — they have no concept of significance or");
-    println!(" of explainable changes)");
+    writeln!(text);
+    writeln!(
+        text,
+        "(paper: ~70 % of spike mass is common/QoE-only; the baselines also"
+    );
+    writeln!(
+        text,
+        " flag server/location changes and sub-LatGap wiggles that the QoE"
+    );
+    writeln!(
+        text,
+        " detector rightly ignores — they have no concept of significance or"
+    );
+    writeln!(text, " of explainable changes)");
 
-    write_json(
+    Outcome::with_json(
+        text,
         "fig17_18_anomaly_baselines",
         &Output {
             spikes: spike_rows,
             glitches: glitch_rows,
         },
-    );
+    )
 }

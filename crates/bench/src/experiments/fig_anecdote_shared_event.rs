@@ -4,12 +4,9 @@
 //! Nov-16 Warzone 2.0 release) and checks that the shared-anomaly detector
 //! (App. F) lights up for that game, in many locations, during those days
 //! — and stays quiet elsewhere.
-//!
-//! Usage: `fig_anecdote_shared_event [--n 300] [--days 12]`
 
+use crate::{header, run_calibrated, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
-use tero_core::pipeline::{ExtractionMode, Tero};
 use tero_types::GameId;
 use tero_world::{World, WorldConfig};
 
@@ -21,13 +18,18 @@ struct Output {
     regions_affected: usize,
 }
 
-fn main() {
-    let n = arg_usize("--n", 300);
-    let days = arg_usize("--days", 12) as u64;
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let days = args.count("--days") as u64;
     let release_day = 4u64;
     let game = GameId::CodWarzone;
-    header("§4.2.3 anecdote: release-day shared-anomaly surge");
-    println!(
+    header(
+        &mut text,
+        "§4.2.3 anecdote: release-day shared-anomaly surge",
+    );
+    writeln!(
+        text,
         "(release of {} on day {release_day}, 5-day surge)",
         game.name()
     );
@@ -50,7 +52,7 @@ fn main() {
         .iter()
         .map(|h| (World::city(&gaz, h), game, per))
         .collect();
-    let mut world = World::build(WorldConfig {
+    let report = run_calibrated(WorldConfig {
         seed: 1116,
         n_streamers: 0,
         days,
@@ -59,11 +61,6 @@ fn main() {
         release_event: Some((game, release_day)),
         api_budget_per_min: 2_000,
     });
-    let tero = Tero {
-        mode: ExtractionMode::Calibrated,
-        ..Tero::default()
-    };
-    let report = tero.run(&mut world);
 
     let window_lo = release_day * 24 * 3_600;
     let window_hi = (release_day + 5) * 24 * 3_600;
@@ -88,23 +85,33 @@ fn main() {
     regions.sort();
     regions.dedup();
 
-    println!();
-    println!("shared anomalies detected: {total}");
-    println!("  for the released game:   {of_game}");
-    println!("  inside the 5-day window: {in_window}");
-    println!("  distinct regions hit:    {}", regions.len());
+    writeln!(text);
+    writeln!(text, "shared anomalies detected: {total}");
+    writeln!(text, "  for the released game:   {of_game}");
+    writeln!(text, "  inside the 5-day window: {in_window}");
+    writeln!(text, "  distinct regions hit:    {}", regions.len());
     for r in regions.iter().take(12) {
-        println!("    - {r}");
+        writeln!(text, "    - {r}");
     }
-    println!();
+    writeln!(text);
     if of_game > 0 && in_window as f64 >= 0.8 * of_game as f64 {
-        println!("✓ the surge concentrates on the released game inside the window,");
-        println!("  across multiple locations — the paper's Nov-16 signature.");
+        writeln!(
+            text,
+            "✓ the surge concentrates on the released game inside the window,"
+        );
+        writeln!(
+            text,
+            "  across multiple locations — the paper's Nov-16 signature."
+        );
     } else {
-        println!("⚠ surge not localized as expected; increase --n/--days.");
+        writeln!(
+            text,
+            "⚠ surge not localized as expected; increase --n/--days."
+        );
     }
 
-    write_json(
+    Outcome::with_json(
+        text,
         "fig_anecdote_shared_event",
         &Output {
             total_shared: total,
@@ -112,5 +119,5 @@ fn main() {
             in_window,
             regions_affected: regions.len(),
         },
-    );
+    )
 }

@@ -2,14 +2,16 @@
 //!
 //! The paper's two-year deployment processed 205 M thumbnails into 64.6 M
 //! measurements, retained 58.03 M after anomaly filtering (89.8 %), across
-//! 150 k users from 195 countries and 3.9 M streams. This regenerator
+//! 150 k users from 195 countries and 3.9 M streams. This experiment
 //! reports the same funnel for a simulated deployment (scaled down) plus
 //! coverage counts: locations with enough data for a distribution.
 //!
-//! Usage: `summary_volume [--n 400] [--days 10]`
+//! It also prints the run's diagnostics to stderr, not to its text: the
+//! metrics snapshot (text and JSON), the ledger reconciliation and the
+//! flight recorder's last 48 trace records.
 
+use crate::{header, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::pipeline::{ExtractionMode, Tero};
 use tero_world::{World, WorldConfig};
 
@@ -27,10 +29,11 @@ struct Output {
     distributions_published: usize,
 }
 
-fn main() {
-    let n = arg_usize("--n", 400);
-    let days = arg_usize("--days", 10) as u64;
-    header("§5.1: volume and coverage");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let days = args.count("--days") as u64;
+    header(&mut text, "§5.1: volume and coverage");
 
     let mut world = World::build(WorldConfig {
         seed: 51,
@@ -42,7 +45,7 @@ fn main() {
         mode: ExtractionMode::Calibrated,
         ..Tero::default()
     };
-    // Regenerators pay the (small) timing cost so the printed snapshot
+    // Experiments pay the (small) timing cost so the printed snapshot
     // includes stage latencies; production-style runs leave it off.
     tero.obs.set_timing(true);
     // Record the run in flight-recorder mode: the ring keeps only the most
@@ -75,48 +78,60 @@ fn main() {
         distributions_published: report.distributions.len(),
     };
 
-    println!();
-    println!("volume funnel (paper, at its scale: 205 M → 64.6 M → 58.03 M):");
-    println!("  thumbnails processed:   {}", out.thumbnails);
-    println!("  measurements extracted: {}", out.measurements);
-    println!(
+    writeln!(text);
+    writeln!(
+        text,
+        "volume funnel (paper, at its scale: 205 M → 64.6 M → 58.03 M):"
+    );
+    writeln!(text, "  thumbnails processed:   {}", out.thumbnails);
+    writeln!(text, "  measurements extracted: {}", out.measurements);
+    writeln!(
+        text,
         "  retained after anomaly filtering: {} ({:.1} %; paper ~89.8 %)",
         out.retained, out.retained_pct
     );
-    println!();
-    println!("coverage:");
-    println!(
+    writeln!(text);
+    writeln!(text, "coverage:");
+    writeln!(
+        text,
         "  users located: {} of {} seen ({:.1} %; paper 2.77 % — our synthetic",
         out.users_located, out.users_seen, out.located_pct
     );
-    println!("  world is profile-denser by design, see EXPERIMENTS.md)");
-    println!("  streams: {}", out.streams);
-    println!("  countries covered: {}", out.countries);
-    println!("  distributions published: {}", out.distributions_published);
+    writeln!(
+        text,
+        "  world is profile-denser by design, see EXPERIMENTS.md)"
+    );
+    writeln!(text, "  streams: {}", out.streams);
+    writeln!(text, "  countries covered: {}", out.countries);
+    writeln!(
+        text,
+        "  distributions published: {}",
+        out.distributions_published
+    );
 
-    write_json("summary_volume", &out);
-
-    // ---- Pipeline metrics snapshot -------------------------------------
+    // ---- Pipeline metrics snapshot (stderr: diagnostics, not the paper) --
     let snap = tero.metrics_snapshot();
-    println!();
-    println!("pipeline metrics snapshot:");
-    println!("{}", snap.render_text());
-    println!("metrics json:");
-    println!("{}", snap.to_json());
+    eprintln!();
+    eprintln!("pipeline metrics snapshot:");
+    eprintln!("{}", snap.render_text());
+    eprintln!("metrics json:");
+    eprintln!("{}", snap.to_json());
 
     // ---- Provenance + flight recorder ----------------------------------
     // The ledger proves the funnel conserves samples: every ingested
     // thumbnail is either published or carries a typed drop reason, and
     // the totals must equal the `pipeline.funnel.*` counters above.
-    println!();
+    eprintln!();
     match tero.trace.ledger().reconcile(&tero.obs) {
         Ok(summary) => {
-            println!("sample provenance (ledger, reconciled against counters):");
-            print!("{}", summary.render_text());
+            eprintln!("sample provenance (ledger, reconciled against counters):");
+            eprint!("{}", summary.render_text());
         }
-        Err(err) => println!("provenance ledger DISAGREES with counters: {err}"),
+        Err(err) => eprintln!("provenance ledger DISAGREES with counters: {err}"),
     }
-    println!();
-    println!("flight recorder (last 48 trace records):");
-    print!("{}", tero.trace.dump());
+    eprintln!();
+    eprintln!("flight recorder (last 48 trace records):");
+    eprint!("{}", tero.trace.dump());
+
+    Outcome::with_json(text, "summary_volume", &out)
 }

@@ -17,11 +17,9 @@
 //! Fig 5a: the distribution of correct / incorrect / missing extractions
 //! over the latency axis shows no bias (missing and incorrect values are
 //! not concentrated at high latencies).
-//!
-//! Usage: `tab04_fig05_ocr_errors [--n 4000] [--reps 3]`
 
+use crate::{header, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::imageproc::roi_for_game;
 use tero_geoparse::{Gazetteer, PlaceKind};
 use tero_types::{SimRng, SimTime};
@@ -55,11 +53,12 @@ struct Fig5Bin {
     missing: u64,
 }
 
-fn main() {
-    let n = arg_usize("--n", 4_000);
-    let reps = arg_usize("--reps", 3);
-    header("Table 4 / Fig 5a: OCR miss and error rates");
-    println!("({n} thumbnails x {reps} repetitions)");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let reps = args.count("--reps");
+    header(&mut text, "Table 4 / Fig 5a: OCR miss and error rates");
+    writeln!(text, "({n} thumbnails x {reps} repetitions)");
 
     let gaz = Gazetteer::new();
     let homes: Vec<_> = gaz
@@ -175,35 +174,45 @@ fn main() {
     // Single-best-engine ablation: the engine with the lowest error.
     let best = engines
         .iter()
-        .min_by(|a, b| a.1.wrong.partial_cmp(&b.1.wrong).unwrap())
-        .unwrap()
-        .1;
+        .map(|(_, rates)| *rates)
+        .min_by(|a, b| a.wrong.total_cmp(&b.wrong))
+        .unwrap_or_default();
 
-    println!();
-    println!("{:<22} {:>10} {:>10}   (paper)", "", "missed %", "wrong %");
+    writeln!(text);
+    writeln!(
+        text,
+        "{:<22} {:>10} {:>10}   (paper)",
+        "", "missed %", "wrong %"
+    );
     let paper = [
         ("tesseract-like", 15.52, 8.77),
         ("easyocr-like", 5.75, 8.31),
         ("paddleocr-like", 5.84, 9.96),
     ];
     for (name, r) in &engines {
-        let p = paper.iter().find(|(n, _, _)| n == name).unwrap();
-        println!(
+        let Some(p) = paper.iter().find(|(n, _, _)| n == name) else {
+            continue;
+        };
+        writeln!(
+            text,
             "{:<22} {:>9.2}% {:>9.2}%   ({:>5.2}% / {:>4.2}%)",
             name, r.missed, r.wrong, p.1, p.2
         );
     }
-    println!(
+    writeln!(
+        text,
         "{:<22} {:>9.2}% {:>9.2}%   (28.37% / 3.70%)",
         "Tero (crop+vote)", tero.missed, tero.wrong
     );
-    println!();
-    println!("ablations:");
-    println!(
+    writeln!(text);
+    writeln!(text, "ablations:");
+    writeln!(
+        text,
         "  whole-thumbnail OCR (no game-UI crop): missed {:.2}%  wrong {:.2}%",
         no_crop.missed, no_crop.wrong
     );
-    println!(
+    writeln!(
+        text,
         "  best single engine (no voting):        missed {:.2}%  wrong {:.2}%",
         best.missed, best.wrong
     );
@@ -212,17 +221,25 @@ fn main() {
     } else {
         0.0
     };
-    println!();
-    println!("digit drops among Tero's errors: {drop_share:.1}% (paper: 68.42%)");
-    println!();
-    println!("Fig 5a — extractions by latency bin (no high-latency bias expected):");
-    println!(
+    writeln!(text);
+    writeln!(
+        text,
+        "digit drops among Tero's errors: {drop_share:.1}% (paper: 68.42%)"
+    );
+    writeln!(text);
+    writeln!(
+        text,
+        "Fig 5a — extractions by latency bin (no high-latency bias expected):"
+    );
+    writeln!(
+        text,
         "{:>10} {:>9} {:>10} {:>9} {:>8}",
         "bin [ms]", "correct", "incorrect", "missing", "miss %"
     );
     for b in &bins {
         let tot = (b.correct + b.incorrect + b.missing).max(1);
-        println!(
+        writeln!(
+            text,
             "{:>4}-{:<5} {:>9} {:>10} {:>9} {:>7.1}%",
             b.latency_lo,
             b.latency_lo + 50,
@@ -233,7 +250,8 @@ fn main() {
         );
     }
 
-    write_json(
+    Outcome::with_json(
+        text,
         "tab04_fig05_ocr_errors",
         &Output {
             engines,
@@ -243,5 +261,5 @@ fn main() {
             fig5a_bins: bins,
             digit_drop_share_pct: drop_share,
         },
-    );
+    )
 }

@@ -9,16 +9,14 @@
 //! Paper's shape: all effects positive; server-change effects of order
 //! 0.3–1.6 % per spike; game-change effects an order of magnitude larger
 //! (1–5 %); for some games (CoD) the effect grows with spike size.
-//!
-//! Usage: `tab05_behavior_probit [--n 900] [--days 21]`
 
+use crate::{header, run_calibrated, Args, Outcome, Text};
 use serde::Serialize;
-use tero_bench::{arg_usize, header, write_json};
 use tero_core::behavior::{game_change_effects, server_change_effects, EffectRow, SPIKE_SIZES_MS};
 
-use tero_core::pipeline::{min_play_for, ExtractionMode, Tero};
+use tero_core::pipeline::min_play_for;
 use tero_types::GameId;
-use tero_world::{World, WorldConfig};
+use tero_world::WorldConfig;
 
 #[derive(Serialize)]
 struct Output {
@@ -26,16 +24,16 @@ struct Output {
     game_rows: Vec<EffectRow>,
 }
 
-fn print_rows(title: &str, rows: &[EffectRow]) {
-    println!();
-    println!("{title}");
-    print!("{:<22} {:>8}", "game", "Nobs");
+fn print_rows(text: &mut Text, title: &str, rows: &[EffectRow]) {
+    writeln!(text);
+    writeln!(text, "{title}");
+    write!(text, "{:<22} {:>8}", "game", "Nobs");
     for s in SPIKE_SIZES_MS {
-        print!(" {:>7}", format!("≥{s:.0}ms"));
+        write!(text, " {:>7}", format!("≥{s:.0}ms"));
     }
-    println!();
+    writeln!(text);
     for row in rows {
-        print!("{:<22} {:>8}", row.game.name(), row.n_obs);
+        write!(text, "{:<22} {:>8}", row.game.name(), row.n_obs);
         for cell in &row.cells {
             match cell {
                 Some(c) => {
@@ -46,21 +44,28 @@ fn print_rows(title: &str, rows: &[EffectRow]) {
                     } else {
                         "°" // not significant
                     };
-                    print!(" {:>6.4}{sig}", c.marginal_effect);
+                    write!(text, " {:>6.4}{sig}", c.marginal_effect);
                 }
-                None => print!(" {:>7}", "-"),
+                None => write!(text, " {:>7}", "-"),
             }
         }
-        println!();
+        writeln!(text);
     }
-    println!("  (* significant at 10 % only, ° not significant, - no model)");
+    writeln!(
+        text,
+        "  (* significant at 10 % only, ° not significant, - no model)"
+    );
 }
 
-fn main() {
-    let n = arg_usize("--n", 840);
-    let days = arg_usize("--days", 21) as u64;
-    header("Table 5: marginal effects of spikes on server/game changes");
-    println!("({n} streamers, {days} days; calibrated extraction)");
+pub(crate) fn run(args: &Args) -> Outcome {
+    let mut text = Text::default();
+    let n = args.count("--n");
+    let days = args.count("--days") as u64;
+    header(
+        &mut text,
+        "Table 5: marginal effects of spikes on server/game changes",
+    );
+    writeln!(text, "({n} streamers, {days} days; calibrated extraction)");
 
     // The behaviour study needs dense {location, game} groups (the paper's
     // observations span hundreds of thousands of streams); pin streamers
@@ -78,7 +83,7 @@ fn main() {
             pinned.push((hub.clone(), game, per));
         }
     }
-    let mut world = World::build(WorldConfig {
+    let report = run_calibrated(WorldConfig {
         seed: 505,
         n_streamers: 0,
         days,
@@ -87,11 +92,6 @@ fn main() {
         api_budget_per_min: 2_000,
         ..WorldConfig::default()
     });
-    let tero = Tero {
-        mode: ExtractionMode::Calibrated,
-        ..Tero::default()
-    };
-    let report = tero.run(&mut world);
 
     let mut server_rows = Vec::new();
     let mut game_rows = Vec::new();
@@ -106,16 +106,18 @@ fn main() {
     }
 
     print_rows(
+        &mut text,
         "Server changes (paper: effects 0.0025-0.016 per spike):",
         &server_rows,
     );
     print_rows(
+        &mut text,
         "Game changes (paper: an order of magnitude larger, 0.009-0.046):",
         &game_rows,
     );
 
     // Headline comparisons (rows with enough observations only).
-    println!();
+    writeln!(text);
     let mean_effect = |rows: &[EffectRow]| {
         let vals: Vec<f64> = rows
             .iter()
@@ -126,41 +128,63 @@ fn main() {
     };
     let s = mean_effect(&server_rows);
     let g = mean_effect(&game_rows);
-    println!("mean server-change effect {s:.4}; mean game-change effect {g:.4}");
-    println!();
-    println!("note: the game-change panel is directly comparable to the paper's");
-    println!("(Nobs in the hundreds-to-thousands). The server-change panel suffers");
-    println!("small-sample changer selection at simulation scale — the paper had");
-    println!("16k-95k changer streams vs our ~10^2 — which inflates its AMEs; the");
-    println!("qualitative findings (positive, size-increasing, significant spike");
-    println!("effects) still hold. See EXPERIMENTS.md.");
+    writeln!(
+        text,
+        "mean server-change effect {s:.4}; mean game-change effect {g:.4}"
+    );
+    writeln!(text);
+    writeln!(
+        text,
+        "note: the game-change panel is directly comparable to the paper's"
+    );
+    writeln!(
+        text,
+        "(Nobs in the hundreds-to-thousands). The server-change panel suffers"
+    );
+    writeln!(
+        text,
+        "small-sample changer selection at simulation scale — the paper had"
+    );
+    writeln!(
+        text,
+        "16k-95k changer streams vs our ~10^2 — which inflates its AMEs; the"
+    );
+    writeln!(
+        text,
+        "qualitative findings (positive, size-increasing, significant spike"
+    );
+    writeln!(text, "effects) still hold. See EXPERIMENTS.md.");
 
     // §6's closing suggestion: specific retention numbers by spike count.
-    println!();
-    println!("retention rate by spike count (the paper's proposed follow-up):");
+    writeln!(text);
+    writeln!(
+        text,
+        "retention rate by spike count (the paper's proposed follow-up):"
+    );
     for game in [
         GameId::LeagueOfLegends,
         GameId::CodWarzone,
         GameId::GenshinImpact,
     ] {
         let curve = tero_core::behavior::retention_curve(&report.behavior_streams, game, 4);
-        print!("  {:<22}", game.name());
+        write!(text, "  {:<22}", game.name());
         for (k, p, n) in &curve {
             let label = if *k == 4 {
                 "4+".to_string()
             } else {
                 k.to_string()
             };
-            print!(" {label}:{:>4.1}% (n={n})", 100.0 * p);
+            write!(text, " {label}:{:>4.1}% (n={n})", 100.0 * p);
         }
-        println!();
+        writeln!(text);
     }
 
-    write_json(
+    Outcome::with_json(
+        text,
         "tab05_behavior_probit",
         &Output {
             server_rows,
             game_rows,
         },
-    );
+    )
 }

@@ -1,31 +1,35 @@
 #!/bin/sh
-# Regenerate every paper table and figure. Writes text to results/*.txt and
-# machine-readable JSON to results/*.json. Full fidelity takes ~30 min.
+# Regenerate every paper table and figure at the paper's arguments (each
+# experiment's defaults): text to results/<name>.txt, JSON to
+# results/<stem>.json. Full fidelity takes ~30 min.
 set -e
+cd "$(dirname "$0")"
 mkdir -p results
-run() {
-  name=$1; shift
+cargo build --release -p tero-bench
+for name in \
+  fig04_gaming_vs_network \
+  tab03_location_errors \
+  tab04_fig05_ocr_errors \
+  fig05b_glitch_audit \
+  fig06_ocr_examples \
+  fig07_continents \
+  fig08_unevenness \
+  fig02_latency_clusters \
+  fig09_regional_latency \
+  fig10_us_doughnuts \
+  fig11_eu_doughnuts \
+  fig12_underserved \
+  fig13_interarrival \
+  fig15_sensitivity \
+  fig16_maxspikes \
+  fig17_18_anomaly_baselines \
+  tab05_behavior_probit \
+  fig_anecdote_shared_event \
+  tab06_07_servers \
+  summary_volume
+do
   echo "=== $name ==="
-  cargo run --release -p tero-bench --bin "$name" -- "$@" | tee "results/$name.txt"
-}
-run fig04_gaming_vs_network --scale 1.0 --reps 3
-run tab03_location_errors --n 8000
-run tab04_fig05_ocr_errors --n 4000 --reps 3
-run fig05b_glitch_audit --n 60 --days 5
-run fig06_ocr_examples
-run fig07_continents --n 6000
-run fig08_unevenness --n 150 --days 7
-run fig02_latency_clusters --per 60 --days 8
-run fig09_regional_latency --per 70 --days 9
-run fig10_us_doughnuts --per 60 --days 8
-run fig11_eu_doughnuts --per 60 --days 8
-run fig12_underserved --per 60 --days 8
-run fig13_interarrival --n 80
-run fig15_sensitivity --n 220 --days 10
-run fig16_maxspikes --n 220 --days 10
-run fig17_18_anomaly_baselines --n 180 --days 8
-run tab05_behavior_probit --n 840 --days 21
-run fig_anecdote_shared_event --n 360 --days 12
-run tab06_07_servers
-run summary_volume --n 400 --days 10
+  target/release/experiments "$name" --out results > "results/$name.txt"
+  cat "results/$name.txt"
+done
 echo "all experiments regenerated."

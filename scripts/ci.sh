@@ -19,7 +19,7 @@ cargo build --release
 echo "==> cargo build --examples"
 cargo build --release --examples
 
-echo "==> cargo test (facade suites; tests/determinism.rs holds the run-condition tests: idle windows run no stage, a locate budget spent through idle windows, a kill after ingest with tasks queued and with a tag list grown, generated window schedules; the blob lifecycle: no blob outlives the window that resolves its task, a killed window keeps its queued blobs, a dead-lettered task keeps its blob, a sharded run leaves none, two tasks on one key both load)"
+echo "==> cargo test (facade suites; tests/experiments.rs calls four of the paper's experiments in-process against results/; tests/determinism.rs holds the run-condition tests: idle windows run no stage, a locate budget spent through idle windows, a kill after ingest with tasks queued and with a tag list grown, generated window schedules; the blob lifecycle: no blob outlives the window that resolves its task, a killed window keeps its queued blobs, a dead-lettered task keeps its blob, a sharded run leaves none, two tasks on one key both load)"
 cargo test -q
 
 echo "==> workspace unit tests (retry/breaker walk, span-fed stage time, ledger, download schedule and width, download.* names registered at instrument and none by a run, online clean view equals the batch detector, OCR and grain kernels bit for bit, CDN fetch metadata and faults, pool order, the caller as worker 0 and its panic, sketch codec against its tree reference, the sketch's integer ranks, tabled bucket bounds and fast float decode against the libm, powi and str::parse expressions they replace, streaming PELT equals the batch baseline, cache miss interleavings, JSON nesting cap, fault plans, geoparsing, the network simulator)"
@@ -56,21 +56,29 @@ same_twice() {
     || { echo "FAIL: $example stdout differs across identical runs"; exit 1; }
 }
 
-echo "==> OCR bits (fig06_ocr_examples and tab04_fig05_ocr_errors stdout against results/)"
+echo "==> OCR bits (fig06_ocr_examples and tab04_fig05_ocr_errors against results/)"
 # Every reading Fig 6 prints — three engines and the vote on each example
 # crop — follows from the OCR kernels' output pixels: a kernel change that
 # moves one pixel's rounding shows here. A change that means to move them
 # regenerates the file in its own diff.
-cargo run --quiet --release -p tero-bench --bin fig06_ocr_examples > "$trace_dir/fig06.out"
+cargo build --quiet --release -p tero-bench
+experiments="$PWD/target/release/experiments"
+"$experiments" fig06_ocr_examples > "$trace_dir/fig06.out"
 cmp "$trace_dir/fig06.out" results/fig06_ocr_examples.txt \
   || { echo "FAIL: fig06_ocr_examples stdout differs from results/fig06_ocr_examples.txt"; exit 1; }
 # Table 4 drives 12 000 renders through all three engines and both
 # passes: every thumbnail pixel the renderer rounds and every stage the
-# OCR memo serves shows in its counts. (It rewrites
-# results/tab04_fig05_ocr_errors.json with the same bytes.)
-cargo run --quiet --release -p tero-bench --bin tab04_fig05_ocr_errors -- --n 4000 --reps 3 > "$trace_dir/tab04.out"
+# OCR memo serves shows in its counts. It writes its JSON into
+# $trace_dir/results, so its `[wrote results/…]` line reads as the
+# committed one, and both files are compared.
+(cd "$trace_dir" && "$experiments" tab04_fig05_ocr_errors --out results > tab04.out)
 cmp "$trace_dir/tab04.out" results/tab04_fig05_ocr_errors.txt \
   || { echo "FAIL: tab04_fig05_ocr_errors stdout differs from results/tab04_fig05_ocr_errors.txt"; exit 1; }
+cmp "$trace_dir/results/tab04_fig05_ocr_errors.json" results/tab04_fig05_ocr_errors.json \
+  || { echo "FAIL: tab04_fig05_ocr_errors JSON differs from results/tab04_fig05_ocr_errors.json"; exit 1; }
+# No experiment run may touch the committed results.
+git diff --exit-code --stat -- results/ \
+  || { echo "FAIL: an experiment run changed results/"; exit 1; }
 
 echo "==> trace determinism (trace_explore twice, byte-compare + JSON parse)"
 same_twice trace trace_explore 7 "{}.json"

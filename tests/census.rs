@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 #[rustfmt::skip]
 const TABLE: &[(&str, u64, u64, u64, u64)] = &[
     ("facade",      64,  14,   0,   0),
-    ("bench",     2931,   7,   0,   0),
+    ("bench",     3244,   2,   0,   0),
     ("chaos",      873,  30,   0,   0),
     ("core",      8846, 137,  19,  14),
     ("geoparse",  3204,  32,   4,   0),
