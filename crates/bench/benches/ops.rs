@@ -7,7 +7,7 @@ use std::sync::Arc;
 use tero_chaos::{ChaosInjector, FaultPlan};
 use tero_core::stages::default_stage_budgets;
 use tero_net::{default_link, HealthMonitor, ShardedStoreClient, SimNet};
-use tero_obs::Registry;
+use tero_trace::obs::Registry;
 use tero_trace::{BudgetSource, BudgetTable, SpanRecord};
 
 fn quiet_mesh(shards: usize) -> (SimNet, Registry, Vec<Arc<ShardedStoreClient>>) {

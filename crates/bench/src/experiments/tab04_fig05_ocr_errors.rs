@@ -27,7 +27,7 @@ use tero_vision::combine::{CombineOutcome, OcrCombiner};
 use tero_vision::ocr::OcrEngineKind;
 use tero_world::sessions::TruthSample;
 use tero_world::streamer::Streamer;
-use tero_world::twitch::{build_scene, render_thumbnail};
+use tero_world::twitch::render_thumbnail;
 
 #[derive(Default, Clone, Copy, Serialize)]
 struct Rates {
@@ -144,7 +144,6 @@ pub(crate) fn run(args: &Args) -> Outcome {
                 CombineOutcome::Extracted { primary, .. } if primary != truth => nocrop_wrong += 1,
                 _ => {}
             }
-            let _ = build_scene(&streamer, game, &sample);
         }
     }
 

@@ -46,7 +46,7 @@
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::{Arc, OnceLock};
-use tero_obs::{CounterHandle, Registry};
+use tero_trace::obs::{CounterHandle, Registry};
 use tero_trace::{Level, Tracer};
 use tero_types::{SimDuration, SimRng, SimTime};
 

@@ -36,9 +36,9 @@ use crate::keys::parse_decimal;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use tero_obs::Registry;
 use tero_pool::Pool;
 use tero_store::{KvStore, ObjectStore};
+use tero_trace::obs::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 use tero_trace::{Level, SpanGuard, Tracer};
 use tero_types::retry::{backoff_delay, Breaker, BreakerState};
 use tero_types::{GameId, SimDuration, SimRng, SimTime, StreamerId};
@@ -495,28 +495,28 @@ struct DownloadObs {
     /// The registry the handles record into; it holds the timing switch
     /// `run_us` obeys.
     registry: Registry,
-    run_us: tero_obs::HistogramHandle,
-    polls: tero_obs::CounterHandle,
-    rate_limited: tero_obs::CounterHandle,
-    api_errors: tero_obs::CounterHandle,
-    get_attempts: tero_obs::CounterHandle,
-    get_hits: tero_obs::CounterHandle,
-    same_content: tero_obs::CounterHandle,
-    fetch_deferred: tero_obs::CounterHandle,
-    overwrite_missed: tero_obs::CounterHandle,
-    offline_signals: tero_obs::CounterHandle,
-    assignments: tero_obs::CounterHandle,
-    idle_steals: tero_obs::CounterHandle,
-    cdn_timeouts: tero_obs::CounterHandle,
-    retries: tero_obs::CounterHandle,
-    backoff_us: tero_obs::HistogramHandle,
-    breaker_open: tero_obs::CounterHandle,
-    reassigned: tero_obs::CounterHandle,
-    ttl_swept: tero_obs::CounterHandle,
-    queue_depth: tero_obs::HistogramHandle,
-    downloader_load: tero_obs::GaugeHandle,
-    dead_letter: tero_obs::CounterHandle,
-    decode_failures: tero_obs::CounterHandle,
+    run_us: HistogramHandle,
+    polls: CounterHandle,
+    rate_limited: CounterHandle,
+    api_errors: CounterHandle,
+    get_attempts: CounterHandle,
+    get_hits: CounterHandle,
+    same_content: CounterHandle,
+    fetch_deferred: CounterHandle,
+    overwrite_missed: CounterHandle,
+    offline_signals: CounterHandle,
+    assignments: CounterHandle,
+    idle_steals: CounterHandle,
+    cdn_timeouts: CounterHandle,
+    retries: CounterHandle,
+    backoff_us: HistogramHandle,
+    breaker_open: CounterHandle,
+    reassigned: CounterHandle,
+    ttl_swept: CounterHandle,
+    queue_depth: HistogramHandle,
+    downloader_load: GaugeHandle,
+    dead_letter: CounterHandle,
+    decode_failures: CounterHandle,
 }
 
 impl DownloadObs {
@@ -621,8 +621,10 @@ impl DownloadModule {
         window_end: SimTime,
     ) -> Ingested {
         let window_end = window_end.min(cursor.until);
-        let _run_timer = self.obs.registry.stage_timer(&self.obs.run_us);
-        let sp_run = self.trace.span_at("download.run", cursor.window_start);
+        let sp_run = self
+            .trace
+            .span_at("download.run", cursor.window_start)
+            .timed(&self.obs.registry, &self.obs.run_us);
         if !cursor.initialized {
             self.start(world, cursor);
         }

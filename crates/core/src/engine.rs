@@ -42,10 +42,10 @@ use crate::stages::publish::publish;
 use crate::stages::StageCx;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use tero_obs::CounterHandle;
 use tero_pool::Pool;
 use tero_stats::QuantileSketch;
 use tero_store::{KvSnapshot, KvStore, ObjectSnapshot, ObjectStore};
+use tero_trace::obs::CounterHandle;
 use tero_trace::{DropReason, SampleKey, SampleState, SpanGuard};
 use tero_types::{AnonId, GameId, SimTime};
 use tero_world::World;

@@ -5,7 +5,7 @@
 //! module crops a small region of interest around it before running the
 //! three engines and the 2-of-3 vote.
 
-use tero_obs::{CounterHandle, HistogramHandle, Registry};
+use tero_trace::obs::{CounterHandle, HistogramHandle, Registry};
 use tero_types::GameId;
 use tero_vision::combine::{CombineOutcome, ExtractDetail, OcrCombiner, ENGINE_NAMES};
 use tero_vision::font::{GLYPH_H, GLYPH_SPACING, GLYPH_W};

@@ -30,10 +30,11 @@ use crate::download::{DownloadCursor, DownloadStats};
 use crate::engine::{committed_cursor, CursorError, Engine, StoreSnapshot};
 use crate::location::LocationSource;
 use crate::serving::{ServingError, DIST_SKETCH_PREFIX};
+use crate::stages::StageMetrics;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, PoisonError};
-use tero_obs::{CounterHandle, GaugeHandle, Registry, Snapshot, StageMetrics};
 use tero_store::{KvStore, ObjectStore};
+use tero_trace::obs::{CounterHandle, GaugeHandle, Registry, Snapshot};
 use tero_trace::{DropReason, Tracer};
 use tero_types::{AnonId, GameId, Location, ShardSpec, SimDuration, SimTime, TeroParams};
 use tero_world::games::match_length_mins;

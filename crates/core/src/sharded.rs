@@ -45,8 +45,8 @@ use crate::pipeline::{ExtractionMode, Tero, TeroReport, WindowOutcome};
 use std::sync::Arc;
 use tero_chaos::{ChaosInjector, FaultPlan};
 use tero_net::{default_link, engine_host, ShardedStoreClient, SimNet};
-use tero_obs::Registry;
 use tero_store::{KvSnapshot, KvStore, ObjectSnapshot, ObjectStore, RemoteStore};
+use tero_trace::obs::Registry;
 use tero_trace::{merged_chrome_trace, Tracer};
 use tero_types::{ShardSpec, SimTime};
 use tero_world::{World, WorldConfig};

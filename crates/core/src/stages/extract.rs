@@ -56,7 +56,7 @@ pub(crate) struct Extracted {
 
 impl ExtractStage {
     /// A fresh extract stage reporting into `registry`.
-    pub(crate) fn new(registry: &tero_obs::Registry) -> ExtractStage {
+    pub(crate) fn new(registry: &tero_trace::obs::Registry) -> ExtractStage {
         ExtractStage {
             processor: ImageProcessor::with_registry(registry),
             tasks_processed: 0,

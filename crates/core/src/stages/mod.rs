@@ -52,9 +52,9 @@ pub mod publish;
 use crate::download::DownloadModule;
 use crate::keys::{parse_decimal, parse_series_key, series_key};
 use crate::pipeline::{PipelineMetrics, Tero};
-use tero_obs::StageMetrics;
 use tero_pool::Pool;
 use tero_store::KvStore;
+use tero_trace::obs::{CounterHandle, HistogramHandle, Registry};
 use tero_trace::{Budget, SpanGuard};
 use tero_types::{AnonId, GameId, SimTime};
 use tero_world::World;
@@ -89,7 +89,38 @@ impl<'a> StageCx<'a> {
     /// histogram (registry timing on). Inner phases and fan-outs may
     /// hang children off the guard.
     pub(crate) fn enter(&self, m: &StageMetrics) -> SpanGuard {
-        self.sp_run.child_timed(&m.span, m.begin())
+        m.runs.inc();
+        self.sp_run.child(&m.span).timed(&self.tero.obs, &m.us)
+    }
+}
+
+/// The metric bundle of one stage that opens a `stage.<name>` span.
+///
+/// A stage runs many times (once per window), so the handles are
+/// resolved once and reused: `stage.<name>.runs` counts invocations,
+/// `stage.<name>.records_in` / `stage.<name>.records_out` count the
+/// typed records flowing through, and `stage.<name>.us` is the
+/// wall-clock latency histogram, recorded into by the stage's span
+/// ([`StageCx::enter`]) while the registry's timing knob is on.
+pub(crate) struct StageMetrics {
+    /// `stage.<name>`: the name of the trace span that times the stage.
+    span: String,
+    runs: CounterHandle,
+    pub(crate) records_in: CounterHandle,
+    pub(crate) records_out: CounterHandle,
+    us: HistogramHandle,
+}
+
+impl StageMetrics {
+    /// Resolve (and eagerly register) the four `stage.<name>.*` metrics.
+    pub(crate) fn new(registry: &Registry, name: &str) -> Self {
+        StageMetrics {
+            span: format!("stage.{name}"),
+            runs: registry.counter(&format!("stage.{name}.runs")),
+            records_in: registry.counter(&format!("stage.{name}.records_in")),
+            records_out: registry.counter(&format!("stage.{name}.records_out")),
+            us: registry.histogram(&format!("stage.{name}.us")),
+        }
     }
 }
 
@@ -213,5 +244,21 @@ mod tests {
         }
         assert_eq!(parse_sample_list_key("engine:samples:zz:00"), None);
         assert_eq!(parse_sample_list_key("queue:thumbs"), None);
+    }
+
+    #[test]
+    fn stage_metrics_register_the_standard_names() {
+        let r = Registry::new();
+        let m = StageMetrics::new(&r, "extract");
+        assert_eq!(m.span, "stage.extract");
+        assert_eq!(
+            r.metric_names(),
+            vec![
+                "stage.extract.records_in",
+                "stage.extract.records_out",
+                "stage.extract.runs",
+                "stage.extract.us",
+            ]
+        );
     }
 }

@@ -38,10 +38,10 @@ use crate::frame::{decode, encode, Frame, Payload};
 use crate::transport::{engine_host, primary_host, replica_host, NetError, SimNet};
 use parking_lot::Mutex;
 use std::sync::OnceLock;
-use tero_obs::{CounterHandle, Registry};
 use tero_store::{
     KvRequest, KvResponse, KvSnapshot, ObjRequest, ObjResponse, ObjectSnapshot, RemoteStore,
 };
+use tero_trace::obs::{CounterHandle, Registry};
 use tero_trace::{Level, SpanGuard, Tracer};
 use tero_types::retry::{backoff_delay, Breaker, BreakerState};
 use tero_types::{consistent_hash, SimDuration, SimRng, SimTime};

@@ -32,7 +32,7 @@
 use crate::client::{ShardView, ShardedStoreClient};
 use crate::transport::{primary_host, replica_host, SimNet};
 use std::sync::Arc;
-use tero_obs::{CounterHandle, GaugeHandle, Registry, Snapshot};
+use tero_trace::obs::{CounterHandle, GaugeHandle, Registry, Snapshot};
 
 /// Host name the monitor checks reachability from. Not registered as a
 /// server: partitions may name it.

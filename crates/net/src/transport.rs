@@ -378,7 +378,7 @@ mod tests {
             },
             ..FaultPlan::quiet(5)
         };
-        let registry = tero_obs::Registry::new();
+        let registry = tero_trace::obs::Registry::new();
         let chaos = ChaosInjector::new(plan);
         chaos.instrument(&registry);
         let net = SimNet::with_shards(default_link(), chaos, 1);

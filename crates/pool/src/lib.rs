@@ -37,7 +37,7 @@
 #![deny(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tero_obs::{CounterHandle, Registry};
+use tero_trace::obs::{CounterHandle, Registry};
 
 /// The number of workers a freshly built machine should use: one per
 /// available hardware thread, falling back to 1 when the capacity cannot

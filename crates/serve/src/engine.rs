@@ -5,9 +5,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use tero_core::serving::{
     load_sketch, parse_dist_sketch_key, serve_version, ServeGranularity, DIST_SKETCH_PREFIX,
 };
-use tero_obs::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 use tero_stats::{BoxplotStats, QuantileSketch};
 use tero_store::KvStore;
+use tero_trace::obs::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 use tero_types::{AnonId, GameId};
 
 /// A handle to one served distribution: the KV key its sketch lives

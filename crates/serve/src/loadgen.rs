@@ -138,9 +138,9 @@ pub fn fold_answers(answers: &[Answer]) -> LoadReport {
 mod tests {
     use super::*;
     use tero_core::serving::{ServeGranularity, SERVE_VERSION_KEY};
-    use tero_obs::Registry;
     use tero_stats::QuantileSketch;
     use tero_store::KvStore;
+    use tero_trace::obs::Registry;
     use tero_types::GameId;
 
     fn serving_fixture() -> (KvStore, Vec<SketchRef>) {

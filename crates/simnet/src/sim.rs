@@ -7,7 +7,7 @@ use crate::tcp::{TcpActions, TcpFlow};
 use crate::udp::UdpFlow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use tero_obs::{CounterHandle, GaugeHandle, Registry};
+use tero_trace::obs::{CounterHandle, GaugeHandle, Registry};
 use tero_types::{SimDuration, SimRng, SimTime};
 
 /// Scheduled work.

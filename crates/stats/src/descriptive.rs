@@ -56,7 +56,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// Nearest-rank percentile of an *unsorted* slice: the value at 1-based
 /// rank `ceil(p/100 · n)`, clamped to at least rank 1. `None` when empty.
 ///
-/// This is the definition shared by `tero_obs::Histogram::percentile` and
+/// This is the definition shared by `tero_trace::obs::Histogram::percentile` and
 /// [`QuantileSketch::quantile`](crate::QuantileSketch::quantile)
 /// — the one docs/OPERATIONS.md quotes for every served p50/p95/p99. It
 /// always returns an observed sample, unlike [`percentile`] which

@@ -30,7 +30,7 @@
 //! ## One percentile definition
 //!
 //! `quantile` uses the **same nearest-rank definition** as
-//! `tero_obs::Histogram::percentile`: the target is rank
+//! `tero_trace::obs::Histogram::percentile`: the target is rank
 //! `ceil(p/100 · n)` (1-based, clamped to at least 1), the estimate
 //! interpolates linearly *by rank* inside the containing bucket, and the
 //! result is clamped to the observed `[min, max]` — so single-valued
@@ -332,7 +332,7 @@ impl QuantileSketch {
     /// definition (see the module docs): target rank `ceil(p/100 · n)`
     /// clamped to at least 1, linear interpolation by rank inside the
     /// containing bucket, clamped to the exact `[min, max]`. `None` when
-    /// the sketch is empty, mirroring `tero_obs::Histogram::percentile`
+    /// the sketch is empty, mirroring `tero_trace::obs::Histogram::percentile`
     /// and `BoxplotStats::from_samples` — a percentile of nothing is not
     /// a number — and `None` when `p` is NaN, which names no rank.
     pub fn quantile(&self, p: f64) -> Option<f64> {
@@ -1600,7 +1600,7 @@ mod tests {
 
     #[test]
     fn gamma_power_boundary_rounds_down() {
-        // The documented boundary rule, opposite of tero_obs::Histogram:
+        // The documented boundary rule, opposite of tero_trace::obs::Histogram:
         // a value exactly γ^k closes (is the upper bound of) bucket k.
         let s = QuantileSketch::new(0.01);
         let gamma: f64 = (1.0 + 0.01) / (1.0 - 0.01);

@@ -25,7 +25,8 @@ use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use tero_chaos::ChaosInjector;
-use tero_obs::{CounterHandle, HistogramHandle, Registry, StageTimer};
+use tero_trace::obs::{CounterHandle, HistogramHandle, Registry};
+use tero_trace::SpanGuard;
 use tero_types::SimTime;
 
 const SHARDS: usize = 16;
@@ -167,7 +168,7 @@ impl KvStore {
     /// Count one operation and (when timing is enabled) time it. Returns
     /// the guard whose drop records the elapsed microseconds.
     #[inline]
-    fn observe(&self, write: bool) -> Option<StageTimer> {
+    fn observe(&self, write: bool) -> Option<SpanGuard> {
         let m = self.metrics.get()?;
         if write {
             m.writes.inc();

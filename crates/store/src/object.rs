@@ -20,7 +20,8 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use tero_chaos::ChaosInjector;
-use tero_obs::{CounterHandle, HistogramHandle, Registry, StageTimer};
+use tero_trace::obs::{CounterHandle, HistogramHandle, Registry};
+use tero_trace::SpanGuard;
 
 /// Bucket name → object key → payload.
 type Buckets = HashMap<String, HashMap<String, Bytes>>;
@@ -84,7 +85,7 @@ impl ObjectStore {
 
     /// Count one operation and (when timing is enabled) time it.
     #[inline]
-    fn observe(&self, write: bool) -> Option<StageTimer> {
+    fn observe(&self, write: bool) -> Option<SpanGuard> {
         let m = self.metrics.get()?;
         if write {
             m.writes.inc();

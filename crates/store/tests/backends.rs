@@ -14,11 +14,11 @@ use proptest::test_runner::TestRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tero_chaos::{ChaosInjector, FaultPlan};
-use tero_obs::Registry;
 use tero_store::{
     KvRequest, KvResponse, KvSnapshot, KvStore, ObjRequest, ObjResponse, ObjectSnapshot,
     ObjectStore, RemoteStore,
 };
+use tero_trace::obs::Registry;
 use tero_types::SimTime;
 
 /// A remote backend on the far side of an encode / decode of every

@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn export_bytes_metric_counts_output() {
-        let registry = tero_obs::Registry::new();
+        let registry = crate::obs::Registry::new();
         let tracer = sample_tracer();
         tracer.instrument(&registry);
         let json = tracer.chrome_trace();

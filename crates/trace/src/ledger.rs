@@ -6,7 +6,7 @@
 //! a typed [`DropReason`]; whatever reaches a published `{location, game}`
 //! distribution is resolved as [`SampleState::Published`]. At the end of a
 //! run [`Ledger::reconcile`] proves — against the live
-//! [`tero_obs::Registry`] — that every ingested sample is accounted for
+//! [`Registry`] — that every ingested sample is accounted for
 //! and that the ledger's totals equal the `pipeline.funnel.*` counters
 //! exactly.
 //!
@@ -27,10 +27,10 @@
 //!   it annotates groups but never removes samples, so it contributes no
 //!   drops.
 
+use crate::obs::Registry;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use tero_obs::Registry;
 use tero_types::{AnonId, GameId, SimTime};
 
 /// Identity of one latency sample: who, which game, when captured.

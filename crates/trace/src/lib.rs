@@ -1,10 +1,13 @@
-//! # tero-trace — structured tracing + sample provenance for the Tero pipeline
+//! # tero-trace — metrics, structured tracing and sample provenance for the Tero pipeline
 //!
-//! `tero-obs` counters say *how many* thumbnails died at each funnel stage;
-//! this crate says *which ones* and *why*, and shows *when* each pipeline
-//! stage ran. It has four pillars:
+//! The [`obs`] registry's counters say *how many* thumbnails died at each
+//! funnel stage; the ledger says *which ones* and *why*, and spans show
+//! *when* each pipeline stage ran. The crate has five pillars:
 //!
-//! 1. **Spans & events** ([`Tracer`], [`SpanGuard`], [`Level`]): hierarchical
+//! 1. **Metrics** ([`obs`]): the named-metric [`obs::Registry`] of
+//!    counters, gauges and log-bucketed histograms every layer reports
+//!    into, with deterministic snapshots.
+//! 2. **Spans & events** ([`Tracer`], [`SpanGuard`], [`Level`]): hierarchical
 //!    spans carrying both simulated time ([`tero_types::SimTime`]) and
 //!    optional wall time, plus a leveled event journal. Span ids and record
 //!    order are fully deterministic (the `span` module states the contract), so
@@ -12,20 +15,23 @@
 //!    propagate across `tero_pool::par_map` workers via a stamped context
 //!    ([`StageCtx`] / [`TaskCtx`]), and a bounded ring-buffer *flight
 //!    recorder* mode retains only the last N spans/events for post-mortem
-//!    dumps after a chaos fault.
-//! 2. **Exporters** (`export`): Chrome trace-event JSON (loadable in
+//!    dumps after a chaos fault. A [`SpanGuard`] is also the crate's one
+//!    wall-clock guard: [`obs::Registry::stage_timer`] hands out one
+//!    with no span.
+//! 3. **Exporters** (`export`): Chrome trace-event JSON (loadable in
 //!    Perfetto / `chrome://tracing`, with pool lanes as tids) and an
 //!    aligned-text timeline.
-//! 3. **Sample provenance** ([`Ledger`], [`DropReason`]): every sample
+//! 4. **Sample provenance** ([`Ledger`], [`DropReason`]): every sample
 //!    entering the pipeline gets a lineage record; each drop appends a
 //!    typed reason, and [`Ledger::reconcile`] proves the ledger totals
-//!    equal the `pipeline.funnel.*` counters in a [`tero_obs::Registry`].
-//! 4. **Latency budgets** ([`BudgetTable`]): recorded spans folded into a
+//!    equal the `pipeline.funnel.*` counters in an [`obs::Registry`].
+//! 5. **Latency budgets** ([`BudgetTable`]): recorded spans folded into a
 //!    per-stage p50/p95/p99 table against declared [`Budget`]s, with a
 //!    pass/OVER verdict per row.
 //!
 //! The crate is built only on the workspace's vendored shims
-//! (`parking_lot`), with no unsafe code and no external dependencies.
+//! (`parking_lot`, `serde`, `serde_json`), with no unsafe code and no
+//! external dependencies.
 //!
 //! ```
 //! use tero_trace::{Level, Tracer};
@@ -47,6 +53,7 @@
 mod budget;
 mod export;
 mod ledger;
+pub mod obs;
 mod span;
 
 pub use budget::{Budget, BudgetRow, BudgetSource, BudgetTable};

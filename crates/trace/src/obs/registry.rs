@@ -1,9 +1,9 @@
 //! The named-metric registry.
 
-use crate::hist::Histogram;
-use crate::metrics::{Counter, Gauge};
-use crate::snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
-use crate::timer::StageTimer;
+use super::hist::Histogram;
+use super::metrics::{Counter, Gauge};
+use super::snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
+use crate::SpanGuard;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -22,7 +22,7 @@ struct Inner {
     gauges: Mutex<BTreeMap<String, GaugeHandle>>,
     histograms: Mutex<BTreeMap<String, HistogramHandle>>,
     /// The sampling knob for wall-clock stage timing. Off by default:
-    /// [`StageTimer`]s become no-ops and snapshots stay deterministic.
+    /// stage timers read no clock and snapshots stay deterministic.
     timing: AtomicBool,
 }
 
@@ -86,11 +86,12 @@ impl Registry {
             .clone()
     }
 
-    /// Start a stage timer recording into `hist` on drop — a no-op guard
-    /// (no clock read) unless [`Registry::set_timing`] enabled timing.
+    /// Start a stage timer recording into `hist` on drop: a
+    /// [`SpanGuard`] with no span. Unless [`Registry::set_timing`]
+    /// enabled timing it reads no clock and holds no handle.
     #[inline]
-    pub fn stage_timer(&self, hist: &HistogramHandle) -> StageTimer {
-        StageTimer::start(self.timing_enabled(), hist.clone())
+    pub fn stage_timer(&self, hist: &HistogramHandle) -> SpanGuard {
+        SpanGuard::detached(self.timing_enabled().then(|| hist.clone()))
     }
 
     /// All registered metric names, sorted (counters, gauges, histograms
@@ -347,5 +348,43 @@ mod tests {
             let _guard = r.stage_timer(&h);
         }
         assert_eq!(h.count(), 1, "enabled timer records one sample");
+    }
+
+    #[test]
+    fn enabled_timer_records_elapsed_micros() {
+        let r = Registry::new();
+        r.set_timing(true);
+        let h = r.histogram("stage.us");
+        {
+            let _t = r.stage_timer(&h);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert_eq!(h.count(), 1);
+        assert!(h.max() >= 2_000, "recorded {} µs", h.max());
+    }
+
+    #[test]
+    fn disabled_timer_is_inert() {
+        let r = Registry::new();
+        let h = r.histogram("stage.us");
+        let t = r.stage_timer(&h);
+        t.finish();
+        assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn disabled_timer_holds_no_handle() {
+        let r = Registry::new();
+        let h = r.histogram("stage.us");
+        let handles = Arc::strong_count(&h);
+        let t = r.stage_timer(&h);
+        assert_eq!(Arc::strong_count(&h), handles, "timing off: no clone");
+        drop(t);
+        assert_eq!((Arc::strong_count(&h), h.count()), (handles, 0));
+        r.set_timing(true);
+        let t = r.stage_timer(&h);
+        assert_eq!(Arc::strong_count(&h), handles + 1, "timing on: the sink");
+        drop(t);
+        assert_eq!((Arc::strong_count(&h), h.count()), (handles, 1));
     }
 }

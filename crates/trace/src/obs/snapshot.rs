@@ -145,7 +145,7 @@ impl Snapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::Registry;
+    use crate::obs::Registry;
 
     fn populated() -> Registry {
         let r = Registry::new();
@@ -172,7 +172,7 @@ mod tests {
     fn json_roundtrip() {
         let snap = populated().snapshot();
         let json = snap.to_json();
-        let back: crate::Snapshot = serde_json::from_str(&json).unwrap();
+        let back: crate::obs::Snapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
     }
 

@@ -1,7 +1,7 @@
-//! Integration tests for `tero-obs`: concurrency, percentile accuracy
+//! Integration tests for `tero_trace::obs`: concurrency, percentile accuracy
 //! against the exact estimator in `tero-stats`, and snapshot determinism.
 
-use tero_obs::Registry;
+use tero_trace::obs::Registry;
 use tero_types::SimRng;
 
 // ---- Concurrency -----------------------------------------------------------

@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`types`] | `tero-types` | time, ids, geography, Table 1 parameters, RNG |
-//! | [`obs`] | `tero-obs` | metrics: counters, gauges, histograms, snapshots |
+//! | [`obs`] | `tero-trace` | metrics: counters, gauges, histograms, snapshots (`tero_trace::obs`) |
 //! | [`stats`] | `tero-stats` | probit, Wasserstein, PELT, LOF, iForest, MCD |
 //! | [`store`] | `tero-store` | KV and object stores (App. B) |
 //! | [`vision`] | `tero-vision` | HUD renderer, preprocessing, 3 OCR engines |
@@ -25,7 +25,7 @@
 //! | [`chaos`] | `tero-chaos` | deterministic fault injection (API 5xx, CDN faults, crashes, network faults) |
 //! | [`net`] | `tero-net` | networked store: wire frames, shard servers, partition-tolerant client, mesh health and starvation diagnosis |
 //! | [`pool`] | `tero-pool` | thread pool with deterministic ordered results |
-//! | [`trace`] | `tero-trace` | structured tracing: spans, flight recorder, sample provenance, latency budgets |
+//! | [`trace`] | `tero-trace` | instruments: the [`obs`] registry, spans (the one wall-clock guard), flight recorder, sample provenance, latency budgets |
 //! | [`serve`] | `tero-serve` | distribution query front-end: sketch queries, hot-key cache, load generator |
 //!
 //! ## Quickstart
@@ -52,13 +52,13 @@ pub use tero_chaos as chaos;
 pub use tero_core as core;
 pub use tero_geoparse as geoparse;
 pub use tero_net as net;
-pub use tero_obs as obs;
 pub use tero_pool as pool;
 pub use tero_serve as serve;
 pub use tero_simnet as simnet;
 pub use tero_stats as stats;
 pub use tero_store as store;
 pub use tero_trace as trace;
+pub use tero_trace::obs;
 pub use tero_types as types;
 pub use tero_vision as vision;
 pub use tero_world as world;

@@ -30,18 +30,17 @@ use std::sync::OnceLock;
 #[rustfmt::skip]
 const TABLE: &[(&str, u64, u64, u64, u64)] = &[
     ("facade",      64,  14,   0,   0),
-    ("bench",     3244,   2,   0,   0),
+    ("bench",     3243,   2,   0,   0),
     ("chaos",      873,  30,   0,   0),
-    ("core",      8846, 137,  19,  14),
+    ("core",      8896, 137,  19,  14),
     ("geoparse",  3204,  32,   4,   0),
     ("net",       2770,  48,  12,   7),
-    ("obs",       1131,  60,   1,   3),
     ("pool",       315,   7,   1,   0),
     ("serve",     1061,  30,   2,   0),
     ("simnet",    2305,  61,   3,   9),
     ("stats",     3889,  70,  13,   0),
-    ("store",     1811,  65,   6,   0),
-    ("trace",     2205,  81,   2,   5),
+    ("store",     1813,  65,   6,   0),
+    ("trace",     3248, 134,   3,   8),
     ("types",     1700, 109,   0,   1),
     ("vision",    4143,  62,   2,   0),
     ("world",     2982,  69,   6,   9),

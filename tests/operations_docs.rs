@@ -6,8 +6,8 @@
 //! registered name must have a catalogue row whose *Type* column names
 //! the kind the registry holds. Adding a metric without a row, a row
 //! without a metric, or a row of the wrong type fails here. So does a
-//! `tero::<module>` path or `tero_<crate>` name in the prose docs that
-//! no longer resolves.
+//! `tero::<module>` path or `tero_<crate>` name that no longer resolves
+//! in the prose docs or in the crates' comments (`//`, `//!`, `///`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{read_dir, read_to_string};
@@ -52,7 +52,7 @@ fn documented_names() -> BTreeSet<String> {
 /// (serving, the store mesh, the ops plane, the simulator). The run
 /// is driven as 1-day windows so the online cleaner's per-window
 /// counters (`clean.*`) move too.
-fn populated_registry() -> tero_obs::Registry {
+fn populated_registry() -> tero_trace::obs::Registry {
     let mut world = World::build(WorldConfig {
         seed: 9,
         n_streamers: 12,
@@ -301,11 +301,15 @@ fn doc_paths_resolve() {
     let mut known: BTreeSet<String> = facade
         .lines()
         .filter_map(|l| {
-            let module = l.strip_prefix("pub use tero_")?.split_once(" as ")?.1;
-            Some(format!("tero::{}", module.strip_suffix(';')?))
+            let path = l.strip_prefix("pub use tero_")?.strip_suffix(';')?;
+            let module = path.split_once(" as ").map_or(path, |(_, alias)| alias);
+            Some(format!("tero::{}", module.rsplit("::").next()?))
         })
         .collect();
-    assert!(known.contains("tero::core"), "facade parse: {known:?}");
+    assert!(
+        known.contains("tero::core") && known.contains("tero::obs"),
+        "facade parse: {known:?}"
+    );
     // `tero_<crate>`: the packages under crates/.
     for krate in read_dir(root.join("crates")).expect("crates/").flatten() {
         let Ok(manifest) = read_to_string(krate.path().join("Cargo.toml")) else {
@@ -318,7 +322,11 @@ fn doc_paths_resolve() {
         known.insert(name.replace('-', "_"));
     }
 
-    let mut docs = vec![root.join("README.md"), root.join("DESIGN.md")];
+    let mut docs = vec![
+        root.join("README.md"),
+        root.join("DESIGN.md"),
+        root.join("EXPERIMENTS.md"),
+    ];
     docs.extend(
         read_dir(root.join("docs"))
             .expect("docs/")
@@ -326,9 +334,37 @@ fn doc_paths_resolve() {
             .map(|e| e.path())
             .filter(|p| p.extension().is_some_and(|e| e == "md")),
     );
+    // The crates' comments: every `//`, `//!` and `///` line under src/.
+    let mut sources = Vec::new();
+    let mut stack: Vec<_> = read_dir(root.join("crates"))
+        .expect("crates/")
+        .flatten()
+        .map(|e| e.path().join("src"))
+        .collect();
+    while let Some(dir) = stack.pop() {
+        for path in read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|e| e.path())
+        {
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                sources.push(path);
+            }
+        }
+    }
     let mut unresolved = Vec::new();
-    for doc in &docs {
-        let text = read_to_string(doc).expect("readable doc");
+    for doc in docs.iter().chain(&sources) {
+        let mut text = read_to_string(doc).expect("readable doc");
+        if doc.extension().is_some_and(|e| e == "rs") {
+            text = text
+                .lines()
+                .filter(|l| l.trim_start().starts_with("//"))
+                .collect::<Vec<_>>()
+                .join("\n");
+        }
         let shown = doc.strip_prefix(root).unwrap_or(doc).display();
         for name in prefixed_names(&text, "tero::").chain(prefixed_names(&text, "tero_")) {
             if !known.contains(name) {

@@ -109,7 +109,7 @@ fn try_serving_store_types_the_empty_conditions() {
 #[test]
 fn served_percentiles_within_documented_bound_of_exact() {
     let (report, kv) = run(11, 2, 1);
-    let engine = QueryEngine::new(kv, &tero_obs::Registry::new());
+    let engine = QueryEngine::new(kv, &tero_trace::obs::Registry::new());
     let served = engine.distributions();
     assert!(
         !served.is_empty(),
@@ -168,8 +168,8 @@ fn replay_checksum_survives_schedule_changes() {
     // differently-scheduled runs of the same world answers identically.
     let (_, a) = run(23, 1, 1);
     let (_, b) = run(23, 4, 6);
-    let ra = QueryEngine::new(a, &tero_obs::Registry::new());
-    let rb = QueryEngine::new(b, &tero_obs::Registry::new());
+    let ra = QueryEngine::new(a, &tero_trace::obs::Registry::new());
+    let rb = QueryEngine::new(b, &tero_trace::obs::Registry::new());
     assert_eq!(ra.distributions(), rb.distributions());
     let targets: Vec<SketchRef> = ra
         .distributions()
@@ -192,7 +192,7 @@ fn replay_checksum_survives_schedule_changes() {
 #[test]
 fn cold_replay_checksum_is_pinned() {
     let (_, kv) = run(11, 1, 1);
-    let engine = QueryEngine::with_cache_capacity(kv, &tero_obs::Registry::new(), 0);
+    let engine = QueryEngine::with_cache_capacity(kv, &tero_trace::obs::Registry::new(), 0);
     let targets: Vec<SketchRef> = engine
         .distributions()
         .iter()
@@ -214,7 +214,7 @@ fn empty_and_absent_distributions_answer_none() {
     let kv = KvStore::new();
     let empty = SketchRef::dist(ServeGranularity::Country, GameId::LeagueOfLegends, "France");
     kv.set(empty.key(), QuantileSketch::default().encode());
-    let engine = QueryEngine::new(kv, &tero_obs::Registry::new());
+    let engine = QueryEngine::new(kv, &tero_trace::obs::Registry::new());
     let absent = SketchRef::dist(
         ServeGranularity::Region,
         GameId::LeagueOfLegends,
