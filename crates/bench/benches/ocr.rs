@@ -1,7 +1,7 @@
-//! Image-processing cost: scene rendering, the preprocessing pipeline, a
-//! single engine, and the full three-engine voting front-end — the
-//! dominant per-thumbnail cost of a deployment (the paper runs this on two
-//! GPUs; we budget per-core).
+//! Image-processing cost: scene rendering, each kernel under `extract`, a
+//! single engine and the full three-engine voting front-end. The rows back
+//! docs/PERFORMANCE.md's *OCR kernels* table: the `benchmark/` harness
+//! times an extraction only whole (`vision.extract_us_p50`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tero_core::imageproc::{roi_for_game, ImageProcessor};

@@ -2,6 +2,8 @@
 //! that PELT "did not complete in useful time" while the QoE-based
 //! detector is linear-ish, plus App. J's baselines (LOF quadratic, iForest
 //! ensemble cost, MCD sort-based), plus the probit and Wasserstein costs.
+//! The rows back EXPERIMENTS.md's App. J cost argument (docs/PERFORMANCE.md,
+//! *Detector cost*).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tero_core::analysis::anomaly::detect_anomalies;

@@ -1,11 +1,11 @@
-//! tero-trace overhead: what the pipeline's instruments cost on its hot
-//! paths — one counter bump, gauge update and histogram record, the one
-//! wall-clock guard (a `SpanGuard`: a trace span, or a stage timer with
-//! no span) off and on, a snapshot, and the always-on provenance ledger.
-//! The numbers feed docs/OPERATIONS.md's timing-overhead table and
-//! docs/PERFORMANCE.md; the key claim is that a guard nobody reads — a
-//! stage timer with timing off, a span with tracing off — is one atomic
-//! load, reads no clock and holds no handle.
+//! tero-trace overhead: one counter bump, gauge update and histogram
+//! record, the one wall-clock guard (a `SpanGuard`: a trace span, or a
+//! stage timer with no span) off and on, a snapshot, and the always-on
+//! provenance ledger. The rows back docs/OPERATIONS.md's *Timing knob
+//! overhead* table and docs/PERFORMANCE.md's *Instruments*; the claim they
+//! pin is that a guard nobody reads — a stage timer with timing off, a
+//! span with tracing off — is one atomic load, reads no clock and holds
+//! no handle.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tero_trace::obs::Registry;

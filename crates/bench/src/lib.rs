@@ -2,8 +2,8 @@
 //!
 //! The paper's experiments, one private module per table or figure under
 //! `src/experiments/`, behind one dispatcher ([`run`]) that the
-//! `experiments` binary and the tier-1 tests call; plus the Criterion
-//! benches in `benches/`.
+//! `experiments` binary and the tier-1 tests call; plus three Criterion
+//! suites in `benches/` for rows the `benchmark/` harness does not take.
 //!
 //! An experiment is a function of its flags: it returns the paper-shaped
 //! rows as text and, for most, the same data as pretty JSON

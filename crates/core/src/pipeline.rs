@@ -51,13 +51,13 @@ pub enum ExtractionMode {
     /// Render every thumbnail and run the full three-engine OCR pipeline —
     /// the honest path; used for all accuracy evaluations.
     FullOcr,
-    /// Skip rendering: derive the extraction outcome mechanically from the
-    /// scene's ground truth using the *same failure mechanisms* the OCR
-    /// path exhibits (light fonts miss; occlusions drop leading digits;
-    /// clocks read as plausible wrong values; mislabeled streams read
-    /// nothing), at rates matched to the measured OCR behaviour. Used only
-    /// to scale the analysis-heavy regenerators (Figs 9–16, Table 5);
-    /// see DESIGN.md.
+    /// Skip OCR: derive the extraction outcome mechanically from the scene's
+    /// ground truth using the *same failure mechanisms* the OCR path exhibits
+    /// (light fonts miss; occlusions drop leading digits; clocks read as
+    /// plausible wrong values; mislabeled streams read nothing), at rates
+    /// matched to the measured OCR behaviour. Used only to scale Figs 9–16
+    /// and Table 5 (DESIGN.md). Ingest still renders and stores each fetched
+    /// thumbnail, which extract deletes unread (docs/PERFORMANCE.md).
     Calibrated,
 }
 

@@ -14,7 +14,7 @@
 //! provenance flip included — or with a member whose series gained data
 //! since the group was last analysed. Clean groups keep their analyses
 //! untouched, so a window's aggregation cost tracks the window's dirty
-//! groups, not total history (`benches/locate.rs` pins the shape).
+//! groups, not total history.
 //!
 //! Every refreshed group that publishes a distribution is served: its
 //! sketch and its provenance marker (`c` when every member is

@@ -327,7 +327,7 @@ impl CleanStage {
     /// new records (the engine feeds it to the aggregation stage's dirty
     /// tracking). Per-window cost
     /// is proportional to the new data plus the unsealed tails, not the
-    /// total history (`benches/window.rs`, `clean_scaling`).
+    /// total history.
     pub(crate) fn advance(&mut self, cx: &mut StageCx<'_>) -> BTreeSet<(AnonId, GameId)> {
         let _span = cx.enter(&cx.metrics.st_clean);
         let params = &cx.tero.params;

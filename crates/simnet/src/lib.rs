@@ -10,7 +10,7 @@
 //! * switches that forward along BFS-computed shortest-path routes;
 //! * UDP constant-bit-rate background flows ([`udp`]);
 //! * a Reno-style TCP with slow start, congestion avoidance, fast
-//!   retransmit and RTO ([`tcp`]), optionally application-rate-limited
+//!   retransmit and RTO (`tcp`), optionally application-rate-limited
 //!   (Table 2's "10 % BD each" flows);
 //! * a game client/server protocol whose server measures application-layer
 //!   RTT and displays a **windowed average** — the mechanism behind the
@@ -27,7 +27,7 @@ mod game;
 pub mod link;
 mod packet;
 pub mod sim;
-pub mod tcp;
+mod tcp;
 mod testbed;
 pub mod udp;
 

@@ -68,7 +68,7 @@ pub struct Simulator {
     /// UDP flows.
     pub udp_flows: Vec<UdpFlow>,
     /// TCP flows.
-    pub tcp_flows: Vec<TcpFlow>,
+    pub(crate) tcp_flows: Vec<TcpFlow>,
     /// Game clients.
     pub game_clients: Vec<GameClient>,
     /// Per-client server sessions (parallel to `game_clients`).
@@ -205,7 +205,7 @@ impl Simulator {
     }
 
     /// Register a TCP flow and schedule its start.
-    pub fn add_tcp_flow(&mut self, flow: TcpFlow) -> usize {
+    pub(crate) fn add_tcp_flow(&mut self, flow: TcpFlow) -> usize {
         let idx = self.tcp_flows.len();
         let start = flow.start;
         self.tcp_flows.push(flow);

@@ -27,7 +27,7 @@ enum CcState {
 /// One TCP flow (sender and receiver state live together; the simulator
 /// routes packets between the two endpoints).
 #[derive(Debug)]
-pub struct TcpFlow {
+pub(crate) struct TcpFlow {
     /// Sender node.
     pub src: NodeId,
     /// Receiver node.
@@ -87,7 +87,7 @@ pub(crate) struct TcpActions {
 impl TcpFlow {
     /// Create a flow with standard parameters (1500-byte segments, 40-byte
     /// ACKs, initial cwnd 2, initial RTO 1 s).
-    pub fn new(src: NodeId, dst: NodeId, start: SimTime, stop: SimTime) -> Self {
+    pub(crate) fn new(src: NodeId, dst: NodeId, start: SimTime, stop: SimTime) -> Self {
         TcpFlow {
             src,
             dst,
@@ -125,7 +125,7 @@ impl TcpFlow {
     }
 
     /// Segments in flight.
-    pub fn flight(&self) -> u64 {
+    pub(crate) fn flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
     }
 

@@ -59,7 +59,7 @@ impl UdpFlow {
     }
 
     /// Builder-style jitter override.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
+    pub(crate) fn with_jitter(mut self, jitter: f64) -> Self {
         self.jitter = jitter.clamp(0.0, 0.99);
         self
     }

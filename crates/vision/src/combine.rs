@@ -173,18 +173,25 @@ impl OcrCombiner {
     pub(crate) fn extract_with_detail(&self, crop: &Image) -> (CombineOutcome, ExtractDetail) {
         let factor = |cfg: &PreprocessConfig| cfg.upscale.max(1);
         let mut scratch = Scratch::new(crop.upscale(factor(&self.preprocess_cfg)));
-        let first = self.pass(&self.preprocess_cfg, &mut scratch);
-        if let Some((primary, alternative)) = vote(first) {
-            return (
-                CombineOutcome::Extracted {
-                    primary,
-                    alternative,
-                },
-                ExtractDetail {
-                    engine_values: first,
-                    reprocessed: false,
-                },
-            );
+        let read = |e: &OcrEngine, s: &mut Scratch| cleanup(&e.read_gray(&self.preprocess_cfg, s));
+        let [tesseract, easyocr, paddleocr] = &self.engines;
+        let head = [read(tesseract, &mut scratch), read(easyocr, &mut scratch)];
+        // Two blanks leave no pair a third read could complete, and the
+        // second pass (raw and radius-1 stages only) supplies the detail.
+        if head != [None, None] {
+            let first = [head[0], head[1], read(paddleocr, &mut scratch)];
+            if let Some((primary, alternative)) = vote(first) {
+                return (
+                    CombineOutcome::Extracted {
+                        primary,
+                        alternative,
+                    },
+                    ExtractDetail {
+                        engine_values: first,
+                        reprocessed: false,
+                    },
+                );
+            }
         }
         // Reprocess without pre-processing (App. E step 4). Both passes
         // upscale alike by default, and then the stages the first pass

@@ -37,12 +37,12 @@ const TABLE: &[(&str, u64, u64, u64, u64)] = &[
     ("net",       2770,  48,  12,   7),
     ("pool",       315,   7,   1,   0),
     ("serve",     1061,  30,   2,   0),
-    ("simnet",    2305,  61,   3,   9),
+    ("simnet",    2305,  55,   3,   9),
     ("stats",     3889,  70,  13,   0),
     ("store",     1813,  65,   6,   0),
     ("trace",     3248, 134,   3,   8),
     ("types",     1700, 109,   0,   1),
-    ("vision",    4143,  62,   2,   0),
+    ("vision",    4150,  62,   2,   0),
     ("world",     2982,  69,   6,   9),
 ];
 

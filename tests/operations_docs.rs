@@ -7,11 +7,13 @@
 //! the kind the registry holds. Adding a metric without a row, a row
 //! without a metric, or a row of the wrong type fails here. So does a
 //! `tero::<module>` path or `tero_<crate>` name that no longer resolves
-//! in the prose docs or in the crates' comments (`//`, `//!`, `///`).
+//! in the prose docs or in the crates' comments (`//`, `//!`, `///`), a
+//! relative doc link whose file or `#anchor` heading is gone, and a
+//! `--bench` suite name that is no `[[bench]]` of `tero-bench`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{read_dir, read_to_string};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use tero::core::pipeline::{ExtractionMode, Tero, WindowOutcome};
 use tero::core::serving::ServeGranularity;
 use tero::serve::{QueryEngine, SketchRef};
@@ -293,6 +295,146 @@ fn prefixed_names<'a>(text: &'a str, prefix: &'a str) -> impl Iterator<Item = &'
     })
 }
 
+/// README.md, DESIGN.md, EXPERIMENTS.md and every `docs/*.md`.
+fn prose_docs(root: &Path) -> Vec<PathBuf> {
+    let mut docs = vec![
+        root.join("README.md"),
+        root.join("DESIGN.md"),
+        root.join("EXPERIMENTS.md"),
+    ];
+    docs.extend(
+        read_dir(root.join("docs"))
+            .expect("docs/")
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "md")),
+    );
+    docs
+}
+
+/// `text` without its fenced code blocks.
+fn outside_fences(text: &str) -> String {
+    let mut fenced = false;
+    let mut out = String::new();
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The anchors GitHub gives a Markdown file's headings: lowercased,
+/// everything but letters, digits, `_`, `-` and spaces dropped, spaces
+/// made hyphens, and `-1`, `-2`, … appended to a repeated slug.
+fn heading_anchors(markdown: &str) -> BTreeSet<String> {
+    let mut anchors = BTreeSet::new();
+    for line in outside_fences(markdown).lines() {
+        let Some(heading) = line.strip_prefix('#') else {
+            continue;
+        };
+        let heading = heading.trim_start_matches('#');
+        if !heading.starts_with(' ') {
+            continue;
+        }
+        let slug: String = heading
+            .trim()
+            .to_lowercase()
+            .chars()
+            .filter(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | ' '))
+            .map(|c| if c == ' ' { '-' } else { c })
+            .collect();
+        let mut anchor = slug.clone();
+        for n in 1.. {
+            if !anchors.contains(&anchor) {
+                break;
+            }
+            anchor = format!("{slug}-{n}");
+        }
+        anchors.insert(anchor);
+    }
+    anchors
+}
+
+#[test]
+fn doc_links_and_bench_names_resolve() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut broken = Vec::new();
+    // Every relative `](path#anchor)` names a file, and a heading in it.
+    for doc in prose_docs(root) {
+        let text = outside_fences(&read_to_string(&doc).expect("readable doc"));
+        let shown = doc.strip_prefix(root).unwrap_or(&doc).display().to_string();
+        for (at, _) in text.match_indices("](") {
+            let rest = &text[at + 2..];
+            let Some(target) = rest.find(')').map(|end| &rest[..end]) else {
+                continue;
+            };
+            if target.contains("://") || target.starts_with("mailto:") {
+                continue;
+            }
+            let (path, anchor) = target.split_once('#').unwrap_or((target, ""));
+            let file = if path.is_empty() {
+                doc.clone()
+            } else {
+                doc.parent().expect("doc dir").join(path)
+            };
+            if !file.exists() {
+                broken.push(format!("{shown}: {target} (no such file)"));
+            } else if !anchor.is_empty()
+                && !heading_anchors(&read_to_string(&file).expect("readable target"))
+                    .contains(anchor)
+            {
+                broken.push(format!("{shown}: {target} (no such heading)"));
+            }
+        }
+    }
+
+    // Every `--bench <name>` and `benches/<name>.rs` names a `[[bench]]`.
+    let manifest = read_to_string(root.join("crates/bench/Cargo.toml")).expect("bench manifest");
+    let mut suites = BTreeSet::new();
+    let mut lines = manifest.lines();
+    while let Some(line) = lines.next() {
+        if line.trim() == "[[bench]]" {
+            let name = lines
+                .next()
+                .and_then(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+                .expect("a [[bench]] opens with its name");
+            suites.insert(name.to_string());
+        }
+    }
+    assert!(suites.contains("ocr"), "manifest parse: {suites:?}");
+    let skill = root.join(".claude/skills/verify/SKILL.md");
+    for doc in prose_docs(root).into_iter().chain([skill]) {
+        let Ok(text) = read_to_string(&doc) else {
+            continue;
+        };
+        let shown = doc.strip_prefix(root).unwrap_or(&doc).display().to_string();
+        let word = |rest: &str| {
+            let len = rest
+                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(rest.len());
+            rest[..len].to_string()
+        };
+        let named = text
+            .match_indices("--bench ")
+            .map(|(at, p)| word(&text[at + p.len()..]))
+            .chain(text.match_indices("benches/").filter_map(|(at, p)| {
+                let rest = &text[at + p.len()..];
+                let name = word(rest);
+                rest[name.len()..].starts_with(".rs").then_some(name)
+            }));
+        for name in named {
+            if !name.is_empty() && !suites.contains(&name) {
+                broken.push(format!("{shown}: bench suite `{name}`"));
+            }
+        }
+    }
+    assert!(broken.is_empty(), "broken doc references: {broken:#?}");
+}
+
 #[test]
 fn doc_paths_resolve() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -322,18 +464,7 @@ fn doc_paths_resolve() {
         known.insert(name.replace('-', "_"));
     }
 
-    let mut docs = vec![
-        root.join("README.md"),
-        root.join("DESIGN.md"),
-        root.join("EXPERIMENTS.md"),
-    ];
-    docs.extend(
-        read_dir(root.join("docs"))
-            .expect("docs/")
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "md")),
-    );
+    let docs = prose_docs(root);
     // The crates' comments: every `//`, `//!` and `///` line under src/.
     let mut sources = Vec::new();
     let mut stack: Vec<_> = read_dir(root.join("crates"))
