@@ -218,15 +218,18 @@ pub fn parse_dist_sketch_key(key: &str) -> Option<(ServeGranularity, GameId, &st
 }
 
 /// The serving view's current version (0 before anything committed).
+/// Parsed where it is stored: nothing is copied out of the store.
 pub fn serve_version(kv: &KvStore) -> u64 {
-    kv.get(SERVE_VERSION_KEY)
-        .and_then(|v| v.parse().ok())
+    kv.get_with(SERVE_VERSION_KEY, |v| v.parse().ok())
+        .flatten()
         .unwrap_or(0)
 }
 
-/// Load and decode the sketch at `key`, if present and well-formed.
+/// Load and decode the sketch at `key`, if present and well-formed. The
+/// sketch is decoded where it is stored: nothing is copied out of the
+/// store.
 pub fn load_sketch(kv: &KvStore, key: &str) -> Option<QuantileSketch> {
-    QuantileSketch::decode(&kv.get(key)?)
+    kv.get_with(key, QuantileSketch::decode).flatten()
 }
 
 #[cfg(test)]

@@ -174,7 +174,7 @@ pub struct QueryEngine {
     kv: KvStore,
     cache: Mutex<HotKeyCache>,
     /// Whether the cache can hold anything: a capacity-0 engine never
-    /// takes its lock.
+    /// takes its lock nor reads the version that stamps its entries.
     caching: bool,
     metrics: ServeMetrics,
 }
@@ -187,8 +187,9 @@ impl QueryEngine {
     }
 
     /// An engine with an explicit hot-key cache capacity. Capacity 0
-    /// disables the cache (every query decodes from the store, and none
-    /// takes the cache's lock) — the cache-off arm of the benchmarks.
+    /// disables the cache: every query decodes from the store, takes no
+    /// cache lock and reads no version (the version only stamps cache
+    /// entries) — the cache-off arm of the benchmarks.
     pub fn with_cache_capacity(kv: KvStore, registry: &Registry, capacity: usize) -> QueryEngine {
         QueryEngine {
             kv,
@@ -217,12 +218,13 @@ impl QueryEngine {
             .collect()
     }
 
-    /// Answer one query. The serving version is read once: a query over
-    /// two sketches checks both against the same version.
+    /// Answer one query. A caching engine reads the serving version
+    /// once, so a query over two sketches checks both against the same
+    /// version; a capacity-0 engine reads none.
     pub fn query(&self, q: &Query) -> Answer {
         self.metrics.queries.inc();
         let _t = self.metrics.registry.stage_timer(&self.metrics.query_us);
-        let version = self.version();
+        let version = self.cache_stamp();
         let sketch = |target: &SketchRef| self.sketch(version, target);
         match q {
             Query::Percentile { target, p } => {
@@ -283,7 +285,18 @@ impl QueryEngine {
     pub fn boxplot(&self, target: &SketchRef) -> Option<BoxplotStats> {
         self.metrics.queries.inc();
         let _t = self.metrics.registry.stage_timer(&self.metrics.query_us);
-        self.sketch(self.version(), target)?.boxplot()
+        self.sketch(self.cache_stamp(), target)?.boxplot()
+    }
+
+    /// The version a query checks the cache against: the serving version
+    /// for a caching engine; 0, read from nowhere, for a capacity-0 one,
+    /// whose [`Self::probe`] and [`Self::admit`] never look at it.
+    fn cache_stamp(&self) -> u64 {
+        if self.caching {
+            self.version()
+        } else {
+            0
+        }
     }
 
     /// Cache counters so far: `(hits, misses, evictions)`.
@@ -541,15 +554,23 @@ mod tests {
         let store = Registry::new();
         kv.instrument(&store);
         let reads = || store.snapshot().counter("store.kv.reads").unwrap_or(0);
-        let engine = QueryEngine::with_cache_capacity(kv, &Registry::new(), 0);
-        // The version once, then each sketch.
-        for (q, expected) in [
-            (Query::Wasserstein { a: a.clone(), b }, 3),
-            (Query::Percentile { target: a, p: 50.0 }, 2),
-        ] {
-            let before = reads();
-            assert!(engine.query(&q).is_answered());
-            assert_eq!(reads() - before, expected, "{q:?}");
+        // A fresh caching engine reads the version once, then each
+        // sketch, and its next query reads the version alone; a
+        // capacity-0 engine reads each sketch, every time.
+        let wasserstein = Query::Wasserstein { a: a.clone(), b };
+        let percentile = Query::Percentile { target: a, p: 50.0 };
+        for (capacity, version_reads) in [(DEFAULT_CACHE_CAPACITY, 1), (0, 0)] {
+            for (q, sketches) in [(&wasserstein, 2), (&percentile, 1)] {
+                let engine =
+                    QueryEngine::with_cache_capacity(kv.clone(), &Registry::new(), capacity);
+                let before = reads();
+                assert!(engine.query(q).is_answered());
+                assert_eq!(reads() - before, version_reads + sketches, "cold {q:?}");
+                let before = reads();
+                assert!(engine.query(q).is_answered());
+                let again = if capacity > 0 { 1 } else { sketches };
+                assert_eq!(reads() - before, again, "again {q:?}");
+            }
         }
     }
 

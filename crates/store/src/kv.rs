@@ -7,22 +7,26 @@
 //!
 //! Each public method counts itself in `store.kv.*`, takes its chaos
 //! write-drop draws, then builds one [`KvRequest`] and runs it through
-//! [`KvStore::apply`], the only place that looks at the backend: the
-//! in-process shard array (the default), whose executor lives here, or a
-//! [`RemoteStore`] client speaking a wire protocol to networked store
-//! servers (see `tero-net`) — which run each request through the
-//! `apply` of a plain local store. So both deployments observe identical
-//! `store.kv.*` accounting and fault-injection draw order, and a server
-//! behaves as the local store does. A remote store is its client's own:
-//! the servers keep one store per client, so keys cross the wire as
-//! written, and a scan, a TTL sweep or a snapshot sees only that
-//! client's keys.
+//! [`KvStore::apply`], which looks at the backend: the in-process shard
+//! array (the default), whose executor lives here, or a [`RemoteStore`]
+//! client speaking a wire protocol to networked store servers (see
+//! `tero-net`) — which run each request through the `apply` of a plain
+//! local store. The one other method that looks at the backend is
+//! [`KvStore::get_with`], a `get` that lends the stored string instead
+//! of copying it out: locally it reads through the same lookup as a
+//! `Get` request, remotely it sends one. So both deployments observe
+//! identical `store.kv.*` accounting and fault-injection draw order, and
+//! a server behaves as the local store does. A remote store is its
+//! client's own: the servers keep one store per client, so keys cross
+//! the wire as written, and a scan, a TTL sweep or a snapshot sees only
+//! that client's keys.
 
 use crate::remote::{KvRequest, KvResponse, RemoteStore};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use tero_chaos::ChaosInjector;
 use tero_trace::obs::{CounterHandle, HistogramHandle, Registry};
@@ -101,13 +105,28 @@ macro_rules! answer {
     };
 }
 
+/// The shard that holds `key`: `std`'s fixed-key SipHash, which reads
+/// the key a word at a time. Placement never shows: every request on
+/// more than one shard either sorts what it gathers (`KeysWithPrefix`,
+/// `Snapshot`) or only counts (`SweepExpired`, `Len`), so any hash that
+/// is the same for the same key serves. A remote store's routing
+/// (`tero-net`) is a hash of its own and does not depend on this one.
 fn key_hash(key: &str) -> usize {
-    // FNV-1a.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    (h.finish() % SHARDS as u64) as usize
+}
+
+/// Run `f` on the string stored at `key`, under its shard's lock; `None`
+/// when the key is missing or holds a list or a hash. The one local
+/// lookup of a string: a `Get` request and [`KvStore::get_with`] both
+/// read through here.
+#[inline(always)]
+fn read_str<R>(shards: &[Shard; SHARDS], key: &str, f: impl FnOnce(&str) -> R) -> Option<R> {
+    match shards[key_hash(key)].map.lock().get(key).map(|e| &e.value) {
+        Some(Value::Str(s)) => Some(f(s)),
+        _ => None,
     }
-    (h % SHARDS as u64) as usize
 }
 
 impl KvStore {
@@ -178,13 +197,13 @@ impl KvStore {
         Some(m.registry.stage_timer(&m.op_us))
     }
 
-    /// Execute one request — the only place that looks at the backend.
-    /// An in-process store runs it on its shard array; a remote one hands
-    /// it to its [`RemoteStore`]. A store server runs every request it
-    /// decodes through here, on a plain local store. Neither counted nor
-    /// fault-injected: both are the public methods' business. A write on
-    /// a key of another type, or an increment of a non-numeric value,
-    /// changes nothing and answers [`KvResponse::WrongType`].
+    /// Execute one request. An in-process store runs it on its shard
+    /// array; a remote one hands it to its [`RemoteStore`]. A store
+    /// server runs every request it decodes through here, on a plain
+    /// local store. Neither counted nor fault-injected: both are the
+    /// public methods' business. A write on a key of another type, or an
+    /// increment of a non-numeric value, changes nothing and answers
+    /// [`KvResponse::WrongType`].
     #[inline(always)]
     pub fn apply(&self, req: KvRequest<'_>) -> KvResponse {
         match &self.backend {
@@ -223,6 +242,24 @@ impl KvStore {
     pub fn get(&self, key: &str) -> Option<String> {
         let _op = self.observe(false);
         answer!(self.apply(KvRequest::Get { key: key.into() }), MaybeStr)
+    }
+
+    /// Run `f` on the string value at `key` without copying it out, and
+    /// return what `f` returns: `None`, without running `f`, for a
+    /// missing key or one holding a non-string value. One read in
+    /// `store.kv.*`, like [`KvStore::get`], and its timing includes `f`.
+    /// An in-process store runs `f` under the key's shard lock, so `f`
+    /// must not touch this store (or a clone of it); a remote store runs
+    /// it on the `Get` answer.
+    pub fn get_with<R>(&self, key: &str, f: impl FnOnce(&str) -> R) -> Option<R> {
+        let _op = self.observe(false);
+        match &self.backend {
+            Backend::Local(shards) => read_str(shards, key, f),
+            Backend::Remote(r) => {
+                let value = answer!(r.kv(KvRequest::Get { key: key.into() }), MaybeStr);
+                value.as_deref().map(f)
+            }
+        }
     }
 
     /// Delete a key of any type. Returns whether it existed.
@@ -450,12 +487,7 @@ fn execute(shards: &[Shard; SHARDS], req: KvRequest<'_>) -> KvResponse {
             shard(&key).insert(key.into_owned(), value);
             KvResponse::Unit
         }
-        KvRequest::Get { key } => {
-            KvResponse::MaybeStr(match shard(&key).get(&*key).map(|e| &e.value) {
-                Some(Value::Str(s)) => Some(s.clone()),
-                _ => None,
-            })
-        }
+        KvRequest::Get { key } => KvResponse::MaybeStr(read_str(shards, &key, str::to_owned)),
         KvRequest::Del { key } => KvResponse::Bool(shard(&key).remove(&*key).is_some()),
         KvRequest::Exists { key } => KvResponse::Bool(shard(&key).contains_key(&*key)),
         KvRequest::IncrBy { key, delta } => upsert(
@@ -788,6 +820,23 @@ mod tests {
         assert!(!kv.exists("a"));
         assert!(!kv.del("a"));
         assert_eq!(kv.get("missing"), None);
+    }
+
+    #[test]
+    fn get_with_lends_strings_only() {
+        let kv = KvStore::new();
+        let registry = Registry::new();
+        kv.instrument(&registry);
+        kv.set("s", "value");
+        kv.rpush("l", "x");
+        kv.hset("h", "f", "x");
+        assert_eq!(kv.get_with("s", str::len), Some(5));
+        for key in ["missing", "l", "h"] {
+            let ran = std::cell::Cell::new(false);
+            assert_eq!(kv.get_with(key, |_| ran.set(true)), None, "{key}");
+            assert!(!ran.get(), "f ran on {key}");
+        }
+        assert_eq!(registry.counter("store.kv.reads").get(), 4);
     }
 
     #[test]

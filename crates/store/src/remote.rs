@@ -4,14 +4,16 @@
 //!
 //! Every public [`KvStore`](crate::KvStore) / [`ObjectStore`](crate::ObjectStore)
 //! method counts itself in `store.*`, takes its chaos write-drop draws,
-//! then builds one request and hands it to the store's `apply` — the
-//! only place that looks at the backend. On an in-process store `apply`
-//! runs the request on the shard array (or bucket map); on a remote one
-//! it passes the request to the [`RemoteStore`]. A store server runs each
-//! request it decodes through the `apply` of a plain local store, so
-//! server behaviour is local behaviour by construction, and a networked
-//! deployment observes exactly the same `store.*` accounting and fault
-//! semantics as a single-process run — only the transport differs.
+//! then builds one request and hands it to the store's `apply`, which
+//! looks at the backend (so does `KvStore::get_with`, a `get` that
+//! lends the value: a `Get` request on a remote store). On an
+//! in-process store `apply` runs the request on the shard array (or
+//! bucket map); on a remote one it passes the request to the
+//! [`RemoteStore`]. A store server runs each request it decodes
+//! through the `apply` of a plain local store, so server behaviour is
+//! local behaviour by construction, and a networked deployment observes
+//! exactly the same `store.*` accounting and fault semantics as a
+//! single-process run — only the transport differs.
 //!
 //! Requests borrow their keys, buckets, fields and string values
 //! (`Cow<'a, str>`), so a local read allocates no more than the map

@@ -67,6 +67,8 @@ enum Op {
     Set(&'static str, u8),
     SetWithTtl(&'static str, u8, u64),
     Get(&'static str),
+    /// `get_with(key, len)`.
+    GetWith(&'static str),
     Del(&'static str),
     Exists(&'static str),
     IncrBy(&'static str, i64),
@@ -100,7 +102,7 @@ fn pick(rng: &mut TestRng, pool: &[&'static str]) -> &'static str {
 
 fn op(rng: &mut TestRng) -> Op {
     let byte = |rng: &mut TestRng| (0u8..4).generate(rng);
-    match (0usize..26).generate(rng) {
+    match (0usize..27).generate(rng) {
         0 => Op::Set(pick(rng, &STRS), byte(rng)),
         1 => Op::SetWithTtl(pick(rng, &STRS), byte(rng), (0u64..4).generate(rng)),
         2 => Op::Get(pick(rng, &ANY)),
@@ -136,6 +138,7 @@ fn op(rng: &mut TestRng) -> Op {
         22 => Op::ObjGet(pick(rng, &BUCKETS), pick(rng, &OBJECTS)),
         23 => Op::Delete(pick(rng, &BUCKETS), pick(rng, &OBJECTS)),
         24 => Op::ObjSnapshot,
+        25 => Op::GetWith(pick(rng, &ANY)),
         _ => Op::ObjRestore,
     }
 }
@@ -185,6 +188,7 @@ impl Side {
                 )
             }
             Op::Get(key) => format!("{:?}", kv.get(key)),
+            Op::GetWith(key) => format!("{:?}", kv.get_with(key, str::len)),
             Op::Del(key) => format!("{:?}", kv.del(key)),
             Op::Exists(key) => format!("{:?}", kv.exists(key)),
             Op::IncrBy(key, delta) => format!("{:?}", kv.incr_by(key, *delta)),

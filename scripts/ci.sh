@@ -186,7 +186,29 @@ same_twice ops ops_console 4242
 # The console must see the injected fault and the recovery.
 grep -q "partitioned" "$trace_dir/ops.1.out" \
   || { echo "FAIL: ops_console never observed the injected partition"; exit 1; }
-grep -q "== latency budgets" "$trace_dir/ops.1.out" \
+# docs/PERFORMANCE.md quotes the latency-budget table: the rows the
+# console prints under its heading, through the verdict line, must be
+# the fenced block under "## Latency budgets (`ops_console`)" byte for
+# byte. A change that moves a row re-pastes the block in its own diff.
+awk '/^== latency budgets/ {p = 1; next} p; p && /^any stage over budget:/ {exit}' \
+  "$trace_dir/ops.1.out" > "$trace_dir/budgets.out"
+awk '/^## Latency budgets \(`ops_console`\)/ {s = 1; next}
+     s && /^```/ {if (p) exit; p = 1; next} p' docs/PERFORMANCE.md > "$trace_dir/budgets.doc"
+[ -s "$trace_dir/budgets.out" ] \
   || { echo "FAIL: ops_console printed no latency-budget table"; exit 1; }
+[ -s "$trace_dir/budgets.doc" ] \
+  || { echo "FAIL: docs/PERFORMANCE.md quotes no latency-budget table"; exit 1; }
+cmp -s "$trace_dir/budgets.doc" "$trace_dir/budgets.out" || {
+  awk 'NR == FNR {doc[FNR] = $0; next}
+       !(FNR in doc) || doc[FNR] != $0 {
+         printf "FAIL: latency-budget row %d: docs/PERFORMANCE.md has \"%s\", ops_console 4242 prints \"%s\"\n", FNR, doc[FNR], $0
+         found = 1; exit
+       }
+       {m = FNR}
+       END {
+         if (!found) printf "FAIL: latency-budget row %d: docs/PERFORMANCE.md has \"%s\", ops_console 4242 prints nothing\n", m + 1, doc[m + 1]
+       }' "$trace_dir/budgets.doc" "$trace_dir/budgets.out"
+  exit 1
+}
 
 echo "CI green."
