@@ -1127,8 +1127,9 @@ mod tests {
             object_key: "darkwolf42/74040000000".into(),
         };
         assert_eq!(ThumbnailTask::decode(&task.encode()), Some(task));
-        assert_eq!(ThumbnailTask::decode("garbage"), None);
-        assert_eq!(ThumbnailTask::decode("a|nope|1|k"), None);
+        for bad in ["garbage", "a|nope|1|k", "a|dota2|+1|k", "a|dota2|01|k"] {
+            assert_eq!(ThumbnailTask::decode(bad), None, "{bad}");
+        }
     }
 
     #[test]
@@ -1142,8 +1143,10 @@ mod tests {
         };
         let encoded = task.encode();
         assert_eq!(ThumbnailTask::decode(&encoded), Some(task));
-        // Malformed escapes are rejected, not mis-decoded.
+        // Malformed escapes are rejected, not mis-decoded (`from_str_radix`
+        // alone would read the sign-led `+C` as 12).
         assert_eq!(ThumbnailTask::decode("bad%zz|dota2|1|k"), None);
+        assert_eq!(ThumbnailTask::decode("a%+C|dota2|1|k"), None);
         assert_eq!(ThumbnailTask::decode("trail%2|dota2|1|k"), None);
     }
 

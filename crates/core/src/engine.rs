@@ -30,21 +30,20 @@
 //! double-counting anything: resumption replays the committed state and
 //! re-runs only the work after the last commit.
 
+use crate::committed::{Committed, RestoreError, StoreSnapshot};
 use crate::download::{DownloadCursor, DownloadModule};
 use crate::keys::{anon_field, game_field, parse_anon_field, parse_decimal, parse_game_field};
 use crate::pipeline::{PipelineMetrics, Tero, TeroReport, WindowOutcome};
-use crate::serving::{parse_raw_sketch_key, raw_sketch_key, RAW_SKETCH_PREFIX, SERVE_VERSION_KEY};
+use crate::serving::{raw_sketch_key, SERVE_VERSION_KEY};
 use crate::stages::agg::AggStage;
 use crate::stages::clean::CleanStage;
 use crate::stages::extract::{ExtractStage, Extracted};
 use crate::stages::locate::LocateStage;
 use crate::stages::publish::publish;
 use crate::stages::StageCx;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tero_pool::Pool;
-use tero_stats::QuantileSketch;
-use tero_store::{KvSnapshot, KvStore, ObjectSnapshot, ObjectStore};
+use tero_store::{KvStore, ObjectStore};
 use tero_trace::obs::CounterHandle;
 use tero_trace::{DropReason, SampleKey, SampleState, SpanGuard};
 use tero_types::{AnonId, GameId, SimTime};
@@ -58,20 +57,6 @@ pub(crate) const ENGINE_KEY: &str = "engine:cursor";
 pub(crate) const COUNTERS_KEY: &str = "engine:counters";
 /// KV list holding the committed ledger records, in ingest order.
 pub(crate) const LEDGER_KEY: &str = "engine:ledger";
-
-/// A portable snapshot of the engine's stores, for resuming a killed run
-/// in a fresh process (the in-memory analogue of Redis persistence plus
-/// an S3 bucket listing).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StoreSnapshot {
-    /// The KV store: queues, leases, and all committed `engine:` state.
-    pub kv: KvSnapshot,
-    /// The object store: the thumbnail blobs ingest has stored and
-    /// extract has not resolved yet — the queued tasks' and the
-    /// dead-lettered ones'. Extract deletes a blob in the window that
-    /// resolves its task.
-    pub objects: ObjectSnapshot,
-}
 
 /// The staged engine for one run. Created lazily by the first
 /// [`Tero::run_window`] call (the sharded orchestrator creates its
@@ -148,7 +133,7 @@ impl Wiring {
 }
 
 /// The fields of the `engine:cursor` hash.
-const MARKER_FIELDS: [&str; 5] = [
+pub(crate) const MARKER_FIELDS: [&str; 5] = [
     "window_index",
     "ingested_to",
     "extracted_to",
@@ -219,43 +204,36 @@ impl Engine {
     }
 
     /// Rebuild an engine from a [`StoreSnapshot`] taken after a kill:
-    /// restore the stores, replay the committed counters and ledger, and
-    /// deserialise the download cursor and progress markers. Fails,
-    /// before touching anything, with a [`CursorError`] when the
-    /// committed cursor does not decode, is missing although ingest ran,
-    /// a committed marker or counter value is not a number, or a
-    /// committed ledger record or raw sketch does not decode.
+    /// decode its committed state through [`crate::FAMILIES`], restore
+    /// the stores, replay the committed counters and ledger, and hand
+    /// each stage its parts. Fails, before touching anything, with a
+    /// [`RestoreError`] naming the first `engine:` key that no family
+    /// holds or whose value does not decode.
     pub fn restore(
         tero: &Tero,
         world: &World,
         snap: &StoreSnapshot,
-    ) -> Result<Engine, CursorError> {
-        let cursor = committed_cursor(&snap.kv)?;
-        Ok(Engine::resume(tero, world, snap, cursor))
+    ) -> Result<Engine, RestoreError> {
+        let committed = Committed::decode(&snap.kv)?;
+        Ok(Engine::resume(tero, world, snap, committed))
     }
 
-    /// [`Engine::restore`] with the committed cursor already decoded.
+    /// [`Engine::restore`] with the committed state already decoded.
     pub(crate) fn resume(
         tero: &Tero,
         world: &World,
         snap: &StoreSnapshot,
-        cursor: Option<DownloadCursor>,
+        committed: Committed,
     ) -> Engine {
         let mut engine = Engine::new(tero, world, SimTime::EPOCH);
-        let kv = &engine.wiring.kv;
-        kv.restore(&snap.kv);
+        engine.wiring.kv.restore(&snap.kv);
         engine.wiring.objects.restore(&snap.objects);
         // Counters are monotonic, so a fresh registry catches up by adding
         // each committed value. (Histograms hold only summary snapshots
         // and are not restorable; every cross-run comparison uses
         // counters, the funnel, and the report.)
-        let mut counters: Vec<(String, u64)> = kv
-            .hgetall(COUNTERS_KEY)
-            .into_iter()
-            .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
-            .collect();
-        counters.sort_unstable();
-        engine.committed_counters = counters
+        engine.committed_counters = committed
+            .counters
             .into_iter()
             .map(|(name, value)| {
                 let handle = tero.obs.counter(&name);
@@ -264,62 +242,58 @@ impl Engine {
             })
             .collect();
         // Replay the ledger: every committed record is re-ingested in its
-        // original FIFO order, and resolved records resolve immediately
-        // (`committed_cursor` has checked that each one decodes).
-        let records = kv.lrange_from(LEDGER_KEY, 0);
-        let ledger = tero.trace.ledger();
-        for raw in &records {
-            let Some((key, state)) = decode_ledger_record(raw) else {
-                continue;
-            };
-            ledger.ingest(key);
-            if state != SampleState::Pending {
-                ledger.resolve(&key, state);
+        // original FIFO order, and resolved records resolve immediately.
+        let books = tero.trace.ledger();
+        for (key, state) in &committed.ledger {
+            books.ingest(*key);
+            if *state != SampleState::Pending {
+                books.resolve(key, *state);
             }
         }
-        engine.ledger_committed = records.len();
-        if let Some(cursor) = cursor {
+        engine.ledger_committed = committed.ledger.len();
+        if let Some(cursor) = committed.cursor {
             engine.cursor = cursor;
         }
-        let markers = kv.hgetall(ENGINE_KEY);
-        engine.committed_markers =
-            MARKER_FIELDS.map(|field| markers.get(field).and_then(|v| v.parse::<u64>().ok()));
+        // A marker no commit wrote yet keeps the fresh engine's value.
+        engine.committed_markers = committed.markers;
         let [window_index, ingested_to, extracted_to, tasks_processed, extracted] =
-            engine.committed_markers;
-        engine.window_index = window_index.unwrap_or(0);
+            committed.markers;
+        if let Some(index) = window_index {
+            engine.window_index = index;
+        }
+        if let Some(count) = tasks_processed {
+            engine.extract.tasks_processed = count;
+        }
+        if let Some(count) = extracted {
+            engine.extract.extracted = count;
+        }
         engine.ingested_to = ingested_to.map(SimTime::from_micros);
         engine.extracted_to = extracted_to.map(SimTime::from_micros);
-        engine.extract.tasks_processed = tasks_processed.unwrap_or(0);
-        engine.extract.extracted = extracted.unwrap_or(0);
         // The cursor's span bookkeeping is not part of its committed form:
         // the next window starts where committed ingest ended.
         if let Some(t) = engine.ingested_to {
             engine.cursor.window_start = t;
         }
-        // Rebuild the extract stage's raw serving sketches from the
-        // committed view, so later windows extend them instead of
-        // restarting from empty (the committed sketch already holds every
-        // value extracted before the kill; `committed_cursor` has checked
-        // that each one decodes).
-        for key in kv.keys_with_prefix(RAW_SKETCH_PREFIX) {
-            let Some(pair) = parse_raw_sketch_key(&key) else {
-                continue;
-            };
-            if let Some(sketch) = kv.get(&key).and_then(|raw| QuantileSketch::decode(&raw)) {
-                engine.extract.sketches.insert(pair, sketch);
-            }
-        }
-        // Rebuild the online cleaner from the committed sample lists and
-        // `engine:clean:cursors` (metric-silent: the counters above
-        // already carry the cleaner's committed totals).
-        engine.clean.rebuild(kv, &tero.params);
-        // Rebuild the budgeted locate stage from its committed
-        // `engine:locate:*` hashes (profile outcomes are never re-drawn).
-        // The aggregation stage restores empty but for the served keys it
-        // reads back: its first pass, which `first_pass` guarantees,
-        // analyses every group and deletes what it no longer serves.
-        engine.locate.rebuild(kv);
-        engine.agg.rebuild(kv);
+        // The extract stage's raw serving sketches extend the committed
+        // ones instead of restarting from empty. The online cleaner
+        // replays the committed sample lists up to its committed cursors
+        // (metric-silent: the counters above already carry the cleaner's
+        // committed totals). The budgeted locate stage takes its committed
+        // profiles and verdicts (profile outcomes are never re-drawn). The
+        // aggregation stage restores empty but for the served keys: its
+        // first pass, which `first_pass` guarantees, analyses every group
+        // and deletes what it no longer serves.
+        engine.extract.sketches = committed.raw_sketches;
+        engine
+            .clean
+            .rebuild(committed.samples, &committed.clean_cursors, &tero.params);
+        engine.locate.rebuild(
+            committed.names,
+            committed.profiles,
+            committed.results,
+            committed.api_calls,
+        );
+        engine.agg.rebuild(committed.served);
         engine.wiring.metrics.window_resumed.inc();
         engine
     }
@@ -552,104 +526,6 @@ impl Engine {
     }
 }
 
-/// Why a snapshot's committed state cannot be resumed from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CursorError {
-    /// `engine:download_cursor` does not decode; the decoder's message.
-    Undecodable(String),
-    /// `engine:download_cursor` is missing although `engine:cursor` says
-    /// ingest ran.
-    Missing,
-    /// A field of the `engine:cursor` or `engine:counters` hash is
-    /// present but does not parse as a `u64`.
-    NotANumber {
-        /// The hash holding the field.
-        key: &'static str,
-        /// The field whose value does not parse.
-        field: String,
-    },
-    /// The `engine:ledger` record at this list index does not decode.
-    /// Replaying the others would lose its sample from the books.
-    LedgerRecord {
-        /// The record's index in the list.
-        index: usize,
-    },
-    /// The raw serving sketch under this key does not decode. Extract
-    /// would rebuild its pair from empty and overwrite the committed one.
-    RawSketch {
-        /// The sketch's KV key.
-        key: String,
-    },
-}
-
-impl std::fmt::Display for CursorError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CursorError::Undecodable(reason) => {
-                write!(f, "committed download cursor does not decode: {reason}")
-            }
-            CursorError::Missing => {
-                write!(f, "committed download cursor missing although ingest ran")
-            }
-            CursorError::NotANumber { key, field } => {
-                write!(f, "committed {key} field {field} is not a u64")
-            }
-            CursorError::LedgerRecord { index } => {
-                write!(f, "committed {LEDGER_KEY} record {index} does not decode")
-            }
-            CursorError::RawSketch { key } => {
-                write!(f, "committed raw sketch {key} does not decode")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CursorError {}
-
-/// The download cursor a snapshot committed, decoded; `None` when ingest
-/// never ran. Resuming from a fresh cursor in place of a committed one
-/// would poll from the start again and queue every thumbnail a second
-/// time, so a cursor that does not decode, or one missing while
-/// `engine:cursor` has `ingested_to`, is an error. So is a progress
-/// marker or counter value that does not parse: resuming would read it
-/// as absent, report a wrong total, and let the next commit overwrite
-/// the counter with a smaller value. A missing field is legal. So is a
-/// ledger record or a raw sketch that does not decode an error: the
-/// resume would skip it, losing a sample from the ledger's books or a
-/// pair's committed values from its sketch.
-pub(crate) fn committed_cursor(snap: &KvSnapshot) -> Result<Option<DownloadCursor>, CursorError> {
-    let markers = snap.hash_fields(ENGINE_KEY).unwrap_or_default();
-    let counters = snap.hash_fields(COUNTERS_KEY).unwrap_or_default();
-    for (key, fields) in [(ENGINE_KEY, markers), (COUNTERS_KEY, counters)] {
-        if let Some((field, _)) = fields.iter().find(|(_, v)| v.parse::<u64>().is_err()) {
-            let field = field.clone();
-            return Err(CursorError::NotANumber { key, field });
-        }
-    }
-    let ledger = snap.list(LEDGER_KEY).unwrap_or_default();
-    if let Some(index) = ledger
-        .iter()
-        .position(|r| decode_ledger_record(r).is_none())
-    {
-        return Err(CursorError::LedgerRecord { index });
-    }
-    let undecodable = snap
-        .strings_with_prefix(RAW_SKETCH_PREFIX)
-        .filter(|(key, _)| parse_raw_sketch_key(key).is_some())
-        .find(|(_, raw)| raw.and_then(QuantileSketch::decode).is_none());
-    if let Some((key, _)) = undecodable {
-        let key = key.to_string();
-        return Err(CursorError::RawSketch { key });
-    }
-    match snap.get(CURSOR_KEY) {
-        Some(raw) => serde_json::from_str(raw)
-            .map(Some)
-            .map_err(|e| CursorError::Undecodable(e.to_string())),
-        None if markers.iter().any(|(f, _)| f == "ingested_to") => Err(CursorError::Missing),
-        None => Ok(None),
-    }
-}
-
 /// Wire encoding of one ledger record:
 /// `{anon:016x}|{game_idx:02}|{at_micros}|{state}` with state `?`
 /// (pending), `P` (published) or `D{drop_reason_idx}`.
@@ -776,7 +652,8 @@ mod tests {
 
         let fresh = calibrated_tero();
         let mut restored = Engine::restore(&fresh, &world, &snap).unwrap();
-        // Restoring reads the store and writes nothing to it.
+        // Restoring decodes the snapshot through `FAMILIES` and writes
+        // nothing to the store.
         assert_eq!(restored.wiring.kv.snapshot(), snap.kv);
         assert_eq!(restored.cursor.window_start, half);
         // Plant a value in every committed field: the first commit after
@@ -796,9 +673,10 @@ mod tests {
             .filter(|(_, v)| *v != "planted")
             .map(|(f, _)| f.as_str())
             .collect();
-        // `store.kv.*` tick on the restore's own reads and on the planting
-        // above; the last commit of the snapshotted run and the restore
-        // itself bumped one `pipeline.window.*` counter each.
+        // `store.kv.*` tick on the planting above (the restore reads the
+        // snapshot, not the store); the last commit of the snapshotted run
+        // and the restore itself bumped one `pipeline.window.*` counter
+        // each.
         for field in &rewritten {
             assert!(
                 field.starts_with("store.kv.") || field.starts_with("pipeline.window."),
@@ -818,64 +696,5 @@ mod tests {
             restored.wiring.kv.get(CURSOR_KEY).as_deref(),
             Some("planted")
         );
-    }
-
-    #[test]
-    fn a_profile_row_without_its_name_row_does_not_panic_the_restore() {
-        use crate::stages::locate::LOCATE_PROFILES_KEY;
-        use crate::stages::NAMES_KEY;
-
-        let mut world = small_world();
-        let tero = calibrated_tero();
-        let mut engine = Engine::new(&tero, &world, SimTime::EPOCH);
-        let half = SimTime::from_micros(world.horizon.as_micros() / 2);
-        assert!(matches!(
-            engine.drive(&tero, &mut world, half),
-            WindowOutcome::Advanced
-        ));
-        // Drop one `engine:names` row that has a committed profile, as a
-        // damaged or badly merged snapshot would.
-        let mut snap = engine.snapshot();
-        let damaged = KvStore::new();
-        damaged.restore(&snap.kv);
-        let orphan = damaged
-            .hgetall(LOCATE_PROFILES_KEY)
-            .into_keys()
-            .next()
-            .expect("the first half located someone");
-        let names = damaged.hgetall(NAMES_KEY);
-        damaged.del(NAMES_KEY);
-        damaged.hset_many(NAMES_KEY, names.into_iter().filter(|(f, _)| *f != orphan));
-        snap.kv = damaged.snapshot();
-
-        let fresh = calibrated_tero();
-        let mut restored = Engine::restore(&fresh, &world, &snap).unwrap();
-        let horizon = world.horizon;
-        assert!(matches!(
-            restored.drive(&fresh, &mut world, horizon),
-            WindowOutcome::Advanced
-        ));
-        let report = restored.finish(&fresh, &mut world);
-        assert!(report.streamers_seen > 0);
-    }
-
-    #[test]
-    fn ledger_record_roundtrip() {
-        let key = SampleKey {
-            anon: AnonId(0xfeed_0000_0000_0042),
-            game: GameId::ALL[3],
-            at: SimTime::from_mins(17),
-        };
-        for state in [
-            SampleState::Pending,
-            SampleState::Published,
-            SampleState::Dropped(DropReason::ALL[0]),
-            SampleState::Dropped(DropReason::ALL[10]),
-        ] {
-            let raw = encode_ledger_record(&key, &state);
-            assert_eq!(decode_ledger_record(&raw), Some((key, state)));
-        }
-        assert_eq!(decode_ledger_record("junk"), None);
-        assert_eq!(decode_ledger_record("00|00|1|P|extra"), None);
     }
 }

@@ -75,122 +75,84 @@ pub(crate) fn parse_decimal<T: std::str::FromStr>(s: &str) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::download::ThumbnailTask;
     use crate::engine::{decode_ledger_record, encode_ledger_record};
     use crate::serving::{
         dist_sketch_key, parse_dist_sketch_key, parse_raw_sketch_key, raw_sketch_key,
-        ServeGranularity,
+        DistProvenance, ServeGranularity,
     };
     use crate::stages::{parse_sample_list_key, sample_list_key, SampleRecord};
     use tero_trace::{DropReason, SampleKey, SampleState};
-    use tero_types::{SimTime, StreamerId};
+    use tero_types::SimTime;
+
+    /// `valid`, and every truncation, byte deletion and byte replacement
+    /// of it that `reencode` (a decoder, then its encoder) does not
+    /// refuse, encodes back to exactly the bytes it was decoded from: one
+    /// value has one spelling.
+    fn assert_strict(valid: &str, reencode: impl Fn(&str) -> Option<String>) {
+        assert_eq!(reencode(valid).as_deref(), Some(valid));
+        let bytes = valid.as_bytes();
+        let mut edits: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        for at in 0..bytes.len() {
+            edits.push([&bytes[..at], &bytes[at + 1..]].concat());
+            for b in 0..=u8::MAX {
+                edits.push([&bytes[..at], &[b], &bytes[at + 1..]].concat());
+            }
+        }
+        // The decoders take a `&str`: bytes that are not UTF-8 never reach one.
+        for edit in edits.into_iter().filter_map(|e| String::from_utf8(e).ok()) {
+            if let Some(back) = reencode(&edit) {
+                assert_eq!(back, edit, "{valid:?} edited");
+            }
+        }
+    }
 
     #[test]
     fn decoders_accept_only_what_encoders_write() {
-        let anon = AnonId(0xdea);
-        let game = GameId::ALL[0];
-
-        // The series keys: the raw sample lists and the raw sketches.
+        for anon in ["0000000000000000", "0000000000000dea", "ffffffffffffffff"] {
+            assert_strict(anon, |s| parse_anon_field(s).map(anon_field));
+        }
+        for game in GameId::ALL {
+            assert_strict(&game_field(game), |s| parse_game_field(s).map(game_field));
+        }
+        for n in ["0", "7", "1234", "18446744073709551615"] {
+            assert_strict(n, |s| parse_decimal::<u64>(s).map(|n| n.to_string()));
+        }
+        let (anon, game) = (AnonId(0xdea), GameId::ALL[3]);
         let key = sample_list_key(anon, game);
-        assert_eq!(key, "engine:samples:0000000000000dea:00");
-        assert_eq!(parse_sample_list_key(&key), Some((anon, game)));
-        for bad in [
-            "engine:samples:+000000000000dea:00",
-            "engine:samples:0000000000000DEA:00",
-            "engine:samples:dea:00",
-            "engine:samples:0000000000000dea:+0",
-            "engine:samples:0000000000000dea:0",
-            "engine:samples:0000000000000dea:000",
+        assert_eq!(key, "engine:samples:0000000000000dea:03");
+        let list = |s: &str| parse_sample_list_key(s).map(|(a, g)| sample_list_key(a, g));
+        assert_strict(&key, list);
+        let raw = |s: &str| parse_raw_sketch_key(s).map(|(a, g)| raw_sketch_key(a, g));
+        assert_strict(&raw_sketch_key(anon, game), raw);
+        // Location keys carry the schema's own separators; the fixed-width
+        // front fields keep parsing unambiguous.
+        let dist = |s: &str| parse_dist_sketch_key(s).map(|(g, at, l)| dist_sketch_key(g, at, l));
+        for (granularity, loc) in [
+            (ServeGranularity::Region, "France/Île-de-France"),
+            (ServeGranularity::Country, "France"),
+            (ServeGranularity::Region, "a/b:c/d"),
         ] {
-            assert_eq!(parse_sample_list_key(bad), None, "{bad}");
+            assert_strict(&dist_sketch_key(granularity, game, loc), dist);
         }
-        let key = raw_sketch_key(anon, game);
-        assert_eq!(parse_raw_sketch_key(&key), Some((anon, game)));
-        let upper = key.replace("dea", "DEA");
-        assert_eq!(parse_raw_sketch_key(&upper), None);
-        assert_eq!(parse_raw_sketch_key(&key.replace(":0000", ":+000")), None);
-
-        // The distribution keys carry the game field alone.
-        let key = dist_sketch_key(ServeGranularity::Country, game, "France");
-        let parsed = parse_dist_sketch_key(&key);
-        assert_eq!(parsed, Some((ServeGranularity::Country, game, "France")));
-        assert_eq!(parse_dist_sketch_key(&key.replace(":00:", ":+0:")), None);
-
-        // The bare anon field of the names and locate hashes.
-        assert_eq!(parse_anon_field(&anon_field(anon)), Some(anon));
-        assert_eq!(
-            parse_anon_field(&anon_field(AnonId(u64::MAX))),
-            Some(AnonId(u64::MAX))
-        );
-        for bad in [
-            "+000000000000dea",
-            "0000000000000DEA",
-            "",
-            "0x00000000000dea",
-        ] {
-            assert_eq!(parse_anon_field(bad), None, "{bad}");
+        for tag in ["c", "p"] {
+            assert_strict(tag, |s| DistProvenance::from_tag(s).map(|p| p.tag().into()));
         }
-
-        // Ledger records.
         let sample = SampleKey {
-            anon,
+            anon: AnonId(0xfeed_0000_0000_0042),
             game,
             at: SimTime::from_micros(1_234),
         };
+        let ledger = |s: &str| decode_ledger_record(s).map(|(k, st)| encode_ledger_record(&k, &st));
         for state in [
             SampleState::Pending,
             SampleState::Published,
             SampleState::Dropped(DropReason::ALL[1]),
+            SampleState::Dropped(DropReason::ALL[10]),
         ] {
-            let raw = encode_ledger_record(&sample, &state);
-            assert_eq!(decode_ledger_record(&raw), Some((sample, state)));
+            assert_strict(&encode_ledger_record(&sample, &state), ledger);
         }
-        for bad in [
-            "+000000000000dea|00|1234|P",
-            "0000000000000DEA|00|1234|P",
-            "0000000000000dea|+0|1234|P",
-            "0000000000000dea|00|+1234|P",
-            "0000000000000dea|00|01234|P",
-            "0000000000000dea|00|1234|D+1",
-        ] {
-            assert_eq!(decode_ledger_record(bad), None, "{bad}");
-        }
-
-        // Sample records.
-        for record in [
-            SampleRecord {
-                at: SimTime::from_micros(0),
-                primary: 45,
-                alternative: None,
-            },
-            SampleRecord {
-                at: SimTime::from_micros(86_400_000_000),
-                primary: 0,
-                alternative: Some(54),
-            },
-        ] {
-            assert_eq!(SampleRecord::decode(&record.encode()), Some(record));
-        }
-        for bad in ["+5|45|-", "5|+45|-", "5|45|+54", "05|45|-", "5|45|054"] {
-            assert_eq!(SampleRecord::decode(bad), None, "{bad}");
-        }
-
-        // Thumbnail tasks, whose username is percent-escaped.
-        let task = ThumbnailTask {
-            streamer: StreamerId::new("a|b%c"),
-            game_label: game,
-            generated_at: SimTime::from_micros(77),
-            object_key: "thumbs/x".to_string(),
-        };
-        let raw = task.encode();
-        assert_eq!(ThumbnailTask::decode(&raw), Some(task));
-        let slug = game.slug();
-        for bad in [
-            format!("a%+C|{slug}|77|k"),
-            format!("ab|{slug}|+77|k"),
-            format!("ab|{slug}|077|k"),
-        ] {
-            assert_eq!(ThumbnailTask::decode(&bad), None, "{bad}");
+        for record in ["0|45|-", "86400000000|0|54", "7|4294967295|-"] {
+            assert_strict(record, |s| SampleRecord::decode(s).map(|r| r.encode()));
         }
     }
 }

@@ -23,6 +23,9 @@
 //! * [`engine`] — the [`engine::Engine`] that owns the wiring (stores,
 //!   pool, download module, tracer, chaos) once and calls the stages
 //!   windowed, with resumable cursors committed into the store;
+//! * [`FAMILIES`] — the committed state's one table: every `engine:*`
+//!   key family, decoded once by a restore, which refuses with a
+//!   [`RestoreError`] what it cannot read;
 //! * [`pipeline`] — the [`pipeline::Tero`] orchestrator: configuration,
 //!   `pipeline::PipelineMetrics`, and the [`pipeline::Tero::run`] /
 //!   [`pipeline::Tero::run_window`] entry points against a `tero-world`
@@ -36,6 +39,7 @@
 
 pub mod analysis;
 pub mod behavior;
+mod committed;
 pub mod download;
 pub mod engine;
 pub mod imageproc;
@@ -45,4 +49,4 @@ pub mod pipeline;
 pub mod serving;
 pub mod sharded;
 pub mod stages;
-pub use engine::{CursorError, StoreSnapshot};
+pub use committed::{Family, RestoreError, StoreSnapshot, FAMILIES};

@@ -26,8 +26,9 @@ use crate::analysis::distributions::LocationDistribution;
 use crate::analysis::segments::StreamSeries;
 use crate::analysis::shared::SharedAnomaly;
 use crate::behavior::BehaviorStream;
-use crate::download::{DownloadCursor, DownloadStats};
-use crate::engine::{committed_cursor, CursorError, Engine, StoreSnapshot};
+use crate::committed::{Committed, RestoreError, StoreSnapshot};
+use crate::download::DownloadStats;
+use crate::engine::Engine;
 use crate::location::LocationSource;
 use crate::serving::{ServingError, DIST_SKETCH_PREFIX};
 use crate::stages::StageMetrics;
@@ -300,9 +301,9 @@ pub struct EngineCell {
 enum EngineSlot {
     #[default]
     Idle,
-    /// A snapshot handed over for restore, with its committed download
-    /// cursor already decoded.
-    Restore(Box<(StoreSnapshot, Option<DownloadCursor>)>),
+    /// A snapshot handed over for restore, with its committed state
+    /// already decoded.
+    Restore(Box<(StoreSnapshot, Committed)>),
     Running(Box<Engine>),
 }
 
@@ -313,7 +314,7 @@ impl EngineCell {
 
     /// Drop any in-flight engine or pending restore, and forget the
     /// previous run's serving store.
-    pub fn reset(&self) {
+    fn reset(&self) {
         *self.lock() = EngineSlot::Idle;
         *self.served.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
@@ -447,8 +448,8 @@ impl Tero {
             EngineSlot::Running(engine) => engine,
             EngineSlot::Idle => Box::new(Engine::new(self, world, from)),
             EngineSlot::Restore(restore) => {
-                let (snap, cursor) = *restore;
-                Box::new(Engine::resume(self, world, &snap, cursor))
+                let (snap, committed) = *restore;
+                Box::new(Engine::resume(self, world, &snap, committed))
             }
         };
         let outcome = match engine.drive(self, world, to) {
@@ -517,14 +518,13 @@ impl Tero {
 
     /// Schedule `snapshot` to be restored on the next
     /// [`Tero::run_window`] call, resuming a killed run in this `Tero`.
-    /// The committed download cursor is decoded here: a snapshot whose
-    /// cursor does not decode, or lacks one although its ingest ran,
-    /// whose `engine:cursor` / `engine:counters` hold a value that is
-    /// not a number, or whose ledger record or raw sketch does not
-    /// decode, is refused with the slot left as it was.
-    pub fn restore_engine(&self, snapshot: StoreSnapshot) -> Result<(), CursorError> {
-        let cursor = committed_cursor(&snapshot.kv)?;
-        *self.engine.lock() = EngineSlot::Restore(Box::new((snapshot, cursor)));
+    /// The committed state is decoded here, once, through
+    /// [`crate::FAMILIES`]: a snapshot with an `engine:` key that no
+    /// family holds, or a value its family's decoder refuses, is refused
+    /// with the slot left as it was.
+    pub fn restore_engine(&self, snapshot: StoreSnapshot) -> Result<(), RestoreError> {
+        let committed = Committed::decode(&snapshot.kv)?;
+        *self.engine.lock() = EngineSlot::Restore(Box::new((snapshot, committed)));
         Ok(())
     }
 }

@@ -36,10 +36,6 @@ use tero_stats::QuantileSketch;
 use tero_store::KvStore;
 use tero_types::{AnonId, GameId, Location};
 
-/// Everything the serving layer stores lives under this prefix (inside
-/// [`tero_store::PROTECTED_PREFIX`], so chaos never drops it).
-pub const SERVE_PREFIX: &str = "engine:serve:";
-
 /// Monotonic version of the serving view. Bumped once per engine commit
 /// that touched a raw sketch and once per aggregation pass that changed
 /// a distribution; cache entries carry the version they were computed
@@ -60,7 +56,7 @@ pub const DIST_SKETCH_PREFIX: &str = "engine:serve:dist:";
 /// colon segment) keeps the marker family out of any
 /// `keys_with_prefix(DIST_SKETCH_PREFIX)` scan. [`dist_meta_key`] is
 /// the one way to name a marker.
-const DIST_META_PREFIX: &str = "engine:serve:dist_meta:";
+pub(crate) const DIST_META_PREFIX: &str = "engine:serve:dist_meta:";
 
 /// Whether a served distribution was aggregated under canonical
 /// (budgeted-locate, §3.1) locations or the mid-run provisional
@@ -235,38 +231,6 @@ pub fn load_sketch(kv: &KvStore, key: &str) -> Option<QuantileSketch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn raw_key_roundtrip() {
-        for game in GameId::ALL {
-            let anon = AnonId(0xfeed_f00d_0000_0001);
-            let key = raw_sketch_key(anon, game);
-            assert!(key.starts_with(tero_store::PROTECTED_PREFIX));
-            assert_eq!(parse_raw_sketch_key(&key), Some((anon, game)));
-        }
-        assert_eq!(parse_raw_sketch_key("engine:serve:raw:zz:00"), None);
-        assert_eq!(parse_raw_sketch_key("engine:samples:00:00"), None);
-    }
-
-    #[test]
-    fn dist_key_roundtrip_with_slashes_and_colons() {
-        let game = GameId::ALL[2];
-        for (granularity, loc_key) in [
-            (ServeGranularity::Region, "France/Île-de-France"),
-            (ServeGranularity::Country, "France"),
-            // Location keys may contain the schema's own separators; the
-            // fixed-width front fields keep parsing unambiguous.
-            (ServeGranularity::Region, "a/b:c/d"),
-        ] {
-            let key = dist_sketch_key(granularity, game, loc_key);
-            assert_eq!(
-                parse_dist_sketch_key(&key),
-                Some((granularity, game, loc_key))
-            );
-        }
-        assert_eq!(parse_dist_sketch_key("engine:serve:dist:x:00:a"), None);
-        assert_eq!(parse_dist_sketch_key("engine:serve:raw:00:00"), None);
-    }
 
     #[test]
     fn region_and_country_keys_never_collide() {

@@ -40,7 +40,8 @@
 //! fault-free single-process run over the same world — the invariant
 //! `tests/net_failover.rs` pins down.
 
-use crate::engine::{Engine, StoreSnapshot, ENGINE_KEY};
+use crate::committed::StoreSnapshot;
+use crate::engine::{Engine, ENGINE_KEY};
 use crate::pipeline::{ExtractionMode, Tero, TeroReport, WindowOutcome};
 use std::sync::Arc;
 use tero_chaos::{ChaosInjector, FaultPlan};
@@ -340,7 +341,7 @@ pub fn run_sharded_observed(
     }
     let world = &mut engines[0].1;
     let report = Engine::restore(&merge_tero, world, &merged)
-        .expect("each engine committed a decodable cursor")
+        .expect("the merged snapshot decodes through FAMILIES")
         .finish(&merge_tero, world);
     mesh.sort_by(|a, b| a.0.cmp(&b.0));
     ShardedOutcome {

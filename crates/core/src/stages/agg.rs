@@ -43,13 +43,11 @@ use crate::analysis::distributions::{location_distribution, LocationDistribution
 use crate::analysis::shared::{detect_shared_anomalies, SharedAnomaly, StreamerActivity};
 use crate::pipeline::Tero;
 use crate::serving::{
-    dist_meta_key, dist_sketch_key, DistProvenance, ServeGranularity, DIST_SKETCH_PREFIX,
-    SERVE_VERSION_KEY,
+    dist_meta_key, dist_sketch_key, DistProvenance, ServeGranularity, SERVE_VERSION_KEY,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use tero_geoparse::Gazetteer;
 use tero_stats::QuantileSketch;
-use tero_store::KvStore;
 use tero_types::{AnonId, GameId, Location, SimTime};
 use tero_world::games::{corrected_distance_to, primary_server};
 
@@ -142,14 +140,11 @@ impl AggStage {
         self.commit(cx, moved);
     }
 
-    /// Read back the served distribution keys after a restore, so the
-    /// first pass deletes those it no longer serves — the groups of a
-    /// merged sharded store included.
-    pub(crate) fn rebuild(&mut self, kv: &KvStore) {
-        self.restored = kv
-            .keys_with_prefix(DIST_SKETCH_PREFIX)
-            .into_iter()
-            .collect();
+    /// Take the served distribution keys a restore decoded, so the first
+    /// pass deletes those it no longer serves — the groups of a merged
+    /// sharded store included.
+    pub(crate) fn rebuild(&mut self, served: BTreeSet<String>) {
+        self.restored = served;
     }
 
     /// Hand the settled analyses of one granularity to the publish

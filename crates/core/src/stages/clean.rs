@@ -42,7 +42,6 @@ use crate::analysis::anomaly::{detect_anomalies, AnomalyReport, SegmentLabel, Sp
 use crate::analysis::clusters::{classify_streamer, ClassifiedStreamer};
 use crate::analysis::segments::{Segment, StreamSeries};
 use std::collections::{BTreeMap, BTreeSet};
-use tero_store::KvStore;
 use tero_trace::{Level, TaskTrace};
 use tero_types::{AnonId, GameId, LatencySample, SimDuration, SimTime, TeroParams};
 
@@ -125,17 +124,19 @@ impl SeriesState {
         }
     }
 
-    /// A series rebuilt from the first `records` of its sample list,
-    /// sorted as the batch stitcher sorts the whole list; its cursor is
-    /// the number of records replayed.
-    fn replay(anon: AnonId, game: GameId, records: &[String], params: &TeroParams) -> SeriesState {
+    /// A series rebuilt from `records`, the head of its sample list,
+    /// sorted as the batch stitcher sorts the whole list, with its cursor
+    /// at `cursor`, the number of list entries they were read from.
+    fn replay(
+        anon: AnonId,
+        game: GameId,
+        records: &[SampleRecord],
+        cursor: usize,
+        params: &TeroParams,
+    ) -> SeriesState {
         let mut state = SeriesState::new(anon, game);
-        state.cursor = records.len();
-        let mut samples: Vec<LatencySample> = records
-            .iter()
-            .filter_map(|r| SampleRecord::decode(r))
-            .map(decode_sample)
-            .collect();
+        state.cursor = cursor;
+        let mut samples: Vec<LatencySample> = records.iter().copied().map(decode_sample).collect();
         samples.sort_by_key(|s| s.at);
         state.feed(&samples, params);
         state
@@ -362,8 +363,14 @@ impl CleanStage {
                 (Some(first), Some(last)) if first.at < last
             );
             if inverted {
-                // The cursor now stands at the list's end.
-                *state = SeriesState::replay(anon, game, &cx.kv.lrange_from(&key, 0), params);
+                // The cursor now stands at the list's end, and stays there
+                // however many of the list's records decode.
+                let list = cx.kv.lrange_from(&key, 0);
+                let records: Vec<SampleRecord> = list
+                    .iter()
+                    .filter_map(|r| SampleRecord::decode(r))
+                    .collect();
+                *state = SeriesState::replay(anon, game, &records, state.cursor, params);
             } else {
                 state.feed(&samples, params);
             }
@@ -477,28 +484,30 @@ impl CleanStage {
         }
     }
 
-    /// Rebuild the in-memory state from the store after a restore: replay
-    /// every sample list up to its committed cursor (metric-silent — the
-    /// counters were already restored from `engine:counters`). By the
-    /// sealing argument above, replaying the same sample prefix
-    /// reconstructs the identical sealed/tail split. A cursor past the
-    /// end of its list (a damaged or badly merged snapshot) resumes at
-    /// the end of what was replayed, so no later record is skipped.
-    pub(crate) fn rebuild(&mut self, kv: &KvStore, params: &TeroParams) {
-        let cursors = kv.hgetall(CLEAN_CURSORS_KEY);
-        for key in kv.keys_with_prefix(SAMPLES_PREFIX) {
-            let Some((anon, game)) = parse_sample_list_key(&key) else {
-                continue;
-            };
-            let consumed: usize = cursors.get(&key).and_then(|v| v.parse().ok()).unwrap_or(0);
-            if consumed == 0 {
-                continue;
+    /// Rebuild the in-memory state after a restore from the committed
+    /// sample lists and cursors: replay every list up to its cursor
+    /// (metric-silent — the counters were already restored from
+    /// `engine:counters`). By the sealing argument above, replaying the
+    /// same sample prefix reconstructs the identical sealed/tail split. A
+    /// list without a cursor was never consumed. A cursor past the end
+    /// of its list (a damaged or badly merged snapshot) resumes at the
+    /// end of what was replayed, so no later record is skipped.
+    pub(crate) fn rebuild(
+        &mut self,
+        samples: BTreeMap<(AnonId, GameId), Vec<SampleRecord>>,
+        cursors: &BTreeMap<(AnonId, GameId), usize>,
+        params: &TeroParams,
+    ) {
+        for ((anon, game), records) in samples {
+            let consumed = cursors
+                .get(&(anon, game))
+                .map_or(0, |&n| n.min(records.len()));
+            if consumed > 0 {
+                let replayed = &records[..consumed];
+                let mut state = SeriesState::replay(anon, game, replayed, consumed, params);
+                state.seal(params);
+                self.states.insert((anon, game), state);
             }
-            let records = kv.lrange_from(&key, 0);
-            let replayed = &records[..consumed.min(records.len())];
-            let mut state = SeriesState::replay(anon, game, replayed, params);
-            state.seal(params);
-            self.states.insert((anon, game), state);
         }
     }
 }
@@ -523,6 +532,18 @@ mod tests {
     /// The batch reference: full stitch + segmentation + detection, as
     /// the legacy stitch/clean stages computed it.
     fn batch_report(samples: &[LatencySample], params: &TeroParams) -> AnomalyReport {
+        let mut segments = Vec::new();
+        for (idx, stream) in batch_streams(samples).iter().enumerate() {
+            segments.extend(crate::analysis::segments::segment_stream(
+                idx, stream, params,
+            ));
+        }
+        detect_anomalies(segments, params)
+    }
+
+    /// The batch stitcher: the samples sorted by time, split at every gap
+    /// over `STREAM_GAP`.
+    fn batch_streams(samples: &[LatencySample]) -> Vec<Vec<LatencySample>> {
         let mut sorted = samples.to_vec();
         sorted.sort_by_key(|s| s.at);
         let mut streams: Vec<Vec<LatencySample>> = Vec::new();
@@ -536,13 +557,7 @@ mod tests {
             }
             streams.last_mut().unwrap().push(s);
         }
-        let mut segments = Vec::new();
-        for (idx, stream) in streams.iter().enumerate() {
-            segments.extend(crate::analysis::segments::segment_stream(
-                idx, stream, params,
-            ));
-        }
-        detect_anomalies(segments, params)
+        streams
     }
 
     /// A synthetic multi-stream series with stable plateaus, glitches,
@@ -620,24 +635,10 @@ mod tests {
                 let got = format!("{:?}", state.view_report(&p));
                 assert_eq!(got, want, "seed {seed} chunk {chunk}: horizon view");
                 // The passthrough streams match the batch stitcher too.
-                let batch_streams: Vec<usize> = {
-                    let mut sorted = series.clone();
-                    sorted.sort_by_key(|s| s.at);
-                    let mut streams: Vec<Vec<LatencySample>> = Vec::new();
-                    for &s in &sorted {
-                        let split = streams
-                            .last()
-                            .and_then(|st| st.last())
-                            .is_none_or(|last| s.at.since(last.at) > STREAM_GAP);
-                        if split {
-                            streams.push(Vec::new());
-                        }
-                        streams.last_mut().unwrap().push(s);
-                    }
-                    streams.iter().map(|s| s.len()).collect()
-                };
-                let got_streams: Vec<usize> = state.streams.iter().map(|s| s.len()).collect();
-                assert_eq!(got_streams, batch_streams, "seed {seed} chunk {chunk}");
+                let want_streams: Vec<usize> =
+                    batch_streams(&series).iter().map(Vec::len).collect();
+                let got_streams: Vec<usize> = state.streams.iter().map(Vec::len).collect();
+                assert_eq!(got_streams, want_streams, "seed {seed} chunk {chunk}");
             }
         }
     }
@@ -646,7 +647,7 @@ mod tests {
     fn cached_views_equal_fresh_analyses_at_the_horizon() {
         use crate::download::DownloadModule;
         use crate::pipeline::Tero;
-        use tero_store::ObjectStore;
+        use tero_store::{KvStore, ObjectStore};
         use tero_world::{World, WorldConfig};
 
         let tero = Tero::default();
@@ -760,10 +761,5 @@ mod tests {
             format!("{got:?}"),
             format!("{:?}", batch_report(&series, &p))
         );
-    }
-
-    #[test]
-    fn clean_cursors_key_is_protected() {
-        assert!(CLEAN_CURSORS_KEY.starts_with(tero_store::PROTECTED_PREFIX));
     }
 }

@@ -7,7 +7,7 @@
 //! any worker count and over any window schedule. Extracted measurements
 //! leave the stage as [`SampleRecord`]s appended to per-`{streamer,
 //! game}` KV lists (`super::sample_list_key`); usernames land in the
-//! [`super::NAMES_KEY`] hash for the locate stage. A resolved task's
+//! `engine:names` hash for the locate stage. A resolved task's
 //! thumbnail is deleted from the object store in the same merge; a
 //! dead-lettered one keeps it for a requeue.
 
@@ -50,7 +50,7 @@ pub(crate) struct ExtractStage {
 pub(crate) struct Extracted {
     /// Records appended to the sample lists.
     pub(crate) records: u64,
-    /// A streamer was registered in the [`NAMES_KEY`] hash.
+    /// A streamer was registered in the `engine:names` hash.
     pub(crate) new_name: bool,
 }
 

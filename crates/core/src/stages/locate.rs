@@ -41,10 +41,6 @@ use tero_geoparse::tags::TagObservation;
 use tero_store::KvStore;
 use tero_types::{AnonId, Location, StreamerId};
 
-/// Everything the locate stage commits lives under this prefix (inside
-/// [`tero_store::PROTECTED_PREFIX`], so chaos never drops it).
-pub const LOCATE_PREFIX: &str = "engine:locate:";
-
 /// Hash of committed profile outcomes: field `{anon:016x}`, value a
 /// JSON `{faults, description}` record. A field is written exactly once
 /// per streamer, when the budget admits its lookup.
@@ -70,7 +66,7 @@ pub(crate) const PROFILE_ATTEMPTS: u32 = 5;
 /// [`PROFILE_ATTEMPTS`] the fetch gave up and `description` is `None`
 /// regardless of what the platform holds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct ProfileOutcome {
+pub(crate) struct ProfileOutcome {
     faults: u32,
     description: Option<String>,
 }
@@ -78,7 +74,7 @@ struct ProfileOutcome {
 /// A streamer's committed location verdict, stamped with the tag-count
 /// it was evaluated at so tag growth forces a re-evaluation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct LocateResult {
+pub(crate) struct LocateResult {
     tags_seen: usize,
     located: Option<(Location, LocationSource)>,
 }
@@ -156,29 +152,33 @@ impl LocateStage {
         self.reevaluate(cx)
     }
 
-    /// Reconstruct in-memory state from the committed hashes. Metric-
-    /// silent: counters were restored from the engine's counter
-    /// snapshot, and nothing here re-draws a chaos outcome.
-    pub(crate) fn rebuild(&mut self, kv: &KvStore) {
-        self.names = parse_names(kv);
-        self.seen = self.names.keys().copied().collect();
-        self.profiles = parse_hash(kv, LOCATE_PROFILES_KEY);
-        self.results = parse_hash(kv, LOCATE_RESULTS_KEY);
-        self.canonical = self
-            .results
-            .iter()
-            .filter_map(|(anon, r)| r.located.clone().map(|ls| (*anon, ls)))
-            .collect();
+    /// Reconstruct in-memory state from the committed names, profiles,
+    /// verdicts and API spend. Metric-silent: counters were restored from
+    /// the engine's counter snapshot, and nothing here re-draws a chaos
+    /// outcome.
+    pub(crate) fn rebuild(
+        &mut self,
+        names: BTreeMap<AnonId, StreamerId>,
+        profiles: BTreeMap<AnonId, ProfileOutcome>,
+        results: BTreeMap<AnonId, LocateResult>,
+        api_calls: u64,
+    ) {
+        self.seen = names.keys().copied().collect();
+        self.names = names;
+        self.profiles = profiles;
+        self.results = results;
+        for (anon, result) in &self.results {
+            if let Some(located) = &result.located {
+                self.canonical.insert(*anon, located.clone());
+            }
+        }
         self.queue = self
             .names
             .iter()
             .filter(|(anon, _)| !self.profiles.contains_key(anon))
             .map(|(anon, name)| (*anon, name.clone()))
             .collect();
-        self.api_calls = kv
-            .hget(LOCATE_META_KEY, "api_calls")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        self.api_calls = api_calls;
     }
 
     /// Pull newly-registered names into the carry-over queue (sorted by
@@ -330,15 +330,5 @@ fn parse_names(kv: &KvStore) -> BTreeMap<AnonId, StreamerId> {
     kv.hgetall(NAMES_KEY)
         .into_iter()
         .filter_map(|(hex, name)| Some((parse_anon_field(&hex)?, StreamerId::new(&name))))
-        .collect()
-}
-
-/// A committed `{anon:016x}` → JSON hash, parsed and sorted.
-fn parse_hash<T: serde::de::DeserializeOwned>(kv: &KvStore, key: &str) -> BTreeMap<AnonId, T> {
-    kv.hgetall(key)
-        .into_iter()
-        .filter_map(|(hex, json)| {
-            Some((parse_anon_field(&hex)?, serde_json::from_str(&json).ok()?))
-        })
         .collect()
 }

@@ -215,38 +215,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sample_record_roundtrip() {
-        for rec in [
-            SampleRecord {
-                at: SimTime::from_mins(7),
-                primary: 42,
-                alternative: None,
-            },
-            SampleRecord {
-                at: SimTime::from_micros(1),
-                primary: 999,
-                alternative: Some(17),
-            },
-        ] {
-            assert_eq!(SampleRecord::decode(&rec.encode()), Some(rec));
-        }
-        assert_eq!(SampleRecord::decode("junk"), None);
-        assert_eq!(SampleRecord::decode("1|2|3|4"), None);
-    }
-
-    #[test]
-    fn sample_list_key_roundtrip() {
-        for game in GameId::ALL {
-            let anon = AnonId(0xdead_beef_0000_0001);
-            let key = sample_list_key(anon, game);
-            assert!(key.starts_with(tero_store::PROTECTED_PREFIX));
-            assert_eq!(parse_sample_list_key(&key), Some((anon, game)));
-        }
-        assert_eq!(parse_sample_list_key("engine:samples:zz:00"), None);
-        assert_eq!(parse_sample_list_key("queue:thumbs"), None);
-    }
-
-    #[test]
     fn stage_metrics_register_the_standard_names() {
         let r = Registry::new();
         let m = StageMetrics::new(&r, "extract");

@@ -676,50 +676,16 @@ impl KvSnapshot {
         self.entries.is_empty()
     }
 
-    /// The string stored under `key`, read without restoring the snapshot.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        match &self.entry(key)?.value {
-            SnapshotValue::Str(value) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// The `(field, value)` pairs of the hash stored under `key`, sorted
-    /// by field, read without restoring the snapshot.
-    pub fn hash_fields(&self, key: &str) -> Option<&[(String, String)]> {
-        match &self.entry(key)?.value {
-            SnapshotValue::Hash(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// The items of the list stored under `key`, head first, read without
-    /// restoring the snapshot.
-    pub fn list(&self, key: &str) -> Option<&[String]> {
-        match &self.entry(key)?.value {
-            SnapshotValue::List(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Every key that starts with `prefix`, with its string value (`None`
-    /// for a list or a hash), in snapshot order, read without restoring
-    /// the snapshot.
-    pub fn strings_with_prefix<'a>(
+    /// Every key that starts with `prefix`, with its value, in snapshot
+    /// order, read without restoring the snapshot.
+    pub fn entries_with_prefix<'a>(
         &'a self,
         prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, Option<&'a str>)> + 'a {
+    ) -> impl Iterator<Item = (&'a str, &'a SnapshotValue)> + 'a {
         self.entries
             .iter()
             .filter(move |entry| entry.key.starts_with(prefix))
-            .map(|entry| match &entry.value {
-                SnapshotValue::Str(value) => (entry.key.as_str(), Some(value.as_str())),
-                _ => (entry.key.as_str(), None),
-            })
-    }
-
-    fn entry(&self, key: &str) -> Option<&SnapshotEntry> {
-        self.entries.iter().find(|entry| entry.key == key)
+            .map(|entry| (entry.key.as_str(), &entry.value))
     }
 
     /// Merge entries from several snapshots into one, keeping entries
@@ -784,7 +750,7 @@ struct SnapshotEntry {
 
 /// Snapshot form of a stored value (hash fields sorted for determinism).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-enum SnapshotValue {
+pub enum SnapshotValue {
     /// A string (or counter) value.
     Str(String),
     /// A list, head first.
@@ -1031,23 +997,19 @@ mod tests {
         kv.hset("h", "a", "1");
         let snap = kv.snapshot();
         assert_eq!(snap.len(), 4);
-        assert_eq!(snap.get("s"), Some("v"));
         let pairs = [("a", "1"), ("b", "2")].map(|(f, v)| (f.to_string(), v.to_string()));
-        assert_eq!(snap.hash_fields("h"), Some(&pairs[..]));
-        assert_eq!(
-            snap.list("q"),
-            Some(&["1".to_string(), "2".to_string()][..])
-        );
-        // Each reads its own type only, like the store's own accessors.
-        assert_eq!(snap.get("h"), None);
-        assert_eq!(snap.hash_fields("s"), None);
-        assert_eq!(snap.list("s"), None);
-        let prefixed: Vec<_> = snap.strings_with_prefix("l").collect();
-        assert_eq!(prefixed, [("lease", Some("x"))]);
-        assert_eq!(
-            snap.strings_with_prefix("q").collect::<Vec<_>>(),
-            [("q", None)]
-        );
+        let hash = SnapshotValue::Hash(pairs.to_vec());
+        let lease = SnapshotValue::Str("x".into());
+        let list = SnapshotValue::List(vec!["1".into(), "2".into()]);
+        let string = SnapshotValue::Str("v".into());
+        let all = [
+            ("h", &hash),
+            ("lease", &lease),
+            ("q", &list),
+            ("s", &string),
+        ];
+        assert_eq!(snap.entries_with_prefix("").collect::<Vec<_>>(), all);
+        assert_eq!(snap.entries_with_prefix("l").collect::<Vec<_>>(), [all[1]]);
 
         let other = KvStore::new();
         other.set("stale", "gone");
@@ -1103,12 +1065,11 @@ mod tests {
         let parts = merged
             .clone()
             .partition(2, |key| key.starts_with("engine:") as usize);
-        assert_eq!(
-            parts.iter().map(KvSnapshot::len).collect::<Vec<_>>(),
-            [2, 1]
-        );
-        assert_eq!(parts[1].get("x"), None);
-        assert_eq!(parts[0].get("y"), Some("2"));
+        let keys: Vec<Vec<&str>> = parts
+            .iter()
+            .map(|part| part.entries_with_prefix("").map(|(key, _)| key).collect())
+            .collect();
+        assert_eq!(keys, [vec!["x", "y"], vec!["engine:ledger"]]);
         assert_eq!(KvSnapshot::merged(&parts), merged);
     }
 

@@ -29,6 +29,6 @@ mod kv;
 mod object;
 mod remote;
 
-pub use kv::{KvSnapshot, KvStore, PROTECTED_PREFIX};
+pub use kv::{KvSnapshot, KvStore, SnapshotValue, PROTECTED_PREFIX};
 pub use object::{ObjectSnapshot, ObjectStore};
 pub use remote::{KvRequest, KvResponse, ObjRequest, ObjResponse, RemoteStore};

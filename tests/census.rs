@@ -32,14 +32,14 @@ const TABLE: &[(&str, u64, u64, u64, u64)] = &[
     ("facade",      64,  14,   0,   0),
     ("bench",     3243,   2,   0,   0),
     ("chaos",      873,  30,   0,   0),
-    ("core",      8899, 137,  19,  14),
+    ("core",      8898, 136,  19,  14),
     ("geoparse",  3204,  32,   4,   0),
     ("net",       2770,  48,  12,   7),
     ("pool",       315,   7,   1,   0),
     ("serve",     1082,  30,   2,   0),
     ("simnet",    2305,  55,   3,   9),
     ("stats",     3889,  70,  13,   0),
-    ("store",     1864,  66,   6,   0),
+    ("store",     1825,  64,   6,   0),
     ("trace",     3248, 134,   3,   8),
     ("types",     1700, 109,   0,   1),
     ("vision",    4150,  62,   2,   0),

@@ -463,7 +463,7 @@ fn a_damaged_committed_cursor_is_refused() {
     // skipped and then overwritten with a smaller value. Handing such a
     // snapshot over is an error now, and the untouched snapshot still
     // resumes to the uninterrupted report.
-    use tero::core::{CursorError, StoreSnapshot};
+    use tero::core::{RestoreError, StoreSnapshot};
     use tero::store::KvStore;
     const CURSOR_KEY: &str = "engine:download_cursor";
     const MARKERS_KEY: &str = "engine:cursor";
@@ -488,7 +488,11 @@ fn a_damaged_committed_cursor_is_refused() {
             objects: snap.objects.clone(),
         }
     };
-    let cursor = snap.kv.get(CURSOR_KEY).expect("ingest committed a cursor");
+    let committed = KvStore::new();
+    committed.restore(&snap.kv);
+    let cursor = committed
+        .get(CURSOR_KEY)
+        .expect("ingest committed a cursor");
     let garbage = edited(&|kv| kv.set(CURSOR_KEY, "garbage"));
     let truncated = edited(&|kv| kv.set(CURSOR_KEY, &cursor[..cursor.len() / 2]));
     let missing = edited(&|kv| {
@@ -496,28 +500,17 @@ fn a_damaged_committed_cursor_is_refused() {
     });
     let bad_marker = edited(&|kv| kv.hset(MARKERS_KEY, "tasks_processed", "12x"));
     let bad_counter = edited(&|kv| kv.hset(COUNTERS_KEY, "download.polls", "-1"));
-    let not_a_number = |key, field: &str| {
-        Err(CursorError::NotANumber {
-            key,
-            field: field.to_string(),
-        })
-    };
     let second = windowed_tero(2);
-    for (damaged, what) in [
-        (garbage, "garbage"),
-        (truncated, "truncated"),
-        (missing, "missing"),
-        (bad_marker, "bad marker"),
-        (bad_counter, "bad counter"),
+    for (damaged, key, what) in [
+        (garbage, CURSOR_KEY, "garbage"),
+        (truncated, CURSOR_KEY, "truncated"),
+        (missing, CURSOR_KEY, "missing"),
+        (bad_marker, MARKERS_KEY, "bad marker"),
+        (bad_counter, COUNTERS_KEY, "bad counter"),
     ] {
         let refused = second.restore_engine(damaged);
-        let expected = match what {
-            "bad marker" => refused == not_a_number(MARKERS_KEY, "tasks_processed"),
-            "bad counter" => refused == not_a_number(COUNTERS_KEY, "download.polls"),
-            "missing" => refused == Err(CursorError::Missing),
-            _ => matches!(refused, Err(CursorError::Undecodable(_))),
-        };
-        assert!(expected, "{what}: {refused:?}");
+        let names = |e: &RestoreError| (e.family, e.key.as_str()) == (Some(key), key);
+        assert!(refused.as_ref().is_err_and(names), "{what}: {refused:?}");
     }
     second
         .restore_engine(snap)
@@ -559,16 +552,14 @@ fn an_undecodable_ledger_record_is_refused() {
     // A committed ledger record that did not decode used to be skipped:
     // the replayed ledger lost that sample, and its books no longer
     // added up. The restore refuses it now, naming the record.
-    use tero::core::CursorError;
+    use tero::core::RestoreError;
     const LEDGER_KEY: &str = "engine:ledger";
     let (snap, mut world, from) = snapshot_after_30_hours();
-    let records = snap
-        .kv
-        .list(LEDGER_KEY)
-        .expect("the run committed its ledger");
-    let index = records.len() / 2;
+    let mut index = 0;
     let damaged = kv_edited(&snap, |kv| {
         let mut records = kv.lrange_from(LEDGER_KEY, 0);
+        assert!(!records.is_empty(), "the run committed its ledger");
+        index = records.len() / 2;
         records[index].push_str("|extra");
         kv.del(LEDGER_KEY);
         kv.rpush_batch(LEDGER_KEY, records);
@@ -576,7 +567,11 @@ fn an_undecodable_ledger_record_is_refused() {
     let second = windowed_tero(2);
     assert_eq!(
         second.restore_engine(damaged),
-        Err(CursorError::LedgerRecord { index })
+        Err(RestoreError {
+            family: Some(LEDGER_KEY),
+            key: LEDGER_KEY.to_string(),
+            reason: format!("record {index} does not decode"),
+        })
     );
     second
         .restore_engine(snap)
@@ -593,25 +588,118 @@ fn an_undecodable_raw_sketch_is_refused() {
     // its next commit overwrote the committed values. The restore
     // refuses it now, naming the key.
     use tero::core::serving::RAW_SKETCH_PREFIX;
-    use tero::core::CursorError;
+    use tero::core::RestoreError;
+    use tero::store::SnapshotValue;
     let (snap, _, _) = snapshot_after_30_hours();
     let (key, raw) = snap
         .kv
-        .strings_with_prefix(RAW_SKETCH_PREFIX)
+        .entries_with_prefix(RAW_SKETCH_PREFIX)
         .next()
         .expect("the first 30 hours extracted something");
-    let (key, truncated) = (
-        key.to_string(),
-        raw.expect("a sketch is a string")[..5].to_string(),
-    );
+    let SnapshotValue::Str(raw) = raw else {
+        panic!("a sketch is a string");
+    };
+    let (key, truncated) = (key.to_string(), raw[..5].to_string());
     for value in [truncated.as_str(), "garbage"] {
         let damaged = kv_edited(&snap, |kv| kv.set(&key, value));
         assert_eq!(
             windowed_tero(2).restore_engine(damaged),
-            Err(CursorError::RawSketch { key: key.clone() }),
+            Err(RestoreError {
+                family: Some(RAW_SKETCH_PREFIX),
+                key: key.clone(),
+                reason: "the sketch does not decode".to_string(),
+            }),
             "{value:?}"
         );
     }
+}
+
+#[test]
+fn a_profile_row_without_its_name_row_does_not_panic_the_restore() {
+    // A damaged or badly merged snapshot can hold a committed profile
+    // whose `engine:names` row is gone. That is still a valid snapshot:
+    // the row stays unsettled, and the resumed run completes.
+    use tero::core::stages::{locate::LOCATE_PROFILES_KEY, NAMES_KEY};
+    let (snap, mut world, from) = snapshot_after_30_hours();
+    let damaged = kv_edited(&snap, |kv| {
+        let orphan = kv
+            .hgetall(LOCATE_PROFILES_KEY)
+            .into_keys()
+            .next()
+            .expect("the first 30 hours located someone");
+        let names = kv.hgetall(NAMES_KEY);
+        kv.del(NAMES_KEY);
+        kv.hset_many(NAMES_KEY, names.into_iter().filter(|(f, _)| *f != orphan));
+    });
+    let second = windowed_tero(2);
+    second
+        .restore_engine(damaged)
+        .expect("an orphaned profile row restores");
+    let report = drive_from(&second, &mut world, from, SimDuration::from_hours(24));
+    assert!(report.streamers_seen > 0);
+}
+
+#[test]
+fn each_family_refuses_a_corrupt_value() {
+    // One corrupt value in each family of the committed-state table, and
+    // one `engine:` key that no family holds: the restore refuses each,
+    // naming the family and the key, and leaves the slot as it was. A
+    // non-numeric `engine:serve:version` used to restore and panic the
+    // next bump, and a garbled sample record to restore and change the
+    // report.
+    use tero::core::stages::NAMES_KEY;
+    use tero::core::{RestoreError, FAMILIES};
+    use tero::store::SnapshotValue;
+    let day = SimDuration::from_hours(24);
+    let mut world = pinned_world();
+    let first = windowed_tero(2);
+    assert!(matches!(
+        first.run_window(&mut world, SimTime::EPOCH, SimTime::EPOCH + day),
+        WindowOutcome::Advanced
+    ));
+    let snap = first.engine_snapshot().expect("windowed run in flight");
+    drop(first);
+    let refused = |e: RestoreError| (e.family, e.key);
+    let second = windowed_tero(2);
+    for family in FAMILIES {
+        let (key, value) = snap
+            .kv
+            .entries_with_prefix(family.key)
+            .find(|(key, _)| family.prefix || *key == family.key)
+            .unwrap_or_else(|| panic!("the first day committed no {}", family.key));
+        let damaged = kv_edited(&snap, |kv| match value {
+            SnapshotValue::Str(_) => kv.set(key, "x"),
+            SnapshotValue::List(items) => {
+                let mut items = items.clone();
+                let mid = items.len() / 2;
+                items[mid].push_str("|x");
+                kv.del(key);
+                kv.rpush_batch(key, items);
+            }
+            // A username is any text: the field is what can be corrupt.
+            SnapshotValue::Hash(_) if family.key == NAMES_KEY => kv.hset(key, "x", "name"),
+            SnapshotValue::Hash(fields) => kv.hset(key, &fields[0].0, "x"),
+        });
+        assert_eq!(
+            second.restore_engine(damaged).map_err(refused),
+            Err((Some(family.key), key.to_string()))
+        );
+    }
+    let unknown = kv_edited(&snap, |kv| kv.set("engine:bogus", "1"));
+    assert_eq!(
+        second.restore_engine(unknown).map_err(refused),
+        Err((None, "engine:bogus".to_string()))
+    );
+    assert!(
+        second.engine_snapshot().is_none(),
+        "a refusal changed the slot"
+    );
+    second
+        .restore_engine(snap)
+        .expect("the untouched snapshot restores");
+    let report = drive_from(&second, &mut world, SimTime::EPOCH + day, day);
+    let reference = fingerprint(&windowed_tero(1).run(&mut pinned_world()));
+    assert_eq!(fingerprint(&report), reference);
 }
 
 /// The online cleaner's only committed state, `engine:clean:cursors`,
@@ -703,34 +791,26 @@ fn windowed_clean_cursors_identical_across_schedules() {
 /// point — so it must be byte-identical across window schedules, worker
 /// counts, chaos kill/resume and a fresh-`Tero` restore.
 fn locate_state(kv: &tero::store::KvStore) -> BTreeMap<String, String> {
-    use tero::core::stages::locate::LOCATE_PREFIX;
     let mut out = BTreeMap::new();
-    for key in kv.keys_with_prefix(LOCATE_PREFIX) {
-        for (field, value) in kv.hgetall(&key) {
+    for family in tero::core::FAMILIES.iter().filter(|f| f.owner == "locate") {
+        let key = family.key;
+        for (field, value) in kv.hgetall(key) {
             out.insert(format!("{key}#{field}"), value);
         }
     }
     out
 }
 
-/// Every `engine:*` key family the engine may leave in its store, each
-/// with a reader: a key outside this list is state nothing reads back.
+/// Every `engine:*` key the engine left in its store belongs to a family
+/// of the committed-state table, and its value decodes: the restore,
+/// which reads each key through `tero::core::FAMILIES`, takes the store.
+/// A key outside the table is state nothing reads back.
 fn assert_engine_keys_are_read(kv: &tero::store::KvStore) {
-    const EXACT: [&str; 6] = [
-        "engine:download_cursor",
-        "engine:cursor",
-        "engine:counters",
-        "engine:ledger",
-        "engine:names",
-        "engine:clean:cursors",
-    ];
-    const PREFIXES: [&str; 3] = ["engine:samples:", "engine:locate:", "engine:serve:"];
-    for key in kv.keys_with_prefix(tero::store::PROTECTED_PREFIX) {
-        assert!(
-            EXACT.contains(&key.as_str()) || PREFIXES.iter().any(|p| key.starts_with(p)),
-            "{key} is committed but belongs to no family with a reader"
-        );
-    }
+    let snapshot = tero::core::StoreSnapshot {
+        kv: kv.snapshot(),
+        objects: tero::store::ObjectStore::new().snapshot(),
+    };
+    assert_eq!(windowed_tero(1).restore_engine(snapshot), Ok(()));
 }
 
 #[test]
@@ -1040,9 +1120,10 @@ fn a_restored_engine_deletes_groups_it_no_longer_serves() {
     // A restored engine used to start with an empty map of the groups
     // it had served, so a committed distribution whose group had since
     // vanished stayed served until the horizon's publish wiped the
-    // family. Plant two such groups in a mid-run snapshot, one with a
-    // marker that is neither `c` nor `p`: the first window after the
-    // restore must delete both, marker and all.
+    // family. Plant two such groups in a mid-run snapshot, one with each
+    // marker: the first window after the restore must delete both,
+    // marker and all. (A marker that is neither `c` nor `p` is refused
+    // by the restore itself: `each_family_refuses_a_corrupt_value`.)
     use tero::core::serving::{
         dist_meta_key, dist_sketch_key, ServeGranularity, DIST_SKETCH_PREFIX,
     };
@@ -1062,7 +1143,7 @@ fn a_restored_engine_deletes_groups_it_no_longer_serves() {
     planted.restore(&snap.kv);
     let ghosts = ["Atlantis", "Lemuria"]
         .map(|loc| dist_sketch_key(ServeGranularity::Region, GameId::LeagueOfLegends, loc));
-    for (key, marker) in ghosts.iter().zip(["c", "x"]) {
+    for (key, marker) in ghosts.iter().zip(["c", "p"]) {
         planted.set(key, QuantileSketch::from_values(&[40.0, 42.0]).encode());
         planted.set(&dist_meta_key(key).expect("a dist key"), marker);
     }
@@ -1734,9 +1815,9 @@ fn generated_schedules_match_single_shot() {
 /// The distinct object keys of the tasks a snapshot holds in `list`.
 fn task_keys(snap: &tero::core::StoreSnapshot, list: &str) -> std::collections::BTreeSet<String> {
     use tero::core::download::ThumbnailTask;
-    snap.kv
-        .list(list)
-        .unwrap_or_default()
+    let kv = tero::store::KvStore::new();
+    kv.restore(&snap.kv);
+    kv.lrange_from(list, 0)
         .iter()
         .filter_map(|raw| ThumbnailTask::decode(raw))
         .map(|task| task.object_key)

@@ -508,3 +508,26 @@ fn doc_paths_resolve() {
         "unresolved doc paths: {unresolved:#?}"
     );
 }
+
+#[test]
+fn committed_families_are_documented() {
+    // docs/ARCHITECTURE.md's committed-state table has one row per family
+    // of `tero::core::FAMILIES`, first column the family's key (a prefix
+    // followed by `*`), and names no family the table does not hold.
+    let architecture =
+        read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/ARCHITECTURE.md"))
+            .expect("docs/ARCHITECTURE.md");
+    let rows: BTreeSet<String> = architecture
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `engine:")?.split_once("` |"))
+        .map(|(rest, _)| rest.to_string())
+        .collect();
+    let families: BTreeSet<String> = tero::core::FAMILIES
+        .iter()
+        .map(|f: &tero::core::Family| {
+            let key = f.key.strip_prefix("engine:").expect("an engine: family");
+            format!("{key}{}", if f.prefix { "*" } else { "" })
+        })
+        .collect();
+    assert_eq!(rows, families, "ARCHITECTURE.md's committed-state rows");
+}
