@@ -45,6 +45,9 @@ use tero_types::{GameId, SimDuration, SimRng, SimTime, StreamerId};
 use tero_world::twitch::{ApiError, CdnBody, CdnResponse, TwitchSim};
 use tero_world::World;
 
+/// KV list of the thumbnail tasks ingest queued and extract drains.
+pub(crate) const TASK_QUEUE: &str = "queue:thumbs";
+
 /// KV list holding tasks that could not be processed (undecodable queue
 /// entries, corrupt stored payloads). Never dropped silently; drained via
 /// [`DownloadModule::drain_dead_letters`].
@@ -69,9 +72,11 @@ const ACTIVE_TTL: SimDuration = SimDuration::from_hours(2);
 /// Seed of the retry-jitter stream (independent of the world seed).
 const RETRY_SEED: u64 = 0x5eed_cafe;
 /// Fetched thumbnails queued before they are rendered together on the
-/// pool and stored. Bounds what the queue holds in rendered form to under
-/// half a megabyte (14.4 KB each), whatever the window's length.
-const RENDER_BATCH: usize = 32;
+/// pool and stored — and the most one `run_cursor` call stores before it
+/// hands the turn to extract, which deletes what it resolves. Bounds what
+/// the object store holds to one batch, under half a megabyte (14.4 KB
+/// each), whatever the window's length.
+pub(crate) const RENDER_BATCH: usize = 32;
 /// Fewer queued thumbnails than this render on the calling thread. A
 /// fan-out spawns a scoped thread per worker beyond the caller — tens of
 /// microseconds each (`pool.fanout_us` in `docs/PERFORMANCE.md`) against
@@ -85,29 +90,26 @@ fn escape_field(s: &str) -> String {
     s.replace('%', "%25").replace('|', "%7C")
 }
 
-/// Reverse [`escape_field`]. Returns `None` for malformed escapes — the
-/// caller routes such entries to the dead-letter list.
+/// Reverse [`escape_field`]. Only the two escapes it writes, `%25` and
+/// `%7C`, are read; any other `%` returns `None`, so one task has one
+/// spelling — the caller routes such entries to the dead-letter list.
 fn unescape_field(s: &str) -> Option<String> {
-    if !s.contains('%') {
-        return Some(s.to_string());
-    }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s.get(i + 1..i + 3)?;
-            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-                return None;
-            }
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(at) = rest.find('%') {
+        out.push_str(&rest[..at]);
+        let escaped = &rest[at..];
+        out.push(if escaped.starts_with("%25") {
+            '%'
+        } else if escaped.starts_with("%7C") {
+            '|'
         } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
+            return None;
+        });
+        rest = &escaped[3..];
     }
-    String::from_utf8(out).ok()
+    out.push_str(rest);
+    Some(out)
 }
 
 /// A downloaded-thumbnail task pushed onto the processing queue.
@@ -252,9 +254,11 @@ impl PartialOrd for HeapEv {
 pub(crate) struct DownloadCursor {
     from: SimTime,
     until: SimTime,
-    /// Where the next window starts (trace span bookkeeping only). Not
-    /// serialised — it moves in every window, also in one that pops no
-    /// event; a restoring engine sets it from its committed `ingested_to`.
+    /// Where the next `run_cursor` call starts: the last window's end, or
+    /// the first event not popped by a call that stopped at a full batch
+    /// (trace span bookkeeping only). Not serialised — it moves in
+    /// every window, also in one that pops no event; a restoring engine
+    /// sets it from its committed `ingested_to`.
     pub(crate) window_start: SimTime,
     /// A window initialised the cursor or popped an event since the last
     /// [`DownloadCursor::take_dirty`]: the serialised form has changed.
@@ -280,6 +284,9 @@ pub(crate) struct Ingested {
     pub(crate) thumbnails: u64,
     /// A poll appended a country tag to a `tags:*` list.
     pub(crate) tags_grew: bool,
+    /// The call stopped at a full render batch with events still due by
+    /// the window's end: the caller extracts the batch, then calls again.
+    pub(crate) more: bool,
 }
 
 impl DownloadCursor {
@@ -585,20 +592,23 @@ impl DownloadModule {
 
     /// Run the module against the world from `from` to `until` (logical
     /// time). Thumbnails land in the object store (bucket `thumbs`) and
-    /// tasks on the KV list `queue:thumbs`.
+    /// tasks on the KV list `queue:thumbs`, every one of them: nothing
+    /// extracts in between.
     ///
     /// Implemented as one full-range window over a fresh
-    /// `DownloadCursor`; the engine drives `run_cursor` window by
-    /// window.
+    /// `DownloadCursor`, called batch after batch; the engine drives
+    /// `run_cursor` window by window and extracts between the batches.
     pub fn run(&mut self, world: &mut World, from: SimTime, until: SimTime) -> DownloadStats {
         let mut cursor = DownloadCursor::new(from, until);
-        self.run_cursor(world, &mut cursor, until);
+        while self.run_cursor(world, &mut cursor, until).more {}
         cursor.stats
     }
 
-    /// Advance `cursor` through every pending event at or before
-    /// `window_end` (clamped to the cursor's global `until` bound), and
-    /// return what that wrote for the stages downstream.
+    /// Advance `cursor` through the pending events at or before
+    /// `window_end` (clamped to the cursor's global `until` bound) until
+    /// it has stored one `RENDER_BATCH` (32) of thumbnails or drained the
+    /// window, and return what that wrote for the stages downstream
+    /// (`Ingested::more`: the batch filled first).
     ///
     /// The first call installs the initial poll, the planned crash
     /// windows, and the `active:*` lease recovery exactly as a full run
@@ -608,12 +618,13 @@ impl DownloadModule {
     /// [`DownloadModule::run`], so stats, stores and metrics stay
     /// byte-identical.
     ///
-    /// A fetched thumbnail's pixels are not needed to decide anything, so
-    /// the loop queues its `(object key, body)` and the queue is rendered
-    /// on the pool and stored — in queue order — every `RENDER_BATCH` (32)
-    /// fetches and before returning. Object puts therefore trail the KV
-    /// operations of the events that caused them; puts among themselves
-    /// and KV operations among themselves keep the loop's order.
+    /// Where a call stops decides nothing either: the next call pops the
+    /// next event. A fetched thumbnail's pixels are not needed to decide
+    /// anything, so the loop queues its `(object key, body)` and the
+    /// queue is rendered on the pool and stored — in queue order — before
+    /// returning. Object puts therefore trail the KV operations of the
+    /// events that caused them; puts among themselves and KV operations
+    /// among themselves keep the loop's order.
     pub(crate) fn run_cursor(
         &self,
         world: &mut World,
@@ -630,12 +641,18 @@ impl DownloadModule {
         }
         let mut ingested = Ingested::default();
         let mut fetched: Vec<(String, CdnBody)> = Vec::new();
-        while cursor
-            .heap
-            .peek()
-            .is_some_and(|Reverse(next)| next.0 <= window_end)
-        {
-            let Reverse(HeapEv(at, _, ev)) = cursor.heap.pop().expect("peeked above");
+        let due = |cursor: &DownloadCursor| {
+            let Reverse(next) = cursor.heap.peek()?;
+            (next.0 <= window_end).then_some(next.0)
+        };
+        while let Some(at) = due(cursor) {
+            if fetched.len() == RENDER_BATCH {
+                // The next call starts its span at the event it pops first.
+                cursor.window_start = at;
+                ingested.more = true;
+                break;
+            }
+            let Reverse(HeapEv(_, _, ev)) = cursor.heap.pop().expect("peeked above");
             cursor.dirty = true;
             match ev {
                 Ev::Poll => ingested.tags_grew |= self.poll(world, cursor, at, &sp_run),
@@ -655,8 +672,10 @@ impl DownloadModule {
                 }
             }
         }
-        self.store_fetched(&world.twitch, &mut fetched);
-        cursor.window_start = window_end;
+        self.store_fetched(&world.twitch, fetched);
+        if !ingested.more {
+            cursor.window_start = window_end;
+        }
         ingested
     }
 
@@ -907,10 +926,7 @@ impl DownloadModule {
                     ),
                 };
                 fetched.push((task.object_key.clone(), body));
-                if fetched.len() == RENDER_BATCH {
-                    self.store_fetched(&world.twitch, fetched);
-                }
-                self.kv.rpush("queue:thumbs", task.encode());
+                self.kv.rpush(TASK_QUEUE, task.encode());
                 // Refresh the activity lease.
                 self.kv
                     .set_with_ttl(&lease, &assignment.url, at + ACTIVE_TTL);
@@ -972,8 +988,8 @@ impl DownloadModule {
         }
     }
 
-    /// Render every queued body and store the payloads in queue order,
-    /// emptying the queue: all at once on a pool that has workers, when
+    /// Render every queued body and store the payloads in queue order:
+    /// all at once on a pool that has workers, when
     /// the queue is worth a fan-out, else a body at a time (through the
     /// pool all the same, so `pool.tasks` counts every render).
     ///
@@ -984,7 +1000,7 @@ impl DownloadModule {
     /// between the puts lets the allocator split that hole for blobs
     /// sixteen bytes too big for it (+2 MB of resident set on a 21 MB
     /// run), and blobs built on the workers pin their arenas (+70 %).
-    fn store_fetched(&self, twitch: &TwitchSim, fetched: &mut Vec<(String, CdnBody)>) {
+    fn store_fetched(&self, twitch: &TwitchSim, fetched: Vec<(String, CdnBody)>) {
         let fan_out = fetched.len() >= POOL_MIN_BATCH && self.pool.workers() > 1;
         let round = if fan_out { fetched.len() } else { 1 };
         for bodies in fetched.chunks(round) {
@@ -993,7 +1009,6 @@ impl DownloadModule {
                 self.objects.put("thumbs", object_key, payload.as_slice());
             }
         }
-        fetched.clear();
     }
 
     /// Decode and drain every queued thumbnail task. Undecodable entries
@@ -1001,7 +1016,7 @@ impl DownloadModule {
     /// silently dropped.
     pub fn drain_tasks(&self) -> Vec<ThumbnailTask> {
         let mut out = Vec::new();
-        while let Some(raw) = self.kv.lpop("queue:thumbs") {
+        while let Some(raw) = self.kv.lpop(TASK_QUEUE) {
             match ThumbnailTask::decode(&raw) {
                 Some(task) => out.push(task),
                 None => {
@@ -1048,7 +1063,7 @@ impl DownloadModule {
         let mut poison = Vec::new();
         for raw in self.drain_dead_letters() {
             if ThumbnailTask::decode(&raw).is_some() {
-                self.kv.rpush("queue:thumbs", raw);
+                self.kv.rpush(TASK_QUEUE, raw);
                 requeued += 1;
             } else {
                 poison.push(raw);
@@ -1118,6 +1133,25 @@ mod tests {
         })
     }
 
+    /// Drive `cursor` to `end` batch after batch, as the engine does (with
+    /// nothing extracted in between): every call but the last stores
+    /// exactly one full batch, and the last at most one.
+    fn ingest_to(
+        module: &DownloadModule,
+        world: &mut World,
+        cursor: &mut DownloadCursor,
+        end: SimTime,
+    ) {
+        loop {
+            let ingested = module.run_cursor(world, cursor, end);
+            if !ingested.more {
+                assert!(ingested.thumbnails <= RENDER_BATCH as u64);
+                return;
+            }
+            assert_eq!(ingested.thumbnails, RENDER_BATCH as u64);
+        }
+    }
+
     #[test]
     fn task_roundtrip() {
         let task = ThumbnailTask {
@@ -1127,8 +1161,37 @@ mod tests {
             object_key: "darkwolf42/74040000000".into(),
         };
         assert_eq!(ThumbnailTask::decode(&task.encode()), Some(task));
-        for bad in ["garbage", "a|nope|1|k", "a|dota2|+1|k", "a|dota2|01|k"] {
+        // `%61` would decode to the task that encodes as `ab|…`, and `%7c`
+        // to the one that encodes as `a%7Cb|…`: only the two escapes the
+        // encoder writes are read.
+        for bad in [
+            "garbage",
+            "a|nope|1|k",
+            "a|dota2|+1|k",
+            "a|dota2|01|k",
+            "%61b|dota2|1|k",
+            "a%7cb|dota2|1|k",
+        ] {
             assert_eq!(ThumbnailTask::decode(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn task_decoder_accepts_only_what_the_encoder_writes() {
+        // Every truncation, byte deletion and byte replacement of a queue
+        // entry is refused or re-encodes to exactly the edited bytes.
+        let reencode = |s: &str| ThumbnailTask::decode(s).map(|task| task.encode());
+        for (streamer, object_key) in [
+            ("darkwolf42", "darkwolf42/74040000000"),
+            ("dark|wolf%42", "dark|wolf%42/420000000"),
+        ] {
+            let task = ThumbnailTask {
+                streamer: StreamerId::new(streamer),
+                game_label: GameId::Dota2,
+                generated_at: SimTime::from_mins(1234),
+                object_key: object_key.into(),
+            };
+            crate::keys::tests::assert_strict(&task.encode(), reencode);
         }
     }
 
@@ -1143,8 +1206,7 @@ mod tests {
         };
         let encoded = task.encode();
         assert_eq!(ThumbnailTask::decode(&encoded), Some(task));
-        // Malformed escapes are rejected, not mis-decoded (`from_str_radix`
-        // alone would read the sign-led `+C` as 12).
+        // Malformed escapes are rejected, not mis-decoded.
         assert_eq!(ThumbnailTask::decode("bad%zz|dota2|1|k"), None);
         assert_eq!(ThumbnailTask::decode("a%+C|dota2|1|k"), None);
         assert_eq!(ThumbnailTask::decode("trail%2|dota2|1|k"), None);
@@ -1274,7 +1336,7 @@ mod tests {
         let mut world = small_world();
         let mut cursor = DownloadCursor::new(SimTime::EPOCH, world.horizon);
         let first = SimTime::EPOCH + SimDuration::from_hours(1);
-        module.run_cursor(&mut world, &mut cursor, first);
+        ingest_to(&module, &mut world, &mut cursor, first);
         assert!(cursor.take_dirty());
         let idle = module.run_cursor(&mut world, &mut cursor, first);
         assert_eq!(idle, Ingested::default());
@@ -1416,7 +1478,7 @@ mod tests {
             let step = SimDuration::from_hours(5);
             let mut end = SimTime::EPOCH + step;
             loop {
-                module.run_cursor(&mut world, &mut cursor, end);
+                ingest_to(&module, &mut world, &mut cursor, end);
                 if end >= horizon {
                     break;
                 }
@@ -1463,7 +1525,7 @@ mod tests {
         let mut cursor = DownloadCursor::new(SimTime::EPOCH, horizon);
         let mut end = step.map_or(horizon, |s| SimTime::EPOCH + s);
         loop {
-            module.run_cursor(&mut world, &mut cursor, end);
+            ingest_to(&module, &mut world, &mut cursor, end);
             if end >= horizon {
                 break;
             }
@@ -1576,7 +1638,7 @@ mod tests {
             let objects = ObjectStore::new();
             let module = DownloadModule::new(kv.clone(), objects.clone());
             let mut cursor = DownloadCursor::new(SimTime::EPOCH, horizon);
-            module.run_cursor(&mut world, &mut cursor, half);
+            ingest_to(&module, &mut world, &mut cursor, half);
             assert!(cursor.take_dirty(), "a window that popped events moved it");
             let json = serde_json::to_string(&cursor).unwrap();
             // A window that pops no event moves only `window_start`, which
@@ -1593,7 +1655,7 @@ mod tests {
             assert_eq!(serde_json::to_string(&revived).unwrap(), json);
             assert_eq!(revived.bounds(), (SimTime::EPOCH, horizon));
             let module2 = DownloadModule::new(kv, objects);
-            module2.run_cursor(&mut world, &mut revived, horizon);
+            ingest_to(&module2, &mut world, &mut revived, horizon);
             revived.stats.clone()
         };
         assert_eq!(

@@ -6,8 +6,10 @@
 //!
 //! The engine processes `[from, horizon]` as a sequence of windows. The
 //! ingest, extract, clean, locate and aggregation stages all advance per
-//! window: the clean stage stitches, seals and re-analyses incrementally
-//! over each window's new records (see `docs/CLEANING.md`); the locate
+//! window — ingest and extract in turns of one render batch, so a
+//! thumbnail's image lives from its batch's put to the extract that
+//! deletes it: the clean stage stitches, seals and re-analyses
+//! incrementally over each window's new records (see `docs/CLEANING.md`); the locate
 //! stage spends an explicit per-window simulated-API budget and commits
 //! canonical `engine:locate:*` results as they settle; and the
 //! aggregation stage re-analyses, in memory, only the `{location, game}`
@@ -18,7 +20,7 @@
 //! drains and every served group is canonical, and only then does the
 //! one horizon-only stage run: publish takes the aggregation stage's
 //! analyses into the report.
-//! After every per-window stage the
+//! After every ingest batch and after the window's other stages the
 //! engine **commits**: the download cursor, the funnel ledger delta,
 //! every counter, the cleaner's `engine:clean:cursors`, and the
 //! engine's own progress markers are brought up to date under the
@@ -31,19 +33,19 @@
 //! re-runs only the work after the last commit.
 
 use crate::committed::{Committed, RestoreError, StoreSnapshot};
-use crate::download::{DownloadCursor, DownloadModule};
+use crate::download::{DownloadCursor, DownloadModule, TASK_QUEUE};
 use crate::keys::{anon_field, game_field, parse_anon_field, parse_decimal, parse_game_field};
 use crate::pipeline::{PipelineMetrics, Tero, TeroReport, WindowOutcome};
 use crate::serving::{raw_sketch_key, SERVE_VERSION_KEY};
 use crate::stages::agg::AggStage;
 use crate::stages::clean::CleanStage;
-use crate::stages::extract::{ExtractStage, Extracted};
+use crate::stages::extract::ExtractStage;
 use crate::stages::locate::LocateStage;
 use crate::stages::publish::publish;
 use crate::stages::StageCx;
 use std::collections::BTreeSet;
 use tero_pool::Pool;
-use tero_store::{KvStore, ObjectStore};
+use tero_store::{KvStore, ObjectStore, SnapshotValue};
 use tero_trace::obs::CounterHandle;
 use tero_trace::{DropReason, SampleKey, SampleState, SpanGuard};
 use tero_types::{AnonId, GameId, SimTime};
@@ -76,8 +78,10 @@ pub struct Engine {
     /// pass.
     agg_pending: BTreeSet<(AnonId, GameId)>,
     /// Ingest queued thumbnail tasks the extract stage has not drained
-    /// yet. Engine state, not window state: a kill fires after the ingest
-    /// commit, and the re-driven call skips ingest but must still extract.
+    /// yet. Engine state, not window state: a kill fires after an ingest
+    /// commit, and the re-driven call must extract that batch before it
+    /// ingests the next one — in-process, or restored from a snapshot
+    /// whose queue holds it.
     tasks_queued: bool,
     /// A poll grew a `tags:*` list the locate stage has not looked at
     /// yet. Engine state for the same reason.
@@ -284,6 +288,10 @@ impl Engine {
         // first pass, which `first_pass` guarantees, analyses every group
         // and deletes what it no longer serves.
         engine.extract.sketches = committed.raw_sketches;
+        // A snapshot taken at a kill holds the killed window's batch.
+        engine.tasks_queued = snap.kv.entries_with_prefix(TASK_QUEUE).any(|(key, value)| {
+            key == TASK_QUEUE && matches!(value, SnapshotValue::List(tasks) if !tasks.is_empty())
+        });
         engine
             .clean
             .rebuild(committed.samples, &committed.clean_cursors, &tero.params);
@@ -299,31 +307,26 @@ impl Engine {
     }
 
     /// Advance the run to `to` (clamped to the horizon): run the
-    /// per-window stages with a commit after each and honour any
-    /// scheduled [`tero_chaos::EngineKill`]. After ingest a stage runs
-    /// only if one of its inputs moved (the run conditions are one table
-    /// in `docs/ARCHITECTURE.md`); a window that moved nothing runs none
-    /// and still commits twice. Returns [`WindowOutcome::Advanced`] or
+    /// per-window stages with commits between them and honour any
+    /// scheduled [`tero_chaos::EngineKill`]. Ingest and extract take turns
+    /// one render batch at a time, each ingest batch followed by a commit,
+    /// so the object store holds at most one batch of blobs; clean, locate
+    /// and aggregation then run once. After ingest a stage runs only if
+    /// one of its inputs moved (the run conditions are one table in
+    /// `docs/ARCHITECTURE.md`); a window that moved nothing runs none and
+    /// still commits twice. Returns [`WindowOutcome::Advanced`] or
     /// [`WindowOutcome::Killed`]: the window that reaches the horizon is
     /// a window like any other, and [`Engine::finish`] completes the run.
     pub(crate) fn drive(&mut self, tero: &Tero, world: &mut World, to: SimTime) -> WindowOutcome {
         let to = to.min(self.horizon);
-        if self.ingested_to.is_none_or(|t| t < to) {
-            {
-                let cx = self.wiring.cx(tero, world);
-                let m = &cx.metrics.st_ingest;
-                let _span = cx.enter(m);
-                let ingested = cx.download.run_cursor(cx.world, &mut self.cursor, to);
-                m.records_out.add(ingested.thumbnails);
-                self.tasks_queued |= ingested.thumbnails > 0;
-                self.tags_grew |= ingested.tags_grew;
-            }
-            self.ingested_to = Some(to);
-            self.commit(tero);
+        // Queued tasks are a batch a kill left behind: extract it first.
+        if !self.tasks_queued && self.ingested_to.is_none_or(|t| t < to) {
+            self.ingest(tero, world, to);
         }
-        // The scheduled kill fires between the ingest commit and the
-        // extract stage — the worst case for double-counting, since the
-        // queued tasks are committed but not yet drained.
+        // The scheduled kill fires between the window's first ingest
+        // commit and the extract stage — the worst case for
+        // double-counting, since the queued tasks are committed but not
+        // yet drained — and before anything of the window is extracted.
         if world
             .chaos()
             .is_some_and(|c| c.engine_kill(self.window_index))
@@ -333,29 +336,36 @@ impl Engine {
         }
         if self.extracted_to.is_none_or(|t| t < to) {
             let all = std::mem::take(&mut self.first_pass);
-            let tasks_queued = std::mem::take(&mut self.tasks_queued);
+            self.tasks_queued |= all;
+            let (mut records, mut new_name) = (0, false);
+            loop {
+                if std::mem::take(&mut self.tasks_queued) {
+                    let extracted = self.extract.run(&mut self.wiring.cx(tero, world));
+                    records += extracted.records;
+                    new_name |= extracted.new_name;
+                }
+                if self.ingested_to.is_some_and(|t| t >= to) {
+                    break;
+                }
+                // This commit carries the batch just extracted too.
+                self.ingest(tero, world, to);
+            }
             let tags_grew = std::mem::take(&mut self.tags_grew);
-            let mut cx = self.wiring.cx(tero, world);
-            let extracted = if all || tasks_queued {
-                self.extract.run(&mut cx)
-            } else {
-                Extracted::default()
-            };
             // Clean incrementally over the records extract just appended;
             // the window's budgeted locate slice then sees the names
             // extract just registered, the tag lists ingest just grew and
             // whatever earlier budgets left queued.
-            let appended = all || extracted.records > 0;
+            let appended = all || records > 0;
             if appended {
+                let mut cx = self.wiring.cx(tero, world);
                 self.agg_pending.extend(self.clean.advance(&mut cx));
             }
-            let names_or_tags = extracted.new_name || tags_grew;
             self.settle(
                 tero,
                 world,
                 tero.locate_budget,
                 all,
-                names_or_tags,
+                new_name || tags_grew,
                 appended,
             );
             self.extracted_to = Some(to);
@@ -364,6 +374,25 @@ impl Engine {
         self.window_index += 1;
         self.wiring.metrics.window_runs.inc();
         WindowOutcome::Advanced
+    }
+
+    /// Ingest up to one render batch of the window ending at `to`, and
+    /// commit. `ingested_to` reaches `to` once the window is drained.
+    fn ingest(&mut self, tero: &Tero, world: &mut World, to: SimTime) {
+        let ingested = {
+            let cx = self.wiring.cx(tero, world);
+            let m = &cx.metrics.st_ingest;
+            let _span = cx.enter(m);
+            let ingested = cx.download.run_cursor(cx.world, &mut self.cursor, to);
+            m.records_out.add(ingested.thumbnails);
+            ingested
+        };
+        self.tasks_queued |= ingested.thumbnails > 0;
+        self.tags_grew |= ingested.tags_grew;
+        if !ingested.more {
+            self.ingested_to = Some(to);
+        }
+        self.commit(tero);
     }
 
     /// The calls every window makes after the clean feed, each gated on

@@ -73,7 +73,7 @@ pub(crate) fn parse_decimal<T: std::str::FromStr>(s: &str) -> Option<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{decode_ledger_record, encode_ledger_record};
     use crate::serving::{
@@ -88,7 +88,7 @@ mod tests {
     /// of it that `reencode` (a decoder, then its encoder) does not
     /// refuse, encodes back to exactly the bytes it was decoded from: one
     /// value has one spelling.
-    fn assert_strict(valid: &str, reencode: impl Fn(&str) -> Option<String>) {
+    pub(crate) fn assert_strict(valid: &str, reencode: impl Fn(&str) -> Option<String>) {
         assert_eq!(reencode(valid).as_deref(), Some(valid));
         let bytes = valid.as_bytes();
         let mut edits: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();

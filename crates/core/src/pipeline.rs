@@ -41,9 +41,11 @@ use tero_types::{AnonId, GameId, Location, ShardSpec, SimDuration, SimTime, Tero
 use tero_world::games::match_length_mins;
 use tero_world::World;
 
-/// The window width [`Tero::run`] walks the horizon in. A run holds at
-/// most one window's images: narrower windows hold fewer but pay more
-/// per-window commits (docs/PERFORMANCE.md measures the choice).
+/// The window width [`Tero::run`] walks the horizon in. Memory does not
+/// set it: ingest and extract take turns one render batch at a time, so
+/// a run holds at most one batch's images at any width. It sets the
+/// window index an [`tero_chaos::EngineKill`] plan addresses in a
+/// `Tero::run`.
 const RUN_WINDOW: SimDuration = SimDuration::from_hours(8);
 
 /// How thumbnails are turned into measurements.
@@ -410,10 +412,11 @@ impl Tero {
     }
 
     /// Run the full pipeline over a world's entire data-set, through the
-    /// staged engine in 8-hour windows: a thumbnail's image leaves the
-    /// object store in the window that extracts it, so a run holds at
-    /// most one window's images, whatever the horizon. The report is the
-    /// one any window schedule produces.
+    /// staged engine in 8-hour windows (the window index a kill plan
+    /// addresses). A thumbnail's image leaves the object store in the
+    /// render batch that extracts it, so a run holds at most one batch's
+    /// images, whatever the horizon. The report is the one any window
+    /// schedule produces.
     pub fn run(&self, world: &mut World) -> TeroReport {
         let run_us = self.obs.histogram("pipeline.run_us");
         let _run_timer = self.obs.stage_timer(&run_us);
@@ -432,9 +435,10 @@ impl Tero {
         }
     }
 
-    /// Process one window of the run: ingest then extract up to `to`
-    /// (clamped to the world horizon), committing resumable state after
-    /// each stage; when `to` reaches the horizon, finish the run and
+    /// Process one window of the run: ingest and extract up to `to`
+    /// (clamped to the world horizon) in turns of one render batch, then
+    /// the window's other stages, committing resumable state after each
+    /// ingest batch and at the end; when `to` reaches the horizon, finish the run and
     /// return [`WindowOutcome::Complete`].
     ///
     /// The first call creates the engine (`from` sets the start of the
@@ -667,14 +671,25 @@ mod tests {
         assert!(snap.counter("store.kv.writes").unwrap() > 0);
         assert!(snap.counter("store.object.writes").unwrap() > 0);
         // The staged engine's own accounting: the 3-day horizon walked in
-        // nine 8-hour windows, each ingesting once and committing once
-        // per per-window stage; no kills, no resumes.
+        // nine 8-hour windows, each ingesting in render batches (22 in
+        // all) and committing after each batch and once after the
+        // stages that follow; no kills, no resumes.
         assert_eq!(snap.counter("pipeline.window.runs"), Some(9));
-        assert_eq!(snap.counter("pipeline.window.commits"), Some(18));
+        assert_eq!(snap.counter("stage.ingest.runs"), Some(22));
+        assert_eq!(snap.counter("pipeline.window.commits"), Some(22 + 9));
         assert_eq!(snap.counter("pipeline.window.killed"), Some(0));
         assert_eq!(snap.counter("pipeline.window.resumed"), Some(0));
+        // The store never held more than one batch of blobs, and holds
+        // none at the end.
+        let held = snap.gauge("store.object.bytes").expect("registered");
+        let blob = snap.counter("store.object.put_bytes").unwrap() / report.thumbnails;
+        assert_eq!(held.value, 0);
+        assert!(held.high_watermark > 0);
+        assert!(
+            held.high_watermark as u64 <= crate::download::RENDER_BATCH as u64 * blob,
+            "{held:?}"
+        );
         // Per-stage record flow matches the report.
-        assert_eq!(snap.counter("stage.ingest.runs"), Some(9));
         assert_eq!(
             snap.counter("stage.extract.records_in"),
             Some(report.thumbnails)

@@ -96,7 +96,8 @@ impl<'a> StageCx<'a> {
 
 /// The metric bundle of one stage that opens a `stage.<name>` span.
 ///
-/// A stage runs many times (once per window), so the handles are
+/// A stage runs many times (once per window, ingest and extract once
+/// per render batch), so the handles are
 /// resolved once and reused: `stage.<name>.runs` counts invocations,
 /// `stage.<name>.records_in` / `stage.<name>.records_out` count the
 /// typed records flowing through, and `stage.<name>.us` is the

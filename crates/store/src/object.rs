@@ -20,7 +20,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use tero_chaos::ChaosInjector;
-use tero_trace::obs::{CounterHandle, HistogramHandle, Registry};
+use tero_trace::obs::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 use tero_trace::SpanGuard;
 
 /// Bucket name → object key → payload.
@@ -31,6 +31,8 @@ struct ObjectMetrics {
     reads: CounterHandle,
     writes: CounterHandle,
     put_bytes: CounterHandle,
+    /// Bytes the in-process store holds, kept by its executor.
+    bytes: GaugeHandle,
     op_us: HistogramHandle,
     registry: Registry,
 }
@@ -78,6 +80,7 @@ impl ObjectStore {
             reads: registry.counter("store.object.reads"),
             writes: registry.counter("store.object.writes"),
             put_bytes: registry.counter("store.object.put_bytes"),
+            bytes: registry.gauge("store.object.bytes"),
             op_us: registry.histogram("store.object.op_us"),
             registry: registry.clone(),
         });
@@ -106,11 +109,13 @@ impl ObjectStore {
     /// An in-process store runs it on its bucket map; a remote one hands
     /// it to its [`RemoteStore`]. A store server runs every request it
     /// decodes through here, on a plain local store. Neither counted nor
-    /// fault-injected: both are the public methods' business.
+    /// fault-injected: both are the public methods' business. Only the
+    /// in-process executor sees what a write replaces or removes, so it
+    /// keeps the `store.object.bytes` gauge of an instrumented store.
     #[inline(always)]
     pub fn apply(&self, req: ObjRequest<'_>) -> ObjResponse {
         match &self.backend {
-            Backend::Local(buckets) => execute(buckets, req),
+            Backend::Local(buckets) => execute(buckets, req, self.metrics.get().map(|m| &m.bytes)),
             Backend::Remote(r) => r.obj(req),
         }
     }
@@ -179,14 +184,25 @@ impl ObjectStore {
     }
 }
 
-/// The local executor: run one request on the bucket map.
+/// The local executor: run one request on the bucket map, and move
+/// `held` (the `store.object.bytes` gauge) by what the request adds and
+/// removes.
 #[inline(always)]
-fn execute(buckets: &RwLock<Buckets>, req: ObjRequest<'_>) -> ObjResponse {
+fn execute(
+    buckets: &RwLock<Buckets>,
+    req: ObjRequest<'_>,
+    held: Option<&GaugeHandle>,
+) -> ObjResponse {
+    let size = |data: Option<&Bytes>| data.map_or(0, |d| d.len() as i64);
     match req {
         ObjRequest::Put { bucket, key, data } => {
             let mut buckets = buckets.write();
             let objects = buckets.entry(bucket.into_owned()).or_default();
-            objects.insert(key.into_owned(), Bytes::from(data));
+            let added = data.len() as i64;
+            let replaced = objects.insert(key.into_owned(), Bytes::from(data));
+            if let Some(held) = held {
+                held.add(added - size(replaced.as_ref()));
+            }
             ObjResponse::Unit
         }
         ObjRequest::Get { bucket, key } => {
@@ -196,6 +212,9 @@ fn execute(buckets: &RwLock<Buckets>, req: ObjRequest<'_>) -> ObjResponse {
         ObjRequest::Delete { bucket, key } => {
             let mut buckets = buckets.write();
             let removed = buckets.get_mut(&*bucket).and_then(|b| b.remove(&*key));
+            if let Some(held) = held {
+                held.add(-size(removed.as_ref()));
+            }
             ObjResponse::Bool(removed.is_some())
         }
         ObjRequest::Snapshot => {
@@ -211,9 +230,14 @@ fn execute(buckets: &RwLock<Buckets>, req: ObjRequest<'_>) -> ObjResponse {
         ObjRequest::Restore { snapshot } => {
             let mut buckets = buckets.write();
             buckets.clear();
+            let mut total = 0;
             for (bucket, key, data) in snapshot.objects {
+                total += data.len() as i64;
                 let objects = buckets.entry(bucket).or_default();
                 objects.insert(key, Bytes::from(data));
+            }
+            if let Some(held) = held {
+                held.set(total);
             }
             ObjResponse::Unit
         }
@@ -311,6 +335,30 @@ mod tests {
         s.put("b", "k", vec![1u8; 40]);
         assert_eq!(s.get("b", "k").unwrap(), Bytes::from(vec![1u8; 40]));
         assert_eq!(s.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn bytes_gauge_follows_what_is_held() {
+        let registry = Registry::new();
+        let s = ObjectStore::new();
+        s.instrument(&registry);
+        let bytes = registry.gauge("store.object.bytes");
+        s.put("b", "k", vec![0u8; 100]);
+        s.put("b", "j", vec![0u8; 7]);
+        assert_eq!(bytes.get(), 107);
+        // A replacement adds its length less the replaced value's.
+        s.put("b", "k", vec![1u8; 40]);
+        assert_eq!(bytes.get(), 47);
+        assert!(s.delete("b", "k"));
+        assert!(!s.delete("b", "k"), "a missing key removes nothing");
+        assert_eq!(bytes.get(), 7);
+        assert_eq!(bytes.high_watermark(), 107);
+        // A restore holds what the snapshot holds.
+        let other = ObjectStore::new();
+        other.put("a", "x", vec![2u8; 30]);
+        other.put("a", "y", vec![2u8; 3]);
+        s.restore(&other.snapshot());
+        assert_eq!(bytes.get(), 33);
     }
 
     #[test]

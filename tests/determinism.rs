@@ -2095,3 +2095,142 @@ fn a_sharded_run_leaves_no_blob_on_the_mesh() {
     assert!(stores >= engines, "every engine stored through the mesh");
     assert!(out.report.thumbnails > 100, "a real run");
 }
+
+// ---------------------------------------------------------------------------
+// Ingest and extract take turns one render batch (32 thumbnails) at a
+// time, so the object store holds at most one batch of blobs, whatever
+// the window's width.
+
+/// `RENDER_BATCH`: the most thumbnails one ingest turn stores.
+const RENDER_BATCH: u64 = 32;
+
+/// The `store.object.bytes` high watermark of a run, in blobs (every
+/// payload has the same length).
+fn blobs_held_at_peak(tero: &Tero) -> f64 {
+    let snap = tero.metrics_snapshot();
+    let held = snap.gauge("store.object.bytes").expect("registered");
+    let blob = snap.counter("store.object.put_bytes").unwrap() as f64
+        / snap.counter("download.get_hits").unwrap() as f64;
+    held.high_watermark as f64 / blob
+}
+
+#[test]
+fn the_store_holds_at_most_one_render_batch() {
+    // A daily window of the day world stores every thumbnail of the day,
+    // a 6-hour one a few hundred: each takes many batches, and extract
+    // deletes each batch before ingest stores the next.
+    for (mode, window) in [
+        (ExtractionMode::FullOcr, SimDuration::from_hours(24)),
+        (ExtractionMode::Calibrated, SimDuration::from_hours(6)),
+    ] {
+        let single = Tero {
+            mode,
+            ..windowed_tero(1)
+        };
+        let reference = fingerprint(&single.run(&mut day_world(None)));
+        for workers in [1, 2, 8] {
+            let what = format!("{mode:?}, {window:?} windows, {workers} workers");
+            let tero = Tero {
+                mode,
+                ..windowed_tero(workers)
+            };
+            let report = drive(&tero, &mut day_world(None), Some(window));
+            assert_eq!(fingerprint(&report), reference, "{what}");
+            assert!(
+                report.thumbnails > 10 * RENDER_BATCH,
+                "{what}: windows of many batches"
+            );
+            let peak = blobs_held_at_peak(&tero);
+            assert!(peak <= RENDER_BATCH as f64, "{what}: {peak} blobs held");
+            assert!(peak >= 1.0, "{what}: the gauge moved");
+        }
+    }
+}
+
+#[test]
+fn a_kill_in_a_window_of_many_batches_resumes_from_its_batch() {
+    // The kill fires after the window's first ingest commit: one batch
+    // is queued, and its blobs are all the store holds. Whoever resumes —
+    // the same `Tero` or a fresh one restored from the snapshot —
+    // extracts that batch before it ingests the next, and reaches the
+    // uninterrupted run's report and committed state.
+    let window = SimDuration::from_hours(6);
+    let runs = |t: &Tero| t.obs.counter("stage.ingest.runs").get();
+    let tero = windowed_tero(2);
+    let mut world = day_world(Some(FaultPlan::quiet(7)));
+    let mut batches = Vec::new();
+    let mut to = SimTime::EPOCH + window;
+    let report = loop {
+        let before = runs(&tero);
+        match tero.run_window(&mut world, SimTime::EPOCH, to) {
+            WindowOutcome::Complete(report) => break report,
+            WindowOutcome::Advanced => to += window,
+            WindowOutcome::Killed => unreachable!("no kill planned"),
+        }
+        batches.push(runs(&tero) - before);
+    };
+    let reference = Drive::finish(&tero, &report);
+    let killed = batches
+        .iter()
+        .position(|&n| n >= 3)
+        .expect("a window of at least three batches") as u64;
+
+    for from_snapshot in [false, true] {
+        let what = format!("kill in window {killed}, from_snapshot {from_snapshot}");
+        let plan = FaultPlan {
+            engine_kills: vec![EngineKill { window: killed }],
+            ..FaultPlan::quiet(7)
+        };
+        let mut world = day_world(Some(plan));
+        let mut tero = windowed_tero(2);
+        let mut to = SimTime::EPOCH + window;
+        let mut kills = 0;
+        let report = loop {
+            match tero.run_window(&mut world, SimTime::EPOCH, to) {
+                WindowOutcome::Complete(report) => break report,
+                WindowOutcome::Advanced => {
+                    let peak = blobs_held_at_peak(&tero);
+                    assert!(peak <= RENDER_BATCH as f64, "{what}: {peak} blobs held");
+                    to += window;
+                }
+                WindowOutcome::Killed => {
+                    kills += 1;
+                    let snap = tero.engine_snapshot().expect("a killed run is in flight");
+                    let queued = task_keys(&snap, "queue:thumbs");
+                    assert_eq!(queued.len() as u64, RENDER_BATCH, "{what}");
+                    assert_eq!(snap.objects.len(), queued.len(), "{what}");
+                    assert_eq!(blobs_among(&snap, &queued), queued.len(), "{what}");
+                    if from_snapshot {
+                        tero = windowed_tero(2);
+                        tero.restore_engine(snap)
+                            .expect("the snapshot's cursor decodes");
+                    }
+                }
+            }
+        };
+        let peak = blobs_held_at_peak(&tero);
+        assert!(peak <= RENDER_BATCH as f64, "{what}: {peak} blobs held");
+        assert_eq!(kills, 1, "{what}");
+        Drive::finish(&tero, &report).assert_matches(&reference, &what);
+    }
+}
+
+#[test]
+fn a_full_range_download_run_stores_every_blob() {
+    // `DownloadModule::run` is ingest alone: nothing extracts between its
+    // batches, so every thumbnail it fetched is in the store and loads.
+    use tero::core::download::DownloadModule;
+    use tero::store::{KvStore, ObjectStore};
+    let mut world = day_world(None);
+    let objects = ObjectStore::new();
+    let mut module = DownloadModule::new(KvStore::new(), objects.clone());
+    let horizon = world.horizon;
+    let stats = module.run(&mut world, SimTime::EPOCH, horizon);
+    assert!(stats.downloaded > 10 * RENDER_BATCH, "many batches");
+    assert_eq!(objects.snapshot().len() as u64, stats.downloaded);
+    let tasks = module.drain_tasks();
+    assert_eq!(tasks.len() as u64, stats.downloaded);
+    assert!(tasks
+        .iter()
+        .all(|task| module.load_image(&task.object_key).is_some()));
+}
